@@ -31,7 +31,6 @@ from .linalg import (
     eye,
     kron,
     kron_all,
-    partial_trace,
     spin_chain,
 )
 from .projective import Ray
@@ -42,6 +41,12 @@ PAULI_VEC = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 Y_OVERLAP_GATE = 0.9
 PROJECTION_WEIGHT_GATE = 1e-6
 PHASE_FIX_TOL = 1e-12
+
+# Amplitudes per batch array of the equator sweep, to bound its peak memory:
+# the gate kernel runs on chunks of max(1, SWEEP_BUDGET // 2^(2N)) points.
+SWEEP_BUDGET = 2**13
+# Bytes of the largest single 2^(2N)-amplitude chain state a model may need.
+MAX_STATE_BYTES = 2**24
 
 
 @dataclass(frozen=True)
@@ -102,6 +107,9 @@ class ModelConfig:
             raise ValueError("need at least two dimers")
         if self.grid[0] < 2 or self.grid[1] < 3:
             raise ValueError("grid must be at least 2 x 3")
+        if 16 * 4**self.n_dimers > MAX_STATE_BYTES:  # 16 bytes per complex amplitude
+            raise ValueError(f"n_dimers={self.n_dimers}: a 2^{2 * self.n_dimers}-amplitude chain "
+                             f"state exceeds the {MAX_STATE_BYTES}-byte budget")
 
     @property
     def n_sites(self) -> int:
@@ -194,11 +202,14 @@ def dimer_closed_form(w: ParamPoint, hemisphere: int, eps: float = 0.25) -> Dime
     return DimerClosedForm(f, c, d, spectrum, ground)
 
 
-def site_rotation(theta: float, phi: float) -> np.ndarray:
-    """The 2x2 unitary with U† sigma_z U = n(theta, phi) . sigma."""
+def site_rotation(theta, phi) -> np.ndarray:
+    """The 2x2 unitary with U† sigma_z U = n(theta, phi) . sigma; arrays of
+    angles give a stack of shape (..., 2, 2)."""
     ct, st = np.cos(theta / 2.0), np.sin(theta / 2.0)
     ep = np.exp(1j * phi / 2.0)
-    return np.array([[ct * ep, st / ep], [-st * ep, ct / ep]], dtype=np.complex128)
+    u = np.array([[ct * ep, st / ep], [-st * ep, ct / ep]], dtype=np.complex128)
+    # contiguous: batches of any size take one matmul path, bit for bit
+    return np.ascontiguousarray(np.moveaxis(u, (0, 1), (-2, -1)))
 
 
 def dimer_swap_unitary() -> np.ndarray:
@@ -323,15 +334,17 @@ def truncated_Z(w: ParamPoint, cfg: ModelConfig, branch=None) -> TruncatedZ:
     return TruncatedZ(z=z, y_overlap=y_overlap, y_raw=y, m=m, omega_r=ops.omega_r)
 
 
+def _pattern(n_sites: int) -> int:
+    """Basis index of |up down up ...> (up=0, site 1 most significant)."""
+    return int(("01" * n_sites)[:n_sites], 2)
+
+
 def _interior_overlap(m_omega: np.ndarray, n_sites: int) -> float:
     """Overlap of the reduced state on sites 1..2N-2 with the reference
-    pattern, after tracing out the far boundary dimer."""
-    d_int = 2 ** (n_sites - 2)
-    rho = np.outer(m_omega, m_omega.conj())
-    rho_int = partial_trace(rho, d_int, 4, keep="left")
-    ref = reference_chain_state(n_sites - 2)
-    val = float(np.real(np.vdot(ref, rho_int @ ref)))
-    return float(np.sqrt(max(val, 0.0)))
+    pattern, after tracing out the far boundary dimer; vectorised over
+    leading axes of m_omega."""
+    rows = m_omega.reshape(*m_omega.shape[:-1], 2 ** (n_sites - 2), 4)
+    return np.linalg.norm(rows[..., _pattern(n_sites - 2), :], axis=-1)
 
 
 class EquatorPoint(NamedTuple):
@@ -342,39 +355,61 @@ class EquatorPoint(NamedTuple):
     y_raw: complex
 
 
-def _zdag_omega(theta: float, phi: float, cfg: ModelConfig) -> tuple[np.ndarray, complex, float]:
-    """(z† Omega_R, y_raw, y_overlap) by matrix-vector products only."""
-    ops = chain_operators(cfg.n_sites)
-    n = cfg.n_sites
-    g_all = _site_rotation_chain(theta, phi, n)
-    u2 = site_rotation(theta, phi)
-    layout = spin_chain(n)
-    u1 = embed_site_operator(u2, 0, layout)
+class _EquatorBatch(NamedTuple):
+    zdag_omega: np.ndarray  # (P, 2^n) phase-fixed z† Omega_R
+    y_raw: np.ndarray  # (P,) <Omega_R, M Omega_R>
+    y_overlap: np.ndarray  # (P,) interior overlap of M Omega_R
+    weight: np.ndarray  # (P,) in-span weight modulo the far site
+    rays: np.ndarray  # (P, 2) unit rays in span{Omega_R, sx_1 Omega_R}
 
-    # M† Omega = U1 B+† G† B+ B- G B-† Omega
-    t = ops.b_minus.conj().T @ ops.omega_r
-    t = g_all @ t
-    t = ops.b_minus @ t
-    s = ops.b_plus @ t
-    s = g_all.conj().T @ s
-    s = ops.b_plus.conj().T @ s
-    mdag_omega = u1 @ s
-    y = complex(np.vdot(mdag_omega, ops.omega_r))  # <Omega, M Omega>
 
-    # M Omega for the interior-overlap monitor
-    r = u1.conj().T @ ops.omega_r
-    r = ops.b_plus @ r
-    r = g_all @ r
-    r = ops.b_plus.conj().T @ r
-    r = ops.b_minus.conj().T @ r
-    r = g_all.conj().T @ r
-    m_omega = ops.b_minus @ r
-    y_overlap = _interior_overlap(m_omega, n)
+def _layer(psi: np.ndarray, gate: np.ndarray, sites) -> np.ndarray:
+    """Apply `gate` at each of `sites` to a batch of chain states (P, 2^n):
+    a fixed 4x4 gate acts on the pair (i, i+1), a stack of per-state 2x2
+    matrices (P, 2, 2) on site i."""
+    d = gate.shape[-1]
+    g = gate if gate.ndim == 2 else gate[:, None]
+    for i in sites:
+        psi = (g @ psi.reshape(len(psi), 2**i, d, -1)).reshape(psi.shape)
+    return psi
 
-    if abs(y) < PHASE_FIX_TOL:
-        raise NumericalGateError("reference overlap vanishes; cannot phase-fix the lift")
-    zdag_omega = (y / abs(y)) * s
-    return zdag_omega, y, y_overlap
+
+def _equator_batch(theta: np.ndarray, phi: np.ndarray, n: int) -> _EquatorBatch:
+    """z† Omega_R and its monitors at P band points, one gate layer at a time.
+
+    M† Omega = U1 B+† G† B+ B- G B-† Omega with B- = W on the pairs (1,2),
+    (3,4), ..., B+ = W on (2,3), ..., (2N-2, 2N-1), G = u^(x)2N and U1 = u
+    on site 1; M Omega runs the adjoint layers in reverse. Gate failures
+    are raised for the first failing point in batch order.
+    """
+    u, w = site_rotation(theta, phi), dimer_swap_unitary()
+    u_dag, w_dag = u.conj().swapaxes(-1, -2), w.conj().T
+    minus, plus, every = range(0, n, 2), range(1, n - 2, 2), range(n)
+    layers = ((w_dag, minus), (u, every), (w, minus), (w, plus), (u_dag, every), (w_dag, plus))
+    ref = _pattern(n)
+    omega = np.zeros((len(u), 2**n), dtype=np.complex128)
+    omega[:, ref] = 1.0
+    s = omega  # U1† M† Omega
+    for gate, sites in layers:
+        s = _layer(s, gate, sites)
+    m_omega = _layer(omega, u_dag, [0])
+    for gate, sites in reversed(layers):
+        m_omega = _layer(m_omega, gate.conj().swapaxes(-1, -2), sites)
+    y = _layer(s, u, [0])[:, ref].conj()  # <Omega, M Omega> = conj <Omega, M† Omega>
+
+    block = s.reshape(len(s), 2, 2 ** (n - 2), 2)[:, :, _pattern(n - 1), :]
+    u_svd, svals, _ = np.linalg.svd(block)
+    weight = svals[:, 0] ** 2 / np.sum(np.abs(s) ** 2, axis=1)
+    bad = (np.abs(y) < PHASE_FIX_TOL) | (weight < 1.0 - PROJECTION_WEIGHT_GATE)
+    if bad.any():
+        i = int(np.argmax(bad))
+        if abs(y[i]) < PHASE_FIX_TOL:
+            raise NumericalGateError("reference overlap vanishes; cannot phase-fix the lift")
+        raise NumericalGateError(
+            f"projection weight {weight[i]:.9f} deficient: state left the invariant span"
+        )
+    zdag_omega = (y / np.abs(y))[:, None] * s
+    return _EquatorBatch(zdag_omega, y, _interior_overlap(m_omega, n), weight, u_svd[:, :, 0])
 
 
 def projected_equator_map(w: ParamPoint, cfg: ModelConfig, branch=None) -> EquatorPoint:
@@ -382,45 +417,23 @@ def projected_equator_map(w: ParamPoint, cfg: ModelConfig, branch=None) -> Equat
 
     The strict amplitudes are the inner products against the two basis
     states. Because the truncated chain carries a known one-site defect at
-    the far boundary, the in-span weight is measured after allowing an
-    arbitrary far-site factor (dominant singular pair of the 2x2
-    coefficient block); a deficit there signals an assembly bug.
+    the far boundary, ray and in-span weight come from the dominant
+    singular pair of the 2x2 block over (site-1 sector) x (far site); a
+    weight deficit signals an assembly bug.
     """
     if abs(w.w4) >= cfg.epsilon:
         raise ValueError("projected equator map needs a band point (|w4| < epsilon)")
     theta, phi = w.theta_phi() if branch is None else (float(branch[0]), float(branch[1]))
-    v, y, y_overlap = _zdag_omega(theta, phi, cfg)
-    n = cfg.n_sites
-
-    omega_r = chain_operators(n).omega_r
-    flip = omega_r.reshape(2, -1)[::-1].reshape(-1)  # sigma^x at site 1
-    amps = np.array([np.vdot(omega_r, v), np.vdot(flip, v)], dtype=np.complex128)
-
-    # coefficient block over (site-1 sector) x (free far site)
-    v2 = v.reshape(2 ** (n - 1), 2)
-    pattern = _pattern_index(n - 1, flip_first=False)
-    pattern_flip = _pattern_index(n - 1, flip_first=True)
-    c = np.stack([v2[pattern], v2[pattern_flip]])
-    u_svd, svals, _ = np.linalg.svd(c)
-    weight = float(svals[0] ** 2 / np.vdot(v, v).real)
-    if weight < 1.0 - PROJECTION_WEIGHT_GATE:
-        raise NumericalGateError(
-            f"projection weight {weight:.9f} deficient: state left the invariant span"
-        )
-    ray = Ray(u_svd[:, 0])
-    return EquatorPoint(ray=ray, amplitudes=amps, weight=weight, y_overlap=y_overlap, y_raw=y)
+    pt = _equator_batch(np.array([theta]), np.array([phi]), cfg.n_sites)
+    amps = pt.zdag_omega[0].reshape(2, -1)[:, _pattern(cfg.n_sites)]  # site 1 up, down
+    return EquatorPoint(Ray(pt.rays[0]), amps, float(pt.weight[0]), float(pt.y_overlap[0]),
+                        complex(pt.y_raw[0]))
 
 
-def _pattern_index(n_sites: int, flip_first: bool) -> int:
-    """Basis index of the alternating reference pattern on n_sites sites,
-    optionally with site 1 flipped (up=0, down=1, site 1 most significant)."""
-    bits = [(0 if i % 2 == 0 else 1) for i in range(n_sites)]
-    if flip_first:
-        bits[0] ^= 1
-    idx = 0
-    for b in bits:
-        idx = (idx << 1) | b
-    return idx
+def _bloch_vectors(theta, phi) -> np.ndarray:
+    """Ground vectors (..., 2) of -n(theta, phi).sigma."""
+    half_phase = np.exp(1j * phi / 2.0)
+    return np.stack([np.cos(theta / 2.0) / half_phase, np.sin(theta / 2.0) * half_phase], axis=-1)
 
 
 def bloch_ground_map(r: np.ndarray) -> Ray:
@@ -429,15 +442,7 @@ def bloch_ground_map(r: np.ndarray) -> Ray:
     r = np.asarray(r, dtype=float).ravel()
     if abs(np.linalg.norm(r) - 1.0) > 1e-10:
         raise ValueError("bloch_ground_map expects a unit vector")
-    theta = float(np.arccos(np.clip(r[2], -1.0, 1.0)))
-    phi = float(np.arctan2(r[1], r[0]))
-    return Ray(
-        np.array(
-            [np.cos(theta / 2.0) * np.exp(-1j * phi / 2.0),
-             np.sin(theta / 2.0) * np.exp(1j * phi / 2.0)],
-            dtype=np.complex128,
-        )
-    )
+    return Ray(_bloch_vectors(np.arccos(np.clip(r[2], -1.0, 1.0)), np.arctan2(r[1], r[0])))
 
 
 @dataclass
@@ -458,39 +463,33 @@ class InvariantRecord:
 
 def invariant_sweep(cfg: ModelConfig, constant_field: bool = False) -> InvariantRecord:
     """Headline computation: sweep the equator 2-sphere, extract the ray
-    field of the projected equator map, and compare its lattice degree
-    with the Bloch ground-state field on the same grid.
+    field of the projected equator map, chunk by chunk of grid points, and
+    compare its lattice degree with the Bloch ground-state field on the
+    same grid.
 
     `constant_field` replaces the projected field by a constant ray (a
     degree-0 sanity debug mode).
     """
     k_dim, m_dim = cfg.grid
-    thetas, phis = sphere_grid(k_dim, m_dim)
-    field = np.zeros((k_dim, m_dim, 2), dtype=np.complex128)
-    bloch = np.zeros((k_dim, m_dim, 2), dtype=np.complex128)
-    y_min = np.inf
-    weight_min = np.inf
-    agree_min = np.inf
-    for k, theta in enumerate(thetas):
-        for m, phi in enumerate(phis):
-            rhat = np.array(
-                [np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)]
-            )
-            b = bloch_ground_map(rhat)
-            bloch[k, m] = b.vec
-            if constant_field:
-                field[k, m] = np.array([1.0, 0.0])
-                continue
-            pt = projected_equator_map(equator_point(rhat), cfg, branch=(theta, phi))
-            field[k, m] = pt.ray.vec
-            y_min = min(y_min, pt.y_overlap)
-            weight_min = min(weight_min, pt.weight)
-            agree_min = min(agree_min, abs(np.vdot(pt.ray.vec, b.vec)))
+    theta, phi = (a.ravel() for a in np.meshgrid(*sphere_grid(k_dim, m_dim), indexing="ij"))
+    bloch = _bloch_vectors(theta, phi)
+    field = np.zeros_like(bloch)
     if constant_field:
+        field[:, 0] = 1.0
         y_min = weight_min = 1.0
         agree_min = 0.0
-    deg = plaquette_degree(field)
-    bdeg = plaquette_degree(bloch)
+    else:
+        y_min = weight_min = np.inf
+        chunk = max(1, SWEEP_BUDGET // 2**cfg.n_sites)
+        for start in range(0, len(theta), chunk):
+            part = slice(start, start + chunk)
+            pts = _equator_batch(theta[part], phi[part], cfg.n_sites)
+            field[part] = pts.rays
+            y_min = min(y_min, np.min(pts.y_overlap))
+            weight_min = min(weight_min, np.min(pts.weight))
+        agree_min = np.min(np.abs(np.sum(field.conj() * bloch, axis=-1)))
+    deg = plaquette_degree(field.reshape(k_dim, m_dim, 2))
+    bdeg = plaquette_degree(bloch.reshape(k_dim, m_dim, 2))
     return InvariantRecord(
         degree=deg.degree,
         bloch_degree=bdeg.degree,

@@ -252,6 +252,8 @@ SUITES = {
 
 
 def run_selfcheck(seed: int, inject_fault: str | None = None) -> list[SuiteResult]:
+    if inject_fault is not None and inject_fault not in SUITES:
+        raise ValueError(f"unknown suite {inject_fault!r}; options: {sorted(SUITES)}")
     results = []
     for idx, (name, suite) in enumerate(SUITES.items()):
         rng = np.random.default_rng([seed, idx])
@@ -260,6 +262,4 @@ def run_selfcheck(seed: int, inject_fault: str | None = None) -> list[SuiteResul
             res.passed = False
             res.details["injected_fault"] = True
         results.append(res)
-    if inject_fault is not None and inject_fault not in SUITES:
-        raise ValueError(f"unknown suite {inject_fault!r}; options: {sorted(SUITES)}")
     return results

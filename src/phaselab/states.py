@@ -110,16 +110,6 @@ def act(a: np.ndarray, s: DensityState) -> DensityState:
     return DensityState(out)
 
 
-def matrix_units(n: int) -> list[np.ndarray]:
-    units = []
-    for i in range(n):
-        for j in range(n):
-            e = np.zeros((n, n), dtype=np.complex128)
-            e[i, j] = 1.0
-            units.append(e)
-    return units
-
-
 @dataclass
 class GnsResult:
     """GNS data of a state on M_n.

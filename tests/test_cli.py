@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 
@@ -67,8 +68,14 @@ def test_selfcheck_injected_fault(capsys):
     assert by_name["metric-identities"] is True
 
 
-def test_selfcheck_unknown_fault(capsys):
+def test_selfcheck_unknown_fault(monkeypatch, capsys):
+    from phaselab import selfcheck
+
+    ran = []
+    for name in list(selfcheck.SUITES):
+        monkeypatch.setitem(selfcheck.SUITES, name, lambda rng, name=name: ran.append(name))
     assert main(["selfcheck", "--seed", "1", "--inject-fault", "nope"]) == 3
+    assert ran == []  # the name is rejected before any suite runs
 
 
 def test_contract_loop_roundtrip(tmp_path, capsys):
@@ -164,3 +171,21 @@ def test_invariant_report_is_deterministic(tmp_path):
 def test_invariant_rejects_bad_grid(capsys):
     assert main(["invariant", "--grid", "1x2"]) == 3
     assert main(["invariant", "--grid", "notagrid"]) == 3
+
+
+def test_invariant_rejects_oversized_chain(monkeypatch, capsys):
+    import phaselab.cli
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the sweep must not start")
+
+    monkeypatch.setattr(phaselab.cli, "invariant_sweep", no_sweep)
+    tracemalloc.start()
+    try:
+        code = main(["invariant", "--n-dimers", "40", "--no-timestamp"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert "budget" in capsys.readouterr().err
+    assert peak < 2**20

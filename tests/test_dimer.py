@@ -362,3 +362,51 @@ def test_invariant_degree_function():
     deg = invariant_degree(cfg)
     assert isinstance(deg, int)
     assert deg == invariant_sweep(cfg).degree
+
+
+@pytest.mark.parametrize("n_dimers", [2, 3, 4])
+def test_equator_batch_matches_dense_oracle(n_dimers):
+    from phaselab.dimer import _equator_batch
+
+    cfg = ModelConfig(n_dimers=n_dimers)
+    rng = np.random.default_rng(53 + n_dimers)
+    points = [random_band(rng) for _ in range(4)]
+    theta, phi = np.array([w.theta_phi() for w in points]).T
+    batch = _equator_batch(theta, phi, cfg.n_sites)
+    for i, w in enumerate(points):
+        tz = truncated_Z(w, cfg)
+        assert np.max(np.abs(batch.zdag_omega[i] - tz.z.conj().T @ tz.omega_r)) <= 1e-12
+        assert abs(batch.y_raw[i] - tz.y_raw) <= 1e-12
+        assert abs(batch.y_overlap[i] - tz.y_overlap) <= 1e-12
+
+
+def test_equator_batch_raises_for_first_failing_point(monkeypatch):
+    from phaselab import dimer
+    from phaselab.util import NumericalGateError
+
+    # theta = pi makes <Omega, M Omega> = cos(theta/2) vanish
+    with pytest.raises(NumericalGateError, match="reference overlap vanishes"):
+        dimer._equator_batch(np.array([1.0, np.pi]), np.zeros(2), 4)
+    monkeypatch.setattr(dimer, "PROJECTION_WEIGHT_GATE", -1.0)  # every weight now fails
+    with pytest.raises(NumericalGateError, match="reference overlap vanishes"):
+        dimer._equator_batch(np.array([np.pi, 1.0]), np.zeros(2), 4)
+    with pytest.raises(NumericalGateError, match="projection weight"):
+        dimer._equator_batch(np.array([1.0, np.pi]), np.zeros(2), 4)
+
+
+def test_invariant_sweep_chunking_is_invisible(monkeypatch):
+    from phaselab import dimer
+
+    cfg = ModelConfig(grid=(8, 16))
+    whole = invariant_sweep(cfg)
+    monkeypatch.setattr(dimer, "SWEEP_BUDGET", 2**cfg.n_sites)  # one point per batch
+    assert invariant_sweep(cfg) == whole
+
+
+def test_model_config_state_budget():
+    from phaselab.dimer import MAX_STATE_BYTES
+
+    largest = int(np.log2(MAX_STATE_BYTES // 16)) // 2
+    assert ModelConfig(n_dimers=largest).n_dimers == largest
+    with pytest.raises(ValueError, match="budget"):
+        ModelConfig(n_dimers=largest + 1)
