@@ -10,14 +10,15 @@ certifies the resulting two-parameter sheet cell by cell.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
 
-from .linalg import eye
+from .linalg import eye, trace_norm
 from .projective import elementary_transport
-from .states import DensityState, act, basis_state
+from .states import DensityState, act_batch, basis_state, validate_densities
 from .util import NumericalGateError
 
 PURITY_THRESHOLD = 7.0 / 8.0
@@ -26,6 +27,11 @@ SAFETY_FLOOR = 1e-10
 BOUNDARY_RADIUS = 1.0 - 1e-9
 DEFAULT_MAX_STEP = 0.02
 BASEPOINT_TOL = 1e-9
+OPERATOR_TOL = 1e-9
+# Columns per batch in the arc-length pre-pass of _interp_rows. Its
+# temporaries hold columns x fine samples matrices: at n = 3 with about 200
+# fine samples, 4 MB each, where all 701 columns at once would take 20 MB.
+PREPASS_COLUMNS = 128
 
 
 def projection_matrix(n: int, k: int) -> np.ndarray:
@@ -33,6 +39,19 @@ def projection_matrix(n: int, k: int) -> np.ndarray:
     if not 0 <= k <= n - 1:
         raise ValueError(f"k={k} out of range for n={n}")
     return np.diag(np.array([1.0] * (n - k) + [0.0] * k)).astype(np.complex128)
+
+
+def _check_based(rhos: np.ndarray):
+    """A density stack (T, n, n) must start and end at the basepoint."""
+    base = basis_state(rhos.shape[-1]).rho
+    if trace_norm(rhos[[0, -1]] - base).max() > BASEPOINT_TOL:
+        raise ValueError("loop must be based at the first-basis-vector state")
+    if trace_norm(rhos[0] - rhos[-1]) > BASEPOINT_TOL:
+        raise ValueError("loop is not closed")
+
+
+def _max_step(rhos: np.ndarray) -> float:
+    return float(trace_norm(rhos[1:] - rhos[:-1]).max())
 
 
 @dataclass
@@ -50,44 +69,43 @@ class StateLoop:
         for s in self.samples:
             if not isinstance(s, DensityState) or s.dim != self.n:
                 raise ValueError("loop samples must be states on M_n")
-        base = basis_state(self.n)
-        if _dist(self.samples[0], base) > BASEPOINT_TOL or _dist(self.samples[-1], base) > BASEPOINT_TOL:
-            raise ValueError("loop must be based at the first-basis-vector state")
-        if _dist(self.samples[0], self.samples[-1]) > BASEPOINT_TOL:
-            raise ValueError("loop is not closed")
+        _check_based(self.as_array())
 
     @property
     def n_samples(self) -> int:
         return len(self.samples)
 
-    @property
+    @cached_property
     def max_step(self) -> float:
-        return max(
-            _dist(a, b) for a, b in zip(self.samples, self.samples[1:])
-        )
+        """Largest trace-norm step between consecutive samples."""
+        return _max_step(self.as_array())
 
-
-def _dist(a: DensityState, b: DensityState) -> float:
-    return float(np.sum(np.linalg.svd(a.rho - b.rho, compute_uv=False)))
+    def as_array(self) -> np.ndarray:
+        return np.array([s.rho for s in self.samples])
 
 
 @dataclass
 class HomotopySheet:
-    """T x S grid of states: row 0 is the input loop, later rows are the
-    successive deformations; meta records the operator families used."""
+    """S x T grid of states, stored as one (S, T, n, n) complex array:
+    row 0 is the input loop, later rows are the successive deformations;
+    meta records the operator families used."""
 
     n: int
-    rows: list  # list of rows; each row is a list[DensityState] of equal length
+    cells: np.ndarray
     meta: list = field(default_factory=list)
+
+    def __post_init__(self):
+        self.cells = np.asarray(self.cells, dtype=np.complex128)
+        if self.cells.ndim != 4 or self.cells.shape[2:] != (self.n, self.n):
+            raise ValueError(f"sheet cells must have shape (S, T, {self.n}, {self.n})")
 
     @property
     def shape(self) -> tuple[int, int]:
-        return (len(self.rows), len(self.rows[0]))
+        return self.cells.shape[:2]
 
     def as_array(self) -> np.ndarray:
-        return np.array(
-            [[s.rho for s in row] for row in self.rows], dtype=np.complex128
-        )
+        """The cell array itself, not a copy."""
+        return self.cells
 
 
 class SafetyReport(NamedTuple):
@@ -96,30 +114,56 @@ class SafetyReport(NamedTuple):
     s_at_min: float
 
 
+_NOT_OPERATOR = {"unitary": "not a unitary", "projection": "not an orthogonal projection"}
+
+
+def _operator_ok(a: np.ndarray, kind: str) -> np.ndarray:
+    """Per matrix of a stack (..., n, n): is it a unitary, or an
+    orthogonal projection, to OPERATOR_TOL."""
+    adj = a.conj().swapaxes(-1, -2)
+    if kind == "unitary":
+        return np.max(np.abs(a @ adj - eye(a.shape[-1])), axis=(-2, -1)) <= OPERATOR_TOL
+    if kind == "projection":
+        return (np.max(np.abs(a @ a - a), axis=(-2, -1)) <= OPERATOR_TOL) & (
+            np.max(np.abs(a - adj), axis=(-2, -1)) <= OPERATOR_TOL
+        )
+    raise ValueError("kind must be 'unitary' or 'projection'")
+
+
+def _safety_min(a: np.ndarray, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact minimum over s in [0, 1] of omega((sA + (1-s)1)† (sA + (1-s)1))
+    and the s attaining it, over broadcast stacks of A and densities.
+
+    With X = A - 1 the value is the quadratic c0 + c1 s + c2 s², where
+    c0 = omega(1), c1 = 2 Re omega(X) and c2 = omega(X†X) >= 0; expanded in
+    A it reads s² omega(A†A) + 2s(1-s) Re omega(A) + (1-s)² omega(1). Its
+    minimum is at the vertex -c1/(2 c2) when that lies inside (0, 1), and
+    otherwise at an endpoint (s = 0 on ties). A vanishing c2 leaves a line,
+    whose minimum is at an endpoint too.
+    """
+    x = a - eye(a.shape[-1])
+    c0 = np.trace(rho, axis1=-2, axis2=-1).real
+    c1 = 2.0 * np.einsum("...ij,...ji->...", rho, x).real
+    c2 = np.einsum("...ij,...ij->...", x @ rho, x.conj()).real
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vertex = -c1 / (2.0 * c2)
+    inside = (c2 > 0.0) & (vertex > 0.0) & (vertex < 1.0)
+    s = np.where(inside, vertex, np.where(c1 + c2 < 0.0, 1.0, 0.0))
+    return c0 + s * (c1 + c2 * s), s
+
+
 def interpolation_safe(a: np.ndarray, omega: DensityState, kind: str) -> SafetyReport:
-    """Scan omega((sA + (1-s)1)† (sA + (1-s)1)) over a 101-point s grid.
+    """Certify omega((sA + (1-s)1)† (sA + (1-s)1)) > SAFETY_FLOOR for every
+    s in [0, 1] by its exact minimum (see _safety_min).
 
     Projections with omega(P) > 0 are always safe; unitaries are unsafe
     only near omega(U) = -1 at s = 1/2.
     """
     a = np.asarray(a, dtype=np.complex128)
-    n = omega.dim
-    if kind == "unitary":
-        if np.max(np.abs(a @ a.conj().T - eye(n))) > 1e-9:
-            raise ValueError("not a unitary")
-    elif kind == "projection":
-        if np.max(np.abs(a @ a - a)) > 1e-9 or np.max(np.abs(a - a.conj().T)) > 1e-9:
-            raise ValueError("not an orthogonal projection")
-    else:
-        raise ValueError("kind must be 'unitary' or 'projection'")
-    best = np.inf
-    s_best = 0.0
-    for s in np.linspace(0.0, 1.0, 101):
-        m = s * a + (1.0 - s) * eye(n)
-        val = float(np.trace(omega.rho @ m.conj().T @ m).real)
-        if val < best:
-            best, s_best = val, float(s)
-    return SafetyReport(best > SAFETY_FLOOR, best, s_best)
+    if not _operator_ok(a, kind):
+        raise ValueError(_NOT_OPERATOR[kind])
+    value, s = _safety_min(a, omega.rho)
+    return SafetyReport(bool(value > SAFETY_FLOOR), float(value), float(s))
 
 
 def _alignment_wedge(r: float) -> float:
@@ -179,18 +223,13 @@ def disk_phase_lift(gamma: np.ndarray) -> np.ndarray:
     return lam
 
 
-def _top_eigenpair(rho: np.ndarray) -> tuple[float, np.ndarray]:
-    evals, evecs = np.linalg.eigh(rho)
-    return float(evals[-1]), evecs[:, -1]
-
-
 def _pin_phase(v: np.ndarray) -> np.ndarray:
     k = int(np.argmax(np.abs(v)))
     ph = v[k] / abs(v[k])
     return v / ph
 
 
-def _transport_unitaries(loop: StateLoop) -> list[np.ndarray]:
+def _transport_unitaries(rhos: np.ndarray) -> np.ndarray:
     """Stage 1: eigenvector transport on near-pure runs, geodesic bridges
     across non-pure gaps.
 
@@ -201,11 +240,10 @@ def _transport_unitaries(loop: StateLoop) -> list[np.ndarray]:
     endpoint unitary is rotated to the next run's initial transport along
     the unitary-group geodesic, spread over the gap interior.
     """
-    n = loop.n
-    t_count = loop.n_samples
-    rhos = [s.rho for s in loop.samples]
-    tops = [_top_eigenpair(r) for r in rhos]
-    near_pure = [lam > PURITY_THRESHOLD for lam, _ in tops]
+    t_count, n = rhos.shape[0], rhos.shape[-1]
+    evals, evecs = np.linalg.eigh(rhos)
+    tops = evecs[:, :, -1]
+    near_pure = evals[:, -1] > PURITY_THRESHOLD
     if not (near_pure[0] and near_pure[-1]):
         raise ValueError("basepoint samples must be near-pure")
 
@@ -223,7 +261,7 @@ def _transport_unitaries(loop: StateLoop) -> list[np.ndarray]:
             t += 1
         run = range(run_start, t)
         for i in run:
-            _, v = tops[i]
+            v = tops[i]
             if i == run.start:
                 v = e0.copy() if run_start == 0 else _pin_phase(v)
             else:
@@ -254,45 +292,40 @@ def _transport_unitaries(loop: StateLoop) -> list[np.ndarray]:
         for j in range(gap_start, right):
             frac = (j - left) / span
             unitaries[j] = scipy.linalg.expm(frac * k) @ unitaries[left]
-    return unitaries
+    return np.array(unitaries)
 
 
-def _interp_rows(mats, states, n_rows, fine_mult: int = 6):
-    """Rows of the homotopy acting with s M_t + (1-s) 1 on each column.
+def _interp_rows(mats: np.ndarray, rhos: np.ndarray, n_rows: int, fine_mult: int = 6):
+    """Rows (n_rows, T, n, n) of the homotopy acting with s M_t + (1-s) 1
+    on each column t of the density stack `rhos`, validated once.
 
     The s parameter is resampled per column at uniform trace-norm arc
     length (a fine pre-pass measures each column's motion), which keeps
     the sheet's step modulus proportional to the input modulus even where
     the interpolation moves unevenly in s.
     """
-    t_count = len(states)
-    n = states[0].dim
-    ident = eye(n)
+    t_count = rhos.shape[0]
+    ident = eye(rhos.shape[-1])
     f_count = max(n_rows * fine_mult, 48)
     s_fine = np.linspace(0.0, 1.0, f_count + 1)
-    s_chosen = np.empty((t_count, n_rows))
     fractions = np.arange(1, n_rows + 1) / n_rows
-    for t in range(t_count):
-        m = mats[t]
-        bs = s_fine[:, None, None] * m[None] + (1.0 - s_fine)[:, None, None] * ident[None]
-        raw = bs @ states[t].rho[None] @ np.conj(np.swapaxes(bs, -1, -2))
-        tr = np.einsum("fii->f", raw).real
-        rho_s = raw / tr[:, None, None]
-        arcs = np.concatenate(
-            [[0.0], np.cumsum(_batched_trace_norm(rho_s[1:] - rho_s[:-1]))]
-        )
-        if arcs[-1] < 1e-13:
-            s_chosen[t] = fractions
-        else:
-            s_chosen[t] = np.interp(fractions * arcs[-1], arcs, s_fine)
-    rows = []
-    for j in range(n_rows):
-        row = []
-        for t in range(t_count):
-            s = s_chosen[t, j] if j < n_rows - 1 else 1.0
-            row.append(act(s * mats[t] + (1.0 - s) * ident, states[t]))
-        rows.append(row)
-    return rows
+    s_rows = np.empty((n_rows, t_count))
+    for lo in range(0, t_count, PREPASS_COLUMNS):
+        cols = slice(lo, lo + PREPASS_COLUMNS)
+        bs = (s_fine[:, None, None] * mats[cols, None]
+              + (1.0 - s_fine)[:, None, None] * ident)
+        raw = bs @ rhos[cols, None] @ np.conj(np.swapaxes(bs, -1, -2))
+        rho_s = raw / np.einsum("...ii->...", raw).real[..., None, None]
+        steps = trace_norm(rho_s[:, 1:] - rho_s[:, :-1])
+        arcs = np.concatenate([np.zeros((len(steps), 1)), np.cumsum(steps, axis=1)], axis=1)
+        for t, arc in enumerate(arcs, start=lo):
+            if arc[-1] < 1e-13:
+                s_rows[:, t] = fractions
+            else:
+                s_rows[:, t] = np.interp(fractions * arc[-1], arc, s_fine)
+    s_rows[-1] = 1.0
+    ops = s_rows[..., None, None] * mats + (1.0 - s_rows)[..., None, None] * ident
+    return act_batch(ops, rhos)
 
 
 def _rows_for(target_step: float, movement: float, minimum: int = 8) -> int:
@@ -306,6 +339,56 @@ class RectifyResult(NamedTuple):
     out_loop: StateLoop
 
 
+def _rectify(rhos: np.ndarray, delta: float, max_step: float, target: float):
+    """The rows after row 0 of rectify_to_projection's sheet, for the
+    density stack `rhos` whose largest step is `delta`, and their meta."""
+    if delta > max_step:
+        raise ValueError(f"loop step {delta:.4f} exceeds the supported modulus {max_step}")
+    t_count, n = rhos.shape[0], rhos.shape[-1]
+
+    unitaries = _transport_unitaries(rhos)
+    gamma = np.trace(rhos @ unitaries, axis1=-2, axis2=-1)
+    gamma = np.where(np.abs(gamma) > 1.0, gamma / np.abs(gamma), gamma)
+    lam = disk_phase_lift(gamma)
+
+    lifted = lam[:, None, None] * unitaries
+    unlifted = lifted / lam[:, None, None]
+    not_unitary = ~_operator_ok(unlifted, "unitary")
+    # safety of the *lifted* interpolation, the one the sheet uses
+    lifted_min, _ = _safety_min(lifted, rhos)
+    failing = np.flatnonzero(not_unitary | ~(lifted_min > SAFETY_FLOOR))
+    if failing.size:
+        t = failing[0]
+        if not_unitary[t]:
+            raise ValueError(_NOT_OPERATOR["unitary"])
+        unlifted_min, _ = _safety_min(unlifted[t], rhos[t])
+        raise NumericalGateError(
+            f"unitary interpolation unsafe at sample {t} despite phase lift "
+            f"(min {lifted_min[t]:.3e}, unlifted min {unlifted_min:.3e})"
+        )
+
+    chi = act_batch(lifted, rhos)
+    proj = projection_matrix(n, 1)
+    if not _operator_ok(proj, "projection"):
+        raise ValueError(_NOT_OPERATOR["projection"])
+    failing = np.flatnonzero(~(_safety_min(proj, chi)[0] > SAFETY_FLOOR))
+    if failing.size:
+        raise NumericalGateError(f"projection interpolation unsafe at sample {failing[0]}")
+
+    rows_a = _rows_for(target, trace_norm(chi - rhos).max())
+    cells_a = _interp_rows(lifted, rhos, rows_a)
+    out_a = cells_a[-1]
+
+    rows_b = _rows_for(target, trace_norm(act_batch(proj, out_a) - out_a).max())
+    proj_all = np.broadcast_to(proj, (t_count, n, n))
+    cells = np.concatenate([cells_a, _interp_rows(proj_all, out_a, rows_b)])
+    meta = [
+        {"stage": "unitary-interp", "rows": rows_a, "identity_at_s0": True},
+        {"stage": "projection-interp", "rows": rows_b, "identity_at_s0": True},
+    ]
+    return cells, meta
+
+
 def rectify_to_projection(
     loop: StateLoop, max_step: float = DEFAULT_MAX_STEP, target_row_step: float | None = None
 ) -> RectifyResult:
@@ -315,77 +398,22 @@ def rectify_to_projection(
     Three stages: eigenvector-transport unitaries, a disk phase lift of
     t -> omega_t(U_t) so the unitary interpolation stays outside every
     Gelfand ideal, then the linear interpolations with s lambda_t U_t and
-    with s P^n_1. Every interpolation is certified by interpolation_safe.
+    with s P^n_1. Every interpolation is certified by its exact safety
+    minimum over s in [0, 1].
     """
     delta = loop.max_step
-    if delta > max_step:
-        raise ValueError(f"loop step {delta:.4f} exceeds the supported modulus {max_step}")
-    n = loop.n
-    t_count = loop.n_samples
     target = target_row_step if target_row_step is not None else 2.5 * max(delta, 1e-3)
-
-    unitaries = _transport_unitaries(loop)
-    gamma = np.array(
-        [np.trace(loop.samples[t].rho @ unitaries[t]) for t in range(t_count)]
-    )
-    gamma = np.where(np.abs(gamma) > 1.0, gamma / np.abs(gamma), gamma)
-    lam = disk_phase_lift(gamma)
-
-    lifted = [lam[t] * unitaries[t] for t in range(t_count)]
-    for t in range(t_count):
-        rep = interpolation_safe(lifted[t] / lam[t], loop.samples[t], "unitary")
-        # safety of the *lifted* interpolation: rescan with the phase folded in
-        vals = _interp_values(lifted[t], loop.samples[t])
-        if vals.min() <= SAFETY_FLOOR:
-            raise NumericalGateError(
-                f"unitary interpolation unsafe at sample {t} despite phase lift "
-                f"(min {vals.min():.3e}, unlifted min {rep.min_value:.3e})"
-            )
-
-    chi = [act(lifted[t], loop.samples[t]) for t in range(t_count)]
-    proj = projection_matrix(n, 1)
-    for t in range(t_count):
-        rep = interpolation_safe(proj, chi[t], "projection")
-        if not rep.safe:
-            raise NumericalGateError(f"projection interpolation unsafe at sample {t}")
-
-    move_a = max(_dist(chi[t], loop.samples[t]) for t in range(t_count))
-    rows_a = _rows_for(target, move_a)
-    sheet_rows = [list(loop.samples)]
-    sheet_rows += _interp_rows(lifted, loop.samples, rows_a)
-    out_a = sheet_rows[-1]
-
-    move_b = max(_dist(act(proj, out_a[t]), out_a[t]) for t in range(t_count))
-    rows_b = _rows_for(target, move_b)
-    sheet_rows += _interp_rows([proj] * t_count, out_a, rows_b)
-    out_loop = StateLoop(n, sheet_rows[-1])
-    meta = [
-        {"stage": "unitary-interp", "rows": rows_a, "identity_at_s0": True},
-        {"stage": "projection-interp", "rows": rows_b, "identity_at_s0": True},
-    ]
-    return RectifyResult(HomotopySheet(n, sheet_rows, meta), out_loop)
+    rhos = loop.as_array()
+    cells, meta = _rectify(rhos, delta, max_step, target)
+    out_loop = StateLoop(loop.n, [DensityState(rho) for rho in cells[-1]])
+    sheet = HomotopySheet(loop.n, np.concatenate([rhos[None], cells]), meta)
+    return RectifyResult(sheet, out_loop)
 
 
-def _interp_values(a: np.ndarray, omega: DensityState) -> np.ndarray:
-    n = omega.dim
-    out = np.empty(101)
-    for i, s in enumerate(np.linspace(0.0, 1.0, 101)):
-        m = s * a + (1.0 - s) * eye(n)
-        out[i] = float(np.trace(omega.rho @ m.conj().T @ m).real)
-    return out
-
-
-def _compress(state: DensityState, block: int) -> DensityState:
-    rho = state.rho[:block, :block].copy()
-    rho = rho / np.trace(rho).real
-    return DensityState((rho + rho.conj().T) / 2)
-
-
-def _embed(state: DensityState, n: int) -> DensityState:
-    b = state.dim
-    rho = np.zeros((n, n), dtype=np.complex128)
-    rho[:b, :b] = state.rho
-    return DensityState(rho)
+def _compress(rhos: np.ndarray, block: int) -> np.ndarray:
+    rho = rhos[:, :block, :block]
+    rho = rho / np.trace(rho, axis1=-2, axis2=-1).real[:, None, None]
+    return (rho + rho.conj().swapaxes(-1, -2)) / 2
 
 
 def contract_loop(loop: StateLoop, max_step: float = DEFAULT_MAX_STEP) -> HomotopySheet:
@@ -393,30 +421,33 @@ def contract_loop(loop: StateLoop, max_step: float = DEFAULT_MAX_STEP) -> Homoto
 
     Iterates rectification on the corner-block algebras: after level k the
     loop gives weight one to P^n_k, and the block homotopy is pushed
-    forward by (1 - P) + (embedded block operator). At k = n-1 the loop is
-    pinned to the basepoint.
+    forward by (1 - P) + (embedded block operator), that is, its cells are
+    zero-padded to n x n. At k = n-1 the loop is pinned to the basepoint.
     """
     n = loop.n
     delta = loop.max_step
     target = 2.5 * max(delta, 1e-3)
-    sheet_rows = [list(loop.samples)]
+    current = loop.as_array()
+    levels = [current[None]]
     meta: list = []
-    current = loop
     for k in range(1, n):
         block = n - k + 1  # current block algebra size
-        block_loop = StateLoop(
-            block, [_compress(s, block) for s in current.samples]
-        ) if block < n else current
-        res = rectify_to_projection(
-            block_loop, max_step=max(max_step, block_loop.max_step * (1 + 1e-12)),
-            target_row_step=target,
+        if block < n:
+            block_rhos = validate_densities(_compress(current, block))
+            _check_based(block_rhos)
+            block_step = _max_step(block_rhos)
+        else:
+            block_rhos, block_step = current, delta
+        cells, block_meta = _rectify(
+            block_rhos, block_step, max(max_step, block_step * (1 + 1e-12)), target
         )
-        for row in res.sheet.rows[1:]:
-            sheet_rows.append([_embed(s, n) for s in row])
-        for m in res.sheet.meta:
-            meta.append({**m, "level": k, "block": block})
-        current = StateLoop(n, sheet_rows[-1])
-    return HomotopySheet(n, sheet_rows, meta)
+        level = np.zeros(cells.shape[:2] + (n, n), dtype=np.complex128)
+        level[..., :block, :block] = cells
+        levels.append(level)
+        meta += [{**m, "level": k, "block": block} for m in block_meta]
+        current = level[-1]
+        _check_based(current)
+    return HomotopySheet(n, np.concatenate(levels), meta)
 
 
 @dataclass
@@ -455,22 +486,21 @@ def verify_homotopy(sheet: HomotopySheet, input_loop: StateLoop, modulus: float)
     for idx in np.argwhere(neg > 1e-8):
         violations.append(("negative-eigenvalue", tuple(idx), float(neg[tuple(idx)]), 1e-8))
 
-    in_arr = np.array([s.rho for s in input_loop.samples])
-    row0 = _batched_trace_norm(arr[0] - in_arr)
+    row0 = trace_norm(arr[0] - input_loop.as_array())
     for idx in np.argwhere(row0 > 1e-10):
         violations.append(("row0-mismatch", (0, int(idx)), float(row0[idx]), 1e-10))
 
     for col, label in ((0, "left-column"), (t_dim - 1, "right-column")):
-        dev = _batched_trace_norm(arr[:, col] - base[None])
+        dev = trace_norm(arr[:, col] - base[None])
         for idx in np.argwhere(dev > 1e-8):
             violations.append((label, (int(idx), col), float(dev[idx]), 1e-8))
 
-    final_dev = _batched_trace_norm(arr[-1] - base[None])
+    final_dev = trace_norm(arr[-1] - base[None])
     for idx in np.argwhere(final_dev > 1e-8):
         violations.append(("final-row", (s_dim - 1, int(idx)), float(final_dev[idx]), 1e-8))
 
-    step_t = _batched_trace_norm(arr[:, 1:] - arr[:, :-1])
-    step_s = _batched_trace_norm(arr[1:] - arr[:-1])
+    step_t = trace_norm(arr[:, 1:] - arr[:, :-1])
+    step_s = trace_norm(arr[1:] - arr[:-1])
     max_step = float(max(step_t.max(initial=0.0), step_s.max(initial=0.0)))
     if max_step > modulus:
         worst = np.unravel_index(np.argmax(step_t), step_t.shape) if step_t.max(
@@ -484,10 +514,6 @@ def verify_homotopy(sheet: HomotopySheet, input_loop: StateLoop, modulus: float)
         max_cell_step=max_step,
         shape=(s_dim, t_dim),
     )
-
-
-def _batched_trace_norm(diff: np.ndarray) -> np.ndarray:
-    return np.sum(np.linalg.svd(diff, compute_uv=False), axis=-1)
 
 
 # --- bundled example loops -------------------------------------------------

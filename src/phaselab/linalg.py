@@ -129,12 +129,14 @@ def eig_hermitian(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return evals.astype(float), evecs.astype(np.complex128)
 
 
-def trace_norm(m: np.ndarray) -> float:
-    """Sum of singular values."""
+def trace_norm(m: np.ndarray):
+    """Sum of singular values: a float for one matrix, an array of one
+    value per matrix for a stack of shape (..., n, n)."""
     m = np.asarray(m, dtype=np.complex128)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError("trace_norm expects a square matrix")
-    return float(np.sum(np.linalg.svd(m, compute_uv=False)))
+    norms = np.sum(np.linalg.svd(m, compute_uv=False), axis=-1)
+    return float(norms) if m.ndim == 2 else norms
 
 
 def operator_norm(m: np.ndarray) -> float:

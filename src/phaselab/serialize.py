@@ -14,7 +14,7 @@ import numpy as np
 
 from .cech import PUCochain1, SampledCover, U1Cochain1
 from .homotopy import HomotopySheet, StateLoop
-from .states import DensityState
+from .states import DensityState, validate_densities
 
 
 def encode_complex(z) -> list:
@@ -27,12 +27,18 @@ def decode_complex(pair) -> complex:
 
 
 def encode_matrix(m: np.ndarray) -> list:
+    """Row-major nested [re, im] pairs; a stack of matrices nests one
+    level deeper per leading axis."""
     m = np.asarray(m, dtype=np.complex128)
-    return [[encode_complex(z) for z in row] for row in m]
+    return np.stack([m.real, m.imag], axis=-1).tolist()
 
 
 def decode_matrix(rows) -> np.ndarray:
-    return np.array([[decode_complex(z) for z in row] for row in rows], dtype=np.complex128)
+    """Inverse of encode_matrix, for one matrix or a stack of them."""
+    pairs = np.array(rows, dtype=np.float64)
+    if pairs.ndim < 3 or pairs.shape[-1] != 2:
+        raise ValueError("matrices must be nested arrays of [re, im] pairs")
+    return np.ascontiguousarray(pairs).view(np.complex128)[..., 0]
 
 
 def encode_vector(v: np.ndarray) -> list:
@@ -44,29 +50,29 @@ def decode_vector(entries) -> np.ndarray:
 
 
 def loop_to_doc(loop: StateLoop) -> dict:
-    return {"n": loop.n, "samples": [encode_matrix(s.rho) for s in loop.samples]}
+    return {"n": loop.n, "samples": encode_matrix(loop.as_array())}
 
 
 def loop_from_doc(doc: dict) -> StateLoop:
     try:
         n = int(doc["n"])
-        samples = [DensityState(decode_matrix(m)) for m in doc["samples"]]
-    except (KeyError, TypeError, IndexError) as exc:
+        rhos = decode_matrix(doc["samples"])
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed loop document: {exc}") from exc
-    return StateLoop(n, samples)
+    return StateLoop(n, [DensityState(rho) for rho in rhos])
 
 
 def sheet_to_doc(sheet: HomotopySheet) -> dict:
-    return {
-        "n": sheet.n,
-        "rows": [[encode_matrix(s.rho) for s in row] for row in sheet.rows],
-        "meta": sheet.meta,
-    }
+    return {"n": sheet.n, "rows": encode_matrix(sheet.as_array()), "meta": sheet.meta}
 
 
 def sheet_from_doc(doc: dict) -> HomotopySheet:
-    rows = [[DensityState(decode_matrix(m)) for m in row] for row in doc["rows"]]
-    return HomotopySheet(int(doc["n"]), rows, list(doc.get("meta", [])))
+    """Decode a sheet document; every cell is validated as a state."""
+    try:
+        cells = decode_matrix(doc["rows"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"malformed sheet document: {exc}") from exc
+    return HomotopySheet(int(doc["n"]), validate_densities(cells), list(doc.get("meta", [])))
 
 
 def _key(ids) -> str:

@@ -35,16 +35,9 @@ class DensityState:
     def __post_init__(self):
         rho = np.asarray(self.rho, dtype=np.complex128)
         object.__setattr__(self, "rho", rho)
-        if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+        if rho.ndim != 2:
             raise ValueError("density matrix must be square")
-        scale = max(np.linalg.norm(rho), 1.0)
-        if np.linalg.norm(rho - rho.conj().T) > STATE_HERM_TOL * scale:
-            raise ValueError("density matrix is not Hermitian within tolerance")
-        evals = np.linalg.eigvalsh((rho + rho.conj().T) / 2)
-        if evals.min() < -STATE_EIG_TOL:
-            raise ValueError(f"density matrix has negative eigenvalue {evals.min():.3e}")
-        if abs(np.trace(rho).real - 1.0) > STATE_TRACE_TOL:
-            raise ValueError(f"density matrix trace {np.trace(rho):.12f} != 1")
+        validate_densities(rho)
 
     @property
     def dim(self) -> int:
@@ -97,17 +90,67 @@ def state_distance(a: DensityState, b: DensityState) -> float:
     return trace_norm(a.rho - b.rho)
 
 
+def validate_densities(rho: np.ndarray) -> np.ndarray:
+    """Check a stack (..., n, n) of density matrices against the
+    DensityState tolerances and return it as complex128.
+
+    Raises DensityState's ValueError for the first failing matrix in C
+    order, naming the first check it fails: Hermitian, then no negative
+    eigenvalue, then unit trace.
+    """
+    rho = np.asarray(rho, dtype=np.complex128)
+    if rho.ndim < 2 or rho.shape[-1] != rho.shape[-2]:
+        raise ValueError("density matrix must be square")
+    adj = rho.conj().swapaxes(-1, -2)
+    scale = np.maximum(np.linalg.norm(rho, axis=(-2, -1)), 1.0)
+    non_hermitian = np.linalg.norm(rho - adj, axis=(-2, -1)) > STATE_HERM_TOL * scale
+    min_eig = np.linalg.eigvalsh((rho + adj) / 2).min(axis=-1)
+    negative = min_eig < -STATE_EIG_TOL
+    trace = np.trace(rho, axis1=-2, axis2=-1)
+    off_trace = np.abs(trace.real - 1.0) > STATE_TRACE_TOL
+    bad = non_hermitian | negative | off_trace
+    if bad.any():
+        i = np.unravel_index(np.argmax(bad), bad.shape)
+        if non_hermitian[i]:
+            raise ValueError("density matrix is not Hermitian within tolerance")
+        if negative[i]:
+            raise ValueError(f"density matrix has negative eigenvalue {min_eig[i]:.3e}")
+        raise ValueError(f"density matrix trace {trace[i]:.12f} != 1")
+    return rho
+
+
+def _action(a: np.ndarray, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A rho A* / tr(A rho A*), symmetrized, over broadcast stacks of
+    shape (..., n, n), with the mask of samples whose normalizer puts A in
+    the Gelfand ideal (their densities are meaningless)."""
+    a = np.asarray(a, dtype=np.complex128)
+    out = a @ rho @ a.conj().swapaxes(-1, -2)
+    nrm = np.trace(out, axis1=-2, axis2=-1).real
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = out / nrm[..., None, None]
+    return (out + out.conj().swapaxes(-1, -2)) / 2, nrm <= IDEAL_NORMALIZER_TOL
+
+
 def act(a: np.ndarray, s: DensityState) -> DensityState:
     """The action (A . omega)(B) = omega(A* B A) / omega(A* A), realized on
     densities as A rho A* / tr(A rho A*). Pure in, pure out."""
-    a = np.asarray(a, dtype=np.complex128)
-    out = a @ s.rho @ a.conj().T
-    nrm = np.trace(out).real
-    if nrm <= IDEAL_NORMALIZER_TOL:
+    out, ideal = _action(a, s.rho)
+    if ideal:
         raise GelfandIdealError("element lies in the Gelfand ideal of the state")
-    out = out / nrm
-    out = (out + out.conj().T) / 2
     return DensityState(out)
+
+
+def act_batch(a: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """`act` over broadcast stacks of elements and densities (..., n, n),
+    returning the validated density stack. Raises the error `act` would
+    raise for the first failing sample in C order."""
+    out, ideal = _action(a, rho)
+    ideal = ideal.ravel()
+    stop = int(np.argmax(ideal)) if ideal.any() else ideal.size
+    validate_densities(out.reshape(-1, *out.shape[-2:])[:stop])
+    if stop < ideal.size:
+        raise GelfandIdealError("element lies in the Gelfand ideal of the state")
+    return out
 
 
 @dataclass

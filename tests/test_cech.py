@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given
+from hypothesis import strategies as st
 
 from phaselab import serialize
 from phaselab.cech import (
@@ -175,11 +177,13 @@ def test_delta1_exact_and_perturbed():
         delta1_lift(PUCochain1(cover, broken), cover)
 
 
-def bloch_field(k_dim, m_dim):
+def bloch_field(k_dim, m_dim, winding=1):
+    """The Bloch map composed with phi -> winding * phi, on the sphere grid."""
     thetas, phis = sphere_grid(k_dim, m_dim)
     field = np.zeros((k_dim, m_dim, 2), dtype=complex)
     for k, th in enumerate(thetas):
         for m, ph in enumerate(phis):
+            ph = winding * ph
             r = np.array([np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th)])
             field[k, m] = bloch_ground_map(r).vec
     return field
@@ -239,6 +243,41 @@ def test_plaquette_degree_gauge_invariance():
     res2 = plaquette_degree(gauged)
     assert res2.degree == res.degree
     assert abs(res2.total_flux - res.total_flux) < 1e-10
+
+
+@st.composite
+def resolved_grids(draw):
+    """(K, M, winding) with winding in -2..2 and M > 2 |winding|. Coarser
+    azimuthal grids alias: on M points phi -> k phi samples the same field
+    as phi -> (k - M) phi, so no check on the samples can see k."""
+    winding = draw(st.integers(-2, 2))
+    k_dim = draw(st.integers(2, 10))
+    m_dim = draw(st.integers(max(3, 2 * abs(winding) + 1), 24))
+    return k_dim, m_dim, winding
+
+
+@given(resolved_grids())
+def test_plaquette_degree_of_bloch_winding(grid):
+    k_dim, m_dim, winding = grid
+    res = plaquette_degree(bloch_field(k_dim, m_dim, winding))
+    assert res.degree == winding * PINNED_BLOCH_DEGREE
+
+
+@given(resolved_grids(), st.integers(0, 2**32 - 1))
+def test_plaquette_degree_site_phase_invariance(grid, seed):
+    field = bloch_field(*grid)
+    phases = np.random.default_rng(seed).uniform(0, 2 * np.pi, size=field.shape[:2])
+    res = plaquette_degree(field)
+    gauged = plaquette_degree(field * np.exp(1j * phases)[..., None])
+    assert gauged.degree == res.degree
+    assert abs(gauged.total_flux - res.total_flux) < 1e-10
+
+
+@given(resolved_grids(), st.integers(0, 23))
+def test_plaquette_degree_azimuthal_roll_invariance(grid, shift):
+    field = bloch_field(*grid)
+    rolled = plaquette_degree(np.roll(field, shift, axis=1))
+    assert rolled.degree == plaquette_degree(field).degree
 
 
 def test_plaquette_degree_gates():

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from phaselab import serialize
 from phaselab.homotopy import (
+    SAFETY_FLOOR,
     HomotopySheet,
     StateLoop,
     bundled_plateau_loop,
@@ -16,7 +19,7 @@ from phaselab.homotopy import (
     rectify_to_projection,
     verify_homotopy,
 )
-from phaselab.states import basis_state, state_from_vector
+from phaselab.states import DensityState, basis_state, state_from_vector
 
 
 def test_projection_matrix():
@@ -79,13 +82,50 @@ def test_interpolation_safe():
         interpolation_safe(np.diag([1.0, 2.0]).astype(complex), base, "unitary")
 
 
+def _random_unitary(rng, n):
+    q, r = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+@given(
+    n=st.integers(2, 4),
+    kind=st.sampled_from(["unitary", "projection"]),
+    seed=st.integers(0, 2**32 - 1),
+    angle=st.floats(-np.pi, np.pi),
+    weight=st.floats(0.0, 1.0),
+)
+def test_interpolation_safe_is_the_exact_minimum(n, kind, seed, angle, weight):
+    # A = V diag(...) V†; omega puts `weight` on V's first column, whose
+    # unitary eigenvalue e^{i angle} reaches -1 at angle = +-pi
+    rng = np.random.default_rng(seed)
+    v = _random_unitary(rng, n)
+    if kind == "unitary":
+        spectrum = np.exp(1j * np.concatenate([[angle], rng.uniform(-np.pi, np.pi, n - 1)]))
+    else:
+        spectrum = (np.arange(n) < rng.integers(0, n + 1)).astype(complex)
+    a = (v * spectrum) @ v.conj().T
+    m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    mixed = m @ m.conj().T / np.trace(m @ m.conj().T).real
+    omega = DensityState(weight * np.outer(v[:, 0], v[:, 0].conj()) + (1 - weight) * mixed)
+
+    def value(s):
+        b = s * a + (1.0 - s) * np.eye(n)
+        return float(np.trace(omega.rho @ b.conj().T @ b).real)
+
+    rep = interpolation_safe(a, omega, kind)
+    assert 0.0 <= rep.s_at_min <= 1.0
+    assert rep.safe == (rep.min_value > SAFETY_FLOOR)
+    assert rep.min_value <= min(value(s) for s in np.linspace(0.0, 1.0, 1001)) + 1e-12
+    assert abs(rep.min_value - value(rep.s_at_min)) < 1e-12
+
+
 def test_rectify_constant_loop_is_constant():
     loop = constant_loop(3, 16)
     res = rectify_to_projection(loop)
     base = basis_state(3)
-    for row in res.sheet.rows:
-        for s in row:
-            assert np.max(np.abs(s.rho - base.rho)) < 1e-12
+    for row in res.sheet.as_array():
+        for rho in row:
+            assert np.max(np.abs(rho - base.rho)) < 1e-12
 
 
 def test_rectify_pure_loop():
@@ -144,17 +184,23 @@ def test_contract_loop_verifies(make_loop):
     report = verify_homotopy(sheet, loop, modulus=5 * loop.max_step)
     assert report.passed, report.violations[:5]
     base = basis_state(loop.n)
-    for s in sheet.rows[-1]:
-        assert np.max(np.abs(s.rho - base.rho)) < 1e-10
+    for rho in sheet.as_array()[-1]:
+        assert np.max(np.abs(rho - base.rho)) < 1e-10
+
+
+def test_contract_loop_unitary_gate():
+    # on seed 1 the level-2 eigenvector transport fails the unitarity check
+    with pytest.raises(ValueError, match="^not a unitary$"):
+        contract_loop(random_based_loop(3, 1, 700))
 
 
 def test_contract_constant_loop_trivial_sheet():
     loop = constant_loop(2, 12)
     sheet = contract_loop(loop)
     base = basis_state(2)
-    for row in sheet.rows:
-        for s in row:
-            assert np.max(np.abs(s.rho - base.rho)) < 1e-12
+    for row in sheet.as_array():
+        for rho in row:
+            assert np.max(np.abs(rho - base.rho)) < 1e-12
     report = verify_homotopy(sheet, loop, modulus=1e-9)
     assert report.passed
 
@@ -162,9 +208,9 @@ def test_contract_constant_loop_trivial_sheet():
 def test_verifier_flags_corrupted_cell():
     loop = constant_loop(2, 10)
     sheet = contract_loop(loop)
-    rows = [list(r) for r in sheet.rows]
-    rows[2][4] = basis_state(2, 1)
-    bad = HomotopySheet(2, rows, sheet.meta)
+    cells = sheet.as_array().copy()
+    cells[2, 4] = basis_state(2, 1).rho
+    bad = HomotopySheet(2, cells, sheet.meta)
     report = verify_homotopy(bad, loop, modulus=1e-6)
     assert not report.passed
     kinds = {v[0] for v in report.violations}
@@ -184,6 +230,20 @@ def test_loop_and_sheet_serialization_roundtrip():
     assert back_sheet.shape == sheet.shape
     a1, a2 = sheet.as_array(), back_sheet.as_array()
     assert np.max(np.abs(a1 - a2)) < 1e-15
+
+
+def test_sheet_from_doc_validates_every_cell():
+    doc = serialize.sheet_to_doc(contract_loop(constant_loop(2, 6)))
+    last = doc["rows"][-1][-1]
+    last[0][0] = [0.7, 0.0]  # trace now 0.7
+    with pytest.raises(ValueError) as got:
+        serialize.sheet_from_doc(doc)
+    with pytest.raises(ValueError) as want:
+        DensityState(serialize.decode_matrix(last))
+    assert str(got.value) == str(want.value)
+    doc["rows"][0][0] = [[1.0, 0.0]]  # ragged
+    with pytest.raises(ValueError):
+        serialize.sheet_from_doc(doc)
 
 
 def test_loop_from_doc_rejects_garbage():

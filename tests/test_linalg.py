@@ -150,6 +150,19 @@ def test_trace_norm():
     assert abs(trace_norm(m) - 2.0) < 1e-14
 
 
+def test_trace_norm_of_a_stack():
+    stack = RNG.normal(size=(2, 3, 4, 4)) + 1j * RNG.normal(size=(2, 3, 4, 4))
+    norms = trace_norm(stack)
+    assert norms.shape == (2, 3)
+    for i in range(2):
+        for j in range(3):
+            assert norms[i, j] == trace_norm(stack[i, j])
+    with pytest.raises(ValueError):
+        trace_norm(np.zeros((2, 3, 4)))
+    with pytest.raises(ValueError):
+        trace_norm(np.zeros(4))
+
+
 def test_chain_layout_validation():
     with pytest.raises(ValueError):
         ChainLayout((2, 1))

@@ -6,12 +6,14 @@ from phaselab.states import (
     DensityState,
     GelfandIdealError,
     act,
+    act_batch,
     basis_state,
     gns,
     maximally_mixed,
     purity,
     state_distance,
     state_from_vector,
+    validate_densities,
     vector_state_distance,
 )
 
@@ -218,3 +220,35 @@ def test_gns_basis_is_deterministic():
     a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     assert np.array_equal(r1.basis_coords, r2.basis_coords)
     assert np.array_equal(r1.rep(a), r2.rep(a))
+
+
+def test_validate_densities_reports_first_bad_cell():
+    rng = np.random.default_rng(8)
+    cells = np.array([[random_state(rng, 3).rho for _ in range(4)] for _ in range(3)])
+    assert np.array_equal(validate_densities(cells), cells)
+    negative = np.diag([1.2, -0.1, -0.1]).astype(complex)
+    off_trace = np.diag([0.5, 0.2, 0.2]).astype(complex)
+    cells[1, 2] = negative
+    cells[2, 0] = off_trace
+    with pytest.raises(ValueError) as got:
+        validate_densities(cells)
+    with pytest.raises(ValueError) as want:
+        DensityState(negative)
+    assert str(got.value) == str(want.value)
+    assert "negative eigenvalue" in str(got.value)
+    with pytest.raises(ValueError, match="square"):
+        validate_densities(np.zeros((2, 3, 4)))
+
+
+def test_act_batch_matches_act():
+    rng = np.random.default_rng(9)
+    states = [random_state(rng, 3, rank=2) for _ in range(5)]
+    ops = rng.normal(size=(2, 5, 3, 3)) + 1j * rng.normal(size=(2, 5, 3, 3))
+    out = act_batch(ops, np.array([s.rho for s in states]))
+    for j in range(2):
+        for t, s in enumerate(states):
+            assert np.array_equal(out[j, t], act(ops[j, t], s).rho)
+    # the projector onto e1 annihilates the basepoint: the batch raises act's error
+    p1 = np.diag([0.0, 1.0]).astype(complex)
+    with pytest.raises(GelfandIdealError):
+        act_batch(np.array([np.eye(2), p1]), basis_state(2).rho)
