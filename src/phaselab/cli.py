@@ -201,7 +201,7 @@ def cmd_contract_loop(args, file_cfg: dict) -> int:
         ],
     }
     if args.sheet_out:
-        serialize.write_doc(args.sheet_out, serialize.sheet_to_doc(sheet))
+        serialize.write_sheet(args.sheet_out, sheet)
         report["sheet_written"] = args.sheet_out
     report["pass"] = verdict.passed
     _emit(report, args)

@@ -14,7 +14,6 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 from .linalg import eye, trace_norm
 from .projective import elementary_transport
@@ -285,6 +284,7 @@ def _transport_unitaries(rhos: np.ndarray) -> np.ndarray:
         while unitaries[i] is None:
             i += 1
         left, right = gap_start - 1, i
+        import scipy.linalg  # lazily: it would double the CLI's import time
         d = unitaries[right] @ unitaries[left].conj().T
         k = scipy.linalg.logm(d)
         k = (k - k.conj().T) / 2
@@ -316,6 +316,8 @@ def _interp_rows(mats: np.ndarray, rhos: np.ndarray, n_rows: int, fine_mult: int
               + (1.0 - s_fine)[:, None, None] * ident)
         raw = bs @ rhos[cols, None] @ np.conj(np.swapaxes(bs, -1, -2))
         rho_s = raw / np.einsum("...ii->...", raw).real[..., None, None]
+        # exactly Hermitian, so every step takes trace_norm's eigvalsh path
+        rho_s = (rho_s + np.conj(np.swapaxes(rho_s, -1, -2))) / 2
         steps = trace_norm(rho_s[:, 1:] - rho_s[:, :-1])
         arcs = np.concatenate([np.zeros((len(steps), 1)), np.cumsum(steps, axis=1)], axis=1)
         for t, arc in enumerate(arcs, start=lo):
@@ -468,18 +470,25 @@ class VerifyReport:
 def verify_homotopy(sheet: HomotopySheet, input_loop: StateLoop, modulus: float) -> VerifyReport:
     """Certify a contraction sheet: every cell a valid state, row 0 equals
     the input, the basepoint columns constant, the final row constant at
-    the basepoint, and all adjacent-cell steps within the modulus."""
-    violations = []
+    the basepoint, and all adjacent-cell steps within the modulus. A cell
+    with a NaN or infinite entry is one "non-finite" violation, valued by
+    the count of such entries; it is zeroed for, and skipped by, the rest."""
     arr = sheet.as_array()
     s_dim, t_dim = arr.shape[0], arr.shape[1]
     n = sheet.n
     base = basis_state(n).rho
 
+    bad = np.sum(~np.isfinite(arr), axis=(-1, -2))
+    ok = bad == 0
+    violations = [("non-finite", tuple(i), float(bad[tuple(i)]), 0.0) for i in np.argwhere(~ok)]
+    if not ok.all():
+        arr = np.where(ok[..., None, None], arr, 0.0)
+
     herm = np.max(np.abs(arr - np.conj(np.swapaxes(arr, -1, -2))), axis=(-1, -2))
     for idx in np.argwhere(herm > 1e-8):
         violations.append(("non-hermitian", tuple(idx), float(herm[tuple(idx)]), 1e-8))
     traces = np.abs(np.einsum("stii->st", arr) - 1.0)
-    for idx in np.argwhere(traces > 1e-8):
+    for idx in np.argwhere((traces > 1e-8) & ok):
         violations.append(("trace", tuple(idx), float(traces[tuple(idx)]), 1e-8))
     eigs = np.linalg.eigvalsh((arr + np.conj(np.swapaxes(arr, -1, -2))) / 2)
     neg = -eigs.min(axis=-1)
@@ -487,25 +496,25 @@ def verify_homotopy(sheet: HomotopySheet, input_loop: StateLoop, modulus: float)
         violations.append(("negative-eigenvalue", tuple(idx), float(neg[tuple(idx)]), 1e-8))
 
     row0 = trace_norm(arr[0] - input_loop.as_array())
-    for idx in np.argwhere(row0 > 1e-10):
+    for idx in np.argwhere((row0 > 1e-10) & ok[0]):
         violations.append(("row0-mismatch", (0, int(idx)), float(row0[idx]), 1e-10))
 
     for col, label in ((0, "left-column"), (t_dim - 1, "right-column")):
         dev = trace_norm(arr[:, col] - base[None])
-        for idx in np.argwhere(dev > 1e-8):
+        for idx in np.argwhere((dev > 1e-8) & ok[:, col]):
             violations.append((label, (int(idx), col), float(dev[idx]), 1e-8))
 
     final_dev = trace_norm(arr[-1] - base[None])
-    for idx in np.argwhere(final_dev > 1e-8):
+    for idx in np.argwhere((final_dev > 1e-8) & ok[-1]):
         violations.append(("final-row", (s_dim - 1, int(idx)), float(final_dev[idx]), 1e-8))
 
-    step_t = trace_norm(arr[:, 1:] - arr[:, :-1])
-    step_s = trace_norm(arr[1:] - arr[:-1])
-    max_step = float(max(step_t.max(initial=0.0), step_s.max(initial=0.0)))
+    step_t = np.where(ok[:, 1:] & ok[:, :-1], trace_norm(arr[:, 1:] - arr[:, :-1]), 0.0)
+    step_s = np.where(ok[1:] & ok[:-1], trace_norm(arr[1:] - arr[:-1]), 0.0)
+    max_t, max_s = step_t.max(initial=0.0), step_s.max(initial=0.0)
+    max_step = float(max(max_t, max_s))
     if max_step > modulus:
-        worst = np.unravel_index(np.argmax(step_t), step_t.shape) if step_t.max(
-            initial=0.0
-        ) >= step_s.max(initial=0.0) else np.unravel_index(np.argmax(step_s), step_s.shape)
+        steps = step_t if max_t >= max_s else step_s
+        worst = np.unravel_index(np.argmax(steps), steps.shape)
         violations.append(("step-modulus", tuple(int(x) for x in worst), max_step, modulus))
 
     return VerifyReport(
@@ -582,6 +591,8 @@ def bundled_plateau_loop(n_samples: int = 900) -> StateLoop:
 def random_based_loop(n: int = 3, seed: int = 7, n_samples: int = 700) -> StateLoop:
     """Seeded smooth based loop on M_n mixing rotation and partial
     depolarization; endpoints pinned to the basepoint."""
+    import scipy.linalg
+
     rng = np.random.default_rng(seed)
     gens = []
     for _ in range(2):

@@ -131,20 +131,26 @@ def eig_hermitian(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def trace_norm(m: np.ndarray):
     """Sum of singular values: a float for one matrix, an array of one
-    value per matrix for a stack of shape (..., n, n)."""
+    value per matrix for a stack of shape (..., n, n). A matrix equal to its
+    adjoint bit for bit takes sum |eigvalsh| (its singular values are its
+    absolute eigenvalues), any other an SVD; the choice is per matrix, so a
+    stack gives the values of single calls bit for bit."""
     m = np.asarray(m, dtype=np.complex128)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError("trace_norm expects a square matrix")
-    norms = np.sum(np.linalg.svd(m, compute_uv=False), axis=-1)
+    hermitian = (m == m.conj().swapaxes(-1, -2)).all(axis=(-2, -1))
+    count = np.count_nonzero(hermitian)
+    if count == hermitian.size:
+        norms = np.abs(np.linalg.eigvalsh(m)).sum(axis=-1)
+    else:
+        norms = np.linalg.svd(m, compute_uv=False).sum(axis=-1)
+        if count:
+            norms[hermitian] = np.abs(np.linalg.eigvalsh(m[hermitian])).sum(axis=-1)
     return float(norms) if m.ndim == 2 else norms
 
 
 def operator_norm(m: np.ndarray) -> float:
     return float(np.linalg.norm(np.asarray(m, dtype=np.complex128), ord=2))
-
-
-def dagger(m: np.ndarray) -> np.ndarray:
-    return np.asarray(m).conj().T
 
 
 def hermitian_basis(n: int) -> list[np.ndarray]:

@@ -1,9 +1,9 @@
 """JSON encoding of the artifact's documents.
 
-Complex scalars are [re, im] pairs, matrices row-major nested arrays,
-covers {charts, overlaps: {"i,j": [points]}, triples: {...}}, loops
-{n, samples: [matrix, ...]} and sheets {n, rows: [[matrix, ...], ...]}.
-All documents are UTF-8 JSON.
+Matrices are row-major nested arrays of [re, im] pairs. Loops are
+{n, samples: [matrix, ...]}, sheets {meta, n, rows: [[matrix, ...], ...]}
+and covers {charts, overlaps: {"i,j": [points]}, triples: {...}}. All
+documents are UTF-8 JSON, written compactly with sorted keys.
 """
 
 from __future__ import annotations
@@ -12,18 +12,9 @@ import json
 
 import numpy as np
 
-from .cech import PUCochain1, SampledCover, U1Cochain1
+from .cech import SampledCover
 from .homotopy import HomotopySheet, StateLoop
 from .states import DensityState, validate_densities
-
-
-def encode_complex(z) -> list:
-    z = complex(z)
-    return [z.real, z.imag]
-
-
-def decode_complex(pair) -> complex:
-    return complex(pair[0], pair[1])
 
 
 def encode_matrix(m: np.ndarray) -> list:
@@ -39,14 +30,6 @@ def decode_matrix(rows) -> np.ndarray:
     if pairs.ndim < 3 or pairs.shape[-1] != 2:
         raise ValueError("matrices must be nested arrays of [re, im] pairs")
     return np.ascontiguousarray(pairs).view(np.complex128)[..., 0]
-
-
-def encode_vector(v: np.ndarray) -> list:
-    return [encode_complex(z) for z in np.asarray(v, dtype=np.complex128).ravel()]
-
-
-def decode_vector(entries) -> np.ndarray:
-    return np.array([decode_complex(z) for z in entries], dtype=np.complex128)
 
 
 def loop_to_doc(loop: StateLoop) -> dict:
@@ -103,33 +86,27 @@ def cover_from_doc(doc: dict) -> SampledCover:
     return SampledCover(charts, overlaps, triples)
 
 
-def u1_cochain_to_doc(c: U1Cochain1) -> dict:
-    return {"values": {_key(pair): [encode_complex(z) for z in arr] for pair, arr in c.values.items()}}
-
-
-def u1_cochain_from_doc(doc: dict, cover: SampledCover) -> U1Cochain1:
-    by_name = {str(c): c for c in cover.chart_ids}
-    values = {
-        _unkey(k, by_name): np.array([decode_complex(z) for z in arr], dtype=np.complex128)
-        for k, arr in doc["values"].items()
-    }
-    return U1Cochain1(cover, values)
-
-
-def pu_cochain_to_doc(c: PUCochain1) -> dict:
-    return {"values": {_key(pair): [encode_matrix(m) for m in mats] for pair, mats in c.values.items()}}
-
-
-def pu_cochain_from_doc(doc: dict, cover: SampledCover) -> PUCochain1:
-    by_name = {str(c): c for c in cover.chart_ids}
-    values = {
-        _unkey(k, by_name): [decode_matrix(m) for m in mats] for k, mats in doc["values"].items()
-    }
-    return PUCochain1(cover, values)
-
-
 def dumps(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
+def write_sheet(path: str, sheet: HomotopySheet):
+    """Write `dumps(sheet_to_doc(sheet))` and a newline, byte for byte, one
+    row at a time: a row's floats fill one nested %r template (float repr is
+    what json writes), so no nested lists are built. A NaN or infinite
+    entry, which JSON cannot hold, raises ValueError before any write."""
+    cells = np.ascontiguousarray(sheet.as_array())
+    if not np.isfinite(cells).all():
+        raise ValueError("sheet has non-finite entries")
+    rows = cells.view(np.float64).reshape(cells.shape[0], -1)
+    t_count, n = cells.shape[1], cells.shape[2]
+    matrix = "[" + ",".join(["[" + ",".join(["[%r,%r]"] * n) + "]"] * n) + "]"
+    template = "[" + ",".join([matrix] * t_count) + "]"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f'{{"meta":{dumps(sheet.meta)},"n":{dumps(sheet.n)},"rows":[')
+        for i, row in enumerate(rows):
+            fh.write(("," if i else "") + template % tuple(row.tolist()))
+        fh.write("]}\n")
 
 
 def write_doc(path: str, doc: dict):

@@ -95,22 +95,26 @@ def validate_densities(rho: np.ndarray) -> np.ndarray:
     DensityState tolerances and return it as complex128.
 
     Raises DensityState's ValueError for the first failing matrix in C
-    order, naming the first check it fails: Hermitian, then no negative
-    eigenvalue, then unit trace.
+    order, naming the first check it fails: finite entries (NaN slips past
+    every comparison), then Hermitian, then no negative eigenvalue, then unit trace.
     """
     rho = np.asarray(rho, dtype=np.complex128)
     if rho.ndim < 2 or rho.shape[-1] != rho.shape[-2]:
         raise ValueError("density matrix must be square")
-    adj = rho.conj().swapaxes(-1, -2)
-    scale = np.maximum(np.linalg.norm(rho, axis=(-2, -1)), 1.0)
-    non_hermitian = np.linalg.norm(rho - adj, axis=(-2, -1)) > STATE_HERM_TOL * scale
-    min_eig = np.linalg.eigvalsh((rho + adj) / 2).min(axis=-1)
+    non_finite = ~np.isfinite(rho).all(axis=(-2, -1))
+    finite = np.where(non_finite[..., None, None], 0.0, rho) if non_finite.any() else rho
+    adj = finite.conj().swapaxes(-1, -2)
+    scale = np.maximum(np.linalg.norm(finite, axis=(-2, -1)), 1.0)
+    non_hermitian = np.linalg.norm(finite - adj, axis=(-2, -1)) > STATE_HERM_TOL * scale
+    min_eig = np.linalg.eigvalsh((finite + adj) / 2).min(axis=-1)
     negative = min_eig < -STATE_EIG_TOL
-    trace = np.trace(rho, axis1=-2, axis2=-1)
+    trace = np.trace(finite, axis1=-2, axis2=-1)
     off_trace = np.abs(trace.real - 1.0) > STATE_TRACE_TOL
-    bad = non_hermitian | negative | off_trace
+    bad = non_finite | non_hermitian | negative | off_trace
     if bad.any():
         i = np.unravel_index(np.argmax(bad), bad.shape)
+        if non_finite[i]:
+            raise ValueError("density matrix has non-finite entries")
         if non_hermitian[i]:
             raise ValueError("density matrix is not Hermitian within tolerance")
         if negative[i]:

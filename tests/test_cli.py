@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
@@ -110,6 +113,25 @@ def test_contract_loop_corrupted_trace(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 3
     assert "invalid loop" in err
+
+
+def test_contract_loop_nan_sample(tmp_path, capsys):
+    doc = serialize.loop_to_doc(constant_loop(2, 8))
+    doc["samples"][3][1][1] = [float("nan"), 0.0]
+    path = tmp_path / "nan.json"
+    serialize.write_doc(str(path), doc)  # json writes the bare token NaN
+    assert main(["contract-loop", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert "invalid loop document" in err and "non-finite" in err
+
+
+def test_cli_import_leaves_out_scipy_linalg():
+    probe = "import sys, phaselab.cli; print('scipy.linalg' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_contract_loop_bad_json_reports_line(tmp_path, capsys):

@@ -246,6 +246,91 @@ def test_sheet_from_doc_validates_every_cell():
         serialize.sheet_from_doc(doc)
 
 
+def test_sheet_from_doc_rejects_a_nan_cell():
+    doc = serialize.sheet_to_doc(contract_loop(constant_loop(2, 6)))
+    doc["rows"][1][2][0][1] = [float("nan"), 0.0]
+    with pytest.raises(ValueError, match="non-finite"):
+        serialize.sheet_from_doc(doc)
+
+
+def test_verifier_reports_non_finite_cells():
+    loop = constant_loop(2, 10)
+    cells = contract_loop(loop).as_array().copy()
+    last = cells.shape[0] - 1
+    cells[0, 3, 1, 1] = np.nan
+    cells[1, 0] = np.inf
+    cells[2, 4, 0, 1] = np.nan
+    cells[last, 5, 0, 0] = -np.inf
+    report = verify_homotopy(HomotopySheet(2, cells, []), loop, modulus=1e-6)
+    assert not report.passed
+    # the zeroed stand-ins for the bad cells add no violation of their own
+    assert report.violations == [
+        ("non-finite", (0, 3), 1.0, 0.0),
+        ("non-finite", (1, 0), 4.0, 0.0),
+        ("non-finite", (2, 4), 1.0, 0.0),
+        ("non-finite", (last, 5), 1.0, 0.0),
+    ]
+    assert report.max_cell_step == 0.0
+
+
+@pytest.fixture(scope="module")
+def pure_sheet():
+    return contract_loop(bundled_pure_loop())
+
+
+def _assert_writes(sheet, path):
+    """write_sheet's bytes against the document model's. A mismatch names
+    the first differing offset: pytest's own diff of megabyte-long lines
+    would not finish."""
+    serialize.write_sheet(str(path), sheet)
+    got = path.read_text(encoding="utf-8")
+    want = serialize.dumps(serialize.sheet_to_doc(sheet)) + "\n"
+    if got != want:
+        at = next((i for i, (x, y) in enumerate(zip(got, want)) if x != y), len(want))
+        pytest.fail(f"sheet bytes differ at {at}: {got[at:at + 60]!r} != {want[at:at + 60]!r}")
+
+
+def test_write_sheet_matches_dumps(pure_sheet, tmp_path):
+    _assert_writes(pure_sheet, tmp_path / "pure.json")
+    rng = np.random.default_rng(11)
+    for shape in [(1, 1, 1, 1), (3, 5, 2, 2), (2, 4, 3, 3)]:
+        cells = rng.normal(size=shape) * 10.0 ** rng.integers(-300, 300, size=shape) + 1j * (
+            rng.normal(size=shape)
+        )
+        flat = cells.reshape(-1)
+        flat[0] = complex(-0.0, 5e-324)
+        flat[-1] = complex(1.7976931348623157e308, -0.0)
+        sheet = HomotopySheet(shape[-1], cells, [{"stage": "s", "rows": 2, "level": 1}])
+        _assert_writes(sheet, tmp_path / "random.json")
+
+
+def test_written_sheet_reads_back_bitwise(pure_sheet, tmp_path):
+    path = tmp_path / "sheet.json"
+    serialize.write_sheet(str(path), pure_sheet)
+    back = serialize.sheet_from_doc(serialize.read_doc(str(path)))
+    assert back.n == pure_sheet.n and back.meta == pure_sheet.meta
+    assert np.array_equal(back.as_array(), pure_sheet.as_array())
+
+
+def test_write_sheet_rejects_non_finite_before_writing(tmp_path):
+    cells = contract_loop(constant_loop(2, 6)).as_array().copy()
+    cells[-1, 3, 1, 1] = np.nan
+    path = tmp_path / "sheet.json"
+    with pytest.raises(ValueError, match="non-finite"):
+        serialize.write_sheet(str(path), HomotopySheet(2, cells, []))
+    assert not path.exists()
+
+
+def test_contract_loop_takes_no_svd(monkeypatch):
+    loop = bundled_pure_loop(320)
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+    sheet = contract_loop(loop)
+    assert verify_homotopy(sheet, loop, 5 * loop.max_step).passed
+    assert calls == []  # every trace norm took the Hermitian path
+
+
 def test_loop_from_doc_rejects_garbage():
     with pytest.raises(ValueError):
         serialize.loop_from_doc({"n": 2})

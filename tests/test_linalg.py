@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from phaselab import linalg
 from phaselab.linalg import (
@@ -161,6 +163,38 @@ def test_trace_norm_of_a_stack():
         trace_norm(np.zeros((2, 3, 4)))
     with pytest.raises(ValueError):
         trace_norm(np.zeros(4))
+
+
+@given(
+    n=st.integers(1, 6),
+    count=st.integers(1, 4),
+    scale=st.floats(1e-12, 1e3),
+    rank=st.integers(0, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_trace_norm_of_hermitian_stacks_matches_svd(n, count, scale, rank, seed):
+    rng = np.random.default_rng(seed)
+    vecs = np.linalg.qr(random_complex((count, n, n), rng))[0]
+    evals = scale * rng.normal(size=(count, n))
+    evals[:, min(rank, n):] = 0.0  # rank-deficient, or zero at rank 0
+    m = (vecs * evals[:, None, :]) @ vecs.conj().swapaxes(-1, -2)
+    m = (m + m.conj().swapaxes(-1, -2)) / 2
+    assert np.array_equal(m, m.conj().swapaxes(-1, -2))  # takes the eigvalsh path
+    svd = np.sum(np.linalg.svd(m, compute_uv=False), axis=-1)
+    bound = 1e-12 * np.maximum(1.0, np.linalg.norm(m, axis=(-2, -1)))
+    assert np.all(np.abs(trace_norm(m) - svd) <= bound)
+
+
+def test_trace_norm_of_a_mixed_stack_is_bitwise_per_matrix():
+    herm = random_complex((5, 3, 3))
+    herm = (herm + herm.conj().swapaxes(-1, -2)) / 2
+    stack = np.concatenate([herm, random_complex((4, 3, 3))])[RNG.permutation(9)]
+    stack[0] = 0.0
+    norms = trace_norm(stack)
+    for i, m in enumerate(stack):
+        assert norms[i] == trace_norm(m)
+    assert np.allclose(norms, np.linalg.svd(stack, compute_uv=False).sum(axis=-1), rtol=1e-12)
+    assert trace_norm(herm[0]) == np.sum(np.abs(np.linalg.eigvalsh(herm[0])))
 
 
 def test_chain_layout_validation():

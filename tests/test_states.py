@@ -240,6 +240,21 @@ def test_validate_densities_reports_first_bad_cell():
         validate_densities(np.zeros((2, 3, 4)))
 
 
+def test_validate_densities_rejects_non_finite_entries():
+    for value in (np.nan, np.inf, complex(0.0, np.nan)):
+        with pytest.raises(ValueError, match="non-finite"):
+            validate_densities(np.full((2, 2, 2), value))
+        with pytest.raises(ValueError, match="non-finite"):
+            DensityState(np.full((2, 2), value))
+    cells = np.array([basis_state(2).rho] * 3)
+    cells[0] = np.diag([0.5, 0.2])  # an earlier cell failing only the trace check
+    cells[1, 0, 1] = np.nan
+    with pytest.raises(ValueError, match="trace"):
+        validate_densities(cells)
+    with pytest.raises(ValueError, match="non-finite"):
+        validate_densities(cells[1:])
+
+
 def test_act_batch_matches_act():
     rng = np.random.default_rng(9)
     states = [random_state(rng, 3, rank=2) for _ in range(5)]
