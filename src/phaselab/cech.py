@@ -2,9 +2,9 @@
 
 Covers carry finitely many sample points per overlap; cochains are valued
 in U(1) or in unitaries-mod-phase. Includes the cocycle checker, pullback
-refinement, the two-chart coboundary/winding decision, the delta_1 lift to
-a U(1)-valued 2-cochain, and the plaquette (lattice-degree) extraction on
-closed S^2 grids.
+refinement of U(1) cochains, the two-chart coboundary/winding decision,
+the delta_1 lift of unitary-valued lifts to a U(1)-valued 2-cochain, and
+the plaquette (lattice-degree) extraction on closed S^2 grids.
 """
 
 from __future__ import annotations
@@ -191,8 +191,8 @@ def coboundary_u1(cover: SampledCover, chart_funcs: dict) -> U1Cochain1:
     return U1Cochain1(cover, values)
 
 
-def refine(c, r: dict, new_cover: SampledCover):
-    """Pullback of a cochain along a refinement r: new chart -> old chart.
+def refine(c: U1Cochain1, r: dict, new_cover: SampledCover) -> U1Cochain1:
+    """Pullback of a U(1) cochain along a refinement r: new chart -> old chart.
 
     New overlap samples must be sampled in the corresponding old overlaps
     (caller-asserted; lookup is by exact point identity). Pairs of new
@@ -201,28 +201,14 @@ def refine(c, r: dict, new_cover: SampledCover):
     for i in new_cover.chart_ids:
         if i not in r:
             raise ValueError(f"refinement map misses chart {i}")
-    if isinstance(c, U1Cochain1):
-        values = {}
-        for (i, j), pts in new_cover.overlaps.items():
-            ri, rj = r[i], r[j]
-            if ri == rj:
-                values[(i, j)] = np.ones(len(pts), dtype=np.complex128)
-            else:
-                values[(i, j)] = np.array(
-                    [c.value(ri, rj, p) for p in pts], dtype=np.complex128
-                )
-        return U1Cochain1(new_cover, values)
-    if isinstance(c, PUCochain1):
-        values = {}
-        for (i, j), pts in new_cover.overlaps.items():
-            ri, rj = r[i], r[j]
-            if ri == rj:
-                dim = c.values[next(iter(c.values))][0].shape[0]
-                values[(i, j)] = [eye(dim) for _ in pts]
-            else:
-                values[(i, j)] = [c.value(ri, rj, p) for p in pts]
-        return PUCochain1(new_cover, values)
-    raise TypeError("refine expects a U1Cochain1 or PUCochain1")
+    values = {}
+    for (i, j), pts in new_cover.overlaps.items():
+        ri, rj = r[i], r[j]
+        if ri == rj:
+            values[(i, j)] = np.ones(len(pts), dtype=np.complex128)
+        else:
+            values[(i, j)] = np.array([c.value(ri, rj, p) for p in pts], dtype=np.complex128)
+    return U1Cochain1(new_cover, values)
 
 
 class WindingResult(NamedTuple):

@@ -1,6 +1,7 @@
 """Command-line surface: reproducible runs with JSON reports.
 
-Exit codes: 0 pass, 2 numerical-gate failure, 3 input error.
+Exit codes: 0 pass, 2 numerical-gate failure, 3 input error (usage errors
+included). Each command takes only the flags, and --config keys, it reads.
 """
 
 from __future__ import annotations
@@ -30,33 +31,35 @@ def _parse_grid(text: str) -> tuple[int, int]:
         raise ValueError(f"grid must look like 32x64, got {text!r}") from exc
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="JSON config file; flags override its entries")
-    common.add_argument("--seed", type=int, help="seed for randomized commands")
-    common.add_argument("--out", help="write the report here instead of stdout")
-    common.add_argument("--grid", help="S^2 grid as KxM (default 32x64)")
-    common.add_argument("--n-dimers", type=int, help="number of dimers N (default 2)")
-    common.add_argument("--epsilon", type=float, help="band half-width (default 0.25)")
-    common.add_argument(
-        "--no-timestamp", action="store_true", help="omit the timestamp for byte-stable reports"
-    )
+# --config keys each command reads; any other key is an input error
+CONFIG_KEYS = {"invariant": {"grid", "n_dimers"}, "selfcheck": {"seed"}}
 
+
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="phaselab")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_inv = sub.add_parser(
-        "invariant", parents=[common], help="compute the dimer-chain phase invariant"
-    )
+    def command(name: str, summary: str, config: bool = False) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=summary)
+        if config:
+            keys = ", ".join(sorted(CONFIG_KEYS[name]))
+            p.add_argument("--config", help=f"JSON config file ({keys}); flags override it")
+        p.add_argument("--out", help="write the report here instead of stdout")
+        p.add_argument(
+            "--no-timestamp", action="store_true", help="omit the timestamp for byte-stable reports"
+        )
+        return p
+
+    p_inv = command("invariant", "compute the dimer-chain phase invariant", config=True)
+    p_inv.add_argument("--grid", help="S^2 grid as KxM (default 32x64)")
+    p_inv.add_argument("--n-dimers", type=int, help="number of dimers N (default 2)")
     p_inv.add_argument(
         "--constant-field",
         action="store_true",
         help="debug: replace the projected field by a constant ray (degree 0)",
     )
 
-    p_loop = sub.add_parser(
-        "contract-loop", parents=[common], help="contract a based state loop"
-    )
+    p_loop = command("contract-loop", "contract a based state loop")
     p_loop.add_argument("loop", help="loop document (JSON)")
     p_loop.add_argument("--sheet-out", help="write the full homotopy sheet here")
     p_loop.add_argument(
@@ -66,14 +69,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="verifier modulus as a multiple of the input step (default 5)",
     )
 
-    p_check = sub.add_parser(
-        "selfcheck", parents=[common], help="run the seeded property suites"
-    )
+    p_check = command("selfcheck", "run the seeded property suites", config=True)
+    p_check.add_argument("--seed", type=int, help="seed of the suites' randomness (required)")
     p_check.add_argument("--inject-fault", help="test mode: force the named suite to fail")
 
-    p_super = sub.add_parser(
-        "supernatural", parents=[common], help="supernatural-number arithmetic"
-    )
+    p_super = command("supernatural", "supernatural-number arithmetic")
     p_super.add_argument("--type", required=True, help="divisibility tower, e.g. 2,6,12")
     p_super.add_argument("--tail-ratio", type=int, help="the tower repeats forever with this ratio")
     p_super.add_argument(
@@ -94,7 +94,6 @@ def _resolved_model_config(args, file_cfg: dict) -> ModelConfig:
     if args.grid:
         grid = _parse_grid(args.grid)
     return ModelConfig(
-        epsilon=args.epsilon if args.epsilon is not None else file_cfg.get("epsilon", 0.25),
         n_dimers=args.n_dimers if args.n_dimers is not None else file_cfg.get("n_dimers", 2),
         grid=grid or (32, 64),
     )
@@ -117,7 +116,6 @@ def cmd_invariant(args, file_cfg: dict) -> int:
     report = {
         "command": "invariant",
         "config": {
-            "epsilon": cfg.epsilon,
             "n_dimers": cfg.n_dimers,
             "grid": list(cfg.grid),
             "constant_field": bool(args.constant_field),
@@ -271,33 +269,42 @@ def cmd_supernatural(args, file_cfg: dict) -> int:
     return EXIT_PASS
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    file_cfg = {}
-    if args.config:
-        try:
-            with open(args.config, encoding="utf-8") as fh:
-                file_cfg = json.load(fh)
-        except FileNotFoundError:
-            print(f"error: no such config file: {args.config}", file=sys.stderr)
-            return EXIT_INPUT
-        except json.JSONDecodeError as exc:
-            print(f"error: {args.config}:{exc.lineno}:{exc.colno}: {exc.msg}", file=sys.stderr)
-            return EXIT_INPUT
+def _read_config(args) -> dict:
+    """The --config file of commands that take one, checked against the
+    keys the command reads; raises ValueError for any input error."""
+    if getattr(args, "config", None) is None:
+        return {}
     try:
-        if args.command == "invariant":
-            return cmd_invariant(args, file_cfg)
-        if args.command == "contract-loop":
-            return cmd_contract_loop(args, file_cfg)
-        if args.command == "selfcheck":
-            return cmd_selfcheck(args, file_cfg)
-        if args.command == "supernatural":
-            return cmd_supernatural(args, file_cfg)
+        with open(args.config, encoding="utf-8") as fh:
+            file_cfg = json.load(fh)
+    except FileNotFoundError:
+        raise ValueError(f"no such config file: {args.config}") from None
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{args.config}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
+    if not isinstance(file_cfg, dict):
+        raise ValueError(f"{args.config}: a config file holds one JSON object")
+    unknown = sorted(set(file_cfg) - CONFIG_KEYS[args.command])
+    if unknown:
+        raise ValueError(f"{args.config}: {args.command} does not read config keys {unknown}")
+    return file_cfg
+
+
+def main(argv=None) -> int:
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse printed the usage error, or the help
+        return EXIT_PASS if exc.code == 0 else EXIT_INPUT
+    commands = {
+        "invariant": cmd_invariant,
+        "contract-loop": cmd_contract_loop,
+        "selfcheck": cmd_selfcheck,
+        "supernatural": cmd_supernatural,
+    }
+    try:
+        return commands[args.command](args, _read_config(args))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

@@ -1,9 +1,9 @@
 """The S3-parametrized spin-1/2 dimer chain.
 
 Closed-form spectra and ground states of the two-site Hamiltonians, the
-explicit transition unitaries on the equatorial band, the truncated
-half-chain cocycle unitary, the projected equator map, the degree-valued
-invariant, and the noninteracting product-state distance bound.
+dimer gate W and the site rotations, the truncated half-chain cocycle
+unitary, the projected equator map, the degree-valued invariant, and the
+noninteracting product-state distance bound.
 
 Conventions: |up> = (1,0), |down> = (0,1); for a two-site block the first
 tensor factor is the lower-numbered site. The truncated right chain has
@@ -227,20 +227,6 @@ def _band_branch(w: ParamPoint, eps: float, branch=None) -> tuple[float, float]:
     return w.theta_phi() if branch is None else (float(branch[0]), float(branch[1]))
 
 
-def dimer_transport(w: ParamPoint, hemisphere: int, eps: float = 0.25, branch=None) -> np.ndarray:
-    """Band transition unitary of one dimer: carries the reference ground
-    state at (0,0,1,0) to the ground state at w, on the nose."""
-    theta, phi = _band_branch(w, eps, branch)
-    u2 = site_rotation(theta, phi)
-    u = kron(u2, u2)
-    wmat = dimer_swap_unitary()
-    if hemisphere == +1:
-        return u.conj().T @ wmat.conj().T @ u @ wmat
-    if hemisphere == -1:
-        return u.conj().T @ wmat @ u @ wmat.conj().T
-    raise ValueError("hemisphere must be +1 or -1")
-
-
 def reference_chain_state(n_sites: int) -> np.ndarray:
     """|up down up down ...> with up at site 1."""
     factors = [UP if i % 2 == 0 else DOWN for i in range(n_sites)]
@@ -458,7 +444,6 @@ class InvariantRecord:
     integrality: float
     grid: tuple[int, int]
     n_dimers: int
-    epsilon: float
 
 
 def invariant_sweep(cfg: ModelConfig, constant_field: bool = False) -> InvariantRecord:
@@ -502,7 +487,6 @@ def invariant_sweep(cfg: ModelConfig, constant_field: bool = False) -> Invariant
         integrality=deg.integrality,
         grid=cfg.grid,
         n_dimers=cfg.n_dimers,
-        epsilon=cfg.epsilon,
     )
 
 

@@ -55,32 +55,34 @@ def _max_step(rhos: np.ndarray) -> float:
 
 @dataclass
 class StateLoop:
-    """A closed, based loop of states on M_n."""
+    """A closed, based loop of states on M_n, stored as one (T, n, n)
+    complex array of densities, first sample == last."""
 
     n: int
-    samples: list  # list[DensityState], first == last
+    rhos: np.ndarray
 
     def __post_init__(self):
+        self.rhos = validate_densities(self.rhos)
         if self.n < 2:
             raise ValueError("loops live on M_n with n >= 2")
-        if len(self.samples) < 3:
+        if self.rhos.ndim != 3 or self.rhos.shape[1:] != (self.n, self.n):
+            raise ValueError("loop samples must be states on M_n")
+        if len(self.rhos) < 3:
             raise ValueError("a loop needs at least three samples")
-        for s in self.samples:
-            if not isinstance(s, DensityState) or s.dim != self.n:
-                raise ValueError("loop samples must be states on M_n")
-        _check_based(self.as_array())
+        _check_based(self.rhos)
 
     @property
     def n_samples(self) -> int:
-        return len(self.samples)
+        return len(self.rhos)
 
     @cached_property
     def max_step(self) -> float:
         """Largest trace-norm step between consecutive samples."""
-        return _max_step(self.as_array())
+        return _max_step(self.rhos)
 
     def as_array(self) -> np.ndarray:
-        return np.array([s.rho for s in self.samples])
+        """The density array itself, not a copy."""
+        return self.rhos
 
 
 @dataclass
@@ -407,9 +409,8 @@ def rectify_to_projection(
     target = target_row_step if target_row_step is not None else 2.5 * max(delta, 1e-3)
     rhos = loop.as_array()
     cells, meta = _rectify(rhos, delta, max_step, target)
-    out_loop = StateLoop(loop.n, [DensityState(rho) for rho in cells[-1]])
     sheet = HomotopySheet(loop.n, np.concatenate([rhos[None], cells]), meta)
-    return RectifyResult(sheet, out_loop)
+    return RectifyResult(sheet, StateLoop(loop.n, sheet.cells[-1]))
 
 
 def _compress(rhos: np.ndarray, block: int) -> np.ndarray:
@@ -534,8 +535,8 @@ def bundled_pure_loop(n_samples: int = 400) -> StateLoop:
     samples = []
     for t in np.linspace(0.0, 1.0, n_samples + 1):
         v = np.array([np.cos(np.pi * t), np.sin(np.pi * t)], dtype=np.complex128)
-        samples.append(DensityState(np.outer(v, v.conj())))
-    return StateLoop(2, samples)
+        samples.append(np.outer(v, v.conj()))
+    return StateLoop(2, np.array(samples))
 
 
 def bundled_plateau_loop(n_samples: int = 900) -> StateLoop:
@@ -584,8 +585,8 @@ def bundled_plateau_loop(n_samples: int = 900) -> StateLoop:
         v = np.cos(ang * (1 - u)) * e[0] + np.sin(ang * (1 - u)) * e[1]
         return pure(v)
 
-    samples = [DensityState(_snap(rho_at(t))) for t in np.linspace(0.0, 1.0, n_samples + 1)]
-    return StateLoop(3, samples)
+    samples = [_snap(rho_at(t)) for t in np.linspace(0.0, 1.0, n_samples + 1)]
+    return StateLoop(3, np.array(samples))
 
 
 def random_based_loop(n: int = 3, seed: int = 7, n_samples: int = 700) -> StateLoop:
@@ -607,13 +608,12 @@ def random_based_loop(n: int = 3, seed: int = 7, n_samples: int = 700) -> StateL
         d = np.diag(np.array([1 - mix] + [mix / (n - 1)] * (n - 1)))
         return u @ d @ u.conj().T
 
-    samples = [DensityState(_snap(rho_at(t))) for t in np.linspace(0.0, 1.0, n_samples + 1)]
-    return StateLoop(n, samples)
+    samples = [_snap(rho_at(t)) for t in np.linspace(0.0, 1.0, n_samples + 1)]
+    return StateLoop(n, np.array(samples))
 
 
 def constant_loop(n: int = 2, n_samples: int = 32) -> StateLoop:
-    base = basis_state(n)
-    return StateLoop(n, [base] * (n_samples + 1))
+    return StateLoop(n, np.repeat(basis_state(n).rho[None], n_samples + 1, axis=0))
 
 
 def _snap(rho: np.ndarray) -> np.ndarray:

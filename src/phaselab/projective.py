@@ -1,8 +1,8 @@
 """Projective Hilbert space geometry.
 
-Ray products, the three equivalent metrics (chord / Fubini-Study / gap),
-positive-phase local sections, explicit unitary transports, the Cayley
-chart, and the U(1) sector transition phase.
+Rays, ray products, the three equivalent metrics (chord / Fubini-Study /
+gap), and the elementary unitary transport with which loop contraction
+carries top eigenvectors to e_0.
 """
 
 from __future__ import annotations
@@ -11,9 +11,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import eye, operator_norm
+from .linalg import eye
 
-ORTHOGONALITY_TOL = 1e-12
 RAY_EQUALITY_TOL = 1e-10
 
 
@@ -83,41 +82,6 @@ def ray_distances(a, b) -> RayDistances:
     )
 
 
-def section_positive(base, target) -> np.ndarray:
-    """The unique unit representative of `target` with positive inner
-    product against `base`. Defined on the open gap-metric unit ball
-    around `base`."""
-    b = _rep(base)
-    t = _rep(target)
-    ov = np.vdot(b, t)
-    if abs(ov) <= ORTHOGONALITY_TOL:
-        raise ValueError("target ray is (numerically) orthogonal to the base ray")
-    return (abs(ov) / ov) * t
-
-
-def rotator(psi: np.ndarray, omega: np.ndarray) -> np.ndarray:
-    """Unitary U with U psi = omega, acting as the scalar
-    <omega, psi>/|<omega, psi>| on the complement of span{psi, omega}.
-
-    Explicit rank-four-correction form; norm-continuous in both arguments
-    wherever <psi, omega> != 0.
-    """
-    psi = _rep(psi)
-    omega = _rep(omega)
-    ov = np.vdot(omega, psi)  # <omega, psi>
-    if abs(ov) <= ORTHOGONALITY_TOL:
-        raise ValueError("rotator requires non-orthogonal inputs")
-    lam = ov / abs(ov)
-    mu = 1.0 / (1.0 + abs(ov))
-    n = psi.shape[0]
-    out = lam * eye(n)
-    out -= mu * np.outer(psi, omega.conj())
-    out -= lam * mu * np.outer(psi, psi.conj())
-    out -= lam * mu * np.outer(omega, omega.conj())
-    out += (1.0 + lam * mu * ov) * np.outer(omega, psi.conj())
-    return out
-
-
 def elementary_transport(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Unitary z -> <y,x> z - <y,z> x + <x,z> y on span{x,y}, identity on
     the complement. Maps x to y and satisfies ||1 - U|| = ||x - y||."""
@@ -143,87 +107,3 @@ def _orthonormal_span(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     if nrm > 1e-14:
         cols.append(r / nrm)
     return np.column_stack(cols)
-
-
-def frame_transport(xs, ys) -> tuple[np.ndarray, float]:
-    """Unitary sending the orthonormal frame xs to ys, built by the
-    transport-then-correct recursion: after mapping the first i vectors,
-    the image of the next one is carried to its target by an elementary
-    transport (which fixes the already-placed targets).
-
-    Returns (U, defect) where defect = ||1 - U|| in operator norm. The
-    defect is small when the frames are close; it is reported, not gated.
-    """
-    xs = [_as_unit(v) for v in xs]
-    ys = [_as_unit(v) for v in ys]
-    if len(xs) != len(ys):
-        raise ValueError("frames must have equal length")
-    n = len(xs)
-    if n == 0:
-        raise ValueError("empty frame")
-    dim = xs[0].shape[0]
-    if dim < 2 * n:
-        raise ValueError(f"ambient dimension {dim} < 2n = {2 * n}")
-    _check_orthonormal(xs)
-    _check_orthonormal(ys)
-    u = eye(dim)
-    for i in range(n):
-        z = u @ xs[i]
-        u = elementary_transport(z, ys[i]) @ u
-    return u, operator_norm(eye(dim) - u)
-
-
-def _as_unit(v) -> np.ndarray:
-    v = np.asarray(v, dtype=np.complex128).ravel()
-    return v
-
-
-def _check_orthonormal(frame, tol: float = 1e-10):
-    g = np.array([[np.vdot(a, b) for b in frame] for a in frame])
-    if np.max(np.abs(g - np.eye(len(frame)))) > tol:
-        raise ValueError("frame is not orthonormal within tolerance")
-
-
-CAYLEY_SPECTRUM_TOL = 1e-8
-
-
-def cayley_chart(m: np.ndarray, direction: str = "forward") -> np.ndarray:
-    """Cayley chart phi(U) = i(1-U)(1+U)^{-1} and its inverse
-    A -> (i1-A)(i1+A)^{-1}.
-
-    Forward requires a unitary with -1 outside the spectrum; inverse
-    requires a Hermitian input. Round trips return the input.
-    """
-    m = np.asarray(m, dtype=np.complex128)
-    n = m.shape[0]
-    if direction == "forward":
-        if operator_norm(m @ m.conj().T - eye(n)) > 1e-8:
-            raise ValueError("cayley forward expects a unitary")
-        evals = np.linalg.eigvals(m)
-        if np.min(np.abs(1.0 + evals)) < CAYLEY_SPECTRUM_TOL:
-            raise ValueError("-1 in spectrum: outside the Cayley chart")
-        a = 1j * (eye(n) - m) @ np.linalg.inv(eye(n) + m)
-        return (a + a.conj().T) / 2
-    if direction == "inverse":
-        if np.linalg.norm(m - m.conj().T) > 1e-8 * max(np.linalg.norm(m), 1.0):
-            raise ValueError("cayley inverse expects a Hermitian matrix")
-        return (1j * eye(n) - m) @ np.linalg.inv(1j * eye(n) + m)
-    raise ValueError("direction must be 'forward' or 'inverse'")
-
-
-def sector_transition_phase(phi1, phi2, psi) -> complex:
-    """U(1) transition value between positive-phase sections based at phi1
-    and phi2, evaluated at psi:
-
-        |<phi2, psi>| / <phi2, psi> * <phi1, psi> / |<phi1, psi>|
-
-    Independent of the representative of psi; a 1-cocycle over base rays.
-    """
-    p1 = _rep(phi1)
-    p2 = _rep(phi2)
-    s = _rep(psi)
-    ov1 = np.vdot(p1, s)
-    ov2 = np.vdot(p2, s)
-    if abs(ov1) <= ORTHOGONALITY_TOL or abs(ov2) <= ORTHOGONALITY_TOL:
-        raise ValueError("psi is orthogonal to a base ray; transition undefined")
-    return complex((abs(ov2) / ov2) * (ov1 / abs(ov1)))

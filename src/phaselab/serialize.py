@@ -1,9 +1,8 @@
 """JSON encoding of the artifact's documents.
 
 Matrices are row-major nested arrays of [re, im] pairs. Loops are
-{n, samples: [matrix, ...]}, sheets {meta, n, rows: [[matrix, ...], ...]}
-and covers {charts, overlaps: {"i,j": [points]}, triples: {...}}. All
-documents are UTF-8 JSON, written compactly with sorted keys.
+{n, samples: [matrix, ...]} and sheets {meta, n, rows: [[matrix, ...], ...]}.
+All documents are UTF-8 JSON, written compactly with sorted keys.
 """
 
 from __future__ import annotations
@@ -12,9 +11,8 @@ import json
 
 import numpy as np
 
-from .cech import SampledCover
 from .homotopy import HomotopySheet, StateLoop
-from .states import DensityState, validate_densities
+from .states import validate_densities
 
 
 def encode_matrix(m: np.ndarray) -> list:
@@ -42,7 +40,7 @@ def loop_from_doc(doc: dict) -> StateLoop:
         rhos = decode_matrix(doc["samples"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed loop document: {exc}") from exc
-    return StateLoop(n, [DensityState(rho) for rho in rhos])
+    return StateLoop(n, rhos)
 
 
 def sheet_to_doc(sheet: HomotopySheet) -> dict:
@@ -56,34 +54,6 @@ def sheet_from_doc(doc: dict) -> HomotopySheet:
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed sheet document: {exc}") from exc
     return HomotopySheet(int(doc["n"]), validate_densities(cells), list(doc.get("meta", [])))
-
-
-def _key(ids) -> str:
-    return ",".join(str(i) for i in ids)
-
-
-def _unkey(key: str, charts: dict) -> tuple:
-    return tuple(charts[part] for part in key.split(","))
-
-
-def cover_to_doc(cover: SampledCover) -> dict:
-    return {
-        "charts": list(cover.chart_ids),
-        "overlaps": {_key(pair): [list(p) for p in pts] for pair, pts in cover.overlaps.items()},
-        "triples": {_key(trip): [list(p) for p in pts] for trip, pts in cover.triples.items()},
-    }
-
-
-def cover_from_doc(doc: dict) -> SampledCover:
-    charts = list(doc["charts"])
-    by_name = {str(c): c for c in charts}
-    overlaps = {
-        _unkey(k, by_name): [tuple(p) for p in pts] for k, pts in doc.get("overlaps", {}).items()
-    }
-    triples = {
-        _unkey(k, by_name): [tuple(p) for p in pts] for k, pts in doc.get("triples", {}).items()
-    }
-    return SampledCover(charts, overlaps, triples)
 
 
 def dumps(doc: dict) -> str:

@@ -1,23 +1,23 @@
 """States on matrix algebras.
 
-Density matrices, purity, the trace-norm state distance, the A.omega
-action, the GNS construction with explicit Gelfand ideals, and the
-transition-probability identity |<Psi,Omega>|^2 = 1 - ||psi-omega||^2/4.
+Density matrices and their batched validation, the A.omega action (also
+over stacks), and the GNS construction with explicit Gelfand ideals.
+Distances between states are `linalg.trace_norm` of the density
+difference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
-from .linalg import eye, trace_norm
+from .linalg import eye
 
 STATE_HERM_TOL = 1e-10
 STATE_EIG_TOL = 1e-10
 STATE_TRACE_TOL = 1e-10
-PURITY_TOL = 1e-9
 IDEAL_NORMALIZER_TOL = 1e-12
 GRAM_RANK_CUT = 1e-9
 
@@ -66,28 +66,6 @@ def state_from_vector(v: np.ndarray) -> DensityState:
         raise ValueError("zero vector does not define a state")
     v = v / nrm
     return DensityState(np.outer(v, v.conj()))
-
-
-class PurityResult(NamedTuple):
-    pure: bool
-    value: float
-
-
-def purity(s: DensityState) -> PurityResult:
-    """Pure iff tr(rho^2) >= 1 - 1e-9; the scalar is reported."""
-    val = float(np.trace(s.rho @ s.rho).real)
-    return PurityResult(val >= 1.0 - PURITY_TOL, val)
-
-
-def state_distance(a: DensityState, b: DensityState) -> float:
-    """Trace norm of the density difference.
-
-    At finite dimension this equals the dual-space functional distance
-    sup_{||A||<=1} |tr((rho_a - rho_b) A)|.
-    """
-    if a.dim != b.dim:
-        raise ValueError("states live on different algebras")
-    return trace_norm(a.rho - b.rho)
 
 
 def validate_densities(rho: np.ndarray) -> np.ndarray:
@@ -228,22 +206,3 @@ def gns(omega: DensityState) -> GnsResult:
         basis_coords=coords,
         gram=gram,
     )
-
-
-def vector_state_distance(psi: np.ndarray, omega: np.ndarray) -> tuple[float, float]:
-    """Distance of the pure states induced by two unit vectors.
-
-    Returns (closed_form, oracle): the transition-probability closed form
-    2 sqrt(1 - |<psi, omega>|^2) and the trace-norm oracle on the induced
-    densities. The two agree to 1e-9.
-    """
-    psi = np.asarray(psi, dtype=np.complex128).ravel()
-    omega = np.asarray(omega, dtype=np.complex128).ravel()
-    if psi.shape != omega.shape:
-        raise ValueError("vectors live in different spaces")
-    psi = psi / np.linalg.norm(psi)
-    omega = omega / np.linalg.norm(omega)
-    p = min(abs(np.vdot(psi, omega)), 1.0)
-    closed = 2.0 * np.sqrt(max(1.0 - p * p, 0.0))
-    oracle = state_distance(state_from_vector(psi), state_from_vector(omega))
-    return float(closed), float(oracle)

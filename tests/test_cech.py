@@ -4,7 +4,6 @@ import scipy.linalg
 from hypothesis import given
 from hypothesis import strategies as st
 
-from phaselab import serialize
 from phaselab.cech import (
     PUCochain1,
     SampledCover,
@@ -296,14 +295,6 @@ def test_plaquette_degree_gates():
     cut[1] = [psi4, psi3, psi3]
     with pytest.raises(NumericalGateError):
         plaquette_degree(cut)
-
-
-def test_cover_serialization():
-    cover = three_chart_cover()
-    doc = serialize.cover_to_doc(cover)
-    back = serialize.cover_from_doc(doc)
-    assert back.overlaps == cover.overlaps
-    assert back.triples == cover.triples
 
 
 def test_refine_two_chart_preserves_winding():

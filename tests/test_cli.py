@@ -35,11 +35,80 @@ def test_invariant_constant_field_debug(capsys):
 
 def test_invariant_config_file(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"grid": "8x16", "epsilon": 0.3, "n_dimers": 2}))
+    cfg.write_text(json.dumps({"grid": "8x16", "n_dimers": 3}))
     code, report = run(capsys, "invariant", "--config", str(cfg), "--no-timestamp")
     assert code == 0
-    assert report["config"]["epsilon"] == 0.3
+    assert report["config"]["n_dimers"] == 3
     assert report["config"]["grid"] == [8, 16]
+    assert "epsilon" not in report["config"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["invariant", "--n-dimers", "abc"],
+        ["invariant", "--bogus"],
+        ["invariant", "--epsilon", "0.3"],
+        ["nosuchcommand"],
+        [],
+    ],
+)
+def test_usage_errors_exit_as_input_errors(capsys, argv):
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: phaselab")
+
+
+def test_help_exits_zero(capsys):
+    assert main(["--help"]) == 0
+    assert main(["invariant", "--help"]) == 0
+    assert "--n-dimers" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["invariant", "--grid", "8x16", "--seed", "1"],
+        ["selfcheck", "--seed", "1", "--grid", "4x4"],
+        ["selfcheck", "--seed", "1", "--n-dimers", "9"],
+        ["selfcheck", "--seed", "1", "--epsilon", "0.5"],
+        ["supernatural", "--type", "2", "--seed", "1"],
+        ["supernatural", "--type", "2,6", "--n-dimers", "3"],
+        ["supernatural", "--type", "2", "--config", "LOOP"],
+        ["contract-loop", "LOOP", "--n-dimers", "3"],
+        ["contract-loop", "LOOP", "--config", "LOOP"],
+        ["contract-loop", "LOOP", "--seed", "1"],
+    ],
+)
+def test_commands_reject_flags_they_do_not_read(tmp_path, capsys, argv):
+    # each argv passes without its last flag, so the flag alone decides
+    loop = tmp_path / "loop.json"
+    serialize.write_doc(str(loop), serialize.loop_to_doc(constant_loop(2, 8)))
+    argv = [str(loop) if a == "LOOP" else a for a in argv]
+    assert main(argv[:-2] + ["--no-timestamp"]) == 0
+    capsys.readouterr()
+    assert main(argv) == 3
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, cfg",
+    [
+        (["invariant", "--grid", "8x16"], {"epsilon": 0.3}),
+        (["invariant", "--grid", "8x16"], {"seed": 1}),
+        (["selfcheck", "--seed", "1"], {"grid": "8x16"}),
+        (["selfcheck", "--seed", "1"], {"seed": 1, "n_dimers": 2}),
+    ],
+)
+def test_commands_reject_config_keys_they_do_not_read(tmp_path, capsys, command, cfg):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(command + ["--config", str(path)]) == 3
+    assert "does not read config keys" in capsys.readouterr().err
+    path.write_text("3")
+    assert main(command + ["--config", str(path)]) == 3
+    assert "one JSON object" in capsys.readouterr().err
 
 
 def test_selfcheck_requires_seed(capsys):

@@ -9,7 +9,6 @@ from phaselab.dimer import (
     dimer_closed_form,
     dimer_hamiltonian,
     dimer_swap_unitary,
-    dimer_transport,
     equator_point,
     heisenberg_coupling,
     invariant_sweep,
@@ -145,31 +144,6 @@ def test_swap_unitary_basis_action():
     ref = dimer_closed_form(param_point(0, 0, 1, 0), +1).ground
     pole = dimer_closed_form(param_point(0, 0, 0, 1), +1).ground
     assert np.linalg.norm(w @ ref - pole) < 1e-12
-
-
-def test_dimer_transport_moves_reference_ground_state():
-    rng = np.random.default_rng(11)
-    ref_plus = DN_UP
-    ref_minus = UP_DN
-    for _ in range(60):
-        w = random_band(rng)
-        vp = dimer_transport(w, +1)
-        assert operator_norm(vp @ vp.conj().T - eye(4)) < 1e-12
-        assert np.linalg.norm(vp @ ref_plus - dimer_closed_form(w, +1).ground) <= 1e-9
-        vm = dimer_transport(w, -1)
-        assert np.linalg.norm(vm @ ref_minus - dimer_closed_form(w, -1).ground) <= 1e-9
-    with pytest.raises(ValueError):
-        dimer_transport(param_point(0, 0, 0, 1), +1)
-
-
-def test_dimer_transport_branch_independence():
-    rng = np.random.default_rng(13)
-    for _ in range(20):
-        w = random_band(rng)
-        th, ph = w.theta_phi()
-        v1 = dimer_transport(w, +1, branch=(th, ph))
-        v2 = dimer_transport(w, +1, branch=(-th, ph + np.pi))
-        assert np.max(np.abs(v1 - v2)) < 1e-12
 
 
 def test_hemisphere_consistency_on_band():

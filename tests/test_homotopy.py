@@ -31,15 +31,33 @@ def test_projection_matrix():
 
 
 def test_state_loop_validation():
-    base = basis_state(2)
-    other = basis_state(2, 1)
+    base = basis_state(2).rho
+    other = basis_state(2, 1).rho
     with pytest.raises(ValueError):
-        StateLoop(2, [other, base, other])  # wrong basepoint
+        StateLoop(2, np.array([other, base, other]))  # wrong basepoint
     with pytest.raises(ValueError):
-        StateLoop(2, [base, other, other])  # not closed
-    coarse = StateLoop(2, [base, other, base])  # valid loop, just coarse
+        StateLoop(2, np.array([base, other, other]))  # not closed
+    coarse = StateLoop(2, np.array([base, other, base]))  # valid loop, just coarse
     assert coarse.max_step == 2.0
     assert constant_loop(2, 8).max_step == 0.0
+
+
+def test_state_loop_is_one_validated_array():
+    loop = bundled_pure_loop(16)
+    assert loop.as_array() is loop.as_array()
+    assert loop.as_array().shape == (17, 2, 2) and loop.n_samples == 17
+    rhos = loop.as_array().copy()
+    rhos[9] = np.diag([1.5, -0.5])
+    rhos[5] = np.diag([0.7, 0.0])  # the first failing sample: its trace
+    with pytest.raises(ValueError) as want:
+        DensityState(rhos[5])
+    doc = {"n": 2, "samples": serialize.encode_matrix(rhos)}
+    for build in (lambda: StateLoop(2, rhos), lambda: serialize.loop_from_doc(doc)):
+        with pytest.raises(ValueError) as got:
+            build()
+        assert str(got.value) == str(want.value)
+    with pytest.raises(ValueError, match="states on M_n"):
+        StateLoop(3, loop.as_array())
 
 
 def test_disk_phase_lift_constant_and_boundary():
@@ -132,11 +150,11 @@ def test_rectify_pure_loop():
     loop = bundled_pure_loop(320)
     res = rectify_to_projection(loop)
     p = projection_matrix(2, 1)
-    for s in res.out_loop.samples:
+    for s in map(DensityState, res.out_loop.as_array()):
         assert abs(s.expect(p).real - 1) < 1e-8
     # for n = 2, full weight on P^2_1 pins the state to the basepoint
     base = basis_state(2)
-    for s in res.out_loop.samples:
+    for s in map(DensityState, res.out_loop.as_array()):
         assert np.max(np.abs(s.rho - base.rho)) < 1e-8
 
 
@@ -144,7 +162,7 @@ def test_rectify_plateau_loop_kills_last_row():
     loop = bundled_plateau_loop()
     res = rectify_to_projection(loop)
     p = projection_matrix(3, 1)
-    for s in res.out_loop.samples:
+    for s in map(DensityState, res.out_loop.as_array()):
         assert abs(s.expect(p).real - 1) < 1e-8
         assert s.rho[2, 2].real < 1e-8
 
@@ -153,7 +171,7 @@ def test_rectify_rejects_coarse_loops():
     v0 = np.array([1, 0], dtype=complex)
     v1 = np.array([np.cos(0.5), np.sin(0.5)], dtype=complex)
     samples = [state_from_vector(v0), state_from_vector(v1), state_from_vector(v0)]
-    loop = StateLoop(2, samples)
+    loop = StateLoop(2, np.array([s.rho for s in samples]))
     with pytest.raises(ValueError):
         rectify_to_projection(loop)
 

@@ -2,17 +2,7 @@ import numpy as np
 import pytest
 
 from phaselab.linalg import eye, operator_norm, trace_norm
-from phaselab.projective import (
-    Ray,
-    cayley_chart,
-    elementary_transport,
-    frame_transport,
-    ray_distances,
-    ray_product,
-    rotator,
-    section_positive,
-    sector_transition_phase,
-)
+from phaselab.projective import Ray, elementary_transport, ray_distances, ray_product
 
 E0 = np.array([1, 0], dtype=complex)
 E1 = np.array([0, 1], dtype=complex)
@@ -68,48 +58,6 @@ def test_metric_sandwich():
         assert d.gap <= d.chord + 1e-10
 
 
-def test_section_positive():
-    assert np.allclose(section_positive(E0, E0), E0)
-    assert np.allclose(section_positive(E0, 1j * E0), E0)
-    target = (-E0 + E1) / np.sqrt(2)
-    assert np.allclose(section_positive(E0, target), (E0 - E1) / np.sqrt(2))
-    with pytest.raises(ValueError):
-        section_positive(E0, E1)
-
-
-def test_rotator_trivial_and_basic():
-    assert np.allclose(rotator(E0, E0), eye(2))
-    omega = (E0 + E1) / np.sqrt(2)
-    u = rotator(E0, omega)
-    assert operator_norm(u @ u.conj().T - eye(2)) < 1e-12
-    assert np.linalg.norm(u @ E0 - omega) < 1e-10
-
-
-def test_rotator_complement_action():
-    rng = np.random.default_rng(7)
-    psi, om = unit(rng, 5), unit(rng, 5)
-    u = rotator(psi, om)
-    ov = np.vdot(om, psi)
-    # any vector orthogonal to span{psi, omega} is multiplied by ov/|ov|
-    q = np.linalg.qr(np.column_stack([psi, om, unit(rng, 5), unit(rng, 5)]))[0]
-    perp = q[:, 3]
-    assert np.linalg.norm(u @ perp - (ov / abs(ov)) * perp) < 1e-10
-
-
-def test_rotator_is_norm_continuous():
-    rng = np.random.default_rng(9)
-    psi = unit(rng, 4)
-    om = unit(rng, 4)
-    last = np.inf
-    for eps in (1e-2, 1e-4, 1e-6):
-        om2 = om + eps * unit(rng, 4)
-        om2 /= np.linalg.norm(om2)
-        gap = operator_norm(rotator(psi, om) - rotator(psi, om2))
-        assert gap < 10 * eps
-        assert gap < last + 1e-12
-        last = gap
-
-
 def test_elementary_transport():
     assert np.allclose(elementary_transport(E0, E0), eye(2))
     u = elementary_transport(E0, E1)
@@ -130,79 +78,10 @@ def test_elementary_transport_spectrum():
         assert min(abs(ev - lam_pm[0]), abs(ev - lam_pm[1]), abs(ev - 1)) < 1e-9
 
 
-def test_frame_transport():
-    rng = np.random.default_rng(2)
-    q = np.linalg.qr(rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))[0]
-    xs = [q[:, 0], q[:, 1]]
-    u, defect = frame_transport(xs, xs)
-    assert np.allclose(u, eye(6))
-    assert defect < 1e-12
-
-    # n = 1 reduces to the elementary transport
-    x, y = unit(rng, 6), unit(rng, 6)
-    u1, _ = frame_transport([x], [y])
-    assert np.allclose(u1, elementary_transport(x, y))
-
-    # close 2-frames: images match, defect stays modest
-    perturb = np.linalg.qr(
-        np.column_stack(xs) + 0.03 * (rng.normal(size=(6, 2)) + 1j * rng.normal(size=(6, 2)))
-    )[0]
-    ys = [perturb[:, 0], perturb[:, 1]]
-    u2, defect2 = frame_transport(xs, ys)
-    assert operator_norm(u2 @ u2.conj().T - eye(6)) < 1e-9
-    for xi, yi in zip(xs, ys):
-        assert np.linalg.norm(u2 @ xi - yi) < 1e-9
-    assert defect2 < 0.5
-
-
-def test_frame_transport_validates():
-    with pytest.raises(ValueError):
-        frame_transport([E0], [E1 * 2])
-    with pytest.raises(ValueError):
-        frame_transport([E0, E1], [E0, E1])  # ambient dim 2 < 2n = 4
-
-
-def test_cayley_chart():
-    assert np.allclose(cayley_chart(eye(3), "forward"), np.zeros((3, 3)))
-    assert np.allclose(cayley_chart(np.zeros((3, 3)), "inverse"), eye(3))
-    rng = np.random.default_rng(31)
-    h = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    h = 0.4 * (h + h.conj().T) / 2
-    u = np.linalg.matrix_power(np.eye(4), 0)  # placeholder identity
-    evals, vecs = np.linalg.eigh(h)
-    u = vecs @ np.diag(np.exp(1j * evals)) @ vecs.conj().T
-    back = cayley_chart(cayley_chart(u, "forward"), "inverse")
-    assert operator_norm(back - u) < 1e-10
-    with pytest.raises(ValueError):
-        cayley_chart(np.diag([-1.0, 1.0]).astype(complex), "forward")
-    with pytest.raises(ValueError):
-        cayley_chart(np.array([[0, 1], [0, 0]], dtype=complex), "inverse")
-
-
-def test_sector_transition_phase():
-    psi = (E0 + E1) / np.sqrt(2)
-    assert abs(sector_transition_phase(psi, psi, psi) - 1) < 1e-14
-    assert abs(sector_transition_phase(E0, E1, psi) - 1) < 1e-14  # real positive overlaps
-    rng = np.random.default_rng(17)
-    for _ in range(30):
-        p1, p2, p3, target = (unit(rng, 3) for _ in range(4))
-        v12 = sector_transition_phase(p1, p2, target)
-        v23 = sector_transition_phase(p2, p3, target)
-        v13 = sector_transition_phase(p1, p3, target)
-        assert abs(v12 * v23 - v13) < 1e-12
-        assert abs(abs(v12) - 1) < 1e-12
-        # representative independence
-        v12b = sector_transition_phase(p1, p2, np.exp(1.3j) * target)
-        assert abs(v12 - v12b) < 1e-12
-    with pytest.raises(ValueError):
-        sector_transition_phase(E0, E1, E1)
-
-
 def test_transports_on_the_second_vector():
-    # both transports send the target to 2 Re<x, y> y - x on the span
+    # the transport sends the target to 2 Re<x, y> y - x on the span
     rng = np.random.default_rng(51)
     for _ in range(10):
         x, y = unit(rng, 4), unit(rng, 4)
         target = 2 * np.vdot(x, y).real * y - x
-        assert np.linalg.norm(rotator(x, y) @ y - target) < 1e-10
         assert np.linalg.norm(elementary_transport(x, y) @ y - target) < 1e-10

@@ -10,11 +10,8 @@ from phaselab.states import (
     basis_state,
     gns,
     maximally_mixed,
-    purity,
-    state_distance,
     state_from_vector,
     validate_densities,
-    vector_state_distance,
 )
 
 E0 = np.array([1, 0], dtype=complex)
@@ -35,7 +32,8 @@ def test_state_from_vector():
         state_from_vector(np.zeros(3))
     rng = np.random.default_rng(0)
     v = rng.normal(size=5) + 1j * rng.normal(size=5)
-    assert purity(state_from_vector(v)).pure
+    pure = state_from_vector(v).rho
+    assert np.trace(pure @ pure).real >= 1 - 1e-9
 
 
 def test_density_state_validation():
@@ -47,24 +45,15 @@ def test_density_state_validation():
         DensityState(np.diag([0.7, 0.7]).astype(complex))  # trace != 1
 
 
-def test_purity():
-    assert purity(basis_state(2)) == (True, 1.0)
-    p = purity(maximally_mixed(3))
-    assert not p.pure and abs(p.value - 1 / 3) < 1e-12
-    mix = DensityState(0.5 * np.diag([1, 0]) + 0.5 * np.diag([0, 1.0]))
-    res = purity(mix)
-    assert not res.pure and abs(res.value - 0.5) < 1e-12
-
-
 def test_state_distance():
     a = basis_state(2)
-    assert state_distance(a, a) == 0.0
-    assert abs(state_distance(basis_state(2, 0), basis_state(2, 1)) - 2.0) < 1e-12
+    assert trace_norm(a.rho - a.rho) == 0.0
+    assert abs(trace_norm(basis_state(2, 0).rho - basis_state(2, 1).rho) - 2.0) < 1e-12
     # |<psi, omega>| = 1/sqrt(2) gives distance sqrt(2)
     b = state_from_vector((E0 + E1) / np.sqrt(2))
-    assert abs(state_distance(a, b) - np.sqrt(2)) < 1e-12
+    assert abs(trace_norm(a.rho - b.rho) - np.sqrt(2)) < 1e-12
     with pytest.raises(ValueError):
-        state_distance(a, maximally_mixed(3))
+        trace_norm(a.rho - maximally_mixed(3).rho)
 
 
 def test_state_distance_is_dual_norm():
@@ -72,7 +61,7 @@ def test_state_distance_is_dual_norm():
     rng = np.random.default_rng(4)
     a, b = random_state(rng, 4), random_state(rng, 4)
     diff = a.rho - b.rho
-    dist = state_distance(a, b)
+    dist = trace_norm(a.rho - b.rho)
     for _ in range(50):
         h = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         h = (h + h.conj().T) / 2
@@ -86,16 +75,17 @@ def test_state_distance_is_dual_norm():
 def test_act_basics():
     rng = np.random.default_rng(9)
     s = random_state(rng, 3)
-    assert state_distance(act(eye(3), s), s) < 1e-12
+    assert trace_norm(act(eye(3), s).rho - s.rho) < 1e-12
     v = rng.normal(size=3) + 1j * rng.normal(size=3)
     pure = state_from_vector(v)
     q = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))[0]
-    assert state_distance(act(q, pure), state_from_vector(q @ v)) < 1e-12
+    assert trace_norm(act(q, pure).rho - state_from_vector(q @ v).rho) < 1e-12
     # projector onto e0 acting on the maximally mixed state
     p = np.diag([1.0, 0.0]).astype(complex)
     out = act(p, maximally_mixed(2))
     assert np.allclose(out.rho, np.diag([1, 0]))
-    assert purity(act(q, pure)).pure
+    out = act(q, pure).rho
+    assert np.trace(out @ out).real >= 1 - 1e-9
 
 
 def test_act_gelfand_ideal_error():
@@ -109,7 +99,7 @@ def test_act_composition():
     s = random_state(rng, 3)
     a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     b = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    assert state_distance(act(a, act(b, s)), act(a @ b, s)) < 1e-10
+    assert trace_norm(act(a, act(b, s)).rho - act(a @ b, s).rho) < 1e-10
 
 
 def test_act_invariance_when_expectation_saturates_norm():
@@ -120,7 +110,7 @@ def test_act_invariance_when_expectation_saturates_norm():
     vv = s.rho @ v / np.linalg.norm(s.rho @ v)
     a = np.exp(0.9j) * np.outer(vv, vv.conj()) * 2.5
     assert abs(abs(s.expect(a)) - operator_norm(a)) < 1e-10
-    assert state_distance(act(a, s), s) < 1e-10
+    assert trace_norm(act(a, s).rho - s.rho) < 1e-10
 
 
 def test_act_linear_combination_invariance():
@@ -134,12 +124,12 @@ def test_act_linear_combination_invariance():
     u -= np.vdot(v, u) * v  # u v* kills v
     a = np.outer(w, v.conj()) + np.outer(u, u.conj()) @ (eye(3) - np.outer(v, v.conj()))
     b = np.exp(1.1j) * 2.0 * np.outer(w, v.conj())
-    assert state_distance(act(a, s), act(b, s)) < 1e-12
+    assert trace_norm(act(a, s).rho - act(b, s).rho) < 1e-12
     for _ in range(5):
         al, be = rng.normal(size=2)
         comb = al * a + be * b
         if np.trace(comb @ s.rho @ comb.conj().T).real > 1e-10:
-            assert state_distance(act(comb, s), act(a, s)) < 1e-10
+            assert trace_norm(act(comb, s).rho - act(a, s).rho) < 1e-10
 
 
 def test_gns_pure_state():
@@ -186,18 +176,6 @@ def test_gns_pure_dim_ideal_split():
         assert res.dim == n
         assert res.ideal_rank == n * (n - 1)
         assert res.dim + res.ideal_rank == n * n
-
-
-def test_vector_state_distance():
-    assert vector_state_distance(E0, E0) == (0, 0)
-    closed, oracle = vector_state_distance(E0, E1)
-    assert closed == 2.0 and abs(oracle - 2.0) < 1e-12
-    # |<psi, omega>| = 1/2
-    psi = E0
-    omega = 0.5 * E0 + (np.sqrt(3) / 2) * E1
-    closed, oracle = vector_state_distance(psi, omega)
-    assert abs(closed - np.sqrt(3)) < 1e-12
-    assert abs(closed - oracle) < 1e-9
 
 
 def test_transition_probability_identity():
