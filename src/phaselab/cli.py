@@ -31,8 +31,22 @@ def _parse_grid(text: str) -> tuple[int, int]:
         raise ValueError(f"grid must look like 32x64, got {text!r}") from exc
 
 
-# --config keys each command reads; any other key is an input error
-CONFIG_KEYS = {"invariant": {"grid", "n_dimers"}, "selfcheck": {"seed"}}
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_grid(value) -> bool:
+    return isinstance(value, str) or (
+        isinstance(value, list) and len(value) == 2 and all(map(_is_int, value))
+    )
+
+
+# --config keys each command reads, with the JSON values each accepts; any
+# other key or value is an input error
+CONFIG_KEYS = {
+    "invariant": {"grid": (_is_grid, '"KxM" or [K, M]'), "n_dimers": (_is_int, "an integer")},
+    "selfcheck": {"seed": (_is_int, "an integer")},
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -90,7 +104,7 @@ def _resolved_model_config(args, file_cfg: dict) -> ModelConfig:
     if isinstance(grid, str):
         grid = _parse_grid(grid)
     elif grid is not None:
-        grid = (int(grid[0]), int(grid[1]))
+        grid = tuple(grid)
     if args.grid:
         grid = _parse_grid(args.grid)
     return ModelConfig(
@@ -212,13 +226,13 @@ def cmd_selfcheck(args, file_cfg: dict) -> int:
         print("error: selfcheck is randomized and needs --seed", file=sys.stderr)
         return EXIT_INPUT
     try:
-        results = run_selfcheck(int(seed), inject_fault=args.inject_fault)
+        results = run_selfcheck(seed, inject_fault=args.inject_fault)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     report = {
         "command": "selfcheck",
-        "config": {"seed": int(seed), "inject_fault": args.inject_fault, "tol_scale": tol_scale()},
+        "config": {"seed": seed, "inject_fault": args.inject_fault, "tol_scale": tol_scale()},
         "suites": [
             {
                 "name": r.name,
@@ -283,9 +297,14 @@ def _read_config(args) -> dict:
         raise ValueError(f"{args.config}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
     if not isinstance(file_cfg, dict):
         raise ValueError(f"{args.config}: a config file holds one JSON object")
-    unknown = sorted(set(file_cfg) - CONFIG_KEYS[args.command])
+    keys = CONFIG_KEYS[args.command]
+    unknown = sorted(set(file_cfg) - set(keys))
     if unknown:
         raise ValueError(f"{args.config}: {args.command} does not read config keys {unknown}")
+    for key, value in file_cfg.items():
+        valid, expected = keys[key]
+        if not valid(value):
+            raise ValueError(f"{args.config}: config key {key!r} must be {expected}, got {value!r}")
     return file_cfg
 
 

@@ -42,11 +42,14 @@ Y_OVERLAP_GATE = 0.9
 PROJECTION_WEIGHT_GATE = 1e-6
 PHASE_FIX_TOL = 1e-12
 
-# Amplitudes per batch array of the equator sweep, to bound its peak memory:
-# the gate kernel runs on chunks of max(1, SWEEP_BUDGET // 2^(2N)) points.
-SWEEP_BUDGET = 2**13
-# Bytes of the largest single 2^(2N)-amplitude chain state a model may need.
-MAX_STATE_BYTES = 2**24
+# Bytes of the largest single dense array the full-chain oracles allocate: one
+# 2^(2N)-amplitude state in `_equator_batch` (N <= 10), one 2^(2N) x 2^(2N)
+# operator in `ChainOperators.build` (N <= 5). The sweep allocates neither.
+MAX_DENSE_BYTES = 2**24
+# Grid points per window batch of the sweep. The window's arrays have a fixed
+# size per point, so this bounds the sweep's peak memory for any grid and N:
+# one batch over a 64x128 grid raised the peak RSS of a run by about 10 MB.
+SWEEP_POINTS = 512
 
 
 @dataclass(frozen=True)
@@ -107,9 +110,6 @@ class ModelConfig:
             raise ValueError("need at least two dimers")
         if self.grid[0] < 2 or self.grid[1] < 3:
             raise ValueError("grid must be at least 2 x 3")
-        if 16 * 4**self.n_dimers > MAX_STATE_BYTES:  # 16 bytes per complex amplitude
-            raise ValueError(f"n_dimers={self.n_dimers}: a 2^{2 * self.n_dimers}-amplitude chain "
-                             f"state exceeds the {MAX_STATE_BYTES}-byte budget")
 
     @property
     def n_sites(self) -> int:
@@ -227,6 +227,13 @@ def _band_branch(w: ParamPoint, eps: float, branch=None) -> tuple[float, float]:
     return w.theta_phi() if branch is None else (float(branch[0]), float(branch[1]))
 
 
+def _check_dense_budget(amplitudes: int, what: str) -> None:
+    """Refuse, before allocating it, a dense array over MAX_DENSE_BYTES."""
+    if 16 * amplitudes > MAX_DENSE_BYTES:  # 16 bytes per complex amplitude
+        raise ValueError(f"{what} of {amplitudes} amplitudes exceeds the "
+                         f"{MAX_DENSE_BYTES}-byte budget")
+
+
 def reference_chain_state(n_sites: int) -> np.ndarray:
     """|up down up down ...> with up at site 1."""
     factors = [UP if i % 2 == 0 else DOWN for i in range(n_sites)]
@@ -246,6 +253,7 @@ class ChainOperators:
     def build(cls, n_sites: int) -> "ChainOperators":
         if n_sites < 4 or n_sites % 2:
             raise ValueError("truncated chain needs an even number >= 4 of sites")
+        _check_dense_budget(4**n_sites, f"a dense {n_sites}-site chain operator")
         layout = spin_chain(n_sites)
         wmat = dimer_swap_unitary()
         b_minus = eye(2**n_sites)
@@ -290,6 +298,10 @@ def truncated_Z(w: ParamPoint, cfg: ModelConfig, branch=None) -> TruncatedZ:
     on sites 1..2N-2 (far dimer traced out) against the reference pattern;
     values below 0.9 mean contamination has reached the interior and the
     construction must not proceed.
+
+    This is the dense oracle: it multiplies 2^(2N) x 2^(2N) matrices, so
+    `chain_operators` refuses N > 5 (MAX_DENSE_BYTES) with ValueError before
+    allocating. The sweep never builds it; see `_equator_window`.
     """
     theta, phi = _band_branch(w, cfg.epsilon, branch)
     ops = chain_operators(cfg.n_sites)
@@ -347,6 +359,7 @@ class _EquatorBatch(NamedTuple):
     y_overlap: np.ndarray  # (P,) interior overlap of M Omega_R
     weight: np.ndarray  # (P,) in-span weight modulo the far site
     rays: np.ndarray  # (P, 2) unit rays in span{Omega_R, sx_1 Omega_R}
+    far: np.ndarray  # (P, 2) unit far-site factor of the ray's singular pair
 
 
 def _layer(psi: np.ndarray, gate: np.ndarray, sites) -> np.ndarray:
@@ -368,6 +381,7 @@ def _equator_batch(theta: np.ndarray, phi: np.ndarray, n: int) -> _EquatorBatch:
     on site 1; M Omega runs the adjoint layers in reverse. Gate failures
     are raised for the first failing point in batch order.
     """
+    _check_dense_budget(2**n, f"a {n}-site chain state")
     u, w = site_rotation(theta, phi), dimer_swap_unitary()
     u_dag, w_dag = u.conj().swapaxes(-1, -2), w.conj().T
     minus, plus, every = range(0, n, 2), range(1, n - 2, 2), range(n)
@@ -384,7 +398,7 @@ def _equator_batch(theta: np.ndarray, phi: np.ndarray, n: int) -> _EquatorBatch:
     y = _layer(s, u, [0])[:, ref].conj()  # <Omega, M Omega> = conj <Omega, M† Omega>
 
     block = s.reshape(len(s), 2, 2 ** (n - 2), 2)[:, :, _pattern(n - 1), :]
-    u_svd, svals, _ = np.linalg.svd(block)
+    u_svd, svals, vh_svd = np.linalg.svd(block)
     weight = svals[:, 0] ** 2 / np.sum(np.abs(s) ** 2, axis=1)
     bad = (np.abs(y) < PHASE_FIX_TOL) | (weight < 1.0 - PROJECTION_WEIGHT_GATE)
     if bad.any():
@@ -395,7 +409,61 @@ def _equator_batch(theta: np.ndarray, phi: np.ndarray, n: int) -> _EquatorBatch:
             f"projection weight {weight[i]:.9f} deficient: state left the invariant span"
         )
     zdag_omega = (y / np.abs(y))[:, None] * s
-    return _EquatorBatch(zdag_omega, y, _interior_overlap(m_omega, n), weight, u_svd[:, :, 0])
+    return _EquatorBatch(zdag_omega, y, _interior_overlap(m_omega, n), weight, u_svd[:, :, 0],
+                         vh_svd[:, 0, :])
+
+
+class _Window(NamedTuple):
+    rays: np.ndarray  # (P, 2) site-1 rays
+    weight: np.ndarray  # (P,) in-span weight, worst of left window and bulk bond
+    y_overlap: np.ndarray  # (P,) interior overlap, worst of left window and bulk bond
+
+
+def _bond(x: np.ndarray, u: np.ndarray, w: np.ndarray, pattern: int) -> np.ndarray:
+    """One bulk bond of the brickwork at P points: V = w†(u†⊗u†)w applied to
+    x ⊗ w(u⊗u)w†|3 - pattern>, for site vectors x (P, 2), projected onto
+    `pattern` (a two-site basis index) on its first two sites. Returns the
+    third site's vector (P, 2)."""
+    uu = (u[:, :, None, :, None] * u[:, None, :, None, :]).reshape(-1, 4, 4)
+    pair = (w @ uu @ w.conj().T)[:, :, 3 - pattern]
+    gate = w.conj().T @ uu.conj().swapaxes(-1, -2) @ w
+    return (gate @ (x[:, :, None] * pair[:, None, :]).reshape(-1, 4, 2))[:, pattern]
+
+
+def _equator_window(theta: np.ndarray, phi: np.ndarray, n_dimers: int) -> _Window:
+    """Rays and monitors of the N-dimer sweep at P band points, at a cost
+    independent of N.
+
+    M† is a depth-2 brickwork of two-site gates plus U1, so its light cone
+    has radius 2. Ray, weight, interior overlap and phase fix come from the
+    N=2 chain. For N >= 3 one bulk bond is checked per point and side: on
+    the M† side V = W†(u†⊗u†)W on ξ ⊗ W(u⊗u)W†|01>, with ξ the N=2 far
+    site before its end-site u†, must give |10> ⊗ ξ up to a phase; on the
+    M Ω side W and W† trade places and the pattern is |01>. By induction
+    the N-chain then carries the N=2 result. Each bond's fidelity
+    |<pattern ⊗ x, out>| enters the monitor of its side: squared into the
+    gated weight, and as is into y_overlap.
+    """
+    left = _equator_batch(theta, phi, 4)
+    if n_dimers == 2:
+        return _Window(left.rays, left.weight, left.y_overlap)
+    u, w = site_rotation(theta, phi), dimer_swap_unitary()
+    xi = (u @ left.far[:, :, None])[:, :, 0]  # unit: u is unitary
+    up = np.zeros_like(xi)
+    up[:, 0] = 1.0
+    eta = _bond(up, u, w.conj().T, 1)  # site 3 once sites 1, 2 hold |01>
+    eta /= np.linalg.norm(eta, axis=-1, keepdims=True)
+    fid_dag = np.abs(np.sum(xi.conj() * _bond(xi, u, w, 2), axis=-1))
+    fid = np.abs(np.sum(eta.conj() * _bond(eta, u, w.conj().T, 1), axis=-1))
+    weight = np.minimum(left.weight, fid_dag**2)
+    bad = weight < 1.0 - PROJECTION_WEIGHT_GATE
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise NumericalGateError(
+            f"bulk bond weight {fid_dag[i] ** 2:.9f} deficient: the bulk leaves the "
+            f"reference pattern, N={n_dimers} is not certified"
+        )
+    return _Window(left.rays, weight, np.minimum(left.y_overlap, fid))
 
 
 def projected_equator_map(w: ParamPoint, cfg: ModelConfig, branch=None) -> EquatorPoint:
@@ -448,9 +516,10 @@ class InvariantRecord:
 
 def invariant_sweep(cfg: ModelConfig, constant_field: bool = False) -> InvariantRecord:
     """Headline computation: sweep the equator 2-sphere, extract the ray
-    field of the projected equator map, chunk by chunk of grid points, and
-    compare its lattice degree with the Bloch ground-state field on the
-    same grid.
+    field of the projected equator map with the window kernel
+    `_equator_window`, SWEEP_POINTS grid points at a time, and compare its
+    lattice degree with the Bloch ground-state field on the same grid.
+    Neither time nor memory depends on cfg.n_dimers.
 
     `constant_field` replaces the projected field by a constant ray (a
     degree-0 sanity debug mode).
@@ -465,13 +534,12 @@ def invariant_sweep(cfg: ModelConfig, constant_field: bool = False) -> Invariant
         agree_min = 0.0
     else:
         y_min = weight_min = np.inf
-        chunk = max(1, SWEEP_BUDGET // 2**cfg.n_sites)
-        for start in range(0, len(theta), chunk):
-            part = slice(start, start + chunk)
-            pts = _equator_batch(theta[part], phi[part], cfg.n_sites)
-            field[part] = pts.rays
-            y_min = min(y_min, np.min(pts.y_overlap))
-            weight_min = min(weight_min, np.min(pts.weight))
+        for start in range(0, len(theta), SWEEP_POINTS):
+            part = slice(start, start + SWEEP_POINTS)
+            win = _equator_window(theta[part], phi[part], cfg.n_dimers)
+            field[part] = win.rays
+            y_min = min(y_min, np.min(win.y_overlap))
+            weight_min = min(weight_min, np.min(win.weight))
         agree_min = np.min(np.abs(np.sum(field.conj() * bloch, axis=-1)))
     deg = plaquette_degree(field.reshape(k_dim, m_dim, 2))
     bdeg = plaquette_degree(bloch.reshape(k_dim, m_dim, 2))

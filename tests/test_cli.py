@@ -264,19 +264,46 @@ def test_invariant_rejects_bad_grid(capsys):
     assert main(["invariant", "--grid", "notagrid"]) == 3
 
 
-def test_invariant_rejects_oversized_chain(monkeypatch, capsys):
-    import phaselab.cli
-
-    def no_sweep(*args, **kwargs):
-        raise AssertionError("the sweep must not start")
-
-    monkeypatch.setattr(phaselab.cli, "invariant_sweep", no_sweep)
+def _traced_peak(argv):
     tracemalloc.start()
     try:
-        code = main(["invariant", "--n-dimers", "40", "--no-timestamp"])
-        peak = tracemalloc.get_traced_memory()[1]
+        code = main(argv)
+        return code, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert code == 3
-    assert "budget" in capsys.readouterr().err
-    assert peak < 2**20
+
+
+def test_invariant_long_chain_costs_what_two_dimers_cost(capsys):
+    main(["invariant", "--no-timestamp"])  # lazy imports and caches, untraced
+    capsys.readouterr()
+    code2, peak2 = _traced_peak(["invariant", "--no-timestamp"])
+    n2 = json.loads(capsys.readouterr().out)
+    code, peak = _traced_peak(["invariant", "--n-dimers", "1000", "--no-timestamp"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == code2 == 0
+    assert report["config"]["n_dimers"] == 1000
+    assert report["degree"] == n2["degree"] == n2["bloch_degree"]
+    assert report["pass"] is True
+    assert peak <= 1.5 * peak2
+
+
+@pytest.mark.parametrize(
+    "command, cfg",
+    [
+        (["invariant"], {"n_dimers": "3"}),
+        (["invariant"], {"n_dimers": 2.5}),
+        (["invariant"], {"n_dimers": True}),
+        (["invariant"], {"grid": [8]}),
+        (["invariant", "--grid", "8x16"], {"grid": [8]}),
+        (["invariant"], {"grid": [8, True]}),
+        (["selfcheck"], {"seed": 1.5}),
+        (["selfcheck"], {"seed": True}),
+    ],
+)
+def test_config_values_of_the_wrong_type_are_input_errors(tmp_path, capsys, command, cfg):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(command + ["--config", str(path), "--no-timestamp"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"config key {next(iter(cfg))!r} must be" in captured.err

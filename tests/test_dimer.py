@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from phaselab.cech import sphere_grid
 from phaselab.dimer import (
     ModelConfig,
     ParamPoint,
@@ -371,16 +372,67 @@ def test_equator_batch_raises_for_first_failing_point(monkeypatch):
 def test_invariant_sweep_chunking_is_invisible(monkeypatch):
     from phaselab import dimer
 
-    cfg = ModelConfig(grid=(8, 16))
+    cfg = ModelConfig(n_dimers=3, grid=(8, 16))
     whole = invariant_sweep(cfg)
-    monkeypatch.setattr(dimer, "SWEEP_BUDGET", 2**cfg.n_sites)  # one point per batch
+    monkeypatch.setattr(dimer, "SWEEP_POINTS", 1)  # one point per window batch
     assert invariant_sweep(cfg) == whole
 
 
 def test_model_config_state_budget():
-    from phaselab.dimer import MAX_STATE_BYTES
+    # the 4^N memory cap sits on the dense oracle alone, which refuses a
+    # long chain before it allocates anything
+    import tracemalloc
 
-    largest = int(np.log2(MAX_STATE_BYTES // 16)) // 2
-    assert ModelConfig(n_dimers=largest).n_dimers == largest
-    with pytest.raises(ValueError, match="budget"):
-        ModelConfig(n_dimers=largest + 1)
+    from phaselab.dimer import chain_operators
+
+    cfg = ModelConfig(n_dimers=40)
+    w = equator_point(np.array([0.6, 0.0, 0.8]))
+    tracemalloc.start()
+    try:
+        for build in (lambda: chain_operators(cfg.n_sites), lambda: truncated_Z(w, cfg),
+                      lambda: chain_operators(12), lambda: projected_equator_map(w, cfg)):
+            with pytest.raises(ValueError, match="budget"):
+                build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def _grid_points(k_dim, m_dim):
+    return tuple(a.ravel() for a in np.meshgrid(*sphere_grid(k_dim, m_dim), indexing="ij"))
+
+
+@pytest.mark.parametrize("n_dimers", [2, 3, 4, 5, 6])
+def test_equator_window_matches_full_chain_oracle(n_dimers):
+    from phaselab.dimer import _equator_batch, _equator_window
+
+    theta, phi = _grid_points(32, 64)
+    win = _equator_window(theta, phi, n_dimers)
+    step = 256  # 16 MiB of 2^12 amplitudes a batch array at N=6
+    parts = [_equator_batch(theta[i : i + step], phi[i : i + step], 2 * n_dimers)
+             for i in range(0, len(theta), step)]
+    rays, weight, y_overlap = (np.concatenate([getattr(p, f) for p in parts])
+                               for f in ("rays", "weight", "y_overlap"))
+    if n_dimers == 2:  # the window is the N=2 chain itself
+        assert np.array_equal(win.rays, rays) and np.array_equal(win.weight, weight)
+        assert np.array_equal(win.y_overlap, y_overlap)
+    assert np.min(np.abs(np.sum(win.rays.conj() * rays, axis=-1))) >= 1 - 1e-13
+    assert np.max(np.abs(win.weight - weight)) <= 1e-13
+    assert np.max(np.abs(win.y_overlap - y_overlap)) <= 1e-13
+
+
+def test_perturbed_bulk_bond_fails_the_window(monkeypatch):
+    # a bond gate W exp(0.1i sx(x)sx) in the bulk alone: N=2 has no bulk and
+    # still passes, N=3 must refuse to certify
+    from scipy.linalg import expm
+
+    from phaselab import dimer
+    from phaselab.util import NumericalGateError
+
+    kick = expm(0.1j * kron(SIGMA_X, SIGMA_X))
+    bond = dimer._bond
+    monkeypatch.setattr(dimer, "_bond", lambda x, u, w, pattern: bond(x, u, w @ kick, pattern))
+    assert invariant_sweep(ModelConfig(n_dimers=2, grid=(8, 16))).agreement
+    with pytest.raises(NumericalGateError, match="bulk bond weight"):
+        invariant_sweep(ModelConfig(n_dimers=3, grid=(8, 16)))
