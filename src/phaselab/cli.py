@@ -13,7 +13,7 @@ import time
 
 from . import serialize
 from .dimer import ModelConfig, invariant_sweep
-from .homotopy import contract_loop, verify_homotopy
+from .homotopy import SAFETY_FLOOR, contract_loop, verify_homotopy
 from .selfcheck import run_selfcheck
 from .supernatural import from_type_sequence, homotopy_table, iso_equivalent, q_contains
 from .util import NumericalGateError, tol_scale
@@ -207,6 +207,9 @@ def cmd_contract_loop(args, file_cfg: dict) -> int:
         "max_cell_step": verdict.max_cell_step,
         "modulus": modulus,
         "shape": list(verdict.shape),
+        "safety_min": verdict.safety_min,
+        "safety_margin": verdict.safety_min - SAFETY_FLOOR,
+        "safety_at": dict(zip(("level", "stage", "column"), verdict.safety_at)),
         "violations": [
             {"kind": k, "cell": list(cell), "value": val, "bound": bound}
             for k, cell, val, bound in verdict.violations[:32]

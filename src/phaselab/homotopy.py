@@ -4,12 +4,14 @@ A based loop of density matrices is contracted to the constant loop by
 the action of explicit operator families: unitary eigenvector transport
 (with a disk phase lift to keep linear interpolations outside the Gelfand
 ideal), compression onto nested corner blocks, and a verifier that
-certifies the resulting two-parameter sheet cell by cell.
+certifies the resulting two-parameter sheet cell by cell. A sheet is
+generated by its recipe (the input loop and, per stage, its operators and
+s table), which is what a sheet document stores.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -17,7 +19,7 @@ import numpy as np
 
 from .linalg import eye, trace_norm
 from .projective import elementary_transport
-from .states import DensityState, act_batch, basis_state, validate_densities
+from .states import act_batch, basis_state, validate_densities
 from .util import NumericalGateError
 
 PURITY_THRESHOLD = 7.0 / 8.0
@@ -85,20 +87,65 @@ class StateLoop:
         return self.rhos
 
 
+class Stage(NamedTuple):
+    """One interpolation stage of a contraction recipe over T columns: its
+    row r acts on column t of the stage's input with
+    s[r, t] A_t + (1 - s[r, t]) 1. A_t is ops[t] for a unitary stage
+    (ops of shape (T, b, b)) and ops itself, the corner projection P^b_1,
+    for a projection stage."""
+
+    kind: str  # one of STAGE_KINDS
+    ops: np.ndarray
+    s: np.ndarray  # (rows, T); the last row is 1
+
+
+class Level(NamedTuple):
+    """One rectification on the corner block algebra M_block: its stages act
+    in turn on the block of the previous level's last row, and its rows are
+    zero-padded into the n x n corner."""
+
+    block: int
+    stages: list
+
+
+STAGE_KINDS = ("unitary", "projection")
+
+
+def _recipe_rows(n: int, t_count: int, levels: list) -> int:
+    """Rows of the sheet a recipe expands to, counting row 0; raises
+    ValueError for a recipe whose shapes do not fit n and t_count."""
+    rows = 1
+    for level in levels:
+        b = level.block
+        if not 2 <= b <= n:
+            raise ValueError(f"level block {b} out of range for n={n}")
+        for stage in level.stages:
+            if stage.kind not in STAGE_KINDS:
+                raise ValueError(f"stage kind must be one of {STAGE_KINDS}, got {stage.kind!r}")
+            if stage.ops.shape not in ((b, b), (t_count, b, b)):
+                raise ValueError(f"stage operators of shape {stage.ops.shape} in block {b}")
+            if stage.s.ndim != 2 or stage.s.shape[0] < 1 or stage.s.shape[1] != t_count:
+                raise ValueError(f"stage s table of shape {stage.s.shape} over {t_count} columns")
+            rows += stage.s.shape[0]
+    return rows
+
+
 @dataclass
 class HomotopySheet:
-    """S x T grid of states, stored as one (S, T, n, n) complex array:
-    row 0 is the input loop, later rows are the successive deformations;
-    meta records the operator families used."""
+    """S x T grid of states, stored as one (S, T, n, n) complex array, with
+    the recipe that generates it: row 0 is the input loop, and the stages
+    of `levels` give the later rows in order (see sheet_from_recipe)."""
 
     n: int
     cells: np.ndarray
-    meta: list = field(default_factory=list)
+    levels: list
 
     def __post_init__(self):
         self.cells = np.asarray(self.cells, dtype=np.complex128)
         if self.cells.ndim != 4 or self.cells.shape[2:] != (self.n, self.n):
             raise ValueError(f"sheet cells must have shape (S, T, {self.n}, {self.n})")
+        if _recipe_rows(self.n, self.cells.shape[1], self.levels) != self.cells.shape[0]:
+            raise ValueError("sheet rows do not match its recipe")
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -109,63 +156,44 @@ class HomotopySheet:
         return self.cells
 
 
-class SafetyReport(NamedTuple):
-    safe: bool
-    min_value: float
-    s_at_min: float
-
-
-_NOT_OPERATOR = {"unitary": "not a unitary", "projection": "not an orthogonal projection"}
-
-
-def _operator_ok(a: np.ndarray, kind: str) -> np.ndarray:
-    """Per matrix of a stack (..., n, n): is it a unitary, or an
-    orthogonal projection, to OPERATOR_TOL."""
+def _unitarity_defect(a: np.ndarray) -> np.ndarray:
+    """max |A A† - 1| per matrix of a stack (..., n, n)."""
     adj = a.conj().swapaxes(-1, -2)
-    if kind == "unitary":
-        return np.max(np.abs(a @ adj - eye(a.shape[-1])), axis=(-2, -1)) <= OPERATOR_TOL
-    if kind == "projection":
-        return (np.max(np.abs(a @ a - a), axis=(-2, -1)) <= OPERATOR_TOL) & (
-            np.max(np.abs(a - adj), axis=(-2, -1)) <= OPERATOR_TOL
-        )
-    raise ValueError("kind must be 'unitary' or 'projection'")
+    return np.max(np.abs(a @ adj - eye(a.shape[-1])), axis=(-2, -1))
 
 
-def _safety_min(a: np.ndarray, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Exact minimum over s in [0, 1] of omega((sA + (1-s)1)† (sA + (1-s)1))
-    and the s attaining it, over broadcast stacks of A and densities.
-
-    With X = A - 1 the value is the quadratic c0 + c1 s + c2 s², where
-    c0 = omega(1), c1 = 2 Re omega(X) and c2 = omega(X†X) >= 0; expanded in
-    A it reads s² omega(A†A) + 2s(1-s) Re omega(A) + (1-s)² omega(1). Its
-    minimum is at the vertex -c1/(2 c2) when that lies inside (0, 1), and
-    otherwise at an endpoint (s = 0 on ties). A vanishing c2 leaves a line,
-    whose minimum is at an endpoint too.
-    """
+def pencil(a: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """The quadratic pencil of s A + (1-s) 1 acting on rho, over broadcast
+    stacks (..., n, n) of elements and densities: R = (R0, R1, R2) on a new
+    leading axis with B(s) rho B(s)† = R0 + s R1 + s² R2 for
+    B(s) = s A + (1-s) 1. With X = A - 1, R0 = rho, R1 = X rho + rho X† and
+    R2 = X rho X†, each exactly Hermitian."""
     x = a - eye(a.shape[-1])
-    c0 = np.trace(rho, axis1=-2, axis2=-1).real
-    c1 = 2.0 * np.einsum("...ij,...ji->...", rho, x).real
-    c2 = np.einsum("...ij,...ij->...", x @ rho, x.conj()).real
+    xr = x @ rho
+    r2 = xr @ x.conj().swapaxes(-1, -2)
+    r0 = (rho + rho.conj().swapaxes(-1, -2)) / 2
+    r1 = xr + xr.conj().swapaxes(-1, -2)
+    r2 = (r2 + r2.conj().swapaxes(-1, -2)) / 2
+    return np.stack(np.broadcast_arrays(r0, r1, r2))
+
+
+def safety_min(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact minimum over s in [0, 1] of omega(B(s)† B(s)) = tr(B(s) rho B(s)†)
+    and the s attaining it, for a pencil stack `r` (see pencil).
+
+    The value is the quadratic c0 + c1 s + c2 s² of the pencil's traces:
+    c0 = omega(1), c1 = 2 Re omega(X) and c2 = omega(X†X) >= 0. Its minimum
+    is at the vertex -c1/(2 c2) when that lies inside (0, 1), and otherwise
+    at an endpoint (s = 0 on ties). A vanishing c2 leaves a line, whose
+    minimum is at an endpoint too. Projections with omega(P) > 0 are always
+    safe; unitaries are unsafe only near omega(U) = -1 at s = 1/2.
+    """
+    c0, c1, c2 = np.trace(r, axis1=-2, axis2=-1).real
     with np.errstate(divide="ignore", invalid="ignore"):
         vertex = -c1 / (2.0 * c2)
     inside = (c2 > 0.0) & (vertex > 0.0) & (vertex < 1.0)
     s = np.where(inside, vertex, np.where(c1 + c2 < 0.0, 1.0, 0.0))
     return c0 + s * (c1 + c2 * s), s
-
-
-def interpolation_safe(a: np.ndarray, omega: DensityState, kind: str) -> SafetyReport:
-    """Certify omega((sA + (1-s)1)† (sA + (1-s)1)) > SAFETY_FLOOR for every
-    s in [0, 1] by its exact minimum (see _safety_min).
-
-    Projections with omega(P) > 0 are always safe; unitaries are unsafe
-    only near omega(U) = -1 at s = 1/2.
-    """
-    a = np.asarray(a, dtype=np.complex128)
-    if not _operator_ok(a, kind):
-        raise ValueError(_NOT_OPERATOR[kind])
-    value, s = _safety_min(a, omega.rho)
-    return SafetyReport(bool(value > SAFETY_FLOOR), float(value), float(s))
-
 
 def _alignment_wedge(r: float) -> float:
     """Half-angle around +1 that lambda*gamma is confined to at radius r:
@@ -297,29 +325,32 @@ def _transport_unitaries(rhos: np.ndarray) -> np.ndarray:
     return np.array(unitaries)
 
 
-def _interp_rows(mats: np.ndarray, rhos: np.ndarray, n_rows: int, fine_mult: int = 6):
-    """Rows (n_rows, T, n, n) of the homotopy acting with s M_t + (1-s) 1
-    on each column t of the density stack `rhos`, validated once.
+def _interp_rows(r: np.ndarray, n_rows: int, fine_mult: int = 6) -> np.ndarray:
+    """The s table (n_rows, T) of a stage whose column t has the pencil
+    r[:, t] (see pencil): row k's s is where column t's state has covered
+    k / n_rows of its trace-norm arc length over s in [0, 1], as a fine
+    pre-pass measures it. This keeps the sheet's step modulus proportional
+    to the input modulus even where the interpolation moves unevenly in s.
+    The last row is 1 exactly.
 
-    The s parameter is resampled per column at uniform trace-norm arc
-    length (a fine pre-pass measures each column's motion), which keeps
-    the sheet's step modulus proportional to the input modulus even where
-    the interpolation moves unevenly in s.
+    The pre-pass states (R0 + s R1 + s² R2) / (c0 + s c1 + s² c2) are
+    evaluated on the real and imaginary parts alike, so they stay exactly
+    Hermitian and every step takes trace_norm's eigvalsh path.
     """
-    t_count = rhos.shape[0]
-    ident = eye(rhos.shape[-1])
+    t_count = r.shape[1]
     f_count = max(n_rows * fine_mult, 48)
     s_fine = np.linspace(0.0, 1.0, f_count + 1)
+    s = s_fine[:, None, None]
     fractions = np.arange(1, n_rows + 1) / n_rows
+    traces = np.trace(r, axis1=-2, axis2=-1).real
+    parts = r.view(np.float64)
     s_rows = np.empty((n_rows, t_count))
     for lo in range(0, t_count, PREPASS_COLUMNS):
         cols = slice(lo, lo + PREPASS_COLUMNS)
-        bs = (s_fine[:, None, None] * mats[cols, None]
-              + (1.0 - s_fine)[:, None, None] * ident)
-        raw = bs @ rhos[cols, None] @ np.conj(np.swapaxes(bs, -1, -2))
-        rho_s = raw / np.einsum("...ii->...", raw).real[..., None, None]
-        # exactly Hermitian, so every step takes trace_norm's eigvalsh path
-        rho_s = (rho_s + np.conj(np.swapaxes(rho_s, -1, -2))) / 2
+        p0, p1, p2 = parts[:, cols, None]
+        c0, c1, c2 = traces[:, cols, None]
+        norm = c0 + s_fine * (c1 + s_fine * c2)
+        rho_s = ((p0 + s * (p1 + s * p2)) / norm[..., None, None]).view(np.complex128)
         steps = trace_norm(rho_s[:, 1:] - rho_s[:, :-1])
         arcs = np.concatenate([np.zeros((len(steps), 1)), np.cumsum(steps, axis=1)], axis=1)
         for t, arc in enumerate(arcs, start=lo):
@@ -328,8 +359,14 @@ def _interp_rows(mats: np.ndarray, rhos: np.ndarray, n_rows: int, fine_mult: int
             else:
                 s_rows[:, t] = np.interp(fractions * arc[-1], arc, s_fine)
     s_rows[-1] = 1.0
-    ops = s_rows[..., None, None] * mats + (1.0 - s_rows)[..., None, None] * ident
-    return act_batch(ops, rhos)
+    return s_rows
+
+
+def _act_rows(ops: np.ndarray, s: np.ndarray, rhos: np.ndarray) -> np.ndarray:
+    """Rows (len(s), T, b, b): s[r, t] A_t + (1 - s[r, t]) 1 acting on
+    column t of the density stack `rhos`, validated once."""
+    s = s[..., None, None]
+    return act_batch(s * ops + (1.0 - s) * eye(rhos.shape[-1]), rhos)
 
 
 def _rows_for(target_step: float, movement: float, minimum: int = 8) -> int:
@@ -344,11 +381,11 @@ class RectifyResult(NamedTuple):
 
 
 def _rectify(rhos: np.ndarray, delta: float, max_step: float, target: float):
-    """The rows after row 0 of rectify_to_projection's sheet, for the
-    density stack `rhos` whose largest step is `delta`, and their meta."""
+    """The stages of rectify_to_projection for the density stack `rhos`,
+    whose largest step is `delta`, and their last row."""
     if delta > max_step:
         raise ValueError(f"loop step {delta:.4f} exceeds the supported modulus {max_step}")
-    t_count, n = rhos.shape[0], rhos.shape[-1]
+    n = rhos.shape[-1]
 
     unitaries = _transport_unitaries(rhos)
     gamma = np.trace(rhos @ unitaries, axis1=-2, axis2=-1)
@@ -357,15 +394,16 @@ def _rectify(rhos: np.ndarray, delta: float, max_step: float, target: float):
 
     lifted = lam[:, None, None] * unitaries
     unlifted = lifted / lam[:, None, None]
-    not_unitary = ~_operator_ok(unlifted, "unitary")
+    not_unitary = ~(_unitarity_defect(unlifted) <= OPERATOR_TOL)
     # safety of the *lifted* interpolation, the one the sheet uses
-    lifted_min, _ = _safety_min(lifted, rhos)
+    r_lifted = pencil(lifted, rhos)
+    lifted_min, _ = safety_min(r_lifted)
     failing = np.flatnonzero(not_unitary | ~(lifted_min > SAFETY_FLOOR))
     if failing.size:
         t = failing[0]
         if not_unitary[t]:
-            raise ValueError(_NOT_OPERATOR["unitary"])
-        unlifted_min, _ = _safety_min(unlifted[t], rhos[t])
+            raise ValueError("not a unitary")
+        unlifted_min, _ = safety_min(pencil(unlifted[t], rhos[t]))
         raise NumericalGateError(
             f"unitary interpolation unsafe at sample {t} despite phase lift "
             f"(min {lifted_min[t]:.3e}, unlifted min {unlifted_min:.3e})"
@@ -373,24 +411,16 @@ def _rectify(rhos: np.ndarray, delta: float, max_step: float, target: float):
 
     chi = act_batch(lifted, rhos)
     proj = projection_matrix(n, 1)
-    if not _operator_ok(proj, "projection"):
-        raise ValueError(_NOT_OPERATOR["projection"])
-    failing = np.flatnonzero(~(_safety_min(proj, chi)[0] > SAFETY_FLOOR))
+    failing = np.flatnonzero(~(safety_min(pencil(proj, chi))[0] > SAFETY_FLOOR))
     if failing.size:
         raise NumericalGateError(f"projection interpolation unsafe at sample {failing[0]}")
 
-    rows_a = _rows_for(target, trace_norm(chi - rhos).max())
-    cells_a = _interp_rows(lifted, rhos, rows_a)
-    out_a = cells_a[-1]
-
+    s_a = _interp_rows(r_lifted, _rows_for(target, trace_norm(chi - rhos).max()))
+    out_a = _act_rows(lifted, s_a[-1:], rhos)[0]
     rows_b = _rows_for(target, trace_norm(act_batch(proj, out_a) - out_a).max())
-    proj_all = np.broadcast_to(proj, (t_count, n, n))
-    cells = np.concatenate([cells_a, _interp_rows(proj_all, out_a, rows_b)])
-    meta = [
-        {"stage": "unitary-interp", "rows": rows_a, "identity_at_s0": True},
-        {"stage": "projection-interp", "rows": rows_b, "identity_at_s0": True},
-    ]
-    return cells, meta
+    s_b = _interp_rows(pencil(proj, out_a), rows_b)
+    stages = [Stage("unitary", lifted, s_a), Stage("projection", proj, s_b)]
+    return stages, _act_rows(proj, s_b[-1:], out_a)[0]
 
 
 def rectify_to_projection(
@@ -408,8 +438,8 @@ def rectify_to_projection(
     delta = loop.max_step
     target = target_row_step if target_row_step is not None else 2.5 * max(delta, 1e-3)
     rhos = loop.as_array()
-    cells, meta = _rectify(rhos, delta, max_step, target)
-    sheet = HomotopySheet(loop.n, np.concatenate([rhos[None], cells]), meta)
+    stages, _ = _rectify(rhos, delta, max_step, target)
+    sheet = sheet_from_recipe(rhos, [Level(loop.n, stages)])
     return RectifyResult(sheet, StateLoop(loop.n, sheet.cells[-1]))
 
 
@@ -419,6 +449,36 @@ def _compress(rhos: np.ndarray, block: int) -> np.ndarray:
     return (rho + rho.conj().swapaxes(-1, -2)) / 2
 
 
+def _level_input(current: np.ndarray, block: int) -> np.ndarray:
+    """A level's input from the last row so far: the row itself at full
+    size, otherwise its validated compression to the corner block."""
+    if block == current.shape[-1]:
+        return current
+    return validate_densities(_compress(current, block))
+
+
+def sheet_from_recipe(loop: np.ndarray, levels: list) -> HomotopySheet:
+    """Expand a contraction recipe into its sheet. Row 0 is the density
+    stack `loop` (T, n, n). Each level takes its input from the last row
+    so far (_level_input); each of its stages acts on the last row of the
+    stage before (_act_rows); and its rows are zero-padded into the n x n
+    corner. Every sheet is made here, so a sheet read back from its
+    document equals the contractor's bit for bit."""
+    t_count, n = loop.shape[0], loop.shape[-1]
+    cells = np.zeros((_recipe_rows(n, t_count, levels), t_count, n, n), dtype=np.complex128)
+    cells[0] = loop
+    row = 1
+    for level in levels:
+        b = level.block
+        rhos = _level_input(cells[row - 1], b)
+        for stage in level.stages:
+            rows = _act_rows(stage.ops, stage.s, rhos)
+            cells[row:row + len(rows), :, :b, :b] = rows
+            row += len(rows)
+            rhos = rows[-1]
+    return HomotopySheet(n, cells, levels)
+
+
 def contract_loop(loop: StateLoop, max_step: float = DEFAULT_MAX_STEP) -> HomotopySheet:
     """Contract a based loop to the constant loop at the basepoint.
 
@@ -426,31 +486,28 @@ def contract_loop(loop: StateLoop, max_step: float = DEFAULT_MAX_STEP) -> Homoto
     loop gives weight one to P^n_k, and the block homotopy is pushed
     forward by (1 - P) + (embedded block operator), that is, its cells are
     zero-padded to n x n. At k = n-1 the loop is pinned to the basepoint.
+    Each level's recipe is built from the last rows alone; the sheet is
+    then expanded from the whole recipe once.
     """
     n = loop.n
     delta = loop.max_step
     target = 2.5 * max(delta, 1e-3)
     current = loop.as_array()
-    levels = [current[None]]
-    meta: list = []
+    levels = []
     for k in range(1, n):
         block = n - k + 1  # current block algebra size
+        block_rhos, block_step = _level_input(current, block), delta
         if block < n:
-            block_rhos = validate_densities(_compress(current, block))
             _check_based(block_rhos)
             block_step = _max_step(block_rhos)
-        else:
-            block_rhos, block_step = current, delta
-        cells, block_meta = _rectify(
+        stages, out = _rectify(
             block_rhos, block_step, max(max_step, block_step * (1 + 1e-12)), target
         )
-        level = np.zeros(cells.shape[:2] + (n, n), dtype=np.complex128)
-        level[..., :block, :block] = cells
-        levels.append(level)
-        meta += [{**m, "level": k, "block": block} for m in block_meta]
-        current = level[-1]
+        levels.append(Level(block, stages))
+        current = np.zeros_like(current)
+        current[:, :block, :block] = out
         _check_based(current)
-    return HomotopySheet(n, np.concatenate(levels), meta)
+    return sheet_from_recipe(loop.as_array(), levels)
 
 
 @dataclass
@@ -459,6 +516,8 @@ class VerifyReport:
     violations: list
     max_cell_step: float
     shape: tuple[int, int]
+    safety_min: float | None = None  # smallest exact safety value checked
+    safety_at: tuple[int, int, int] | None = None  # its (level, stage, column)
 
     def summary(self) -> str:
         status = "pass" if self.passed else "fail"
@@ -468,12 +527,57 @@ class VerifyReport:
         )
 
 
+def _recipe_violations(sheet: HomotopySheet, arr: np.ndarray, ok: np.ndarray):
+    """Check a sheet's recipe against its cells `arr` (finite where `ok`):
+    every operator a unitary, or its stage's corner projection P^b_1, to
+    OPERATOR_TOL; every s in [0, 1] and each stage's last row at s = 1; and
+    the exact safety minimum (safety_min) of every column above
+    SAFETY_FLOOR on the stage's input as the sheet holds it, except in
+    columns whose input is not finite. Locations are (level, stage, column)
+    indices into the recipe. Returns the violations and the smallest safety
+    value checked with its location."""
+    n, t_count = sheet.n, arr.shape[1]
+    violations: list = []
+    worst: tuple = (None, None)
+    row = 0
+    for li, level in enumerate(sheet.levels):
+        b = level.block
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rhos = arr[row] if b == n else _compress(arr[row], b)
+        for si, stage in enumerate(level.stages):
+            if stage.kind == "unitary":
+                name, defect = "not-unitary", _unitarity_defect(stage.ops)
+            else:
+                name = "not-projection"
+                defect = np.max(np.abs(stage.ops - projection_matrix(b, 1)), axis=(-2, -1))
+            defect = np.broadcast_to(defect, (t_count,))
+            for t in np.flatnonzero(~(defect <= OPERATOR_TOL)):
+                violations.append((name, (li, si, int(t)), float(defect[t]), OPERATOR_TOL))
+            low, high = stage.s.min(axis=0), stage.s.max(axis=0)
+            for t in np.flatnonzero(~((low >= 0.0) & (high <= 1.0))):
+                out, bound = (low[t], 0.0) if low[t] < 0.0 else (high[t], 1.0)
+                violations.append(("s-range", (li, si, int(t)), float(out), bound))
+            last = stage.s[-1]
+            for t in np.flatnonzero(last != 1.0):
+                violations.append(("s-last-row", (li, si, int(t)), float(last[t]), 1.0))
+            value = np.where(ok[row], safety_min(pencil(stage.ops, rhos[:, :b, :b]))[0], np.inf)
+            for t in np.flatnonzero(~(value > SAFETY_FLOOR) & ok[row]):
+                violations.append(("unsafe", (li, si, int(t)), float(value[t]), SAFETY_FLOOR))
+            t = int(np.argmin(value))
+            if ok[row, t] and (worst[0] is None or value[t] < worst[0]):
+                worst = (float(value[t]), (li, si, t))
+            row += stage.s.shape[0]
+            rhos = arr[row]
+    return violations, worst
+
+
 def verify_homotopy(sheet: HomotopySheet, input_loop: StateLoop, modulus: float) -> VerifyReport:
     """Certify a contraction sheet: every cell a valid state, row 0 equals
     the input, the basepoint columns constant, the final row constant at
-    the basepoint, and all adjacent-cell steps within the modulus. A cell
-    with a NaN or infinite entry is one "non-finite" violation, valued by
-    the count of such entries; it is zeroed for, and skipped by, the rest."""
+    the basepoint, all adjacent-cell steps within the modulus, and the
+    recipe's operators, s tables and safety (see _recipe_violations). A
+    cell with a NaN or infinite entry is one "non-finite" violation, valued
+    by the count of such entries; it is zeroed for, and skipped by, the rest."""
     arr = sheet.as_array()
     s_dim, t_dim = arr.shape[0], arr.shape[1]
     n = sheet.n
@@ -518,11 +622,15 @@ def verify_homotopy(sheet: HomotopySheet, input_loop: StateLoop, modulus: float)
         worst = np.unravel_index(np.argmax(steps), steps.shape)
         violations.append(("step-modulus", tuple(int(x) for x in worst), max_step, modulus))
 
+    recipe_violations, (safety_value, safety_at) = _recipe_violations(sheet, arr, ok)
+    violations += recipe_violations
     return VerifyReport(
         passed=(len(violations) == 0),
         violations=violations,
         max_cell_step=max_step,
         shape=(s_dim, t_dim),
+        safety_min=safety_value,
+        safety_at=safety_at,
     )
 
 

@@ -1,7 +1,12 @@
 """JSON encoding of the artifact's documents.
 
 Matrices are row-major nested arrays of [re, im] pairs. Loops are
-{n, samples: [matrix, ...]} and sheets {meta, n, rows: [[matrix, ...], ...]}.
+{n, samples: [matrix, ...]}. A sheet document holds the contraction's
+recipe, not its cells: {n, loop: [matrix, ...], levels: [{block, stages:
+[{kind, ops, s}, ...]}, ...]}, where a stage's ops are its T unitaries
+(kind "unitary") or its one corner projection (kind "projection") and s
+is its rows x T table of interpolation parameters. Reading a sheet
+document expands the recipe into the cells with homotopy.sheet_from_recipe.
 All documents are UTF-8 JSON, written compactly with sorted keys.
 """
 
@@ -11,7 +16,7 @@ import json
 
 import numpy as np
 
-from .homotopy import HomotopySheet, StateLoop
+from .homotopy import HomotopySheet, Level, Stage, StateLoop, sheet_from_recipe
 from .states import validate_densities
 
 
@@ -44,16 +49,41 @@ def loop_from_doc(doc: dict) -> StateLoop:
 
 
 def sheet_to_doc(sheet: HomotopySheet) -> dict:
-    return {"n": sheet.n, "rows": encode_matrix(sheet.as_array()), "meta": sheet.meta}
+    """The sheet's recipe: its input loop (row 0) and its levels' stages."""
+    levels = [
+        {
+            "block": level.block,
+            "stages": [
+                {"kind": st.kind, "ops": encode_matrix(st.ops), "s": st.s.tolist()}
+                for st in level.stages
+            ],
+        }
+        for level in sheet.levels
+    ]
+    return {"n": sheet.n, "loop": encode_matrix(sheet.as_array()[0]), "levels": levels}
 
 
 def sheet_from_doc(doc: dict) -> HomotopySheet:
-    """Decode a sheet document; every cell is validated as a state."""
+    """Decode a sheet document and expand its recipe; the loop is validated
+    as states, and every other cell as the expansion makes it."""
     try:
-        cells = decode_matrix(doc["rows"])
+        n = int(doc["n"])
+        loop = decode_matrix(doc["loop"])
+        levels = [
+            Level(
+                int(level["block"]),
+                [
+                    Stage(str(st["kind"]), decode_matrix(st["ops"]), np.array(st["s"], dtype=float))
+                    for st in level["stages"]
+                ],
+            )
+            for level in doc["levels"]
+        ]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed sheet document: {exc}") from exc
-    return HomotopySheet(int(doc["n"]), validate_densities(cells), list(doc.get("meta", [])))
+    if loop.ndim != 3 or loop.shape[-1] != n:
+        raise ValueError(f"malformed sheet document: the loop is not a stack of states on M_{n}")
+    return sheet_from_recipe(validate_densities(loop), levels)
 
 
 def dumps(doc: dict) -> str:
@@ -61,22 +91,14 @@ def dumps(doc: dict) -> str:
 
 
 def write_sheet(path: str, sheet: HomotopySheet):
-    """Write `dumps(sheet_to_doc(sheet))` and a newline, byte for byte, one
-    row at a time: a row's floats fill one nested %r template (float repr is
-    what json writes), so no nested lists are built. A NaN or infinite
-    entry, which JSON cannot hold, raises ValueError before any write."""
-    cells = np.ascontiguousarray(sheet.as_array())
-    if not np.isfinite(cells).all():
+    """Write the sheet document (sheet_to_doc). A NaN or infinite entry in
+    the recipe, which JSON cannot hold, raises ValueError before the file
+    is opened."""
+    stages = [st for level in sheet.levels for st in level.stages]
+    arrays = [sheet.as_array()[0]] + [st.ops for st in stages] + [st.s for st in stages]
+    if not all(np.isfinite(a).all() for a in arrays):
         raise ValueError("sheet has non-finite entries")
-    rows = cells.view(np.float64).reshape(cells.shape[0], -1)
-    t_count, n = cells.shape[1], cells.shape[2]
-    matrix = "[" + ",".join(["[" + ",".join(["[%r,%r]"] * n) + "]"] * n) + "]"
-    template = "[" + ",".join([matrix] * t_count) + "]"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f'{{"meta":{dumps(sheet.meta)},"n":{dumps(sheet.n)},"rows":[')
-        for i, row in enumerate(rows):
-            fh.write(("," if i else "") + template % tuple(row.tolist()))
-        fh.write("]}\n")
+    write_doc(path, sheet_to_doc(sheet))
 
 
 def write_doc(path: str, doc: dict):

@@ -4,11 +4,12 @@ import subprocess
 import sys
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from phaselab import serialize
 from phaselab.cli import main
-from phaselab.homotopy import bundled_pure_loop, constant_loop
+from phaselab.homotopy import SAFETY_FLOOR, bundled_pure_loop, constant_loop
 
 
 def run(capsys, *argv):
@@ -124,6 +125,23 @@ def test_selfcheck_deterministic(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_metric_suite_batches_trace_norms_as_single_calls():
+    # the suite draws each pair as below and groups the trace norms by size;
+    # the per-pair loop is the reference, and the report must not move a bit
+    from phaselab import linalg, projective, selfcheck
+
+    rng = np.random.default_rng(5)
+    worst = 0.0
+    for _ in range(300):
+        n = int(rng.integers(2, 6))
+        a, b = selfcheck._random_unit(rng, n), selfcheck._random_unit(rng, n)
+        gap = projective.ray_distances(a, b).gap
+        pa, pb = np.outer(a, a.conj()), np.outer(b, b.conj())
+        worst = max(worst, abs(gap - 0.5 * linalg.trace_norm(pa - pb)))
+    result = selfcheck.metric_suite(np.random.default_rng(5), n_pairs=300)
+    assert result.details["gap_vs_half_trace_norm"] == worst
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
 def test_selfcheck_seed_variation(capsys, seed):
     code, report = run(capsys, "selfcheck", "--seed", str(seed), "--no-timestamp")
@@ -162,7 +180,12 @@ def test_contract_loop_roundtrip(tmp_path, capsys):
     assert report["verifier"]["passed"] is True
     sheet_doc = serialize.read_doc(str(sheet_path))
     assert sheet_doc["n"] == 2
-    assert len(sheet_doc["rows"]) == report["verifier"]["shape"][0]
+    stages = [st for level in sheet_doc["levels"] for st in level["stages"]]
+    assert 1 + sum(len(st["s"]) for st in stages) == report["verifier"]["shape"][0]
+    verifier = report["verifier"]
+    assert verifier["safety_margin"] == verifier["safety_min"] - SAFETY_FLOOR > 0
+    assert sorted(verifier["safety_at"]) == ["column", "level", "stage"]
+    assert verifier["safety_at"]["level"] == 0
 
 
 def test_contract_loop_constant(tmp_path, capsys):

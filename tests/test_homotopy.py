@@ -1,3 +1,5 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -7,16 +9,19 @@ from phaselab import serialize
 from phaselab.homotopy import (
     SAFETY_FLOOR,
     HomotopySheet,
+    Level,
     StateLoop,
     bundled_plateau_loop,
     bundled_pure_loop,
     constant_loop,
     contract_loop,
     disk_phase_lift,
-    interpolation_safe,
+    pencil,
     projection_matrix,
     random_based_loop,
     rectify_to_projection,
+    safety_min,
+    sheet_from_recipe,
     verify_homotopy,
 )
 from phaselab.states import DensityState, basis_state, state_from_vector
@@ -85,19 +90,21 @@ def test_disk_phase_lift_rejects_coarse_paths():
         disk_phase_lift(np.array([1.0, -1.0, 1.0, -1.0], dtype=complex))
 
 
-def test_interpolation_safe():
-    base = basis_state(2)
-    rep = interpolation_safe(projection_matrix(2, 1), base, "projection")
-    assert rep.safe and abs(rep.min_value - 1.0) < 1e-12
-    rep = interpolation_safe(-np.eye(2, dtype=complex), base, "unitary")
-    assert not rep.safe and rep.s_at_min == 0.5
+def test_safety_min():
+    base = basis_state(2).rho
+    value, s = safety_min(pencil(projection_matrix(2, 1), base))
+    assert value > SAFETY_FLOOR and abs(value - 1.0) < 1e-12
+    value, s = safety_min(pencil(-np.eye(2, dtype=complex), base))
+    assert not value > SAFETY_FLOOR and s == 0.5
     # omega(U) = 0: safe with min s^2 + (1-s)^2 = 1/2 at s = 1/2
     sx = np.array([[0, 1], [1, 0]], dtype=complex)
-    rep = interpolation_safe(sx, base, "unitary")
-    assert rep.safe
-    assert abs(rep.min_value - 0.5) < 1e-12 and rep.s_at_min == 0.5
-    with pytest.raises(ValueError):
-        interpolation_safe(np.diag([1.0, 2.0]).astype(complex), base, "unitary")
+    value, s = safety_min(pencil(sx, base))
+    assert value > SAFETY_FLOOR
+    assert abs(value - 0.5) < 1e-12 and s == 0.5
+    # a stack gives the values of single calls
+    values, _ = safety_min(pencil(np.stack([sx, -np.eye(2)]), base))
+    assert values[0] == safety_min(pencil(sx, base))[0]
+    # operators are checked by the verifier: see test_verifier_flags_forged_recipes
 
 
 def _random_unitary(rng, n):
@@ -112,7 +119,7 @@ def _random_unitary(rng, n):
     angle=st.floats(-np.pi, np.pi),
     weight=st.floats(0.0, 1.0),
 )
-def test_interpolation_safe_is_the_exact_minimum(n, kind, seed, angle, weight):
+def test_safety_min_is_the_exact_minimum(n, kind, seed, angle, weight):
     # A = V diag(...) V†; omega puts `weight` on V's first column, whose
     # unitary eigenvalue e^{i angle} reaches -1 at angle = +-pi
     rng = np.random.default_rng(seed)
@@ -130,11 +137,10 @@ def test_interpolation_safe_is_the_exact_minimum(n, kind, seed, angle, weight):
         b = s * a + (1.0 - s) * np.eye(n)
         return float(np.trace(omega.rho @ b.conj().T @ b).real)
 
-    rep = interpolation_safe(a, omega, kind)
-    assert 0.0 <= rep.s_at_min <= 1.0
-    assert rep.safe == (rep.min_value > SAFETY_FLOOR)
-    assert rep.min_value <= min(value(s) for s in np.linspace(0.0, 1.0, 1001)) + 1e-12
-    assert abs(rep.min_value - value(rep.s_at_min)) < 1e-12
+    min_value, s_at_min = map(float, safety_min(pencil(a, omega.rho)))
+    assert 0.0 <= s_at_min <= 1.0
+    assert min_value <= min(value(s) for s in np.linspace(0.0, 1.0, 1001)) + 1e-12
+    assert abs(min_value - value(s_at_min)) < 1e-12
 
 
 def test_rectify_constant_loop_is_constant():
@@ -184,7 +190,10 @@ def test_sheet_boundary_exactness():
     for row in arr:
         assert np.max(np.abs(row[0] - base.rho)) < 1e-10
         assert np.max(np.abs(row[-1] - base.rho)) < 1e-10
-    assert all(m["identity_at_s0"] for m in res.sheet.meta)
+    (level,) = res.sheet.levels
+    assert level.block == 2 and [st.kind for st in level.stages] == ["unitary", "projection"]
+    for st in level.stages:
+        assert (st.s > 0).all() and (st.s[-1] == 1.0).all()
 
 
 @pytest.mark.parametrize(
@@ -228,7 +237,7 @@ def test_verifier_flags_corrupted_cell():
     sheet = contract_loop(loop)
     cells = sheet.as_array().copy()
     cells[2, 4] = basis_state(2, 1).rho
-    bad = HomotopySheet(2, cells, sheet.meta)
+    bad = HomotopySheet(2, cells, sheet.levels)
     report = verify_homotopy(bad, loop, modulus=1e-6)
     assert not report.passed
     kinds = {v[0] for v in report.violations}
@@ -252,34 +261,61 @@ def test_loop_and_sheet_serialization_roundtrip():
 
 def test_sheet_from_doc_validates_every_cell():
     doc = serialize.sheet_to_doc(contract_loop(constant_loop(2, 6)))
-    last = doc["rows"][-1][-1]
+    last = doc["loop"][-1]
     last[0][0] = [0.7, 0.0]  # trace now 0.7
     with pytest.raises(ValueError) as got:
         serialize.sheet_from_doc(doc)
     with pytest.raises(ValueError) as want:
         DensityState(serialize.decode_matrix(last))
     assert str(got.value) == str(want.value)
-    doc["rows"][0][0] = [[1.0, 0.0]]  # ragged
+    doc["loop"][0] = [[1.0, 0.0]]  # ragged
     with pytest.raises(ValueError):
         serialize.sheet_from_doc(doc)
 
 
 def test_sheet_from_doc_rejects_a_nan_cell():
+    # a NaN in the loop, in an operator or in an s table makes a NaN cell
+    sheet = contract_loop(constant_loop(2, 6))
+    for forge in (
+        lambda doc: doc["loop"][2][0].__setitem__(1, [float("nan"), 0.0]),
+        lambda doc: doc["levels"][0]["stages"][0]["ops"][3][1].__setitem__(1, [float("nan"), 0.0]),
+        lambda doc: doc["levels"][0]["stages"][1]["s"][2].__setitem__(4, float("nan")),
+    ):
+        doc = serialize.sheet_to_doc(sheet)
+        forge(doc)
+        with pytest.raises(ValueError, match="non-finite"):
+            serialize.sheet_from_doc(doc)
+
+
+@pytest.mark.parametrize(
+    "forge, message",
+    [
+        (lambda doc: doc["levels"][0].__setitem__("block", 3), "block 3 out of range"),
+        (lambda doc: doc["levels"][0]["stages"][0].__setitem__("kind", "shear"), "stage kind"),
+        (lambda doc: doc["levels"][0]["stages"][0]["ops"].pop(), "stage operators"),
+        (lambda doc: doc["levels"][0]["stages"][1]["s"][0].pop(), "malformed sheet"),
+        (lambda doc: doc["levels"][0]["stages"][1].__setitem__("s", []), "s table"),
+        (lambda doc: doc.pop("levels"), "malformed sheet"),
+    ],
+    ids=["block", "kind", "ops-shape", "s-ragged", "s-empty", "no-levels"],
+)
+def test_sheet_from_doc_rejects_malformed_recipes(forge, message):
     doc = serialize.sheet_to_doc(contract_loop(constant_loop(2, 6)))
-    doc["rows"][1][2][0][1] = [float("nan"), 0.0]
-    with pytest.raises(ValueError, match="non-finite"):
+    forge(doc)
+    with pytest.raises(ValueError, match=message):
         serialize.sheet_from_doc(doc)
 
 
 def test_verifier_reports_non_finite_cells():
     loop = constant_loop(2, 10)
-    cells = contract_loop(loop).as_array().copy()
+    sheet = contract_loop(loop)
+    cells = sheet.as_array().copy()
     last = cells.shape[0] - 1
     cells[0, 3, 1, 1] = np.nan
     cells[1, 0] = np.inf
     cells[2, 4, 0, 1] = np.nan
     cells[last, 5, 0, 0] = -np.inf
-    report = verify_homotopy(HomotopySheet(2, cells, []), loop, modulus=1e-6)
+    report = verify_homotopy(HomotopySheet(2, cells, sheet.levels), loop, modulus=1e-6)
     assert not report.passed
     # the zeroed stand-ins for the bad cells add no violation of their own
     assert report.violations == [
@@ -296,47 +332,206 @@ def pure_sheet():
     return contract_loop(bundled_pure_loop())
 
 
-def _assert_writes(sheet, path):
-    """write_sheet's bytes against the document model's. A mismatch names
-    the first differing offset: pytest's own diff of megabyte-long lines
-    would not finish."""
-    serialize.write_sheet(str(path), sheet)
-    got = path.read_text(encoding="utf-8")
-    want = serialize.dumps(serialize.sheet_to_doc(sheet)) + "\n"
-    if got != want:
-        at = next((i for i, (x, y) in enumerate(zip(got, want)) if x != y), len(want))
-        pytest.fail(f"sheet bytes differ at {at}: {got[at:at + 60]!r} != {want[at:at + 60]!r}")
-
-
 def test_write_sheet_matches_dumps(pure_sheet, tmp_path):
-    _assert_writes(pure_sheet, tmp_path / "pure.json")
-    rng = np.random.default_rng(11)
-    for shape in [(1, 1, 1, 1), (3, 5, 2, 2), (2, 4, 3, 3)]:
-        cells = rng.normal(size=shape) * 10.0 ** rng.integers(-300, 300, size=shape) + 1j * (
-            rng.normal(size=shape)
-        )
-        flat = cells.reshape(-1)
-        flat[0] = complex(-0.0, 5e-324)
-        flat[-1] = complex(1.7976931348623157e308, -0.0)
-        sheet = HomotopySheet(shape[-1], cells, [{"stage": "s", "rows": 2, "level": 1}])
-        _assert_writes(sheet, tmp_path / "random.json")
+    path = tmp_path / "pure.json"
+    serialize.write_sheet(str(path), pure_sheet)
+    doc = serialize.sheet_to_doc(pure_sheet)
+    assert path.read_text(encoding="utf-8") == serialize.dumps(doc) + "\n"
+    # the document is the recipe, not the cells
+    assert sorted(doc) == ["levels", "loop", "n"]
+    assert [lv["block"] for lv in doc["levels"]] == [2]
+    stages = doc["levels"][0]["stages"]
+    assert [st["kind"] for st in stages] == ["unitary", "projection"]
+    assert np.array(stages[0]["ops"]).shape == (401, 2, 2, 2)
+    assert np.array(stages[1]["ops"]).shape == (2, 2, 2)
+    assert 1 + sum(len(st["s"]) for st in stages) == pure_sheet.shape[0]
 
 
 def test_written_sheet_reads_back_bitwise(pure_sheet, tmp_path):
     path = tmp_path / "sheet.json"
     serialize.write_sheet(str(path), pure_sheet)
     back = serialize.sheet_from_doc(serialize.read_doc(str(path)))
-    assert back.n == pure_sheet.n and back.meta == pure_sheet.meta
+    assert back.n == pure_sheet.n
+    for got, want in zip(back.levels, pure_sheet.levels, strict=True):
+        assert got.block == want.block
+        for a, b in zip(got.stages, want.stages, strict=True):
+            assert a.kind == b.kind
+            assert np.array_equal(a.ops, b.ops) and np.array_equal(a.s, b.s)
     assert np.array_equal(back.as_array(), pure_sheet.as_array())
 
 
 def test_write_sheet_rejects_non_finite_before_writing(tmp_path):
-    cells = contract_loop(constant_loop(2, 6)).as_array().copy()
-    cells[-1, 3, 1, 1] = np.nan
+    # a NaN in the loop, or an infinity in an operator or an s table
+    sheet = contract_loop(constant_loop(2, 6))
+    cells = sheet.as_array().copy()
+    cells[0, 3, 1, 1] = np.nan
+    forged = [HomotopySheet(2, cells, sheet.levels)]
+    stages = sheet.levels[0].stages
+    for i, stage in enumerate(stages):
+        for field in ("ops", "s"):
+            array = getattr(stage, field).copy()
+            array.reshape(-1)[-1] = np.inf
+            forged_stages = list(stages)
+            forged_stages[i] = stage._replace(**{field: array})
+            forged.append(HomotopySheet(2, sheet.as_array(), [Level(2, forged_stages)]))
     path = tmp_path / "sheet.json"
-    with pytest.raises(ValueError, match="non-finite"):
-        serialize.write_sheet(str(path), HomotopySheet(2, cells, []))
-    assert not path.exists()
+    for bad in forged:
+        with pytest.raises(ValueError, match="non-finite"):
+            serialize.write_sheet(str(path), bad)
+        assert not path.exists()
+
+
+@lru_cache(maxsize=None)
+def _contracted(name: str):
+    loops = {
+        "pure": bundled_pure_loop,
+        "plateau": bundled_plateau_loop,
+        "seed2": lambda: random_based_loop(3, 2, 700),
+        "seed7": lambda: random_based_loop(3, 7, 700),
+    }
+    loop = loops[name]()
+    return loop, contract_loop(loop)
+
+
+@pytest.mark.parametrize("name", ["pure", "plateau", "seed2", "seed7"])
+def test_read_back_cells_equal_the_contractors(name, tmp_path):
+    loop, sheet = _contracted(name)
+    path = tmp_path / "sheet.json"
+    serialize.write_sheet(str(path), sheet)
+    back = serialize.sheet_from_doc(serialize.read_doc(str(path)))
+    assert np.array_equal(back.as_array(), sheet.as_array())
+    assert verify_homotopy(back, loop, 5 * loop.max_step).passed
+
+
+def _stage_inputs(sheet):
+    """(stage, its input densities (T, b, b)) for every stage of a sheet."""
+    arr, row = sheet.as_array(), 0
+    for level in sheet.levels:
+        b = level.block
+        rhos = arr[row, :, :b, :b]
+        if b < sheet.n:
+            rhos = rhos / np.trace(rhos, axis1=-2, axis2=-1).real[:, None, None]
+            rhos = (rhos + rhos.conj().swapaxes(-1, -2)) / 2
+        for stage in level.stages:
+            yield stage, rhos
+            row += len(stage.s)
+            rhos = arr[row, :, :b, :b]
+
+
+def _direct_s_table(ops, rhos, n_rows, fine_mult=6, chunk=128):
+    """The arc-length s table from B(s) rho B(s)† formed by matrix products
+    at every fine sample, and each column's arc length."""
+    b = rhos.shape[-1]
+    s_fine = np.linspace(0.0, 1.0, max(n_rows * fine_mult, 48) + 1)
+    fractions = np.arange(1, n_rows + 1) / n_rows
+    ops = np.broadcast_to(ops, rhos.shape)
+    table, lengths = np.empty((n_rows, len(rhos))), np.empty(len(rhos))
+    for lo in range(0, len(rhos), chunk):
+        a, rho = ops[lo:lo + chunk], rhos[lo:lo + chunk]
+        bs = s_fine[:, None, None, None] * a + (1.0 - s_fine)[:, None, None, None] * np.eye(b)
+        raw = bs @ rho @ bs.conj().swapaxes(-1, -2)
+        states = raw / np.trace(raw, axis1=-2, axis2=-1).real[..., None, None]
+        d = np.diff(states, axis=0)
+        steps = np.abs(np.linalg.eigvalsh((d + d.conj().swapaxes(-1, -2)) / 2)).sum(axis=-1)
+        arcs = np.concatenate([np.zeros((1, steps.shape[1])), np.cumsum(steps, axis=0)])
+        for t, arc in enumerate(arcs.T, start=lo):
+            lengths[t] = arc[-1]
+            table[:, t] = np.interp(fractions * arc[-1], arc, s_fine) if arc[-1] >= 1e-13 else fractions
+    table[-1] = 1.0
+    return table, lengths
+
+
+@pytest.mark.parametrize("name", ["plateau", "seed2"])
+def test_pencil_s_tables_match_the_direct_form(name):
+    # A column that barely moves has an arc length made of rounding, in
+    # either form (seed 2, level 2: 4.6e-11), and its s table is arbitrary
+    # up to that rounding. So s itself must match where the arc length is
+    # at least 1e-3, and everywhere the arc length the error stands for.
+    _, sheet = _contracted(name)
+    for stage, rhos in _stage_inputs(sheet):
+        direct, lengths = _direct_s_table(stage.ops, rhos, len(stage.s))
+        error = np.abs(stage.s - direct)
+        assert np.max(error[:, lengths >= 1e-3]) < 1e-12
+        assert np.max(error * lengths) < 1e-13
+
+
+def test_pencil_is_the_interpolation_polynomial():
+    rng = np.random.default_rng(3)
+    a = rng.normal(size=(5, 3, 3)) + 1j * rng.normal(size=(5, 3, 3))
+    m = rng.normal(size=(5, 3, 3)) + 1j * rng.normal(size=(5, 3, 3))
+    rho = m @ m.conj().swapaxes(-1, -2)
+    r = pencil(a, rho)
+    assert np.array_equal(r, r.conj().swapaxes(-1, -2))  # exactly Hermitian
+    for s in (0.0, 0.3, 1.0):
+        b = s * a + (1 - s) * np.eye(3)
+        want = b @ rho @ b.conj().swapaxes(-1, -2)
+        assert np.max(np.abs(r[0] + s * r[1] + s * s * r[2] - want)) < 1e-12
+
+
+def _forge(sheet, stage_index, **fields):
+    """The sheet expanded from its recipe with fields of one stage of its
+    first level replaced."""
+    level = sheet.levels[0]
+    stages = list(level.stages)
+    stages[stage_index] = stages[stage_index]._replace(**fields)
+    return sheet_from_recipe(sheet.as_array()[0], [Level(level.block, stages)] + sheet.levels[1:])
+
+
+def _set(array, index, value):
+    out = array.copy()
+    out[index] = value
+    return out
+
+
+def _skip_half(s, t):
+    """Column t of an s table with its s = 1/2 row moved to 0.45."""
+    assert (s[:, t] == 0.5).any()
+    return _set(s, (s[:, t] == 0.5, t), 0.45)
+
+
+@pytest.mark.parametrize(
+    "stage_index, forge, kind, at",
+    [
+        (0, lambda st: {"ops": _set(st.ops, 4, np.diag([1.0, 2.0]))}, "not-unitary", [4]),
+        (1, lambda st: {"ops": np.eye(2, dtype=complex)}, "not-projection", range(11)),
+        (0, lambda st: {"s": _set(st.s, (0, 3), -0.25)}, "s-range", [3]),
+        (1, lambda st: {"s": _set(st.s, (2, 6), 1.5)}, "s-range", [6]),
+        (0, lambda st: {"s": _set(st.s, (-1, 5), 0.75)}, "s-last-row", [5]),
+        # A = -1 is a unitary in the Gelfand ideal at s = 1/2, which the s table skips
+        (0, lambda st: {"ops": _set(st.ops, 4, -np.eye(2)), "s": _skip_half(st.s, 4)},
+         "unsafe", [4]),
+    ],
+    ids=["non-unitary", "non-projection", "s-below-0", "s-above-1", "last-s-not-1", "unsafe"],
+)
+def test_verifier_flags_forged_recipes(stage_index, forge, kind, at):
+    # on the constant loop every forgery leaves every cell at the basepoint,
+    # so only the recipe checks can see it
+    loop = constant_loop(2, 10)
+    sheet = contract_loop(loop)
+    forged = _forge(sheet, stage_index, **forge(sheet.levels[0].stages[stage_index]))
+    assert np.max(np.abs(forged.as_array() - sheet.as_array())) < 1e-15
+    report = verify_homotopy(forged, loop, modulus=1e-9)
+    assert not report.passed
+    assert {v[0] for v in report.violations} == {kind}
+    assert [v[1] for v in report.violations] == [(0, stage_index, t) for t in at]
+
+
+def test_verifier_flags_a_scaled_unitary_on_a_moving_loop(pure_sheet):
+    loop = bundled_pure_loop()
+    ops = pure_sheet.levels[0].stages[0].ops
+    forged = _forge(pure_sheet, 0, ops=_set(ops, 200, 1.01 * ops[200]))
+    report = verify_homotopy(forged, loop, modulus=5 * loop.max_step)
+    assert [v[:2] for v in report.violations] == [("not-unitary", (0, 0, 200))]
+
+
+def test_verifier_reports_the_safety_minimum():
+    loop, sheet = _contracted("seed2")
+    report = verify_homotopy(sheet, loop, 5 * loop.max_step)
+    values = [safety_min(pencil(stage.ops, rhos))[0] for stage, rhos in _stage_inputs(sheet)]
+    level, stage, column = report.safety_at
+    index = 2 * level + stage
+    assert report.safety_min == min(v.min() for v in values)
+    assert report.safety_min == values[index][column] > SAFETY_FLOOR
 
 
 def test_contract_loop_takes_no_svd(monkeypatch):
