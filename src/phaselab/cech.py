@@ -23,11 +23,18 @@ UNIT_MODULUS_TOL = 1e-10
 LINK_OVERLAP_TOL = 1e-12
 DEGREE_INT_TOL = 1e-6
 
-Point = tuple
-
 
 def _pair_key(i, j):
     return (i, j) if i <= j else (j, i)
+
+
+def _check_entry(vals: dict, key, *arrays: np.ndarray):
+    """A cochain's values on overlap `key` may be given once, in either
+    orientation, and must be finite: NaN slips past every later comparison."""
+    if key in vals:
+        raise ValueError(f"overlap {key} given twice")
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise ValueError(f"non-finite value on overlap {key}")
 
 
 @dataclass
@@ -97,6 +104,7 @@ class U1Cochain1:
         for (i, j), arr in self.values.items():
             key = _pair_key(i, j)
             arr = np.asarray(arr, dtype=np.complex128)
+            _check_entry(vals, key, arr)
             if key != (i, j):
                 arr = arr.conj()
             pts = self.cover.overlap_points(*key)
@@ -130,6 +138,7 @@ class PUCochain1:
         for (i, j), mats in self.values.items():
             key = _pair_key(i, j)
             mats = [np.asarray(m, dtype=np.complex128) for m in mats]
+            _check_entry(vals, key, *mats)
             if key != (i, j):
                 mats = [m.conj().T for m in mats]
             pts = self.cover.overlap_points(*key)

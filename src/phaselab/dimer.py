@@ -32,14 +32,20 @@ from .linalg import (
     kron,
     kron_all,
     spin_chain,
+    trace_norm,
 )
 from .projective import Ray
-from .util import NumericalGateError
+from .util import NumericalGateError, tol_scale
 
 PAULI_VEC = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 
 Y_OVERLAP_GATE = 0.9
 PROJECTION_WEIGHT_GATE = 1e-6
+# Gates of the invariant verdict beyond the degrees' agreement: the sweep's
+# worst interior overlap and ray agreement must each lie within its slack,
+# times PHASELAB_TOL_SCALE, of 1.
+Y_OVERLAP_SLACK = 0.01
+RAY_AGREEMENT_SLACK = 1e-8
 PHASE_FIX_TOL = 1e-12
 
 # Bytes of the largest single dense array the full-chain oracles allocate: one
@@ -475,9 +481,7 @@ def projected_equator_map(w: ParamPoint, cfg: ModelConfig, branch=None) -> Equat
     singular pair of the 2x2 block over (site-1 sector) x (far site); a
     weight deficit signals an assembly bug.
     """
-    if abs(w.w4) >= cfg.epsilon:
-        raise ValueError("projected equator map needs a band point (|w4| < epsilon)")
-    theta, phi = w.theta_phi() if branch is None else (float(branch[0]), float(branch[1]))
+    theta, phi = _band_branch(w, cfg.epsilon, branch)
     pt = _equator_batch(np.array([theta]), np.array([phi]), cfg.n_sites)
     amps = pt.zdag_omega[0].reshape(2, -1)[:, _pattern(cfg.n_sites)]  # site 1 up, down
     return EquatorPoint(Ray(pt.rays[0]), amps, float(pt.weight[0]), float(pt.y_overlap[0]),
@@ -512,41 +516,53 @@ class InvariantRecord:
     integrality: float
     grid: tuple[int, int]
     n_dimers: int
+    passed: bool = False  # the verdict: _gate_failure found no failing gate
 
 
-def invariant_sweep(cfg: ModelConfig, constant_field: bool = False) -> InvariantRecord:
+def _gate_failure(rec: InvariantRecord) -> str | None:
+    """The first gate of the invariant verdict that `rec` fails, by name, or
+    None: the projected and Bloch degrees agree, and y_overlap_min and
+    ray_agreement_min lie within Y_OVERLAP_SLACK and RAY_AGREEMENT_SLACK,
+    times PHASELAB_TOL_SCALE, of 1."""
+    scale = tol_scale()
+    if not rec.agreement:
+        return (f"agreement gate: projected degree {rec.degree} disagrees with Bloch "
+                f"degree {rec.bloch_degree}")
+    for name, value, slack in (
+        ("y_overlap", rec.y_overlap_min, Y_OVERLAP_SLACK),
+        ("ray_agreement", rec.ray_agreement_min, RAY_AGREEMENT_SLACK),
+    ):
+        if not value >= 1.0 - slack * scale:
+            return f"{name} gate: minimum {value:.9f} < {1.0 - slack * scale}"
+    return None
+
+
+def invariant_sweep(cfg: ModelConfig) -> InvariantRecord:
     """Headline computation: sweep the equator 2-sphere, extract the ray
     field of the projected equator map with the window kernel
-    `_equator_window`, SWEEP_POINTS grid points at a time, and compare its
-    lattice degree with the Bloch ground-state field on the same grid.
-    Neither time nor memory depends on cfg.n_dimers.
-
-    `constant_field` replaces the projected field by a constant ray (a
-    degree-0 sanity debug mode).
+    `_equator_window`, SWEEP_POINTS grid points at a time, compare its
+    lattice degree with the Bloch ground-state field on the same grid, and
+    judge the result by its gates (_gate_failure) into `passed`. Neither
+    time nor memory depends on cfg.n_dimers.
     """
     k_dim, m_dim = cfg.grid
     theta, phi = (a.ravel() for a in np.meshgrid(*sphere_grid(k_dim, m_dim), indexing="ij"))
     bloch = _bloch_vectors(theta, phi)
     field = np.zeros_like(bloch)
-    if constant_field:
-        field[:, 0] = 1.0
-        y_min = weight_min = 1.0
-        agree_min = 0.0
-    else:
-        y_min = weight_min = np.inf
-        for start in range(0, len(theta), SWEEP_POINTS):
-            part = slice(start, start + SWEEP_POINTS)
-            win = _equator_window(theta[part], phi[part], cfg.n_dimers)
-            field[part] = win.rays
-            y_min = min(y_min, np.min(win.y_overlap))
-            weight_min = min(weight_min, np.min(win.weight))
-        agree_min = np.min(np.abs(np.sum(field.conj() * bloch, axis=-1)))
+    y_min = weight_min = np.inf
+    for start in range(0, len(theta), SWEEP_POINTS):
+        part = slice(start, start + SWEEP_POINTS)
+        win = _equator_window(theta[part], phi[part], cfg.n_dimers)
+        field[part] = win.rays
+        y_min = min(y_min, np.min(win.y_overlap))
+        weight_min = min(weight_min, np.min(win.weight))
+    agree_min = np.min(np.abs(np.sum(field.conj() * bloch, axis=-1)))
     deg = plaquette_degree(field.reshape(k_dim, m_dim, 2))
     bdeg = plaquette_degree(bloch.reshape(k_dim, m_dim, 2))
-    return InvariantRecord(
+    rec = InvariantRecord(
         degree=deg.degree,
         bloch_degree=bdeg.degree,
-        agreement=(deg.degree == bdeg.degree) if not constant_field else False,
+        agreement=deg.degree == bdeg.degree,
         max_flux=deg.max_flux,
         bloch_max_flux=bdeg.max_flux,
         y_overlap_min=float(y_min),
@@ -556,15 +572,16 @@ def invariant_sweep(cfg: ModelConfig, constant_field: bool = False) -> Invariant
         grid=cfg.grid,
         n_dimers=cfg.n_dimers,
     )
+    rec.passed = _gate_failure(rec) is None
+    return rec
 
 
 def invariant_degree(cfg: ModelConfig) -> int:
-    """The integer invariant of the dimer model on the given grid."""
+    """The integer invariant of the dimer model on the given grid; raises
+    NumericalGateError naming the first gate the sweep fails."""
     rec = invariant_sweep(cfg)
-    if not rec.agreement:
-        raise NumericalGateError(
-            f"projected degree {rec.degree} disagrees with Bloch degree {rec.bloch_degree}"
-        )
+    if not rec.passed:
+        raise NumericalGateError(_gate_failure(rec))
     return rec.degree
 
 
@@ -597,5 +614,5 @@ def product_distance_bound(r: np.ndarray, s: np.ndarray, n_sites: int) -> Produc
     rho_s_n = kron_all([rho_s] * n_sites)
     h_n = kron_all([h1] * n_sites)
     witness = abs(np.trace((rho_r_n - rho_s_n) @ h_n).real)
-    exact = float(np.sum(np.linalg.svd(rho_r_n - rho_s_n, compute_uv=False)))
+    exact = trace_norm(rho_r_n - rho_s_n)
     return ProductBound(bound=float(bound), witness=float(witness), exact=exact)

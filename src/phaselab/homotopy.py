@@ -26,7 +26,6 @@ PURITY_THRESHOLD = 7.0 / 8.0
 CONTINUATION_MIN_OVERLAP = 0.1
 SAFETY_FLOOR = 1e-10
 BOUNDARY_RADIUS = 1.0 - 1e-9
-DEFAULT_MAX_STEP = 0.02
 BASEPOINT_TOL = 1e-9
 OPERATOR_TOL = 1e-9
 # Columns per batch in the arc-length pre-pass of _interp_rows. Its
@@ -49,10 +48,6 @@ def _check_based(rhos: np.ndarray):
         raise ValueError("loop must be based at the first-basis-vector state")
     if trace_norm(rhos[0] - rhos[-1]) > BASEPOINT_TOL:
         raise ValueError("loop is not closed")
-
-
-def _max_step(rhos: np.ndarray) -> float:
-    return float(trace_norm(rhos[1:] - rhos[:-1]).max())
 
 
 @dataclass
@@ -80,7 +75,7 @@ class StateLoop:
     @cached_property
     def max_step(self) -> float:
         """Largest trace-norm step between consecutive samples."""
-        return _max_step(self.rhos)
+        return float(trace_norm(self.rhos[1:] - self.rhos[:-1]).max())
 
     def as_array(self) -> np.ndarray:
         """The density array itself, not a copy."""
@@ -375,16 +370,17 @@ def _rows_for(target_step: float, movement: float, minimum: int = 8) -> int:
     return max(minimum, int(np.ceil(movement / max(target_step, 1e-12))))
 
 
-class RectifyResult(NamedTuple):
-    sheet: HomotopySheet
-    out_loop: StateLoop
+def _rectify(rhos: np.ndarray, target: float):
+    """The two stages that deform the density stack `rhos` (T, b, b) so that
+    every sample gives weight one to the corner projection P^b_1 (no weight
+    on the last basis vector), and their last row.
 
-
-def _rectify(rhos: np.ndarray, delta: float, max_step: float, target: float):
-    """The stages of rectify_to_projection for the density stack `rhos`,
-    whose largest step is `delta`, and their last row."""
-    if delta > max_step:
-        raise ValueError(f"loop step {delta:.4f} exceeds the supported modulus {max_step}")
+    Eigenvector-transport unitaries come first, with a disk phase lift of
+    t -> omega_t(U_t) so the unitary interpolation stays outside every
+    Gelfand ideal; then the linear interpolations with s lambda_t U_t and
+    with s P^b_1. Every interpolation is certified by its exact safety
+    minimum over s in [0, 1], and its rows step by about `target`.
+    """
     n = rhos.shape[-1]
 
     unitaries = _transport_unitaries(rhos)
@@ -423,26 +419,6 @@ def _rectify(rhos: np.ndarray, delta: float, max_step: float, target: float):
     return stages, _act_rows(proj, s_b[-1:], out_a)[0]
 
 
-def rectify_to_projection(
-    loop: StateLoop, max_step: float = DEFAULT_MAX_STEP, target_row_step: float | None = None
-) -> RectifyResult:
-    """Deform a based loop so that every sample gives weight one to the
-    corner projection P^n_1 (no weight on the last basis vector).
-
-    Three stages: eigenvector-transport unitaries, a disk phase lift of
-    t -> omega_t(U_t) so the unitary interpolation stays outside every
-    Gelfand ideal, then the linear interpolations with s lambda_t U_t and
-    with s P^n_1. Every interpolation is certified by its exact safety
-    minimum over s in [0, 1].
-    """
-    delta = loop.max_step
-    target = target_row_step if target_row_step is not None else 2.5 * max(delta, 1e-3)
-    rhos = loop.as_array()
-    stages, _ = _rectify(rhos, delta, max_step, target)
-    sheet = sheet_from_recipe(rhos, [Level(loop.n, stages)])
-    return RectifyResult(sheet, StateLoop(loop.n, sheet.cells[-1]))
-
-
 def _compress(rhos: np.ndarray, block: int) -> np.ndarray:
     rho = rhos[:, :block, :block]
     rho = rho / np.trace(rho, axis1=-2, axis2=-1).real[:, None, None]
@@ -479,7 +455,7 @@ def sheet_from_recipe(loop: np.ndarray, levels: list) -> HomotopySheet:
     return HomotopySheet(n, cells, levels)
 
 
-def contract_loop(loop: StateLoop, max_step: float = DEFAULT_MAX_STEP) -> HomotopySheet:
+def contract_loop(loop: StateLoop) -> HomotopySheet:
     """Contract a based loop to the constant loop at the basepoint.
 
     Iterates rectification on the corner-block algebras: after level k the
@@ -490,19 +466,15 @@ def contract_loop(loop: StateLoop, max_step: float = DEFAULT_MAX_STEP) -> Homoto
     then expanded from the whole recipe once.
     """
     n = loop.n
-    delta = loop.max_step
-    target = 2.5 * max(delta, 1e-3)
+    target = 2.5 * max(loop.max_step, 1e-3)
     current = loop.as_array()
     levels = []
     for k in range(1, n):
         block = n - k + 1  # current block algebra size
-        block_rhos, block_step = _level_input(current, block), delta
+        block_rhos = _level_input(current, block)
         if block < n:
             _check_based(block_rhos)
-            block_step = _max_step(block_rhos)
-        stages, out = _rectify(
-            block_rhos, block_step, max(max_step, block_step * (1 + 1e-12)), target
-        )
+        stages, out = _rectify(block_rhos, target)
         levels.append(Level(block, stages))
         current = np.zeros_like(current)
         current[:, :block, :block] = out

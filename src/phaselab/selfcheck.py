@@ -65,23 +65,29 @@ def metric_suite(rng, n_pairs: int = 2000) -> SuiteResult:
 
 
 def partial_trace_suite(rng, n_matrices: int = 200) -> SuiteResult:
+    """The defining property of the partial traces S of random matrices T on
+    three splits: tr(S A) = tr(T (A (x) 1)) for every A of a Hermitian basis
+    of the kept left factor, symmetrically on the right, and tr S = tr T.
+    Each split's basis and its lift to the whole space are stacked once, and
+    all its matrices meet the whole stack in one contraction per side."""
     worst = 0.0
     for dl, dr in ((2, 2), (2, 4), (4, 2)):
-        basis_l = linalg.hermitian_basis(dl)
-        basis_r = linalg.hermitian_basis(dr)
-        for _ in range(n_matrices):
-            t = rng.normal(size=(dl * dr, dl * dr)) + 1j * rng.normal(size=(dl * dr, dl * dr))
-            left = linalg.partial_trace(t, dl, dr, keep="left")
-            right = linalg.partial_trace(t, dl, dr, keep="right")
-            for a in basis_l:
-                lhs = np.trace(left @ a)
-                rhs = np.trace(t @ linalg.kron(a, linalg.eye(dr)))
-                worst = max(worst, abs(lhs - rhs))
-            for b in basis_r:
-                lhs = np.trace(right @ b)
-                rhs = np.trace(t @ linalg.kron(linalg.eye(dl), b))
-                worst = max(worst, abs(lhs - rhs))
-            worst = max(worst, abs(np.trace(left) - np.trace(t)))
+        d = dl * dr
+        ts = np.array([
+            rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)) for _ in range(n_matrices)
+        ])
+        basis_l = np.array(linalg.hermitian_basis(dl))
+        basis_r = np.array(linalg.hermitian_basis(dr))
+        for keep, basis, lifted in (
+            ("left", basis_l, np.array([linalg.kron(a, linalg.eye(dr)) for a in basis_l])),
+            ("right", basis_r, np.array([linalg.kron(linalg.eye(dl), b) for b in basis_r])),
+        ):
+            reduced = np.array([linalg.partial_trace(t, dl, dr, keep=keep) for t in ts])
+            # tr(X A) = sum_ij X_ij A_ji, against every basis element at once
+            lhs = np.einsum("mij,kji->mk", reduced, basis)
+            rhs = np.einsum("mij,kji->mk", ts, lifted)
+            traces = np.trace(reduced, axis1=1, axis2=2) - np.trace(ts, axis1=1, axis2=2)
+            worst = max(worst, float(np.abs(lhs - rhs).max()), float(np.abs(traces).max()))
     gate = 1e-11 * tol_scale()
     return SuiteResult("partial-trace", bool(worst <= gate), float(worst), gate, {})
 
@@ -256,15 +262,7 @@ SUITES = {
 }
 
 
-def run_selfcheck(seed: int, inject_fault: str | None = None) -> list[SuiteResult]:
-    if inject_fault is not None and inject_fault not in SUITES:
-        raise ValueError(f"unknown suite {inject_fault!r}; options: {sorted(SUITES)}")
-    results = []
-    for idx, (name, suite) in enumerate(SUITES.items()):
-        rng = np.random.default_rng([seed, idx])
-        res = suite(rng)
-        if inject_fault == name:
-            res.passed = False
-            res.details["injected_fault"] = True
-        results.append(res)
-    return results
+def run_selfcheck(seed: int) -> list[SuiteResult]:
+    """Every suite of SUITES in order, suite idx drawing from the rng seeded
+    with [seed, idx]."""
+    return [suite(np.random.default_rng([seed, idx])) for idx, suite in enumerate(SUITES.values())]

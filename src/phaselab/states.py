@@ -1,7 +1,7 @@
 """States on matrix algebras.
 
-Density matrices and their batched validation, the A.omega action (also
-over stacks), and the GNS construction with explicit Gelfand ideals.
+Density matrices and their batched validation, the A.omega action over
+stacks, and the GNS construction with explicit Gelfand ideals.
 Distances between states are `linalg.trace_norm` of the density
 difference.
 """
@@ -101,33 +101,20 @@ def validate_densities(rho: np.ndarray) -> np.ndarray:
     return rho
 
 
-def _action(a: np.ndarray, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A rho A* / tr(A rho A*), symmetrized, over broadcast stacks of
-    shape (..., n, n), with the mask of samples whose normalizer puts A in
-    the Gelfand ideal (their densities are meaningless)."""
+def act_batch(a: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """The action (A . omega)(B) = omega(A* B A) / omega(A* A), realized on
+    densities as A rho A* / tr(A rho A*), symmetrized (pure in, pure out),
+    over broadcast stacks of elements and densities (..., n, n). Returns the
+    validated density stack; raises GelfandIdealError for the first sample
+    in C order whose normalizer puts A in the Gelfand ideal of its state,
+    after validating the samples before it."""
     a = np.asarray(a, dtype=np.complex128)
     out = a @ rho @ a.conj().swapaxes(-1, -2)
     nrm = np.trace(out, axis1=-2, axis2=-1).real
     with np.errstate(divide="ignore", invalid="ignore"):
         out = out / nrm[..., None, None]
-    return (out + out.conj().swapaxes(-1, -2)) / 2, nrm <= IDEAL_NORMALIZER_TOL
-
-
-def act(a: np.ndarray, s: DensityState) -> DensityState:
-    """The action (A . omega)(B) = omega(A* B A) / omega(A* A), realized on
-    densities as A rho A* / tr(A rho A*). Pure in, pure out."""
-    out, ideal = _action(a, s.rho)
-    if ideal:
-        raise GelfandIdealError("element lies in the Gelfand ideal of the state")
-    return DensityState(out)
-
-
-def act_batch(a: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """`act` over broadcast stacks of elements and densities (..., n, n),
-    returning the validated density stack. Raises the error `act` would
-    raise for the first failing sample in C order."""
-    out, ideal = _action(a, rho)
-    ideal = ideal.ravel()
+    out = (out + out.conj().swapaxes(-1, -2)) / 2
+    ideal = (nrm <= IDEAL_NORMALIZER_TOL).ravel()
     stop = int(np.argmax(ideal)) if ideal.any() else ideal.size
     validate_densities(out.reshape(-1, *out.shape[-2:])[:stop])
     if stop < ideal.size:

@@ -89,9 +89,6 @@ class SupernaturalNumber:
         return "*".join(parts)
 
 
-ONE = SupernaturalNumber({})
-
-
 def from_int(n: int) -> SupernaturalNumber:
     return SupernaturalNumber(factorize(n))
 

@@ -71,6 +71,36 @@ def test_cochain_orientation_is_conjugate():
         assert abs(c.value(1, 0, p) - np.conj(v)) < 1e-15
 
 
+def test_u1_cochain_rejects_non_finite_values():
+    cover = three_chart_cover()
+    vals = {key: np.ones(3, dtype=complex) for key in cover.overlaps}
+    vals[(1, 2)] = np.full(3, np.nan, dtype=complex)  # would read as a passing cocycle
+    with pytest.raises(ValueError, match=r"non-finite value on overlap \(1, 2\)"):
+        U1Cochain1(cover, vals)
+
+
+def test_pu_cochain_rejects_non_finite_values():
+    cover = SampledCover([0, 1], {(0, 1): PTS})
+    mats = [np.eye(2, dtype=complex) for _ in PTS]
+    mats[1] = np.full((2, 2), np.nan, dtype=complex)
+    with pytest.raises(ValueError, match="non-finite value on overlap"):
+        PUCochain1(cover, {(0, 1): mats})
+
+
+def test_u1_cochain_rejects_an_overlap_given_twice():
+    cover = SampledCover([0, 1], {(0, 1): PTS})
+    vals = np.exp(1j * np.array([0.3, 1.1, -0.4]))
+    with pytest.raises(ValueError, match="given twice"):
+        U1Cochain1(cover, {(0, 1): vals, (1, 0): vals.conj()})
+
+
+def test_pu_cochain_rejects_an_overlap_given_twice():
+    cover = SampledCover([0, 1], {(0, 1): PTS})
+    mats = [np.eye(2, dtype=complex) for _ in PTS]
+    with pytest.raises(ValueError, match="given twice"):
+        PUCochain1(cover, {(0, 1): mats, (1, 0): mats})
+
+
 def test_refine_identity_and_duplicate():
     cover = three_chart_cover()
     funcs = {i: (lambda i: (lambda p: np.exp(1j * (2 * i + 1) * p[1])))(i) for i in (0, 1, 2)}

@@ -10,6 +10,7 @@ import pytest
 from phaselab import serialize
 from phaselab.cli import main
 from phaselab.homotopy import SAFETY_FLOOR, bundled_pure_loop, constant_loop
+from phaselab.util import NumericalGateError
 
 
 def run(capsys, *argv):
@@ -28,10 +29,26 @@ def test_invariant_small_grid(capsys):
     assert "timestamp" not in report
 
 
-def test_invariant_constant_field_debug(capsys):
-    code, report = run(capsys, "invariant", "--grid", "8x16", "--constant-field", "--no-timestamp")
-    assert code == 2
-    assert report["degree"] == 0
+def test_invariant_verdict_fails_on_a_low_interior_overlap(monkeypatch, capsys):
+    from phaselab import dimer
+
+    window = dimer._equator_window
+
+    def low_overlap(theta, phi, n_dimers):
+        win = window(theta, phi, n_dimers)
+        return win._replace(y_overlap=np.full_like(win.y_overlap, 0.95))
+
+    monkeypatch.setattr(dimer, "_equator_window", low_overlap)
+    cfg = dimer.ModelConfig(grid=(8, 16))
+    rec = dimer.invariant_sweep(cfg)
+    assert rec.agreement and rec.y_overlap_min == 0.95 and rec.passed is False
+    with pytest.raises(NumericalGateError, match="y_overlap gate"):
+        dimer.invariant_degree(cfg)
+    code, report = run(capsys, "invariant", "--grid", "8x16", "--no-timestamp")
+    assert code == 2 and report["pass"] is False and report["agreement"] is True
+    monkeypatch.setenv("PHASELAB_TOL_SCALE", "10")  # the slack 0.01 becomes 0.1
+    assert dimer.invariant_sweep(cfg).passed is True
+    assert dimer.invariant_degree(cfg) == rec.degree
 
 
 def test_invariant_config_file(tmp_path, capsys):
@@ -52,6 +69,7 @@ def test_invariant_config_file(tmp_path, capsys):
         ["invariant", "--epsilon", "0.3"],
         ["nosuchcommand"],
         [],
+        ["invariant", "--constant-field"],
     ],
 )
 def test_usage_errors_exit_as_input_errors(capsys, argv):
@@ -142,6 +160,31 @@ def test_metric_suite_batches_trace_norms_as_single_calls():
     assert result.details["gap_vs_half_trace_norm"] == worst
 
 
+def test_partial_trace_suite_stacks_its_basis(monkeypatch):
+    # the per-element loop draws the same matrices; both worst residuals are
+    # float64 rounding of traces of size ~10, so they agree to 1e-14
+    from phaselab import linalg, selfcheck
+
+    rng = np.random.default_rng(3)
+    worst = 0.0
+    for dl, dr in ((2, 2), (2, 4), (4, 2)):
+        for _ in range(20):
+            t = rng.normal(size=(dl * dr,) * 2) + 1j * rng.normal(size=(dl * dr,) * 2)
+            left = linalg.partial_trace(t, dl, dr, keep="left")
+            right = linalg.partial_trace(t, dl, dr, keep="right")
+            for a in linalg.hermitian_basis(dl):
+                worst = max(worst, abs(np.trace(left @ a) - np.trace(t @ np.kron(a, np.eye(dr)))))
+            for b in linalg.hermitian_basis(dr):
+                worst = max(worst, abs(np.trace(right @ b) - np.trace(t @ np.kron(np.eye(dl), b))))
+    result = selfcheck.partial_trace_suite(np.random.default_rng(3), n_matrices=20)
+    assert result.passed and 0.0 < worst < 1e-13
+    assert abs(result.worst_residual - worst) < 1e-14
+    # a partial trace off by a transpose fails the suite
+    exact = linalg.partial_trace
+    monkeypatch.setattr(linalg, "partial_trace", lambda *args, **kw: exact(*args, **kw).T)
+    assert not selfcheck.partial_trace_suite(np.random.default_rng(3), n_matrices=20).passed
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
 def test_selfcheck_seed_variation(capsys, seed):
     code, report = run(capsys, "selfcheck", "--seed", str(seed), "--no-timestamp")
@@ -149,10 +192,19 @@ def test_selfcheck_seed_variation(capsys, seed):
     assert all(s["passed"] for s in report["suites"])
 
 
-def test_selfcheck_injected_fault(capsys):
-    code, report = run(capsys, "selfcheck", "--seed", "1", "--inject-fault", "gns",
-                       "--no-timestamp")
-    assert code == 2
+def test_selfcheck_injected_fault(monkeypatch, capsys):
+    from phaselab import selfcheck
+
+    gns = selfcheck.SUITES["gns"]
+
+    def failing(rng):
+        res = gns(rng)
+        res.passed = False
+        return res
+
+    monkeypatch.setitem(selfcheck.SUITES, "gns", failing)
+    code, report = run(capsys, "selfcheck", "--seed", "1", "--no-timestamp")
+    assert code == 2 and report["pass"] is False
     by_name = {s["name"]: s["passed"] for s in report["suites"]}
     assert by_name["gns"] is False
     assert by_name["metric-identities"] is True
@@ -164,8 +216,9 @@ def test_selfcheck_unknown_fault(monkeypatch, capsys):
     ran = []
     for name in list(selfcheck.SUITES):
         monkeypatch.setitem(selfcheck.SUITES, name, lambda rng, name=name: ran.append(name))
-    assert main(["selfcheck", "--seed", "1", "--inject-fault", "nope"]) == 3
-    assert ran == []  # the name is rejected before any suite runs
+    # there is no fault-injection flag: it is a usage error, raised before any suite runs
+    assert main(["selfcheck", "--seed", "1", "--inject-fault", "gns"]) == 3
+    assert ran == []
 
 
 def test_contract_loop_roundtrip(tmp_path, capsys):

@@ -19,7 +19,6 @@ from phaselab.homotopy import (
     pencil,
     projection_matrix,
     random_based_loop,
-    rectify_to_projection,
     safety_min,
     sheet_from_recipe,
     verify_homotopy,
@@ -143,32 +142,40 @@ def test_safety_min_is_the_exact_minimum(n, kind, seed, angle, weight):
     assert abs(min_value - value(s_at_min)) < 1e-12
 
 
+def _level_last_rows(sheet: HomotopySheet) -> list:
+    """The last row of each level of a contraction sheet."""
+    rows, row = [], 0
+    for level in sheet.levels:
+        row += sum(stage.s.shape[0] for stage in level.stages)
+        rows.append(sheet.as_array()[row])
+    return rows
+
+
 def test_rectify_constant_loop_is_constant():
-    loop = constant_loop(3, 16)
-    res = rectify_to_projection(loop)
+    sheet = contract_loop(constant_loop(3, 16))
     base = basis_state(3)
-    for row in res.sheet.as_array():
+    for row in sheet.as_array():
         for rho in row:
             assert np.max(np.abs(rho - base.rho)) < 1e-12
 
 
 def test_rectify_pure_loop():
-    loop = bundled_pure_loop(320)
-    res = rectify_to_projection(loop)
+    sheet = contract_loop(bundled_pure_loop(320))
+    (out,) = _level_last_rows(sheet)  # n = 2: one level
     p = projection_matrix(2, 1)
-    for s in map(DensityState, res.out_loop.as_array()):
+    for s in map(DensityState, out):
         assert abs(s.expect(p).real - 1) < 1e-8
     # for n = 2, full weight on P^2_1 pins the state to the basepoint
     base = basis_state(2)
-    for s in map(DensityState, res.out_loop.as_array()):
+    for s in map(DensityState, out):
         assert np.max(np.abs(s.rho - base.rho)) < 1e-8
 
 
 def test_rectify_plateau_loop_kills_last_row():
-    loop = bundled_plateau_loop()
-    res = rectify_to_projection(loop)
+    sheet = contract_loop(bundled_plateau_loop())
+    out = _level_last_rows(sheet)[0]  # the first level acts on all of M_3
     p = projection_matrix(3, 1)
-    for s in map(DensityState, res.out_loop.as_array()):
+    for s in map(DensityState, out):
         assert abs(s.expect(p).real - 1) < 1e-8
         assert s.rho[2, 2].real < 1e-8
 
@@ -178,19 +185,18 @@ def test_rectify_rejects_coarse_loops():
     v1 = np.array([np.cos(0.5), np.sin(0.5)], dtype=complex)
     samples = [state_from_vector(v0), state_from_vector(v1), state_from_vector(v0)]
     loop = StateLoop(2, np.array([s.rho for s in samples]))
-    with pytest.raises(ValueError):
-        rectify_to_projection(loop)
+    with pytest.raises(ValueError, match="path too coarsely sampled for the phase lift"):
+        contract_loop(loop)
 
 
 def test_sheet_boundary_exactness():
-    loop = bundled_pure_loop(320)
-    res = rectify_to_projection(loop)
+    sheet = contract_loop(bundled_pure_loop(320))
     base = basis_state(2)
-    arr = res.sheet.as_array()
+    arr = sheet.as_array()
     for row in arr:
         assert np.max(np.abs(row[0] - base.rho)) < 1e-10
         assert np.max(np.abs(row[-1] - base.rho)) < 1e-10
-    (level,) = res.sheet.levels
+    (level,) = sheet.levels
     assert level.block == 2 and [st.kind for st in level.stages] == ["unitary", "projection"]
     for st in level.stages:
         assert (st.s > 0).all() and (st.s[-1] == 1.0).all()
@@ -552,9 +558,7 @@ def test_loop_from_doc_rejects_garbage():
 
 
 def test_purity_preserved_along_pure_columns():
-    loop = bundled_pure_loop(320)
-    res = rectify_to_projection(loop)
-    arr = res.sheet.as_array()
+    arr = contract_loop(bundled_pure_loop(320)).as_array()
     # every input sample is pure, so every cell above it stays pure
     purities = np.einsum("stij,stji->st", arr, arr).real
     assert purities.min() > 1 - 1e-9
@@ -564,7 +568,7 @@ def test_compression_pushforward_matches_block_action():
     # acting with (1 - P) + embedded block operator on a P-supported state
     # agrees with the block action on block observables
     rng = np.random.default_rng(55)
-    from phaselab.states import DensityState, act
+    from phaselab.states import act_batch
 
     block = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     rho_block = block @ block.conj().T
@@ -575,8 +579,8 @@ def test_compression_pushforward_matches_block_action():
     p = projection_matrix(3, 1)
     pushed = np.eye(3, dtype=complex) - p
     pushed[:2, :2] += a_block
-    out_full = act(pushed, psi)
-    out_block = act(a_block, DensityState(rho[:2, :2] / np.trace(rho[:2, :2]).real))
+    out_full = DensityState(act_batch(pushed, psi.rho))
+    out_block = DensityState(act_batch(a_block, rho[:2, :2] / np.trace(rho[:2, :2]).real))
     for _ in range(10):
         b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         b_emb = np.zeros((3, 3), dtype=complex)

@@ -5,7 +5,6 @@ from phaselab.linalg import eye, operator_norm, trace_norm
 from phaselab.states import (
     DensityState,
     GelfandIdealError,
-    act,
     act_batch,
     basis_state,
     gns,
@@ -75,23 +74,23 @@ def test_state_distance_is_dual_norm():
 def test_act_basics():
     rng = np.random.default_rng(9)
     s = random_state(rng, 3)
-    assert trace_norm(act(eye(3), s).rho - s.rho) < 1e-12
+    assert trace_norm(act_batch(eye(3), s.rho) - s.rho) < 1e-12
     v = rng.normal(size=3) + 1j * rng.normal(size=3)
     pure = state_from_vector(v)
     q = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))[0]
-    assert trace_norm(act(q, pure).rho - state_from_vector(q @ v).rho) < 1e-12
+    assert trace_norm(act_batch(q, pure.rho) - state_from_vector(q @ v).rho) < 1e-12
     # projector onto e0 acting on the maximally mixed state
     p = np.diag([1.0, 0.0]).astype(complex)
-    out = act(p, maximally_mixed(2))
-    assert np.allclose(out.rho, np.diag([1, 0]))
-    out = act(q, pure).rho
+    out = act_batch(p, maximally_mixed(2).rho)
+    assert np.allclose(out, np.diag([1, 0]))
+    out = act_batch(q, pure.rho)
     assert np.trace(out @ out).real >= 1 - 1e-9
 
 
 def test_act_gelfand_ideal_error():
     p1 = np.diag([0.0, 1.0]).astype(complex)
     with pytest.raises(GelfandIdealError):
-        act(p1, basis_state(2, 0))
+        act_batch(p1, basis_state(2, 0).rho)
 
 
 def test_act_composition():
@@ -99,7 +98,7 @@ def test_act_composition():
     s = random_state(rng, 3)
     a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     b = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    assert trace_norm(act(a, act(b, s)).rho - act(a @ b, s).rho) < 1e-10
+    assert trace_norm(act_batch(a, act_batch(b, s.rho)) - act_batch(a @ b, s.rho)) < 1e-10
 
 
 def test_act_invariance_when_expectation_saturates_norm():
@@ -110,7 +109,7 @@ def test_act_invariance_when_expectation_saturates_norm():
     vv = s.rho @ v / np.linalg.norm(s.rho @ v)
     a = np.exp(0.9j) * np.outer(vv, vv.conj()) * 2.5
     assert abs(abs(s.expect(a)) - operator_norm(a)) < 1e-10
-    assert trace_norm(act(a, s).rho - s.rho) < 1e-10
+    assert trace_norm(act_batch(a, s.rho) - s.rho) < 1e-10
 
 
 def test_act_linear_combination_invariance():
@@ -124,12 +123,12 @@ def test_act_linear_combination_invariance():
     u -= np.vdot(v, u) * v  # u v* kills v
     a = np.outer(w, v.conj()) + np.outer(u, u.conj()) @ (eye(3) - np.outer(v, v.conj()))
     b = np.exp(1.1j) * 2.0 * np.outer(w, v.conj())
-    assert trace_norm(act(a, s).rho - act(b, s).rho) < 1e-12
+    assert trace_norm(act_batch(a, s.rho) - act_batch(b, s.rho)) < 1e-12
     for _ in range(5):
         al, be = rng.normal(size=2)
         comb = al * a + be * b
         if np.trace(comb @ s.rho @ comb.conj().T).real > 1e-10:
-            assert trace_norm(act(comb, s).rho - act(a, s).rho) < 1e-10
+            assert trace_norm(act_batch(comb, s.rho) - act_batch(a, s.rho)) < 1e-10
 
 
 def test_gns_pure_state():
@@ -233,15 +232,17 @@ def test_validate_densities_rejects_non_finite_entries():
         validate_densities(cells[1:])
 
 
-def test_act_batch_matches_act():
+def test_act_batch_matches_single_calls():
     rng = np.random.default_rng(9)
     states = [random_state(rng, 3, rank=2) for _ in range(5)]
     ops = rng.normal(size=(2, 5, 3, 3)) + 1j * rng.normal(size=(2, 5, 3, 3))
     out = act_batch(ops, np.array([s.rho for s in states]))
     for j in range(2):
         for t, s in enumerate(states):
-            assert np.array_equal(out[j, t], act(ops[j, t], s).rho)
-    # the projector onto e1 annihilates the basepoint: the batch raises act's error
+            assert np.array_equal(out[j, t], act_batch(ops[j, t], s.rho))
+            direct = ops[j, t] @ s.rho @ ops[j, t].conj().T
+            assert np.max(np.abs(out[j, t] - direct / np.trace(direct).real)) < 1e-12
+    # the projector onto e1 annihilates the basepoint: the batch raises for it
     p1 = np.diag([0.0, 1.0]).astype(complex)
     with pytest.raises(GelfandIdealError):
         act_batch(np.array([np.eye(2), p1]), basis_state(2).rho)
