@@ -28,13 +28,10 @@ def _pair_key(i, j):
     return (i, j) if i <= j else (j, i)
 
 
-def _check_entry(vals: dict, key, *arrays: np.ndarray):
-    """A cochain's values on overlap `key` may be given once, in either
-    orientation, and must be finite: NaN slips past every later comparison."""
-    if key in vals:
-        raise ValueError(f"overlap {key} given twice")
-    if not all(np.isfinite(a).all() for a in arrays):
-        raise ValueError(f"non-finite value on overlap {key}")
+def _point(p):
+    """Sample points are compared as tuples, so rows of arrays and lists
+    name the same point."""
+    return tuple(p) if isinstance(p, (list, tuple, np.ndarray)) else p
 
 
 @dataclass
@@ -42,12 +39,15 @@ class SampledCover:
     """Indexed cover with sampled pairwise and triple overlap points.
 
     Overlap samples are stored once per unordered pair, in a fixed order
-    that cochain values are aligned with.
+    that cochain values are aligned with. `triple_positions[(i, j, k)]`
+    holds, for the triple's points in order, their positions in the
+    overlaps (i, j), (j, k) and (i, k).
     """
 
     chart_ids: list
     overlaps: dict = field(default_factory=dict)  # (i,j) with i<j -> [points]
     triples: dict = field(default_factory=dict)  # (i,j,k) with i<j<k -> [points]
+    triple_positions: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         charts = set(self.chart_ids)
@@ -56,107 +56,118 @@ class SampledCover:
             if i == j or i not in charts or j not in charts:
                 raise ValueError(f"bad overlap pair ({i},{j})")
             key = _pair_key(i, j)
-            pts = [tuple(p) if isinstance(p, (list, tuple, np.ndarray)) else p for p in pts]
+            pts = [_point(p) for p in pts]
             if key in clean and clean[key] != pts:
                 raise ValueError(f"inconsistent samples for overlap {key}")
             clean[key] = pts
         self.overlaps = clean
-        tclean = {}
-        for trip, pts in self.triples.items():
+        # the first position of each point on each overlap
+        self._where = {
+            key: {p: k for k, p in reversed(list(enumerate(pts)))} for key, pts in clean.items()
+        }
+        given, self.triples, self.triple_positions = self.triples, {}, {}
+        for trip, pts in given.items():
             i, j, k = sorted(trip)
             if len({i, j, k}) != 3 or not {i, j, k} <= charts:
                 raise ValueError(f"bad triple {trip}")
-            pts = [tuple(p) if isinstance(p, (list, tuple, np.ndarray)) else p for p in pts]
+            pts = [_point(p) for p in pts]
+            pos = {}
             for a, b in ((i, j), (i, k), (j, k)):
-                pair_pts = self.overlaps.get((a, b), [])
-                for p in pts:
-                    if p not in pair_pts:
-                        raise ValueError(
-                            f"triple point {p} of {trip} missing from overlap ({a},{b})"
-                        )
-            tclean[(i, j, k)] = pts
-        self.triples = tclean
+                where = self._where.get((a, b), {})
+                try:
+                    pos[(a, b)] = np.array([where[p] for p in pts], dtype=np.intp)
+                except KeyError as exc:
+                    raise ValueError(
+                        f"triple point {exc.args[0]} of {trip} missing from overlap ({a},{b})"
+                    ) from None
+            self.triples[(i, j, k)] = pts
+            self.triple_positions[(i, j, k)] = (pos[(i, j)], pos[(j, k)], pos[(i, k)])
 
     def overlap_points(self, i, j) -> list:
         return self.overlaps.get(_pair_key(i, j), [])
 
     def pair_index(self, i, j, point) -> int:
-        pts = self.overlap_points(i, j)
         try:
-            return pts.index(point)
-        except ValueError:
-            raise KeyError(f"point {point} not sampled on overlap ({i},{j})") from None
+            return self._where[_pair_key(i, j)][_point(point)]
+        except KeyError:
+            raise ValueError(f"point {point} not sampled on overlap ({i},{j})") from None
 
 
 @dataclass
-class U1Cochain1:
-    """U(1)-valued 1-cochain: one unit scalar per overlap sample point.
-
-    Values are stored for the canonical (i<j) orientation; the reverse
-    orientation is the complex conjugate.
-    """
+class _Cochain1:
+    """A 1-cochain: one value per overlap sample point, stored as one array
+    per overlap in the canonical (i<j) orientation; the reverse orientation
+    is the adjoint. Subclasses fix the value shape, the adjoint and the
+    value check."""
 
     cover: SampledCover
-    values: dict  # (i,j) with i<j -> complex ndarray aligned with overlap points
+    values: dict  # (i,j) with i<j -> (P, *value shape) complex array
+
+    value_ndim = 1
+    noun = "values"
 
     def __post_init__(self):
         vals = {}
         for (i, j), arr in self.values.items():
             key = _pair_key(i, j)
+            if key in vals:
+                raise ValueError(f"overlap {key} given twice")
             arr = np.asarray(arr, dtype=np.complex128)
-            _check_entry(vals, key, arr)
+            # NaN slips past every later comparison
+            if not np.isfinite(arr).all():
+                raise ValueError(f"non-finite value on overlap {key}")
             if key != (i, j):
-                arr = arr.conj()
-            pts = self.cover.overlap_points(*key)
-            if arr.shape != (len(pts),):
+                arr = self._adjoint(arr)
+            if arr.ndim != self.value_ndim or len(arr) != len(self.cover.overlap_points(*key)):
                 raise ValueError(f"value count mismatch on overlap {key}")
-            if np.max(np.abs(np.abs(arr) - 1.0), initial=0.0) > UNIT_MODULUS_TOL:
-                raise ValueError(f"non-unimodular value on overlap {key}")
+            self._check_values(key, arr)
             vals[key] = arr
         self.values = vals
 
-    def value(self, i, j, point) -> complex:
-        if i == j:
-            return 1.0 + 0.0j
+    def _on(self, i, j) -> np.ndarray:
+        """The value array of overlap (i, j) in its canonical orientation."""
         key = _pair_key(i, j)
         if key not in self.values:
-            raise ValueError(f"no cochain values on overlap {key}")
-        idx = self.cover.pair_index(i, j, point)
-        v = self.values[key][idx]
-        return complex(v if key == (i, j) else np.conj(v))
-
-
-@dataclass
-class PUCochain1:
-    """Unitary-valued 1-cochain of chosen lifts, compared modulo phase."""
-
-    cover: SampledCover
-    values: dict  # (i,j) with i<j -> list of unitary matrices
-
-    def __post_init__(self):
-        vals = {}
-        for (i, j), mats in self.values.items():
-            key = _pair_key(i, j)
-            mats = [np.asarray(m, dtype=np.complex128) for m in mats]
-            _check_entry(vals, key, *mats)
-            if key != (i, j):
-                mats = [m.conj().T for m in mats]
-            pts = self.cover.overlap_points(*key)
-            if len(mats) != len(pts):
-                raise ValueError(f"value count mismatch on overlap {key}")
-            for m in mats:
-                if operator_norm(m @ m.conj().T - eye(m.shape[0])) > 1e-9:
-                    raise ValueError(f"non-unitary lift on overlap {key}")
-            vals[key] = mats
-        self.values = vals
+            raise ValueError(f"no cochain {self.noun} on overlap {key}")
+        return self.values[key]
 
     def value(self, i, j, point):
-        key = _pair_key(i, j)
-        if key not in self.values:
-            raise ValueError(f"no cochain lifts on overlap {key}")
-        idx = self.cover.pair_index(i, j, point)
-        m = self.values[key][idx]
-        return m if key == (i, j) else m.conj().T
+        v = self._on(i, j)[self.cover.pair_index(i, j, point)]
+        return v if _pair_key(i, j) == (i, j) else self._adjoint(v)
+
+
+class U1Cochain1(_Cochain1):
+    """U(1)-valued 1-cochain: one unit scalar per overlap sample point."""
+
+    @staticmethod
+    def _adjoint(arr):
+        return arr.conj()
+
+    @staticmethod
+    def _check_values(key, arr):
+        if np.max(np.abs(np.abs(arr) - 1.0), initial=0.0) > UNIT_MODULUS_TOL:
+            raise ValueError(f"non-unimodular value on overlap {key}")
+
+    def value(self, i, j, point) -> complex:
+        return 1.0 + 0.0j if i == j else complex(super().value(i, j, point))
+
+
+class PUCochain1(_Cochain1):
+    """Unitary-valued 1-cochain of chosen lifts, compared modulo phase; one
+    (P, d, d) stack per overlap."""
+
+    value_ndim = 3
+    noun = "lifts"
+
+    @staticmethod
+    def _adjoint(arr):
+        return arr.conj().swapaxes(-1, -2)
+
+    @staticmethod
+    def _check_values(key, arr):
+        defect = operator_norm(arr @ arr.conj().swapaxes(-1, -2) - eye(arr.shape[-2]))
+        if np.max(defect, initial=0.0) > 1e-9:
+            raise ValueError(f"non-unitary lift on overlap {key}")
 
 
 @dataclass
@@ -168,18 +179,28 @@ class CocycleReport:
     witness: tuple | None  # ((i,j,k), point) of the worst violation
 
 
+def _triple_positions(c: _Cochain1, cover: SampledCover) -> dict:
+    """The triple positions of `cover`; they index c's values only when both
+    covers sample the same overlap points in the same order."""
+    if cover is not c.cover and cover.overlaps != c.cover.overlaps:
+        raise ValueError("cochain values are aligned with the samples of a different cover")
+    return cover.triple_positions
+
+
 def check_cocycle_u1(c: U1Cochain1, cover: SampledCover, tol: float = COCYCLE_TOL) -> CocycleReport:
-    """Verify g_ij g_jk = g_ik at every sampled triple point."""
+    """Verify g_ij g_jk = g_ik at every sampled triple point. A non-finite
+    violation counts as infinite: it fails, and is the witness."""
     worst = 0.0
     witness = None
     n_checked = 0
-    for (i, j, k), pts in cover.triples.items():
-        for p in pts:
-            n_checked += 1
-            viol = abs(c.value(i, j, p) * c.value(j, k, p) - c.value(i, k, p))
-            if viol > worst:
-                worst = viol
-                witness = ((i, j, k), p)
+    for (i, j, k), (pij, pjk, pik) in _triple_positions(c, cover).items():
+        viol = np.abs(c._on(i, j)[pij] * c._on(j, k)[pjk] - c._on(i, k)[pik])
+        viol[~np.isfinite(viol)] = np.inf
+        n_checked += len(viol)
+        if np.max(viol, initial=0.0) > worst:
+            first = int(np.argmax(viol))
+            worst = float(viol[first])
+            witness = ((i, j, k), cover.triples[(i, j, k)][first])
     return CocycleReport(
         passed=worst <= tol,
         max_violation=worst,
@@ -192,11 +213,10 @@ def check_cocycle_u1(c: U1Cochain1, cover: SampledCover, tol: float = COCYCLE_TO
 def coboundary_u1(cover: SampledCover, chart_funcs: dict) -> U1Cochain1:
     """The coboundary g_ij = lambda_i / lambda_j of chart functions
     (callables point -> unit scalar)."""
-    values = {}
-    for (i, j), pts in cover.overlaps.items():
-        values[(i, j)] = np.array(
-            [chart_funcs[i](p) * np.conj(chart_funcs[j](p)) for p in pts], dtype=np.complex128
-        )
+    values = {
+        (i, j): np.array([chart_funcs[i](p) * np.conj(chart_funcs[j](p)) for p in pts])
+        for (i, j), pts in cover.overlaps.items()
+    }
     return U1Cochain1(cover, values)
 
 
@@ -204,19 +224,17 @@ def refine(c: U1Cochain1, r: dict, new_cover: SampledCover) -> U1Cochain1:
     """Pullback of a U(1) cochain along a refinement r: new chart -> old chart.
 
     New overlap samples must be sampled in the corresponding old overlaps
-    (caller-asserted; lookup is by exact point identity). Pairs of new
-    charts refining the same old chart pull back to the identity.
+    (looked up by exact point equality; an unsampled point is a
+    ValueError). Pairs of new charts refining the same old chart pull back
+    to the identity.
     """
     for i in new_cover.chart_ids:
         if i not in r:
             raise ValueError(f"refinement map misses chart {i}")
-    values = {}
-    for (i, j), pts in new_cover.overlaps.items():
-        ri, rj = r[i], r[j]
-        if ri == rj:
-            values[(i, j)] = np.ones(len(pts), dtype=np.complex128)
-        else:
-            values[(i, j)] = np.array([c.value(ri, rj, p) for p in pts], dtype=np.complex128)
+    values = {
+        (i, j): np.array([c.value(r[i], r[j], p) for p in pts], dtype=np.complex128)
+        for (i, j), pts in new_cover.overlaps.items()
+    }
     return U1Cochain1(new_cover, values)
 
 
@@ -235,6 +253,8 @@ def winding_number(phases: np.ndarray) -> WindingResult:
     z = np.asarray(phases, dtype=np.complex128).ravel()
     if z.shape[0] < 2:
         raise ValueError("need at least two samples")
+    if not np.isfinite(z).all():
+        raise ValueError("winding_number expects finite values")
     if np.max(np.abs(np.abs(z) - 1.0)) > 1e-9:
         raise ValueError("winding_number expects unit scalars")
     ratios = np.roll(z, -1) / z
@@ -273,23 +293,20 @@ def delta1_lift(c: PUCochain1, cover: SampledCover, tol: float = SCALAR_TOL) -> 
     """
     phases = {}
     worst = 0.0
-    for (i, j, k), pts in cover.triples.items():
-        out = np.zeros(len(pts), dtype=np.complex128)
-        for idx, p in enumerate(pts):
-            prod = (
-                c.value(i, k, p).conj().T @ c.value(i, j, p) @ c.value(j, k, p)
+    for (i, j, k), (pij, pjk, pik) in _triple_positions(c, cover).items():
+        prod = c._adjoint(c._on(i, k)[pik]) @ c._on(i, j)[pij] @ c._on(j, k)[pjk]
+        n = prod.shape[-1]
+        lam = np.trace(prod, axis1=-2, axis2=-1) / n
+        defect = operator_norm(prod - lam[:, None, None] * eye(n))
+        worst = max(worst, float(np.max(defect, initial=0.0)))
+        failing = ~(defect <= tol)
+        if failing.any():
+            first = int(np.argmax(failing))
+            raise ValueError(
+                f"triple product at {(i, j, k)}, point {cover.triples[(i, j, k)][first]} "
+                f"is not scalar (defect {defect[first]:.3e}); lifts do not project to a cocycle"
             )
-            n = prod.shape[0]
-            lam = np.trace(prod) / n
-            defect = operator_norm(prod - lam * eye(n))
-            worst = max(worst, defect)
-            if defect > tol:
-                raise ValueError(
-                    f"triple product at {(i, j, k)}, point {p} is not scalar "
-                    f"(defect {defect:.3e}); lifts do not project to a cocycle"
-                )
-            out[idx] = lam / abs(lam)
-        phases[(i, j, k)] = out
+        phases[(i, j, k)] = lam / np.abs(lam)
     return Delta1Result(phases=phases, max_scalar_defect=worst, vacuous=(len(phases) == 0))
 
 
@@ -325,6 +342,8 @@ def plaquette_degree(field: np.ndarray, flux_bound: float = FLUX_MARGIN) -> Plaq
     field = np.asarray(field, dtype=np.complex128)
     if field.ndim != 3 or field.shape[0] < 2 or field.shape[1] < 3:
         raise ValueError("field must be (K >= 2, M >= 3, d)")
+    if not np.isfinite(field).all():
+        raise ValueError("field entries must be finite")
     nrm = np.linalg.norm(field, axis=2)
     if np.max(np.abs(nrm - 1.0)) > 1e-9:
         raise ValueError("field entries must be unit vectors")

@@ -149,26 +149,20 @@ def trace_norm(m: np.ndarray):
     return float(norms) if m.ndim == 2 else norms
 
 
-def operator_norm(m: np.ndarray) -> float:
-    return float(np.linalg.norm(np.asarray(m, dtype=np.complex128), ord=2))
+def operator_norm(m: np.ndarray) -> float | np.ndarray:
+    """Largest singular value of a matrix, or of each matrix of a stack (..., n, n)."""
+    out = np.linalg.norm(np.asarray(m, dtype=np.complex128), ord=2, axis=(-2, -1))
+    return float(out) if out.ndim == 0 else out
 
 
 def hermitian_basis(n: int) -> list[np.ndarray]:
-    """An orthogonal Hermitian basis of M_n: diagonal units plus symmetric
-    and antisymmetric off-diagonal combinations."""
-    basis = []
-    for i in range(n):
-        e = np.zeros((n, n), dtype=np.complex128)
-        e[i, i] = 1.0
-        basis.append(e)
-    for i in range(n):
-        for j in range(i + 1, n):
-            e = np.zeros((n, n), dtype=np.complex128)
-            e[i, j] = 1.0
-            e[j, i] = 1.0
-            basis.append(e)
-            f = np.zeros((n, n), dtype=np.complex128)
-            f[i, j] = -1j
-            f[j, i] = 1j
-            basis.append(f)
-    return basis
+    """An orthogonal Hermitian basis of M_n: diagonal units, then for each
+    pair i < j in row-major order the symmetric and antisymmetric
+    off-diagonal combinations."""
+    i, j = np.triu_indices(n, 1)
+    sym = n + 2 * np.arange(len(i))
+    basis = np.zeros((n * n, n, n), dtype=np.complex128)
+    basis[np.arange(n), np.arange(n), np.arange(n)] = 1.0
+    basis[sym, i, j] = basis[sym, j, i] = 1.0
+    basis[sym + 1, i, j], basis[sym + 1, j, i] = -1j, 1j
+    return list(basis)

@@ -135,8 +135,7 @@ class GnsResult:
     rep: Callable[[np.ndarray], np.ndarray]
     cyclic: np.ndarray
     ideal_basis: list[np.ndarray]
-    basis_coords: np.ndarray = field(repr=False)  # n^2 x dim, quotient coordinates
-    gram: np.ndarray = field(repr=False)
+    basis_coords: np.ndarray = field(repr=False)  # n x r block C, see gns
 
     @property
     def ideal_rank(self) -> int:
@@ -146,50 +145,45 @@ class GnsResult:
 def gns(omega: DensityState) -> GnsResult:
     """GNS construction over the matrix-unit basis of M_n.
 
-    The Gram form (A, B) -> omega(A† B) over matrix units is
-    kron(1, rho^T); its null space is the Gelfand ideal, and the quotient
-    basis is obtained by Gram-Schmidt in the omega-inner-product over the
-    matrix units in row-major order (deterministic).
+    The Gram form (A, B) -> omega(A† B) over row-major matrix units is
+    kron(1, rho^T): units in different rows are orthogonal, and each row
+    carries the n x n block rho^T. Gram-Schmidt over e_0..e_{n-1} in the
+    rho^T inner product gives the block C (n x r, deterministic), so the
+    quotient basis is kron(1, C), the GNS space has dimension n r, and
+    pi(A) = A (x) C† rho^T C. The Gelfand ideal is spanned by the matrices
+    with one row equal to a null vector of rho^T.
     """
     n = omega.dim
-    rho = omega.rho
-    gram = np.kron(eye(n), rho.T)
+    rho_t = omega.rho.T
 
-    evals, vecs = np.linalg.eigh((gram + gram.conj().T) / 2)
+    evals, vecs = np.linalg.eigh((rho_t + rho_t.conj().T) / 2)
     cut = GRAM_RANK_CUT * max(evals.max(), 1e-300)
-    rank = int(np.sum(evals > cut))
 
-    # deterministic quotient basis: modified Gram-Schmidt over matrix units
+    # deterministic quotient basis of one row: modified Gram-Schmidt over e_0..e_{n-1}
     basis: list[np.ndarray] = []
-    for a in range(n * n):
-        v = np.zeros(n * n, dtype=np.complex128)
-        v[a] = 1.0
+    for v in eye(n):
         for b in basis:
-            v = v - (b.conj() @ (gram @ v)) * b
-        nrm2 = (v.conj() @ (gram @ v)).real
+            v = v - (b.conj() @ (rho_t @ v)) * b
+        nrm2 = (v.conj() @ (rho_t @ v)).real
         if nrm2 > cut:
             basis.append(v / np.sqrt(nrm2))
-    if len(basis) != rank:
+    if len(basis) != int(np.sum(evals > cut)):
         raise RuntimeError("Gram-Schmidt rank disagrees with spectral rank")
-    coords = np.column_stack(basis) if basis else np.zeros((n * n, 0), dtype=np.complex128)
-
-    # Gelfand ideal: null-space eigenvectors of the Gram form, as matrices
-    null_coords = vecs[:, evals <= cut]
-    ideal_basis = [null_coords[:, k].reshape(n, n) for k in range(null_coords.shape[1])]
+    c = np.column_stack(basis)  # a trace-one state has rank >= 1
+    c_rho = c.conj().T @ rho_t
+    block = c_rho @ c
+    ideal_basis = [np.outer(e, null) for e in eye(n) for null in vecs[:, evals <= cut].T]
 
     def rep(a: np.ndarray) -> np.ndarray:
         a = np.asarray(a, dtype=np.complex128)
         if a.shape != (n, n):
             raise ValueError(f"rep expects an element of M_{n}")
-        left_mult = np.kron(a, eye(n))  # row-major vec: vec(AX) = (A (x) 1) vec(X)
-        return coords.conj().T @ gram @ left_mult @ coords
+        return np.kron(a, block)
 
-    cyclic = coords.conj().T @ gram @ eye(n).reshape(-1)
     return GnsResult(
-        dim=rank,
+        dim=n * len(basis),
         rep=rep,
-        cyclic=cyclic,
+        cyclic=c_rho.T.reshape(-1),
         ideal_basis=ideal_basis,
-        basis_coords=coords,
-        gram=gram,
+        basis_coords=c,
     )

@@ -63,6 +63,80 @@ def test_corruption_is_located():
     assert rep.witness == ((0, 1, 2), PTS[2])
 
 
+def test_cocycle_checker_fails_on_non_finite_values():
+    cover = three_chart_cover()
+    funcs = {i: (lambda i: (lambda p: np.exp(1j * (i + 1) * p[0])))(i) for i in (0, 1, 2)}
+    cob = coboundary_u1(cover, funcs)
+    cob.values[(1, 2)][:] = np.nan  # stored arrays stay writable after the constructor's check
+    rep = check_cocycle_u1(cob, cover)
+    assert not rep.passed and rep.max_violation == np.inf
+    assert rep.witness == ((0, 1, 2), PTS[0])
+
+
+def random_four_chart_cover(rng):
+    """Charts 0..3 with every overlap sampled on a shuffled copy of one
+    point set, and every triple sampled on a random subset of it."""
+    points = [tuple(p) for p in rng.uniform(-1, 1, size=(6, 2))]
+    overlaps = {
+        (i, j): [points[k] for k in rng.permutation(6)] for i in range(4) for j in range(i + 1, 4)
+    }
+    triples = {
+        trip: [points[k] for k in rng.choice(6, size=4, replace=False)]
+        for trip in ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))
+    }
+    return SampledCover([0, 1, 2, 3], overlaps, triples)
+
+
+def test_cocycle_check_and_delta1_match_per_point_loops():
+    rng = np.random.default_rng(71)
+    cover = random_four_chart_cover(rng)
+    # a U(1) cochain with random values: a failing check whose worst point is located
+    phases = {key: rng.uniform(0, 0.01, len(pts)) for key, pts in cover.overlaps.items()}
+    u1 = U1Cochain1(cover, {key: np.exp(1j * t) for key, t in phases.items()})
+    worst, witness, n_checked = 0.0, None, 0
+    for (i, j, k), pts in cover.triples.items():
+        for p in pts:
+            n_checked += 1
+            viol = abs(u1.value(i, j, p) * u1.value(j, k, p) - u1.value(i, k, p))
+            if viol > worst:
+                worst, witness = viol, ((i, j, k), p)
+    rep = check_cocycle_u1(u1, cover, tol=1e-6)
+    assert not rep.passed and rep.n_checked == n_checked == 16
+    assert rep.witness == witness
+    assert abs(rep.max_violation - worst) < 1e-15
+
+    # unitary lifts u_i u_j† times random phases: delta1 is the phase combination
+    dim = 3
+    us = {
+        p: np.linalg.qr(rng.normal(size=(4, dim, dim)) + 1j * rng.normal(size=(4, dim, dim)))[0]
+        for p in cover.overlaps[(0, 1)]
+    }
+    lifts = {
+        (i, j): [np.exp(1j * rng.uniform(0, 2 * np.pi)) * us[p][i] @ us[p][j].conj().T for p in pts]
+        for (i, j), pts in cover.overlaps.items()
+    }
+    pu = PUCochain1(cover, lifts)
+    res = delta1_lift(pu, cover)
+    assert sorted(res.phases) == sorted(cover.triples)
+    for (i, j, k), pts in cover.triples.items():
+        for idx, p in enumerate(pts):
+            prod = pu.value(i, k, p).conj().T @ pu.value(i, j, p) @ pu.value(j, k, p)
+            lam = np.trace(prod) / dim
+            assert abs(res.phases[(i, j, k)][idx] - lam / abs(lam)) < 1e-13
+
+
+def test_unsampled_point_is_an_input_error():
+    cover = three_chart_cover()
+    assert cover.pair_index(1, 0, PTS[2]) == 2
+    with pytest.raises(ValueError, match="not sampled on overlap"):
+        cover.pair_index(0, 1, (9.0, 9.0))
+    funcs = {i: (lambda p: 1.0 + 0.0j) for i in (0, 1, 2)}
+    cob = coboundary_u1(cover, funcs)
+    other = SampledCover(["u", "v"], {("u", "v"): [(9.0, 9.0)]})
+    with pytest.raises(ValueError, match="not sampled on overlap"):
+        refine(cob, {"u": 0, "v": 1}, other)
+
+
 def test_cochain_orientation_is_conjugate():
     cover = SampledCover([0, 1], {(0, 1): PTS})
     vals = np.exp(1j * np.array([0.3, 1.1, -0.4]))
@@ -153,6 +227,13 @@ def test_winding_number():
         assert winding_number(np.conj(l1)).winding == -winding_number(l1).winding
     with pytest.raises(ValueError):
         winding_number(np.array([1, -1, 1, -1]))  # pi steps
+
+
+def test_winding_number_rejects_non_finite_values():
+    z = np.exp(2j * np.pi * np.arange(8) / 8)
+    z[3] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        winding_number(z)
 
 
 def test_two_chart_coboundary_decision():
@@ -325,6 +406,13 @@ def test_plaquette_degree_gates():
     cut[1] = [psi4, psi3, psi3]
     with pytest.raises(NumericalGateError):
         plaquette_degree(cut)
+
+
+def test_plaquette_degree_rejects_non_finite_field():
+    field = bloch_field(4, 6)
+    field[2, 3, 0] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        plaquette_degree(field)
 
 
 def test_refine_two_chart_preserves_winding():

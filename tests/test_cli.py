@@ -279,6 +279,19 @@ def test_cli_import_leaves_out_scipy_linalg():
     assert out.stdout.strip() == "False"
 
 
+def test_selfcheck_runs_without_scipy():
+    # a None entry makes every import of scipy fail
+    probe = (
+        "import sys; sys.modules['scipy'] = None; from phaselab.cli import main; "
+        "sys.exit(main(['selfcheck', '--seed', '7', '--out', sys.argv[1]]))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe, os.devnull], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert out.returncode == 0, out.stderr
+
+
 def test_contract_loop_bad_json_reports_line(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text('{"n": 2,\n  "samples": [,]}')

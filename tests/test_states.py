@@ -195,8 +195,51 @@ def test_gns_basis_is_deterministic():
     omega = random_state(rng, 3, rank=2)
     r1, r2 = gns(omega), gns(omega)
     a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    assert r1.basis_coords.shape == (3, 2)  # the n x r block C
     assert np.array_equal(r1.basis_coords, r2.basis_coords)
     assert np.array_equal(r1.rep(a), r2.rep(a))
+
+
+def dense_gns(rho):
+    """The GNS data over all n^2 matrix units: Gram form kron(1, rho^T),
+    Gram-Schmidt over the units in row-major order, and
+    pi(A) = coords† G (A (x) 1) coords."""
+    n = rho.shape[0]
+    gram = np.kron(eye(n), rho.T)
+    evals = np.linalg.eigvalsh((gram + gram.conj().T) / 2)
+    cut = 1e-9 * evals.max()
+    basis = []
+    for unit in eye(n * n):
+        v = unit
+        for b in basis:
+            v = v - (b.conj() @ (gram @ v)) * b
+        nrm2 = (v.conj() @ (gram @ v)).real
+        if nrm2 > cut:
+            basis.append(v / np.sqrt(nrm2))
+    coords = np.column_stack(basis)
+
+    def rep(a):
+        return coords.conj().T @ gram @ np.kron(a, eye(n)) @ coords
+
+    cyclic = coords.conj().T @ gram @ eye(n).reshape(-1)
+    return len(basis), int(np.sum(evals <= cut)), rep, cyclic
+
+
+def test_gns_block_matches_dense_construction():
+    rng = np.random.default_rng(67)
+    for n in range(2, 6):
+        for rank in range(1, n + 1):
+            omega = random_state(rng, n, rank=rank)
+            res = gns(omega)
+            dim, ideal_rank, rep, cyclic = dense_gns(omega.rho)
+            assert (res.dim, res.ideal_rank) == (dim, ideal_rank) == (n * rank, n * (n - rank))
+            assert np.max(np.abs(res.cyclic - cyclic)) < 1e-12
+            for _ in range(3):
+                a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+                assert np.max(np.abs(res.rep(a) - rep(a))) < 1e-12
+            # every ideal element m has omega(m† m) = 0
+            for m in res.ideal_basis:
+                assert abs(omega.expect(m.conj().T @ m)) < 1e-12
 
 
 def test_validate_densities_reports_first_bad_cell():
