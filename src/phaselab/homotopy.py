@@ -330,7 +330,8 @@ def _interp_rows(r: np.ndarray, n_rows: int, fine_mult: int = 6) -> np.ndarray:
 
     The pre-pass states (R0 + s R1 + s² R2) / (c0 + s c1 + s² c2) are
     evaluated on the real and imaginary parts alike, so they stay exactly
-    Hermitian and every step takes trace_norm's eigvalsh path.
+    Hermitian and every step takes trace_norm's Hermitian path: the closed
+    form for 2x2 and 3x3 steps, elementwise over the chunk.
     """
     t_count = r.shape[1]
     f_count = max(n_rows * fine_mult, 48)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from phaselab import serialize
+from phaselab import homotopy, serialize
 from phaselab.homotopy import (
     SAFETY_FLOOR,
     HomotopySheet,
@@ -548,6 +548,66 @@ def test_contract_loop_takes_no_svd(monkeypatch):
     sheet = contract_loop(loop)
     assert verify_homotopy(sheet, loop, 5 * loop.max_step).passed
     assert calls == []  # every trace norm took the Hermitian path
+
+
+def test_contract_loop_takes_lapack_only_on_fallback(monkeypatch):
+    # Every trace norm of a contraction and its verification is of 2x2 or
+    # 3x3 Hermitian matrices, which take the closed form; eigvalsh sees only
+    # the matrices it hands back (nearly degenerate pairs) and small stacks.
+    loop = random_based_loop(3, 2, 700)
+    matrices, lapack, depth = [0], [0], [0]
+    trace_norm, eigvalsh = homotopy.trace_norm, np.linalg.eigvalsh
+
+    def counting_trace_norm(m):
+        matrices[0] += np.asarray(m)[..., 0, 0].size
+        depth[0] += 1
+        try:
+            return trace_norm(m)
+        finally:
+            depth[0] -= 1
+
+    def counting_eigvalsh(m, *args, **kwargs):
+        if depth[0]:
+            lapack[0] += np.asarray(m)[..., 0, 0].size
+        return eigvalsh(m, *args, **kwargs)
+
+    monkeypatch.setattr(homotopy, "trace_norm", counting_trace_norm)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    sheet = contract_loop(loop)
+    assert verify_homotopy(sheet, loop, 5 * loop.max_step).passed
+    assert 0 < lapack[0] <= 0.01 * matrices[0]
+
+
+def _eigvalsh_trace_norm(m):
+    """The trace norm of exactly Hermitian matrices as sum |eigvalsh|, one
+    LAPACK call per matrix: the oracle of the closed form."""
+    m = np.asarray(m)
+    assert np.array_equal(m, m.conj().swapaxes(-1, -2))
+    norms = np.abs(np.linalg.eigvalsh(m)).sum(axis=-1)
+    return float(norms) if norms.ndim == 0 else norms
+
+
+@pytest.mark.parametrize("name", ["pure", "plateau", "seed2", "seed7"])
+def test_contraction_matches_the_eigvalsh_oracle(name, monkeypatch):
+    loop, sheet = _contracted(name)
+    report = verify_homotopy(sheet, loop, 5 * loop.max_step)
+    monkeypatch.setattr(homotopy, "trace_norm", _eigvalsh_trace_norm)
+    oracle = contract_loop(loop)
+    oracle_report = verify_homotopy(oracle, loop, 5 * loop.max_step)
+    assert oracle.shape == sheet.shape
+    assert [(lv.block, len(lv.stages)) for lv in oracle.levels] == [
+        (lv.block, len(lv.stages)) for lv in sheet.levels
+    ]
+    oracle_stages = [st for level in oracle.levels for st in level.stages]
+    for (stage, rhos), want in zip(_stage_inputs(sheet), oracle_stages):
+        assert np.array_equal(stage.ops, want.ops)
+        # s is set by rounding in columns that barely move (see
+        # test_pencil_s_tables_match_the_direct_form)
+        _, lengths = _direct_s_table(stage.ops, rhos, len(stage.s))
+        assert np.max(np.abs(stage.s - want.s)[:, lengths >= 1e-3], initial=0.0) < 1e-12
+    assert np.max(np.abs(oracle.as_array() - sheet.as_array())) < 1e-14
+    assert oracle_report.passed == report.passed
+    assert oracle_report.safety_at == report.safety_at
 
 
 def test_loop_from_doc_rejects_garbage():

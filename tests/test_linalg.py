@@ -197,6 +197,93 @@ def test_trace_norm_of_a_mixed_stack_is_bitwise_per_matrix():
     assert trace_norm(herm[0]) == np.sum(np.abs(np.linalg.eigvalsh(herm[0])))
 
 
+def _haar_unitaries(count, n, rng):
+    q, r = np.linalg.qr(random_complex((count, n, n), rng))
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (diag / np.abs(diag))[:, None, :]
+
+
+@given(
+    n=st.sampled_from([2, 3]),
+    kind=st.sampled_from(["generic", "double", "triple", "pair-at-0", "pair-at+s", "pair-at-s"]),
+    split=st.floats(1e-15, 1e-2),
+    scale=st.floats(1e-12, 1e3),
+    rank=st.integers(0, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_trace_norm_closed_form_matches_eigvalsh(n, kind, split, scale, rank, seed):
+    # Stacks of unitary conjugates of one spectrum, large enough to take the
+    # closed form. Exact double and triple eigenvalues, and pairs split by
+    # 1e-15..1e-2 of the scale, put |r| at or near 1, where the 3x3 closed
+    # form must hand the matrix to eigvalsh; the rest stay on its side.
+    rng = np.random.default_rng(seed)
+    x, y = rng.normal(size=2)
+    centre = {"pair-at-0": 0.0, "pair-at+s": 1.0, "pair-at-s": -1.0}.get(kind, x)
+    spectrum = {
+        "generic": rng.normal(size=3),
+        "double": [x, x, y],
+        "triple": [x, x, x],
+    }.get(kind, [centre + split / 2, centre - split / 2, y])
+    evals = scale * np.array(spectrum[:n])
+    evals[min(rank, n):] = 0.0
+    vecs = _haar_unitaries(2 * linalg.CLOSED_FORM_MIN_STACK, n, rng)
+    m = (vecs * evals) @ vecs.conj().swapaxes(-1, -2)
+    m = (m + m.conj().swapaxes(-1, -2)) / 2
+    want = np.abs(np.linalg.eigvalsh(m)).sum(axis=-1)
+    bound = 1e-13 * np.linalg.norm(m, axis=(-2, -1))
+    assert np.all(np.abs(trace_norm(m) - want) <= bound)
+
+
+@pytest.mark.parametrize("scale", [1e-160, 1e-106, 1e-104, 1e104, 1e150])
+def test_trace_norm_closed_form_at_extreme_scales(scale):
+    # near 1e-105, p³ is subnormal and r loses its digits (error 1e-5 of the
+    # norm if the closed form took it); such scales take eigvalsh
+    herm = random_complex((linalg.CLOSED_FORM_MIN_STACK, 3, 3), np.random.default_rng(4))
+    m = scale * (herm + herm.conj().swapaxes(-1, -2)) / 2
+    want = np.abs(np.linalg.eigvalsh(m)).sum(axis=-1)
+    assert np.all(np.abs(trace_norm(m) - want) <= 1e-13 * np.linalg.norm(m, axis=(-2, -1)))
+
+
+def _lapack_trace_norm(m):
+    """The trace norm by LAPACK alone: sum |eigvalsh| for a matrix equal to
+    its adjoint bit for bit, the SVD for any other."""
+    if np.array_equal(m, m.conj().T):
+        return np.abs(np.linalg.eigvalsh(m)).sum()
+    return np.linalg.svd(m, compute_uv=False).sum()
+
+
+def _outcome(f, *args):
+    try:
+        return np.float64(f(*args))
+    except np.linalg.LinAlgError:
+        return np.linalg.LinAlgError
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan, complex(np.inf, 1.0), complex(np.nan, 0.0)])
+def test_trace_norm_of_non_finite_matrices_takes_lapack(n, value):
+    # a single matrix, and the same matrix in a stack that takes the closed
+    # form, give what the LAPACK path gives: a value (nan included) or
+    # LinAlgError
+    rng = np.random.default_rng(11)
+    herm = random_complex((linalg.CLOSED_FORM_MIN_STACK, n, n), rng)
+    herm = (herm + herm.conj().swapaxes(-1, -2)) / 2
+    for i in range(n):
+        for j in range(n):
+            m = herm[0].copy()
+            m[i, j] = value.real if i == j else value
+            m[j, i] = np.conj(m[i, j])
+            want = _outcome(_lapack_trace_norm, m)
+            stack = herm.copy()
+            stack[5] = m
+            got = _outcome(trace_norm, m)
+            stacked = _outcome(lambda s: trace_norm(s)[5], stack)
+            if want is np.linalg.LinAlgError:
+                assert got is stacked is np.linalg.LinAlgError
+            else:
+                assert np.array_equal([got, stacked], [want, want], equal_nan=True)
+
+
 def test_chain_layout_validation():
     with pytest.raises(ValueError):
         ChainLayout((2, 1))
