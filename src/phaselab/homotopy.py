@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import eye, trace_norm
+from .linalg import eye, min_eigenvalues, pack_hermitian, packed_trace_norm, trace_norm
 from .projective import elementary_transport
 from .states import act_batch, basis_state, validate_densities
 from .util import NumericalGateError
@@ -29,8 +29,9 @@ BOUNDARY_RADIUS = 1.0 - 1e-9
 BASEPOINT_TOL = 1e-9
 OPERATOR_TOL = 1e-9
 # Columns per batch in the arc-length pre-pass of _interp_rows. Its
-# temporaries hold columns x fine samples matrices: at n = 3 with about 200
-# fine samples, 4 MB each, where all 701 columns at once would take 20 MB.
+# temporaries hold columns x fine samples packed matrices: at n = 3 with
+# about 200 fine samples, 1.8 MB each, where all 701 columns at once would
+# take 10 MB.
 PREPASS_COLUMNS = 128
 
 
@@ -328,26 +329,29 @@ def _interp_rows(r: np.ndarray, n_rows: int, fine_mult: int = 6) -> np.ndarray:
     to the input modulus even where the interpolation moves unevenly in s.
     The last row is 1 exactly.
 
-    The pre-pass states (R0 + s R1 + s² R2) / (c0 + s c1 + s² c2) are
-    evaluated on the real and imaginary parts alike, so they stay exactly
-    Hermitian and every step takes trace_norm's Hermitian path: the closed
-    form for 2x2 and 3x3 steps, elementwise over the chunk.
+    The pre-pass evaluates the states (R0 + s R1 + s² R2) / (c0 + s c1 + s² c2)
+    and their steps on the pencil's packed layout (linalg.pack_hermitian,
+    n² reals per matrix), and measures the steps with
+    linalg.packed_trace_norm: the closed form for 2x2 and 3x3 blocks,
+    elementwise over the chunk, and eigvalsh on the unpacked steps for
+    larger blocks. Every packed coordinate takes the same arithmetic as the
+    complex matrices would, so the s table is the one a pre-pass over
+    complex states and linalg.trace_norm gives, bit for bit.
     """
     t_count = r.shape[1]
     f_count = max(n_rows * fine_mult, 48)
     s_fine = np.linspace(0.0, 1.0, f_count + 1)
-    s = s_fine[:, None, None]
     fractions = np.arange(1, n_rows + 1) / n_rows
     traces = np.trace(r, axis1=-2, axis2=-1).real
-    parts = r.view(np.float64)
+    packed = pack_hermitian(r)  # (n², 3, T)
     s_rows = np.empty((n_rows, t_count))
     for lo in range(0, t_count, PREPASS_COLUMNS):
         cols = slice(lo, lo + PREPASS_COLUMNS)
-        p0, p1, p2 = parts[:, cols, None]
+        p0, p1, p2 = np.moveaxis(packed[:, :, cols, None], 1, 0)
         c0, c1, c2 = traces[:, cols, None]
         norm = c0 + s_fine * (c1 + s_fine * c2)
-        rho_s = ((p0 + s * (p1 + s * p2)) / norm[..., None, None]).view(np.complex128)
-        steps = trace_norm(rho_s[:, 1:] - rho_s[:, :-1])
+        rho_s = (p0 + s_fine * (p1 + s_fine * p2)) / norm  # (n², cols, F + 1)
+        steps = packed_trace_norm(rho_s[..., 1:] - rho_s[..., :-1])
         arcs = np.concatenate([np.zeros((len(steps), 1)), np.cumsum(steps, axis=1)], axis=1)
         for t, arc in enumerate(arcs, start=lo):
             if arc[-1] < 1e-13:
@@ -550,7 +554,10 @@ def verify_homotopy(sheet: HomotopySheet, input_loop: StateLoop, modulus: float)
     the basepoint, all adjacent-cell steps within the modulus, and the
     recipe's operators, s tables and safety (see _recipe_violations). A
     cell with a NaN or infinite entry is one "non-finite" violation, valued
-    by the count of such entries; it is zeroed for, and skipped by, the rest."""
+    by the count of such entries; it is zeroed for, and skipped by, the rest.
+    The negative-eigenvalue scan is linalg.min_eigenvalues at 1e-8: the
+    LDLᴴ certificate clears a cell without LAPACK, and each cell it does not
+    clear takes eigvalsh, which decides it and gives a violation's value."""
     arr = sheet.as_array()
     s_dim, t_dim = arr.shape[0], arr.shape[1]
     n = sheet.n
@@ -568,8 +575,7 @@ def verify_homotopy(sheet: HomotopySheet, input_loop: StateLoop, modulus: float)
     traces = np.abs(np.einsum("stii->st", arr) - 1.0)
     for idx in np.argwhere((traces > 1e-8) & ok):
         violations.append(("trace", tuple(idx), float(traces[tuple(idx)]), 1e-8))
-    eigs = np.linalg.eigvalsh((arr + np.conj(np.swapaxes(arr, -1, -2))) / 2)
-    neg = -eigs.min(axis=-1)
+    neg = -min_eigenvalues((arr + np.conj(np.swapaxes(arr, -1, -2))) / 2, 1e-8)
     for idx in np.argwhere(neg > 1e-8):
         violations.append(("negative-eigenvalue", tuple(idx), float(neg[tuple(idx)]), 1e-8))
 

@@ -7,6 +7,7 @@ functions are pure; no shared mutable state.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -178,36 +179,113 @@ _CLOSED_FORM_P2 = (1e-200, 1e200)
 CLOSED_FORM_MIN_STACK = 32
 
 
+# LDLᴴ positivity certificate (see min_eigenvalues). Let S = Σ|h_ii| + n tol
+# and σ = tol - δ with δ = POSITIVITY_MARGIN * S. If the LDLᴴ factorization
+# of H + σ1 runs with every pivot positive, then LDLᴴ = H + σ1 + E with
+# ‖E‖₂ <= 8u tr(|L|D|L|ᴴ) = 8u tr(LDLᴴ) <= 8u S (Higham, Accuracy and
+# Stability of Numerical Algorithms, 2nd ed., Thm 10.3, with the complex
+# products of n <= 3 in real arithmetic; u = eps/2), and rounding the
+# shifted diagonal adds at most u S. So λmin(H) >= -tol + δ - 9u S, and
+# ‖H‖₂ <= S. eigvalsh's computed λmin is within 14u ‖H‖₂ of the exact one
+# (the largest error over 10,000 2x2 and 3x3 Haar conjugates of scales
+# 1e-12..1e3: generic spectra, a zero eigenvalue, a near pair, λmin at
+# -1e-10 or -1e-8; measured against 50-digit arithmetic). δ = 64 eps S =
+# 128u S covers both, 23u S, more than four times over: a matrix the
+# certificate clears is one that eigvalsh's λmin >= -tol also passes.
+# Pivots must exceed δ, not just 0: the gradual-underflow error of
+# |h_ij|²/d, at most 5e-324/d, then stays far below u S for any tol above
+# 1e-140.
+POSITIVITY_MARGIN = 64 * np.finfo(float).eps
+
+
+def _takes_closed_form(n: int, count: int) -> bool:
+    """The size rule of the packed kernels: n = 2 or 3 and a stack of at
+    least CLOSED_FORM_MIN_STACK matrices."""
+    return n in (2, 3) and count >= CLOSED_FORM_MIN_STACK
+
+
+def pack_hermitian(h: np.ndarray) -> np.ndarray:
+    """The packed layout of a stack (..., n, n) of Hermitian matrices: a real
+    array (n², ...) whose rows are the n diagonal entries, then the real
+    parts of the upper off-diagonal entries in row-major order, then their
+    imaginary parts. The packed kernels work on it elementwise, one row per
+    coordinate. The lower triangle and the diagonal's imaginary parts are
+    not read."""
+    n = h.shape[-1]
+    i, j = np.triu_indices(n, 1)
+    upper = 2 * (n * i + j)
+    rows = np.concatenate([2 * (n + 1) * np.arange(n), upper, upper + 1])
+    flat = np.ascontiguousarray(h, dtype=np.complex128).reshape(-1, n * n).view(np.float64)
+    return flat.T[rows].reshape(n * n, *h.shape[:-2])
+
+
+def unpack_hermitian(x: np.ndarray) -> np.ndarray:
+    """The Hermitian stack (..., n, n) of a packed array (n², ...). Each
+    imaginary part of the lower triangle is 0.0 minus the upper one: its
+    negation, and +0.0 for a zero of either sign."""
+    n = math.isqrt(x.shape[0])
+    i, j = np.triu_indices(n, 1)
+    k, m = np.arange(n), len(i)
+    rows = np.moveaxis(x, 0, -1)
+    h = np.zeros(x.shape[1:] + (n, n), dtype=np.complex128)
+    h.real[..., k, k] = rows[..., :n]
+    h.real[..., i, j] = h.real[..., j, i] = rows[..., n:n + m]
+    h.imag[..., i, j] = rows[..., n + m:]
+    h.imag[..., j, i] = 0.0 - rows[..., n + m:]
+    return h
+
+
 def _hermitian_trace_norm(h: np.ndarray) -> np.ndarray:
     """Sum of absolute eigenvalues of each matrix of a stack (..., n, n) of
-    Hermitian matrices. For n = 2 and 3 and at least CLOSED_FORM_MIN_STACK
-    matrices a closed form gives it elementwise over the stack; the matrices
-    it does not resolve (non-finite entries, a nearly degenerate 3x3 pair, a
-    3x3 scale outside _CLOSED_FORM_P2) and all other stacks take eigvalsh,
-    one LAPACK call per matrix."""
-    n = h.shape[-1]
-    if n not in (2, 3) or h.size < CLOSED_FORM_MIN_STACK * n * n:
+    Hermitian matrices: packed_trace_norm of its packed layout, with the
+    fallback reading `h` itself, and eigvalsh alone for stacks outside the
+    closed form's size rule."""
+    if not _takes_closed_form(h.shape[-1], math.prod(h.shape[:-2])):
         return np.abs(np.linalg.eigvalsh(h)).sum(axis=-1)
-    flat = h.reshape(-1, n, n)
+    return packed_trace_norm(pack_hermitian(h), h)
+
+
+def packed_trace_norm(x: np.ndarray, h: np.ndarray | None = None) -> np.ndarray:
+    """Sum of absolute eigenvalues of each matrix of a packed Hermitian stack
+    x (n², ...) (see pack_hermitian). For n = 2 and 3 and at least
+    CLOSED_FORM_MIN_STACK matrices a closed form gives it elementwise; the
+    matrices it does not resolve (non-finite entries, a nearly degenerate
+    3x3 pair, a 3x3 scale outside _CLOSED_FORM_P2) and all other stacks take
+    eigvalsh, one LAPACK call per matrix, on `h` if it is given (the same
+    stack unpacked) and on unpack_hermitian(x) otherwise. eigvalsh reads
+    the lower triangle, and the signs of its zero imaginary parts, which the
+    packed layout drops, can change eigvalsh's result (for 33 of 600,000
+    random and small-integer matrices with random zero signs), so a caller
+    holding the matrices passes them."""
+    n = math.isqrt(x.shape[0])
+    flat = x.reshape(n * n, -1)
+    count = flat.shape[1]
+
+    def lapack(k):
+        m = unpack_hermitian(flat[:, k]) if h is None else h.reshape(count, n, n)[k]
+        return np.abs(np.linalg.eigvalsh(m)).sum(axis=-1)
+
+    if not _takes_closed_form(n, count):
+        return lapack(slice(None)).reshape(x.shape[1:])
     with np.errstate(all="ignore"):  # 0/0, overflow, inf: those matrices are redone below
         norms, done = _closed_form_2(flat) if n == 2 else _closed_form_3(flat)
     redo = np.flatnonzero(~done)
     if redo.size:
-        norms[redo] = np.abs(np.linalg.eigvalsh(flat[redo])).sum(axis=-1)
-    return norms.reshape(h.shape[:-2])
+        norms[redo] = lapack(redo)
+    return norms.reshape(x.shape[1:])
 
 
-def _closed_form_2(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Trace norms of a (K, 2, 2) Hermitian stack, and where they hold: the
-    eigenvalues are tr/2 ± hypot(a - d, 2|b|)/2, so the sum of their absolute
-    values is the larger of |tr| and their difference."""
-    a, d, b = h[:, 0, 0].real, h[:, 1, 1].real, h[:, 0, 1]
-    norms = np.maximum(np.abs(a + d), np.hypot(a - d, 2 * np.hypot(b.real, b.imag)))
+def _closed_form_2(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Trace norms of a packed 2x2 Hermitian stack (4, K), and where they
+    hold: the eigenvalues are tr/2 ± hypot(a - d, 2|b|)/2, so the sum of
+    their absolute values is the larger of |tr| and their difference."""
+    a, d, br, bi = x
+    norms = np.maximum(np.abs(a + d), np.hypot(a - d, 2 * np.hypot(br, bi)))
     return norms, np.isfinite(norms)
 
 
-def _closed_form_3(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Trace norms of a (K, 3, 3) Hermitian stack, and where they hold.
+def _closed_form_3(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Trace norms of a packed 3x3 Hermitian stack (9, K), and where they hold.
 
     With q = tr/3, p = sqrt(tr((H - q)²)/6) and r = det(H - q)/(2p³), the
     largest and smallest eigenvalues are q + 2p cos(φ) and
@@ -218,19 +296,18 @@ def _closed_form_3(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     |r| <= CLOSED_FORM_MAX_R and p² lies in _CLOSED_FORM_P2, and for the
     zero matrix.
     """
-    a0, a1, a2 = h[:, 0, 0].real, h[:, 1, 1].real, h[:, 2, 2].real
-    b01, b02, b12 = h[:, 0, 1], h[:, 0, 2], h[:, 1, 2]
+    a0, a1, a2, b01r, b02r, b12r, b01i, b02i, b12i = x
     tr = a0 + a1 + a2
     q = tr / 3
     d0, d1, d2 = a0 - q, a1 - q, a2 - q
-    n01 = b01.real * b01.real + b01.imag * b01.imag
-    n02 = b02.real * b02.real + b02.imag * b02.imag
-    n12 = b12.real * b12.real + b12.imag * b12.imag
+    n01 = b01r * b01r + b01i * b01i
+    n02 = b02r * b02r + b02i * b02i
+    n12 = b12r * b12r + b12i * b12i
     p2 = (d0 * d0 + d1 * d1 + d2 * d2 + 2 * (n01 + n02 + n12)) / 6
     p = np.sqrt(p2)
-    u = b01.real * b12.real - b01.imag * b12.imag  # b01 b12 = u + iv
-    v = b01.real * b12.imag + b01.imag * b12.real
-    det = d0 * d1 * d2 + 2 * (u * b02.real + v * b02.imag) - d0 * n12 - d1 * n02 - d2 * n01
+    u = b01r * b12r - b01i * b12i  # b01 b12 = u + iv
+    v = b01r * b12i + b01i * b12r
+    det = d0 * d1 * d2 + 2 * (u * b02r + v * b02i) - d0 * n12 - d1 * n02 - d2 * n01
     r = det / (2 * p * p2)
     phi = np.arccos(r) / 3
     top = 4 * p * np.cos(phi) - q  # 2 λmax - tr
@@ -239,9 +316,60 @@ def _closed_form_3(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     lo, hi = _CLOSED_FORM_P2
     done = (np.abs(r) <= CLOSED_FORM_MAX_R) & (p2 >= lo) & (p2 <= hi)
     zero = np.flatnonzero(p2 == 0)
-    zero = zero[~h[zero].any(axis=(-2, -1))]
+    zero = zero[~x[:, zero].any(axis=0)]
     norms[zero], done[zero] = 0.0, True
     return norms, done
+
+
+def min_eigenvalues(h: np.ndarray, tol: float) -> np.ndarray:
+    """Smallest eigenvalue of each matrix of a stack (..., n, n) of exactly
+    Hermitian matrices, as eigvalsh gives it, for the test λmin >= -tol:
+    where an LDLᴴ certificate proves that eigvalsh's value passes, the
+    matrix reads -tol instead, so `min_eigenvalues(h, tol) < -tol` is
+    eigvalsh's verdict and every failing value is eigvalsh's own.
+
+    The certificate factors H + (tol - δ)1 elementwise over the packed
+    stack and clears the matrices whose pivots all exceed δ (see
+    POSITIVITY_MARGIN). It takes the closed form's size rule, n = 2 or 3
+    and at least CLOSED_FORM_MIN_STACK matrices; the matrices it does not
+    clear (non-finite entries, overflow, a pivot at or below δ) and all
+    other stacks take eigvalsh, one LAPACK call per matrix."""
+    n, count = h.shape[-1], math.prod(h.shape[:-2])
+    if not _takes_closed_form(n, count):
+        return np.linalg.eigvalsh(h).min(axis=-1)
+    flat = h.reshape(count, n, n)
+    with np.errstate(all="ignore"):  # overflow, inf, nan: those matrices are redone below
+        cleared = _ldl_clears(pack_hermitian(flat), tol)
+    out = np.full(count, -tol)
+    redo = np.flatnonzero(~cleared)
+    if redo.size:
+        out[redo] = np.linalg.eigvalsh(flat[redo]).min(axis=-1)
+    return out.reshape(h.shape[:-2])
+
+
+def _ldl_clears(x: np.ndarray, tol: float) -> np.ndarray:
+    """Where a packed 2x2 or 3x3 Hermitian stack (n², K) is cleared by the
+    positivity certificate: finite entries, and every pivot of the LDLᴴ
+    factorization of H + (tol - δ)1 above δ = POSITIVITY_MARGIN S,
+    S = Σ|h_ii| + n tol. With column 0 eliminated, row 2 holds
+    w = h12 - conj(h01) h02 / d0."""
+    n = 2 if len(x) == 4 else 3
+    margin = POSITIVITY_MARGIN * (np.abs(x[:n]).sum(axis=0) + n * tol)
+    d0, d1, *rest = x[:n] + (tol - margin)
+    if n == 2:
+        pivots = (d0, d1 - (x[2] * x[2] + x[3] * x[3]) / d0)
+    else:
+        (d2,) = rest
+        b01r, b02r, b12r, b01i, b02i, b12i = x[3:]
+        d1 = d1 - (b01r * b01r + b01i * b01i) / d0
+        wr = b12r - (b01r * b02r + b01i * b02i) / d0
+        wi = b12i - (b01r * b02i - b01i * b02r) / d0
+        d2 = d2 - (b02r * b02r + b02i * b02i) / d0 - (wr * wr + wi * wi) / d1
+        pivots = (d0, d1, d2)
+    cleared = np.isfinite(x).all(axis=0)
+    for d in pivots:
+        cleared &= d > margin
+    return cleared
 
 
 def operator_norm(m: np.ndarray) -> float | np.ndarray:

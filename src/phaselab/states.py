@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import eye
+from .linalg import eye, min_eigenvalues
 
 STATE_HERM_TOL = 1e-10
 STATE_EIG_TOL = 1e-10
@@ -75,6 +75,9 @@ def validate_densities(rho: np.ndarray) -> np.ndarray:
     Raises DensityState's ValueError for the first failing matrix in C
     order, naming the first check it fails: finite entries (NaN slips past
     every comparison), then Hermitian, then no negative eigenvalue, then unit trace.
+    The eigenvalue check is linalg.min_eigenvalues of (ρ + ρ†)/2: an LDLᴴ
+    certificate clears 2x2 and 3x3 stacks elementwise, and eigvalsh decides,
+    and gives the reported value for, every matrix it does not clear.
     """
     rho = np.asarray(rho, dtype=np.complex128)
     if rho.ndim < 2 or rho.shape[-1] != rho.shape[-2]:
@@ -84,7 +87,7 @@ def validate_densities(rho: np.ndarray) -> np.ndarray:
     adj = finite.conj().swapaxes(-1, -2)
     scale = np.maximum(np.linalg.norm(finite, axis=(-2, -1)), 1.0)
     non_hermitian = np.linalg.norm(finite - adj, axis=(-2, -1)) > STATE_HERM_TOL * scale
-    min_eig = np.linalg.eigvalsh((finite + adj) / 2).min(axis=-1)
+    min_eig = min_eigenvalues((finite + adj) / 2, STATE_EIG_TOL)
     negative = min_eig < -STATE_EIG_TOL
     trace = np.trace(finite, axis1=-2, axis2=-1)
     off_trace = np.abs(trace.real - 1.0) > STATE_TRACE_TOL

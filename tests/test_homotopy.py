@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from phaselab import homotopy, serialize
+from phaselab import homotopy, linalg, serialize, states
 from phaselab.homotopy import (
     SAFETY_FLOOR,
     HomotopySheet,
@@ -394,6 +394,7 @@ def _contracted(name: str):
         "plateau": bundled_plateau_loop,
         "seed2": lambda: random_based_loop(3, 2, 700),
         "seed7": lambda: random_based_loop(3, 7, 700),
+        "n4": lambda: random_based_loop(4, 2, 300),
     }
     loop = loops[name]()
     return loop, contract_loop(loop)
@@ -442,7 +443,8 @@ def _direct_s_table(ops, rhos, n_rows, fine_mult=6, chunk=128):
         arcs = np.concatenate([np.zeros((1, steps.shape[1])), np.cumsum(steps, axis=0)])
         for t, arc in enumerate(arcs.T, start=lo):
             lengths[t] = arc[-1]
-            table[:, t] = np.interp(fractions * arc[-1], arc, s_fine) if arc[-1] >= 1e-13 else fractions
+            moving = arc[-1] >= 1e-13
+            table[:, t] = np.interp(fractions * arc[-1], arc, s_fine) if moving else fractions
     table[-1] = 1.0
     return table, lengths
 
@@ -552,30 +554,52 @@ def test_contract_loop_takes_no_svd(monkeypatch):
 
 def test_contract_loop_takes_lapack_only_on_fallback(monkeypatch):
     # Every trace norm of a contraction and its verification is of 2x2 or
-    # 3x3 Hermitian matrices, which take the closed form; eigvalsh sees only
-    # the matrices it hands back (nearly degenerate pairs) and small stacks.
+    # 3x3 Hermitian matrices, which take the closed form, through
+    # trace_norm or, in the arc-length pre-pass, through packed_trace_norm;
+    # eigvalsh sees only the matrices they hand back (nearly degenerate
+    # pairs) and small stacks. The positivity certificate of validation and
+    # the verifier clears every matrix of the stacks it takes on this loop.
     loop = random_based_loop(3, 2, 700)
-    matrices, lapack, depth = [0], [0], [0]
-    trace_norm, eigvalsh = homotopy.trace_norm, np.linalg.eigvalsh
+    counts = {"trace norm": [0, 0], "positivity": [0, 0], "small": [0, 0]}  # matrices, to eigvalsh
+    active = []
+    eigvalsh = np.linalg.eigvalsh
 
-    def counting_trace_norm(m):
-        matrices[0] += np.asarray(m)[..., 0, 0].size
-        depth[0] += 1
-        try:
-            return trace_norm(m)
-        finally:
-            depth[0] -= 1
+    def size(m):
+        return np.asarray(m)[..., 0, 0].size
+
+    def counting(kernel, key, matrices=size):
+        def wrapped(m, *args):
+            count = matrices(m)
+            # the size rule sends a small stack to eigvalsh, certificate or not
+            kind = "small" if key == "positivity" and count < linalg.CLOSED_FORM_MIN_STACK else key
+            counts[kind][0] += count
+            active.append(kind)
+            try:
+                return kernel(m, *args)
+            finally:
+                active.pop()
+        return wrapped
 
     def counting_eigvalsh(m, *args, **kwargs):
-        if depth[0]:
-            lapack[0] += np.asarray(m)[..., 0, 0].size
+        if active:
+            counts[active[-1]][1] += size(m)
         return eigvalsh(m, *args, **kwargs)
 
-    monkeypatch.setattr(homotopy, "trace_norm", counting_trace_norm)
+    monkeypatch.setattr(homotopy, "trace_norm", counting(homotopy.trace_norm, "trace norm"))
+    monkeypatch.setattr(
+        homotopy, "packed_trace_norm",
+        counting(homotopy.packed_trace_norm, "trace norm", lambda x: x[0].size),
+    )
+    for module in (homotopy, states):
+        positivity = counting(module.min_eigenvalues, "positivity")
+        monkeypatch.setattr(module, "min_eigenvalues", positivity)
     monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
     sheet = contract_loop(loop)
     assert verify_homotopy(sheet, loop, 5 * loop.max_step).passed
-    assert 0 < lapack[0] <= 0.01 * matrices[0]
+    matrices, lapack = counts["trace norm"]
+    assert 0 < lapack <= 0.01 * matrices
+    assert counts["positivity"][0] > sheet.as_array()[..., 0, 0].size
+    assert counts["positivity"][1] == 0
 
 
 def _eigvalsh_trace_norm(m):
@@ -587,11 +611,17 @@ def _eigvalsh_trace_norm(m):
     return float(norms) if norms.ndim == 0 else norms
 
 
+def _eigvalsh_packed_trace_norm(x):
+    """The same oracle for a packed stack (see linalg.pack_hermitian)."""
+    return _eigvalsh_trace_norm(linalg.unpack_hermitian(x))
+
+
 @pytest.mark.parametrize("name", ["pure", "plateau", "seed2", "seed7"])
 def test_contraction_matches_the_eigvalsh_oracle(name, monkeypatch):
     loop, sheet = _contracted(name)
     report = verify_homotopy(sheet, loop, 5 * loop.max_step)
     monkeypatch.setattr(homotopy, "trace_norm", _eigvalsh_trace_norm)
+    monkeypatch.setattr(homotopy, "packed_trace_norm", _eigvalsh_packed_trace_norm)
     oracle = contract_loop(loop)
     oracle_report = verify_homotopy(oracle, loop, 5 * loop.max_step)
     assert oracle.shape == sheet.shape
@@ -608,6 +638,72 @@ def test_contraction_matches_the_eigvalsh_oracle(name, monkeypatch):
     assert np.max(np.abs(oracle.as_array() - sheet.as_array())) < 1e-14
     assert oracle_report.passed == report.passed
     assert oracle_report.safety_at == report.safety_at
+
+
+def _matrix_s_table(r, n_rows, fine_mult=6):
+    """The arc-length s table of _interp_rows with its pre-pass on complex
+    matrices: the states (R0 + s R1 + s² R2) / (c0 + s c1 + s² c2) evaluated
+    on real and imaginary parts alike, their steps measured by trace_norm."""
+    f_count = max(n_rows * fine_mult, 48)
+    s_fine = np.linspace(0.0, 1.0, f_count + 1)
+    s = s_fine[:, None, None]
+    fractions = np.arange(1, n_rows + 1) / n_rows
+    traces = np.trace(r, axis1=-2, axis2=-1).real
+    parts = r.view(np.float64)
+    table = np.empty((n_rows, r.shape[1]))
+    for lo in range(0, r.shape[1], homotopy.PREPASS_COLUMNS):
+        cols = slice(lo, lo + homotopy.PREPASS_COLUMNS)
+        p0, p1, p2 = parts[:, cols, None]
+        c0, c1, c2 = traces[:, cols, None]
+        norm = c0 + s_fine * (c1 + s_fine * c2)
+        rho_s = ((p0 + s * (p1 + s * p2)) / norm[..., None, None]).view(np.complex128)
+        steps = linalg.trace_norm(rho_s[:, 1:] - rho_s[:, :-1])
+        arcs = np.concatenate([np.zeros((len(steps), 1)), np.cumsum(steps, axis=1)], axis=1)
+        for t, arc in enumerate(arcs, start=lo):
+            moving = arc[-1] >= 1e-13
+            table[:, t] = np.interp(fractions * arc[-1], arc, s_fine) if moving else fractions
+    table[-1] = 1.0
+    return table
+
+
+@pytest.mark.parametrize("name", ["pure", "plateau", "seed2", "seed7", "n4"])
+def test_packed_prepass_matches_the_matrix_prepass(name):
+    # every stage of each contraction: 2x2 blocks (the pure loop, and the
+    # last level of the others), 3x3 blocks (the closed form's other size)
+    # and 4x4 blocks (eigvalsh on the unpacked steps)
+    _, sheet = _contracted(name)
+    blocks = set()
+    for stage, rhos in _stage_inputs(sheet):
+        r = pencil(stage.ops, rhos)
+        rows = len(stage.s)
+        assert np.array_equal(homotopy._interp_rows(r, rows), _matrix_s_table(r, rows))
+        blocks.add(rhos.shape[-1])
+    assert blocks == set(range(2, sheet.n + 1))
+
+
+def test_verifier_reports_negative_cells_as_eigvalsh_does(monkeypatch):
+    # one cell of a contracted 3x3 sheet forged to a negative eigenvalue,
+    # one to a value the 1e-8 gate just passes: the certificate's
+    # violations, values included, are those of an eigvalsh scan
+    loop, sheet = _contracted("seed2")
+    cells = sheet.as_array().copy()
+    rng = np.random.default_rng(21)
+    q = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))[0]
+    for (row, col), low in (((7, 300), -3e-6), ((9, 301), -0.9e-8)):
+        cell = (q * [1.0 - low, 0.0, low]) @ q.conj().T
+        cells[row, col] = (cell + cell.conj().T) / 2
+    forged = HomotopySheet(3, cells, sheet.levels)
+    report = verify_homotopy(forged, loop, 5 * loop.max_step)
+
+    def eigvalsh_scan(h, tol):
+        return np.linalg.eigvalsh(h).min(axis=-1)
+
+    monkeypatch.setattr(homotopy, "min_eigenvalues", eigvalsh_scan)
+    oracle = verify_homotopy(forged, loop, 5 * loop.max_step)
+    negative = [v for v in report.violations if v[0] == "negative-eigenvalue"]
+    assert [v[1] for v in negative] == [(7, 300)]
+    assert abs(negative[0][2] - 3e-6) < 1e-15
+    assert report.violations == oracle.violations
 
 
 def test_loop_from_doc_rejects_garbage():

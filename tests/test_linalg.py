@@ -288,3 +288,96 @@ def test_chain_layout_validation():
     with pytest.raises(ValueError):
         ChainLayout((2, 1))
     assert spin_chain(4).total_dim == 16
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_packed_layout_round_trips(n):
+    herm = random_complex((2, 5, n, n))
+    herm = (herm + herm.conj().swapaxes(-1, -2)) / 2
+    packed = linalg.pack_hermitian(herm)
+    assert packed.shape == (n * n, 2, 5)
+    i, j = np.triu_indices(n, 1)
+    m = len(i)
+    diagonal = np.diagonal(herm, axis1=-2, axis2=-1).real
+    assert np.array_equal(packed[:n], np.moveaxis(diagonal, -1, 0))
+    assert np.array_equal(packed[n:n + m], np.moveaxis(herm[..., i, j].real, -1, 0))
+    assert np.array_equal(packed[n + m:], np.moveaxis(herm[..., i, j].imag, -1, 0))
+    assert np.array_equal(linalg.unpack_hermitian(packed), herm)
+
+
+def _spectrum_conjugates(evals, count, rng):
+    """`count` Haar conjugates of one spectrum, made exactly Hermitian."""
+    vecs = _haar_unitaries(count, len(evals), rng)
+    m = (vecs * np.asarray(evals)) @ vecs.conj().swapaxes(-1, -2)
+    return (m + m.conj().swapaxes(-1, -2)) / 2
+
+
+@given(
+    n=st.sampled_from([2, 3]),
+    tol=st.sampled_from([1e-10, 1e-8]),
+    ulps=st.integers(-4, 4),
+    scale=st.floats(1e-12, 1e3),
+    rank=st.integers(1, 2),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_positivity_certificate_matches_eigvalsh(n, tol, ulps, scale, rank, seed):
+    # λmin at -tol ± a few ulp, beside eigenvalues of 1e-12..1e3 (the rest
+    # zero past `rank`): the certificate hands every matrix it cannot clear
+    # to eigvalsh, so the verdict of each, and the value of each failing
+    # one, are eigvalsh's
+    rng = np.random.default_rng(seed)
+    evals = np.zeros(n)
+    evals[0] = -tol + ulps * np.spacing(tol)
+    evals[1:1 + rank] = scale * rng.uniform(0.1, 1.0, size=min(rank, n - 1))
+    m = _spectrum_conjugates(evals, 64, rng)
+    want = np.linalg.eigvalsh(m).min(axis=-1)
+    got = linalg.min_eigenvalues(m, tol)
+    assert np.array_equal(got < -tol, want < -tol)
+    assert np.array_equal(got[got < -tol], want[want < -tol])
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("tol", [1e-10, 1e-8])
+def test_positivity_certificate_clears_states(n, tol, monkeypatch):
+    # states of every rank, pure ones with an exactly zero pair included,
+    # need no eigvalsh
+    rng = np.random.default_rng(2)
+    stack = []
+    for rank in range(1, n + 1):
+        v = random_complex((64, n, rank), rng)
+        rho = v @ v.conj().swapaxes(-1, -2)
+        rho = rho / np.trace(rho, axis1=-2, axis2=-1).real[:, None, None]
+        stack.append((rho + rho.conj().swapaxes(-1, -2)) / 2)
+    stack.append(np.broadcast_to(np.diag(np.eye(n)[0]).astype(complex), (64, n, n)))
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda *a, **k: pytest.fail("eigvalsh called"))
+    got = linalg.min_eigenvalues(np.concatenate(stack), tol)
+    assert np.array_equal(got, np.full(64 * (n + 1), -tol))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize(
+    "value", [np.inf, -np.inf, np.nan, complex(np.inf, 1.0), complex(np.nan, 0.0), 1e200, 1e308]
+)
+def test_positivity_certificate_hands_non_finite_and_overflow_to_eigvalsh(n, value, monkeypatch):
+    # one such matrix in a stack the certificate takes: it alone goes to
+    # eigvalsh, whose value or LinAlgError it gives
+    rng = np.random.default_rng(12)
+    stack = _spectrum_conjugates([1.0, 0.5, 0.25][:n], linalg.CLOSED_FORM_MIN_STACK, rng)
+    eigvalsh = np.linalg.eigvalsh
+    for i in range(n):
+        for j in range(i, n):
+            m = stack[0].copy()
+            m[i, j] = value.real if i == j else value
+            m[j, i] = np.conj(m[i, j])
+            want = _outcome(lambda a: eigvalsh(a).min(), m)
+            forged = stack.copy()
+            forged[5] = m
+            seen = []
+            monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: seen.append(a) or eigvalsh(a))
+            got = _outcome(lambda s: linalg.min_eigenvalues(s, 1e-10)[5], forged)
+            monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+            assert len(seen) == 1 and np.array_equal(seen[0], m[None], equal_nan=True)
+            if want is np.linalg.LinAlgError:
+                assert got is np.linalg.LinAlgError
+            else:
+                assert np.array_equal(got, want, equal_nan=True)

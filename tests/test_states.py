@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
-from phaselab.linalg import eye, operator_norm, trace_norm
+from phaselab.linalg import CLOSED_FORM_MIN_STACK, eye, operator_norm, trace_norm
 from phaselab.states import (
+    STATE_EIG_TOL,
+    STATE_HERM_TOL,
+    STATE_TRACE_TOL,
     DensityState,
     GelfandIdealError,
     act_batch,
@@ -273,6 +276,80 @@ def test_validate_densities_rejects_non_finite_entries():
         validate_densities(cells)
     with pytest.raises(ValueError, match="non-finite"):
         validate_densities(cells[1:])
+
+
+def _eigvalsh_validate_densities(rho):
+    """validate_densities as it was before the positivity certificate: one
+    eigvalsh call per matrix for the negative-eigenvalue check."""
+    rho = np.asarray(rho, dtype=np.complex128)
+    non_finite = ~np.isfinite(rho).all(axis=(-2, -1))
+    finite = np.where(non_finite[..., None, None], 0.0, rho) if non_finite.any() else rho
+    adj = finite.conj().swapaxes(-1, -2)
+    scale = np.maximum(np.linalg.norm(finite, axis=(-2, -1)), 1.0)
+    non_hermitian = np.linalg.norm(finite - adj, axis=(-2, -1)) > STATE_HERM_TOL * scale
+    min_eig = np.linalg.eigvalsh((finite + adj) / 2).min(axis=-1)
+    negative = min_eig < -STATE_EIG_TOL
+    trace = np.trace(finite, axis1=-2, axis2=-1)
+    off_trace = np.abs(trace.real - 1.0) > STATE_TRACE_TOL
+    bad = non_finite | non_hermitian | negative | off_trace
+    if bad.any():
+        i = np.unravel_index(np.argmax(bad), bad.shape)
+        if non_finite[i]:
+            raise ValueError("density matrix has non-finite entries")
+        if non_hermitian[i]:
+            raise ValueError("density matrix is not Hermitian within tolerance")
+        if negative[i]:
+            raise ValueError(f"density matrix has negative eigenvalue {min_eig[i]:.3e}")
+        raise ValueError(f"density matrix trace {trace[i]:.12f} != 1")
+    return rho
+
+
+def _message(validate, cells):
+    try:
+        validate(cells)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_validate_densities_matches_the_eigvalsh_check(n):
+    # a stack the positivity certificate takes, with cells that fail by a
+    # margin, fail or pass within ulps of the tolerance, and fail an earlier
+    # or later check: message and value are the eigvalsh check's, cell by
+    # cell in C order
+    rng = np.random.default_rng(30 + n)
+    cells = np.array(
+        [[random_state(rng, n, rank=1 + (r + t) % n).rho for t in range(16)] for r in range(3)]
+    )
+    assert cells[0].shape[0] * 3 >= CLOSED_FORM_MIN_STACK
+    assert _message(validate_densities, cells) is None
+    q = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
+
+    def with_min(low):
+        evals = np.zeros(n)
+        evals[0], evals[1] = low, 1.0 - low
+        m = (q * evals) @ q.conj().T
+        return (m + m.conj().T) / 2
+
+    bad = [
+        ((2, 9), with_min(-2e-10)),
+        ((2, 3), with_min(-STATE_EIG_TOL - 3 * np.spacing(STATE_EIG_TOL))),
+        ((1, 15), with_min(-STATE_EIG_TOL + 3 * np.spacing(STATE_EIG_TOL))),
+        ((1, 11), with_min(-STATE_EIG_TOL)),
+        ((1, 6), np.diag([0.5] + [0.2] * (n - 1)).astype(complex)),
+        ((0, 12), np.diag([1.0 + 1e-3, -1e-3] + [0.0] * (n - 2)).astype(complex)),
+    ]
+    for index, cell in bad:
+        cells[index] = cell
+    messages = []
+    for index, _ in reversed(bad):
+        got = _message(validate_densities, cells)
+        assert got == _message(_eigvalsh_validate_densities, cells)
+        messages.append(got)
+        cells[index] = basis_state(n).rho
+    assert "negative eigenvalue -1.000e-03" in messages[0]
+    assert _message(validate_densities, cells) is None
 
 
 def test_act_batch_matches_single_calls():
