@@ -181,7 +181,6 @@ def cmd_contract_loop(args, file_cfg: dict) -> int:
             "n_samples": loop.n_samples,
             "input_step": loop.max_step,
             "modulus_factor": args.modulus_factor,
-            "tol_scale": tol_scale(),
         },
     }
     try:

@@ -54,7 +54,8 @@ PHASE_FIX_TOL = 1e-12
 MAX_DENSE_BYTES = 2**24
 # Grid points per window batch of the sweep. The window's arrays have a fixed
 # size per point, so this bounds the sweep's peak memory for any grid and N:
-# one batch over a 64x128 grid raised the peak RSS of a run by about 10 MB.
+# a 64x128 run at N=2 or 3 raises the peak RSS by 3.7 MB, as much as with
+# one-point batches, and by 15.5 MB when the whole grid is one batch.
 SWEEP_POINTS = 512
 
 
@@ -369,14 +370,55 @@ class _EquatorBatch(NamedTuple):
 
 
 def _layer(psi: np.ndarray, gate: np.ndarray, sites) -> np.ndarray:
-    """Apply `gate` at each of `sites` to a batch of chain states (P, 2^n):
-    a fixed 4x4 gate acts on the pair (i, i+1), a stack of per-state 2x2
-    matrices (P, 2, 2) on site i."""
-    d = gate.shape[-1]
-    g = gate if gate.ndim == 2 else gate[:, None]
-    for i in sites:
-        psi = (g @ psi.reshape(len(psi), 2**i, d, -1)).reshape(psi.shape)
+    """Apply `gate` at each of `sites` to a batch of chain states stored
+    points last, (2^n, P); `psi` itself is never written.
+
+    A stack of per-point 2x2 matrices g (P, 2, 2) acts on site i as two
+    elementwise combinations of the slices x0, x1 of the site's index,
+    out0 = g00 x0 + g01 x1 and out1 = g10 x0 + g11 x1, each a loop over the
+    P points. A fixed 4x4 gate acts on the pair (i, i+1) through one
+    matmul call: for each of the 2^i states of the sites before i, a 4x4
+    by 4 x (2^(n-i-2) P) product over every point at once. Neither runs a
+    product per point. Successive sites write into two reused buffers."""
+    p = psi.shape[-1]
+    if gate.ndim == 3:
+        g = np.ascontiguousarray(np.moveaxis(gate, 0, -1))[:, :, None, :]  # (2, 2, 1, P)
+        tmp = np.empty(psi.shape, np.complex128)
+    spare = None
+    for k, i in enumerate(sites):
+        out = np.empty(psi.shape, np.complex128) if spare is None else spare
+        if gate.ndim == 2:
+            np.matmul(gate, psi.reshape(2**i, 4, -1), out=out.reshape(2**i, 4, -1))
+        else:
+            x, o = psi.reshape(2**i, 2, -1, p), out.reshape(2**i, 2, -1, p)
+            np.multiply(g[:, 0], x[:, :1], out=o)
+            o += np.multiply(g[:, 1], x[:, 1:], out=tmp.reshape(o.shape))
+        spare, psi = (psi if k else None), out  # reuse all but the caller's array
     return psi
+
+
+def _dominant_pair(block: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Dominant singular pair of a stack of nonzero 2x2 blocks B (P, 2, 2)
+    in closed form: returns sigma1^2 (P,), the unit left vector u (P, 2) and
+    the unit right factor u†B / sigma1 (P, 2).
+
+    sigma1^2 is the larger eigenvalue of B B† = [[a, b], [b*, d]],
+    (a+d)/2 + hypot((a-d)/2, |b|). u is its eigenvector (sigma1^2 - d, b*)
+    where a >= d and (b, sigma1^2 - a) elsewhere, normalized: the better
+    conditioned form, whose norm is at least hypot((a-d)/2, |b|), half the
+    gap. Where that vanishes (B B† = a 1, sigma1 = sigma2) every unit vector
+    is dominant and u is |up>."""
+    a, d = np.sum(np.abs(block) ** 2, axis=-1).T
+    b = np.sum(block[:, 0] * block[:, 1].conj(), axis=-1)
+    lam = 0.5 * (a + d) + np.hypot(0.5 * (a - d), np.abs(b))
+    v = np.where((a >= d)[:, None], np.stack([lam - d, b.conj()], axis=-1),
+                 np.stack([b, lam - a], axis=-1))
+    norm = np.linalg.norm(v, axis=-1)
+    zero = norm == 0.0
+    v[zero, 0], norm[zero] = 1.0, 1.0
+    u = v / norm[:, None]
+    far = np.sum(u.conj()[:, :, None] * block, axis=1) / np.sqrt(lam)[:, None]
+    return lam, u, far
 
 
 def _equator_batch(theta: np.ndarray, phi: np.ndarray, n: int) -> _EquatorBatch:
@@ -384,8 +426,13 @@ def _equator_batch(theta: np.ndarray, phi: np.ndarray, n: int) -> _EquatorBatch:
 
     M† Omega = U1 B+† G† B+ B- G B-† Omega with B- = W on the pairs (1,2),
     (3,4), ..., B+ = W on (2,3), ..., (2N-2, 2N-1), G = u^(x)2N and U1 = u
-    on site 1; M Omega runs the adjoint layers in reverse. Gate failures
-    are raised for the first failing point in batch order.
+    on site 1; M Omega runs the adjoint layers in reverse. `_layer` applies
+    each site rotation as slice combinations and each pair layer as one
+    product over the batch; the ray and far-site factor are the dominant
+    singular pair of the (site 1) x (far site) block in closed form
+    (`_dominant_pair`). So no step runs a product or a LAPACK call per
+    point. Gate failures are raised for the first failing point in batch
+    order.
     """
     _check_dense_budget(2**n, f"a {n}-site chain state")
     u, w = site_rotation(theta, phi), dimer_swap_unitary()
@@ -393,19 +440,19 @@ def _equator_batch(theta: np.ndarray, phi: np.ndarray, n: int) -> _EquatorBatch:
     minus, plus, every = range(0, n, 2), range(1, n - 2, 2), range(n)
     layers = ((w_dag, minus), (u, every), (w, minus), (w, plus), (u_dag, every), (w_dag, plus))
     ref = _pattern(n)
-    omega = np.zeros((len(u), 2**n), dtype=np.complex128)
-    omega[:, ref] = 1.0
+    omega = np.zeros((2**n, len(u)), dtype=np.complex128)  # points last
+    omega[ref] = 1.0
     s = omega  # U1† M† Omega
     for gate, sites in layers:
         s = _layer(s, gate, sites)
     m_omega = _layer(omega, u_dag, [0])
     for gate, sites in reversed(layers):
         m_omega = _layer(m_omega, gate.conj().swapaxes(-1, -2), sites)
-    y = _layer(s, u, [0])[:, ref].conj()  # <Omega, M Omega> = conj <Omega, M† Omega>
+    y = _layer(s, u, [0])[ref].conj()  # <Omega, M Omega> = conj <Omega, M† Omega>
 
-    block = s.reshape(len(s), 2, 2 ** (n - 2), 2)[:, :, _pattern(n - 1), :]
-    u_svd, svals, vh_svd = np.linalg.svd(block)
-    weight = svals[:, 0] ** 2 / np.sum(np.abs(s) ** 2, axis=1)
+    block = np.moveaxis(s.reshape(2, 2 ** (n - 2), 2, -1)[:, _pattern(n - 1)], -1, 0)
+    lam, rays, far = _dominant_pair(block)
+    weight = lam / np.sum(np.abs(s) ** 2, axis=0)
     bad = (np.abs(y) < PHASE_FIX_TOL) | (weight < 1.0 - PROJECTION_WEIGHT_GATE)
     if bad.any():
         i = int(np.argmax(bad))
@@ -414,9 +461,8 @@ def _equator_batch(theta: np.ndarray, phi: np.ndarray, n: int) -> _EquatorBatch:
         raise NumericalGateError(
             f"projection weight {weight[i]:.9f} deficient: state left the invariant span"
         )
-    zdag_omega = (y / np.abs(y))[:, None] * s
-    return _EquatorBatch(zdag_omega, y, _interior_overlap(m_omega, n), weight, u_svd[:, :, 0],
-                         vh_svd[:, 0, :])
+    zdag_omega = (s * (y / np.abs(y))).T
+    return _EquatorBatch(zdag_omega, y, _interior_overlap(m_omega.T, n), weight, rays, far)
 
 
 class _Window(NamedTuple):
@@ -430,10 +476,11 @@ def _bond(x: np.ndarray, u: np.ndarray, w: np.ndarray, pattern: int) -> np.ndarr
     x ⊗ w(u⊗u)w†|3 - pattern>, for site vectors x (P, 2), projected onto
     `pattern` (a two-site basis index) on its first two sites. Returns the
     third site's vector (P, 2)."""
-    uu = (u[:, :, None, :, None] * u[:, None, :, None, :]).reshape(-1, 4, 4)
-    pair = (w @ uu @ w.conj().T)[:, :, 3 - pattern]
-    gate = w.conj().T @ uu.conj().swapaxes(-1, -2) @ w
-    return (gate @ (x[:, :, None] * pair[:, None, :]).reshape(-1, 4, 2))[:, pattern]
+    w_dag, p = w.conj().T, len(x)
+    pair = _layer(_layer(np.tile(w_dag[:, 3 - pattern, None], (1, p)), u, (0, 1)), w, (0,))
+    psi = (x.T[:, None, :] * pair[None, :, :]).reshape(8, p)
+    psi = _layer(_layer(_layer(psi, w, (0,)), u.conj().swapaxes(-1, -2), (0, 1)), w_dag, (0,))
+    return psi.reshape(4, 2, p)[pattern].T
 
 
 def _equator_window(theta: np.ndarray, phi: np.ndarray, n_dimers: int) -> _Window:
@@ -454,7 +501,7 @@ def _equator_window(theta: np.ndarray, phi: np.ndarray, n_dimers: int) -> _Windo
     if n_dimers == 2:
         return _Window(left.rays, left.weight, left.y_overlap)
     u, w = site_rotation(theta, phi), dimer_swap_unitary()
-    xi = (u @ left.far[:, :, None])[:, :, 0]  # unit: u is unitary
+    xi = np.sum(u * left.far[:, None, :], axis=-1)  # unit: u is unitary
     up = np.zeros_like(xi)
     up[:, 0] = 1.0
     eta = _bond(up, u, w.conj().T, 1)  # site 3 once sites 1, 2 hold |01>

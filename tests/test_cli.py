@@ -249,6 +249,17 @@ def test_contract_loop_constant(tmp_path, capsys):
     assert report["verifier"]["max_cell_step"] == 0.0
 
 
+def test_contract_loop_report_has_no_tol_scale(tmp_path, capsys, monkeypatch):
+    # no contraction gate reads PHASELAB_TOL_SCALE, so the report does not echo it
+    monkeypatch.setenv("PHASELAB_TOL_SCALE", "10")
+    path = tmp_path / "loop.json"
+    serialize.write_doc(str(path), serialize.loop_to_doc(constant_loop(2, 12)))
+    code, report = run(capsys, "contract-loop", str(path), "--no-timestamp")
+    assert code == 0
+    assert "tol_scale" not in report["config"]
+    assert "tol_scale" not in json.dumps(report)
+
+
 def test_contract_loop_corrupted_trace(tmp_path, capsys):
     doc = serialize.loop_to_doc(constant_loop(2, 8))
     doc["samples"][3][0][0] = [0.7, 0.0]  # trace now 0.7

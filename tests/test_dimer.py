@@ -436,3 +436,116 @@ def test_perturbed_bulk_bond_fails_the_window(monkeypatch):
     assert invariant_sweep(ModelConfig(n_dimers=2, grid=(8, 16))).agreement
     with pytest.raises(NumericalGateError, match="bulk bond weight"):
         invariant_sweep(ModelConfig(n_dimers=3, grid=(8, 16)))
+
+
+def _complex_normal(rng, *shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_layer_matches_embedded_operators(n):
+    from phaselab.dimer import _layer
+    from phaselab.linalg import embed_pair_operator
+
+    rng = np.random.default_rng(300 + n)
+    p, layout = 5, spin_chain(n)
+    psi = _complex_normal(rng, p, 2**n)
+    g = _complex_normal(rng, p, 2, 2)
+    w = _complex_normal(rng, 4, 4)
+    states = psi.T.copy()  # _layer stores the points last
+    for site in range(n):
+        want = np.stack([embed_site_operator(g[k], site, layout) @ psi[k] for k in range(p)])
+        assert np.max(np.abs(_layer(states, g, [site]).T - want)) <= 1e-13
+    # several sites in one call apply in order; unitaries keep the norm at 1
+    v = np.linalg.qr(g)[0]
+    unit = psi / np.linalg.norm(psi, axis=-1, keepdims=True)
+    want = unit
+    for site in range(n):
+        want = np.stack([embed_site_operator(v[k], site, layout) @ want[k] for k in range(p)])
+    unit_states = unit.T.copy()
+    assert np.max(np.abs(_layer(unit_states, v, range(n)).T - want)) <= 1e-13
+    for site in range(n - 1):
+        want = psi @ embed_pair_operator(w, site, layout).T
+        assert np.max(np.abs(_layer(states, w, [site]).T - want)) <= 1e-13
+    _layer(states, w, range(n - 1))
+    # the input states are left as they were, also by calls over several sites
+    assert np.array_equal(states, psi.T) and np.array_equal(unit_states, unit.T)
+
+
+BLOCK_KINDS = ("random", "rank1", "zero-line", "diagonal")
+
+
+def _blocks(kind, rng, p=256):
+    b = _complex_normal(rng, p, 2, 2)
+    if kind == "rank1":  # the sweep's regime
+        return _complex_normal(rng, p, 2, 1) * _complex_normal(rng, p, 1, 2)
+    if kind == "zero-line":  # a zero row or column, each in a quarter of the stack
+        b[0::4, 0] = b[1::4, 1] = b[2::4, :, 0] = b[3::4, :, 1] = 0.0
+    if kind == "diagonal":
+        b[:, 0, 1] = b[:, 1, 0] = 0.0
+    return b
+
+
+@pytest.mark.parametrize("kind", BLOCK_KINDS)
+def test_dominant_pair_matches_svd(kind):
+    from phaselab.dimer import _dominant_pair
+
+    block = _blocks(kind, np.random.default_rng(BLOCK_KINDS.index(kind)))
+    lam, u, far = _dominant_pair(block)
+    u_svd, svals, vh = np.linalg.svd(block)
+    assert np.max(np.abs(lam - svals[:, 0] ** 2) / svals[:, 0] ** 2) <= 1e-14
+    assert np.max(np.abs(np.linalg.norm(u, axis=-1) - 1.0)) <= 1e-14
+    assert np.max(np.abs(np.linalg.norm(far, axis=-1) - 1.0)) <= 1e-13
+    gapped = svals[:, 1] <= 0.5 * svals[:, 0]
+    assert gapped.sum() >= len(block) // 4
+    phase = np.sum(u_svd[:, :, 0].conj() * u, axis=-1)  # u = phase * u_svd
+    assert np.min(np.abs(phase[gapped])) >= 1 - 1e-12
+    u_dag_b = np.sum(u.conj()[:, :, None] * block, axis=1)
+    want = np.sqrt(lam)[:, None] * phase.conj()[:, None] * vh[:, 0]
+    assert np.max(np.abs(u_dag_b - want)[gapped] / svals[gapped, :1]) <= 1e-12
+
+
+def test_dominant_pair_at_exact_degeneracy(monkeypatch):
+    from phaselab import dimer
+    from phaselab.util import NumericalGateError
+
+    hadamard_like = np.array([[1.0, 1.0], [-1.0, 1.0]]) / np.sqrt(2.0)
+    unitaries = [np.eye(2), hadamard_like, SIGMA_X, np.diag([1.0, 1j]),
+                 np.linalg.qr(_complex_normal(np.random.default_rng(5), 2, 2))[0]]
+    block = np.array([c * v for c in (1e-3, 0.5, 3.0) for v in unitaries], dtype=complex)
+    lam, u, far = dimer._dominant_pair(block)
+    sigma = np.linalg.svd(block, compute_uv=False)[:, 0]
+    assert np.all(np.isfinite(u)) and np.all(np.isfinite(far))
+    assert np.max(np.abs(np.linalg.norm(u, axis=-1) - 1.0)) <= 1e-14
+    assert np.max(np.abs(np.linalg.norm(far, axis=-1) - 1.0)) <= 1e-14
+    assert np.max(np.abs(lam - sigma**2) / sigma**2) <= 1e-14
+
+    # a state whose (site 1) x (far site) block is hadamard_like / sqrt(2):
+    # every layer of the batch returns it, and the weight gate refuses it at 1/2
+    n = 4
+    state = np.zeros((2**n, 2), dtype=complex)  # two points, stored last
+    cells = state.reshape(2, 2 ** (n - 2), 2, 2)[:, dimer._pattern(n - 1)]  # a view
+    cells[:] = hadamard_like[..., None] / np.sqrt(2.0)
+    monkeypatch.setattr(dimer, "_layer", lambda psi, gate, sites: state)
+    with pytest.raises(NumericalGateError, match=r"projection weight 0\.500000000 deficient"):
+        dimer._equator_batch(np.array([1.0, 2.0]), np.zeros(2), n)
+
+
+@pytest.mark.parametrize("pattern", [1, 2])
+def test_bond_matches_dense_oracle(pattern):
+    from scipy.linalg import expm
+
+    from phaselab.dimer import _bond
+
+    rng = np.random.default_rng(40 + pattern)
+    theta, phi = rng.uniform(0.1, 3.0, 16), rng.uniform(-3.0, 3.0, 16)
+    x = _complex_normal(rng, 16, 2)
+    u = site_rotation(theta, phi)
+    for w in (dimer_swap_unitary(), dimer_swap_unitary() @ expm(0.1j * kron(SIGMA_X, SIGMA_X))):
+        got = _bond(x, u, w, pattern)
+        for k in range(16):
+            uu = kron(u[k], u[k])
+            pair = w @ uu @ w.conj().T[:, 3 - pattern]
+            gate = kron(w.conj().T @ uu.conj().T @ w, eye(2))
+            want = (gate @ kron(x[k], pair)).reshape(4, 2)[pattern]
+            assert np.max(np.abs(got[k] - want)) <= 1e-14
