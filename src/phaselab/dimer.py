@@ -57,6 +57,15 @@ MAX_DENSE_BYTES = 2**24
 # a 64x128 run at N=2 or 3 raises the peak RSS by 3.7 MB, as much as with
 # one-point batches, and by 15.5 MB when the whole grid is one batch.
 SWEEP_POINTS = 512
+# The sweep's whole-grid arrays peak while plaquette_degree builds the ray
+# field's azimuthal links: theta and phi (8 + 8 bytes a point), the Bloch
+# and ray fields (32 + 32), the field's norms (8), its theta links (16), the
+# rolled field and its conjugate (32 + 32) and the azimuthal links (16),
+# 184 bytes; tracemalloc reads 185 a point on 256x512, past the fixed batch
+# arrays. ModelConfig refuses a grid whose GRID_POINT_BYTES a point (that
+# peak, rounded up) exceed MAX_GRID_BYTES: 1024x1024 at most.
+GRID_POINT_BYTES = 256
+MAX_GRID_BYTES = 2**28
 
 
 @dataclass(frozen=True)
@@ -117,6 +126,9 @@ class ModelConfig:
             raise ValueError("need at least two dimers")
         if self.grid[0] < 2 or self.grid[1] < 3:
             raise ValueError("grid must be at least 2 x 3")
+        if self.grid[0] * self.grid[1] * GRID_POINT_BYTES > MAX_GRID_BYTES:
+            raise ValueError(f"grid {self.grid[0]}x{self.grid[1]} exceeds the "
+                             f"{MAX_GRID_BYTES}-byte budget")
 
     @property
     def n_sites(self) -> int:

@@ -33,6 +33,10 @@ OPERATOR_TOL = 1e-9
 # about 200 fine samples, 1.8 MB each, where all 701 columns at once would
 # take 10 MB.
 PREPASS_COLUMNS = 128
+# Fine samples of the pre-pass per row of its s table (48 at least), and
+# the fewest rows a stage takes.
+FINE_MULT = 6
+MIN_ROWS = 8
 
 
 def projection_matrix(n: int, k: int) -> np.ndarray:
@@ -77,10 +81,6 @@ class StateLoop:
     def max_step(self) -> float:
         """Largest trace-norm step between consecutive samples."""
         return float(trace_norm(self.rhos[1:] - self.rhos[:-1]).max())
-
-    def as_array(self) -> np.ndarray:
-        """The density array itself, not a copy."""
-        return self.rhos
 
 
 class Stage(NamedTuple):
@@ -146,10 +146,6 @@ class HomotopySheet:
     @property
     def shape(self) -> tuple[int, int]:
         return self.cells.shape[:2]
-
-    def as_array(self) -> np.ndarray:
-        """The cell array itself, not a copy."""
-        return self.cells
 
 
 def _unitarity_defect(a: np.ndarray) -> np.ndarray:
@@ -263,7 +259,9 @@ def _transport_unitaries(rhos: np.ndarray) -> np.ndarray:
     sent to e_0 by an elementary transport. Inside a gap any unitary is
     admissible (a unitary cannot make a non-pure state pure), so the held
     endpoint unitary is rotated to the next run's initial transport along
-    the unitary-group geodesic, spread over the gap interior.
+    the unitary-group geodesic, spread over the gap interior. Runs and gaps
+    alternate between the edges of the near-pure mask, starting and ending
+    with a run.
     """
     t_count, n = rhos.shape[0], rhos.shape[-1]
     evals, evecs = np.linalg.eigh(rhos)
@@ -274,54 +272,33 @@ def _transport_unitaries(rhos: np.ndarray) -> np.ndarray:
 
     e0 = np.zeros(n, dtype=np.complex128)
     e0[0] = 1.0
-    unitaries: list = [None] * t_count
-    t = 0
-    prev_v = None
-    while t < t_count:
-        if not near_pure[t]:
-            t += 1
-            continue
-        run_start = t
-        while t < t_count and near_pure[t]:
-            t += 1
-        run = range(run_start, t)
-        for i in run:
-            v = tops[i]
-            if i == run.start:
-                v = e0.copy() if run_start == 0 else _pin_phase(v)
-            else:
-                ov = np.vdot(prev_v, v)
-                if abs(ov) < CONTINUATION_MIN_OVERLAP:
-                    raise NumericalGateError(
-                        f"eigenvector continuation ambiguous at sample {i} "
-                        f"(overlap {abs(ov):.3f})"
-                    )
-                v = v * (np.conj(ov) / abs(ov))
-            prev_v = v
+    edges = [0, *(np.flatnonzero(np.diff(near_pure)) + 1).tolist(), t_count]
+    runs = list(zip(edges[0::2], edges[1::2]))
+    unitaries = np.empty((t_count, n, n), dtype=np.complex128)
+    for start, end in runs:
+        v = e0 if start == 0 else _pin_phase(tops[start])
+        unitaries[start] = elementary_transport(v, e0)
+        for i in range(start + 1, end):
+            ov = np.vdot(v, tops[i])
+            if abs(ov) < CONTINUATION_MIN_OVERLAP:
+                raise NumericalGateError(
+                    f"eigenvector continuation ambiguous at sample {i} "
+                    f"(overlap {abs(ov):.3f})"
+                )
+            v = tops[i] * (np.conj(ov) / abs(ov))
             unitaries[i] = elementary_transport(v, e0)
 
-    # geodesic bridges across the gaps
-    i = 0
-    while i < t_count:
-        if unitaries[i] is not None:
-            i += 1
-            continue
-        gap_start = i
-        while unitaries[i] is None:
-            i += 1
-        left, right = gap_start - 1, i
+    for (_, gap_start), (right, _) in zip(runs[:-1], runs[1:]):
         import scipy.linalg  # lazily: it would double the CLI's import time
-        d = unitaries[right] @ unitaries[left].conj().T
-        k = scipy.linalg.logm(d)
+        left = gap_start - 1
+        k = scipy.linalg.logm(unitaries[right] @ unitaries[left].conj().T)
         k = (k - k.conj().T) / 2
-        span = right - left
         for j in range(gap_start, right):
-            frac = (j - left) / span
-            unitaries[j] = scipy.linalg.expm(frac * k) @ unitaries[left]
-    return np.array(unitaries)
+            unitaries[j] = scipy.linalg.expm((j - left) / (right - left) * k) @ unitaries[left]
+    return unitaries
 
 
-def _interp_rows(r: np.ndarray, n_rows: int, fine_mult: int = 6) -> np.ndarray:
+def _interp_rows(r: np.ndarray, n_rows: int) -> np.ndarray:
     """The s table (n_rows, T) of a stage whose column t has the pencil
     r[:, t] (see pencil): row k's s is where column t's state has covered
     k / n_rows of its trace-norm arc length over s in [0, 1], as a fine
@@ -339,7 +316,7 @@ def _interp_rows(r: np.ndarray, n_rows: int, fine_mult: int = 6) -> np.ndarray:
     complex states and linalg.trace_norm gives, bit for bit.
     """
     t_count = r.shape[1]
-    f_count = max(n_rows * fine_mult, 48)
+    f_count = max(n_rows * FINE_MULT, 48)
     s_fine = np.linspace(0.0, 1.0, f_count + 1)
     fractions = np.arange(1, n_rows + 1) / n_rows
     traces = np.trace(r, axis1=-2, axis2=-1).real
@@ -369,10 +346,10 @@ def _act_rows(ops: np.ndarray, s: np.ndarray, rhos: np.ndarray) -> np.ndarray:
     return act_batch(s * ops + (1.0 - s) * eye(rhos.shape[-1]), rhos)
 
 
-def _rows_for(target_step: float, movement: float, minimum: int = 8) -> int:
+def _rows_for(target_step: float, movement: float) -> int:
     if movement <= 0:
-        return minimum
-    return max(minimum, int(np.ceil(movement / max(target_step, 1e-12))))
+        return MIN_ROWS
+    return max(MIN_ROWS, int(np.ceil(movement / max(target_step, 1e-12))))
 
 
 def _rectify(rhos: np.ndarray, target: float):
@@ -384,9 +361,12 @@ def _rectify(rhos: np.ndarray, target: float):
     t -> omega_t(U_t) so the unitary interpolation stays outside every
     Gelfand ideal; then the linear interpolations with s lambda_t U_t and
     with s P^b_1. Every interpolation is certified by its exact safety
-    minimum over s in [0, 1], and its rows step by about `target`.
+    minimum over s in [0, 1], and its rows step by about `target`. Each
+    stage's last row is built once, at s = 1, as the expansion builds it
+    (_act_rows); it measures the stage's movement and is the next stage's
+    input.
     """
-    n = rhos.shape[-1]
+    n, ones = rhos.shape[-1], np.ones((1, len(rhos)))
 
     unitaries = _transport_unitaries(rhos)
     gamma = np.trace(rhos @ unitaries, axis1=-2, axis2=-1)
@@ -410,18 +390,17 @@ def _rectify(rhos: np.ndarray, target: float):
             f"(min {lifted_min[t]:.3e}, unlifted min {unlifted_min:.3e})"
         )
 
-    chi = act_batch(lifted, rhos)
+    out_a = _act_rows(lifted, ones, rhos)[0]
     proj = projection_matrix(n, 1)
-    failing = np.flatnonzero(~(safety_min(pencil(proj, chi))[0] > SAFETY_FLOOR))
+    r_proj = pencil(proj, out_a)
+    failing = np.flatnonzero(~(safety_min(r_proj)[0] > SAFETY_FLOOR))
     if failing.size:
         raise NumericalGateError(f"projection interpolation unsafe at sample {failing[0]}")
 
-    s_a = _interp_rows(r_lifted, _rows_for(target, trace_norm(chi - rhos).max()))
-    out_a = _act_rows(lifted, s_a[-1:], rhos)[0]
-    rows_b = _rows_for(target, trace_norm(act_batch(proj, out_a) - out_a).max())
-    s_b = _interp_rows(pencil(proj, out_a), rows_b)
-    stages = [Stage("unitary", lifted, s_a), Stage("projection", proj, s_b)]
-    return stages, _act_rows(proj, s_b[-1:], out_a)[0]
+    s_a = _interp_rows(r_lifted, _rows_for(target, trace_norm(out_a - rhos).max()))
+    out_b = _act_rows(proj, ones, out_a)[0]
+    s_b = _interp_rows(r_proj, _rows_for(target, trace_norm(out_b - out_a).max()))
+    return [Stage("unitary", lifted, s_a), Stage("projection", proj, s_b)], out_b
 
 
 def _compress(rhos: np.ndarray, block: int) -> np.ndarray:
@@ -472,7 +451,7 @@ def contract_loop(loop: StateLoop) -> HomotopySheet:
     """
     n = loop.n
     target = 2.5 * max(loop.max_step, 1e-3)
-    current = loop.as_array()
+    current = loop.rhos
     levels = []
     for k in range(1, n):
         block = n - k + 1  # current block algebra size
@@ -484,7 +463,7 @@ def contract_loop(loop: StateLoop) -> HomotopySheet:
         current = np.zeros_like(current)
         current[:, :block, :block] = out
         _check_based(current)
-    return sheet_from_recipe(loop.as_array(), levels)
+    return sheet_from_recipe(loop.rhos, levels)
 
 
 @dataclass
@@ -502,6 +481,13 @@ class VerifyReport:
             f"{status}: sheet {self.shape[0]}x{self.shape[1]}, "
             f"max step {self.max_cell_step:.5f}, {len(self.violations)} violation(s)"
         )
+
+
+def _flags(name: str, value: np.ndarray, mask: np.ndarray, bound: float,
+           cell=lambda *idx: idx) -> list:
+    """One violation (name, cell, value, bound) per True entry of `mask`, in
+    C order, at `cell` of its index in Python ints."""
+    return [(name, cell(*i), float(value[tuple(i)]), bound) for i in np.argwhere(mask).tolist()]
 
 
 def _recipe_violations(sheet: HomotopySheet, arr: np.ndarray, ok: np.ndarray):
@@ -527,19 +513,17 @@ def _recipe_violations(sheet: HomotopySheet, arr: np.ndarray, ok: np.ndarray):
             else:
                 name = "not-projection"
                 defect = np.max(np.abs(stage.ops - projection_matrix(b, 1)), axis=(-2, -1))
+            at = lambda t: (li, si, t)
             defect = np.broadcast_to(defect, (t_count,))
-            for t in np.flatnonzero(~(defect <= OPERATOR_TOL)):
-                violations.append((name, (li, si, int(t)), float(defect[t]), OPERATOR_TOL))
+            violations += _flags(name, defect, ~(defect <= OPERATOR_TOL), OPERATOR_TOL, at)
             low, high = stage.s.min(axis=0), stage.s.max(axis=0)
             for t in np.flatnonzero(~((low >= 0.0) & (high <= 1.0))):
                 out, bound = (low[t], 0.0) if low[t] < 0.0 else (high[t], 1.0)
                 violations.append(("s-range", (li, si, int(t)), float(out), bound))
-            last = stage.s[-1]
-            for t in np.flatnonzero(last != 1.0):
-                violations.append(("s-last-row", (li, si, int(t)), float(last[t]), 1.0))
+            violations += _flags("s-last-row", stage.s[-1], stage.s[-1] != 1.0, 1.0, at)
             value = np.where(ok[row], safety_min(pencil(stage.ops, rhos[:, :b, :b]))[0], np.inf)
-            for t in np.flatnonzero(~(value > SAFETY_FLOOR) & ok[row]):
-                violations.append(("unsafe", (li, si, int(t)), float(value[t]), SAFETY_FLOOR))
+            unsafe = ~(value > SAFETY_FLOOR) & ok[row]
+            violations += _flags("unsafe", value, unsafe, SAFETY_FLOOR, at)
             t = int(np.argmin(value))
             if ok[row, t] and (worst[0] is None or value[t] < worst[0]):
                 worst = (float(value[t]), (li, si, t))
@@ -558,39 +542,30 @@ def verify_homotopy(sheet: HomotopySheet, input_loop: StateLoop, modulus: float)
     The negative-eigenvalue scan is linalg.min_eigenvalues at 1e-8: the
     LDLᴴ certificate clears a cell without LAPACK, and each cell it does not
     clear takes eigvalsh, which decides it and gives a violation's value."""
-    arr = sheet.as_array()
+    arr = sheet.cells
     s_dim, t_dim = arr.shape[0], arr.shape[1]
-    n = sheet.n
-    base = basis_state(n).rho
+    base = basis_state(sheet.n).rho
 
     bad = np.sum(~np.isfinite(arr), axis=(-1, -2))
     ok = bad == 0
-    violations = [("non-finite", tuple(i), float(bad[tuple(i)]), 0.0) for i in np.argwhere(~ok)]
+    violations = _flags("non-finite", bad, ~ok, 0.0)
     if not ok.all():
         arr = np.where(ok[..., None, None], arr, 0.0)
 
     herm = np.max(np.abs(arr - np.conj(np.swapaxes(arr, -1, -2))), axis=(-1, -2))
-    for idx in np.argwhere(herm > 1e-8):
-        violations.append(("non-hermitian", tuple(idx), float(herm[tuple(idx)]), 1e-8))
+    violations += _flags("non-hermitian", herm, herm > 1e-8, 1e-8)
     traces = np.abs(np.einsum("stii->st", arr) - 1.0)
-    for idx in np.argwhere((traces > 1e-8) & ok):
-        violations.append(("trace", tuple(idx), float(traces[tuple(idx)]), 1e-8))
+    violations += _flags("trace", traces, (traces > 1e-8) & ok, 1e-8)
     neg = -min_eigenvalues((arr + np.conj(np.swapaxes(arr, -1, -2))) / 2, 1e-8)
-    for idx in np.argwhere(neg > 1e-8):
-        violations.append(("negative-eigenvalue", tuple(idx), float(neg[tuple(idx)]), 1e-8))
+    violations += _flags("negative-eigenvalue", neg, neg > 1e-8, 1e-8)
 
-    row0 = trace_norm(arr[0] - input_loop.as_array())
-    for idx in np.argwhere((row0 > 1e-10) & ok[0]):
-        violations.append(("row0-mismatch", (0, int(idx)), float(row0[idx]), 1e-10))
-
+    row0 = trace_norm(arr[0] - input_loop.rhos)
+    violations += _flags("row0-mismatch", row0, (row0 > 1e-10) & ok[0], 1e-10, lambda t: (0, t))
     for col, label in ((0, "left-column"), (t_dim - 1, "right-column")):
         dev = trace_norm(arr[:, col] - base[None])
-        for idx in np.argwhere((dev > 1e-8) & ok[:, col]):
-            violations.append((label, (int(idx), col), float(dev[idx]), 1e-8))
-
-    final_dev = trace_norm(arr[-1] - base[None])
-    for idx in np.argwhere((final_dev > 1e-8) & ok[-1]):
-        violations.append(("final-row", (s_dim - 1, int(idx)), float(final_dev[idx]), 1e-8))
+        violations += _flags(label, dev, (dev > 1e-8) & ok[:, col], 1e-8, lambda s: (s, col))
+    last = trace_norm(arr[-1] - base[None])
+    violations += _flags("final-row", last, (last > 1e-8) & ok[-1], 1e-8, lambda t: (s_dim - 1, t))
 
     step_t = np.where(ok[:, 1:] & ok[:, :-1], trace_norm(arr[:, 1:] - arr[:, :-1]), 0.0)
     step_s = np.where(ok[1:] & ok[:-1], trace_norm(arr[1:] - arr[:-1]), 0.0)
@@ -636,41 +611,32 @@ def bundled_plateau_loop(n_samples: int = 900) -> StateLoop:
         v = v / np.linalg.norm(v)
         return np.outer(v, v.conj())
 
+    def rotation(th):  # by th in the (e0, e1) plane
+        r = np.eye(3, dtype=np.complex128)
+        r[:2, :2] = [[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]]
+        return r
+
+    a = np.cos(0.4 * np.pi) * e[0] + np.sin(0.4 * np.pi) * e[1]
+    b = -np.sin(0.4 * np.pi) * e[0] + np.cos(0.4 * np.pi) * e[1]
+    mixed = 0.55 * pure(a) + 0.35 * pure(b) + 0.10 * pure(e[2])
+    r_end = rotation(0.3 * np.pi)
+    mixed_r, a_r = r_end @ mixed @ r_end.conj().T, r_end @ a
+    ang = np.arctan2(a_r[1].real, a_r[0].real)  # a_r's angle in the (e0, e1) plane
+
     def rho_at(t: float) -> np.ndarray:
-        v1 = np.cos(0.4 * np.pi * t * 4) * e[0] + np.sin(0.4 * np.pi * t * 4) * e[1]
         if t < 0.25:
-            return pure(v1)
-        a = np.cos(0.4 * np.pi) * e[0] + np.sin(0.4 * np.pi) * e[1]
-        b = -np.sin(0.4 * np.pi) * e[0] + np.cos(0.4 * np.pi) * e[1]
-        mixed = 0.55 * pure(a) + 0.35 * pure(b) + 0.10 * pure(e[2])
+            return pure(np.cos(0.4 * np.pi * t * 4) * e[0] + np.sin(0.4 * np.pi * t * 4) * e[1])
         if t < 0.40:
             u = (t - 0.25) / 0.15
             return (1 - u) * pure(a) + u * mixed
         if t < 0.60:
-            u = (t - 0.40) / 0.20
-            th = 0.3 * np.pi * u
-            r = np.eye(3, dtype=np.complex128)
-            r[0, 0] = np.cos(th)
-            r[0, 1] = -np.sin(th)
-            r[1, 0] = np.sin(th)
-            r[1, 1] = np.cos(th)
+            r = rotation(0.3 * np.pi * ((t - 0.40) / 0.20))
             return r @ mixed @ r.conj().T
-        th = 0.3 * np.pi
-        r = np.eye(3, dtype=np.complex128)
-        r[0, 0] = np.cos(th)
-        r[0, 1] = -np.sin(th)
-        r[1, 0] = np.sin(th)
-        r[1, 1] = np.cos(th)
-        mixed_r = r @ mixed @ r.conj().T
-        a_r = r @ a
         if t < 0.75:
             u = (t - 0.60) / 0.15
             return (1 - u) * mixed_r + u * pure(a_r)
-        u = (t - 0.75) / 0.25
-        # rotate a_r back to e_0 along the real circle through its (e0, e1) angle
-        ang = np.arctan2(a_r[1].real, a_r[0].real)
-        v = np.cos(ang * (1 - u)) * e[0] + np.sin(ang * (1 - u)) * e[1]
-        return pure(v)
+        u = (t - 0.75) / 0.25  # rotate a_r back to e_0 along the real circle
+        return pure(np.cos(ang * (1 - u)) * e[0] + np.sin(ang * (1 - u)) * e[1])
 
     samples = [_snap(rho_at(t)) for t in np.linspace(0.0, 1.0, n_samples + 1)]
     return StateLoop(3, np.array(samples))

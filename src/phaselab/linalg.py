@@ -133,23 +133,24 @@ def eig_hermitian(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def trace_norm(m: np.ndarray):
     """Sum of singular values: a float for one matrix, an array of one
     value per matrix for a stack of shape (..., n, n). A matrix equal to its
-    adjoint bit for bit takes the sum of its absolute eigenvalues (see
-    _hermitian_trace_norm), any other an SVD. The choice is per matrix, and
-    the Hermitian ones of a stack are taken together: a stack with fewer than
-    CLOSED_FORM_MIN_STACK of them gives the values of single calls bit for
-    bit, a larger one agrees with them to 1e-13 of each matrix's Frobenius
-    norm."""
+    adjoint bit for bit takes the sum of its absolute eigenvalues
+    (packed_trace_norm, which reads eigvalsh on the matrices themselves), any
+    other an SVD. The choice is per matrix, and the Hermitian ones of a stack
+    are taken together: a stack with fewer than CLOSED_FORM_MIN_STACK of them
+    gives the values of single calls bit for bit, a larger one agrees with
+    them to 1e-13 of each matrix's Frobenius norm."""
     m = np.asarray(m, dtype=np.complex128)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError("trace_norm expects a square matrix")
     hermitian = (m == m.conj().swapaxes(-1, -2)).all(axis=(-2, -1))
     count = np.count_nonzero(hermitian)
     if count == hermitian.size:
-        norms = _hermitian_trace_norm(m)
+        norms = packed_trace_norm(pack_hermitian(m), m)
     else:
         norms = np.linalg.svd(m, compute_uv=False).sum(axis=-1)
         if count:
-            norms[hermitian] = _hermitian_trace_norm(m[hermitian])
+            h = m[hermitian]
+            norms[hermitian] = packed_trace_norm(pack_hermitian(h), h)
     return float(norms) if m.ndim == 2 else norms
 
 
@@ -233,16 +234,6 @@ def unpack_hermitian(x: np.ndarray) -> np.ndarray:
     h.imag[..., i, j] = rows[..., n + m:]
     h.imag[..., j, i] = 0.0 - rows[..., n + m:]
     return h
-
-
-def _hermitian_trace_norm(h: np.ndarray) -> np.ndarray:
-    """Sum of absolute eigenvalues of each matrix of a stack (..., n, n) of
-    Hermitian matrices: packed_trace_norm of its packed layout, with the
-    fallback reading `h` itself, and eigvalsh alone for stacks outside the
-    closed form's size rule."""
-    if not _takes_closed_form(h.shape[-1], math.prod(h.shape[:-2])):
-        return np.abs(np.linalg.eigvalsh(h)).sum(axis=-1)
-    return packed_trace_norm(pack_hermitian(h), h)
 
 
 def packed_trace_norm(x: np.ndarray, h: np.ndarray | None = None) -> np.ndarray:

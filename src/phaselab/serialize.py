@@ -36,7 +36,7 @@ def decode_matrix(rows) -> np.ndarray:
 
 
 def loop_to_doc(loop: StateLoop) -> dict:
-    return {"n": loop.n, "samples": encode_matrix(loop.as_array())}
+    return {"n": loop.n, "samples": encode_matrix(loop.rhos)}
 
 
 def loop_from_doc(doc: dict) -> StateLoop:
@@ -60,7 +60,7 @@ def sheet_to_doc(sheet: HomotopySheet) -> dict:
         }
         for level in sheet.levels
     ]
-    return {"n": sheet.n, "loop": encode_matrix(sheet.as_array()[0]), "levels": levels}
+    return {"n": sheet.n, "loop": encode_matrix(sheet.cells[0]), "levels": levels}
 
 
 def sheet_from_doc(doc: dict) -> HomotopySheet:
@@ -95,7 +95,7 @@ def write_sheet(path: str, sheet: HomotopySheet):
     the recipe, which JSON cannot hold, raises ValueError before the file
     is opened."""
     stages = [st for level in sheet.levels for st in level.stages]
-    arrays = [sheet.as_array()[0]] + [st.ops for st in stages] + [st.s for st in stages]
+    arrays = [sheet.cells[0]] + [st.ops for st in stages] + [st.s for st in stages]
     if not all(np.isfinite(a).all() for a in arrays):
         raise ValueError("sheet has non-finite entries")
     write_doc(path, sheet_to_doc(sheet))

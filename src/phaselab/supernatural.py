@@ -175,13 +175,20 @@ class HomotopyRow(NamedTuple):
     isotropy_group: str
 
 
+# Most rows a homotopy table takes. The groups repeat with period 2 from
+# k = 2 on, so the cap loses nothing; it refuses a --k-max that would build
+# an unbounded list.
+MAX_TABLE_K = 64
+
+
 def homotopy_table(a: SupernaturalNumber, k_max: int) -> list[HomotopyRow]:
     """Homotopy groups pi_k of the unitary group and of the isotropy group
     of a pure state, for the infinite matrix algebra classified by a:
     zero in even degrees, Q(a) in odd degrees, with an extra Z factor in
-    the isotropy group at k = 1."""
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
+    the isotropy group at k = 1. Raises ValueError unless
+    1 <= k_max <= MAX_TABLE_K."""
+    if not 1 <= k_max <= MAX_TABLE_K:
+        raise ValueError(f"k_max must lie in [1, {MAX_TABLE_K}], got {k_max}")
     rows = []
     for k in range(1, k_max + 1):
         if k % 2 == 0:

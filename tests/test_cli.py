@@ -260,6 +260,27 @@ def test_contract_loop_report_has_no_tol_scale(tmp_path, capsys, monkeypatch):
     assert "tol_scale" not in json.dumps(report)
 
 
+def test_contract_loop_reports_a_failing_cell_as_ints(tmp_path, monkeypatch):
+    from phaselab import cli
+
+    contract = cli.contract_loop
+
+    def corrupted(loop):
+        sheet = contract(loop)
+        sheet.cells[2, 5, 0, 0] += 1e-6  # its trace is now 1 + 1e-6
+        return sheet
+
+    monkeypatch.setattr(cli, "contract_loop", corrupted)
+    path = tmp_path / "loop.json"
+    serialize.write_doc(str(path), serialize.loop_to_doc(bundled_pure_loop(320)))
+    out = tmp_path / "report.json"
+    assert main(["contract-loop", str(path), "--out", str(out), "--no-timestamp"]) == 2
+    report = json.loads(out.read_text(encoding="utf-8"))
+    assert report["pass"] is False
+    violations = report["verifier"]["violations"]
+    assert [(v["kind"], v["cell"]) for v in violations] == [("trace", [2, 5])]
+
+
 def test_contract_loop_corrupted_trace(tmp_path, capsys):
     doc = serialize.loop_to_doc(constant_loop(2, 8))
     doc["samples"][3][0][0] = [0.7, 0.0]  # trace now 0.7
@@ -340,6 +361,15 @@ def test_supernatural_bad_input(capsys):
     assert main(["supernatural", "--type", "2,5"]) == 3
 
 
+def test_supernatural_caps_the_table(capsys):
+    from phaselab.supernatural import MAX_TABLE_K
+
+    code, report = run(capsys, "supernatural", "--type", "2", "--k-max", str(MAX_TABLE_K))
+    assert code == 0 and len(report["homotopy_table"]) == MAX_TABLE_K
+    assert main(["supernatural", "--type", "2", "--k-max", str(MAX_TABLE_K + 1)]) == 3
+    assert f"[1, {MAX_TABLE_K}]" in capsys.readouterr().err
+
+
 def test_tol_scale_env(monkeypatch, capsys):
     monkeypatch.setenv("PHASELAB_TOL_SCALE", "10")
     code, report = run(capsys, "selfcheck", "--seed", "3", "--no-timestamp")
@@ -371,6 +401,15 @@ def _traced_peak(argv):
         return code, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_invariant_refuses_an_oversize_grid(tmp_path, capsys):
+    code, peak = _traced_peak(["invariant", "--grid", "100000x200000", "--no-timestamp"])
+    assert code == 3 and peak < 2**20
+    assert "budget" in capsys.readouterr().err
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"grid": [1025, 1024]}), encoding="utf-8")
+    assert main(["invariant", "--config", str(path)]) == 3
 
 
 def test_invariant_long_chain_costs_what_two_dimers_cost(capsys):

@@ -378,6 +378,27 @@ def test_invariant_sweep_chunking_is_invisible(monkeypatch):
     assert invariant_sweep(cfg) == whole
 
 
+def test_model_config_grid_budget():
+    # the largest square grid within the budget is accepted (not swept); one
+    # more ring is refused before the sweep allocates anything
+    import tracemalloc
+
+    from phaselab.dimer import GRID_POINT_BYTES, MAX_GRID_BYTES
+
+    side = int(np.sqrt(MAX_GRID_BYTES // GRID_POINT_BYTES))
+    assert ModelConfig(grid=(side, side)).grid == (1024, 1024)
+    assert ModelConfig(grid=(256, 512)).grid == (256, 512)
+    tracemalloc.start()
+    try:
+        for grid in ((side + 1, side), (10**6, 10**6)):
+            with pytest.raises(ValueError, match="budget"):
+                invariant_sweep(ModelConfig(grid=grid))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 def test_model_config_state_budget():
     # the 4^N memory cap sits on the dense oracle alone, which refuses a
     # long chain before it allocates anything

@@ -48,9 +48,9 @@ def test_state_loop_validation():
 
 def test_state_loop_is_one_validated_array():
     loop = bundled_pure_loop(16)
-    assert loop.as_array() is loop.as_array()
-    assert loop.as_array().shape == (17, 2, 2) and loop.n_samples == 17
-    rhos = loop.as_array().copy()
+    assert loop.rhos.dtype == np.complex128
+    assert loop.rhos.shape == (17, 2, 2) and loop.n_samples == 17
+    rhos = loop.rhos.copy()
     rhos[9] = np.diag([1.5, -0.5])
     rhos[5] = np.diag([0.7, 0.0])  # the first failing sample: its trace
     with pytest.raises(ValueError) as want:
@@ -61,7 +61,7 @@ def test_state_loop_is_one_validated_array():
             build()
         assert str(got.value) == str(want.value)
     with pytest.raises(ValueError, match="states on M_n"):
-        StateLoop(3, loop.as_array())
+        StateLoop(3, loop.rhos)
 
 
 def test_disk_phase_lift_constant_and_boundary():
@@ -147,14 +147,14 @@ def _level_last_rows(sheet: HomotopySheet) -> list:
     rows, row = [], 0
     for level in sheet.levels:
         row += sum(stage.s.shape[0] for stage in level.stages)
-        rows.append(sheet.as_array()[row])
+        rows.append(sheet.cells[row])
     return rows
 
 
 def test_rectify_constant_loop_is_constant():
     sheet = contract_loop(constant_loop(3, 16))
     base = basis_state(3)
-    for row in sheet.as_array():
+    for row in sheet.cells:
         for rho in row:
             assert np.max(np.abs(rho - base.rho)) < 1e-12
 
@@ -192,7 +192,7 @@ def test_rectify_rejects_coarse_loops():
 def test_sheet_boundary_exactness():
     sheet = contract_loop(bundled_pure_loop(320))
     base = basis_state(2)
-    arr = sheet.as_array()
+    arr = sheet.cells
     for row in arr:
         assert np.max(np.abs(row[0] - base.rho)) < 1e-10
         assert np.max(np.abs(row[-1] - base.rho)) < 1e-10
@@ -217,7 +217,7 @@ def test_contract_loop_verifies(make_loop):
     report = verify_homotopy(sheet, loop, modulus=5 * loop.max_step)
     assert report.passed, report.violations[:5]
     base = basis_state(loop.n)
-    for rho in sheet.as_array()[-1]:
+    for rho in sheet.cells[-1]:
         assert np.max(np.abs(rho - base.rho)) < 1e-10
 
 
@@ -231,7 +231,7 @@ def test_contract_constant_loop_trivial_sheet():
     loop = constant_loop(2, 12)
     sheet = contract_loop(loop)
     base = basis_state(2)
-    for row in sheet.as_array():
+    for row in sheet.cells:
         for rho in row:
             assert np.max(np.abs(rho - base.rho)) < 1e-12
     report = verify_homotopy(sheet, loop, modulus=1e-9)
@@ -241,7 +241,7 @@ def test_contract_constant_loop_trivial_sheet():
 def test_verifier_flags_corrupted_cell():
     loop = constant_loop(2, 10)
     sheet = contract_loop(loop)
-    cells = sheet.as_array().copy()
+    cells = sheet.cells.copy()
     cells[2, 4] = basis_state(2, 1).rho
     bad = HomotopySheet(2, cells, sheet.levels)
     report = verify_homotopy(bad, loop, modulus=1e-6)
@@ -261,7 +261,7 @@ def test_loop_and_sheet_serialization_roundtrip():
     sdoc = serialize.sheet_to_doc(sheet)
     back_sheet = serialize.sheet_from_doc(sdoc)
     assert back_sheet.shape == sheet.shape
-    a1, a2 = sheet.as_array(), back_sheet.as_array()
+    a1, a2 = sheet.cells, back_sheet.cells
     assert np.max(np.abs(a1 - a2)) < 1e-15
 
 
@@ -315,7 +315,7 @@ def test_sheet_from_doc_rejects_malformed_recipes(forge, message):
 def test_verifier_reports_non_finite_cells():
     loop = constant_loop(2, 10)
     sheet = contract_loop(loop)
-    cells = sheet.as_array().copy()
+    cells = sheet.cells.copy()
     last = cells.shape[0] - 1
     cells[0, 3, 1, 1] = np.nan
     cells[1, 0] = np.inf
@@ -336,6 +336,25 @@ def test_verifier_reports_non_finite_cells():
 @pytest.fixture(scope="module")
 def pure_sheet():
     return contract_loop(bundled_pure_loop())
+
+
+@pytest.mark.parametrize(
+    "kind, cell",
+    [("row0-mismatch", (0, 150)), ("left-column", (20, 0)), ("right-column", (20, -1)),
+     ("final-row", (-1, 150))],
+)
+def test_verifier_names_each_boundary_check_at_an_int_cell(pure_sheet, kind, cell):
+    # a valid state 2e-6 away from the cell's own: every boundary check fires
+    loop = bundled_pure_loop()
+    cells = pure_sheet.cells.copy()
+    cells[cell] = (1 - 1e-6) * cells[cell] + 1e-6 * basis_state(2, 1).rho
+    report = verify_homotopy(HomotopySheet(2, cells, pure_sheet.levels), loop, 5 * loop.max_step)
+    assert not report.passed
+    want = tuple(i % size for i, size in zip(cell, cells.shape))
+    flagged = [v for v in report.violations if v[0] == kind]
+    assert [v[1] for v in flagged] == [want]
+    assert all(type(i) is int for _, at, _, _ in report.violations for i in at)
+    assert flagged[0][2] > flagged[0][3]
 
 
 def test_write_sheet_matches_dumps(pure_sheet, tmp_path):
@@ -363,13 +382,13 @@ def test_written_sheet_reads_back_bitwise(pure_sheet, tmp_path):
         for a, b in zip(got.stages, want.stages, strict=True):
             assert a.kind == b.kind
             assert np.array_equal(a.ops, b.ops) and np.array_equal(a.s, b.s)
-    assert np.array_equal(back.as_array(), pure_sheet.as_array())
+    assert np.array_equal(back.cells, pure_sheet.cells)
 
 
 def test_write_sheet_rejects_non_finite_before_writing(tmp_path):
     # a NaN in the loop, or an infinity in an operator or an s table
     sheet = contract_loop(constant_loop(2, 6))
-    cells = sheet.as_array().copy()
+    cells = sheet.cells.copy()
     cells[0, 3, 1, 1] = np.nan
     forged = [HomotopySheet(2, cells, sheet.levels)]
     stages = sheet.levels[0].stages
@@ -379,7 +398,7 @@ def test_write_sheet_rejects_non_finite_before_writing(tmp_path):
             array.reshape(-1)[-1] = np.inf
             forged_stages = list(stages)
             forged_stages[i] = stage._replace(**{field: array})
-            forged.append(HomotopySheet(2, sheet.as_array(), [Level(2, forged_stages)]))
+            forged.append(HomotopySheet(2, sheet.cells, [Level(2, forged_stages)]))
     path = tmp_path / "sheet.json"
     for bad in forged:
         with pytest.raises(ValueError, match="non-finite"):
@@ -406,13 +425,13 @@ def test_read_back_cells_equal_the_contractors(name, tmp_path):
     path = tmp_path / "sheet.json"
     serialize.write_sheet(str(path), sheet)
     back = serialize.sheet_from_doc(serialize.read_doc(str(path)))
-    assert np.array_equal(back.as_array(), sheet.as_array())
+    assert np.array_equal(back.cells, sheet.cells)
     assert verify_homotopy(back, loop, 5 * loop.max_step).passed
 
 
 def _stage_inputs(sheet):
     """(stage, its input densities (T, b, b)) for every stage of a sheet."""
-    arr, row = sheet.as_array(), 0
+    arr, row = sheet.cells, 0
     for level in sheet.levels:
         b = level.block
         rhos = arr[row, :, :b, :b]
@@ -482,7 +501,7 @@ def _forge(sheet, stage_index, **fields):
     level = sheet.levels[0]
     stages = list(level.stages)
     stages[stage_index] = stages[stage_index]._replace(**fields)
-    return sheet_from_recipe(sheet.as_array()[0], [Level(level.block, stages)] + sheet.levels[1:])
+    return sheet_from_recipe(sheet.cells[0], [Level(level.block, stages)] + sheet.levels[1:])
 
 
 def _set(array, index, value):
@@ -517,7 +536,7 @@ def test_verifier_flags_forged_recipes(stage_index, forge, kind, at):
     loop = constant_loop(2, 10)
     sheet = contract_loop(loop)
     forged = _forge(sheet, stage_index, **forge(sheet.levels[0].stages[stage_index]))
-    assert np.max(np.abs(forged.as_array() - sheet.as_array())) < 1e-15
+    assert np.max(np.abs(forged.cells - sheet.cells)) < 1e-15
     report = verify_homotopy(forged, loop, modulus=1e-9)
     assert not report.passed
     assert {v[0] for v in report.violations} == {kind}
@@ -598,7 +617,7 @@ def test_contract_loop_takes_lapack_only_on_fallback(monkeypatch):
     assert verify_homotopy(sheet, loop, 5 * loop.max_step).passed
     matrices, lapack = counts["trace norm"]
     assert 0 < lapack <= 0.01 * matrices
-    assert counts["positivity"][0] > sheet.as_array()[..., 0, 0].size
+    assert counts["positivity"][0] > sheet.cells[..., 0, 0].size
     assert counts["positivity"][1] == 0
 
 
@@ -635,7 +654,7 @@ def test_contraction_matches_the_eigvalsh_oracle(name, monkeypatch):
         # test_pencil_s_tables_match_the_direct_form)
         _, lengths = _direct_s_table(stage.ops, rhos, len(stage.s))
         assert np.max(np.abs(stage.s - want.s)[:, lengths >= 1e-3], initial=0.0) < 1e-12
-    assert np.max(np.abs(oracle.as_array() - sheet.as_array())) < 1e-14
+    assert np.max(np.abs(oracle.cells - sheet.cells)) < 1e-14
     assert oracle_report.passed == report.passed
     assert oracle_report.safety_at == report.safety_at
 
@@ -686,7 +705,7 @@ def test_verifier_reports_negative_cells_as_eigvalsh_does(monkeypatch):
     # one to a value the 1e-8 gate just passes: the certificate's
     # violations, values included, are those of an eigvalsh scan
     loop, sheet = _contracted("seed2")
-    cells = sheet.as_array().copy()
+    cells = sheet.cells.copy()
     rng = np.random.default_rng(21)
     q = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))[0]
     for (row, col), low in (((7, 300), -3e-6), ((9, 301), -0.9e-8)):
@@ -714,7 +733,7 @@ def test_loop_from_doc_rejects_garbage():
 
 
 def test_purity_preserved_along_pure_columns():
-    arr = contract_loop(bundled_pure_loop(320)).as_array()
+    arr = contract_loop(bundled_pure_loop(320)).cells
     # every input sample is pure, so every cell above it stays pure
     purities = np.einsum("stij,stji->st", arr, arr).real
     assert purities.min() > 1 - 1e-9

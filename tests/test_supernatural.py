@@ -4,6 +4,7 @@ import pytest
 
 from phaselab.supernatural import (
     INF,
+    MAX_TABLE_K,
     PI_Q,
     PI_Z_X_Q,
     PI_ZERO,
@@ -95,8 +96,9 @@ def test_homotopy_table():
         (PI_ZERO, PI_ZERO),
         (PI_Q, PI_Q),
     ]
-    with pytest.raises(ValueError):
-        homotopy_table(a, 0)
+    for k_max in (0, MAX_TABLE_K + 1):
+        with pytest.raises(ValueError, match="k_max"):
+            homotopy_table(a, k_max)
 
 
 def test_as_int_round_trip():
