@@ -330,7 +330,7 @@ def sphere_grid(n_theta: int, n_phi: int) -> tuple[np.ndarray, np.ndarray]:
     return thetas, phis
 
 
-def plaquette_degree(field: np.ndarray, flux_bound: float = FLUX_MARGIN) -> PlaquetteDegree:
+def plaquette_degree(field: np.ndarray) -> PlaquetteDegree:
     """Degree of a ray field sampled on the pole-avoiding S^2 grid.
 
     `field` has shape (K, M, d): row k is the theta ring, column m the
@@ -366,7 +366,7 @@ def plaquette_degree(field: np.ndarray, flux_bound: float = FLUX_MARGIN) -> Plaq
     cap_south = float(np.angle(np.prod(np.conj(link_phi[-1]))))
 
     max_flux = float(max(np.max(np.abs(flux)), abs(cap_north), abs(cap_south)))
-    if max_flux >= flux_bound:
+    if max_flux >= FLUX_MARGIN:
         raise NumericalGateError(
             f"plaquette flux {max_flux:.4f} reaches the ambiguity bound; grid too coarse"
         )

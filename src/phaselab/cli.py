@@ -34,6 +34,13 @@ def _parse_grid(text: str) -> tuple[int, int]:
         raise ValueError(f"grid must look like 32x64, got {text!r}") from exc
 
 
+def _positive_factor(text: str) -> float:
+    value = float(text)
+    if not 0.0 < value < float("inf"):  # also refuses NaN
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text!r}")
+    return value
+
+
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
@@ -76,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_loop.add_argument("--sheet-out", help="write the full homotopy sheet here")
     p_loop.add_argument(
         "--modulus-factor",
-        type=float,
+        type=_positive_factor,
         default=5.0,
         help="verifier modulus as a multiple of the input step (default 5)",
     )

@@ -34,7 +34,6 @@ from .linalg import (
     spin_chain,
     trace_norm,
 )
-from .projective import Ray
 from .util import NumericalGateError, tol_scale
 
 PAULI_VEC = (SIGMA_X, SIGMA_Y, SIGMA_Z)
@@ -48,9 +47,8 @@ Y_OVERLAP_SLACK = 0.01
 RAY_AGREEMENT_SLACK = 1e-8
 PHASE_FIX_TOL = 1e-12
 
-# Bytes of the largest single dense array the full-chain oracles allocate: one
-# 2^(2N)-amplitude state in `_equator_batch` (N <= 10), one 2^(2N) x 2^(2N)
-# operator in `ChainOperators.build` (N <= 5). The sweep allocates neither.
+# Bytes of the dense oracle's largest array, a 2^(2N) x 2^(2N) operator in
+# `ChainOperators.build` (N <= 5); no single-point full chain is left.
 MAX_DENSE_BYTES = 2**24
 # Grid points per window batch of the sweep. The window's arrays have a fixed
 # size per point, so this bounds the sweep's peak memory for any grid and N:
@@ -240,19 +238,6 @@ def dimer_swap_unitary() -> np.ndarray:
     return w
 
 
-def _band_branch(w: ParamPoint, eps: float, branch=None) -> tuple[float, float]:
-    if abs(w.w4) >= eps:
-        raise ValueError(f"point w4={w.w4:+.4f} outside the equatorial band |w4| < {eps}")
-    return w.theta_phi() if branch is None else (float(branch[0]), float(branch[1]))
-
-
-def _check_dense_budget(amplitudes: int, what: str) -> None:
-    """Refuse, before allocating it, a dense array over MAX_DENSE_BYTES."""
-    if 16 * amplitudes > MAX_DENSE_BYTES:  # 16 bytes per complex amplitude
-        raise ValueError(f"{what} of {amplitudes} amplitudes exceeds the "
-                         f"{MAX_DENSE_BYTES}-byte budget")
-
-
 def reference_chain_state(n_sites: int) -> np.ndarray:
     """|up down up down ...> with up at site 1."""
     factors = [UP if i % 2 == 0 else DOWN for i in range(n_sites)]
@@ -272,7 +257,9 @@ class ChainOperators:
     def build(cls, n_sites: int) -> "ChainOperators":
         if n_sites < 4 or n_sites % 2:
             raise ValueError("truncated chain needs an even number >= 4 of sites")
-        _check_dense_budget(4**n_sites, f"a dense {n_sites}-site chain operator")
+        if 16 * 4**n_sites > MAX_DENSE_BYTES:  # 16 bytes per complex amplitude
+            raise ValueError(f"a dense {n_sites}-site chain operator exceeds the "
+                             f"{MAX_DENSE_BYTES}-byte budget")
         layout = spin_chain(n_sites)
         wmat = dimer_swap_unitary()
         b_minus = eye(2**n_sites)
@@ -322,7 +309,9 @@ def truncated_Z(w: ParamPoint, cfg: ModelConfig, branch=None) -> TruncatedZ:
     `chain_operators` refuses N > 5 (MAX_DENSE_BYTES) with ValueError before
     allocating. The sweep never builds it; see `_equator_window`.
     """
-    theta, phi = _band_branch(w, cfg.epsilon, branch)
+    if abs(w.w4) >= cfg.epsilon:
+        raise ValueError(f"point w4={w.w4:+.4f} outside the equatorial band |w4| < {cfg.epsilon}")
+    theta, phi = w.theta_phi() if branch is None else (float(branch[0]), float(branch[1]))
     ops = chain_operators(cfg.n_sites)
     n = cfg.n_sites
     layout = spin_chain(n)
@@ -362,14 +351,6 @@ def _interior_overlap(m_omega: np.ndarray, n_sites: int) -> float:
     leading axes of m_omega."""
     rows = m_omega.reshape(*m_omega.shape[:-1], 2 ** (n_sites - 2), 4)
     return np.linalg.norm(rows[..., _pattern(n_sites - 2), :], axis=-1)
-
-
-class EquatorPoint(NamedTuple):
-    ray: Ray
-    amplitudes: np.ndarray  # strict projection onto span{Omega_R, sx_1 Omega_R}
-    weight: float  # in-span weight after quotienting the far-site defect
-    y_overlap: float
-    y_raw: complex
 
 
 class _EquatorBatch(NamedTuple):
@@ -446,7 +427,6 @@ def _equator_batch(theta: np.ndarray, phi: np.ndarray, n: int) -> _EquatorBatch:
     point. Gate failures are raised for the first failing point in batch
     order.
     """
-    _check_dense_budget(2**n, f"a {n}-site chain state")
     u, w = site_rotation(theta, phi), dimer_swap_unitary()
     u_dag, w_dag = u.conj().swapaxes(-1, -2), w.conj().T
     minus, plus, every = range(0, n, 2), range(1, n - 2, 2), range(n)
@@ -531,35 +511,19 @@ def _equator_window(theta: np.ndarray, phi: np.ndarray, n_dimers: int) -> _Windo
     return _Window(left.rays, weight, np.minimum(left.y_overlap, fid))
 
 
-def projected_equator_map(w: ParamPoint, cfg: ModelConfig, branch=None) -> EquatorPoint:
-    """Ray in span{Omega_R, sigma^x_1 Omega_R} carried by z† Omega_R.
-
-    The strict amplitudes are the inner products against the two basis
-    states. Because the truncated chain carries a known one-site defect at
-    the far boundary, ray and in-span weight come from the dominant
-    singular pair of the 2x2 block over (site-1 sector) x (far site); a
-    weight deficit signals an assembly bug.
-    """
-    theta, phi = _band_branch(w, cfg.epsilon, branch)
-    pt = _equator_batch(np.array([theta]), np.array([phi]), cfg.n_sites)
-    amps = pt.zdag_omega[0].reshape(2, -1)[:, _pattern(cfg.n_sites)]  # site 1 up, down
-    return EquatorPoint(Ray(pt.rays[0]), amps, float(pt.weight[0]), float(pt.y_overlap[0]),
-                        complex(pt.y_raw[0]))
-
-
 def _bloch_vectors(theta, phi) -> np.ndarray:
     """Ground vectors (..., 2) of -n(theta, phi).sigma."""
     half_phase = np.exp(1j * phi / 2.0)
     return np.stack([np.cos(theta / 2.0) / half_phase, np.sin(theta / 2.0) * half_phase], axis=-1)
 
 
-def bloch_ground_map(r: np.ndarray) -> Ray:
-    """Ground ray of -r.sigma for a unit 3-vector r; its rank-one
+def bloch_ground_map(r: np.ndarray) -> np.ndarray:
+    """Unit ground vector of -r.sigma for a unit 3-vector r; its rank-one
     projector is (1 + r.sigma)/2."""
     r = np.asarray(r, dtype=float).ravel()
     if abs(np.linalg.norm(r) - 1.0) > 1e-10:
         raise ValueError("bloch_ground_map expects a unit vector")
-    return Ray(_bloch_vectors(np.arccos(np.clip(r[2], -1.0, 1.0)), np.arctan2(r[1], r[0])))
+    return _bloch_vectors(np.arccos(np.clip(r[2], -1.0, 1.0)), np.arctan2(r[1], r[0]))
 
 
 @dataclass
@@ -664,8 +628,8 @@ def product_distance_bound(r: np.ndarray, s: np.ndarray, n_sites: int) -> Produc
     s = np.asarray(s, dtype=float).ravel()
     bound = abs(1.0 - float(np.dot(r, s)) ** n_sites)
 
-    vr = bloch_ground_map(r).vec
-    vs = bloch_ground_map(s).vec
+    vr = bloch_ground_map(r)
+    vs = bloch_ground_map(s)
     rho_r = np.outer(vr, vr.conj())
     rho_s = np.outer(vs, vs.conj())
     h1 = -sum(comp * sig for comp, sig in zip(r, PAULI_VEC))

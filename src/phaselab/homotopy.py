@@ -37,6 +37,11 @@ PREPASS_COLUMNS = 128
 # the fewest rows a stage takes.
 FINE_MULT = 6
 MIN_ROWS = 8
+# Bytes of cells (rows x T x n² x 16) of the largest sheet accepted. The
+# verifier allocates up to 2.9 times a sheet's cells on top of them, and the
+# expansion peaks at 3.9 times in all (tracemalloc on the plateau and random
+# loops, n = 3; 2.1 at n = 8), so a run stays within 2^28 bytes.
+MAX_SHEET_BYTES = 2**26
 
 
 def projection_matrix(n: int, k: int) -> np.ndarray:
@@ -146,6 +151,13 @@ class HomotopySheet:
     @property
     def shape(self) -> tuple[int, int]:
         return self.cells.shape[:2]
+
+
+def _check_sheet_budget(rows: int, t_count: int, n: int) -> None:
+    """Refuse, before allocating it, a sheet over MAX_SHEET_BYTES."""
+    if rows * t_count * n * n * 16 > MAX_SHEET_BYTES:
+        raise ValueError(f"a sheet of {rows} x {t_count} states on M_{n} exceeds the "
+                         f"{MAX_SHEET_BYTES}-byte budget")
 
 
 def _unitarity_defect(a: np.ndarray) -> np.ndarray:
@@ -259,7 +271,7 @@ def _transport_unitaries(rhos: np.ndarray) -> np.ndarray:
     sent to e_0 by an elementary transport. Inside a gap any unitary is
     admissible (a unitary cannot make a non-pure state pure), so the held
     endpoint unitary is rotated to the next run's initial transport along
-    the unitary-group geodesic, spread over the gap interior. Runs and gaps
+    the unitary-group geodesic over the gap (_unitary_powers). Runs and gaps
     alternate between the edges of the near-pure mask, starting and ending
     with a run.
     """
@@ -289,13 +301,21 @@ def _transport_unitaries(rhos: np.ndarray) -> np.ndarray:
             unitaries[i] = elementary_transport(v, e0)
 
     for (_, gap_start), (right, _) in zip(runs[:-1], runs[1:]):
-        import scipy.linalg  # lazily: it would double the CLI's import time
         left = gap_start - 1
-        k = scipy.linalg.logm(unitaries[right] @ unitaries[left].conj().T)
-        k = (k - k.conj().T) / 2
-        for j in range(gap_start, right):
-            unitaries[j] = scipy.linalg.expm((j - left) / (right - left) * k) @ unitaries[left]
+        f = (np.arange(gap_start, right) - left) / (right - left)
+        v = unitaries[right] @ unitaries[left].conj().T
+        unitaries[gap_start:right] = _unitary_powers(v, f) @ unitaries[left]
     return unitaries
+
+
+def _unitary_powers(v: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """V^f = exp(f log V), principal branch, (G, n, n) for a unitary V and
+    fractions f (G,): Q diag(e^{i f θ}) Q† from one eig, V = Q diag(e^{iθ}) Q†.
+    Q is the QR factor of eig's vectors, which are not orthonormal for a
+    repeated eigenvalue."""
+    evals, evecs = np.linalg.eig(v)
+    q = np.linalg.qr(evecs)[0]
+    return (q * np.exp(1j * f[:, None] * np.angle(evals))[:, None, :]) @ q.conj().T
 
 
 def _interp_rows(r: np.ndarray, n_rows: int) -> np.ndarray:
@@ -425,7 +445,9 @@ def sheet_from_recipe(loop: np.ndarray, levels: list) -> HomotopySheet:
     corner. Every sheet is made here, so a sheet read back from its
     document equals the contractor's bit for bit."""
     t_count, n = loop.shape[0], loop.shape[-1]
-    cells = np.zeros((_recipe_rows(n, t_count, levels), t_count, n, n), dtype=np.complex128)
+    rows = _recipe_rows(n, t_count, levels)
+    _check_sheet_budget(rows, t_count, n)
+    cells = np.zeros((rows, t_count, n, n), dtype=np.complex128)
     cells[0] = loop
     row = 1
     for level in levels:
@@ -447,9 +469,11 @@ def contract_loop(loop: StateLoop) -> HomotopySheet:
     forward by (1 - P) + (embedded block operator), that is, its cells are
     zero-padded to n x n. At k = n-1 the loop is pinned to the basepoint.
     Each level's recipe is built from the last rows alone; the sheet is
-    then expanded from the whole recipe once.
+    then expanded from the whole recipe once. A loop whose sheet exceeds
+    MAX_SHEET_BYTES even at MIN_ROWS a stage is refused first.
     """
     n = loop.n
+    _check_sheet_budget(1 + 2 * MIN_ROWS * (n - 1), loop.n_samples, n)
     target = 2.5 * max(loop.max_step, 1e-3)
     current = loop.rhos
     levels = []
@@ -571,7 +595,7 @@ def verify_homotopy(sheet: HomotopySheet, input_loop: StateLoop, modulus: float)
     step_s = np.where(ok[1:] & ok[:-1], trace_norm(arr[1:] - arr[:-1]), 0.0)
     max_t, max_s = step_t.max(initial=0.0), step_s.max(initial=0.0)
     max_step = float(max(max_t, max_s))
-    if max_step > modulus:
+    if not max_step <= modulus:  # a NaN modulus or step fails too
         steps = step_t if max_t >= max_s else step_s
         worst = np.unravel_index(np.argmax(steps), steps.shape)
         violations.append(("step-modulus", tuple(int(x) for x in worst), max_step, modulus))

@@ -1,8 +1,8 @@
 """Projective Hilbert space geometry.
 
-Rays, ray products, the three equivalent metrics (chord / Fubini-Study /
-gap), and the elementary unitary transport with which loop contraction
-carries top eigenvectors to e_0.
+Ray products of representative vectors, the three equivalent metrics
+(chord / Fubini-Study / gap), and the elementary unitary transport with
+which loop contraction carries top eigenvectors to e_0.
 """
 
 from __future__ import annotations
@@ -13,45 +13,9 @@ import numpy as np
 
 from .linalg import eye
 
-RAY_EQUALITY_TOL = 1e-10
-
-
-class Ray:
-    """A point of projective Hilbert space, stored as a unit representative.
-
-    Two rays compare equal iff their ray product is 1 to tolerance; the
-    stored phase is arbitrary.
-    """
-
-    __slots__ = ("vec",)
-
-    def __init__(self, vec):
-        v = np.asarray(vec, dtype=np.complex128).ravel()
-        nrm = np.linalg.norm(v)
-        if not np.isfinite(nrm) or nrm == 0.0:
-            raise ValueError("a ray needs a nonzero finite representative")
-        self.vec = v / nrm
-
-    @property
-    def dim(self) -> int:
-        return self.vec.shape[0]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Ray):
-            return NotImplemented
-        return abs(1.0 - ray_product(self, other)) <= RAY_EQUALITY_TOL
-
-    def __hash__(self):
-        raise TypeError("rays are not hashable")
-
-    def __repr__(self):
-        return f"Ray({self.vec!r})"
-
 
 def _rep(x) -> np.ndarray:
-    """Unit representative of a Ray or raw vector."""
-    if isinstance(x, Ray):
-        return x.vec
+    """Unit representative of the ray of a nonzero vector."""
     v = np.asarray(x, dtype=np.complex128).ravel()
     nrm = np.linalg.norm(v)
     if nrm == 0.0:

@@ -18,7 +18,6 @@ from phaselab.dimer import (
     equator_point,
     invariant_sweep,
     product_distance_bound,
-    projected_equator_map,
     truncated_Z,
 )
 from phaselab.homotopy import (

@@ -295,7 +295,7 @@ def bloch_field(k_dim, m_dim, winding=1):
         for m, ph in enumerate(phis):
             ph = winding * ph
             r = np.array([np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th)])
-            field[k, m] = bloch_ground_map(r).vec
+            field[k, m] = bloch_ground_map(r)
     return field
 
 

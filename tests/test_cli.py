@@ -9,7 +9,7 @@ import pytest
 
 from phaselab import serialize
 from phaselab.cli import main
-from phaselab.homotopy import SAFETY_FLOOR, bundled_pure_loop, constant_loop
+from phaselab.homotopy import SAFETY_FLOOR, bundled_plateau_loop, bundled_pure_loop, constant_loop
 from phaselab.util import NumericalGateError
 
 
@@ -311,17 +311,50 @@ def test_cli_import_leaves_out_scipy_linalg():
     assert out.stdout.strip() == "False"
 
 
-def test_selfcheck_runs_without_scipy():
-    # a None entry makes every import of scipy fail
-    probe = (
-        "import sys; sys.modules['scipy'] = None; from phaselab.cli import main; "
-        "sys.exit(main(['selfcheck', '--seed', '7', '--out', sys.argv[1]]))"
-    )
+@pytest.mark.parametrize(
+    "argv",
+    [["invariant", "--grid", "8x16"], ["contract-loop", "plateau.json"],
+     ["selfcheck", "--seed", "7"], ["supernatural", "--type", "2,6,12"]],
+    ids=lambda argv: argv[0],
+)
+def test_commands_run_without_scipy(tmp_path, argv):
+    # a None entry makes every import of scipy fail; the plateau loop has
+    # non-pure gaps, so its contraction bridges them
+    if argv[0] == "contract-loop":
+        loop_doc = serialize.loop_to_doc(bundled_plateau_loop())
+        serialize.write_doc(str(tmp_path / argv[1]), loop_doc)
+    probe = ("import sys; sys.modules['scipy'] = None; from phaselab.cli import main; "
+             "sys.exit(main(sys.argv[1:]))")
     out = subprocess.run(
-        [sys.executable, "-c", probe, os.devnull], capture_output=True, text=True,
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        [sys.executable, "-c", probe, *argv, "--out", os.devnull], capture_output=True,
+        text=True, cwd=tmp_path, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
     )
     assert out.returncode == 0, out.stderr
+
+
+@pytest.mark.parametrize("factor", ["nan", "inf", "0", "-1"])
+def test_contract_loop_refuses_a_modulus_factor_not_finite_and_positive(tmp_path, capsys, factor):
+    # a NaN or infinite modulus would turn the verifier's step gate off
+    path = tmp_path / "loop.json"
+    serialize.write_doc(str(path), serialize.loop_to_doc(constant_loop(2, 12)))
+    assert main(["contract-loop", str(path), "--modulus-factor", factor]) == 3
+    assert "must be finite and > 0" in capsys.readouterr().err
+
+
+def test_contract_loop_refuses_an_oversize_sheet(tmp_path, capsys):
+    # at n = 50 every sheet has at least 1 + 16 x 49 rows: 785 x 101 x 50² x
+    # 16 bytes, 3.2 GB of cells, refused before the first level
+    path = tmp_path / "loop.json"
+    serialize.write_doc(str(path), serialize.loop_to_doc(constant_loop(50, 100)))
+    tracemalloc.start()
+    try:
+        code = main(["contract-loop", str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert "budget" in capsys.readouterr().err
+    assert peak < 2**27
 
 
 def test_contract_loop_bad_json_reports_line(tmp_path, capsys):

@@ -15,7 +15,6 @@ from phaselab.dimer import (
     invariant_sweep,
     param_point,
     product_distance_bound,
-    projected_equator_map,
     site_rotation,
     truncated_Z,
 )
@@ -172,8 +171,10 @@ def test_truncated_z_reference_point():
     n = cfg.n_sites
     # z acts trivially (the theta = 0 branch gives G = 1, so M = U1-dagger)
     assert np.max(np.abs(tz.z - eye(2**n))) < 1e-12
-    pt = projected_equator_map(param_point(0, 0, 1, 0), cfg)
-    assert abs(abs(pt.amplitudes[0]) - 1) < 1e-12
+    from phaselab.dimer import _equator_batch, _pattern
+
+    batch = _equator_batch(np.zeros(1), np.zeros(1), n)  # the reference state itself
+    assert abs(abs(batch.zdag_omega[0, _pattern(n)]) - 1) < 1e-12
 
 
 def test_truncated_z_unitary_and_monitors():
@@ -229,35 +230,33 @@ def test_intertwiner_residual_interior_sites():
         assert operator_norm(lhs - composite) <= 1e-8
 
 
-def test_projected_equator_map_matches_bloch():
-    cfg = ModelConfig()
-    for rhat, expected in (
-        (np.array([0, 0, 1.0]), np.array([1, 0], dtype=complex)),
-        (np.array([1.0, 0, 0]), np.array([1, 1], dtype=complex) / np.sqrt(2)),
-    ):
-        pt = projected_equator_map(equator_point(rhat), cfg)
-        assert abs(abs(np.vdot(pt.ray.vec, expected)) - 1) < 1e-10
+def test_equator_batch_matches_bloch():
+    # the sweep's N=2 chain (its window) against the Bloch ground map
+    from phaselab.dimer import _equator_batch, _pattern
+
     rng = np.random.default_rng(31)
-    for _ in range(25):
-        v = rng.normal(size=3)
-        v /= np.linalg.norm(v)
-        pt = projected_equator_map(equator_point(v), cfg)
-        b = bloch_ground_map(v)
-        assert abs(np.vdot(pt.ray.vec, b.vec)) >= 1 - 1e-8
-        assert pt.weight >= 1 - 1e-6
-        # the strict span projection carries the same ray
-        strict = pt.amplitudes / np.linalg.norm(pt.amplitudes)
-        assert abs(np.vdot(strict, pt.ray.vec)) >= 1 - 1e-10
+    v = rng.normal(size=(25, 3))
+    v = np.concatenate([[[0, 0, 1.0], [1.0, 0, 0]], v / np.linalg.norm(v, axis=-1, keepdims=True)])
+    batch = _equator_batch(np.arccos(v[:, 2]), np.arctan2(v[:, 1], v[:, 0]), 4)
+    assert abs(abs(batch.rays[0, 0]) - 1) < 1e-10
+    assert abs(abs(np.sum(batch.rays[1])) - np.sqrt(2)) < 1e-10
+    for k, r in enumerate(v):
+        assert abs(np.vdot(batch.rays[k], bloch_ground_map(r))) >= 1 - 1e-8
+    assert np.min(batch.weight) >= 1 - 1e-6
+    # the strict span projection (site 1 up, down; the rest in the pattern) carries the same ray
+    strict = batch.zdag_omega.reshape(-1, 2, 8)[:, :, _pattern(4)]
+    strict /= np.linalg.norm(strict, axis=-1, keepdims=True)
+    assert np.min(np.abs(np.sum(strict.conj() * batch.rays, axis=-1))) >= 1 - 1e-10
 
 
 def test_bloch_ground_map():
-    assert np.allclose(bloch_ground_map(np.array([0, 0, 1.0])).vec, [1, 0])
-    assert abs(abs(bloch_ground_map(np.array([0, 0, -1.0])).vec[1]) - 1) < 1e-12
+    assert np.allclose(bloch_ground_map(np.array([0, 0, 1.0])), [1, 0])
+    assert abs(abs(bloch_ground_map(np.array([0, 0, -1.0]))[1]) - 1) < 1e-12
     rng = np.random.default_rng(37)
     for _ in range(50):
         r = rng.normal(size=3)
         r /= np.linalg.norm(r)
-        v = bloch_ground_map(r).vec
+        v = bloch_ground_map(r)
         proj = np.outer(v, v.conj())
         target = (eye(2) + r[0] * SIGMA_X + r[1] * SIGMA_Y + r[2] * SIGMA_Z) / 2
         assert operator_norm(proj - target) < 1e-10
@@ -313,21 +312,9 @@ def test_interior_overlap_monitor_detects_contamination():
 
 def test_truncated_z_outside_band_errors():
     cfg = ModelConfig()
-    with pytest.raises(ValueError):
-        truncated_Z(param_point(0, 0, 0, 1), cfg)
-    with pytest.raises(ValueError):
-        projected_equator_map(param_point(0, 0, 0, -1), cfg)
-
-
-def test_projected_map_extends_into_the_band():
-    cfg = ModelConfig()
-    rng = np.random.default_rng(47)
-    v = rng.normal(size=3)
-    v /= np.linalg.norm(v)
-    w4 = 0.2
-    w = ParamPoint(np.concatenate([v * np.sqrt(1 - w4**2), [w4]]))
-    pt = projected_equator_map(w, cfg)
-    assert abs(np.vdot(pt.ray.vec, bloch_ground_map(v).vec)) >= 1 - 1e-8
+    for w4 in (1, -1):
+        with pytest.raises(ValueError):
+            truncated_Z(param_point(0, 0, 0, w4), cfg)
 
 
 def test_invariant_degree_function():
@@ -411,7 +398,7 @@ def test_model_config_state_budget():
     tracemalloc.start()
     try:
         for build in (lambda: chain_operators(cfg.n_sites), lambda: truncated_Z(w, cfg),
-                      lambda: chain_operators(12), lambda: projected_equator_map(w, cfg)):
+                      lambda: chain_operators(12)):
             with pytest.raises(ValueError, match="budget"):
                 build()
         peak = tracemalloc.get_traced_memory()[1]

@@ -227,6 +227,38 @@ def test_contract_loop_unitary_gate():
         contract_loop(random_based_loop(3, 1, 700))
 
 
+def _unitaries_with_spectrum(rng, angles, count):
+    """`count` unitaries W diag(e^{i angles}) W† with Haar-like random W."""
+    n = len(angles)
+    w = np.linalg.qr(rng.normal(size=(count, n, n)) + 1j * rng.normal(size=(count, n, n)))[0]
+    return (w * np.exp(1j * np.asarray(angles))) @ w.conj().swapaxes(-1, -2)
+
+
+@pytest.mark.parametrize(
+    "n, spectrum", [(2, "generic"), (2, "scalar"), (3, "generic"), (3, "double"), (3, "scalar")]
+)
+def test_unitary_powers_match_expm_logm(n, spectrum):
+    # the geodesic bridge of non-pure gaps against scipy's principal
+    # logarithm, on spectra kept away from -1
+    from scipy.linalg import expm, logm
+
+    rng = np.random.default_rng(n * 10 + len(spectrum))
+    f = np.linspace(0.0, 1.0, 9)
+    for _ in range(40):
+        a, b, c = rng.uniform(-np.pi + 0.3, np.pi - 0.3, size=3)
+        angles = {"generic": [a, b, c], "double": [a, a, b], "scalar": [a, a, a]}[spectrum][:n]
+        vs = list(_unitaries_with_spectrum(rng, angles, 2))
+        if spectrum == "scalar":
+            vs.append(np.exp(1j * a) * np.eye(n))  # exactly scalar, eig's vectors exact
+        for v in vs:
+            powers = homotopy._unitary_powers(v, f)
+            k = logm(v)
+            want = np.stack([expm(x * k) for x in f])
+            assert np.max(np.abs(powers - want)) <= 1e-12
+            assert np.max(homotopy._unitarity_defect(powers)) <= 1e-12
+            assert np.max(np.abs(powers[-1] - v)) <= 1e-12
+
+
 def test_contract_constant_loop_trivial_sheet():
     loop = constant_loop(2, 12)
     sheet = contract_loop(loop)
@@ -250,6 +282,34 @@ def test_verifier_flags_corrupted_cell():
     assert "step-modulus" in kinds
     cells = {v[1] for v in report.violations if v[0] == "step-modulus"}
     assert any(cell in {(2, 3), (2, 4), (1, 4)} for cell in cells)
+
+
+def test_verifier_fails_a_nan_modulus(pure_sheet):
+    # a NaN modulus must not turn the step gate off
+    loop = bundled_pure_loop()
+    assert verify_homotopy(pure_sheet, loop, 5 * loop.max_step).passed
+    report = verify_homotopy(pure_sheet, loop, float("nan"))
+    assert not report.passed
+    assert [v[0] for v in report.violations] == ["step-modulus"]
+
+
+def test_sheet_budget_refuses_before_allocating(pure_sheet, monkeypatch):
+    # sheet_from_recipe checks the exact rows of a recipe, so a sheet
+    # document is refused too; contract_loop checks the fewest rows a loop's
+    # sheet can have before its first level
+    doc = serialize.sheet_to_doc(pure_sheet)
+    monkeypatch.setattr(homotopy, "MAX_SHEET_BYTES", pure_sheet.cells.nbytes)
+    assert np.array_equal(serialize.sheet_from_doc(doc).cells, pure_sheet.cells)
+    monkeypatch.setattr(homotopy, "MAX_SHEET_BYTES", pure_sheet.cells.nbytes - 1)
+    with pytest.raises(ValueError, match="budget"):
+        serialize.sheet_from_doc(doc)
+    loop = constant_loop(3, 16)  # its sheet has the fewest rows, 1 + 2 x 8 x 2
+    monkeypatch.setattr(homotopy, "MAX_SHEET_BYTES", 33 * 17 * 9 * 16)
+    assert contract_loop(loop).shape == (33, 17)
+    monkeypatch.setattr(homotopy, "MAX_SHEET_BYTES", 33 * 17 * 9 * 16 - 1)
+    monkeypatch.setattr(homotopy, "_rectify", None)  # not reached
+    with pytest.raises(ValueError, match="budget"):
+        contract_loop(loop)
 
 
 def test_loop_and_sheet_serialization_roundtrip():
