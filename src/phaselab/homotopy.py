@@ -17,9 +17,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import eye, min_eigenvalues, pack_hermitian, packed_trace_norm, trace_norm
+from .linalg import (eye, min_eigenvalues, pack_hermitian, packed_trace_norm, trace_norm,
+                     unpack_hermitian)
 from .projective import elementary_transport
-from .states import act_batch, basis_state, validate_densities
+from .states import GelfandIdealError, basis_state, validate_densities
 from .util import NumericalGateError
 
 PURITY_THRESHOLD = 7.0 / 8.0
@@ -28,6 +29,7 @@ SAFETY_FLOOR = 1e-10
 BOUNDARY_RADIUS = 1.0 - 1e-9
 BASEPOINT_TOL = 1e-9
 OPERATOR_TOL = 1e-9
+IDEAL_NORMALIZER_TOL = 1e-12
 # Columns per batch in the arc-length pre-pass of _interp_rows. Its
 # temporaries hold columns x fine samples packed matrices: at n = 3 with
 # about 200 fine samples, 1.8 MB each, where all 701 columns at once would
@@ -38,9 +40,10 @@ PREPASS_COLUMNS = 128
 FINE_MULT = 6
 MIN_ROWS = 8
 # Bytes of cells (rows x T x n² x 16) of the largest sheet accepted. The
-# verifier allocates up to 2.9 times a sheet's cells on top of them, and the
-# expansion peaks at 3.9 times in all (tracemalloc on the plateau and random
-# loops, n = 3; 2.1 at n = 8), so a run stays within 2^28 bytes.
+# verifier allocates up to 2.9 times a sheet's cells on top of them (2.1 at
+# n = 8), and the expansion peaks at 3.7 times in all (1.4 at n = 8;
+# tracemalloc on the plateau and random loops, n = 3), so a run stays within
+# 2^28 bytes.
 MAX_SHEET_BYTES = 2**26
 
 
@@ -199,6 +202,7 @@ def safety_min(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     s = np.where(inside, vertex, np.where(c1 + c2 < 0.0, 1.0, 0.0))
     return c0 + s * (c1 + c2 * s), s
 
+
 def _alignment_wedge(r: float) -> float:
     """Half-angle around +1 that lambda*gamma is confined to at radius r:
     unconstrained at the center, shrinking linearly to 0 on the boundary
@@ -326,29 +330,24 @@ def _interp_rows(r: np.ndarray, n_rows: int) -> np.ndarray:
     to the input modulus even where the interpolation moves unevenly in s.
     The last row is 1 exactly.
 
-    The pre-pass evaluates the states (R0 + s R1 + s² R2) / (c0 + s c1 + s² c2)
-    and their steps on the pencil's packed layout (linalg.pack_hermitian,
-    n² reals per matrix), and measures the steps with
-    linalg.packed_trace_norm: the closed form for 2x2 and 3x3 blocks,
-    elementwise over the chunk, and eigvalsh on the unpacked steps for
-    larger blocks. Every packed coordinate takes the same arithmetic as the
-    complex matrices would, so the s table is the one a pre-pass over
-    complex states and linalg.trace_norm gives, bit for bit.
+    The pre-pass evaluates the states with _pencil_states, and measures
+    their steps with linalg.packed_trace_norm: the closed form for 2x2 and
+    3x3 blocks, elementwise over the chunk, and eigvalsh on the unpacked
+    steps for larger blocks. Every packed coordinate takes the same
+    arithmetic as the complex matrices would, so the s table is the one a
+    pre-pass over complex states and linalg.trace_norm gives, bit for bit.
     """
     t_count = r.shape[1]
     f_count = max(n_rows * FINE_MULT, 48)
     s_fine = np.linspace(0.0, 1.0, f_count + 1)
     fractions = np.arange(1, n_rows + 1) / n_rows
     traces = np.trace(r, axis1=-2, axis2=-1).real
-    packed = pack_hermitian(r)  # (n², 3, T)
+    packed = np.moveaxis(pack_hermitian(r), 1, 0)  # (3, n², T)
     s_rows = np.empty((n_rows, t_count))
     for lo in range(0, t_count, PREPASS_COLUMNS):
         cols = slice(lo, lo + PREPASS_COLUMNS)
-        p0, p1, p2 = np.moveaxis(packed[:, :, cols, None], 1, 0)
-        c0, c1, c2 = traces[:, cols, None]
-        norm = c0 + s_fine * (c1 + s_fine * c2)
-        rho_s = (p0 + s_fine * (p1 + s_fine * p2)) / norm  # (n², cols, F + 1)
-        steps = packed_trace_norm(rho_s[..., 1:] - rho_s[..., :-1])
+        rho_s, _ = _pencil_states(packed[:, :, cols, None], traces[:, cols, None], s_fine)
+        steps = packed_trace_norm(rho_s[..., 1:] - rho_s[..., :-1])  # rho_s: (n², cols, F + 1)
         arcs = np.concatenate([np.zeros((len(steps), 1)), np.cumsum(steps, axis=1)], axis=1)
         for t, arc in enumerate(arcs, start=lo):
             if arc[-1] < 1e-13:
@@ -359,11 +358,28 @@ def _interp_rows(r: np.ndarray, n_rows: int) -> np.ndarray:
     return s_rows
 
 
-def _act_rows(ops: np.ndarray, s: np.ndarray, rhos: np.ndarray) -> np.ndarray:
-    """Rows (len(s), T, b, b): s[r, t] A_t + (1 - s[r, t]) 1 acting on
-    column t of the density stack `rhos`, validated once."""
-    s = s[..., None, None]
-    return act_batch(s * ops + (1.0 - s) * eye(rhos.shape[-1]), rhos)
+def _pencil_states(p: np.ndarray, c: np.ndarray, s) -> tuple[np.ndarray, np.ndarray]:
+    """A pencil's states B(s) rho B(s)† / tr at s on the packed layout, and
+    their normalizers: (p0 + s (p1 + s p2)) / (c0 + s (c1 + s c2)) and its
+    denominator, for packed pencil coefficients p (3, n², ...) (see pencil
+    and linalg.pack_hermitian) and their traces c (3, ...), broadcast
+    against s."""
+    norm = c[0] + s * (c[1] + s * c[2])
+    return (p[0] + s * (p[1] + s * p[2])) / norm, norm
+
+
+def _stage_rows(r: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Rows (rows, T, b, b) of a stage whose column t has the pencil
+    r[:, t] (see pencil): column t of row k is the state at s[k, t], from
+    one packing of the pencil (_pencil_states), exactly Hermitian and
+    validated once. Raises GelfandIdealError where a normalizer puts
+    B(s) in the Gelfand ideal of its column's state."""
+    packed = np.moveaxis(pack_hermitian(r), 1, 0)[:, :, None]  # (3, b², 1, T)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rows, norm = _pencil_states(packed, np.trace(r, axis1=-2, axis2=-1).real, s)
+    if (norm <= IDEAL_NORMALIZER_TOL).any():
+        raise GelfandIdealError("element lies in the Gelfand ideal of the state")
+    return validate_densities(unpack_hermitian(rows))
 
 
 def _rows_for(target_step: float, movement: float) -> int:
@@ -382,9 +398,9 @@ def _rectify(rhos: np.ndarray, target: float):
     Gelfand ideal; then the linear interpolations with s lambda_t U_t and
     with s P^b_1. Every interpolation is certified by its exact safety
     minimum over s in [0, 1], and its rows step by about `target`. Each
-    stage's last row is built once, at s = 1, as the expansion builds it
-    (_act_rows); it measures the stage's movement and is the next stage's
-    input.
+    stage's last row is built once, from the pencil that certifies the
+    stage, at s = 1 as the expansion builds it (_stage_rows); it measures
+    the stage's movement and is the next stage's input.
     """
     n, ones = rhos.shape[-1], np.ones((1, len(rhos)))
 
@@ -394,8 +410,7 @@ def _rectify(rhos: np.ndarray, target: float):
     lam = disk_phase_lift(gamma)
 
     lifted = lam[:, None, None] * unitaries
-    unlifted = lifted / lam[:, None, None]
-    not_unitary = ~(_unitarity_defect(unlifted) <= OPERATOR_TOL)
+    not_unitary = ~(_unitarity_defect(unitaries) <= OPERATOR_TOL)
     # safety of the *lifted* interpolation, the one the sheet uses
     r_lifted = pencil(lifted, rhos)
     lifted_min, _ = safety_min(r_lifted)
@@ -404,13 +419,13 @@ def _rectify(rhos: np.ndarray, target: float):
         t = failing[0]
         if not_unitary[t]:
             raise ValueError("not a unitary")
-        unlifted_min, _ = safety_min(pencil(unlifted[t], rhos[t]))
+        unlifted_min, _ = safety_min(pencil(unitaries[t], rhos[t]))
         raise NumericalGateError(
             f"unitary interpolation unsafe at sample {t} despite phase lift "
             f"(min {lifted_min[t]:.3e}, unlifted min {unlifted_min:.3e})"
         )
 
-    out_a = _act_rows(lifted, ones, rhos)[0]
+    out_a = _stage_rows(r_lifted, ones)[0]
     proj = projection_matrix(n, 1)
     r_proj = pencil(proj, out_a)
     failing = np.flatnonzero(~(safety_min(r_proj)[0] > SAFETY_FLOOR))
@@ -418,7 +433,7 @@ def _rectify(rhos: np.ndarray, target: float):
         raise NumericalGateError(f"projection interpolation unsafe at sample {failing[0]}")
 
     s_a = _interp_rows(r_lifted, _rows_for(target, trace_norm(out_a - rhos).max()))
-    out_b = _act_rows(proj, ones, out_a)[0]
+    out_b = _stage_rows(r_proj, ones)[0]
     s_b = _interp_rows(r_proj, _rows_for(target, trace_norm(out_b - out_a).max()))
     return [Stage("unitary", lifted, s_a), Stage("projection", proj, s_b)], out_b
 
@@ -440,10 +455,10 @@ def _level_input(current: np.ndarray, block: int) -> np.ndarray:
 def sheet_from_recipe(loop: np.ndarray, levels: list) -> HomotopySheet:
     """Expand a contraction recipe into its sheet. Row 0 is the density
     stack `loop` (T, n, n). Each level takes its input from the last row
-    so far (_level_input); each of its stages acts on the last row of the
-    stage before (_act_rows); and its rows are zero-padded into the n x n
-    corner. Every sheet is made here, so a sheet read back from its
-    document equals the contractor's bit for bit."""
+    so far (_level_input); each of its stages evaluates its pencil on the
+    last row of the stage before at its s table (_stage_rows); and its rows
+    are zero-padded into the n x n corner. Every sheet is made here, so a
+    sheet read back from its document equals the contractor's bit for bit."""
     t_count, n = loop.shape[0], loop.shape[-1]
     rows = _recipe_rows(n, t_count, levels)
     _check_sheet_budget(rows, t_count, n)
@@ -454,7 +469,7 @@ def sheet_from_recipe(loop: np.ndarray, levels: list) -> HomotopySheet:
         b = level.block
         rhos = _level_input(cells[row - 1], b)
         for stage in level.stages:
-            rows = _act_rows(stage.ops, stage.s, rhos)
+            rows = _stage_rows(pencil(stage.ops, rhos), stage.s)
             cells[row:row + len(rows), :, :b, :b] = rows
             row += len(rows)
             rhos = rows[-1]

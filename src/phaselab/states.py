@@ -1,9 +1,8 @@
 """States on matrix algebras.
 
-Density matrices and their batched validation, the A.omega action over
-stacks, and the GNS construction with explicit Gelfand ideals.
-Distances between states are `linalg.trace_norm` of the density
-difference.
+Density matrices and their batched validation, and the GNS construction
+with explicit Gelfand ideals. Distances between states are
+`linalg.trace_norm` of the density difference.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ from .linalg import eye, min_eigenvalues
 STATE_HERM_TOL = 1e-10
 STATE_EIG_TOL = 1e-10
 STATE_TRACE_TOL = 1e-10
-IDEAL_NORMALIZER_TOL = 1e-12
 GRAM_RANK_CUT = 1e-9
 
 
@@ -102,27 +100,6 @@ def validate_densities(rho: np.ndarray) -> np.ndarray:
             raise ValueError(f"density matrix has negative eigenvalue {min_eig[i]:.3e}")
         raise ValueError(f"density matrix trace {trace[i]:.12f} != 1")
     return rho
-
-
-def act_batch(a: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """The action (A . omega)(B) = omega(A* B A) / omega(A* A), realized on
-    densities as A rho A* / tr(A rho A*), symmetrized (pure in, pure out),
-    over broadcast stacks of elements and densities (..., n, n). Returns the
-    validated density stack; raises GelfandIdealError for the first sample
-    in C order whose normalizer puts A in the Gelfand ideal of its state,
-    after validating the samples before it."""
-    a = np.asarray(a, dtype=np.complex128)
-    out = a @ rho @ a.conj().swapaxes(-1, -2)
-    nrm = np.trace(out, axis1=-2, axis2=-1).real
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = out / nrm[..., None, None]
-    out = (out + out.conj().swapaxes(-1, -2)) / 2
-    ideal = (nrm <= IDEAL_NORMALIZER_TOL).ravel()
-    stop = int(np.argmax(ideal)) if ideal.any() else ideal.size
-    validate_densities(out.reshape(-1, *out.shape[-2:])[:stop])
-    if stop < ideal.size:
-        raise GelfandIdealError("element lies in the Gelfand ideal of the state")
-    return out
 
 
 @dataclass

@@ -259,6 +259,21 @@ def test_unitary_powers_match_expm_logm(n, spectrum):
             assert np.max(np.abs(powers[-1] - v)) <= 1e-12
 
 
+def test_gap_bridges_run_from_left_to_right_at_constant_speed():
+    # each gap of the plateau loop is bridged along the geodesic from the
+    # transport at its left edge to the one at its right edge, so the steps
+    # from `left` to `right` are all equal, the last into `right` included
+    rhos = bundled_plateau_loop().rhos
+    unitaries = homotopy._transport_unitaries(rhos)
+    near_pure = np.linalg.eigvalsh(rhos)[:, -1] > homotopy.PURITY_THRESHOLD
+    edges = np.flatnonzero(np.diff(near_pure)) + 1
+    assert len(edges) >= 2
+    for gap_start, right in zip(edges[0::2], edges[1::2]):
+        bridge = unitaries[gap_start - 1:right + 1]
+        steps = linalg.operator_norm(bridge[1:] - bridge[:-1])
+        assert steps.max() / steps.min() < 1 + 1e-9
+
+
 def test_contract_constant_loop_trivial_sheet():
     loop = constant_loop(2, 12)
     sheet = contract_loop(loop)
@@ -542,6 +557,24 @@ def test_pencil_s_tables_match_the_direct_form(name):
         assert np.max(error * lengths) < 1e-13
 
 
+@pytest.mark.parametrize("name", ["plateau", "seed2"])
+def test_sheet_cells_are_the_direct_action(name):
+    # every cell, evaluated from its stage's pencil, against the per-matrix
+    # product B(s) rho B(s)† / tr on the stage's input; zero outside the block
+    _, sheet = _contracted(name)
+    row = 1
+    for stage, rhos in _stage_inputs(sheet):
+        b, s = rhos.shape[-1], stage.s[..., None, None]
+        bs = s * stage.ops + (1.0 - s) * np.eye(b)
+        raw = bs @ rhos @ bs.conj().swapaxes(-1, -2)
+        direct = raw / np.trace(raw, axis1=-2, axis2=-1).real[..., None, None]
+        cells = sheet.cells[row:row + len(stage.s)]
+        assert np.max(np.abs(cells[..., :b, :b] - direct)) < 1e-13
+        assert not cells[..., b:, :].any() and not cells[..., :, b:].any()
+        row += len(stage.s)
+    assert row == sheet.shape[0]
+
+
 def test_pencil_is_the_interpolation_polynomial():
     rng = np.random.default_rng(3)
     a = rng.normal(size=(5, 3, 3)) + 1j * rng.normal(size=(5, 3, 3))
@@ -601,6 +634,20 @@ def test_verifier_flags_forged_recipes(stage_index, forge, kind, at):
     assert not report.passed
     assert {v[0] for v in report.violations} == {kind}
     assert [v[1] for v in report.violations] == [(0, stage_index, t) for t in at]
+
+
+def test_expansion_refuses_a_recipe_in_the_gelfand_ideal():
+    # A = -1 with its s = 1/2 row kept: B(1/2) = 0 annihilates the state
+    sheet = contract_loop(constant_loop(2, 10))
+    (level,) = sheet.levels
+    unitary, projection = level.stages
+    assert (unitary.s[:, 4] == 0.5).any()
+    forged = [Level(2, [unitary._replace(ops=_set(unitary.ops, 4, -np.eye(2))), projection])]
+    with pytest.raises(states.GelfandIdealError):
+        sheet_from_recipe(sheet.cells[0], forged)
+    doc = serialize.sheet_to_doc(HomotopySheet(2, sheet.cells, forged))
+    with pytest.raises(ValueError, match="Gelfand ideal"):
+        serialize.sheet_from_doc(doc)
 
 
 def test_verifier_flags_a_scaled_unitary_on_a_moving_loop(pure_sheet):
@@ -803,7 +850,9 @@ def test_compression_pushforward_matches_block_action():
     # acting with (1 - P) + embedded block operator on a P-supported state
     # agrees with the block action on block observables
     rng = np.random.default_rng(55)
-    from phaselab.states import act_batch
+
+    def act(a, rho):  # the stage row of s A + (1 - s) 1 at s = 1
+        return homotopy._stage_rows(pencil(a, rho)[:, None], np.ones((1, 1)))[0, 0]
 
     block = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     rho_block = block @ block.conj().T
@@ -814,8 +863,8 @@ def test_compression_pushforward_matches_block_action():
     p = projection_matrix(3, 1)
     pushed = np.eye(3, dtype=complex) - p
     pushed[:2, :2] += a_block
-    out_full = DensityState(act_batch(pushed, psi.rho))
-    out_block = DensityState(act_batch(a_block, rho[:2, :2] / np.trace(rho[:2, :2]).real))
+    out_full = DensityState(act(pushed, psi.rho))
+    out_block = DensityState(act(a_block, rho[:2, :2] / np.trace(rho[:2, :2]).real))
     for _ in range(10):
         b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         b_emb = np.zeros((3, 3), dtype=complex)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from phaselab.homotopy import _stage_rows, pencil
 from phaselab.linalg import CLOSED_FORM_MIN_STACK, eye, operator_norm, trace_norm
 from phaselab.states import (
     STATE_EIG_TOL,
@@ -8,7 +9,6 @@ from phaselab.states import (
     STATE_TRACE_TOL,
     DensityState,
     GelfandIdealError,
-    act_batch,
     basis_state,
     gns,
     maximally_mixed,
@@ -18,6 +18,13 @@ from phaselab.states import (
 
 E0 = np.array([1, 0], dtype=complex)
 E1 = np.array([0, 1], dtype=complex)
+
+
+def act(a, rho):
+    """The action (A . omega)(B) = omega(A* B A) / omega(A* A) on a density,
+    as a contraction stage realizes it: the row of s A + (1 - s) 1 at s = 1,
+    evaluated from its pencil (homotopy._stage_rows)."""
+    return _stage_rows(pencil(a, rho)[:, None], np.ones((1, 1)))[0, 0]
 
 
 def random_state(rng, n, rank=None):
@@ -77,23 +84,23 @@ def test_state_distance_is_dual_norm():
 def test_act_basics():
     rng = np.random.default_rng(9)
     s = random_state(rng, 3)
-    assert trace_norm(act_batch(eye(3), s.rho) - s.rho) < 1e-12
+    assert trace_norm(act(eye(3), s.rho) - s.rho) < 1e-12
     v = rng.normal(size=3) + 1j * rng.normal(size=3)
     pure = state_from_vector(v)
     q = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))[0]
-    assert trace_norm(act_batch(q, pure.rho) - state_from_vector(q @ v).rho) < 1e-12
+    assert trace_norm(act(q, pure.rho) - state_from_vector(q @ v).rho) < 1e-12
     # projector onto e0 acting on the maximally mixed state
     p = np.diag([1.0, 0.0]).astype(complex)
-    out = act_batch(p, maximally_mixed(2).rho)
+    out = act(p, maximally_mixed(2).rho)
     assert np.allclose(out, np.diag([1, 0]))
-    out = act_batch(q, pure.rho)
+    out = act(q, pure.rho)
     assert np.trace(out @ out).real >= 1 - 1e-9
 
 
 def test_act_gelfand_ideal_error():
     p1 = np.diag([0.0, 1.0]).astype(complex)
     with pytest.raises(GelfandIdealError):
-        act_batch(p1, basis_state(2, 0).rho)
+        act(p1, basis_state(2, 0).rho)
 
 
 def test_act_composition():
@@ -101,7 +108,7 @@ def test_act_composition():
     s = random_state(rng, 3)
     a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     b = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    assert trace_norm(act_batch(a, act_batch(b, s.rho)) - act_batch(a @ b, s.rho)) < 1e-10
+    assert trace_norm(act(a, act(b, s.rho)) - act(a @ b, s.rho)) < 1e-10
 
 
 def test_act_invariance_when_expectation_saturates_norm():
@@ -112,7 +119,7 @@ def test_act_invariance_when_expectation_saturates_norm():
     vv = s.rho @ v / np.linalg.norm(s.rho @ v)
     a = np.exp(0.9j) * np.outer(vv, vv.conj()) * 2.5
     assert abs(abs(s.expect(a)) - operator_norm(a)) < 1e-10
-    assert trace_norm(act_batch(a, s.rho) - s.rho) < 1e-10
+    assert trace_norm(act(a, s.rho) - s.rho) < 1e-10
 
 
 def test_act_linear_combination_invariance():
@@ -126,12 +133,12 @@ def test_act_linear_combination_invariance():
     u -= np.vdot(v, u) * v  # u v* kills v
     a = np.outer(w, v.conj()) + np.outer(u, u.conj()) @ (eye(3) - np.outer(v, v.conj()))
     b = np.exp(1.1j) * 2.0 * np.outer(w, v.conj())
-    assert trace_norm(act_batch(a, s.rho) - act_batch(b, s.rho)) < 1e-12
+    assert trace_norm(act(a, s.rho) - act(b, s.rho)) < 1e-12
     for _ in range(5):
         al, be = rng.normal(size=2)
         comb = al * a + be * b
         if np.trace(comb @ s.rho @ comb.conj().T).real > 1e-10:
-            assert trace_norm(act_batch(comb, s.rho) - act_batch(a, s.rho)) < 1e-10
+            assert trace_norm(act(comb, s.rho) - act(a, s.rho)) < 1e-10
 
 
 def test_gns_pure_state():
@@ -353,16 +360,21 @@ def test_validate_densities_matches_the_eigvalsh_check(n):
 
 
 def test_act_batch_matches_single_calls():
+    # a stage of 5 columns and 4 rows: every cell is the stage row of its
+    # own column at its own s, bit for bit, and the direct product
     rng = np.random.default_rng(9)
-    states = [random_state(rng, 3, rank=2) for _ in range(5)]
-    ops = rng.normal(size=(2, 5, 3, 3)) + 1j * rng.normal(size=(2, 5, 3, 3))
-    out = act_batch(ops, np.array([s.rho for s in states]))
-    for j in range(2):
-        for t, s in enumerate(states):
-            assert np.array_equal(out[j, t], act_batch(ops[j, t], s.rho))
-            direct = ops[j, t] @ s.rho @ ops[j, t].conj().T
-            assert np.max(np.abs(out[j, t] - direct / np.trace(direct).real)) < 1e-12
+    rhos = np.array([random_state(rng, 3, rank=2).rho for _ in range(5)])
+    ops = rng.normal(size=(5, 3, 3)) + 1j * rng.normal(size=(5, 3, 3))
+    s = np.concatenate([rng.uniform(size=(3, 5)), np.ones((1, 5))])
+    out = _stage_rows(pencil(ops, rhos), s)
+    for k in range(4):
+        for t in range(5):
+            single = _stage_rows(pencil(ops[t], rhos[t])[:, None], s[k:k + 1, t:t + 1])
+            assert np.array_equal(out[k, t], single[0, 0])
+            b = s[k, t] * ops[t] + (1.0 - s[k, t]) * eye(3)
+            direct = b @ rhos[t] @ b.conj().T
+            assert np.max(np.abs(out[k, t] - direct / np.trace(direct).real)) < 1e-12
     # the projector onto e1 annihilates the basepoint: the batch raises for it
     p1 = np.diag([0.0, 1.0]).astype(complex)
     with pytest.raises(GelfandIdealError):
-        act_batch(np.array([np.eye(2), p1]), basis_state(2).rho)
+        _stage_rows(pencil(np.array([np.eye(2), p1]), basis_state(2).rho), np.ones((1, 2)))
