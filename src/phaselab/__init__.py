@@ -3,7 +3,7 @@ S3-parametrized spin-1/2 dimer chain, with the projective-geometric,
 C*-algebraic, Cech-cohomological and homotopy-theoretic machinery it is
 built from."""
 
-from .dimer import ModelConfig, ParamPoint, invariant_degree, invariant_sweep
+from .dimer import ModelConfig, ParamPoint, invariant_sweep
 from .util import NumericalGateError
 
 __version__ = "0.1.0"
@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ModelConfig",
     "ParamPoint",
-    "invariant_degree",
     "invariant_sweep",
     "NumericalGateError",
     "__version__",

@@ -168,9 +168,6 @@ def cmd_invariant(args, file_cfg: dict) -> int:
 def cmd_contract_loop(args, file_cfg: dict) -> int:
     try:
         doc = serialize.read_doc(args.loop)
-    except FileNotFoundError:
-        print(f"error: no such loop file: {args.loop}", file=sys.stderr)
-        return EXIT_INPUT
     except json.JSONDecodeError as exc:
         print(f"error: {args.loop}:{exc.lineno}:{exc.colno}: {exc.msg}", file=sys.stderr)
         return EXIT_INPUT
@@ -280,14 +277,13 @@ def cmd_supernatural(args, file_cfg: dict) -> int:
 
 def _read_config(args) -> dict:
     """The --config file of commands that take one, checked against the
-    keys the command reads; raises ValueError for any input error."""
+    keys the command reads; raises ValueError for any input error (OSError
+    for a file that cannot be read)."""
     if getattr(args, "config", None) is None:
         return {}
     try:
         with open(args.config, encoding="utf-8") as fh:
             file_cfg = json.load(fh)
-    except FileNotFoundError:
-        raise ValueError(f"no such config file: {args.config}") from None
     except json.JSONDecodeError as exc:
         raise ValueError(f"{args.config}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
     if not isinstance(file_cfg, dict):
@@ -316,7 +312,7 @@ def main(argv=None) -> int:
     }
     try:
         return commands[args.command](args, _read_config(args))
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:  # a path that cannot be opened, or a bad input
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

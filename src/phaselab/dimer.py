@@ -101,10 +101,6 @@ class ParamPoint:
         return float(np.arccos(np.clip(hat[2], -1.0, 1.0))), float(np.arctan2(hat[1], hat[0]))
 
 
-def param_point(w1: float, w2: float, w3: float, w4: float) -> ParamPoint:
-    return ParamPoint(np.array([w1, w2, w3, w4], dtype=float))
-
-
 def equator_point(rhat: np.ndarray) -> ParamPoint:
     """The band point (w, 0) over a unit 3-vector."""
     r = np.asarray(rhat, dtype=float).ravel()
@@ -597,15 +593,6 @@ def invariant_sweep(cfg: ModelConfig) -> InvariantRecord:
     )
     rec.passed = _gate_failure(rec) is None
     return rec
-
-
-def invariant_degree(cfg: ModelConfig) -> int:
-    """The integer invariant of the dimer model on the given grid; raises
-    NumericalGateError naming the first gate the sweep fails."""
-    rec = invariant_sweep(cfg)
-    if not rec.passed:
-        raise NumericalGateError(_gate_failure(rec))
-    return rec.degree
 
 
 class ProductBound(NamedTuple):

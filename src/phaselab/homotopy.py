@@ -4,13 +4,16 @@ A based loop of density matrices is contracted to the constant loop by
 the action of explicit operator families: unitary eigenvector transport
 (with a disk phase lift to keep linear interpolations outside the Gelfand
 ideal), compression onto nested corner blocks, and a verifier that
-certifies the resulting two-parameter sheet cell by cell. A sheet is
-generated by its recipe (the input loop and, per stage, its operators and
-s table), which is what a sheet document stores.
+certifies the resulting two-parameter sheet cell by cell. A sheet is held
+as its recipe (the input loop and, per stage, its operators and s table),
+which is what a sheet document stores; its cells are evaluated one stage
+at a time (sheet_blocks), and the verifier checks each stage's block of
+rows as it comes.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -39,12 +42,13 @@ PREPASS_COLUMNS = 128
 # the fewest rows a stage takes.
 FINE_MULT = 6
 MIN_ROWS = 8
-# Bytes of cells (rows x T x n² x 16) of the largest sheet accepted. The
-# verifier allocates up to 2.9 times a sheet's cells on top of them (2.1 at
-# n = 8), and the expansion peaks at 3.7 times in all (1.4 at n = 8;
-# tracemalloc on the plateau and random loops, n = 3), so a run stays within
-# 2^28 bytes.
-MAX_SHEET_BYTES = 2**26
+# Bytes a sheet may hold while verified: its recipe (loop, operators and s
+# tables) and BLOCK_COPIES times its largest stage block of rows x T x n² x 16
+# bytes. tracemalloc puts a verification at 4.8 to 6.5 such blocks over the
+# recipe (6.5 at n = 8 and 150 samples, where each stage's pencil weighs more
+# against its 8 rows); 2^28 bytes is what a run of the whole sheet took.
+MAX_SHEET_BYTES = 2**28
+BLOCK_COPIES = 7
 
 
 def projection_matrix(n: int, k: int) -> np.ndarray:
@@ -136,31 +140,37 @@ def _recipe_rows(n: int, t_count: int, levels: list) -> int:
 
 @dataclass
 class HomotopySheet:
-    """S x T grid of states, stored as one (S, T, n, n) complex array, with
-    the recipe that generates it: row 0 is the input loop, and the stages
-    of `levels` give the later rows in order (see sheet_from_recipe)."""
+    """An S x T grid of states, held as the recipe that generates it: row 0
+    is the input loop, a (T, n, n) density stack, and the stages of
+    `levels` give the later rows in order. Its cells are never held at
+    once; sheet_blocks evaluates them a stage at a time. A recipe whose
+    shapes do not fit n and T, or over MAX_SHEET_BYTES, raises ValueError."""
 
     n: int
-    cells: np.ndarray
+    loop: np.ndarray
     levels: list
 
     def __post_init__(self):
-        self.cells = np.asarray(self.cells, dtype=np.complex128)
-        if self.cells.ndim != 4 or self.cells.shape[2:] != (self.n, self.n):
-            raise ValueError(f"sheet cells must have shape (S, T, {self.n}, {self.n})")
-        if _recipe_rows(self.n, self.cells.shape[1], self.levels) != self.cells.shape[0]:
-            raise ValueError("sheet rows do not match its recipe")
+        self.loop = np.asarray(self.loop, dtype=np.complex128)
+        if self.loop.ndim != 3 or self.loop.shape[1:] != (self.n, self.n):
+            raise ValueError(f"a sheet's loop must have shape (T, {self.n}, {self.n})")
+        _recipe_rows(self.n, len(self.loop), self.levels)
+        stages = [st for level in self.levels for st in level.stages]
+        recipe = self.loop.nbytes + sum(st.ops.nbytes + st.s.nbytes for st in stages)
+        block = max((len(st.s) for st in stages), default=1)
+        _check_sheet_budget(recipe, block, len(self.loop), self.n)
 
     @property
     def shape(self) -> tuple[int, int]:
-        return self.cells.shape[:2]
+        return _recipe_rows(self.n, len(self.loop), self.levels), len(self.loop)
 
 
-def _check_sheet_budget(rows: int, t_count: int, n: int) -> None:
-    """Refuse, before allocating it, a sheet over MAX_SHEET_BYTES."""
-    if rows * t_count * n * n * 16 > MAX_SHEET_BYTES:
-        raise ValueError(f"a sheet of {rows} x {t_count} states on M_{n} exceeds the "
-                         f"{MAX_SHEET_BYTES}-byte budget")
+def _check_sheet_budget(recipe_bytes: int, block_rows: int, t_count: int, n: int) -> None:
+    """Refuse, before expanding it, a sheet whose recipe and largest stage
+    block of block_rows x t_count states on M_n hold over MAX_SHEET_BYTES."""
+    if recipe_bytes + BLOCK_COPIES * block_rows * t_count * n * n * 16 > MAX_SHEET_BYTES:
+        raise ValueError(f"a recipe of {recipe_bytes} bytes with stage blocks of {block_rows} x "
+                         f"{t_count} states on M_{n} exceeds the {MAX_SHEET_BYTES}-byte budget")
 
 
 def _unitarity_defect(a: np.ndarray) -> np.ndarray:
@@ -452,28 +462,26 @@ def _level_input(current: np.ndarray, block: int) -> np.ndarray:
     return validate_densities(_compress(current, block))
 
 
-def sheet_from_recipe(loop: np.ndarray, levels: list) -> HomotopySheet:
-    """Expand a contraction recipe into its sheet. Row 0 is the density
-    stack `loop` (T, n, n). Each level takes its input from the last row
-    so far (_level_input); each of its stages evaluates its pencil on the
-    last row of the stage before at its s table (_stage_rows); and its rows
-    are zero-padded into the n x n corner. Every sheet is made here, so a
-    sheet read back from its document equals the contractor's bit for bit."""
-    t_count, n = loop.shape[0], loop.shape[-1]
-    rows = _recipe_rows(n, t_count, levels)
-    _check_sheet_budget(rows, t_count, n)
-    cells = np.zeros((rows, t_count, n, n), dtype=np.complex128)
-    cells[0] = loop
-    row = 1
-    for level in levels:
+def sheet_blocks(sheet: HomotopySheet) -> Iterator[np.ndarray]:
+    """A sheet's cells, one stage at a time: row 0, the loop, as a block of
+    one row, then each stage's rows (rows, T, n, n) in order. Each level
+    takes its input from the last row so far (_level_input); each of its
+    stages evaluates its pencil on the last row of the stage before at its
+    s table (_stage_rows); and its rows are zero-padded into the n x n
+    corner. Every cell is made here, so a sheet read back from its
+    document expands to the contractor's cells bit for bit."""
+    n, rhos = sheet.n, sheet.loop
+    yield rhos[None]
+    for level in sheet.levels:
         b = level.block
-        rhos = _level_input(cells[row - 1], b)
+        rhos = _level_input(rhos, b)
         for stage in level.stages:
-            rows = _stage_rows(pencil(stage.ops, rhos), stage.s)
-            cells[row:row + len(rows), :, :b, :b] = rows
-            row += len(rows)
-            rhos = rows[-1]
-    return HomotopySheet(n, cells, levels)
+            block = _stage_rows(pencil(stage.ops, rhos), stage.s)
+            rhos = block[-1].copy()
+            if b < n:
+                block = np.pad(block, [(0, 0), (0, 0), (0, n - b), (0, n - b)])
+            yield block
+            del block  # so that only the caller holds a block while the next is made
 
 
 def contract_loop(loop: StateLoop) -> HomotopySheet:
@@ -483,12 +491,14 @@ def contract_loop(loop: StateLoop) -> HomotopySheet:
     loop gives weight one to P^n_k, and the block homotopy is pushed
     forward by (1 - P) + (embedded block operator), that is, its cells are
     zero-padded to n x n. At k = n-1 the loop is pinned to the basepoint.
-    Each level's recipe is built from the last rows alone; the sheet is
-    then expanded from the whole recipe once. A loop whose sheet exceeds
-    MAX_SHEET_BYTES even at MIN_ROWS a stage is refused first.
+    Each level's recipe is built from the last rows alone, and the sheet is
+    returned as its recipe, unexpanded. A loop whose recipe and stage
+    blocks exceed MAX_SHEET_BYTES even at MIN_ROWS a stage is refused first.
     """
-    n = loop.n
-    _check_sheet_budget(1 + 2 * MIN_ROWS * (n - 1), loop.n_samples, n)
+    n, t_count = loop.n, loop.n_samples
+    # each level's least recipe: T unitaries and a projection, two s tables of MIN_ROWS rows
+    least = sum((t_count + 1) * b * b * 16 + 2 * MIN_ROWS * t_count * 8 for b in range(2, n + 1))
+    _check_sheet_budget(loop.rhos.nbytes + least, MIN_ROWS, t_count, n)
     target = 2.5 * max(loop.max_step, 1e-3)
     current = loop.rhos
     levels = []
@@ -502,7 +512,7 @@ def contract_loop(loop: StateLoop) -> HomotopySheet:
         current = np.zeros_like(current)
         current[:, :block, :block] = out
         _check_based(current)
-    return sheet_from_recipe(loop.rhos, levels)
+    return HomotopySheet(n, loop.rhos, levels)
 
 
 @dataclass
@@ -529,101 +539,117 @@ def _flags(name: str, value: np.ndarray, mask: np.ndarray, bound: float,
     return [(name, cell(*i), float(value[tuple(i)]), bound) for i in np.argwhere(mask).tolist()]
 
 
-def _recipe_violations(sheet: HomotopySheet, arr: np.ndarray, ok: np.ndarray):
-    """Check a sheet's recipe against its cells `arr` (finite where `ok`):
-    every operator a unitary, or its stage's corner projection P^b_1, to
-    OPERATOR_TOL; every s in [0, 1] and each stage's last row at s = 1; and
-    the exact safety minimum (safety_min) of every column above
-    SAFETY_FLOOR on the stage's input as the sheet holds it, except in
-    columns whose input is not finite. Locations are (level, stage, column)
-    indices into the recipe. Returns the violations and the smallest safety
-    value checked with its location."""
-    n, t_count = sheet.n, arr.shape[1]
-    violations: list = []
-    worst: tuple = (None, None)
-    row = 0
-    for li, level in enumerate(sheet.levels):
-        b = level.block
-        with np.errstate(divide="ignore", invalid="ignore"):
-            rhos = arr[row] if b == n else _compress(arr[row], b)
-        for si, stage in enumerate(level.stages):
+def _largest(best: tuple, steps: np.ndarray, row: int) -> tuple:
+    """`best` (step, cell), or the first largest of `steps` (rows from `row` on) if larger."""
+    if not steps.size:
+        return best
+    i = np.unravel_index(np.argmax(steps), steps.shape)
+    return (steps[i], (row + int(i[0]), int(i[1]))) if steps[i] > best[0] else best
+
+
+def verify_homotopy(sheet: HomotopySheet, input_loop: StateLoop, modulus: float) -> VerifyReport:
+    """Certify a contraction sheet in one pass over its stage blocks
+    (sheet_blocks), holding one block and the row before it. The cells:
+    every cell a valid state, row 0 equals the input, the basepoint columns
+    constant, the final row constant at the basepoint, and all adjacent-cell
+    steps within the modulus. The recipe: every operator a unitary, or its
+    stage's corner projection P^b_1, to OPERATOR_TOL; every s in [0, 1] and
+    each stage's last row at s = 1; and the exact safety minimum
+    (safety_min) of every column above SAFETY_FLOOR on the stage's input as
+    the streamed rows hold it, except in columns whose input is not finite.
+    A cell with a NaN or infinite entry is one "non-finite" violation,
+    valued by the count of such entries; it is zeroed for, and skipped by,
+    the rest. Violations are listed by kind, each kind in C order of its
+    cell; the recipe's come last, stage by stage, at (level, stage, column)
+    indices into the recipe. The negative-eigenvalue scan is
+    linalg.min_eigenvalues at 1e-8: the LDLᴴ certificate clears a cell
+    without LAPACK, and each cell it does not clear takes eigvalsh, which
+    decides it and gives a violation's value."""
+    n, (s_dim, t_dim) = sheet.n, sheet.shape
+    base = basis_state(n).rho
+    found: dict = {kind: [] for kind in ("non-finite", "non-hermitian", "trace",
+                                         "negative-eigenvalue", "row0-mismatch")}
+    recipe, edges, edges_ok = [], [], []  # edges: columns 0 and T - 1 of every row
+    step_t = step_s = (0.0, (0, 0))  # the largest step along t and along s, at its cell
+    safety: tuple = (None, None)
+    stages = [(li, si, level.block, stage)
+              for li, level in enumerate(sheet.levels) for si, stage in enumerate(level.stages)]
+    blocks = sheet_blocks(sheet)  # pulled by next(), so no iterator holds a block past its turn
+    prev, prev_ok, row = None, None, 0
+    for at_stage in [None, *stages]:  # row 0 has no stage
+        block = next(blocks)
+        if at_stage is not None:  # the recipe of the stage whose input is `prev`
+            li, si, b, stage = at_stage
+            at = lambda t: (li, si, t)
+            with np.errstate(divide="ignore", invalid="ignore"):  # a level compresses its input
+                rhos = _compress(prev, b) if si == 0 and b < n else prev
             if stage.kind == "unitary":
                 name, defect = "not-unitary", _unitarity_defect(stage.ops)
             else:
                 name = "not-projection"
                 defect = np.max(np.abs(stage.ops - projection_matrix(b, 1)), axis=(-2, -1))
-            at = lambda t: (li, si, t)
-            defect = np.broadcast_to(defect, (t_count,))
-            violations += _flags(name, defect, ~(defect <= OPERATOR_TOL), OPERATOR_TOL, at)
+            defect = np.broadcast_to(defect, (t_dim,))
+            recipe += _flags(name, defect, ~(defect <= OPERATOR_TOL), OPERATOR_TOL, at)
             low, high = stage.s.min(axis=0), stage.s.max(axis=0)
             for t in np.flatnonzero(~((low >= 0.0) & (high <= 1.0))):
                 out, bound = (low[t], 0.0) if low[t] < 0.0 else (high[t], 1.0)
-                violations.append(("s-range", (li, si, int(t)), float(out), bound))
-            violations += _flags("s-last-row", stage.s[-1], stage.s[-1] != 1.0, 1.0, at)
-            value = np.where(ok[row], safety_min(pencil(stage.ops, rhos[:, :b, :b]))[0], np.inf)
-            unsafe = ~(value > SAFETY_FLOOR) & ok[row]
-            violations += _flags("unsafe", value, unsafe, SAFETY_FLOOR, at)
+                recipe.append(("s-range", (li, si, int(t)), float(out), bound))
+            recipe += _flags("s-last-row", stage.s[-1], stage.s[-1] != 1.0, 1.0, at)
+            value = np.where(prev_ok, safety_min(pencil(stage.ops, rhos[:, :b, :b]))[0], np.inf)
+            recipe += _flags("unsafe", value, ~(value > SAFETY_FLOOR) & prev_ok, SAFETY_FLOOR, at)
             t = int(np.argmin(value))
-            if ok[row, t] and (worst[0] is None or value[t] < worst[0]):
-                worst = (float(value[t]), (li, si, t))
-            row += stage.s.shape[0]
-            rhos = arr[row]
-    return violations, worst
+            if prev_ok[t] and (safety[0] is None or value[t] < safety[0]):
+                safety = (float(value[t]), (li, si, t))
 
+        at = lambda s, t: (row + s, t)
+        bad = np.sum(~np.isfinite(block), axis=(-1, -2))
+        ok = bad == 0
+        found["non-finite"] += _flags("non-finite", bad, ~ok, 0.0, at)
+        if not ok.all():
+            block = np.where(ok[..., None, None], block, 0.0)
+        adj = np.conj(np.swapaxes(block, -1, -2))
+        herm = np.max(np.abs(block - adj), axis=(-1, -2))
+        found["non-hermitian"] += _flags("non-hermitian", herm, herm > 1e-8, 1e-8, at)
+        traces = np.abs(np.einsum("stii->st", block) - 1.0)
+        found["trace"] += _flags("trace", traces, (traces > 1e-8) & ok, 1e-8, at)
+        neg = -min_eigenvalues((block + adj) / 2, 1e-8)
+        found["negative-eigenvalue"] += _flags("negative-eigenvalue", neg, neg > 1e-8, 1e-8, at)
+        if prev is None:
+            row0 = trace_norm(block[0] - input_loop.rhos)
+            found["row0-mismatch"] = _flags("row0-mismatch", row0, (row0 > 1e-10) & ok[0], 1e-10,
+                                            lambda t: (0, t))
+        else:
+            steps = np.where(ok[0] & prev_ok, trace_norm(block[0] - prev), 0.0)
+            step_s = _largest(step_s, steps[None], row - 1)
+        steps = np.where(ok[1:] & ok[:-1], trace_norm(block[1:] - block[:-1]), 0.0)
+        step_s = _largest(step_s, steps, row)
+        steps = np.where(ok[:, 1:] & ok[:, :-1], trace_norm(block[:, 1:] - block[:, :-1]), 0.0)
+        step_t = _largest(step_t, steps, row)
+        edges.append(block[:, [0, -1]])
+        edges_ok.append(ok[:, [0, -1]])
+        prev, prev_ok = block[-1].copy(), ok[-1]
+        row += len(block)
+        del block, adj
 
-def verify_homotopy(sheet: HomotopySheet, input_loop: StateLoop, modulus: float) -> VerifyReport:
-    """Certify a contraction sheet: every cell a valid state, row 0 equals
-    the input, the basepoint columns constant, the final row constant at
-    the basepoint, all adjacent-cell steps within the modulus, and the
-    recipe's operators, s tables and safety (see _recipe_violations). A
-    cell with a NaN or infinite entry is one "non-finite" violation, valued
-    by the count of such entries; it is zeroed for, and skipped by, the rest.
-    The negative-eigenvalue scan is linalg.min_eigenvalues at 1e-8: the
-    LDLᴴ certificate clears a cell without LAPACK, and each cell it does not
-    clear takes eigvalsh, which decides it and gives a violation's value."""
-    arr = sheet.cells
-    s_dim, t_dim = arr.shape[0], arr.shape[1]
-    base = basis_state(sheet.n).rho
-
-    bad = np.sum(~np.isfinite(arr), axis=(-1, -2))
-    ok = bad == 0
-    violations = _flags("non-finite", bad, ~ok, 0.0)
-    if not ok.all():
-        arr = np.where(ok[..., None, None], arr, 0.0)
-
-    herm = np.max(np.abs(arr - np.conj(np.swapaxes(arr, -1, -2))), axis=(-1, -2))
-    violations += _flags("non-hermitian", herm, herm > 1e-8, 1e-8)
-    traces = np.abs(np.einsum("stii->st", arr) - 1.0)
-    violations += _flags("trace", traces, (traces > 1e-8) & ok, 1e-8)
-    neg = -min_eigenvalues((arr + np.conj(np.swapaxes(arr, -1, -2))) / 2, 1e-8)
-    violations += _flags("negative-eigenvalue", neg, neg > 1e-8, 1e-8)
-
-    row0 = trace_norm(arr[0] - input_loop.rhos)
-    violations += _flags("row0-mismatch", row0, (row0 > 1e-10) & ok[0], 1e-10, lambda t: (0, t))
-    for col, label in ((0, "left-column"), (t_dim - 1, "right-column")):
-        dev = trace_norm(arr[:, col] - base[None])
-        violations += _flags(label, dev, (dev > 1e-8) & ok[:, col], 1e-8, lambda s: (s, col))
-    last = trace_norm(arr[-1] - base[None])
-    violations += _flags("final-row", last, (last > 1e-8) & ok[-1], 1e-8, lambda t: (s_dim - 1, t))
-
-    step_t = np.where(ok[:, 1:] & ok[:, :-1], trace_norm(arr[:, 1:] - arr[:, :-1]), 0.0)
-    step_s = np.where(ok[1:] & ok[:-1], trace_norm(arr[1:] - arr[:-1]), 0.0)
-    max_t, max_s = step_t.max(initial=0.0), step_s.max(initial=0.0)
-    max_step = float(max(max_t, max_s))
+    violations = [v for kind in found.values() for v in kind]
+    edges, edges_ok = np.concatenate(edges), np.concatenate(edges_ok)
+    for i, (col, label) in enumerate(((0, "left-column"), (t_dim - 1, "right-column"))):
+        dev = trace_norm(edges[:, i] - base[None])
+        violations += _flags(label, dev, (dev > 1e-8) & edges_ok[:, i], 1e-8, lambda s: (s, col))
+    last = trace_norm(prev - base[None])
+    violations += _flags("final-row", last, (last > 1e-8) & prev_ok, 1e-8, lambda t: (s_dim - 1, t))
+    max_step = float(max(step_t[0], step_s[0]))
     if not max_step <= modulus:  # a NaN modulus or step fails too
-        steps = step_t if max_t >= max_s else step_s
-        worst = np.unravel_index(np.argmax(steps), steps.shape)
-        violations.append(("step-modulus", tuple(int(x) for x in worst), max_step, modulus))
-
-    recipe_violations, (safety_value, safety_at) = _recipe_violations(sheet, arr, ok)
-    violations += recipe_violations
+        violations.append(("step-modulus", (step_t if step_t[0] >= step_s[0] else step_s)[1],
+                           max_step, modulus))
+    violations += recipe
     return VerifyReport(
         passed=(len(violations) == 0),
         violations=violations,
         max_cell_step=max_step,
         shape=(s_dim, t_dim),
-        safety_min=safety_value,
-        safety_at=safety_at,
+        safety_min=safety[0],
+        safety_at=safety[1],
     )
 
 

@@ -49,10 +49,6 @@ class ChainLayout:
     def n_sites(self) -> int:
         return len(self.site_dims)
 
-    @property
-    def total_dim(self) -> int:
-        return int(np.prod(self.site_dims))
-
 
 def spin_chain(n_sites: int) -> ChainLayout:
     return ChainLayout((2,) * n_sites)

@@ -6,7 +6,7 @@ recipe, not its cells: {n, loop: [matrix, ...], levels: [{block, stages:
 [{kind, ops, s}, ...]}, ...]}, where a stage's ops are its T unitaries
 (kind "unitary") or its one corner projection (kind "projection") and s
 is its rows x T table of interpolation parameters. Reading a sheet
-document expands the recipe into the cells with homotopy.sheet_from_recipe.
+document gives the recipe, a homotopy.HomotopySheet, without expanding it.
 All documents are UTF-8 JSON, written compactly with sorted keys.
 """
 
@@ -16,7 +16,7 @@ import json
 
 import numpy as np
 
-from .homotopy import HomotopySheet, Level, Stage, StateLoop, sheet_from_recipe
+from .homotopy import HomotopySheet, Level, Stage, StateLoop
 from .states import validate_densities
 
 
@@ -60,12 +60,13 @@ def sheet_to_doc(sheet: HomotopySheet) -> dict:
         }
         for level in sheet.levels
     ]
-    return {"n": sheet.n, "loop": encode_matrix(sheet.cells[0]), "levels": levels}
+    return {"n": sheet.n, "loop": encode_matrix(sheet.loop), "levels": levels}
 
 
 def sheet_from_doc(doc: dict) -> HomotopySheet:
-    """Decode a sheet document and expand its recipe; the loop is validated
-    as states, and every other cell as the expansion makes it."""
+    """Decode a sheet document into its recipe, unexpanded: the loop is
+    validated as states, the recipe's shapes against it, and every entry
+    must be finite. The other cells are validated as sheet_blocks makes them."""
     try:
         n = int(doc["n"])
         loop = decode_matrix(doc["loop"])
@@ -83,21 +84,27 @@ def sheet_from_doc(doc: dict) -> HomotopySheet:
         raise ValueError(f"malformed sheet document: {exc}") from exc
     if loop.ndim != 3 or loop.shape[-1] != n:
         raise ValueError(f"malformed sheet document: the loop is not a stack of states on M_{n}")
-    return sheet_from_recipe(validate_densities(loop), levels)
+    sheet = HomotopySheet(n, validate_densities(loop), levels)
+    _check_finite(sheet)
+    return sheet
 
 
 def dumps(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
+def _check_finite(sheet: HomotopySheet):
+    stages = [st for level in sheet.levels for st in level.stages]
+    arrays = [sheet.loop] + [st.ops for st in stages] + [st.s for st in stages]
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise ValueError("sheet has non-finite entries")
+
+
 def write_sheet(path: str, sheet: HomotopySheet):
     """Write the sheet document (sheet_to_doc). A NaN or infinite entry in
     the recipe, which JSON cannot hold, raises ValueError before the file
     is opened."""
-    stages = [st for level in sheet.levels for st in level.stages]
-    arrays = [sheet.cells[0]] + [st.ops for st in stages] + [st.s for st in stages]
-    if not all(np.isfinite(a).all() for a in arrays):
-        raise ValueError("sheet has non-finite entries")
+    _check_finite(sheet)
     write_doc(path, sheet_to_doc(sheet))
 
 

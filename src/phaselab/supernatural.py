@@ -63,18 +63,6 @@ class SupernaturalNumber:
     def infinite_primes(self) -> frozenset:
         return frozenset(p for p, e in self.exponents.items() if isinf(e))
 
-    @property
-    def is_finite(self) -> bool:
-        return not self.infinite_primes
-
-    def as_int(self) -> int:
-        if not self.is_finite:
-            raise ValueError("not a finite supernatural number")
-        out = 1
-        for p, e in self.exponents.items():
-            out *= p**e
-        return out
-
     def __str__(self):
         if not self.exponents:
             return "1"

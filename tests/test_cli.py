@@ -10,7 +10,7 @@ import pytest
 from phaselab import serialize
 from phaselab.cli import main
 from phaselab.homotopy import SAFETY_FLOOR, bundled_plateau_loop, bundled_pure_loop, constant_loop
-from phaselab.util import NumericalGateError
+from sheet_cells import forge_cells
 
 
 def run(capsys, *argv):
@@ -42,13 +42,13 @@ def test_invariant_verdict_fails_on_a_low_interior_overlap(monkeypatch, capsys):
     cfg = dimer.ModelConfig(grid=(8, 16))
     rec = dimer.invariant_sweep(cfg)
     assert rec.agreement and rec.y_overlap_min == 0.95 and rec.passed is False
-    with pytest.raises(NumericalGateError, match="y_overlap gate"):
-        dimer.invariant_degree(cfg)
+    assert dimer._gate_failure(rec).startswith("y_overlap gate")
     code, report = run(capsys, "invariant", "--grid", "8x16", "--no-timestamp")
     assert code == 2 and report["pass"] is False and report["agreement"] is True
     monkeypatch.setenv("PHASELAB_TOL_SCALE", "10")  # the slack 0.01 becomes 0.1
-    assert dimer.invariant_sweep(cfg).passed is True
-    assert dimer.invariant_degree(cfg) == rec.degree
+    scaled = dimer.invariant_sweep(cfg)
+    assert scaled.passed is True and dimer._gate_failure(scaled) is None
+    assert scaled.degree == rec.degree
 
 
 def test_invariant_config_file(tmp_path, capsys):
@@ -261,16 +261,10 @@ def test_contract_loop_report_has_no_tol_scale(tmp_path, capsys, monkeypatch):
 
 
 def test_contract_loop_reports_a_failing_cell_as_ints(tmp_path, monkeypatch):
-    from phaselab import cli
+    def corrupt(cells):
+        cells[2, 5, 0, 0] += 1e-6  # its trace is now 1 + 1e-6
 
-    contract = cli.contract_loop
-
-    def corrupted(loop):
-        sheet = contract(loop)
-        sheet.cells[2, 5, 0, 0] += 1e-6  # its trace is now 1 + 1e-6
-        return sheet
-
-    monkeypatch.setattr(cli, "contract_loop", corrupted)
+    forge_cells(monkeypatch, corrupt)
     path = tmp_path / "loop.json"
     serialize.write_doc(str(path), serialize.loop_to_doc(bundled_pure_loop(320)))
     out = tmp_path / "report.json"
@@ -368,6 +362,23 @@ def test_contract_loop_bad_json_reports_line(tmp_path, capsys):
 
 def test_contract_loop_missing_file(capsys):
     assert main(["contract-loop", "/nonexistent/loop.json"]) == 3
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["contract-loop", "{dir}"], ["invariant", "--config", "{dir}"],
+     ["invariant", "--grid", "8x16", "--out", "{dir}/missing/report.json"],
+     ["contract-loop", "{dir}/loop.json", "--sheet-out", "{dir}/missing/sheet.json"]],
+    ids=["loop-is-a-directory", "config-is-a-directory", "out-in-a-missing-directory",
+         "sheet-out-in-a-missing-directory"],
+)
+def test_paths_that_cannot_be_opened_are_input_errors(tmp_path, capsys, argv):
+    serialize.write_doc(str(tmp_path / "loop.json"), serialize.loop_to_doc(constant_loop(2, 8)))
+    assert main([arg.format(dir=tmp_path) for arg in argv]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: ")
 
 
 def test_supernatural_command(capsys):

@@ -13,7 +13,6 @@ from phaselab.dimer import (
     equator_point,
     heisenberg_coupling,
     invariant_sweep,
-    param_point,
     product_distance_bound,
     site_rotation,
     truncated_Z,
@@ -57,13 +56,13 @@ def random_band(rng, eps=0.25):
 def test_param_point_validation():
     with pytest.raises(ValueError):
         ParamPoint(np.array([1.0, 0, 0, 0.1]))
-    w = param_point(0, 0, 0.6, 0.8)
+    w = ParamPoint(np.array([0, 0, 0.6, 0.8]))
     assert abs(w.wnorm - 0.6) < 1e-12
 
 
 def test_bump():
-    assert bump(param_point(0, 0, 0, 1), +1, 0.25) == 1.0
-    assert bump(param_point(0, 0, 1, 0), +1, 0.25) == 0.0
+    assert bump(ParamPoint(np.array([0, 0, 0, 1])), +1, 0.25) == 1.0
+    assert bump(ParamPoint(np.array([0, 0, 1, 0])), +1, 0.25) == 0.0
     rng = np.random.default_rng(2)
     for _ in range(20):
         w = random_s3(rng)
@@ -72,13 +71,13 @@ def test_bump():
 
 
 def test_dimer_hamiltonian_anchors():
-    h = dimer_hamiltonian(param_point(0, 0, 0, 1), +1)
+    h = dimer_hamiltonian(ParamPoint(np.array([0, 0, 0, 1])), +1)
     assert np.allclose(h, heisenberg_coupling())
-    h_eq = dimer_hamiltonian(param_point(0, 0, 1, 0), +1)
+    h_eq = dimer_hamiltonian(ParamPoint(np.array([0, 0, 1, 0])), +1)
     assert np.allclose(h_eq, kron(SIGMA_Z, eye(2)) - kron(eye(2), SIGMA_Z))
     assert abs(np.trace(h_eq)) < 1e-14
     with pytest.raises(ValueError):
-        dimer_hamiltonian(param_point(0, 0, 0, -1), +1)
+        dimer_hamiltonian(ParamPoint(np.array([0, 0, 0, -1])), +1)
 
 
 def test_closed_form_matches_eigensolver():
@@ -96,15 +95,15 @@ def test_closed_form_matches_eigensolver():
 
 
 def test_closed_form_anchor_points():
-    cf = dimer_closed_form(param_point(0, 0, 0, 1), +1)
+    cf = dimer_closed_form(ParamPoint(np.array([0, 0, 0, 1])), +1)
     assert np.allclose(np.sort(cf.spectrum), [-3, 1, 1, 1])
     assert abs(abs(np.vdot(cf.ground, SINGLET)) - 1) < 1e-12
-    cf_eq = dimer_closed_form(param_point(0, 0, 1, 0), +1)
+    cf_eq = dimer_closed_form(ParamPoint(np.array([0, 0, 1, 0])), +1)
     assert cf_eq.c == 1.0 and cf_eq.d == 0.0
     assert np.allclose(cf_eq.ground, DN_UP)
-    cf_minus = dimer_closed_form(param_point(0, 0, 1, 0), -1)
+    cf_minus = dimer_closed_form(ParamPoint(np.array([0, 0, 1, 0])), -1)
     assert np.allclose(cf_minus.ground, UP_DN)
-    cf_pole_minus = dimer_closed_form(param_point(0, 0, 0, -1), -1)
+    cf_pole_minus = dimer_closed_form(ParamPoint(np.array([0, 0, 0, -1])), -1)
     assert np.allclose(cf_pole_minus.ground, -SINGLET)
 
 
@@ -141,8 +140,8 @@ def test_swap_unitary_basis_action():
     for v in (np.array([1, 0, 0, 0], dtype=complex), np.array([0, 0, 0, 1], dtype=complex)):
         assert np.allclose(w @ v, v)
     # W carries the reference dimer ground state to the pole ground state
-    ref = dimer_closed_form(param_point(0, 0, 1, 0), +1).ground
-    pole = dimer_closed_form(param_point(0, 0, 0, 1), +1).ground
+    ref = dimer_closed_form(ParamPoint(np.array([0, 0, 1, 0])), +1).ground
+    pole = dimer_closed_form(ParamPoint(np.array([0, 0, 0, 1])), +1).ground
     assert np.linalg.norm(w @ ref - pole) < 1e-12
 
 
@@ -167,7 +166,7 @@ def test_hemisphere_consistency_on_band():
 
 def test_truncated_z_reference_point():
     cfg = ModelConfig()
-    tz = truncated_Z(param_point(0, 0, 1, 0), cfg, branch=(0.0, 0.0))
+    tz = truncated_Z(ParamPoint(np.array([0, 0, 1, 0])), cfg, branch=(0.0, 0.0))
     n = cfg.n_sites
     # z acts trivially (the theta = 0 branch gives G = 1, so M = U1-dagger)
     assert np.max(np.abs(tz.z - eye(2**n))) < 1e-12
@@ -314,16 +313,7 @@ def test_truncated_z_outside_band_errors():
     cfg = ModelConfig()
     for w4 in (1, -1):
         with pytest.raises(ValueError):
-            truncated_Z(param_point(0, 0, 0, w4), cfg)
-
-
-def test_invariant_degree_function():
-    from phaselab.dimer import invariant_degree
-
-    cfg = ModelConfig(grid=(8, 16))
-    deg = invariant_degree(cfg)
-    assert isinstance(deg, int)
-    assert deg == invariant_sweep(cfg).degree
+            truncated_Z(ParamPoint(np.array([0, 0, 0, w4])), cfg)
 
 
 @pytest.mark.parametrize("n_dimers", [2, 3, 4])

@@ -1,3 +1,4 @@
+import tracemalloc
 from functools import lru_cache
 
 import numpy as np
@@ -20,10 +21,10 @@ from phaselab.homotopy import (
     projection_matrix,
     random_based_loop,
     safety_min,
-    sheet_from_recipe,
     verify_homotopy,
 )
 from phaselab.states import DensityState, basis_state, state_from_vector
+from sheet_cells import cells, forge_cells
 
 
 def test_projection_matrix():
@@ -147,14 +148,14 @@ def _level_last_rows(sheet: HomotopySheet) -> list:
     rows, row = [], 0
     for level in sheet.levels:
         row += sum(stage.s.shape[0] for stage in level.stages)
-        rows.append(sheet.cells[row])
+        rows.append(cells(sheet)[row])
     return rows
 
 
 def test_rectify_constant_loop_is_constant():
     sheet = contract_loop(constant_loop(3, 16))
     base = basis_state(3)
-    for row in sheet.cells:
+    for row in cells(sheet):
         for rho in row:
             assert np.max(np.abs(rho - base.rho)) < 1e-12
 
@@ -192,7 +193,7 @@ def test_rectify_rejects_coarse_loops():
 def test_sheet_boundary_exactness():
     sheet = contract_loop(bundled_pure_loop(320))
     base = basis_state(2)
-    arr = sheet.cells
+    arr = cells(sheet)
     for row in arr:
         assert np.max(np.abs(row[0] - base.rho)) < 1e-10
         assert np.max(np.abs(row[-1] - base.rho)) < 1e-10
@@ -217,7 +218,7 @@ def test_contract_loop_verifies(make_loop):
     report = verify_homotopy(sheet, loop, modulus=5 * loop.max_step)
     assert report.passed, report.violations[:5]
     base = basis_state(loop.n)
-    for rho in sheet.cells[-1]:
+    for rho in cells(sheet)[-1]:
         assert np.max(np.abs(rho - base.rho)) < 1e-10
 
 
@@ -278,25 +279,36 @@ def test_contract_constant_loop_trivial_sheet():
     loop = constant_loop(2, 12)
     sheet = contract_loop(loop)
     base = basis_state(2)
-    for row in sheet.cells:
+    for row in cells(sheet):
         for rho in row:
             assert np.max(np.abs(rho - base.rho)) < 1e-12
     report = verify_homotopy(sheet, loop, modulus=1e-9)
     assert report.passed
 
 
-def test_verifier_flags_corrupted_cell():
+def test_verifier_flags_corrupted_cell(monkeypatch):
     loop = constant_loop(2, 10)
     sheet = contract_loop(loop)
-    cells = sheet.cells.copy()
-    cells[2, 4] = basis_state(2, 1).rho
-    bad = HomotopySheet(2, cells, sheet.levels)
-    report = verify_homotopy(bad, loop, modulus=1e-6)
+    forge_cells(monkeypatch, lambda arr: arr.__setitem__((2, 4), basis_state(2, 1).rho))
+    report = verify_homotopy(sheet, loop, modulus=1e-6)
     assert not report.passed
     kinds = {v[0] for v in report.violations}
     assert "step-modulus" in kinds
-    cells = {v[1] for v in report.violations if v[0] == "step-modulus"}
-    assert any(cell in {(2, 3), (2, 4), (1, 4)} for cell in cells)
+    flagged = {v[1] for v in report.violations if v[0] == "step-modulus"}
+    assert any(cell in {(2, 3), (2, 4), (1, 4)} for cell in flagged)
+
+
+def test_verifier_measures_the_steps_between_stage_blocks(monkeypatch):
+    # every cell of the first stage's block forged to one other state: the
+    # steps inside the block are 0, and only the steps across its edges,
+    # from row 0 into it and from it into the next stage, see the forgery
+    loop = constant_loop(2, 10)
+    sheet = contract_loop(loop)
+    rows = len(sheet.levels[0].stages[0].s)
+    forge_cells(monkeypatch, lambda arr: arr.__setitem__(slice(1, 1 + rows), basis_state(2, 1).rho))
+    report = verify_homotopy(sheet, loop, modulus=1e-6)
+    assert report.max_cell_step == 2.0
+    assert [v[1:3] for v in report.violations if v[0] == "step-modulus"] == [((0, 0), 2.0)]
 
 
 def test_verifier_fails_a_nan_modulus(pure_sheet):
@@ -308,23 +320,57 @@ def test_verifier_fails_a_nan_modulus(pure_sheet):
     assert [v[0] for v in report.violations] == ["step-modulus"]
 
 
+def _held_bytes(sheet) -> int:
+    """The bytes the budget counts for a sheet: its recipe, and BLOCK_COPIES
+    times its largest stage block of rows x T x n² x 16 bytes."""
+    stages = [st for level in sheet.levels for st in level.stages]
+    recipe = sheet.loop.nbytes + sum(st.ops.nbytes + st.s.nbytes for st in stages)
+    rows = max(len(st.s) for st in stages)
+    return recipe + homotopy.BLOCK_COPIES * rows * sheet.shape[1] * sheet.n**2 * 16
+
+
 def test_sheet_budget_refuses_before_allocating(pure_sheet, monkeypatch):
-    # sheet_from_recipe checks the exact rows of a recipe, so a sheet
-    # document is refused too; contract_loop checks the fewest rows a loop's
-    # sheet can have before its first level
+    # a sheet is checked as its recipe is made, so a sheet document is
+    # refused too; contract_loop checks the least a loop's recipe and stage
+    # blocks can hold before its first level
     doc = serialize.sheet_to_doc(pure_sheet)
-    monkeypatch.setattr(homotopy, "MAX_SHEET_BYTES", pure_sheet.cells.nbytes)
-    assert np.array_equal(serialize.sheet_from_doc(doc).cells, pure_sheet.cells)
-    monkeypatch.setattr(homotopy, "MAX_SHEET_BYTES", pure_sheet.cells.nbytes - 1)
+    monkeypatch.setattr(homotopy, "MAX_SHEET_BYTES", _held_bytes(pure_sheet))
+    assert serialize.sheet_from_doc(doc).shape == pure_sheet.shape
+    monkeypatch.setattr(homotopy, "MAX_SHEET_BYTES", _held_bytes(pure_sheet) - 1)
     with pytest.raises(ValueError, match="budget"):
         serialize.sheet_from_doc(doc)
-    loop = constant_loop(3, 16)  # its sheet has the fewest rows, 1 + 2 x 8 x 2
-    monkeypatch.setattr(homotopy, "MAX_SHEET_BYTES", 33 * 17 * 9 * 16)
+    loop = constant_loop(3, 16)  # every stage has the fewest rows, MIN_ROWS
+    monkeypatch.setattr(homotopy, "MAX_SHEET_BYTES", 2**28)
+    least = _held_bytes(contract_loop(loop))
+    monkeypatch.setattr(homotopy, "MAX_SHEET_BYTES", least)
     assert contract_loop(loop).shape == (33, 17)
-    monkeypatch.setattr(homotopy, "MAX_SHEET_BYTES", 33 * 17 * 9 * 16 - 1)
+    monkeypatch.setattr(homotopy, "MAX_SHEET_BYTES", least - 1)
     monkeypatch.setattr(homotopy, "_rectify", None)  # not reached
     with pytest.raises(ValueError, match="budget"):
         contract_loop(loop)
+
+
+def test_a_sheet_over_its_cell_bytes_contracts_and_verifies_within_the_budget(monkeypatch):
+    # The budget counts the recipe and the largest stage block, not the
+    # sheet: at n = 8 the largest stage holds 8 of the 113 rows, and the
+    # budget comes to about half of the cells' bytes. The verification stays
+    # within it.
+    loop = random_based_loop(8, 3, 150)
+    unpatched = contract_loop(loop)
+    held = _held_bytes(unpatched)
+    assert held < np.prod(unpatched.shape) * 8**2 * 16
+    monkeypatch.setattr(homotopy, "MAX_SHEET_BYTES", held)
+    sheet = contract_loop(loop)
+    tracemalloc.start()
+    try:
+        report = verify_homotopy(sheet, loop, 5 * loop.max_step)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed, report.violations[:5]
+    stages = [st for level in sheet.levels for st in level.stages]
+    recipe = sheet.loop.nbytes + sum(st.ops.nbytes + st.s.nbytes for st in stages)
+    assert recipe + peak <= held  # the recipe was allocated before tracing began
 
 
 def test_loop_and_sheet_serialization_roundtrip():
@@ -336,7 +382,7 @@ def test_loop_and_sheet_serialization_roundtrip():
     sdoc = serialize.sheet_to_doc(sheet)
     back_sheet = serialize.sheet_from_doc(sdoc)
     assert back_sheet.shape == sheet.shape
-    a1, a2 = sheet.cells, back_sheet.cells
+    a1, a2 = cells(sheet), cells(back_sheet)
     assert np.max(np.abs(a1 - a2)) < 1e-15
 
 
@@ -387,16 +433,19 @@ def test_sheet_from_doc_rejects_malformed_recipes(forge, message):
         serialize.sheet_from_doc(doc)
 
 
-def test_verifier_reports_non_finite_cells():
+def test_verifier_reports_non_finite_cells(monkeypatch):
     loop = constant_loop(2, 10)
     sheet = contract_loop(loop)
-    cells = sheet.cells.copy()
-    last = cells.shape[0] - 1
-    cells[0, 3, 1, 1] = np.nan
-    cells[1, 0] = np.inf
-    cells[2, 4, 0, 1] = np.nan
-    cells[last, 5, 0, 0] = -np.inf
-    report = verify_homotopy(HomotopySheet(2, cells, sheet.levels), loop, modulus=1e-6)
+    last = sheet.shape[0] - 1
+
+    def corrupt(arr):
+        arr[0, 3, 1, 1] = np.nan
+        arr[1, 0] = np.inf
+        arr[2, 4, 0, 1] = np.nan
+        arr[last, 5, 0, 0] = -np.inf
+
+    forge_cells(monkeypatch, corrupt)
+    report = verify_homotopy(sheet, loop, modulus=1e-6)
     assert not report.passed
     # the zeroed stand-ins for the bad cells add no violation of their own
     assert report.violations == [
@@ -418,14 +467,17 @@ def pure_sheet():
     [("row0-mismatch", (0, 150)), ("left-column", (20, 0)), ("right-column", (20, -1)),
      ("final-row", (-1, 150))],
 )
-def test_verifier_names_each_boundary_check_at_an_int_cell(pure_sheet, kind, cell):
+def test_verifier_names_each_boundary_check_at_an_int_cell(pure_sheet, monkeypatch, kind, cell):
     # a valid state 2e-6 away from the cell's own: every boundary check fires
     loop = bundled_pure_loop()
-    cells = pure_sheet.cells.copy()
-    cells[cell] = (1 - 1e-6) * cells[cell] + 1e-6 * basis_state(2, 1).rho
-    report = verify_homotopy(HomotopySheet(2, cells, pure_sheet.levels), loop, 5 * loop.max_step)
+
+    def corrupt(arr):
+        arr[cell] = (1 - 1e-6) * arr[cell] + 1e-6 * basis_state(2, 1).rho
+
+    forge_cells(monkeypatch, corrupt)
+    report = verify_homotopy(pure_sheet, loop, 5 * loop.max_step)
     assert not report.passed
-    want = tuple(i % size for i, size in zip(cell, cells.shape))
+    want = tuple(i % size for i, size in zip(cell, pure_sheet.shape))
     flagged = [v for v in report.violations if v[0] == kind]
     assert [v[1] for v in flagged] == [want]
     assert all(type(i) is int for _, at, _, _ in report.violations for i in at)
@@ -457,15 +509,15 @@ def test_written_sheet_reads_back_bitwise(pure_sheet, tmp_path):
         for a, b in zip(got.stages, want.stages, strict=True):
             assert a.kind == b.kind
             assert np.array_equal(a.ops, b.ops) and np.array_equal(a.s, b.s)
-    assert np.array_equal(back.cells, pure_sheet.cells)
+    assert np.array_equal(cells(back), cells(pure_sheet))
 
 
 def test_write_sheet_rejects_non_finite_before_writing(tmp_path):
     # a NaN in the loop, or an infinity in an operator or an s table
     sheet = contract_loop(constant_loop(2, 6))
-    cells = sheet.cells.copy()
-    cells[0, 3, 1, 1] = np.nan
-    forged = [HomotopySheet(2, cells, sheet.levels)]
+    loop = sheet.loop.copy()
+    loop[3, 1, 1] = np.nan
+    forged = [HomotopySheet(2, loop, sheet.levels)]
     stages = sheet.levels[0].stages
     for i, stage in enumerate(stages):
         for field in ("ops", "s"):
@@ -473,7 +525,7 @@ def test_write_sheet_rejects_non_finite_before_writing(tmp_path):
             array.reshape(-1)[-1] = np.inf
             forged_stages = list(stages)
             forged_stages[i] = stage._replace(**{field: array})
-            forged.append(HomotopySheet(2, sheet.cells, [Level(2, forged_stages)]))
+            forged.append(HomotopySheet(2, sheet.loop, [Level(2, forged_stages)]))
     path = tmp_path / "sheet.json"
     for bad in forged:
         with pytest.raises(ValueError, match="non-finite"):
@@ -500,13 +552,13 @@ def test_read_back_cells_equal_the_contractors(name, tmp_path):
     path = tmp_path / "sheet.json"
     serialize.write_sheet(str(path), sheet)
     back = serialize.sheet_from_doc(serialize.read_doc(str(path)))
-    assert np.array_equal(back.cells, sheet.cells)
+    assert np.array_equal(cells(back), cells(sheet))
     assert verify_homotopy(back, loop, 5 * loop.max_step).passed
 
 
 def _stage_inputs(sheet):
     """(stage, its input densities (T, b, b)) for every stage of a sheet."""
-    arr, row = sheet.cells, 0
+    arr, row = cells(sheet), 0
     for level in sheet.levels:
         b = level.block
         rhos = arr[row, :, :b, :b]
@@ -562,15 +614,15 @@ def test_sheet_cells_are_the_direct_action(name):
     # every cell, evaluated from its stage's pencil, against the per-matrix
     # product B(s) rho B(s)† / tr on the stage's input; zero outside the block
     _, sheet = _contracted(name)
-    row = 1
+    arr, row = cells(sheet), 1
     for stage, rhos in _stage_inputs(sheet):
         b, s = rhos.shape[-1], stage.s[..., None, None]
         bs = s * stage.ops + (1.0 - s) * np.eye(b)
         raw = bs @ rhos @ bs.conj().swapaxes(-1, -2)
         direct = raw / np.trace(raw, axis1=-2, axis2=-1).real[..., None, None]
-        cells = sheet.cells[row:row + len(stage.s)]
-        assert np.max(np.abs(cells[..., :b, :b] - direct)) < 1e-13
-        assert not cells[..., b:, :].any() and not cells[..., :, b:].any()
+        rows = arr[row:row + len(stage.s)]
+        assert np.max(np.abs(rows[..., :b, :b] - direct)) < 1e-13
+        assert not rows[..., b:, :].any() and not rows[..., :, b:].any()
         row += len(stage.s)
     assert row == sheet.shape[0]
 
@@ -589,12 +641,12 @@ def test_pencil_is_the_interpolation_polynomial():
 
 
 def _forge(sheet, stage_index, **fields):
-    """The sheet expanded from its recipe with fields of one stage of its
-    first level replaced."""
+    """The sheet's recipe with fields of one stage of its first level
+    replaced."""
     level = sheet.levels[0]
     stages = list(level.stages)
     stages[stage_index] = stages[stage_index]._replace(**fields)
-    return sheet_from_recipe(sheet.cells[0], [Level(level.block, stages)] + sheet.levels[1:])
+    return HomotopySheet(sheet.n, sheet.loop, [Level(level.block, stages)] + sheet.levels[1:])
 
 
 def _set(array, index, value):
@@ -629,7 +681,7 @@ def test_verifier_flags_forged_recipes(stage_index, forge, kind, at):
     loop = constant_loop(2, 10)
     sheet = contract_loop(loop)
     forged = _forge(sheet, stage_index, **forge(sheet.levels[0].stages[stage_index]))
-    assert np.max(np.abs(forged.cells - sheet.cells)) < 1e-15
+    assert np.max(np.abs(cells(forged) - cells(sheet))) < 1e-15
     report = verify_homotopy(forged, loop, modulus=1e-9)
     assert not report.passed
     assert {v[0] for v in report.violations} == {kind}
@@ -642,12 +694,15 @@ def test_expansion_refuses_a_recipe_in_the_gelfand_ideal():
     (level,) = sheet.levels
     unitary, projection = level.stages
     assert (unitary.s[:, 4] == 0.5).any()
-    forged = [Level(2, [unitary._replace(ops=_set(unitary.ops, 4, -np.eye(2))), projection])]
+    forged = HomotopySheet(2, sheet.loop, [
+        Level(2, [unitary._replace(ops=_set(unitary.ops, 4, -np.eye(2))), projection])])
     with pytest.raises(states.GelfandIdealError):
-        sheet_from_recipe(sheet.cells[0], forged)
-    doc = serialize.sheet_to_doc(HomotopySheet(2, sheet.cells, forged))
+        cells(forged)
+    # its document reads back as the recipe, and the verifier's expansion refuses it
+    loop = constant_loop(2, 10)
+    back = serialize.sheet_from_doc(serialize.sheet_to_doc(forged))
     with pytest.raises(ValueError, match="Gelfand ideal"):
-        serialize.sheet_from_doc(doc)
+        verify_homotopy(back, loop, modulus=1e-9)
 
 
 def test_verifier_flags_a_scaled_unitary_on_a_moving_loop(pure_sheet):
@@ -666,6 +721,24 @@ def test_verifier_reports_the_safety_minimum():
     index = 2 * level + stage
     assert report.safety_min == min(v.min() for v in values)
     assert report.safety_min == values[index][column] > SAFETY_FLOOR
+
+
+@pytest.mark.parametrize("name", ["pure", "plateau", "seed2"])
+def test_streamed_verdict_equals_the_whole_sheets(name):
+    # the verifier holds one stage block and the row before it; its largest
+    # step and its safety minimum and location are those recomputed on the
+    # whole expanded sheet, bit for bit
+    loop, sheet = _contracted(name)
+    report = verify_homotopy(sheet, loop, 5 * loop.max_step)
+    arr = cells(sheet)
+    step_t = linalg.trace_norm(arr[:, 1:] - arr[:, :-1])
+    step_s = linalg.trace_norm(arr[1:] - arr[:-1])
+    assert report.max_cell_step == float(max(step_t.max(), step_s.max()))
+    values = [safety_min(pencil(stage.ops, rhos))[0] for stage, rhos in _stage_inputs(sheet)]
+    index = int(np.argmin([v.min() for v in values]))
+    assert report.safety_min == values[index].min()
+    level, stage = divmod(index, 2)
+    assert report.safety_at == (level, stage, int(np.argmin(values[index])))
 
 
 def test_contract_loop_takes_no_svd(monkeypatch):
@@ -724,7 +797,7 @@ def test_contract_loop_takes_lapack_only_on_fallback(monkeypatch):
     assert verify_homotopy(sheet, loop, 5 * loop.max_step).passed
     matrices, lapack = counts["trace norm"]
     assert 0 < lapack <= 0.01 * matrices
-    assert counts["positivity"][0] > sheet.cells[..., 0, 0].size
+    assert counts["positivity"][0] > np.prod(sheet.shape)
     assert counts["positivity"][1] == 0
 
 
@@ -761,7 +834,7 @@ def test_contraction_matches_the_eigvalsh_oracle(name, monkeypatch):
         # test_pencil_s_tables_match_the_direct_form)
         _, lengths = _direct_s_table(stage.ops, rhos, len(stage.s))
         assert np.max(np.abs(stage.s - want.s)[:, lengths >= 1e-3], initial=0.0) < 1e-12
-    assert np.max(np.abs(oracle.cells - sheet.cells)) < 1e-14
+    assert np.max(np.abs(cells(oracle) - cells(sheet))) < 1e-14
     assert oracle_report.passed == report.passed
     assert oracle_report.safety_at == report.safety_at
 
@@ -811,14 +884,16 @@ def test_verifier_reports_negative_cells_as_eigvalsh_does(monkeypatch):
     # one cell of a contracted 3x3 sheet forged to a negative eigenvalue,
     # one to a value the 1e-8 gate just passes: the certificate's
     # violations, values included, are those of an eigvalsh scan
-    loop, sheet = _contracted("seed2")
-    cells = sheet.cells.copy()
+    loop, forged = _contracted("seed2")
     rng = np.random.default_rng(21)
     q = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))[0]
-    for (row, col), low in (((7, 300), -3e-6), ((9, 301), -0.9e-8)):
-        cell = (q * [1.0 - low, 0.0, low]) @ q.conj().T
-        cells[row, col] = (cell + cell.conj().T) / 2
-    forged = HomotopySheet(3, cells, sheet.levels)
+
+    def corrupt(arr):
+        for (row, col), low in (((7, 300), -3e-6), ((9, 301), -0.9e-8)):
+            cell = (q * [1.0 - low, 0.0, low]) @ q.conj().T
+            arr[row, col] = (cell + cell.conj().T) / 2
+
+    forge_cells(monkeypatch, corrupt)
     report = verify_homotopy(forged, loop, 5 * loop.max_step)
 
     def eigvalsh_scan(h, tol):
@@ -840,7 +915,7 @@ def test_loop_from_doc_rejects_garbage():
 
 
 def test_purity_preserved_along_pure_columns():
-    arr = contract_loop(bundled_pure_loop(320)).cells
+    arr = cells(contract_loop(bundled_pure_loop(320)))
     # every input sample is pure, so every cell above it stays pure
     purities = np.einsum("stij,stji->st", arr, arr).real
     assert purities.min() > 1 - 1e-9

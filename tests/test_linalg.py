@@ -287,7 +287,6 @@ def test_trace_norm_of_non_finite_matrices_takes_lapack(n, value):
 def test_chain_layout_validation():
     with pytest.raises(ValueError):
         ChainLayout((2, 1))
-    assert spin_chain(4).total_dim == 16
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

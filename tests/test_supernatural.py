@@ -99,10 +99,3 @@ def test_homotopy_table():
     for k_max in (0, MAX_TABLE_K + 1):
         with pytest.raises(ValueError, match="k_max"):
             homotopy_table(a, k_max)
-
-
-def test_as_int_round_trip():
-    n = 360
-    assert from_int(n).as_int() == n
-    with pytest.raises(ValueError):
-        SupernaturalNumber({2: INF}).as_int()
