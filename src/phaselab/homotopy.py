@@ -42,13 +42,13 @@ PREPASS_COLUMNS = 128
 # the fewest rows a stage takes.
 FINE_MULT = 6
 MIN_ROWS = 8
-# Bytes a sheet may hold while verified: its recipe (loop, operators and s
-# tables) and BLOCK_COPIES times its largest stage block of rows x T x n² x 16
-# bytes. tracemalloc puts a verification at 4.8 to 6.5 such blocks over the
-# recipe (6.5 at n = 8 and 150 samples, where each stage's pencil weighs more
-# against its 8 rows); 2^28 bytes is what a run of the whole sheet took.
+# Bytes a sheet may hold, as _held_bytes counts them. tracemalloc reads the
+# arc-length pre-pass at 3.4 to 4.7 of its arrays (n = 2 to 16), a
+# verification at 4.8 to 6.5 stage blocks (6.5 at n = 8 and 150 samples,
+# where each stage's pencil weighs more against its 8 rows), and the check
+# of the edge columns at 2.05 times their cells.
 MAX_SHEET_BYTES = 2**28
-BLOCK_COPIES = 7
+PREPASS_ARRAYS, BLOCK_COPIES, EDGE_COPIES = 5, 7, 3
 
 
 def projection_matrix(n: int, k: int) -> np.ndarray:
@@ -155,22 +155,40 @@ class HomotopySheet:
         if self.loop.ndim != 3 or self.loop.shape[1:] != (self.n, self.n):
             raise ValueError(f"a sheet's loop must have shape (T, {self.n}, {self.n})")
         _recipe_rows(self.n, len(self.loop), self.levels)
-        stages = [st for level in self.levels for st in level.stages]
-        recipe = self.loop.nbytes + sum(st.ops.nbytes + st.s.nbytes for st in stages)
-        block = max((len(st.s) for st in stages), default=1)
-        _check_sheet_budget(recipe, block, len(self.loop), self.n)
+        _check_sheet_budget(self.held_bytes)
 
     @property
     def shape(self) -> tuple[int, int]:
         return _recipe_rows(self.n, len(self.loop), self.levels), len(self.loop)
 
+    @property
+    def held_bytes(self) -> int:
+        """The bytes the budget counts for this sheet (_held_bytes)."""
+        stages = [st for level in self.levels for st in level.stages]
+        return _held_bytes(self.n, len(self.loop), [(st.ops.nbytes, len(st.s)) for st in stages])
 
-def _check_sheet_budget(recipe_bytes: int, block_rows: int, t_count: int, n: int) -> None:
-    """Refuse, before expanding it, a sheet whose recipe and largest stage
-    block of block_rows x t_count states on M_n hold over MAX_SHEET_BYTES."""
-    if recipe_bytes + BLOCK_COPIES * block_rows * t_count * n * n * 16 > MAX_SHEET_BYTES:
-        raise ValueError(f"a recipe of {recipe_bytes} bytes with stage blocks of {block_rows} x "
-                         f"{t_count} states on M_{n} exceeds the {MAX_SHEET_BYTES}-byte budget")
+
+def _held_bytes(n: int, t_count: int, stages: list) -> int:
+    """The most a sheet on M_n over t_count columns holds, for its stages
+    as (operator bytes, rows): its recipe (loop, operators and s tables);
+    PREPASS_ARRAYS arrays of the pre-pass (_interp_rows) and BLOCK_COPIES
+    blocks of cells of its stage of most rows; and EDGE_COPIES of its two
+    edge columns. A contraction holds the recipe with the pre-pass, a
+    verification with the rest."""
+    rows = [r for _, r in stages]
+    most, cell = max(rows, default=1), n * n * 16
+    recipe = t_count * cell + sum(ops + r * t_count * 8 for ops, r in stages)
+    prepass = min(t_count, PREPASS_COLUMNS) * (max(most * FINE_MULT, 48) + 1) * cell // 2
+    return (recipe + PREPASS_ARRAYS * prepass + BLOCK_COPIES * most * t_count * cell
+            + EDGE_COPIES * (1 + sum(rows)) * 2 * cell)
+
+
+def _check_sheet_budget(held: int) -> None:
+    """Refuse, before it is made, a sheet that would hold `held` bytes
+    (_held_bytes) over MAX_SHEET_BYTES."""
+    if held > MAX_SHEET_BYTES:
+        raise ValueError(f"the sheet would hold {held} bytes, over the "
+                         f"{MAX_SHEET_BYTES}-byte budget")
 
 
 def _unitarity_defect(a: np.ndarray) -> np.ndarray:
@@ -398,7 +416,7 @@ def _rows_for(target_step: float, movement: float) -> int:
     return max(MIN_ROWS, int(np.ceil(movement / max(target_step, 1e-12))))
 
 
-def _rectify(rhos: np.ndarray, target: float):
+def _rectify(rhos: np.ndarray, target: float, admit):
     """The two stages that deform the density stack `rhos` (T, b, b) so that
     every sample gives weight one to the corner projection P^b_1 (no weight
     on the last basis vector), and their last row.
@@ -410,7 +428,8 @@ def _rectify(rhos: np.ndarray, target: float):
     minimum over s in [0, 1], and its rows step by about `target`. Each
     stage's last row is built once, from the pencil that certifies the
     stage, at s = 1 as the expansion builds it (_stage_rows); it measures
-    the stage's movement and is the next stage's input.
+    the stage's movement and is the next stage's input. Each stage's rows
+    pass through admit, which may refuse them, before its pre-pass.
     """
     n, ones = rhos.shape[-1], np.ones((1, len(rhos)))
 
@@ -442,9 +461,9 @@ def _rectify(rhos: np.ndarray, target: float):
     if failing.size:
         raise NumericalGateError(f"projection interpolation unsafe at sample {failing[0]}")
 
-    s_a = _interp_rows(r_lifted, _rows_for(target, trace_norm(out_a - rhos).max()))
+    s_a = _interp_rows(r_lifted, admit(_rows_for(target, trace_norm(out_a - rhos).max())))
     out_b = _stage_rows(r_proj, ones)[0]
-    s_b = _interp_rows(r_proj, _rows_for(target, trace_norm(out_b - out_a).max()))
+    s_b = _interp_rows(r_proj, admit(_rows_for(target, trace_norm(out_b - out_a).max())))
     return [Stage("unitary", lifted, s_a), Stage("projection", proj, s_b)], out_b
 
 
@@ -470,16 +489,17 @@ def sheet_blocks(sheet: HomotopySheet) -> Iterator[np.ndarray]:
     s table (_stage_rows); and its rows are zero-padded into the n x n
     corner. Every cell is made here, so a sheet read back from its
     document expands to the contractor's cells bit for bit."""
-    n, rhos = sheet.n, sheet.loop
-    yield rhos[None]
+    n, last = sheet.n, sheet.loop  # the last row so far, n x n
+    yield last[None]
     for level in sheet.levels:
         b = level.block
-        rhos = _level_input(rhos, b)
+        rhos = _level_input(last, b)
         for stage in level.stages:
             block = _stage_rows(pencil(stage.ops, rhos), stage.s)
             rhos = block[-1].copy()
             if b < n:
                 block = np.pad(block, [(0, 0), (0, 0), (0, n - b), (0, n - b)])
+            last = block[-1].copy()
             yield block
             del block  # so that only the caller holds a block while the next is made
 
@@ -492,13 +512,21 @@ def contract_loop(loop: StateLoop) -> HomotopySheet:
     forward by (1 - P) + (embedded block operator), that is, its cells are
     zero-padded to n x n. At k = n-1 the loop is pinned to the basepoint.
     Each level's recipe is built from the last rows alone, and the sheet is
-    returned as its recipe, unexpanded. A loop whose recipe and stage
-    blocks exceed MAX_SHEET_BYTES even at MIN_ROWS a stage is refused first.
+    returned as its recipe, unexpanded. A loop whose sheet would hold over
+    MAX_SHEET_BYTES even at MIN_ROWS a stage is refused first, and each
+    stage is checked again with its rows before its pre-pass runs.
     """
     n, t_count = loop.n, loop.n_samples
-    # each level's least recipe: T unitaries and a projection, two s tables of MIN_ROWS rows
-    least = sum((t_count + 1) * b * b * 16 + 2 * MIN_ROWS * t_count * 8 for b in range(2, n + 1))
-    _check_sheet_budget(loop.rhos.nbytes + least, MIN_ROWS, t_count, n)
+    # the least recipe: per level T unitaries, then a projection, each stage of MIN_ROWS rows
+    least = [(ops * b * b * 16, MIN_ROWS) for b in range(n, 1, -1) for ops in (t_count, 1)]
+    _check_sheet_budget(_held_bytes(n, t_count, least))
+    made = []  # (operator bytes, rows) of the stages whose rows are known
+
+    def admit(rows: int) -> int:
+        made.append((least[len(made)][0], rows))
+        _check_sheet_budget(_held_bytes(n, t_count, made + least[len(made):]))
+        return rows
+
     target = 2.5 * max(loop.max_step, 1e-3)
     current = loop.rhos
     levels = []
@@ -507,7 +535,7 @@ def contract_loop(loop: StateLoop) -> HomotopySheet:
         block_rhos = _level_input(current, block)
         if block < n:
             _check_based(block_rhos)
-        stages, out = _rectify(block_rhos, target)
+        stages, out = _rectify(block_rhos, target, admit)
         levels.append(Level(block, stages))
         current = np.zeros_like(current)
         current[:, :block, :block] = out

@@ -320,28 +320,19 @@ def test_verifier_fails_a_nan_modulus(pure_sheet):
     assert [v[0] for v in report.violations] == ["step-modulus"]
 
 
-def _held_bytes(sheet) -> int:
-    """The bytes the budget counts for a sheet: its recipe, and BLOCK_COPIES
-    times its largest stage block of rows x T x n² x 16 bytes."""
-    stages = [st for level in sheet.levels for st in level.stages]
-    recipe = sheet.loop.nbytes + sum(st.ops.nbytes + st.s.nbytes for st in stages)
-    rows = max(len(st.s) for st in stages)
-    return recipe + homotopy.BLOCK_COPIES * rows * sheet.shape[1] * sheet.n**2 * 16
-
-
 def test_sheet_budget_refuses_before_allocating(pure_sheet, monkeypatch):
     # a sheet is checked as its recipe is made, so a sheet document is
-    # refused too; contract_loop checks the least a loop's recipe and stage
-    # blocks can hold before its first level
+    # refused too; contract_loop checks the least a loop's sheet can hold
+    # before its first level
     doc = serialize.sheet_to_doc(pure_sheet)
-    monkeypatch.setattr(homotopy, "MAX_SHEET_BYTES", _held_bytes(pure_sheet))
+    monkeypatch.setattr(homotopy, "MAX_SHEET_BYTES", pure_sheet.held_bytes)
     assert serialize.sheet_from_doc(doc).shape == pure_sheet.shape
-    monkeypatch.setattr(homotopy, "MAX_SHEET_BYTES", _held_bytes(pure_sheet) - 1)
+    monkeypatch.setattr(homotopy, "MAX_SHEET_BYTES", pure_sheet.held_bytes - 1)
     with pytest.raises(ValueError, match="budget"):
         serialize.sheet_from_doc(doc)
     loop = constant_loop(3, 16)  # every stage has the fewest rows, MIN_ROWS
     monkeypatch.setattr(homotopy, "MAX_SHEET_BYTES", 2**28)
-    least = _held_bytes(contract_loop(loop))
+    least = contract_loop(loop).held_bytes
     monkeypatch.setattr(homotopy, "MAX_SHEET_BYTES", least)
     assert contract_loop(loop).shape == (33, 17)
     monkeypatch.setattr(homotopy, "MAX_SHEET_BYTES", least - 1)
@@ -350,27 +341,82 @@ def test_sheet_budget_refuses_before_allocating(pure_sheet, monkeypatch):
         contract_loop(loop)
 
 
-def test_a_sheet_over_its_cell_bytes_contracts_and_verifies_within_the_budget(monkeypatch):
-    # The budget counts the recipe and the largest stage block, not the
-    # sheet: at n = 8 the largest stage holds 8 of the 113 rows, and the
-    # budget comes to about half of the cells' bytes. The verification stays
-    # within it.
-    loop = random_based_loop(8, 3, 150)
-    unpatched = contract_loop(loop)
-    held = _held_bytes(unpatched)
-    assert held < np.prod(unpatched.shape) * 8**2 * 16
-    monkeypatch.setattr(homotopy, "MAX_SHEET_BYTES", held)
-    sheet = contract_loop(loop)
+def test_contract_loop_checks_each_stage_before_its_prepass(pure_sheet, monkeypatch):
+    # the pure loop's unitary stage takes more than MIN_ROWS rows and its
+    # projection stage MIN_ROWS, so the unitary stage's rows alone bring the
+    # count to the sheet's: a budget one byte short, which the least recipe
+    # fits, refuses that stage before its pre-pass
+    loop = bundled_pure_loop()
+    stages = pure_sheet.levels[0].stages
+    assert [len(st.s) > homotopy.MIN_ROWS for st in stages] == [True, False]
+    least = [(st.ops.nbytes, homotopy.MIN_ROWS) for st in stages]
+    assert homotopy._held_bytes(2, loop.n_samples, least) < pure_sheet.held_bytes - 1
+    seen, interp = [], homotopy._interp_rows
+    monkeypatch.setattr(homotopy, "_interp_rows", lambda r, rows: seen.append(rows) or interp(r, rows))
+    monkeypatch.setattr(homotopy, "MAX_SHEET_BYTES", pure_sheet.held_bytes - 1)
+    with pytest.raises(ValueError, match="budget"):
+        contract_loop(loop)
+    assert seen == []
+
+
+def _traced_contract_and_verify(loop) -> tuple:
+    """The contraction and verification of `loop`, and their tracemalloc peak."""
     tracemalloc.start()
     try:
-        report = verify_homotopy(sheet, loop, 5 * loop.max_step)
-        peak = tracemalloc.get_traced_memory()[1]
+        sheet = contract_loop(loop)
+        report = verify_homotopy(sheet, loop, 5 * max(loop.max_step, 1e-3))
+        return sheet, report, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+@pytest.mark.parametrize(
+    "make_loop",
+    [lambda: constant_loop(10, 100), lambda: random_based_loop(8, 3, 150)],
+    ids=["constant-n10-T101", "random-n8-T151"],
+)
+def test_contraction_and_verification_stay_within_the_count(make_loop, monkeypatch):
+    # at 101 samples and n = 10 the contraction's arc-length pre-pass holds
+    # more than the verification; at n = 8 the verification weighs most,
+    # against stages of 8 rows. A budget of exactly the sheet's count admits
+    # the loop, and the contraction and verification together stay within it.
+    loop = make_loop()
+    held = contract_loop(loop).held_bytes
+    monkeypatch.setattr(homotopy, "MAX_SHEET_BYTES", held)
+    sheet, report, peak = _traced_contract_and_verify(loop)
     assert report.passed, report.violations[:5]
-    stages = [st for level in sheet.levels for st in level.stages]
-    recipe = sheet.loop.nbytes + sum(st.ops.nbytes + st.s.nbytes for st in stages)
-    assert recipe + peak <= held  # the recipe was allocated before tracing began
+    assert sheet.held_bytes == held
+    assert peak <= held
+
+
+def test_a_sheet_over_its_cell_bytes_contracts_and_verifies_within_the_budget(monkeypatch):
+    # The budget counts the recipe and the largest stage block, not the
+    # sheet: at n = 8 and 401 samples every stage holds 8 of the 113 rows,
+    # and the budget comes to 0.9 of the cells' bytes.
+    loop = constant_loop(8, 400)
+    held = contract_loop(loop).held_bytes
+    assert held < 113 * 401 * 8**2 * 16
+    monkeypatch.setattr(homotopy, "MAX_SHEET_BYTES", held)
+    sheet, report, peak = _traced_contract_and_verify(loop)
+    assert sheet.shape == (113, 401)
+    assert report.passed, report.violations[:5]
+    assert peak <= held
+
+
+@pytest.mark.parametrize("block", [2, 3])
+def test_a_level_takes_its_input_from_the_padded_last_row(block):
+    # a forged recipe whose last level repeats the corner block, or grows it
+    # back to M_3, with one identity stage: the level starts from the last
+    # row so far, n x n, and its rows stay at the basepoint
+    loop = bundled_plateau_loop()
+    sheet = contract_loop(loop)
+    ops = np.repeat(np.eye(block, dtype=np.complex128)[None], loop.n_samples, axis=0)
+    stage = homotopy.Stage("unitary", ops, np.ones((homotopy.MIN_ROWS, loop.n_samples)))
+    forged = HomotopySheet(3, sheet.loop, [*sheet.levels, Level(block, [stage])])
+    arr = cells(forged)
+    assert arr.shape[0] == sheet.shape[0] + homotopy.MIN_ROWS
+    assert np.max(np.abs(arr[-homotopy.MIN_ROWS:] - basis_state(3).rho)) < 1e-10
+    assert verify_homotopy(forged, loop, 5 * loop.max_step).passed
 
 
 def test_loop_and_sheet_serialization_roundtrip():
