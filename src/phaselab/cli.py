@@ -219,8 +219,7 @@ def cmd_contract_loop(args, file_cfg: dict) -> int:
 def cmd_selfcheck(args, file_cfg: dict) -> int:
     seed = args.seed if args.seed is not None else file_cfg.get("seed")
     if seed is None:
-        print("error: selfcheck is randomized and needs --seed", file=sys.stderr)
-        return EXIT_INPUT
+        raise ValueError("selfcheck is randomized and needs --seed")
     results = run_selfcheck(seed)
     report = {
         "command": "selfcheck",
@@ -242,35 +241,33 @@ def cmd_selfcheck(args, file_cfg: dict) -> int:
 
 
 def cmd_supernatural(args, file_cfg: dict) -> int:
-    try:
-        tower = [int(x) for x in args.type.split(",") if x]
-        a = from_type_sequence(tower, tail_ratio=args.tail_ratio)
-        membership = {q: q_contains(a, q) for q in args.contains}
-        table = [
-            {"k": row.k, "unitary": row.unitary_group, "isotropy": row.isotropy_group}
-            for row in homotopy_table(a, args.k_max)
-        ]
-        report = {
-            "command": "supernatural",
-            "config": {"type": tower, "tail_ratio": args.tail_ratio, "k_max": args.k_max},
-            "number": str(a),
-            "q_contains": membership,
-            "homotopy_table": table,
+    if args.iso_tail_ratio is not None and not args.iso_type:
+        raise ValueError("--iso-tail-ratio takes --iso-type, the tower it extends")
+    tower = [int(x) for x in args.type.split(",") if x]
+    a = from_type_sequence(tower, tail_ratio=args.tail_ratio)
+    membership = {q: q_contains(a, q) for q in args.contains}
+    table = [
+        {"k": row.k, "unitary": row.unitary_group, "isotropy": row.isotropy_group}
+        for row in homotopy_table(a, args.k_max)
+    ]
+    report = {
+        "command": "supernatural",
+        "config": {"type": tower, "tail_ratio": args.tail_ratio, "k_max": args.k_max},
+        "number": str(a),
+        "q_contains": membership,
+        "homotopy_table": table,
+    }
+    if args.iso_type:
+        b = from_type_sequence(
+            [int(x) for x in args.iso_type.split(",") if x], tail_ratio=args.iso_tail_ratio
+        )
+        wit = iso_equivalent(a, b)
+        report["iso"] = {
+            "other": str(b),
+            "equivalent": wit.equivalent,
+            "c": wit.c,
+            "d": wit.d,
         }
-        if args.iso_type:
-            b = from_type_sequence(
-                [int(x) for x in args.iso_type.split(",") if x], tail_ratio=args.iso_tail_ratio
-            )
-            wit = iso_equivalent(a, b)
-            report["iso"] = {
-                "other": str(b),
-                "equivalent": wit.equivalent,
-                "c": wit.c,
-                "d": wit.d,
-            }
-    except (ValueError, ZeroDivisionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     _emit(report, args)
     return EXIT_PASS
 

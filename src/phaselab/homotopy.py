@@ -33,22 +33,17 @@ BOUNDARY_RADIUS = 1.0 - 1e-9
 BASEPOINT_TOL = 1e-9
 OPERATOR_TOL = 1e-9
 IDEAL_NORMALIZER_TOL = 1e-12
-# Columns per batch in the arc-length pre-pass of _interp_rows. Its
-# temporaries hold columns x fine samples packed matrices: at n = 3 with
-# about 200 fine samples, 1.8 MB each, where all 701 columns at once would
-# take 10 MB.
-PREPASS_COLUMNS = 128
 # Fine samples of the pre-pass per row of its s table (48 at least), and
 # the fewest rows a stage takes.
 FINE_MULT = 6
 MIN_ROWS = 8
-# Bytes a sheet may hold, as _held_bytes counts them. tracemalloc reads the
-# arc-length pre-pass at 3.4 to 4.7 of its arrays (n = 2 to 16), a
-# verification at 4.8 to 6.5 stage blocks (6.5 at n = 8 and 150 samples,
-# where each stage's pencil weighs more against its 8 rows), and the check
-# of the edge columns at 2.05 times their cells.
-MAX_SHEET_BYTES = 2**28
-PREPASS_ARRAYS, BLOCK_COPIES, EDGE_COPIES = 5, 7, 3
+# Bytes a sheet may hold (_held_bytes): its recipe and BLOCK_COPIES blocks
+# of its stage of most rows. Beyond the recipe, tracemalloc reads a
+# contraction's pre-pass at 2.2 to 3.2 blocks and a verification at 4.7 to
+# 5.6 (n = 2 to 40, 17 to 901 samples). The count covers arrays only: on
+# sheets under about 1 MB, tracemalloc's fixed overhead can exceed it
+# (constant_loop(3, 16) reads 156 KB against a count of 148 KB).
+MAX_SHEET_BYTES, BLOCK_COPIES = 2**28, 7
 
 
 def projection_matrix(n: int, k: int) -> np.ndarray:
@@ -170,17 +165,13 @@ class HomotopySheet:
 
 def _held_bytes(n: int, t_count: int, stages: list) -> int:
     """The most a sheet on M_n over t_count columns holds, for its stages
-    as (operator bytes, rows): its recipe (loop, operators and s tables);
-    PREPASS_ARRAYS arrays of the pre-pass (_interp_rows) and BLOCK_COPIES
-    blocks of cells of its stage of most rows; and EDGE_COPIES of its two
-    edge columns. A contraction holds the recipe with the pre-pass, a
-    verification with the rest."""
-    rows = [r for _, r in stages]
-    most, cell = max(rows, default=1), n * n * 16
+    as (operator bytes, rows): its recipe (loop, operators and s tables)
+    and BLOCK_COPIES blocks of cells of its stage of most rows, which bound
+    a contraction's pre-pass (_interp_rows) and a verification's block and
+    temporaries alike."""
+    most, cell = max((r for _, r in stages), default=1), n * n * 16
     recipe = t_count * cell + sum(ops + r * t_count * 8 for ops, r in stages)
-    prepass = min(t_count, PREPASS_COLUMNS) * (max(most * FINE_MULT, 48) + 1) * cell // 2
-    return (recipe + PREPASS_ARRAYS * prepass + BLOCK_COPIES * most * t_count * cell
-            + EDGE_COPIES * (1 + sum(rows)) * 2 * cell)
+    return recipe + BLOCK_COPIES * most * t_count * cell
 
 
 def _check_sheet_budget(held: int) -> None:
@@ -364,6 +355,9 @@ def _interp_rows(r: np.ndarray, n_rows: int) -> np.ndarray:
     steps for larger blocks. Every packed coordinate takes the same
     arithmetic as the complex matrices would, so the s table is the one a
     pre-pass over complex states and linalg.trace_norm gives, bit for bit.
+    Its columns go in chunks of ceil(T / FINE_MULT), so each array weighs
+    about half a block of the stage's rows; every column's arc is its own,
+    so the chunks leave the table unchanged.
     """
     t_count = r.shape[1]
     f_count = max(n_rows * FINE_MULT, 48)
@@ -372,8 +366,9 @@ def _interp_rows(r: np.ndarray, n_rows: int) -> np.ndarray:
     traces = np.trace(r, axis1=-2, axis2=-1).real
     packed = np.moveaxis(pack_hermitian(r), 1, 0)  # (3, n², T)
     s_rows = np.empty((n_rows, t_count))
-    for lo in range(0, t_count, PREPASS_COLUMNS):
-        cols = slice(lo, lo + PREPASS_COLUMNS)
+    width = -(-t_count // FINE_MULT)
+    for lo in range(0, t_count, width):
+        cols = slice(lo, lo + width)
         rho_s, _ = _pencil_states(packed[:, :, cols, None], traces[:, cols, None], s_fine)
         steps = packed_trace_norm(rho_s[..., 1:] - rho_s[..., :-1])  # rho_s: (n², cols, F + 1)
         arcs = np.concatenate([np.zeros((len(steps), 1)), np.cumsum(steps, axis=1)], axis=1)
@@ -595,9 +590,9 @@ def verify_homotopy(sheet: HomotopySheet, input_loop: StateLoop, modulus: float)
     decides it and gives a violation's value."""
     n, (s_dim, t_dim) = sheet.n, sheet.shape
     base = basis_state(n).rho
-    found: dict = {kind: [] for kind in ("non-finite", "non-hermitian", "trace",
-                                         "negative-eigenvalue", "row0-mismatch")}
-    recipe, edges, edges_ok = [], [], []  # edges: columns 0 and T - 1 of every row
+    found: dict = {kind: [] for kind in ("non-finite", "non-hermitian", "trace", "negative-eigenvalue",
+                                         "row0-mismatch", "left-column", "right-column")}
+    recipe = []
     step_t = step_s = (0.0, (0, 0))  # the largest step along t and along s, at its cell
     safety: tuple = (None, None)
     stages = [(li, si, level.block, stage)
@@ -653,17 +648,15 @@ def verify_homotopy(sheet: HomotopySheet, input_loop: StateLoop, modulus: float)
         step_s = _largest(step_s, steps, row)
         steps = np.where(ok[:, 1:] & ok[:, :-1], trace_norm(block[:, 1:] - block[:, :-1]), 0.0)
         step_t = _largest(step_t, steps, row)
-        edges.append(block[:, [0, -1]])
-        edges_ok.append(ok[:, [0, -1]])
+        dev = trace_norm(block[:, [0, -1]] - base)
+        for i, (col, label) in enumerate(((0, "left-column"), (t_dim - 1, "right-column"))):
+            found[label] += _flags(label, dev[:, i], (dev[:, i] > 1e-8) & ok[:, col], 1e-8,
+                                   lambda s: (row + s, col))
         prev, prev_ok = block[-1].copy(), ok[-1]
         row += len(block)
         del block, adj
 
     violations = [v for kind in found.values() for v in kind]
-    edges, edges_ok = np.concatenate(edges), np.concatenate(edges_ok)
-    for i, (col, label) in enumerate(((0, "left-column"), (t_dim - 1, "right-column"))):
-        dev = trace_norm(edges[:, i] - base[None])
-        violations += _flags(label, dev, (dev > 1e-8) & edges_ok[:, i], 1e-8, lambda s: (s, col))
     last = trace_norm(prev - base[None])
     violations += _flags("final-row", last, (last > 1e-8) & prev_ok, 1e-8, lambda t: (s_dim - 1, t))
     max_step = float(max(step_t[0], step_s[0]))

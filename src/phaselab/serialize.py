@@ -35,13 +35,21 @@ def decode_matrix(rows) -> np.ndarray:
     return np.ascontiguousarray(pairs).view(np.complex128)[..., 0]
 
 
+def _integer(doc: dict, key: str) -> int:
+    """doc[key] if it is a JSON integer (a bool is not), else ValueError."""
+    value = doc[key]
+    if type(value) is not int:
+        raise ValueError(f"{key!r} must be an integer, got {value!r}")
+    return value
+
+
 def loop_to_doc(loop: StateLoop) -> dict:
     return {"n": loop.n, "samples": encode_matrix(loop.rhos)}
 
 
 def loop_from_doc(doc: dict) -> StateLoop:
     try:
-        n = int(doc["n"])
+        n = _integer(doc, "n")
         rhos = decode_matrix(doc["samples"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed loop document: {exc}") from exc
@@ -68,11 +76,11 @@ def sheet_from_doc(doc: dict) -> HomotopySheet:
     validated as states, the recipe's shapes against it, and every entry
     must be finite. The other cells are validated as sheet_blocks makes them."""
     try:
-        n = int(doc["n"])
+        n = _integer(doc, "n")
         loop = decode_matrix(doc["loop"])
         levels = [
             Level(
-                int(level["block"]),
+                _integer(level, "block"),
                 [
                     Stage(str(st["kind"]), decode_matrix(st["ops"]), np.array(st["s"], dtype=float))
                     for st in level["stages"]

@@ -120,12 +120,12 @@ def mul(a: SupernaturalNumber, b: SupernaturalNumber) -> SupernaturalNumber:
 def q_contains(a: SupernaturalNumber, rational) -> bool:
     """Membership of a rational (in lowest terms) in the subgroup Q(a):
     every prime exponent of the denominator must be <= the corresponding
-    exponent of a."""
-    q = Fraction(rational)
-    for p, e in factorize(q.denominator).items():
-        if e > a.exponent(p):
-            return False
-    return True
+    exponent of a. A zero denominator raises ValueError."""
+    try:
+        q = Fraction(rational)
+    except ZeroDivisionError:
+        raise ValueError(f"{rational!r} has a zero denominator") from None
+    return all(e <= a.exponent(p) for p, e in factorize(q.denominator).items())
 
 
 class IsoWitness(NamedTuple):

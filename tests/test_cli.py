@@ -403,6 +403,14 @@ def test_supernatural_command(capsys):
 
 def test_supernatural_bad_input(capsys):
     assert main(["supernatural", "--type", "2,5"]) == 3
+    # a tail ratio for the second tower is an input error without that tower
+    assert main(["supernatural", "--type", "2", "--iso-tail-ratio", "2"]) == 3
+    assert "--iso-type" in capsys.readouterr().err
+
+
+def test_supernatural_names_a_zero_denominator(capsys):
+    assert main(["supernatural", "--type", "2", "--contains", "1/0"]) == 3
+    assert capsys.readouterr().err == "error: '1/0' has a zero denominator\n"
 
 
 def test_supernatural_caps_the_table(capsys):

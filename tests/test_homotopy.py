@@ -372,14 +372,17 @@ def _traced_contract_and_verify(loop) -> tuple:
 
 @pytest.mark.parametrize(
     "make_loop",
-    [lambda: constant_loop(10, 100), lambda: random_based_loop(8, 3, 150)],
-    ids=["constant-n10-T101", "random-n8-T151"],
+    [lambda: constant_loop(10, 100), lambda: random_based_loop(8, 3, 150),
+     lambda: constant_loop(40, 16)],
+    ids=["constant-n10-T101", "random-n8-T151", "constant-n40-T17"],
 )
 def test_contraction_and_verification_stay_within_the_count(make_loop, monkeypatch):
-    # at 101 samples and n = 10 the contraction's arc-length pre-pass holds
-    # more than the verification; at n = 8 the verification weighs most,
-    # against stages of 8 rows. A budget of exactly the sheet's count admits
-    # the loop, and the contraction and verification together stay within it.
+    # the verification weighs most, at 5.5 blocks of a stage's 8 rows against
+    # the contraction's 2.2 to 3.2. At n = 40 and 17 samples the sheet has
+    # 625 rows of 8 a stage: gathering its edge columns to check them last
+    # peaked at 76.6 MB, against a count of 31.3 MB. A budget of exactly the
+    # sheet's count admits the loop, and the contraction and verification
+    # together stay within it.
     loop = make_loop()
     held = contract_loop(loop).held_bytes
     monkeypatch.setattr(homotopy, "MAX_SHEET_BYTES", held)
@@ -469,8 +472,13 @@ def test_sheet_from_doc_rejects_a_nan_cell():
         (lambda doc: doc["levels"][0]["stages"][1]["s"][0].pop(), "malformed sheet"),
         (lambda doc: doc["levels"][0]["stages"][1].__setitem__("s", []), "s table"),
         (lambda doc: doc.pop("levels"), "malformed sheet"),
+        (lambda doc: doc.__setitem__("n", 2.7), "'n' must be an integer"),
+        (lambda doc: doc.__setitem__("n", "2"), "'n' must be an integer"),
+        (lambda doc: doc["levels"][0].__setitem__("block", 2.9), "'block' must be an integer"),
+        (lambda doc: doc["levels"][0].__setitem__("block", True), "'block' must be an integer"),
     ],
-    ids=["block", "kind", "ops-shape", "s-ragged", "s-empty", "no-levels"],
+    ids=["block", "kind", "ops-shape", "s-ragged", "s-empty", "no-levels", "n-float", "n-string",
+         "block-float", "block-bool"],
 )
 def test_sheet_from_doc_rejects_malformed_recipes(forge, message):
     doc = serialize.sheet_to_doc(contract_loop(constant_loop(2, 6)))
@@ -887,26 +895,24 @@ def test_contraction_matches_the_eigvalsh_oracle(name, monkeypatch):
 
 def _matrix_s_table(r, n_rows, fine_mult=6):
     """The arc-length s table of _interp_rows with its pre-pass on complex
-    matrices: the states (R0 + s R1 + s² R2) / (c0 + s c1 + s² c2) evaluated
-    on real and imaginary parts alike, their steps measured by trace_norm."""
+    matrices, all columns at once: the states (R0 + s R1 + s² R2) /
+    (c0 + s c1 + s² c2) evaluated on real and imaginary parts alike, their
+    steps measured by trace_norm."""
     f_count = max(n_rows * fine_mult, 48)
     s_fine = np.linspace(0.0, 1.0, f_count + 1)
     s = s_fine[:, None, None]
     fractions = np.arange(1, n_rows + 1) / n_rows
     traces = np.trace(r, axis1=-2, axis2=-1).real
-    parts = r.view(np.float64)
+    p0, p1, p2 = r.view(np.float64)[:, :, None]
+    c0, c1, c2 = traces[:, :, None]
+    norm = c0 + s_fine * (c1 + s_fine * c2)
+    rho_s = ((p0 + s * (p1 + s * p2)) / norm[..., None, None]).view(np.complex128)
+    steps = linalg.trace_norm(rho_s[:, 1:] - rho_s[:, :-1])
+    arcs = np.concatenate([np.zeros((len(steps), 1)), np.cumsum(steps, axis=1)], axis=1)
     table = np.empty((n_rows, r.shape[1]))
-    for lo in range(0, r.shape[1], homotopy.PREPASS_COLUMNS):
-        cols = slice(lo, lo + homotopy.PREPASS_COLUMNS)
-        p0, p1, p2 = parts[:, cols, None]
-        c0, c1, c2 = traces[:, cols, None]
-        norm = c0 + s_fine * (c1 + s_fine * c2)
-        rho_s = ((p0 + s * (p1 + s * p2)) / norm[..., None, None]).view(np.complex128)
-        steps = linalg.trace_norm(rho_s[:, 1:] - rho_s[:, :-1])
-        arcs = np.concatenate([np.zeros((len(steps), 1)), np.cumsum(steps, axis=1)], axis=1)
-        for t, arc in enumerate(arcs, start=lo):
-            moving = arc[-1] >= 1e-13
-            table[:, t] = np.interp(fractions * arc[-1], arc, s_fine) if moving else fractions
+    for t, arc in enumerate(arcs):
+        moving = arc[-1] >= 1e-13
+        table[:, t] = np.interp(fractions * arc[-1], arc, s_fine) if moving else fractions
     table[-1] = 1.0
     return table
 
@@ -915,7 +921,8 @@ def _matrix_s_table(r, n_rows, fine_mult=6):
 def test_packed_prepass_matches_the_matrix_prepass(name):
     # every stage of each contraction: 2x2 blocks (the pure loop, and the
     # last level of the others), 3x3 blocks (the closed form's other size)
-    # and 4x4 blocks (eigvalsh on the unpacked steps)
+    # and 4x4 blocks (eigvalsh on the unpacked steps). The oracle takes all
+    # columns at once, so the tables do not depend on the pre-pass's chunks.
     _, sheet = _contracted(name)
     blocks = set()
     for stage, rhos in _stage_inputs(sheet):
@@ -958,6 +965,12 @@ def test_loop_from_doc_rejects_garbage():
         serialize.loop_from_doc({"n": 2})
     with pytest.raises(ValueError):
         serialize.loop_from_doc({"n": 2, "samples": [[[1.0]]]})
+    # n is a JSON integer, never truncated from a float, a string or a bool
+    samples = serialize.loop_to_doc(constant_loop(2, 6))["samples"]
+    assert serialize.loop_from_doc({"n": 2, "samples": samples}).n == 2
+    for n in (2.7, 2.0, "2", True):
+        with pytest.raises(ValueError, match="'n' must be an integer"):
+            serialize.loop_from_doc({"n": n, "samples": samples})
 
 
 def test_purity_preserved_along_pure_columns():

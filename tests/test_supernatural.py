@@ -61,6 +61,8 @@ def test_q_contains():
     assert q_contains(a, Fraction(5, 12))
     assert not q_contains(a, Fraction(1, 9))
     assert q_contains(a, 7)  # integers always belong
+    with pytest.raises(ValueError, match="zero denominator"):
+        q_contains(a, "1/0")
 
 
 def test_q_closure_under_addition():
