@@ -166,17 +166,7 @@ def cmd_invariant(args, file_cfg: dict) -> int:
 
 
 def cmd_contract_loop(args, file_cfg: dict) -> int:
-    try:
-        doc = serialize.read_doc(args.loop)
-    except json.JSONDecodeError as exc:
-        print(f"error: {args.loop}:{exc.lineno}:{exc.colno}: {exc.msg}", file=sys.stderr)
-        return EXIT_INPUT
-    try:
-        loop = serialize.loop_from_doc(doc)
-    except ValueError as exc:
-        print(f"error: invalid loop document: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-
+    loop = serialize.loop_from_doc(serialize.read_doc(args.loop))
     report = {
         "command": "contract-loop",
         "config": {
@@ -278,11 +268,7 @@ def _read_config(args) -> dict:
     for a file that cannot be read)."""
     if getattr(args, "config", None) is None:
         return {}
-    try:
-        with open(args.config, encoding="utf-8") as fh:
-            file_cfg = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{args.config}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
+    file_cfg = serialize.read_doc(args.config)
     if not isinstance(file_cfg, dict):
         raise ValueError(f"{args.config}: a config file holds one JSON object")
     keys = CONFIG_KEYS[args.command]

@@ -5,10 +5,11 @@ the action of explicit operator families: unitary eigenvector transport
 (with a disk phase lift to keep linear interpolations outside the Gelfand
 ideal), compression onto nested corner blocks, and a verifier that
 certifies the resulting two-parameter sheet cell by cell. A sheet is held
-as its recipe (the input loop and, per stage, its operators and s table),
-which is what a sheet document stores; its cells are evaluated one stage
-at a time (sheet_blocks), and the verifier checks each stage's block of
-rows as it comes.
+as its recipe, which is what a sheet document stores: the input loop and,
+per level k on the corner block b = n - k, its T unitaries and the s tables
+of its two stages, the unitaries' and the corner projection P^b_1's. Its
+cells are evaluated one stage at a time (sheet_blocks), and the verifier
+checks each stage's block of rows as it comes.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ MIN_ROWS = 8
 # contraction's pre-pass at 2.2 to 3.2 blocks and a verification at 4.7 to
 # 5.6 (n = 2 to 40, 17 to 901 samples). The count covers arrays only: on
 # sheets under about 1 MB, tracemalloc's fixed overhead can exceed it
-# (constant_loop(3, 16) reads 156 KB against a count of 148 KB).
+# (constant_loop(3, 16) reads 156 KB against a count of 147 KB).
 MAX_SHEET_BYTES, BLOCK_COPIES = 2**28, 7
 
 
@@ -90,54 +91,51 @@ class StateLoop:
         return float(trace_norm(self.rhos[1:] - self.rhos[:-1]).max())
 
 
-class Stage(NamedTuple):
-    """One interpolation stage of a contraction recipe over T columns: its
-    row r acts on column t of the stage's input with
-    s[r, t] A_t + (1 - s[r, t]) 1. A_t is ops[t] for a unitary stage
-    (ops of shape (T, b, b)) and ops itself, the corner projection P^b_1,
-    for a projection stage."""
-
-    kind: str  # one of STAGE_KINDS
-    ops: np.ndarray
-    s: np.ndarray  # (rows, T); the last row is 1
-
-
 class Level(NamedTuple):
-    """One rectification on the corner block algebra M_block: its stages act
-    in turn on the block of the previous level's last row, and its rows are
-    zero-padded into the n x n corner."""
+    """Rectification level k of a contraction recipe over T columns, on the
+    corner block algebra M_b with b = n - k: a unitary stage, then a
+    projection stage, act in turn on the block of the previous level's last
+    row, and their rows are zero-padded into the n x n corner. A stage's
+    row r acts on column t of its input with s[r, t] A_t + (1 - s[r, t]) 1,
+    A_t = unitaries[t] in the unitary stage and the corner projection
+    P^b_1 in the projection stage; each s table's last row is 1."""
 
-    block: int
-    stages: list
+    unitaries: np.ndarray  # (T, b, b)
+    s_unitary: np.ndarray  # (rows, T)
+    s_projection: np.ndarray  # (rows, T)
 
 
-STAGE_KINDS = ("unitary", "projection")
+def _stages(n: int, levels: list) -> Iterator[tuple]:
+    """Each stage of a recipe on M_n in order, as (level, stage, block,
+    operators, s table), the projection stage's operator P^b_1."""
+    for k, level in enumerate(levels):
+        b = n - k
+        yield k, 0, b, level.unitaries, level.s_unitary
+        yield k, 1, b, projection_matrix(b, 1), level.s_projection
 
 
 def _recipe_rows(n: int, t_count: int, levels: list) -> int:
     """Rows of the sheet a recipe expands to, counting row 0; raises
     ValueError for a recipe whose shapes do not fit n and t_count."""
+    if len(levels) != n - 1:
+        raise ValueError(f"a recipe on M_{n} has {n - 1} levels, got {len(levels)}")
     rows = 1
-    for level in levels:
-        b = level.block
-        if not 2 <= b <= n:
-            raise ValueError(f"level block {b} out of range for n={n}")
-        for stage in level.stages:
-            if stage.kind not in STAGE_KINDS:
-                raise ValueError(f"stage kind must be one of {STAGE_KINDS}, got {stage.kind!r}")
-            if stage.ops.shape not in ((b, b), (t_count, b, b)):
-                raise ValueError(f"stage operators of shape {stage.ops.shape} in block {b}")
-            if stage.s.ndim != 2 or stage.s.shape[0] < 1 or stage.s.shape[1] != t_count:
-                raise ValueError(f"stage s table of shape {stage.s.shape} over {t_count} columns")
-            rows += stage.s.shape[0]
+    for k, level in enumerate(levels):
+        if level.unitaries.shape != (t_count, n - k, n - k):
+            raise ValueError(f"level {k} unitaries of shape {level.unitaries.shape}, "
+                             f"not {(t_count, n - k, n - k)}")
+        for s in level[1:]:
+            if s.ndim != 2 or s.shape[0] < 1 or s.shape[1] != t_count:
+                raise ValueError(f"s table of shape {s.shape} over {t_count} columns")
+            rows += s.shape[0]
     return rows
 
 
 @dataclass
 class HomotopySheet:
     """An S x T grid of states, held as the recipe that generates it: row 0
-    is the input loop, a (T, n, n) density stack, and the stages of
-    `levels` give the later rows in order. Its cells are never held at
+    is the input loop, a (T, n, n) density stack, and the n - 1 `levels`
+    (Level) give the later rows in order. Its cells are never held at
     once; sheet_blocks evaluates them a stage at a time. A recipe whose
     shapes do not fit n and T, or over MAX_SHEET_BYTES, raises ValueError."""
 
@@ -159,19 +157,18 @@ class HomotopySheet:
     @property
     def held_bytes(self) -> int:
         """The bytes the budget counts for this sheet (_held_bytes)."""
-        stages = [st for level in self.levels for st in level.stages]
-        return _held_bytes(self.n, len(self.loop), [(st.ops.nbytes, len(st.s)) for st in stages])
+        return _held_bytes(self.n, len(self.loop), [len(s) for lv in self.levels for s in lv[1:]])
 
 
-def _held_bytes(n: int, t_count: int, stages: list) -> int:
-    """The most a sheet on M_n over t_count columns holds, for its stages
-    as (operator bytes, rows): its recipe (loop, operators and s tables)
-    and BLOCK_COPIES blocks of cells of its stage of most rows, which bound
-    a contraction's pre-pass (_interp_rows) and a verification's block and
+def _held_bytes(n: int, t_count: int, rows: list) -> int:
+    """The most a sheet on M_n over t_count columns holds, for the rows of
+    its 2(n - 1) stages: its recipe (loop, unitaries and s tables) and
+    BLOCK_COPIES blocks of cells of its stage of most rows, which bound a
+    contraction's pre-pass (_interp_rows) and a verification's block and
     temporaries alike."""
-    most, cell = max((r for _, r in stages), default=1), n * n * 16
-    recipe = t_count * cell + sum(ops + r * t_count * 8 for ops, r in stages)
-    return recipe + BLOCK_COPIES * most * t_count * cell
+    unitaries = sum(t_count * b * b * 16 for b in range(2, n + 1))
+    recipe = t_count * n * n * 16 + unitaries + sum(rows) * t_count * 8
+    return recipe + BLOCK_COPIES * max(rows, default=1) * t_count * n * n * 16
 
 
 def _check_sheet_budget(held: int) -> None:
@@ -412,9 +409,9 @@ def _rows_for(target_step: float, movement: float) -> int:
 
 
 def _rectify(rhos: np.ndarray, target: float, admit):
-    """The two stages that deform the density stack `rhos` (T, b, b) so that
-    every sample gives weight one to the corner projection P^b_1 (no weight
-    on the last basis vector), and their last row.
+    """The level (Level) that deforms the density stack `rhos` (T, b, b) so
+    that every sample gives weight one to the corner projection P^b_1 (no
+    weight on the last basis vector), and its last row.
 
     Eigenvector-transport unitaries come first, with a disk phase lift of
     t -> omega_t(U_t) so the unitary interpolation stays outside every
@@ -459,7 +456,7 @@ def _rectify(rhos: np.ndarray, target: float, admit):
     s_a = _interp_rows(r_lifted, admit(_rows_for(target, trace_norm(out_a - rhos).max())))
     out_b = _stage_rows(r_proj, ones)[0]
     s_b = _interp_rows(r_proj, admit(_rows_for(target, trace_norm(out_b - out_a).max())))
-    return [Stage("unitary", lifted, s_a), Stage("projection", proj, s_b)], out_b
+    return Level(lifted, s_a, s_b), out_b
 
 
 def _compress(rhos: np.ndarray, block: int) -> np.ndarray:
@@ -469,8 +466,9 @@ def _compress(rhos: np.ndarray, block: int) -> np.ndarray:
 
 
 def _level_input(current: np.ndarray, block: int) -> np.ndarray:
-    """A level's input from the last row so far: the row itself at full
-    size, otherwise its validated compression to the corner block."""
+    """A level's input from the last row so far: the row itself if it is on
+    M_block already, otherwise its validated compression to the corner
+    block."""
     if block == current.shape[-1]:
         return current
     return validate_densities(_compress(current, block))
@@ -484,19 +482,17 @@ def sheet_blocks(sheet: HomotopySheet) -> Iterator[np.ndarray]:
     s table (_stage_rows); and its rows are zero-padded into the n x n
     corner. Every cell is made here, so a sheet read back from its
     document expands to the contractor's cells bit for bit."""
-    n, last = sheet.n, sheet.loop  # the last row so far, n x n
-    yield last[None]
-    for level in sheet.levels:
-        b = level.block
-        rhos = _level_input(last, b)
-        for stage in level.stages:
-            block = _stage_rows(pencil(stage.ops, rhos), stage.s)
-            rhos = block[-1].copy()
-            if b < n:
-                block = np.pad(block, [(0, 0), (0, 0), (0, n - b), (0, n - b)])
-            last = block[-1].copy()
-            yield block
-            del block  # so that only the caller holds a block while the next is made
+    n, rhos = sheet.n, sheet.loop  # the last row so far, on its block
+    yield rhos[None]
+    for _, stage, b, ops, s in _stages(n, sheet.levels):
+        if stage == 0:
+            rhos = _level_input(rhos, b)
+        block = _stage_rows(pencil(ops, rhos), s)
+        rhos = block[-1].copy()
+        if b < n:
+            block = np.pad(block, [(0, 0), (0, 0), (0, n - b), (0, n - b)])
+        yield block
+        del block  # so that only the caller holds a block while the next is made
 
 
 def contract_loop(loop: StateLoop) -> HomotopySheet:
@@ -512,29 +508,24 @@ def contract_loop(loop: StateLoop) -> HomotopySheet:
     stage is checked again with its rows before its pre-pass runs.
     """
     n, t_count = loop.n, loop.n_samples
-    # the least recipe: per level T unitaries, then a projection, each stage of MIN_ROWS rows
-    least = [(ops * b * b * 16, MIN_ROWS) for b in range(n, 1, -1) for ops in (t_count, 1)]
+    least = [MIN_ROWS] * (2 * n - 2)  # the least recipe: every stage of MIN_ROWS rows
     _check_sheet_budget(_held_bytes(n, t_count, least))
-    made = []  # (operator bytes, rows) of the stages whose rows are known
+    made = []  # the rows of the stages whose rows are known
 
     def admit(rows: int) -> int:
-        made.append((least[len(made)][0], rows))
+        made.append(rows)
         _check_sheet_budget(_held_bytes(n, t_count, made + least[len(made):]))
         return rows
 
     target = 2.5 * max(loop.max_step, 1e-3)
-    current = loop.rhos
-    levels = []
-    for k in range(1, n):
-        block = n - k + 1  # current block algebra size
-        block_rhos = _level_input(current, block)
-        if block < n:
-            _check_based(block_rhos)
-        stages, out = _rectify(block_rhos, target, admit)
-        levels.append(Level(block, stages))
-        current = np.zeros_like(current)
-        current[:, :block, :block] = out
-        _check_based(current)
+    rhos, levels = loop.rhos, []
+    for b in range(n, 1, -1):  # the corner block algebra M_b of each level
+        rhos = _level_input(rhos, b)
+        if b < n:
+            _check_based(rhos)
+        level, rhos = _rectify(rhos, target, admit)
+        levels.append(level)
+        _check_based(rhos)
     return HomotopySheet(n, loop.rhos, levels)
 
 
@@ -575,11 +566,11 @@ def verify_homotopy(sheet: HomotopySheet, input_loop: StateLoop, modulus: float)
     (sheet_blocks), holding one block and the row before it. The cells:
     every cell a valid state, row 0 equals the input, the basepoint columns
     constant, the final row constant at the basepoint, and all adjacent-cell
-    steps within the modulus. The recipe: every operator a unitary, or its
-    stage's corner projection P^b_1, to OPERATOR_TOL; every s in [0, 1] and
-    each stage's last row at s = 1; and the exact safety minimum
-    (safety_min) of every column above SAFETY_FLOOR on the stage's input as
-    the streamed rows hold it, except in columns whose input is not finite.
+    steps within the modulus. The recipe: every unitary a unitary to
+    OPERATOR_TOL; every s in [0, 1] and each stage's last row at s = 1; and
+    the exact safety minimum (safety_min) of every column above SAFETY_FLOOR
+    on the stage's input as the streamed rows hold it, except in columns
+    whose input is not finite.
     A cell with a NaN or infinite entry is one "non-finite" violation,
     valued by the count of such entries; it is zeroed for, and skipped by,
     the rest. Violations are listed by kind, each kind in C order of its
@@ -595,30 +586,24 @@ def verify_homotopy(sheet: HomotopySheet, input_loop: StateLoop, modulus: float)
     recipe = []
     step_t = step_s = (0.0, (0, 0))  # the largest step along t and along s, at its cell
     safety: tuple = (None, None)
-    stages = [(li, si, level.block, stage)
-              for li, level in enumerate(sheet.levels) for si, stage in enumerate(level.stages)]
     blocks = sheet_blocks(sheet)  # pulled by next(), so no iterator holds a block past its turn
     prev, prev_ok, row = None, None, 0
-    for at_stage in [None, *stages]:  # row 0 has no stage
+    for at_stage in [None, *_stages(n, sheet.levels)]:  # row 0 has no stage
         block = next(blocks)
         if at_stage is not None:  # the recipe of the stage whose input is `prev`
-            li, si, b, stage = at_stage
+            li, si, b, ops, s = at_stage
             at = lambda t: (li, si, t)
             with np.errstate(divide="ignore", invalid="ignore"):  # a level compresses its input
                 rhos = _compress(prev, b) if si == 0 and b < n else prev
-            if stage.kind == "unitary":
-                name, defect = "not-unitary", _unitarity_defect(stage.ops)
-            else:
-                name = "not-projection"
-                defect = np.max(np.abs(stage.ops - projection_matrix(b, 1)), axis=(-2, -1))
-            defect = np.broadcast_to(defect, (t_dim,))
-            recipe += _flags(name, defect, ~(defect <= OPERATOR_TOL), OPERATOR_TOL, at)
-            low, high = stage.s.min(axis=0), stage.s.max(axis=0)
+            if si == 0:  # the projection stage's operator is P^b_1 by construction
+                defect = _unitarity_defect(ops)
+                recipe += _flags("not-unitary", defect, ~(defect <= OPERATOR_TOL), OPERATOR_TOL, at)
+            low, high = s.min(axis=0), s.max(axis=0)
             for t in np.flatnonzero(~((low >= 0.0) & (high <= 1.0))):
                 out, bound = (low[t], 0.0) if low[t] < 0.0 else (high[t], 1.0)
                 recipe.append(("s-range", (li, si, int(t)), float(out), bound))
-            recipe += _flags("s-last-row", stage.s[-1], stage.s[-1] != 1.0, 1.0, at)
-            value = np.where(prev_ok, safety_min(pencil(stage.ops, rhos[:, :b, :b]))[0], np.inf)
+            recipe += _flags("s-last-row", s[-1], s[-1] != 1.0, 1.0, at)
+            value = np.where(prev_ok, safety_min(pencil(ops, rhos[:, :b, :b]))[0], np.inf)
             recipe += _flags("unsafe", value, ~(value > SAFETY_FLOOR) & prev_ok, SAFETY_FLOOR, at)
             t = int(np.argmin(value))
             if prev_ok[t] and (safety[0] is None or value[t] < safety[0]):

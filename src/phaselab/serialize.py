@@ -2,12 +2,13 @@
 
 Matrices are row-major nested arrays of [re, im] pairs. Loops are
 {n, samples: [matrix, ...]}. A sheet document holds the contraction's
-recipe, not its cells: {n, loop: [matrix, ...], levels: [{block, stages:
-[{kind, ops, s}, ...]}, ...]}, where a stage's ops are its T unitaries
-(kind "unitary") or its one corner projection (kind "projection") and s
-is its rows x T table of interpolation parameters. Reading a sheet
-document gives the recipe, a homotopy.HomotopySheet, without expanding it.
-All documents are UTF-8 JSON, written compactly with sorted keys.
+recipe, not its cells: {n, loop: [matrix, ...], levels: [{unitaries,
+s_unitary, s_projection}, ...]}, with level k on the corner block
+b = n - k: its T unitaries and the rows x T tables of interpolation
+parameters of its unitary and projection stages. The block and the
+projection P^b_1 are implied, never stored. Reading a sheet document gives
+the recipe, a homotopy.HomotopySheet, without expanding it. All documents
+are UTF-8 JSON, written compactly with sorted keys.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import json
 
 import numpy as np
 
-from .homotopy import HomotopySheet, Level, Stage, StateLoop
+from .homotopy import HomotopySheet, Level, StateLoop
 from .states import validate_densities
 
 
@@ -48,27 +49,30 @@ def loop_to_doc(loop: StateLoop) -> dict:
 
 
 def loop_from_doc(doc: dict) -> StateLoop:
+    """Decode and validate a loop document; every error is a ValueError
+    that names the document once."""
     try:
-        n = _integer(doc, "n")
-        rhos = decode_matrix(doc["samples"])
+        return StateLoop(_integer(doc, "n"), decode_matrix(doc["samples"]))
     except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"malformed loop document: {exc}") from exc
-    return StateLoop(n, rhos)
+        raise ValueError(f"invalid loop document: {exc}") from exc
 
 
 def sheet_to_doc(sheet: HomotopySheet) -> dict:
-    """The sheet's recipe: its input loop (row 0) and its levels' stages."""
+    """The sheet's recipe: its input loop (row 0) and its levels."""
     levels = [
-        {
-            "block": level.block,
-            "stages": [
-                {"kind": st.kind, "ops": encode_matrix(st.ops), "s": st.s.tolist()}
-                for st in level.stages
-            ],
-        }
-        for level in sheet.levels
+        {"unitaries": encode_matrix(lv.unitaries), "s_unitary": lv.s_unitary.tolist(),
+         "s_projection": lv.s_projection.tolist()}
+        for lv in sheet.levels
     ]
     return {"n": sheet.n, "loop": encode_matrix(sheet.loop), "levels": levels}
+
+
+def _level(doc: dict) -> Level:
+    if sorted(doc) != ["s_projection", "s_unitary", "unitaries"]:
+        raise ValueError("a level holds 'unitaries', 's_unitary' and 's_projection' since the "
+                         f"format changed, got {sorted(doc)}")
+    return Level(decode_matrix(doc["unitaries"]), np.array(doc["s_unitary"], dtype=float),
+                 np.array(doc["s_projection"], dtype=float))
 
 
 def sheet_from_doc(doc: dict) -> HomotopySheet:
@@ -78,16 +82,7 @@ def sheet_from_doc(doc: dict) -> HomotopySheet:
     try:
         n = _integer(doc, "n")
         loop = decode_matrix(doc["loop"])
-        levels = [
-            Level(
-                _integer(level, "block"),
-                [
-                    Stage(str(st["kind"]), decode_matrix(st["ops"]), np.array(st["s"], dtype=float))
-                    for st in level["stages"]
-                ],
-            )
-            for level in doc["levels"]
-        ]
+        levels = [_level(level) for level in doc["levels"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed sheet document: {exc}") from exc
     if loop.ndim != 3 or loop.shape[-1] != n:
@@ -102,9 +97,7 @@ def dumps(doc: dict) -> str:
 
 
 def _check_finite(sheet: HomotopySheet):
-    stages = [st for level in sheet.levels for st in level.stages]
-    arrays = [sheet.loop] + [st.ops for st in stages] + [st.s for st in stages]
-    if not all(np.isfinite(a).all() for a in arrays):
+    if not all(np.isfinite(a).all() for a in [sheet.loop, *(a for lv in sheet.levels for a in lv)]):
         raise ValueError("sheet has non-finite entries")
 
 
@@ -123,5 +116,10 @@ def write_doc(path: str, doc: dict):
 
 
 def read_doc(path: str) -> dict:
+    """The JSON document at `path`; bad JSON raises ValueError
+    'path:line:col: msg'."""
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None

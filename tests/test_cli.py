@@ -233,8 +233,8 @@ def test_contract_loop_roundtrip(tmp_path, capsys):
     assert report["verifier"]["passed"] is True
     sheet_doc = serialize.read_doc(str(sheet_path))
     assert sheet_doc["n"] == 2
-    stages = [st for level in sheet_doc["levels"] for st in level["stages"]]
-    assert 1 + sum(len(st["s"]) for st in stages) == report["verifier"]["shape"][0]
+    rows = [len(level[s]) for level in sheet_doc["levels"] for s in ("s_unitary", "s_projection")]
+    assert 1 + sum(rows) == report["verifier"]["shape"][0]
     verifier = report["verifier"]
     assert verifier["safety_margin"] == verifier["safety_min"] - SAFETY_FLOOR > 0
     assert sorted(verifier["safety_at"]) == ["column", "level", "stage"]
@@ -294,6 +294,15 @@ def test_contract_loop_nan_sample(tmp_path, capsys):
     assert main(["contract-loop", str(path)]) == 3
     err = capsys.readouterr().err
     assert "invalid loop document" in err and "non-finite" in err
+
+
+def test_contract_loop_names_the_loop_document_once(tmp_path, capsys):
+    path = tmp_path / "loop.json"
+    path.write_text(json.dumps({"n": 2.7, "samples": []}))
+    assert main(["contract-loop", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.count("invalid loop document") == 1
+    assert err == "error: invalid loop document: 'n' must be an integer, got 2.7\n"
 
 
 def test_cli_import_leaves_out_scipy_linalg():
@@ -358,6 +367,14 @@ def test_contract_loop_bad_json_reports_line(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 3
     assert ":2:" in err  # line-precise message
+
+
+def test_loop_and_config_files_share_one_json_reader(tmp_path, capsys):
+    path = tmp_path / "broken.json"
+    path.write_text('{"n": 2,\n  "samples": [,]}')
+    for argv in (["contract-loop", str(path)], ["invariant", "--config", str(path)]):
+        assert main(argv) == 3
+        assert capsys.readouterr().err == f"error: {path}:2:15: Expecting value\n"
 
 
 def test_contract_loop_missing_file(capsys):

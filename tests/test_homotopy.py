@@ -1,5 +1,7 @@
+import re
 import tracemalloc
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -57,10 +59,11 @@ def test_state_loop_is_one_validated_array():
     with pytest.raises(ValueError) as want:
         DensityState(rhos[5])
     doc = {"n": 2, "samples": serialize.encode_matrix(rhos)}
-    for build in (lambda: StateLoop(2, rhos), lambda: serialize.loop_from_doc(doc)):
+    for build, prefix in ((lambda: StateLoop(2, rhos), ""),
+                          (lambda: serialize.loop_from_doc(doc), "invalid loop document: ")):
         with pytest.raises(ValueError) as got:
             build()
-        assert str(got.value) == str(want.value)
+        assert str(got.value) == prefix + str(want.value)
     with pytest.raises(ValueError, match="states on M_n"):
         StateLoop(3, loop.rhos)
 
@@ -147,7 +150,7 @@ def _level_last_rows(sheet: HomotopySheet) -> list:
     """The last row of each level of a contraction sheet."""
     rows, row = [], 0
     for level in sheet.levels:
-        row += sum(stage.s.shape[0] for stage in level.stages)
+        row += len(level.s_unitary) + len(level.s_projection)
         rows.append(cells(sheet)[row])
     return rows
 
@@ -198,9 +201,9 @@ def test_sheet_boundary_exactness():
         assert np.max(np.abs(row[0] - base.rho)) < 1e-10
         assert np.max(np.abs(row[-1] - base.rho)) < 1e-10
     (level,) = sheet.levels
-    assert level.block == 2 and [st.kind for st in level.stages] == ["unitary", "projection"]
-    for st in level.stages:
-        assert (st.s > 0).all() and (st.s[-1] == 1.0).all()
+    assert level.unitaries.shape == (321, 2, 2)
+    for s in (level.s_unitary, level.s_projection):
+        assert (s > 0).all() and (s[-1] == 1.0).all()
 
 
 @pytest.mark.parametrize(
@@ -304,7 +307,7 @@ def test_verifier_measures_the_steps_between_stage_blocks(monkeypatch):
     # from row 0 into it and from it into the next stage, see the forgery
     loop = constant_loop(2, 10)
     sheet = contract_loop(loop)
-    rows = len(sheet.levels[0].stages[0].s)
+    rows = len(sheet.levels[0].s_unitary)
     forge_cells(monkeypatch, lambda arr: arr.__setitem__(slice(1, 1 + rows), basis_state(2, 1).rho))
     report = verify_homotopy(sheet, loop, modulus=1e-6)
     assert report.max_cell_step == 2.0
@@ -347,9 +350,9 @@ def test_contract_loop_checks_each_stage_before_its_prepass(pure_sheet, monkeypa
     # count to the sheet's: a budget one byte short, which the least recipe
     # fits, refuses that stage before its pre-pass
     loop = bundled_pure_loop()
-    stages = pure_sheet.levels[0].stages
-    assert [len(st.s) > homotopy.MIN_ROWS for st in stages] == [True, False]
-    least = [(st.ops.nbytes, homotopy.MIN_ROWS) for st in stages]
+    (level,) = pure_sheet.levels
+    assert [len(s) > homotopy.MIN_ROWS for s in level[1:]] == [True, False]
+    least = [homotopy.MIN_ROWS] * 2
     assert homotopy._held_bytes(2, loop.n_samples, least) < pure_sheet.held_bytes - 1
     seen, interp = [], homotopy._interp_rows
     monkeypatch.setattr(homotopy, "_interp_rows", lambda r, rows: seen.append(rows) or interp(r, rows))
@@ -406,22 +409,6 @@ def test_a_sheet_over_its_cell_bytes_contracts_and_verifies_within_the_budget(mo
     assert peak <= held
 
 
-@pytest.mark.parametrize("block", [2, 3])
-def test_a_level_takes_its_input_from_the_padded_last_row(block):
-    # a forged recipe whose last level repeats the corner block, or grows it
-    # back to M_3, with one identity stage: the level starts from the last
-    # row so far, n x n, and its rows stay at the basepoint
-    loop = bundled_plateau_loop()
-    sheet = contract_loop(loop)
-    ops = np.repeat(np.eye(block, dtype=np.complex128)[None], loop.n_samples, axis=0)
-    stage = homotopy.Stage("unitary", ops, np.ones((homotopy.MIN_ROWS, loop.n_samples)))
-    forged = HomotopySheet(3, sheet.loop, [*sheet.levels, Level(block, [stage])])
-    arr = cells(forged)
-    assert arr.shape[0] == sheet.shape[0] + homotopy.MIN_ROWS
-    assert np.max(np.abs(arr[-homotopy.MIN_ROWS:] - basis_state(3).rho)) < 1e-10
-    assert verify_homotopy(forged, loop, 5 * loop.max_step).passed
-
-
 def test_loop_and_sheet_serialization_roundtrip():
     loop = constant_loop(2, 6)
     doc = serialize.loop_to_doc(loop)
@@ -454,8 +441,8 @@ def test_sheet_from_doc_rejects_a_nan_cell():
     sheet = contract_loop(constant_loop(2, 6))
     for forge in (
         lambda doc: doc["loop"][2][0].__setitem__(1, [float("nan"), 0.0]),
-        lambda doc: doc["levels"][0]["stages"][0]["ops"][3][1].__setitem__(1, [float("nan"), 0.0]),
-        lambda doc: doc["levels"][0]["stages"][1]["s"][2].__setitem__(4, float("nan")),
+        lambda doc: doc["levels"][0]["unitaries"][3][1].__setitem__(1, [float("nan"), 0.0]),
+        lambda doc: doc["levels"][0]["s_projection"][2].__setitem__(4, float("nan")),
     ):
         doc = serialize.sheet_to_doc(sheet)
         forge(doc)
@@ -466,24 +453,38 @@ def test_sheet_from_doc_rejects_a_nan_cell():
 @pytest.mark.parametrize(
     "forge, message",
     [
-        (lambda doc: doc["levels"][0].__setitem__("block", 3), "block 3 out of range"),
-        (lambda doc: doc["levels"][0]["stages"][0].__setitem__("kind", "shear"), "stage kind"),
-        (lambda doc: doc["levels"][0]["stages"][0]["ops"].pop(), "stage operators"),
-        (lambda doc: doc["levels"][0]["stages"][1]["s"][0].pop(), "malformed sheet"),
-        (lambda doc: doc["levels"][0]["stages"][1].__setitem__("s", []), "s table"),
+        # a recipe on M_n has n - 1 levels, level k with unitaries on M_{n-k}: here n = 2
+        (lambda doc: doc["levels"].pop(), "has 1 levels, got 0"),
+        (lambda doc: doc["levels"].append(doc["levels"][0]), "has 1 levels, got 2"),
+        (lambda doc: doc["levels"][0].__setitem__("unitaries", serialize.encode_matrix(
+            np.repeat(np.eye(3)[None], 7, axis=0))), r"shape \(7, 3, 3\), not \(7, 2, 2\)"),
+        (lambda doc: doc["levels"][0]["unitaries"].pop(), "unitaries of shape"),
+        (lambda doc: doc["levels"][0]["s_projection"][0].pop(), "malformed sheet"),
+        (lambda doc: doc["levels"][0].__setitem__("s_projection", []), "s table"),
         (lambda doc: doc.pop("levels"), "malformed sheet"),
         (lambda doc: doc.__setitem__("n", 2.7), "'n' must be an integer"),
         (lambda doc: doc.__setitem__("n", "2"), "'n' must be an integer"),
-        (lambda doc: doc["levels"][0].__setitem__("block", 2.9), "'block' must be an integer"),
-        (lambda doc: doc["levels"][0].__setitem__("block", True), "'block' must be an integer"),
     ],
-    ids=["block", "kind", "ops-shape", "s-ragged", "s-empty", "no-levels", "n-float", "n-string",
-         "block-float", "block-bool"],
+    ids=["levels-short", "levels-long", "wrong-block", "ops-shape", "s-ragged", "s-empty",
+         "no-levels", "n-float", "n-string"],
 )
 def test_sheet_from_doc_rejects_malformed_recipes(forge, message):
     doc = serialize.sheet_to_doc(contract_loop(constant_loop(2, 6)))
     forge(doc)
     with pytest.raises(ValueError, match=message):
+        serialize.sheet_from_doc(doc)
+
+
+def test_sheet_from_doc_refuses_the_earlier_format():
+    # levels of {block, stages: [{kind, ops, s}, ...]}, which stored the
+    # block and the projection operator, are refused with the reason
+    doc = serialize.sheet_to_doc(contract_loop(constant_loop(2, 6)))
+    (level,) = doc["levels"]
+    doc["levels"] = [{"block": 2, "stages": [
+        {"kind": "unitary", "ops": level["unitaries"], "s": level["s_unitary"]},
+        {"kind": "projection", "ops": serialize.encode_matrix(projection_matrix(2, 1)),
+         "s": level["s_projection"]}]}]
+    with pytest.raises(ValueError, match="the format changed"):
         serialize.sheet_from_doc(doc)
 
 
@@ -545,12 +546,18 @@ def test_write_sheet_matches_dumps(pure_sheet, tmp_path):
     assert path.read_text(encoding="utf-8") == serialize.dumps(doc) + "\n"
     # the document is the recipe, not the cells
     assert sorted(doc) == ["levels", "loop", "n"]
-    assert [lv["block"] for lv in doc["levels"]] == [2]
-    stages = doc["levels"][0]["stages"]
-    assert [st["kind"] for st in stages] == ["unitary", "projection"]
-    assert np.array(stages[0]["ops"]).shape == (401, 2, 2, 2)
-    assert np.array(stages[1]["ops"]).shape == (2, 2, 2)
-    assert 1 + sum(len(st["s"]) for st in stages) == pure_sheet.shape[0]
+    (level,) = doc["levels"]
+    assert sorted(level) == ["s_projection", "s_unitary", "unitaries"]
+    assert np.array(level["unitaries"]).shape == (401, 2, 2, 2)
+    assert 1 + len(level["s_unitary"]) + len(level["s_projection"]) == pure_sheet.shape[0]
+
+
+def test_written_sheet_keys_are_the_readmes(pure_sheet):
+    # the keys of the sheet-document example in README.md, and no others
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    example = readme.split("A sheet document, as `contract-loop --sheet-out`")[1].split("```")[1]
+    doc = serialize.sheet_to_doc(pure_sheet)
+    assert set(re.findall(r'"(\w+)":', example)) == set(doc) | set(doc["levels"][0])
 
 
 def test_written_sheet_reads_back_bitwise(pure_sheet, tmp_path):
@@ -559,10 +566,8 @@ def test_written_sheet_reads_back_bitwise(pure_sheet, tmp_path):
     back = serialize.sheet_from_doc(serialize.read_doc(str(path)))
     assert back.n == pure_sheet.n
     for got, want in zip(back.levels, pure_sheet.levels, strict=True):
-        assert got.block == want.block
-        for a, b in zip(got.stages, want.stages, strict=True):
-            assert a.kind == b.kind
-            assert np.array_equal(a.ops, b.ops) and np.array_equal(a.s, b.s)
+        for a, b in zip(got, want, strict=True):
+            assert np.array_equal(a, b)
     assert np.array_equal(cells(back), cells(pure_sheet))
 
 
@@ -572,14 +577,11 @@ def test_write_sheet_rejects_non_finite_before_writing(tmp_path):
     loop = sheet.loop.copy()
     loop[3, 1, 1] = np.nan
     forged = [HomotopySheet(2, loop, sheet.levels)]
-    stages = sheet.levels[0].stages
-    for i, stage in enumerate(stages):
-        for field in ("ops", "s"):
-            array = getattr(stage, field).copy()
-            array.reshape(-1)[-1] = np.inf
-            forged_stages = list(stages)
-            forged_stages[i] = stage._replace(**{field: array})
-            forged.append(HomotopySheet(2, sheet.loop, [Level(2, forged_stages)]))
+    (level,) = sheet.levels
+    for field in Level._fields:
+        array = getattr(level, field).copy()
+        array.reshape(-1)[-1] = np.inf
+        forged.append(HomotopySheet(2, sheet.loop, [level._replace(**{field: array})]))
     path = tmp_path / "sheet.json"
     for bad in forged:
         with pytest.raises(ValueError, match="non-finite"):
@@ -610,19 +612,26 @@ def test_read_back_cells_equal_the_contractors(name, tmp_path):
     assert verify_homotopy(back, loop, 5 * loop.max_step).passed
 
 
+def _stage_recipes(sheet):
+    """(operators, s table) of every stage of a sheet in order: level k's
+    unitaries, then the corner projection of its block b = n - k."""
+    for k, level in enumerate(sheet.levels):
+        yield level.unitaries, level.s_unitary
+        yield projection_matrix(sheet.n - k, 1), level.s_projection
+
+
 def _stage_inputs(sheet):
-    """(stage, its input densities (T, b, b)) for every stage of a sheet."""
+    """(operators, s table, input densities (T, b, b)) for every stage of
+    a sheet."""
     arr, row = cells(sheet), 0
-    for level in sheet.levels:
-        b = level.block
+    for i, (ops, s) in enumerate(_stage_recipes(sheet)):
+        b = ops.shape[-1]
         rhos = arr[row, :, :b, :b]
-        if b < sheet.n:
+        if i % 2 == 0 and b < sheet.n:  # a level compresses its input
             rhos = rhos / np.trace(rhos, axis1=-2, axis2=-1).real[:, None, None]
             rhos = (rhos + rhos.conj().swapaxes(-1, -2)) / 2
-        for stage in level.stages:
-            yield stage, rhos
-            row += len(stage.s)
-            rhos = arr[row, :, :b, :b]
+        yield ops, s, rhos
+        row += len(s)
 
 
 def _direct_s_table(ops, rhos, n_rows, fine_mult=6, chunk=128):
@@ -656,9 +665,9 @@ def test_pencil_s_tables_match_the_direct_form(name):
     # up to that rounding. So s itself must match where the arc length is
     # at least 1e-3, and everywhere the arc length the error stands for.
     _, sheet = _contracted(name)
-    for stage, rhos in _stage_inputs(sheet):
-        direct, lengths = _direct_s_table(stage.ops, rhos, len(stage.s))
-        error = np.abs(stage.s - direct)
+    for ops, s, rhos in _stage_inputs(sheet):
+        direct, lengths = _direct_s_table(ops, rhos, len(s))
+        error = np.abs(s - direct)
         assert np.max(error[:, lengths >= 1e-3]) < 1e-12
         assert np.max(error * lengths) < 1e-13
 
@@ -669,15 +678,15 @@ def test_sheet_cells_are_the_direct_action(name):
     # product B(s) rho B(s)† / tr on the stage's input; zero outside the block
     _, sheet = _contracted(name)
     arr, row = cells(sheet), 1
-    for stage, rhos in _stage_inputs(sheet):
-        b, s = rhos.shape[-1], stage.s[..., None, None]
-        bs = s * stage.ops + (1.0 - s) * np.eye(b)
+    for ops, s_table, rhos in _stage_inputs(sheet):
+        b, s = rhos.shape[-1], s_table[..., None, None]
+        bs = s * ops + (1.0 - s) * np.eye(b)
         raw = bs @ rhos @ bs.conj().swapaxes(-1, -2)
         direct = raw / np.trace(raw, axis1=-2, axis2=-1).real[..., None, None]
-        rows = arr[row:row + len(stage.s)]
+        rows = arr[row:row + len(s_table)]
         assert np.max(np.abs(rows[..., :b, :b] - direct)) < 1e-13
         assert not rows[..., b:, :].any() and not rows[..., :, b:].any()
-        row += len(stage.s)
+        row += len(s_table)
     assert row == sheet.shape[0]
 
 
@@ -694,13 +703,10 @@ def test_pencil_is_the_interpolation_polynomial():
         assert np.max(np.abs(r[0] + s * r[1] + s * s * r[2] - want)) < 1e-12
 
 
-def _forge(sheet, stage_index, **fields):
-    """The sheet's recipe with fields of one stage of its first level
-    replaced."""
-    level = sheet.levels[0]
-    stages = list(level.stages)
-    stages[stage_index] = stages[stage_index]._replace(**fields)
-    return HomotopySheet(sheet.n, sheet.loop, [Level(level.block, stages)] + sheet.levels[1:])
+def _forge(sheet, **fields):
+    """The sheet's recipe with fields of its first level replaced."""
+    levels = [sheet.levels[0]._replace(**fields), *sheet.levels[1:]]
+    return HomotopySheet(sheet.n, sheet.loop, levels)
 
 
 def _set(array, index, value):
@@ -718,23 +724,23 @@ def _skip_half(s, t):
 @pytest.mark.parametrize(
     "stage_index, forge, kind, at",
     [
-        (0, lambda st: {"ops": _set(st.ops, 4, np.diag([1.0, 2.0]))}, "not-unitary", [4]),
-        (1, lambda st: {"ops": np.eye(2, dtype=complex)}, "not-projection", range(11)),
-        (0, lambda st: {"s": _set(st.s, (0, 3), -0.25)}, "s-range", [3]),
-        (1, lambda st: {"s": _set(st.s, (2, 6), 1.5)}, "s-range", [6]),
-        (0, lambda st: {"s": _set(st.s, (-1, 5), 0.75)}, "s-last-row", [5]),
+        (0, lambda lv: {"unitaries": _set(lv.unitaries, 4, np.diag([1.0, 2.0]))}, "not-unitary",
+         [4]),
+        (0, lambda lv: {"s_unitary": _set(lv.s_unitary, (0, 3), -0.25)}, "s-range", [3]),
+        (1, lambda lv: {"s_projection": _set(lv.s_projection, (2, 6), 1.5)}, "s-range", [6]),
+        (0, lambda lv: {"s_unitary": _set(lv.s_unitary, (-1, 5), 0.75)}, "s-last-row", [5]),
         # A = -1 is a unitary in the Gelfand ideal at s = 1/2, which the s table skips
-        (0, lambda st: {"ops": _set(st.ops, 4, -np.eye(2)), "s": _skip_half(st.s, 4)},
-         "unsafe", [4]),
+        (0, lambda lv: {"unitaries": _set(lv.unitaries, 4, -np.eye(2)),
+                        "s_unitary": _skip_half(lv.s_unitary, 4)}, "unsafe", [4]),
     ],
-    ids=["non-unitary", "non-projection", "s-below-0", "s-above-1", "last-s-not-1", "unsafe"],
+    ids=["non-unitary", "s-below-0", "s-above-1", "last-s-not-1", "unsafe"],
 )
 def test_verifier_flags_forged_recipes(stage_index, forge, kind, at):
     # on the constant loop every forgery leaves every cell at the basepoint,
     # so only the recipe checks can see it
     loop = constant_loop(2, 10)
     sheet = contract_loop(loop)
-    forged = _forge(sheet, stage_index, **forge(sheet.levels[0].stages[stage_index]))
+    forged = _forge(sheet, **forge(sheet.levels[0]))
     assert np.max(np.abs(cells(forged) - cells(sheet))) < 1e-15
     report = verify_homotopy(forged, loop, modulus=1e-9)
     assert not report.passed
@@ -745,11 +751,8 @@ def test_verifier_flags_forged_recipes(stage_index, forge, kind, at):
 def test_expansion_refuses_a_recipe_in_the_gelfand_ideal():
     # A = -1 with its s = 1/2 row kept: B(1/2) = 0 annihilates the state
     sheet = contract_loop(constant_loop(2, 10))
-    (level,) = sheet.levels
-    unitary, projection = level.stages
-    assert (unitary.s[:, 4] == 0.5).any()
-    forged = HomotopySheet(2, sheet.loop, [
-        Level(2, [unitary._replace(ops=_set(unitary.ops, 4, -np.eye(2))), projection])])
+    assert (sheet.levels[0].s_unitary[:, 4] == 0.5).any()
+    forged = _forge(sheet, unitaries=_set(sheet.levels[0].unitaries, 4, -np.eye(2)))
     with pytest.raises(states.GelfandIdealError):
         cells(forged)
     # its document reads back as the recipe, and the verifier's expansion refuses it
@@ -761,8 +764,8 @@ def test_expansion_refuses_a_recipe_in_the_gelfand_ideal():
 
 def test_verifier_flags_a_scaled_unitary_on_a_moving_loop(pure_sheet):
     loop = bundled_pure_loop()
-    ops = pure_sheet.levels[0].stages[0].ops
-    forged = _forge(pure_sheet, 0, ops=_set(ops, 200, 1.01 * ops[200]))
+    ops = pure_sheet.levels[0].unitaries
+    forged = _forge(pure_sheet, unitaries=_set(ops, 200, 1.01 * ops[200]))
     report = verify_homotopy(forged, loop, modulus=5 * loop.max_step)
     assert [v[:2] for v in report.violations] == [("not-unitary", (0, 0, 200))]
 
@@ -770,7 +773,7 @@ def test_verifier_flags_a_scaled_unitary_on_a_moving_loop(pure_sheet):
 def test_verifier_reports_the_safety_minimum():
     loop, sheet = _contracted("seed2")
     report = verify_homotopy(sheet, loop, 5 * loop.max_step)
-    values = [safety_min(pencil(stage.ops, rhos))[0] for stage, rhos in _stage_inputs(sheet)]
+    values = [safety_min(pencil(ops, rhos))[0] for ops, _, rhos in _stage_inputs(sheet)]
     level, stage, column = report.safety_at
     index = 2 * level + stage
     assert report.safety_min == min(v.min() for v in values)
@@ -788,7 +791,7 @@ def test_streamed_verdict_equals_the_whole_sheets(name):
     step_t = linalg.trace_norm(arr[:, 1:] - arr[:, :-1])
     step_s = linalg.trace_norm(arr[1:] - arr[:-1])
     assert report.max_cell_step == float(max(step_t.max(), step_s.max()))
-    values = [safety_min(pencil(stage.ops, rhos))[0] for stage, rhos in _stage_inputs(sheet)]
+    values = [safety_min(pencil(ops, rhos))[0] for ops, _, rhos in _stage_inputs(sheet)]
     index = int(np.argmin([v.min() for v in values]))
     assert report.safety_min == values[index].min()
     level, stage = divmod(index, 2)
@@ -878,16 +881,13 @@ def test_contraction_matches_the_eigvalsh_oracle(name, monkeypatch):
     oracle = contract_loop(loop)
     oracle_report = verify_homotopy(oracle, loop, 5 * loop.max_step)
     assert oracle.shape == sheet.shape
-    assert [(lv.block, len(lv.stages)) for lv in oracle.levels] == [
-        (lv.block, len(lv.stages)) for lv in sheet.levels
-    ]
-    oracle_stages = [st for level in oracle.levels for st in level.stages]
-    for (stage, rhos), want in zip(_stage_inputs(sheet), oracle_stages):
-        assert np.array_equal(stage.ops, want.ops)
+    assert len(oracle.levels) == len(sheet.levels)
+    for (ops, s, rhos), (want_ops, want_s) in zip(_stage_inputs(sheet), _stage_recipes(oracle)):
+        assert np.array_equal(ops, want_ops)
         # s is set by rounding in columns that barely move (see
         # test_pencil_s_tables_match_the_direct_form)
-        _, lengths = _direct_s_table(stage.ops, rhos, len(stage.s))
-        assert np.max(np.abs(stage.s - want.s)[:, lengths >= 1e-3], initial=0.0) < 1e-12
+        _, lengths = _direct_s_table(ops, rhos, len(s))
+        assert np.max(np.abs(s - want_s)[:, lengths >= 1e-3], initial=0.0) < 1e-12
     assert np.max(np.abs(cells(oracle) - cells(sheet))) < 1e-14
     assert oracle_report.passed == report.passed
     assert oracle_report.safety_at == report.safety_at
@@ -925,9 +925,9 @@ def test_packed_prepass_matches_the_matrix_prepass(name):
     # columns at once, so the tables do not depend on the pre-pass's chunks.
     _, sheet = _contracted(name)
     blocks = set()
-    for stage, rhos in _stage_inputs(sheet):
-        r = pencil(stage.ops, rhos)
-        rows = len(stage.s)
+    for ops, s, rhos in _stage_inputs(sheet):
+        r = pencil(ops, rhos)
+        rows = len(s)
         assert np.array_equal(homotopy._interp_rows(r, rows), _matrix_s_table(r, rows))
         blocks.add(rhos.shape[-1])
     assert blocks == set(range(2, sheet.n + 1))
