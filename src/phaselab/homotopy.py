@@ -413,9 +413,9 @@ def _rectify(rhos: np.ndarray, target: float, admit):
     that every sample gives weight one to the corner projection P^b_1 (no
     weight on the last basis vector), and its last row.
 
-    Eigenvector-transport unitaries come first, with a disk phase lift of
-    t -> omega_t(U_t) so the unitary interpolation stays outside every
-    Gelfand ideal; then the linear interpolations with s lambda_t U_t and
+    Eigenvector-transport unitaries come first, each checked unitary
+    before the disk phase lift of t -> omega_t(U_t) that keeps the unitary
+    interpolation outside every Gelfand ideal; then the linear interpolations with s lambda_t U_t and
     with s P^b_1. Every interpolation is certified by its exact safety
     minimum over s in [0, 1], and its rows step by about `target`. Each
     stage's last row is built once, from the pencil that certifies the
@@ -426,20 +426,20 @@ def _rectify(rhos: np.ndarray, target: float, admit):
     n, ones = rhos.shape[-1], np.ones((1, len(rhos)))
 
     unitaries = _transport_unitaries(rhos)
+    # before the phase lift, whose path a non-unitary transport can break
+    if not (_unitarity_defect(unitaries) <= OPERATOR_TOL).all():
+        raise ValueError("not a unitary")
     gamma = np.trace(rhos @ unitaries, axis1=-2, axis2=-1)
     gamma = np.where(np.abs(gamma) > 1.0, gamma / np.abs(gamma), gamma)
     lam = disk_phase_lift(gamma)
 
     lifted = lam[:, None, None] * unitaries
-    not_unitary = ~(_unitarity_defect(unitaries) <= OPERATOR_TOL)
     # safety of the *lifted* interpolation, the one the sheet uses
     r_lifted = pencil(lifted, rhos)
     lifted_min, _ = safety_min(r_lifted)
-    failing = np.flatnonzero(not_unitary | ~(lifted_min > SAFETY_FLOOR))
+    failing = np.flatnonzero(~(lifted_min > SAFETY_FLOOR))
     if failing.size:
         t = failing[0]
-        if not_unitary[t]:
-            raise ValueError("not a unitary")
         unlifted_min, _ = safety_min(pencil(unitaries[t], rhos[t]))
         raise NumericalGateError(
             f"unitary interpolation unsafe at sample {t} despite phase lift "

@@ -92,20 +92,22 @@ def embed_pair_operator(op: np.ndarray, site: int, layout: ChainLayout) -> np.nd
 
 
 def partial_trace(t: np.ndarray, d_left: int, d_right: int, keep: str = "left") -> np.ndarray:
-    """Partial trace of an operator on C^{d_left} (x) C^{d_right}.
+    """Partial trace of an operator on C^{d_left} (x) C^{d_right}, or of
+    each operator of a stack (..., d, d), d = d_left d_right.
 
     For keep="left" this is the unique S with tr(S A) = tr(T (A (x) 1))
-    for all A; symmetrically for keep="right".
+    for all A; symmetrically for keep="right". Each matrix of a stack
+    gives the single call's result bit for bit.
     """
     t = np.asarray(t, dtype=np.complex128)
     d = d_left * d_right
-    if t.shape != (d, d):
+    if t.ndim < 2 or t.shape[-2:] != (d, d):
         raise ValueError(f"matrix shape {t.shape} incompatible with {d_left}x{d_right} split")
-    t4 = t.reshape(d_left, d_right, d_left, d_right)
+    t4 = t.reshape(*t.shape[:-2], d_left, d_right, d_left, d_right)
     if keep == "left":
-        return np.einsum("ikjk->ij", t4)
+        return np.einsum("...ikjk->...ij", t4)
     if keep == "right":
-        return np.einsum("kikj->ij", t4)
+        return np.einsum("...kikj->...ij", t4)
     raise ValueError("keep must be 'left' or 'right'")
 
 
@@ -365,14 +367,14 @@ def operator_norm(m: np.ndarray) -> float | np.ndarray:
     return float(out) if out.ndim == 0 else out
 
 
-def hermitian_basis(n: int) -> list[np.ndarray]:
-    """An orthogonal Hermitian basis of M_n: diagonal units, then for each
-    pair i < j in row-major order the symmetric and antisymmetric
-    off-diagonal combinations."""
+def hermitian_basis(n: int) -> np.ndarray:
+    """An orthogonal Hermitian basis of M_n, as a stack (n², n, n): diagonal
+    units, then for each pair i < j in row-major order the symmetric and
+    antisymmetric off-diagonal combinations."""
     i, j = np.triu_indices(n, 1)
     sym = n + 2 * np.arange(len(i))
     basis = np.zeros((n * n, n, n), dtype=np.complex128)
     basis[np.arange(n), np.arange(n), np.arange(n)] = 1.0
     basis[sym, i, j] = basis[sym, j, i] = 1.0
     basis[sym + 1, i, j], basis[sym + 1, j, i] = -1j, 1j
-    return list(basis)
+    return basis

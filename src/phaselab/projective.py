@@ -1,8 +1,9 @@
 """Projective Hilbert space geometry.
 
-Ray products of representative vectors, the three equivalent metrics
-(chord / Fubini-Study / gap), and the elementary unitary transport with
-which loop contraction carries top eigenvectors to e_0.
+Ray products of representative vectors and the three equivalent metrics
+(chord / Fubini-Study / gap), for one pair or for stacks of pairs, and the
+elementary unitary transport with which loop contraction carries top
+eigenvectors to e_0.
 """
 
 from __future__ import annotations
@@ -23,27 +24,34 @@ def _rep(x) -> np.ndarray:
     return v / nrm
 
 
-def ray_product(a, b) -> float:
-    """|<a, b>| for unit representatives; phase independent, in [0, 1]."""
-    p = abs(np.vdot(_rep(a), _rep(b)))
-    return float(min(p, 1.0))
+def ray_product(a, b):
+    """|<a, b>| of the unit representatives of nonzero vectors, phase
+    independent, in [0, 1]: a float for two vectors, an array of one value
+    per row for stacks (..., n) that broadcast against each other. Every
+    reduction runs along the last axis, so row k of a stack gives the value
+    of the single call on row k bit for bit."""
+    a, b = (np.asarray(x, dtype=np.complex128) for x in (a, b))
+    na, nb = (np.linalg.norm(x, axis=-1, keepdims=True) for x in (a, b))
+    if not (na.all() and nb.all()):
+        raise ValueError("zero vector does not represent a ray")
+    p = np.minimum(np.abs(((a / na).conj() * (b / nb)).sum(axis=-1)), 1.0)
+    return float(p) if p.ndim == 0 else p
 
 
 class RayDistances(NamedTuple):
-    chord: float
-    fubini_study: float
-    gap: float
+    chord: float | np.ndarray
+    fubini_study: float | np.ndarray
+    gap: float | np.ndarray
 
 
 def ray_distances(a, b) -> RayDistances:
     """Chord, Fubini-Study and gap distances, all closed forms in the ray
-    product p: sqrt(2-2p), arccos(p), sqrt(1-p^2)."""
-    p = ray_product(a, b)
-    return RayDistances(
-        chord=float(np.sqrt(max(2.0 - 2.0 * p, 0.0))),
-        fubini_study=float(np.arccos(p)),
-        gap=float(np.sqrt(max(1.0 - p * p, 0.0))),
-    )
+    product p: sqrt(2-2p), arccos(p), sqrt(1-p^2). Floats for two vectors,
+    arrays of one value per row for stacks, as ray_product."""
+    p = np.asarray(ray_product(a, b))
+    chord = np.sqrt(np.maximum(2.0 - 2.0 * p, 0.0))
+    dists = (chord, np.arccos(p), np.sqrt(np.maximum(1.0 - p * p, 0.0)))
+    return RayDistances(*(map(float, dists) if p.ndim == 0 else dists))
 
 
 def elementary_transport(x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -30,59 +30,64 @@ def _random_unit(rng, n) -> np.ndarray:
 
 
 def metric_suite(rng, n_pairs: int = 2000) -> SuiteResult:
-    worst = 0.0
-    details = {}
-    sandwich = 0.0
-    # gaps and projector differences by dimension, for one trace_norm call each
-    by_dim: dict[int, tuple[list, list]] = {}
-    for _ in range(n_pairs):
-        n = int(rng.integers(2, 6))
-        a, b = _random_unit(rng, n), _random_unit(rng, n)
+    """The ray metrics' closed forms in the ray product, their sandwich
+    inequalities, and the gap against half the trace norm of the projector
+    difference, on random pairs of unit vectors in dimensions 2..5. The
+    dimensions are drawn first; each dimension's pairs are then one draw,
+    one stacked ray_product, ray_distances and trace_norm call."""
+    dims = rng.integers(2, 6, size=n_pairs)
+    closed = sandwich = gap_vs_trace = 0.0
+    for n in range(2, 6):
+        k = np.count_nonzero(dims == n)
+        if not k:
+            continue
+        re, im = rng.normal(size=(2, 2, k, n))
+        v = re + 1j * im
+        a, b = v / np.linalg.norm(v, axis=-1, keepdims=True)
         p = projective.ray_product(a, b)
         dist = projective.ray_distances(a, b)
-        worst = max(worst, abs(dist.chord**2 - (2 - 2 * p)))
-        worst = max(worst, abs(dist.gap - np.sqrt(max(1 - p * p, 0.0))))
+        closed = max(
+            closed,
+            np.abs(dist.chord**2 - (2 - 2 * p)).max(),
+            np.abs(dist.gap - np.sqrt(np.maximum(1 - p * p, 0.0))).max(),
+        )
         sandwich = max(
             sandwich,
-            dist.chord - dist.fubini_study,
-            dist.fubini_study - (np.pi * np.sqrt(2) / 4) * dist.chord,
-            dist.chord / np.sqrt(2) - dist.gap,
-            dist.gap - dist.chord,
+            (dist.chord - dist.fubini_study).max(),
+            (dist.fubini_study - (np.pi * np.sqrt(2) / 4) * dist.chord).max(),
+            (dist.chord / np.sqrt(2) - dist.gap).max(),
+            (dist.gap - dist.chord).max(),
         )
-        gaps, diffs = by_dim.setdefault(n, ([], []))
-        gaps.append(dist.gap)
-        diffs.append(np.outer(a, a.conj()) - np.outer(b, b.conj()))
-    gap_vs_trace = max(
-        float(np.max(np.abs(np.array(gaps) - 0.5 * linalg.trace_norm(np.array(diffs)))))
-        for gaps, diffs in by_dim.values()
-    )
-    details["closed_form"] = worst
-    details["sandwich_slack"] = sandwich
-    details["gap_vs_half_trace_norm"] = gap_vs_trace
-    resid = max(worst, sandwich, gap_vs_trace)
+        diffs = a[:, :, None] * a[:, None, :].conj() - b[:, :, None] * b[:, None, :].conj()
+        gap_vs_trace = max(gap_vs_trace, np.abs(dist.gap - 0.5 * linalg.trace_norm(diffs)).max())
+    details = {
+        "closed_form": float(closed),
+        "sandwich_slack": float(sandwich),
+        "gap_vs_half_trace_norm": float(gap_vs_trace),
+    }
+    resid = max(details.values())
     gate = 1e-9 * tol_scale()
-    return SuiteResult("metric-identities", bool(resid <= gate), float(resid), gate, details)
+    return SuiteResult("metric-identities", bool(resid <= gate), resid, gate, details)
 
 
 def partial_trace_suite(rng, n_matrices: int = 200) -> SuiteResult:
     """The defining property of the partial traces S of random matrices T on
     three splits: tr(S A) = tr(T (A (x) 1)) for every A of a Hermitian basis
     of the kept left factor, symmetrically on the right, and tr S = tr T.
-    Each split's basis and its lift to the whole space are stacked once, and
-    all its matrices meet the whole stack in one contraction per side."""
+    Each split's matrices are one draw, its basis and the basis lifted to
+    the whole space are stacks, and each side is one partial_trace call
+    and one contraction against the whole basis."""
     worst = 0.0
     for dl, dr in ((2, 2), (2, 4), (4, 2)):
         d = dl * dr
-        ts = np.array([
-            rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)) for _ in range(n_matrices)
-        ])
-        basis_l = np.array(linalg.hermitian_basis(dl))
-        basis_r = np.array(linalg.hermitian_basis(dr))
+        z = rng.normal(size=(n_matrices, 2, d, d))
+        ts = z[:, 0] + 1j * z[:, 1]
+        basis_l, basis_r = linalg.hermitian_basis(dl), linalg.hermitian_basis(dr)
         for keep, basis, lifted in (
-            ("left", basis_l, np.array([linalg.kron(a, linalg.eye(dr)) for a in basis_l])),
-            ("right", basis_r, np.array([linalg.kron(linalg.eye(dl), b) for b in basis_r])),
+            ("left", basis_l, linalg.kron(basis_l, linalg.eye(dr))),
+            ("right", basis_r, linalg.kron(linalg.eye(dl)[None], basis_r)),
         ):
-            reduced = np.array([linalg.partial_trace(t, dl, dr, keep=keep) for t in ts])
+            reduced = linalg.partial_trace(ts, dl, dr, keep=keep)
             # tr(X A) = sum_ij X_ij A_ji, against every basis element at once
             lhs = np.einsum("mij,kji->mk", reduced, basis)
             rhs = np.einsum("mij,kji->mk", ts, lifted)
@@ -93,6 +98,11 @@ def partial_trace_suite(rng, n_matrices: int = 200) -> SuiteResult:
 
 
 def gns_suite(rng, n_max: int = 5) -> SuiteResult:
+    """The GNS representations of a random pure state and of the maximally
+    mixed state on M_n, n = 2..n_max: their dimensions and ideal ranks,
+    and on ten random pairs (a, b) each, multiplicativity, the cyclic
+    vector's expectation and the adjoint. Each state's pairs are one draw,
+    and rep takes them as stacks."""
     worst = 0.0
     details = {}
     for n in range(2, n_max + 1):
@@ -107,20 +117,18 @@ def gns_suite(rng, n_max: int = 5) -> SuiteResult:
         if res_mixed.dim != n * n:
             return SuiteResult("gns", False, np.inf, 0.0, {"bad_mixed_dim": (n, res_mixed.dim)})
         for res_i, omega in ((res, pure), (res_mixed, mixed)):
-            for _ in range(10):
-                a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-                b = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-                worst = max(
-                    worst,
-                    linalg.operator_norm(res_i.rep(a @ b) - res_i.rep(a) @ res_i.rep(b)),
-                )
-                got = np.vdot(res_i.cyclic, res_i.rep(a) @ res_i.cyclic)
-                worst = max(worst, abs(got - omega.expect(a)))
-                worst = max(
-                    worst,
-                    linalg.operator_norm(res_i.rep(a.conj().T) - res_i.rep(a).conj().T),
-                )
-    details["worst"] = worst
+            z = rng.normal(size=(10, 4, n, n))
+            a, b = z[:, 0] + 1j * z[:, 1], z[:, 2] + 1j * z[:, 3]
+            rep_a, c = res_i.rep(a), res_i.cyclic
+            got = (c.conj() @ (rep_a @ c)[..., None])[..., 0]  # <c, pi(a) c> as np.vdot gives it
+            adj_a, adj_rep_a = a.conj().swapaxes(-1, -2), rep_a.conj().swapaxes(-1, -2)
+            worst = max(
+                worst,
+                linalg.operator_norm(res_i.rep(a @ b) - rep_a @ res_i.rep(b)).max(),
+                np.abs(got - omega.expect(a)).max(),
+                linalg.operator_norm(res_i.rep(adj_a) - adj_rep_a).max(),
+            )
+    details["worst"] = float(worst)
     gate = 1e-9 * tol_scale()
     return SuiteResult("gns", bool(worst <= gate), float(worst), gate, details)
 

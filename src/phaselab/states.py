@@ -41,9 +41,11 @@ class DensityState:
     def dim(self) -> int:
         return self.rho.shape[0]
 
-    def expect(self, a: np.ndarray) -> complex:
-        """omega(A) = tr(rho A)."""
-        return complex(np.trace(self.rho @ np.asarray(a, dtype=np.complex128)))
+    def expect(self, a: np.ndarray) -> complex | np.ndarray:
+        """omega(A) = tr(rho A): a complex for one A, an array of one value
+        per matrix for a stack (..., n, n)."""
+        out = np.trace(self.rho @ np.asarray(a, dtype=np.complex128), axis1=-2, axis2=-1)
+        return complex(out) if out.ndim == 0 else out
 
 
 def basis_state(n: int, k: int = 0) -> DensityState:
@@ -131,7 +133,9 @@ def gns(omega: DensityState) -> GnsResult:
     rho^T inner product gives the block C (n x r, deterministic), so the
     quotient basis is kron(1, C), the GNS space has dimension n r, and
     pi(A) = A (x) C† rho^T C. The Gelfand ideal is spanned by the matrices
-    with one row equal to a null vector of rho^T.
+    with one row equal to a null vector of rho^T. `rep` takes one element
+    or a stack (..., n, n) of them, and gives np.kron(A, C† rho^T C) for
+    each bit for bit.
     """
     n = omega.dim
     rho_t = omega.rho.T
@@ -152,16 +156,18 @@ def gns(omega: DensityState) -> GnsResult:
     c = np.column_stack(basis)  # a trace-one state has rank >= 1
     c_rho = c.conj().T @ rho_t
     block = c_rho @ c
+    r = len(basis)
     ideal_basis = [np.outer(e, null) for e in eye(n) for null in vecs[:, evals <= cut].T]
 
     def rep(a: np.ndarray) -> np.ndarray:
         a = np.asarray(a, dtype=np.complex128)
-        if a.shape != (n, n):
+        if a.shape[-2:] != (n, n):
             raise ValueError(f"rep expects an element of M_{n}")
-        return np.kron(a, block)
+        out = a[..., :, None, :, None] * block[:, None, :]  # kron(a, block), one product an entry
+        return out.reshape(*a.shape[:-2], n * r, n * r)
 
     return GnsResult(
-        dim=n * len(basis),
+        dim=n * r,
         rep=rep,
         cyclic=c_rho.T.reshape(-1),
         ideal_basis=ideal_basis,

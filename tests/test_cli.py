@@ -144,20 +144,34 @@ def test_selfcheck_deterministic(tmp_path):
 
 
 def test_metric_suite_batches_trace_norms_as_single_calls():
-    # the suite draws each pair as below and groups the trace norms by size;
-    # the per-pair loop is the reference, and the report must not move a bit
+    # the suite draws every pair's dimension first, then each dimension's
+    # pairs in one draw; per-pair ray distances against the same
+    # per-dimension trace_norm stacks are the reference, and the report
+    # must not move a bit
     from phaselab import linalg, projective, selfcheck
 
     rng = np.random.default_rng(5)
+    dims = rng.integers(2, 6, size=300)
     worst = 0.0
-    for _ in range(300):
-        n = int(rng.integers(2, 6))
-        a, b = selfcheck._random_unit(rng, n), selfcheck._random_unit(rng, n)
-        gap = projective.ray_distances(a, b).gap
-        pa, pb = np.outer(a, a.conj()), np.outer(b, b.conj())
-        worst = max(worst, abs(gap - 0.5 * linalg.trace_norm(pa - pb)))
+    for n in range(2, 6):
+        re, im = rng.normal(size=(2, 2, np.count_nonzero(dims == n), n))
+        v = re + 1j * im
+        a, b = v / np.linalg.norm(v, axis=-1, keepdims=True)
+        gaps = np.array([projective.ray_distances(x, y).gap for x, y in zip(a, b)])
+        diffs = np.array([np.outer(x, x.conj()) - np.outer(y, y.conj()) for x, y in zip(a, b)])
+        worst = max(worst, np.max(np.abs(gaps - 0.5 * linalg.trace_norm(diffs))))
     result = selfcheck.metric_suite(np.random.default_rng(5), n_pairs=300)
     assert result.details["gap_vs_half_trace_norm"] == worst
+
+
+def test_metric_suite_skips_empty_dimension_groups():
+    # one pair leaves three of the four dimensions without pairs
+    from phaselab import selfcheck
+
+    result = selfcheck.metric_suite(np.random.default_rng(5), n_pairs=1)
+    assert result.passed and set(result.details) == {
+        "closed_form", "sandwich_slack", "gap_vs_half_trace_norm"
+    }
 
 
 def test_partial_trace_suite_stacks_its_basis(monkeypatch):
@@ -181,7 +195,9 @@ def test_partial_trace_suite_stacks_its_basis(monkeypatch):
     assert abs(result.worst_residual - worst) < 1e-14
     # a partial trace off by a transpose fails the suite
     exact = linalg.partial_trace
-    monkeypatch.setattr(linalg, "partial_trace", lambda *args, **kw: exact(*args, **kw).T)
+    monkeypatch.setattr(
+        linalg, "partial_trace", lambda *args, **kw: np.swapaxes(exact(*args, **kw), -1, -2)
+    )
     assert not selfcheck.partial_trace_suite(np.random.default_rng(3), n_matrices=20).passed
 
 

@@ -231,6 +231,13 @@ def test_contract_loop_unitary_gate():
         contract_loop(random_based_loop(3, 1, 700))
 
 
+def test_unitarity_is_checked_before_the_phase_lift():
+    # seed 13's transport is not unitary, and its gamma path then jumps by
+    # more than the phase lift takes: the failure names the transport
+    with pytest.raises(ValueError, match="^not a unitary$"):
+        contract_loop(random_based_loop(3, 13, 700))
+
+
 def _unitaries_with_spectrum(rng, angles, count):
     """`count` unitaries W diag(e^{i angles}) W† with Haar-like random W."""
     n = len(angles)

@@ -89,6 +89,26 @@ def test_partial_trace_rejects_bad_split():
         partial_trace(np.zeros((6, 6)), 2, 4)
 
 
+@pytest.mark.parametrize("keep", ["left", "right"])
+def test_stacked_partial_trace_matches_single_calls(keep):
+    for dl, dr in ((2, 2), (2, 4), (4, 2), (3, 5)):
+        t = random_complex((2, 5, dl * dr, dl * dr))
+        stacked = partial_trace(t, dl, dr, keep)
+        assert stacked.shape == (2, 5) + ((dl, dl) if keep == "left" else (dr, dr))
+        for i, k in np.ndindex(2, 5):
+            assert np.array_equal(stacked[i, k], partial_trace(t[i, k], dl, dr, keep))
+    for shape in ((3, 8, 6), (3, 6, 8), (3, 8), (8,)):
+        with pytest.raises(ValueError, match="incompatible"):
+            partial_trace(np.zeros(shape), 2, 4, keep)
+
+
+def test_hermitian_basis_is_one_stack():
+    for n in (1, 2, 4):
+        basis = hermitian_basis(n)
+        assert isinstance(basis, np.ndarray) and basis.shape == (n * n, n, n)
+        assert np.array_equal(basis, basis.conj().swapaxes(-1, -2))
+
+
 def test_embed_site_operator():
     layout = spin_chain(2)
     assert np.array_equal(embed_site_operator(SIGMA_Z, 0, layout), kron(SIGMA_Z, eye(2)))

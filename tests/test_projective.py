@@ -27,6 +27,32 @@ def test_ray_equality_is_phase_insensitive():
         ray_product(np.zeros(3), np.ones(3))
 
 
+@pytest.mark.parametrize("n", [2, 3, 5, 9, 17, 40])
+def test_stacked_rays_match_single_calls_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    a = rng.normal(size=(3, 7, n)) + 1j * rng.normal(size=(3, 7, n))
+    b = rng.normal(size=(7, n)) + 1j * rng.normal(size=(7, n))  # broadcast against a
+    p, dist = ray_product(a, b), ray_distances(a, b)
+    assert p.shape == dist.gap.shape == (3, 7)
+    for i, k in np.ndindex(3, 7):
+        assert p[i, k] == ray_product(a[i, k], b[k])
+        assert tuple(x[i, k] for x in dist) == ray_distances(a[i, k], b[k])
+    assert type(ray_product(a[0, 0], b[0])) is float
+    assert all(type(x) is float for x in ray_distances(a[0, 0], b[0]))
+
+
+def test_zero_row_anywhere_in_a_stack_raises():
+    rng = np.random.default_rng(2)
+    a = rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3))
+    for k in range(4):
+        zeroed = a.copy()
+        zeroed[k] = 0.0
+        for x, y in ((zeroed, a), (a, zeroed)):
+            for f in (ray_product, ray_distances):
+                with pytest.raises(ValueError, match="zero vector"):
+                    f(x, y)
+
+
 def test_distances_same_and_orthogonal():
     assert ray_distances(E0, E0) == (0, 0, 0)
     d = ray_distances(E0, E1)

@@ -177,6 +177,26 @@ def test_gns_rep_is_star_homomorphism():
         assert operator_norm(res.rep(a.conj().T) - res.rep(a).conj().T) < 1e-9
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_stacked_gns_rep_is_kron_per_matrix(n):
+    rng = np.random.default_rng(n)
+    pure = state_from_vector(rng.normal(size=n) + 1j * rng.normal(size=n))
+    for omega in (pure, maximally_mixed(n)):
+        res = gns(omega)
+        unit = np.zeros((n, n))
+        unit[0, 0] = 1.0
+        r = res.dim // n
+        block = res.rep(unit)[:r, :r]  # kron(e_00, C† rho^T C) holds the block as is
+        a = rng.normal(size=(2, 3, n, n)) + 1j * rng.normal(size=(2, 3, n, n))
+        stacked = res.rep(a)
+        assert stacked.shape == (2, 3, res.dim, res.dim)
+        for i, k in np.ndindex(2, 3):
+            assert np.array_equal(stacked[i, k], np.kron(a[i, k], block))
+            assert np.array_equal(res.rep(a[i, k]), np.kron(a[i, k], block))
+        with pytest.raises(ValueError, match="rep expects"):
+            res.rep(a[..., :-1])
+
+
 def test_gns_pure_dim_ideal_split():
     rng = np.random.default_rng(31)
     for n in range(2, 7):
