@@ -30,9 +30,10 @@ def _random_unit(rng, n) -> np.ndarray:
 
 
 def metric_suite(rng, n_pairs: int = 2000) -> SuiteResult:
-    """The ray metrics' closed forms in the ray product, their sandwich
-    inequalities, and the gap against half the trace norm of the projector
-    difference, on random pairs of unit vectors in dimensions 2..5. The
+    """The chord's closed form in the ray product, the gap against the norm
+    of b's component orthogonal to a, the metrics' sandwich inequalities,
+    and the gap against half the trace norm of the projector difference,
+    on random pairs of unit vectors in dimensions 2..5. The
     dimensions are drawn first; each dimension's pairs are then one draw,
     one stacked ray_product, ray_distances and trace_norm call."""
     dims = rng.integers(2, 6, size=n_pairs)
@@ -49,7 +50,8 @@ def metric_suite(rng, n_pairs: int = 2000) -> SuiteResult:
         closed = max(
             closed,
             np.abs(dist.chord**2 - (2 - 2 * p)).max(),
-            np.abs(dist.gap - np.sqrt(np.maximum(1 - p * p, 0.0))).max(),
+            np.abs(dist.gap - np.linalg.norm(b - np.sum(a.conj() * b, -1, keepdims=True) * a,
+                                             axis=-1)).max(),
         )
         sandwich = max(
             sandwich,

@@ -2,13 +2,16 @@
 
 Matrices are row-major nested arrays of [re, im] pairs. Loops are
 {n, samples: [matrix, ...]}. A sheet document holds the contraction's
-recipe, not its cells: {n, loop: [matrix, ...], levels: [{unitaries,
-s_unitary, s_projection}, ...]}, with level k on the corner block
-b = n - k: its T unitaries and the rows x T tables of interpolation
-parameters of its unitary and projection stages. The block and the
-projection P^b_1 are implied, never stored. Reading a sheet document gives
-the recipe, a homotopy.HomotopySheet, without expanding it. All documents
-are UTF-8 JSON, written compactly with sorted keys.
+recipe, not its cells: {n, s_den, loop: [matrix, ...], levels:
+[{unitaries, s_unitary, s_projection}, ...]}, with level k on the corner
+block b = n - k: its T unitaries and the rows x T tables of interpolation
+parameters of its unitary and projection stages. Every s is a multiple of
+1 / s_den, s_den = homotopy.S_DEN = 65536, and its table holds the integer
+numerators; dividing them by the power of two s_den gives back the
+contractor's s bit for bit. The block and the projection P^b_1 are
+implied, never stored. Reading a sheet document gives the recipe, a
+homotopy.HomotopySheet, without expanding it. All documents are UTF-8
+JSON, written compactly with sorted keys.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import json
 
 import numpy as np
 
-from .homotopy import HomotopySheet, Level, StateLoop
+from .homotopy import S_DEN, HomotopySheet, Level, StateLoop
 from .states import validate_densities
 
 
@@ -58,21 +61,41 @@ def loop_from_doc(doc: dict) -> StateLoop:
 
 
 def sheet_to_doc(sheet: HomotopySheet) -> dict:
-    """The sheet's recipe: its input loop (row 0) and its levels."""
+    """The sheet's recipe: its input loop (row 0), its levels, and s_den.
+    A NaN or infinite entry, which JSON cannot hold, or an s off the grid
+    of multiples of 1 / S_DEN raises ValueError."""
+    _check_finite(sheet)
     levels = [
-        {"unitaries": encode_matrix(lv.unitaries), "s_unitary": lv.s_unitary.tolist(),
-         "s_projection": lv.s_projection.tolist()}
+        {"unitaries": encode_matrix(lv.unitaries), "s_unitary": _numerators(lv.s_unitary),
+         "s_projection": _numerators(lv.s_projection)}
         for lv in sheet.levels
     ]
-    return {"n": sheet.n, "loop": encode_matrix(sheet.loop), "levels": levels}
+    return {"n": sheet.n, "s_den": S_DEN, "loop": encode_matrix(sheet.loop), "levels": levels}
+
+
+def _numerators(s: np.ndarray) -> list:
+    """An s table's integer numerators over S_DEN, as nested lists."""
+    scaled = s * S_DEN
+    if not (scaled == np.round(scaled)).all():
+        raise ValueError(f"an s table holds values that are not multiples of 1/{S_DEN}")
+    return scaled.astype(np.int64).tolist()
+
+
+def _s_table(rows) -> np.ndarray:
+    """An s table from its rows of JSON integer numerators (a bool is not)."""
+    kinds = {type(m) for row in rows for m in row} - {int}
+    if kinds:
+        raise ValueError("s tables hold integer numerators over 's_den' since the format "
+                         f"changed, got {', '.join(sorted(k.__name__ for k in kinds))} entries")
+    return np.array(rows, dtype=float) / S_DEN
 
 
 def _level(doc: dict) -> Level:
     if sorted(doc) != ["s_projection", "s_unitary", "unitaries"]:
         raise ValueError("a level holds 'unitaries', 's_unitary' and 's_projection' since the "
                          f"format changed, got {sorted(doc)}")
-    return Level(decode_matrix(doc["unitaries"]), np.array(doc["s_unitary"], dtype=float),
-                 np.array(doc["s_projection"], dtype=float))
+    return Level(decode_matrix(doc["unitaries"]), _s_table(doc["s_unitary"]),
+                 _s_table(doc["s_projection"]))
 
 
 def sheet_from_doc(doc: dict) -> HomotopySheet:
@@ -81,9 +104,14 @@ def sheet_from_doc(doc: dict) -> HomotopySheet:
     must be finite. The other cells are validated as sheet_blocks makes them."""
     try:
         n = _integer(doc, "n")
+        if "s_den" not in doc:
+            raise ValueError("no 's_den': s tables hold integer numerators over 's_den' "
+                             "since the format changed")
+        if _integer(doc, "s_den") != S_DEN:
+            raise ValueError(f"'s_den' must be {S_DEN}, got {doc['s_den']}")
         loop = decode_matrix(doc["loop"])
         levels = [_level(level) for level in doc["levels"]]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed sheet document: {exc}") from exc
     if loop.ndim != 3 or loop.shape[-1] != n:
         raise ValueError(f"malformed sheet document: the loop is not a stack of states on M_{n}")
@@ -102,10 +130,8 @@ def _check_finite(sheet: HomotopySheet):
 
 
 def write_sheet(path: str, sheet: HomotopySheet):
-    """Write the sheet document (sheet_to_doc). A NaN or infinite entry in
-    the recipe, which JSON cannot hold, raises ValueError before the file
-    is opened."""
-    _check_finite(sheet)
+    """Write the sheet document (sheet_to_doc); a recipe it refuses raises
+    ValueError before the file is opened."""
     write_doc(path, sheet_to_doc(sheet))
 
 

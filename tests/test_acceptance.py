@@ -127,7 +127,7 @@ def test_criterion_3_metric_identities():
         worst_closed = max(
             worst_closed,
             abs(d.chord**2 - (2 - 2 * p)),
-            abs(d.gap - np.sqrt(max(1 - p * p, 0))),
+            abs(d.gap - np.linalg.norm(b - np.vdot(a, b) * a)),
         )
         worst_sandwich = max(
             worst_sandwich,

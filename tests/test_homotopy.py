@@ -425,8 +425,7 @@ def test_loop_and_sheet_serialization_roundtrip():
     sdoc = serialize.sheet_to_doc(sheet)
     back_sheet = serialize.sheet_from_doc(sdoc)
     assert back_sheet.shape == sheet.shape
-    a1, a2 = cells(sheet), cells(back_sheet)
-    assert np.max(np.abs(a1 - a2)) < 1e-15
+    assert np.array_equal(cells(back_sheet), cells(sheet))
 
 
 def test_sheet_from_doc_validates_every_cell():
@@ -444,16 +443,19 @@ def test_sheet_from_doc_validates_every_cell():
 
 
 def test_sheet_from_doc_rejects_a_nan_cell():
-    # a NaN in the loop, in an operator or in an s table makes a NaN cell
+    # a NaN in the loop or in an operator makes a NaN cell; an s table
+    # holds integers, so a NaN there is refused as a non-integer numerator
     sheet = contract_loop(constant_loop(2, 6))
-    for forge in (
-        lambda doc: doc["loop"][2][0].__setitem__(1, [float("nan"), 0.0]),
-        lambda doc: doc["levels"][0]["unitaries"][3][1].__setitem__(1, [float("nan"), 0.0]),
-        lambda doc: doc["levels"][0]["s_projection"][2].__setitem__(4, float("nan")),
+    for forge, message in (
+        (lambda doc: doc["loop"][2][0].__setitem__(1, [float("nan"), 0.0]), "non-finite"),
+        (lambda doc: doc["levels"][0]["unitaries"][3][1].__setitem__(1, [float("nan"), 0.0]),
+         "non-finite"),
+        (lambda doc: doc["levels"][0]["s_projection"][2].__setitem__(4, float("nan")),
+         "integer numerators"),
     ):
         doc = serialize.sheet_to_doc(sheet)
         forge(doc)
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(ValueError, match=message):
             serialize.sheet_from_doc(doc)
 
 
@@ -493,6 +495,48 @@ def test_sheet_from_doc_refuses_the_earlier_format():
          "s": level["s_projection"]}]}]
     with pytest.raises(ValueError, match="the format changed"):
         serialize.sheet_from_doc(doc)
+
+
+def _float_s_tables(doc):
+    """The document as the earlier format wrote it: s tables of floats,
+    no s_den."""
+    den = doc.pop("s_den")
+    for level in doc["levels"]:
+        for key in ("s_unitary", "s_projection"):
+            level[key] = (np.array(level[key]) / den).tolist()
+
+
+@pytest.mark.parametrize(
+    "forge, message",
+    [
+        (_float_s_tables, "no 's_den'.*the format changed"),
+        (lambda doc: doc.pop("s_den"), "no 's_den'.*the format changed"),
+        (lambda doc: doc.__setitem__("s_den", 1000), "'s_den' must be 65536, got 1000"),
+        (lambda doc: doc.__setitem__("s_den", 65536.0), "'s_den' must be an integer"),
+        (lambda doc: doc["levels"][0]["s_unitary"][0].__setitem__(2, 0.5),
+         "integer numerators.*the format changed, got float entries"),
+        (lambda doc: doc["levels"][0]["s_projection"][1].__setitem__(0, "2"),
+         "integer numerators.*got str entries"),
+        (lambda doc: doc["levels"][0]["s_projection"][1].__setitem__(0, True),
+         "integer numerators.*got bool entries"),
+        (lambda doc: doc["levels"][0]["s_unitary"][1].__setitem__(0, 10**400),
+         "malformed sheet document: int too large"),
+    ],
+    ids=["float-tables", "no-s-den", "other-s-den", "float-s-den", "float-numerator",
+         "string-numerator", "bool-numerator", "huge-numerator"],
+)
+def test_sheet_from_doc_refuses_s_tables_off_the_format(forge, message):
+    doc = serialize.sheet_to_doc(contract_loop(constant_loop(2, 6)))
+    forge(doc)
+    with pytest.raises(ValueError, match=message):
+        serialize.sheet_from_doc(doc)
+
+
+def test_sheet_to_doc_refuses_an_s_off_the_grid():
+    sheet = contract_loop(constant_loop(2, 6))
+    forged = _forge(sheet, s_unitary=_set(sheet.levels[0].s_unitary, (0, 3), 1 / 3))
+    with pytest.raises(ValueError, match="not multiples of 1/65536"):
+        serialize.sheet_to_doc(forged)
 
 
 def test_verifier_reports_non_finite_cells(monkeypatch):
@@ -552,7 +596,7 @@ def test_write_sheet_matches_dumps(pure_sheet, tmp_path):
     doc = serialize.sheet_to_doc(pure_sheet)
     assert path.read_text(encoding="utf-8") == serialize.dumps(doc) + "\n"
     # the document is the recipe, not the cells
-    assert sorted(doc) == ["levels", "loop", "n"]
+    assert sorted(doc) == ["levels", "loop", "n", "s_den"]
     (level,) = doc["levels"]
     assert sorted(level) == ["s_projection", "s_unitary", "unitaries"]
     assert np.array(level["unitaries"]).shape == (401, 2, 2, 2)
@@ -659,24 +703,58 @@ def _direct_s_table(ops, rhos, n_rows, fine_mult=6, chunk=128):
         arcs = np.concatenate([np.zeros((1, steps.shape[1])), np.cumsum(steps, axis=0)])
         for t, arc in enumerate(arcs.T, start=lo):
             lengths[t] = arc[-1]
-            moving = arc[-1] >= 1e-13
-            table[:, t] = np.interp(fractions * arc[-1], arc, s_fine) if moving else fractions
+            table[:, t] = np.interp(fractions * arc[-1], arc, s_fine)
+    return _floored(table, lengths, fractions), lengths
+
+
+def _floored(table, lengths, fractions):
+    """An arc-length s table with the plain fractions in the columns that
+    do not move (homotopy.ARC_FLOOR) and its last row 1."""
+    floor = max(homotopy.ARC_FLOOR * lengths.max(), homotopy.ROUNDING_ARC)
+    table[:, lengths < floor] = fractions[:, None]
     table[-1] = 1.0
-    return table, lengths
+    return table
 
 
 @pytest.mark.parametrize("name", ["plateau", "seed2"])
 def test_pencil_s_tables_match_the_direct_form(name):
-    # A column that barely moves has an arc length made of rounding, in
-    # either form (seed 2, level 2: 4.6e-11), and its s table is arbitrary
-    # up to that rounding. So s itself must match where the arc length is
-    # at least 1e-3, and everywhere the arc length the error stands for.
+    # The s tables before rounding to the dyadic grid. A column that barely
+    # moves has an s table made of rounding, in either form, so s itself
+    # must match where the arc length is at least 1e-3, and everywhere the
+    # arc length the error stands for.
     _, sheet = _contracted(name)
     for ops, s, rhos in _stage_inputs(sheet):
         direct, lengths = _direct_s_table(ops, rhos, len(s))
-        error = np.abs(s - direct)
+        error = np.abs(homotopy._arc_rows(pencil(ops, rhos), len(s)) - direct)
         assert np.max(error[:, lengths >= 1e-3]) < 1e-12
         assert np.max(error * lengths) < 1e-13
+        # every column that moves by 1e-3 keeps its arc-length table
+        assert (lengths[lengths >= 1e-3] > homotopy.ARC_FLOOR * lengths.max()).all()
+
+
+def test_a_column_of_rounding_takes_the_plain_fractions():
+    # seed 2's level 1 unitary stage: column 697 moves by 4.6e-11, over
+    # ROUNDING_ARC but under ARC_FLOOR of the stage's largest arc, so its
+    # table is k / rows and not the rounding of its arc
+    _, sheet = _contracted("seed2")
+    ops, s, rhos = list(_stage_inputs(sheet))[2]
+    _, lengths = _direct_s_table(ops, rhos, len(s))
+    assert homotopy.ROUNDING_ARC < lengths[697] < homotopy.ARC_FLOOR * lengths.max()
+    fractions = np.arange(1, len(s) + 1) / len(s)
+    assert np.array_equal(homotopy._arc_rows(pencil(ops, rhos), len(s))[:, 697], fractions)
+
+
+@pytest.mark.parametrize("name", ["pure", "plateau", "seed2", "seed7", "n4"])
+def test_s_tables_are_the_arc_length_tables_on_the_dyadic_grid(name):
+    # every s a multiple of 2^-16 within 2^-17 of the table before rounding,
+    # every column nondecreasing, and every last row 1 exactly
+    _, sheet = _contracted(name)
+    for ops, s, rhos in _stage_inputs(sheet):
+        unrounded = homotopy._arc_rows(pencil(ops, rhos), len(s))
+        assert np.array_equal(s * 2**16, np.round(s * 2**16))
+        assert np.max(np.abs(s - unrounded)) <= 2.0**-17
+        assert (np.diff(s, axis=0) >= 0).all() and (s[0] >= 0).all()
+        assert (s[-1] == 1.0).all()
 
 
 @pytest.mark.parametrize("name", ["plateau", "seed2"])
@@ -918,10 +996,8 @@ def _matrix_s_table(r, n_rows, fine_mult=6):
     arcs = np.concatenate([np.zeros((len(steps), 1)), np.cumsum(steps, axis=1)], axis=1)
     table = np.empty((n_rows, r.shape[1]))
     for t, arc in enumerate(arcs):
-        moving = arc[-1] >= 1e-13
-        table[:, t] = np.interp(fractions * arc[-1], arc, s_fine) if moving else fractions
-    table[-1] = 1.0
-    return table
+        table[:, t] = np.interp(fractions * arc[-1], arc, s_fine)
+    return _floored(table, arcs[:, -1], fractions)
 
 
 @pytest.mark.parametrize("name", ["pure", "plateau", "seed2", "seed7", "n4"])
@@ -935,7 +1011,7 @@ def test_packed_prepass_matches_the_matrix_prepass(name):
     for ops, s, rhos in _stage_inputs(sheet):
         r = pencil(ops, rhos)
         rows = len(s)
-        assert np.array_equal(homotopy._interp_rows(r, rows), _matrix_s_table(r, rows))
+        assert np.array_equal(homotopy._arc_rows(r, rows), _matrix_s_table(r, rows))
         blocks.add(rhos.shape[-1])
     assert blocks == set(range(2, sheet.n + 1))
 
