@@ -24,7 +24,7 @@ import numpy as np
 from .linalg import (eye, min_eigenvalues, pack_hermitian, packed_trace_norm, trace_norm,
                      unpack_hermitian)
 from .projective import elementary_transport
-from .states import GelfandIdealError, basis_state, validate_densities
+from .states import basis_state, validate_densities
 from .util import NumericalGateError
 
 PURITY_THRESHOLD = 7.0 / 8.0
@@ -33,7 +33,8 @@ SAFETY_FLOOR = 1e-10
 BOUNDARY_RADIUS = 1.0 - 1e-9
 BASEPOINT_TOL = 1e-9
 OPERATOR_TOL = 1e-9
-IDEAL_NORMALIZER_TOL = 1e-12
+# The verifier's gates on cells (state, edge columns, last row) and on row 0
+CELL_TOL, ROW0_TOL = 1e-8, 1e-10
 # Fine samples of the pre-pass per row of its s table (48 at least), and
 # the fewest rows a stage takes.
 FINE_MULT = 6
@@ -50,10 +51,10 @@ S_DEN = 2**16
 ARC_FLOOR, ROUNDING_ARC = 1e-7, 1e-13
 # Bytes a sheet may hold (_held_bytes): its recipe and BLOCK_COPIES blocks
 # of its stage of most rows. Beyond the recipe, tracemalloc reads a
-# contraction's pre-pass at 2.2 to 3.2 blocks and a verification at 4.7 to
-# 5.6 (n = 2 to 40, 17 to 901 samples). The count covers arrays only: on
+# contraction's pre-pass at 2.0 to 3.2 blocks and a verification at 4.2 to
+# 5.0 (n = 2 to 40, 17 to 901 samples). The count covers arrays only: on
 # sheets under about 1 MB, tracemalloc's fixed overhead can exceed it
-# (constant_loop(3, 16) reads 156 KB against a count of 147 KB).
+# (constant_loop(2, 16) reads 69 KB against a count of 65 KB).
 MAX_SHEET_BYTES, BLOCK_COPIES = 2**28, 7
 
 
@@ -386,7 +387,7 @@ def _arc_rows(r: np.ndarray, n_rows: int) -> np.ndarray:
     width = -(-t_count // FINE_MULT)
     for lo in range(0, t_count, width):
         cols = slice(lo, lo + width)
-        rho_s, _ = _pencil_states(packed[:, :, cols, None], traces[:, cols, None], s_fine)
+        rho_s = _pencil_states(packed[:, :, cols, None], traces[:, cols, None], s_fine)
         steps = packed_trace_norm(rho_s[..., 1:] - rho_s[..., :-1])  # rho_s: (n², cols, F + 1)
         arcs = np.concatenate([np.zeros((len(steps), 1)), np.cumsum(steps, axis=1)], axis=1)
         lengths[cols] = arcs[:, -1]
@@ -398,28 +399,24 @@ def _arc_rows(r: np.ndarray, n_rows: int) -> np.ndarray:
     return s_rows
 
 
-def _pencil_states(p: np.ndarray, c: np.ndarray, s) -> tuple[np.ndarray, np.ndarray]:
-    """A pencil's states B(s) rho B(s)† / tr at s on the packed layout, and
-    their normalizers: (p0 + s (p1 + s p2)) / (c0 + s (c1 + s c2)) and its
-    denominator, for packed pencil coefficients p (3, n², ...) (see pencil
-    and linalg.pack_hermitian) and their traces c (3, ...), broadcast
-    against s."""
-    norm = c[0] + s * (c[1] + s * c[2])
-    return (p[0] + s * (p[1] + s * p[2])) / norm, norm
+def _pencil_states(p: np.ndarray, c: np.ndarray, s) -> np.ndarray:
+    """A pencil's states B(s) rho B(s)† / tr at s on the packed layout,
+    (p0 + s (p1 + s p2)) / (c0 + s (c1 + s c2)), for packed pencil
+    coefficients p (3, n², ...) (see pencil and linalg.pack_hermitian) and
+    their traces c (3, ...), broadcast against s."""
+    return (p[0] + s * (p[1] + s * p[2])) / (c[0] + s * (c[1] + s * c[2]))
 
 
 def _stage_rows(r: np.ndarray, s: np.ndarray) -> np.ndarray:
     """Rows (rows, T, b, b) of a stage whose column t has the pencil
     r[:, t] (see pencil): column t of row k is the state at s[k, t], from
-    one packing of the pencil (_pencil_states), exactly Hermitian and
-    validated once. Raises GelfandIdealError where a normalizer puts
-    B(s) in the Gelfand ideal of its column's state."""
+    one packing of the pencil (_pencil_states), exactly Hermitian, and
+    unjudged: a B(s) in the Gelfand ideal of its column's state makes a
+    non-finite cell, which the verifier flags."""
     packed = np.moveaxis(pack_hermitian(r), 1, 0)[:, :, None]  # (3, b², 1, T)
     with np.errstate(divide="ignore", invalid="ignore"):
-        rows, norm = _pencil_states(packed, np.trace(r, axis1=-2, axis2=-1).real, s)
-    if (norm <= IDEAL_NORMALIZER_TOL).any():
-        raise GelfandIdealError("element lies in the Gelfand ideal of the state")
-    return validate_densities(unpack_hermitian(rows))
+        rows = _pencil_states(packed, np.trace(r, axis1=-2, axis2=-1).real, s)
+    return unpack_hermitian(rows)
 
 
 def _rows_for(target_step: float, movement: float) -> int:
@@ -485,28 +482,21 @@ def _compress(rhos: np.ndarray, block: int) -> np.ndarray:
     return (rho + rho.conj().swapaxes(-1, -2)) / 2
 
 
-def _level_input(current: np.ndarray, block: int) -> np.ndarray:
-    """A level's input from the last row so far: the row itself if it is on
-    M_block already, otherwise its validated compression to the corner
-    block."""
-    if block == current.shape[-1]:
-        return current
-    return validate_densities(_compress(current, block))
-
-
 def sheet_blocks(sheet: HomotopySheet) -> Iterator[np.ndarray]:
     """A sheet's cells, one stage at a time: row 0, the loop, as a block of
     one row, then each stage's rows (rows, T, n, n) in order. Each level
-    takes its input from the last row so far (_level_input); each of its
-    stages evaluates its pencil on the last row of the stage before at its
-    s table (_stage_rows); and its rows are zero-padded into the n x n
-    corner. Every cell is made here, so a sheet read back from its
-    document expands to the contractor's cells bit for bit."""
+    below M_n takes its input from the last row so far, compressed to its
+    corner block (_compress); each of its stages evaluates its pencil on the
+    last row of the stage before at its s table (_stage_rows); and its rows
+    are zero-padded into the n x n corner. Every cell is made here, so a
+    sheet read back from its document expands to the contractor's cells bit
+    for bit. Nothing here judges a cell: verify_homotopy does."""
     n, rhos = sheet.n, sheet.loop  # the last row so far, on its block
     yield rhos[None]
     for _, stage, b, ops, s in _stages(n, sheet.levels):
-        if stage == 0:
-            rhos = _level_input(rhos, b)
+        if stage == 0 and b < n:
+            with np.errstate(divide="ignore", invalid="ignore"):  # a zero trace is the verifier's
+                rhos = _compress(rhos, b)
         block = _stage_rows(pencil(ops, rhos), s)
         rhos = block[-1].copy()
         if b < n:
@@ -540,8 +530,8 @@ def contract_loop(loop: StateLoop) -> HomotopySheet:
     target = 2.5 * max(loop.max_step, 1e-3)
     rhos, levels = loop.rhos, []
     for b in range(n, 1, -1):  # the corner block algebra M_b of each level
-        rhos = _level_input(rhos, b)
         if b < n:
+            rhos = validate_densities(_compress(rhos, b))
             _check_based(rhos)
         level, rhos = _rectify(rhos, target, admit)
         levels.append(level)
@@ -583,20 +573,21 @@ def _largest(best: tuple, steps: np.ndarray, row: int) -> tuple:
 
 def verify_homotopy(sheet: HomotopySheet, input_loop: StateLoop, modulus: float) -> VerifyReport:
     """Certify a contraction sheet in one pass over its stage blocks
-    (sheet_blocks), holding one block and the row before it. The cells:
-    every cell a valid state, row 0 equals the input, the basepoint columns
-    constant, the final row constant at the basepoint, and all adjacent-cell
-    steps within the modulus. The recipe: every unitary a unitary to
-    OPERATOR_TOL; every s in [0, 1] and each stage's last row at s = 1; and
-    the exact safety minimum (safety_min) of every column above SAFETY_FLOOR
-    on the stage's input as the streamed rows hold it, except in columns
-    whose input is not finite.
+    (sheet_blocks), holding one block and the row before it; it is the only
+    judge of the cells. The cells: every cell a state to CELL_TOL, row 0
+    within ROW0_TOL of the input, the basepoint columns constant, the final
+    row constant at the basepoint, and all adjacent-cell steps within the
+    modulus. The recipe: every unitary a unitary to OPERATOR_TOL; every s
+    in [0, 1] and each stage's last row at s = 1; and the exact safety
+    minimum (safety_min) of every column above SAFETY_FLOOR on the stage's
+    input as the streamed rows hold it, except in columns whose input is
+    not finite, so a recipe in a Gelfand ideal fails as "unsafe".
     A cell with a NaN or infinite entry is one "non-finite" violation,
     valued by the count of such entries; it is zeroed for, and skipped by,
     the rest. Violations are listed by kind, each kind in C order of its
     cell; the recipe's come last, stage by stage, at (level, stage, column)
     indices into the recipe. The negative-eigenvalue scan is
-    linalg.min_eigenvalues at 1e-8: the LDLᴴ certificate clears a cell
+    linalg.min_eigenvalues at CELL_TOL: the LDLᴴ certificate clears a cell
     without LAPACK, and each cell it does not clear takes eigvalsh, which
     decides it and gives a violation's value."""
     n, (s_dim, t_dim) = sheet.n, sheet.shape
@@ -637,14 +628,14 @@ def verify_homotopy(sheet: HomotopySheet, input_loop: StateLoop, modulus: float)
             block = np.where(ok[..., None, None], block, 0.0)
         adj = np.conj(np.swapaxes(block, -1, -2))
         herm = np.max(np.abs(block - adj), axis=(-1, -2))
-        found["non-hermitian"] += _flags("non-hermitian", herm, herm > 1e-8, 1e-8, at)
+        found["non-hermitian"] += _flags("non-hermitian", herm, herm > CELL_TOL, CELL_TOL, at)
         traces = np.abs(np.einsum("stii->st", block) - 1.0)
-        found["trace"] += _flags("trace", traces, (traces > 1e-8) & ok, 1e-8, at)
-        neg = -min_eigenvalues((block + adj) / 2, 1e-8)
-        found["negative-eigenvalue"] += _flags("negative-eigenvalue", neg, neg > 1e-8, 1e-8, at)
+        found["trace"] += _flags("trace", traces, (traces > CELL_TOL) & ok, CELL_TOL, at)
+        neg = -min_eigenvalues((block + adj) / 2, CELL_TOL)
+        found["negative-eigenvalue"] += _flags("negative-eigenvalue", neg, neg > CELL_TOL, CELL_TOL, at)
         if prev is None:
             row0 = trace_norm(block[0] - input_loop.rhos)
-            found["row0-mismatch"] = _flags("row0-mismatch", row0, (row0 > 1e-10) & ok[0], 1e-10,
+            found["row0-mismatch"] = _flags("row0-mismatch", row0, (row0 > ROW0_TOL) & ok[0], ROW0_TOL,
                                             lambda t: (0, t))
         else:
             steps = np.where(ok[0] & prev_ok, trace_norm(block[0] - prev), 0.0)
@@ -655,7 +646,7 @@ def verify_homotopy(sheet: HomotopySheet, input_loop: StateLoop, modulus: float)
         step_t = _largest(step_t, steps, row)
         dev = trace_norm(block[:, [0, -1]] - base)
         for i, (col, label) in enumerate(((0, "left-column"), (t_dim - 1, "right-column"))):
-            found[label] += _flags(label, dev[:, i], (dev[:, i] > 1e-8) & ok[:, col], 1e-8,
+            found[label] += _flags(label, dev[:, i], (dev[:, i] > CELL_TOL) & ok[:, col], CELL_TOL,
                                    lambda s: (row + s, col))
         prev, prev_ok = block[-1].copy(), ok[-1]
         row += len(block)
@@ -663,7 +654,7 @@ def verify_homotopy(sheet: HomotopySheet, input_loop: StateLoop, modulus: float)
 
     violations = [v for kind in found.values() for v in kind]
     last = trace_norm(prev - base[None])
-    violations += _flags("final-row", last, (last > 1e-8) & prev_ok, 1e-8, lambda t: (s_dim - 1, t))
+    violations += _flags("final-row", last, (last > CELL_TOL) & prev_ok, CELL_TOL, lambda t: (s_dim - 1, t))
     max_step = float(max(step_t[0], step_s[0]))
     if not max_step <= modulus:  # a NaN modulus or step fails too
         violations.append(("step-modulus", (step_t if step_t[0] >= step_s[0] else step_s)[1],

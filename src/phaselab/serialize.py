@@ -17,6 +17,7 @@ JSON, written compactly with sorted keys.
 from __future__ import annotations
 
 import json
+from itertools import chain
 
 import numpy as np
 
@@ -32,10 +33,18 @@ def encode_matrix(m: np.ndarray) -> list:
 
 
 def decode_matrix(rows) -> np.ndarray:
-    """Inverse of encode_matrix, for one matrix or a stack of them."""
+    """Inverse of encode_matrix, for one matrix or a stack of them; every
+    entry must be a JSON number (a bool or a string is not)."""
     pairs = np.array(rows, dtype=np.float64)
     if pairs.ndim < 3 or pairs.shape[-1] != 2:
         raise ValueError("matrices must be nested arrays of [re, im] pairs")
+    entries = rows
+    for _ in range(pairs.ndim - 1):
+        entries = chain.from_iterable(entries)
+    kinds = set(map(type, entries)) - {float, int}
+    if kinds:
+        raise ValueError("matrix entries must be numbers, got "
+                         f"{', '.join(sorted(k.__name__ for k in kinds))} entries")
     return np.ascontiguousarray(pairs).view(np.complex128)[..., 0]
 
 
@@ -101,7 +110,7 @@ def _level(doc: dict) -> Level:
 def sheet_from_doc(doc: dict) -> HomotopySheet:
     """Decode a sheet document into its recipe, unexpanded: the loop is
     validated as states, the recipe's shapes against it, and every entry
-    must be finite. The other cells are validated as sheet_blocks makes them."""
+    must be finite. The other cells are judged by verify_homotopy."""
     try:
         n = _integer(doc, "n")
         if "s_den" not in doc:

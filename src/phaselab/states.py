@@ -20,10 +20,6 @@ STATE_TRACE_TOL = 1e-10
 GRAM_RANK_CUT = 1e-9
 
 
-class GelfandIdealError(ValueError):
-    """Acting element lies in the Gelfand ideal of the state."""
-
-
 @dataclass(frozen=True)
 class DensityState:
     """Positive semidefinite trace-one matrix on M_n(C)."""

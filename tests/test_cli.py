@@ -464,6 +464,14 @@ def test_tol_scale_env(monkeypatch, capsys):
     assert by_name["gns"]["gate"] == 1e-8
     monkeypatch.setenv("PHASELAB_TOL_SCALE", "zero")
     assert main(["selfcheck", "--seed", "3"]) == 3
+    # an infinite scale would turn every scaled gate off, and neither it nor
+    # NaN is valid JSON in the report
+    for value in ("inf", "-inf", "nan"):
+        monkeypatch.setenv("PHASELAB_TOL_SCALE", value)
+        capsys.readouterr()
+        assert main(["selfcheck", "--seed", "3"]) == 3
+        assert main(["invariant", "--grid", "8x16"]) == 3
+        assert capsys.readouterr().err.count("must be finite and > 0") == 2
 
 
 def test_invariant_report_is_deterministic(tmp_path):

@@ -1,3 +1,4 @@
+import copy
 import re
 import tracemalloc
 from functools import lru_cache
@@ -25,7 +26,7 @@ from phaselab.homotopy import (
     safety_min,
     verify_homotopy,
 )
-from phaselab.states import DensityState, basis_state, state_from_vector
+from phaselab.states import DensityState, basis_state, state_from_vector, validate_densities
 from sheet_cells import cells, forge_cells
 
 
@@ -473,9 +474,13 @@ def test_sheet_from_doc_rejects_a_nan_cell():
         (lambda doc: doc.pop("levels"), "malformed sheet"),
         (lambda doc: doc.__setitem__("n", 2.7), "'n' must be an integer"),
         (lambda doc: doc.__setitem__("n", "2"), "'n' must be an integer"),
+        (lambda doc: doc["levels"][0]["unitaries"][3][0].__setitem__(0, ["1", False]),
+         "matrix entries must be numbers, got bool, str entries"),
+        (lambda doc: doc["levels"][0]["unitaries"][3][0].__setitem__(0, [True, 0]),
+         "matrix entries must be numbers, got bool entries"),
     ],
     ids=["levels-short", "levels-long", "wrong-block", "ops-shape", "s-ragged", "s-empty",
-         "no-levels", "n-float", "n-string"],
+         "no-levels", "n-float", "n-string", "ops-string", "ops-bool"],
 )
 def test_sheet_from_doc_rejects_malformed_recipes(forge, message):
     doc = serialize.sheet_to_doc(contract_loop(constant_loop(2, 6)))
@@ -833,18 +838,25 @@ def test_verifier_flags_forged_recipes(stage_index, forge, kind, at):
     assert [v[1] for v in report.violations] == [(0, stage_index, t) for t in at]
 
 
-def test_expansion_refuses_a_recipe_in_the_gelfand_ideal():
-    # A = -1 with its s = 1/2 row kept: B(1/2) = 0 annihilates the state
-    sheet = contract_loop(constant_loop(2, 10))
-    assert (sheet.levels[0].s_unitary[:, 4] == 0.5).any()
-    forged = _forge(sheet, unitaries=_set(sheet.levels[0].unitaries, 4, -np.eye(2)))
-    with pytest.raises(states.GelfandIdealError):
-        cells(forged)
-    # its document reads back as the recipe, and the verifier's expansion refuses it
+def test_verifier_fails_a_recipe_in_the_gelfand_ideal():
+    # A = -1 with its s = 1/2 row kept: B(1/2) = 0 annihilates the state, so
+    # the expansion makes non-finite cells there, and the verifier fails the
+    # recipe as unsafe and those cells as non-finite, without raising
     loop = constant_loop(2, 10)
+    sheet = contract_loop(loop)
+    halves = np.flatnonzero(sheet.levels[0].s_unitary[:, 4] == 0.5)
+    assert halves.size
+    forged = _forge(sheet, unitaries=_set(sheet.levels[0].unitaries, 4, -np.eye(2)))
+    arr = cells(forged)
+    bad = ~np.isfinite(arr).all(axis=(-2, -1))
+    assert [tuple(i) for i in np.argwhere(bad).tolist()] == [(1 + h, 4) for h in halves]
+    # its document reads back as the recipe, with the same verdict
     back = serialize.sheet_from_doc(serialize.sheet_to_doc(forged))
-    with pytest.raises(ValueError, match="Gelfand ideal"):
-        verify_homotopy(back, loop, modulus=1e-9)
+    for recipe in (forged, back):
+        report = verify_homotopy(recipe, loop, modulus=1e-9)
+        assert not report.passed
+        assert [v[:2] for v in report.violations] == [
+            *(("non-finite", (1 + h, 4)) for h in halves), ("unsafe", (0, 0, 4))]
 
 
 def test_verifier_flags_a_scaled_unitary_on_a_moving_loop(pure_sheet):
@@ -1054,6 +1066,21 @@ def test_loop_from_doc_rejects_garbage():
     for n in (2.7, 2.0, "2", True):
         with pytest.raises(ValueError, match="'n' must be an integer"):
             serialize.loop_from_doc({"n": n, "samples": samples})
+    # every matrix entry is a JSON number, never a string or a bool
+    for pair in (["1", False], [True, 0]):
+        forged = copy.deepcopy(samples)
+        forged[0][0][0] = pair
+        with pytest.raises(ValueError, match="matrix entries must be numbers"):
+            serialize.loop_from_doc({"n": 2, "samples": forged})
+
+
+@pytest.mark.parametrize("name", ["pure", "plateau", "seed2", "seed7", "n4"])
+def test_every_contracted_cell_is_a_state(name):
+    # sheet_blocks judges no cell; the contractor's cells pass the same
+    # validation as a single DensityState
+    _, sheet = _contracted(name)
+    for block in homotopy.sheet_blocks(sheet):
+        validate_densities(block)
 
 
 def test_purity_preserved_along_pure_columns():

@@ -8,7 +8,6 @@ from phaselab.states import (
     STATE_HERM_TOL,
     STATE_TRACE_TOL,
     DensityState,
-    GelfandIdealError,
     basis_state,
     gns,
     maximally_mixed,
@@ -98,9 +97,10 @@ def test_act_basics():
 
 
 def test_act_gelfand_ideal_error():
+    # the projector onto e1 annihilates e0: the normalizer is 0, so the
+    # cell is non-finite, for the verifier to flag
     p1 = np.diag([0.0, 1.0]).astype(complex)
-    with pytest.raises(GelfandIdealError):
-        act(p1, basis_state(2, 0).rho)
+    assert not np.isfinite(act(p1, basis_state(2, 0).rho)).any()
 
 
 def test_act_composition():
@@ -394,7 +394,9 @@ def test_act_batch_matches_single_calls():
             b = s[k, t] * ops[t] + (1.0 - s[k, t]) * eye(3)
             direct = b @ rhos[t] @ b.conj().T
             assert np.max(np.abs(out[k, t] - direct / np.trace(direct).real)) < 1e-12
-    # the projector onto e1 annihilates the basepoint: the batch raises for it
+    # the projector onto e1 annihilates the basepoint: its column of the
+    # batch is non-finite, and the identity's column is the basepoint
     p1 = np.diag([0.0, 1.0]).astype(complex)
-    with pytest.raises(GelfandIdealError):
-        _stage_rows(pencil(np.array([np.eye(2), p1]), basis_state(2).rho), np.ones((1, 2)))
+    (row,) = _stage_rows(pencil(np.array([np.eye(2), p1]), basis_state(2).rho), np.ones((1, 2)))
+    assert np.array_equal(row[0], basis_state(2).rho)
+    assert not np.isfinite(row[1]).any()
