@@ -5,11 +5,11 @@ the action of explicit operator families: unitary eigenvector transport
 (with a disk phase lift to keep linear interpolations outside the Gelfand
 ideal), compression onto nested corner blocks, and a verifier that
 certifies the resulting two-parameter sheet cell by cell. A sheet is held
-as its recipe, which is what a sheet document stores: the input loop and,
-per level k on the corner block b = n - k, its T unitaries and the s tables
-of its two stages, the unitaries' and the corner projection P^b_1's. Its
-cells are evaluated one stage at a time (sheet_blocks), and the verifier
-checks each stage's block of rows as it comes.
+as its recipe, which is what a sheet document stores: per level k on the
+corner block b = n - k, its T unitaries and the s tables of its two stages,
+the unitaries' and the corner projection P^b_1's. Its cells are evaluated
+on the loop it is given, row 0, one stage at a time (sheet_blocks), and
+the verifier checks each stage's block of rows as it comes.
 """
 
 from __future__ import annotations
@@ -33,8 +33,8 @@ SAFETY_FLOOR = 1e-10
 BOUNDARY_RADIUS = 1.0 - 1e-9
 BASEPOINT_TOL = 1e-9
 OPERATOR_TOL = 1e-9
-# The verifier's gates on cells (state, edge columns, last row) and on row 0
-CELL_TOL, ROW0_TOL = 1e-8, 1e-10
+# The verifier's gate on cells (state, edge columns, last row)
+CELL_TOL = 1e-8
 # Fine samples of the pre-pass per row of its s table (48 at least), and
 # the fewest rows a stage takes.
 FINE_MULT = 6
@@ -51,10 +51,10 @@ S_DEN = 2**16
 ARC_FLOOR, ROUNDING_ARC = 1e-7, 1e-13
 # Bytes a sheet may hold (_held_bytes): its recipe and BLOCK_COPIES blocks
 # of its stage of most rows. Beyond the recipe, tracemalloc reads a
-# contraction's pre-pass at 2.0 to 3.2 blocks and a verification at 4.2 to
-# 5.0 (n = 2 to 40, 17 to 901 samples). The count covers arrays only: on
+# contraction's pre-pass at 2.0 to 3.2 blocks and a verification at 3.6 to
+# 4.7 (n = 2 to 40, 17 to 901 samples). The count covers arrays only: on
 # sheets under about 1 MB, tracemalloc's fixed overhead can exceed it
-# (constant_loop(2, 16) reads 69 KB against a count of 65 KB).
+# (constant_loop(2, 16) reads 65,445 B against a count of 65,280 B).
 MAX_SHEET_BYTES, BLOCK_COPIES = 2**28, 7
 
 
@@ -125,12 +125,15 @@ def _stages(n: int, levels: list) -> Iterator[tuple]:
         yield k, 1, b, projection_matrix(b, 1), level.s_projection
 
 
-def _recipe_rows(n: int, t_count: int, levels: list) -> int:
-    """Rows of the sheet a recipe expands to, counting row 0; raises
-    ValueError for a recipe whose shapes do not fit n and t_count."""
+def _recipe_rows(n: int, levels: list) -> int:
+    """Rows of the sheet a recipe expands to, counting row 0, over the T
+    columns of its level 0 unitaries; raises ValueError for a recipe whose
+    shapes do not fit n and T."""
+    if n < 2:
+        raise ValueError(f"a recipe is on M_n with n >= 2, got n = {n}")
     if len(levels) != n - 1:
         raise ValueError(f"a recipe on M_{n} has {n - 1} levels, got {len(levels)}")
-    rows = 1
+    t_count, rows = len(levels[0].unitaries), 1
     for k, level in enumerate(levels):
         if level.unitaries.shape != (t_count, n - k, n - k):
             raise ValueError(f"level {k} unitaries of shape {level.unitaries.shape}, "
@@ -144,42 +147,37 @@ def _recipe_rows(n: int, t_count: int, levels: list) -> int:
 
 @dataclass
 class HomotopySheet:
-    """An S x T grid of states, held as the recipe that generates it: row 0
-    is the input loop, a (T, n, n) density stack, and the n - 1 `levels`
-    (Level) give the later rows in order. Its cells are never held at
-    once; sheet_blocks evaluates them a stage at a time. A recipe whose
-    shapes do not fit n and T, or over MAX_SHEET_BYTES, raises ValueError."""
+    """An S x T grid of states, held as the recipe that generates it from
+    row 0, the loop it is expanded on: the n - 1 `levels` (Level), whose
+    unitaries give T. Its cells are never held at once; sheet_blocks
+    evaluates them a stage at a time. A recipe whose shapes do not fit n,
+    or over MAX_SHEET_BYTES, raises ValueError."""
 
     n: int
-    loop: np.ndarray
     levels: list
 
     def __post_init__(self):
-        self.loop = np.asarray(self.loop, dtype=np.complex128)
-        if self.loop.ndim != 3 or self.loop.shape[1:] != (self.n, self.n):
-            raise ValueError(f"a sheet's loop must have shape (T, {self.n}, {self.n})")
-        _recipe_rows(self.n, len(self.loop), self.levels)
-        _check_sheet_budget(self.held_bytes)
+        _check_sheet_budget(self.held_bytes)  # held_bytes reads shape, which checks the recipe
 
     @property
     def shape(self) -> tuple[int, int]:
-        return _recipe_rows(self.n, len(self.loop), self.levels), len(self.loop)
+        return _recipe_rows(self.n, self.levels), len(self.levels[0].unitaries)
 
     @property
     def held_bytes(self) -> int:
         """The bytes the budget counts for this sheet (_held_bytes)."""
-        return _held_bytes(self.n, len(self.loop), [len(s) for lv in self.levels for s in lv[1:]])
+        return _held_bytes(self.n, self.shape[1], [len(s) for lv in self.levels for s in lv[1:]])
 
 
 def _held_bytes(n: int, t_count: int, rows: list) -> int:
     """The most a sheet on M_n over t_count columns holds, for the rows of
-    its 2(n - 1) stages: its recipe (loop, unitaries and s tables) and
-    BLOCK_COPIES blocks of cells of its stage of most rows, which bound a
-    contraction's pre-pass (_interp_rows) and a verification's block and
-    temporaries alike."""
+    its 2(n - 1) stages: its recipe (unitaries and s tables), the loop that
+    a contraction and a verification hold, and BLOCK_COPIES blocks of cells
+    of its stage of most rows, which bound a contraction's pre-pass
+    (_interp_rows) and a verification's block and temporaries alike."""
     unitaries = sum(t_count * b * b * 16 for b in range(2, n + 1))
-    recipe = t_count * n * n * 16 + unitaries + sum(rows) * t_count * 8
-    return recipe + BLOCK_COPIES * max(rows, default=1) * t_count * n * n * 16
+    held = t_count * n * n * 16 + unitaries + sum(rows) * t_count * 8  # the loop and the recipe
+    return held + BLOCK_COPIES * max(rows, default=1) * t_count * n * n * 16
 
 
 def _check_sheet_budget(held: int) -> None:
@@ -432,13 +430,14 @@ def _rectify(rhos: np.ndarray, target: float, admit):
 
     Eigenvector-transport unitaries come first, each checked unitary
     before the disk phase lift of t -> omega_t(U_t) that keeps the unitary
-    interpolation outside every Gelfand ideal; then the linear interpolations with s lambda_t U_t and
-    with s P^b_1. Every interpolation is certified by its exact safety
-    minimum over s in [0, 1], and its rows step by about `target`. Each
-    stage's last row is built once, from the pencil that certifies the
-    stage, at s = 1 as the expansion builds it (_stage_rows); it measures
-    the stage's movement and is the next stage's input. Each stage's rows
-    pass through admit, which may refuse them, before its pre-pass.
+    interpolation outside every Gelfand ideal; then the linear
+    interpolations with s lambda_t U_t and with s P^b_1. Every one is
+    certified by its exact safety minimum over s in [0, 1], and its rows
+    step by about `target`. Each stage's last row is built once, from the
+    pencil that certifies the stage, at s = 1 as the expansion builds it
+    (_stage_rows); it measures the stage's movement and is the next stage's
+    input. Each stage's rows pass through admit, which may refuse them,
+    before its pre-pass.
     """
     n, ones = rhos.shape[-1], np.ones((1, len(rhos)))
 
@@ -482,16 +481,19 @@ def _compress(rhos: np.ndarray, block: int) -> np.ndarray:
     return (rho + rho.conj().swapaxes(-1, -2)) / 2
 
 
-def sheet_blocks(sheet: HomotopySheet) -> Iterator[np.ndarray]:
-    """A sheet's cells, one stage at a time: row 0, the loop, as a block of
-    one row, then each stage's rows (rows, T, n, n) in order. Each level
-    below M_n takes its input from the last row so far, compressed to its
-    corner block (_compress); each of its stages evaluates its pencil on the
-    last row of the stage before at its s table (_stage_rows); and its rows
-    are zero-padded into the n x n corner. Every cell is made here, so a
-    sheet read back from its document expands to the contractor's cells bit
-    for bit. Nothing here judges a cell: verify_homotopy does."""
-    n, rhos = sheet.n, sheet.loop  # the last row so far, on its block
+def sheet_blocks(sheet: HomotopySheet, loop: StateLoop) -> Iterator[np.ndarray]:
+    """A sheet's cells on `loop`, one stage at a time: row 0, the loop, as a
+    block of one row, then each stage's rows (rows, T, n, n) in order. Each
+    level below M_n takes its input from the last row so far, compressed to
+    its corner block (_compress); each of its stages evaluates its pencil on
+    the last row of the stage before at its s table (_stage_rows); and its
+    rows are zero-padded into the n x n corner. Every cell is made here, so
+    a sheet read back from its document expands on its input loop to the
+    contractor's cells bit for bit. A loop whose n or T the recipe does not
+    fit raises ValueError. Nothing here judges a cell: verify_homotopy does."""
+    n, rhos = sheet.n, loop.rhos  # the last row so far, on its block
+    if rhos.shape != (sheet.shape[1], n, n):
+        raise ValueError(f"a recipe on M_{n} over {sheet.shape[1]} columns does not fit {rhos.shape}")
     yield rhos[None]
     for _, stage, b, ops, s in _stages(n, sheet.levels):
         if stage == 0 and b < n:
@@ -536,7 +538,7 @@ def contract_loop(loop: StateLoop) -> HomotopySheet:
         level, rhos = _rectify(rhos, target, admit)
         levels.append(level)
         _check_based(rhos)
-    return HomotopySheet(n, loop.rhos, levels)
+    return HomotopySheet(n, levels)
 
 
 @dataclass
@@ -572,32 +574,33 @@ def _largest(best: tuple, steps: np.ndarray, row: int) -> tuple:
 
 
 def verify_homotopy(sheet: HomotopySheet, input_loop: StateLoop, modulus: float) -> VerifyReport:
-    """Certify a contraction sheet in one pass over its stage blocks
-    (sheet_blocks), holding one block and the row before it; it is the only
-    judge of the cells. The cells: every cell a state to CELL_TOL, row 0
-    within ROW0_TOL of the input, the basepoint columns constant, the final
-    row constant at the basepoint, and all adjacent-cell steps within the
-    modulus. The recipe: every unitary a unitary to OPERATOR_TOL; every s
-    in [0, 1] and each stage's last row at s = 1; and the exact safety
+    """Certify the contraction of `input_loop` by the recipe `sheet` in one
+    pass over its stage blocks on that loop (sheet_blocks), holding one
+    block and the row before it; a recipe whose n or T does not fit the
+    loop raises ValueError. It is the only judge of the cells: every cell a
+    state to CELL_TOL, the basepoint columns constant, the final row
+    constant at the basepoint, and all adjacent-cell steps within the
+    modulus. The recipe: every unitary a unitary to OPERATOR_TOL; every
+    s in [0, 1] and each stage's last row at s = 1; and the exact safety
     minimum (safety_min) of every column above SAFETY_FLOOR on the stage's
     input as the streamed rows hold it, except in columns whose input is
-    not finite, so a recipe in a Gelfand ideal fails as "unsafe".
-    A cell with a NaN or infinite entry is one "non-finite" violation,
-    valued by the count of such entries; it is zeroed for, and skipped by,
-    the rest. Violations are listed by kind, each kind in C order of its
-    cell; the recipe's come last, stage by stage, at (level, stage, column)
-    indices into the recipe. The negative-eigenvalue scan is
-    linalg.min_eigenvalues at CELL_TOL: the LDLᴴ certificate clears a cell
-    without LAPACK, and each cell it does not clear takes eigvalsh, which
-    decides it and gives a violation's value."""
+    not finite, so a recipe in a Gelfand ideal fails as "unsafe". A cell
+    with a NaN or infinite entry is one "non-finite" violation, valued by
+    the count of such entries; it is zeroed for, and skipped by, the rest.
+    Violations are listed by kind, each kind in C order of its cell; the
+    recipe's come last, stage by stage, at (level, stage, column) indices
+    into the recipe. The negative-eigenvalue scan is linalg.min_eigenvalues
+    at CELL_TOL: the LDLᴴ certificate clears a cell without LAPACK, and
+    each cell it does not clear takes eigvalsh, which decides it and gives
+    a violation's value."""
     n, (s_dim, t_dim) = sheet.n, sheet.shape
     base = basis_state(n).rho
     found: dict = {kind: [] for kind in ("non-finite", "non-hermitian", "trace", "negative-eigenvalue",
-                                         "row0-mismatch", "left-column", "right-column")}
+                                         "left-column", "right-column")}
     recipe = []
     step_t = step_s = (0.0, (0, 0))  # the largest step along t and along s, at its cell
     safety: tuple = (None, None)
-    blocks = sheet_blocks(sheet)  # pulled by next(), so no iterator holds a block past its turn
+    blocks = sheet_blocks(sheet, input_loop)  # pulled by next(), so no iterator holds a block past its turn
     prev, prev_ok, row = None, None, 0
     for at_stage in [None, *_stages(n, sheet.levels)]:  # row 0 has no stage
         block = next(blocks)
@@ -632,12 +635,9 @@ def verify_homotopy(sheet: HomotopySheet, input_loop: StateLoop, modulus: float)
         traces = np.abs(np.einsum("stii->st", block) - 1.0)
         found["trace"] += _flags("trace", traces, (traces > CELL_TOL) & ok, CELL_TOL, at)
         neg = -min_eigenvalues((block + adj) / 2, CELL_TOL)
+        del adj  # read by nothing after the scan, so the step checks peak without it
         found["negative-eigenvalue"] += _flags("negative-eigenvalue", neg, neg > CELL_TOL, CELL_TOL, at)
-        if prev is None:
-            row0 = trace_norm(block[0] - input_loop.rhos)
-            found["row0-mismatch"] = _flags("row0-mismatch", row0, (row0 > ROW0_TOL) & ok[0], ROW0_TOL,
-                                            lambda t: (0, t))
-        else:
+        if row:  # the steps from the row before the block
             steps = np.where(ok[0] & prev_ok, trace_norm(block[0] - prev), 0.0)
             step_s = _largest(step_s, steps[None], row - 1)
         steps = np.where(ok[1:] & ok[:-1], trace_norm(block[1:] - block[:-1]), 0.0)
@@ -650,7 +650,7 @@ def verify_homotopy(sheet: HomotopySheet, input_loop: StateLoop, modulus: float)
                                    lambda s: (row + s, col))
         prev, prev_ok = block[-1].copy(), ok[-1]
         row += len(block)
-        del block, adj
+        del block
 
     violations = [v for kind in found.values() for v in kind]
     last = trace_norm(prev - base[None])

@@ -2,16 +2,17 @@
 
 Matrices are row-major nested arrays of [re, im] pairs. Loops are
 {n, samples: [matrix, ...]}. A sheet document holds the contraction's
-recipe, not its cells: {n, s_den, loop: [matrix, ...], levels:
-[{unitaries, s_unitary, s_projection}, ...]}, with level k on the corner
-block b = n - k: its T unitaries and the rows x T tables of interpolation
+recipe, not its cells and not its loop: {n, s_den, levels: [{unitaries,
+s_unitary, s_projection}, ...]}, with level k on the corner block
+b = n - k: its T unitaries and the rows x T tables of interpolation
 parameters of its unitary and projection stages. Every s is a multiple of
 1 / s_den, s_den = homotopy.S_DEN = 65536, and its table holds the integer
 numerators; dividing them by the power of two s_den gives back the
 contractor's s bit for bit. The block and the projection P^b_1 are
 implied, never stored. Reading a sheet document gives the recipe, a
-homotopy.HomotopySheet, without expanding it. All documents are UTF-8
-JSON, written compactly with sorted keys.
+homotopy.HomotopySheet, without expanding it; it is expanded, and
+verified, on the loop document's loop. All documents are UTF-8 JSON,
+written compactly with sorted keys.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from itertools import chain
 import numpy as np
 
 from .homotopy import S_DEN, HomotopySheet, Level, StateLoop
-from .states import validate_densities
 
 
 def encode_matrix(m: np.ndarray) -> list:
@@ -70,16 +70,16 @@ def loop_from_doc(doc: dict) -> StateLoop:
 
 
 def sheet_to_doc(sheet: HomotopySheet) -> dict:
-    """The sheet's recipe: its input loop (row 0), its levels, and s_den.
-    A NaN or infinite entry, which JSON cannot hold, or an s off the grid
-    of multiples of 1 / S_DEN raises ValueError."""
+    """The sheet's recipe: its levels and s_den, and no loop. A NaN or
+    infinite entry, which JSON cannot hold, or an s off the grid of
+    multiples of 1 / S_DEN raises ValueError."""
     _check_finite(sheet)
     levels = [
         {"unitaries": encode_matrix(lv.unitaries), "s_unitary": _numerators(lv.s_unitary),
          "s_projection": _numerators(lv.s_projection)}
         for lv in sheet.levels
     ]
-    return {"n": sheet.n, "s_den": S_DEN, "loop": encode_matrix(sheet.loop), "levels": levels}
+    return {"n": sheet.n, "s_den": S_DEN, "levels": levels}
 
 
 def _numerators(s: np.ndarray) -> list:
@@ -108,34 +108,30 @@ def _level(doc: dict) -> Level:
 
 
 def sheet_from_doc(doc: dict) -> HomotopySheet:
-    """Decode a sheet document into its recipe, unexpanded: the loop is
-    validated as states, the recipe's shapes against it, and every entry
-    must be finite. The other cells are judged by verify_homotopy."""
+    """Decode a sheet document into its recipe, unexpanded: its shapes must
+    fit n and every entry must be finite. Its cells are judged by
+    verify_homotopy, on the loop it is handed."""
     try:
+        if sorted(doc) != ["levels", "n", "s_den"]:
+            raise ValueError("a sheet document holds 'n', 's_den' and 'levels' since the format "
+                             f"changed, got {sorted(doc)}")
         n = _integer(doc, "n")
-        if "s_den" not in doc:
-            raise ValueError("no 's_den': s tables hold integer numerators over 's_den' "
-                             "since the format changed")
         if _integer(doc, "s_den") != S_DEN:
             raise ValueError(f"'s_den' must be {S_DEN}, got {doc['s_den']}")
-        loop = decode_matrix(doc["loop"])
         levels = [_level(level) for level in doc["levels"]]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed sheet document: {exc}") from exc
-    if loop.ndim != 3 or loop.shape[-1] != n:
-        raise ValueError(f"malformed sheet document: the loop is not a stack of states on M_{n}")
-    sheet = HomotopySheet(n, validate_densities(loop), levels)
-    _check_finite(sheet)
-    return sheet
+    return _check_finite(HomotopySheet(n, levels))
 
 
 def dumps(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
-def _check_finite(sheet: HomotopySheet):
-    if not all(np.isfinite(a).all() for a in [sheet.loop, *(a for lv in sheet.levels for a in lv)]):
+def _check_finite(sheet: HomotopySheet) -> HomotopySheet:
+    if not all(np.isfinite(a).all() for lv in sheet.levels for a in lv):
         raise ValueError("sheet has non-finite entries")
+    return sheet
 
 
 def write_sheet(path: str, sheet: HomotopySheet):

@@ -17,15 +17,19 @@ INF = inf
 
 
 def factorize(n: int) -> dict[int, int]:
+    """{prime: exponent} of n >= 1, by trial division up to 10^6; a part of
+    n then left over 10^12, which could be composite, raises ValueError."""
     if n < 1:
         raise ValueError("factorize expects a positive integer")
     out: dict[int, int] = {}
-    d = 2
-    while d * d <= n:
+    d, whole = 2, n
+    while d * d <= n and d <= 10**6:
         while n % d == 0:
             out[d] = out.get(d, 0) + 1
             n //= d
         d += 1 if d == 2 else 2
+    if n > 10**12:
+        raise ValueError(f"cannot factor {whole}: trial division up to 10^6 leaves {n} > 10^12")
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out

@@ -446,6 +446,26 @@ def test_supernatural_names_a_zero_denominator(capsys):
     assert capsys.readouterr().err == "error: '1/0' has a zero denominator\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["--type", "2", "--contains", "1/1000000000000000003"], ["--type", "1000000000000000003"]],
+    ids=["contains", "type"],
+)
+def test_supernatural_refuses_a_number_it_cannot_factor(capsys, argv):
+    # a prime over 10^12 is left after trial division up to 10^6, which
+    # cannot tell it from a composite; it is refused at once, not factored
+    assert main(["supernatural", *argv]) == 3
+    assert capsys.readouterr().err == ("error: cannot factor 1000000000000000003: trial division "
+                                       "up to 10^6 leaves 1000000000000000003 > 10^12\n")
+
+
+def test_supernatural_factors_a_large_power_of_two(capsys):
+    code, report = run(capsys, "supernatural", "--type", "2", "--tail-ratio", "2",
+                       "--contains", "1/1125899906842624", "--no-timestamp")
+    assert code == 0
+    assert report["q_contains"] == {"1/1125899906842624": True}  # 2^50
+
+
 def test_supernatural_caps_the_table(capsys):
     from phaselab.supernatural import MAX_TABLE_K
 

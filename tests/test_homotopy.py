@@ -147,26 +147,27 @@ def test_safety_min_is_the_exact_minimum(n, kind, seed, angle, weight):
     assert abs(min_value - value(s_at_min)) < 1e-12
 
 
-def _level_last_rows(sheet: HomotopySheet) -> list:
-    """The last row of each level of a contraction sheet."""
-    rows, row = [], 0
+def _level_last_rows(sheet: HomotopySheet, loop: StateLoop) -> list:
+    """The last row of each level of a contraction sheet on `loop`."""
+    rows, row, arr = [], 0, cells(sheet, loop)
     for level in sheet.levels:
         row += len(level.s_unitary) + len(level.s_projection)
-        rows.append(cells(sheet)[row])
+        rows.append(arr[row])
     return rows
 
 
 def test_rectify_constant_loop_is_constant():
-    sheet = contract_loop(constant_loop(3, 16))
+    loop = constant_loop(3, 16)
+    sheet = contract_loop(loop)
     base = basis_state(3)
-    for row in cells(sheet):
+    for row in cells(sheet, loop):
         for rho in row:
             assert np.max(np.abs(rho - base.rho)) < 1e-12
 
 
 def test_rectify_pure_loop():
-    sheet = contract_loop(bundled_pure_loop(320))
-    (out,) = _level_last_rows(sheet)  # n = 2: one level
+    loop = bundled_pure_loop(320)
+    (out,) = _level_last_rows(contract_loop(loop), loop)  # n = 2: one level
     p = projection_matrix(2, 1)
     for s in map(DensityState, out):
         assert abs(s.expect(p).real - 1) < 1e-8
@@ -177,8 +178,8 @@ def test_rectify_pure_loop():
 
 
 def test_rectify_plateau_loop_kills_last_row():
-    sheet = contract_loop(bundled_plateau_loop())
-    out = _level_last_rows(sheet)[0]  # the first level acts on all of M_3
+    loop = bundled_plateau_loop()
+    out = _level_last_rows(contract_loop(loop), loop)[0]  # the first level acts on all of M_3
     p = projection_matrix(3, 1)
     for s in map(DensityState, out):
         assert abs(s.expect(p).real - 1) < 1e-8
@@ -195,9 +196,10 @@ def test_rectify_rejects_coarse_loops():
 
 
 def test_sheet_boundary_exactness():
-    sheet = contract_loop(bundled_pure_loop(320))
+    loop = bundled_pure_loop(320)
+    sheet = contract_loop(loop)
     base = basis_state(2)
-    arr = cells(sheet)
+    arr = cells(sheet, loop)
     for row in arr:
         assert np.max(np.abs(row[0] - base.rho)) < 1e-10
         assert np.max(np.abs(row[-1] - base.rho)) < 1e-10
@@ -222,7 +224,7 @@ def test_contract_loop_verifies(make_loop):
     report = verify_homotopy(sheet, loop, modulus=5 * loop.max_step)
     assert report.passed, report.violations[:5]
     base = basis_state(loop.n)
-    for rho in cells(sheet)[-1]:
+    for rho in cells(sheet, loop)[-1]:
         assert np.max(np.abs(rho - base.rho)) < 1e-10
 
 
@@ -290,7 +292,7 @@ def test_contract_constant_loop_trivial_sheet():
     loop = constant_loop(2, 12)
     sheet = contract_loop(loop)
     base = basis_state(2)
-    for row in cells(sheet):
+    for row in cells(sheet, loop):
         for rho in row:
             assert np.max(np.abs(rho - base.rho)) < 1e-12
     report = verify_homotopy(sheet, loop, modulus=1e-9)
@@ -388,12 +390,12 @@ def _traced_contract_and_verify(loop) -> tuple:
     ids=["constant-n10-T101", "random-n8-T151", "constant-n40-T17"],
 )
 def test_contraction_and_verification_stay_within_the_count(make_loop, monkeypatch):
-    # the verification weighs most, at 5.5 blocks of a stage's 8 rows against
-    # the contraction's 2.2 to 3.2. At n = 40 and 17 samples the sheet has
-    # 625 rows of 8 a stage: gathering its edge columns to check them last
-    # peaked at 76.6 MB, against a count of 31.3 MB. A budget of exactly the
-    # sheet's count admits the loop, and the contraction and verification
-    # together stay within it.
+    # the verification weighs most, at 3.9 to 4.0 blocks of a stage's 8 rows
+    # against the contraction's 2.0 to 3.2. At n = 40 and 17 samples the
+    # sheet has 625 rows of 8 a stage: gathering its edge columns to check
+    # them last peaked at 76.6 MB, against a count of 31.3 MB. A budget of
+    # exactly the sheet's count admits the loop, and the contraction and
+    # verification together stay within it.
     loop = make_loop()
     held = contract_loop(loop).held_bytes
     monkeypatch.setattr(homotopy, "MAX_SHEET_BYTES", held)
@@ -426,29 +428,14 @@ def test_loop_and_sheet_serialization_roundtrip():
     sdoc = serialize.sheet_to_doc(sheet)
     back_sheet = serialize.sheet_from_doc(sdoc)
     assert back_sheet.shape == sheet.shape
-    assert np.array_equal(cells(back_sheet), cells(sheet))
-
-
-def test_sheet_from_doc_validates_every_cell():
-    doc = serialize.sheet_to_doc(contract_loop(constant_loop(2, 6)))
-    last = doc["loop"][-1]
-    last[0][0] = [0.7, 0.0]  # trace now 0.7
-    with pytest.raises(ValueError) as got:
-        serialize.sheet_from_doc(doc)
-    with pytest.raises(ValueError) as want:
-        DensityState(serialize.decode_matrix(last))
-    assert str(got.value) == str(want.value)
-    doc["loop"][0] = [[1.0, 0.0]]  # ragged
-    with pytest.raises(ValueError):
-        serialize.sheet_from_doc(doc)
+    assert np.array_equal(cells(back_sheet, loop), cells(sheet, loop))
 
 
 def test_sheet_from_doc_rejects_a_nan_cell():
-    # a NaN in the loop or in an operator makes a NaN cell; an s table
-    # holds integers, so a NaN there is refused as a non-integer numerator
+    # a NaN in an operator makes a NaN cell; an s table holds integers, so
+    # a NaN there is refused as a non-integer numerator
     sheet = contract_loop(constant_loop(2, 6))
     for forge, message in (
-        (lambda doc: doc["loop"][2][0].__setitem__(1, [float("nan"), 0.0]), "non-finite"),
         (lambda doc: doc["levels"][0]["unitaries"][3][1].__setitem__(1, [float("nan"), 0.0]),
          "non-finite"),
         (lambda doc: doc["levels"][0]["s_projection"][2].__setitem__(4, float("nan")),
@@ -468,7 +455,9 @@ def test_sheet_from_doc_rejects_a_nan_cell():
         (lambda doc: doc["levels"].append(doc["levels"][0]), "has 1 levels, got 2"),
         (lambda doc: doc["levels"][0].__setitem__("unitaries", serialize.encode_matrix(
             np.repeat(np.eye(3)[None], 7, axis=0))), r"shape \(7, 3, 3\), not \(7, 2, 2\)"),
-        (lambda doc: doc["levels"][0]["unitaries"].pop(), "unitaries of shape"),
+        # level 0's unitaries give T, so the s tables are over one column too many
+        (lambda doc: doc["levels"][0]["unitaries"].pop(),
+         r"s table of shape \(\d+, 7\) over 6 columns"),
         (lambda doc: doc["levels"][0]["s_projection"][0].pop(), "malformed sheet"),
         (lambda doc: doc["levels"][0].__setitem__("s_projection", []), "s table"),
         (lambda doc: doc.pop("levels"), "malformed sheet"),
@@ -492,13 +481,20 @@ def test_sheet_from_doc_rejects_malformed_recipes(forge, message):
 def test_sheet_from_doc_refuses_the_earlier_format():
     # levels of {block, stages: [{kind, ops, s}, ...]}, which stored the
     # block and the projection operator, are refused with the reason
-    doc = serialize.sheet_to_doc(contract_loop(constant_loop(2, 6)))
+    loop = constant_loop(2, 6)
+    doc = serialize.sheet_to_doc(contract_loop(loop))
     (level,) = doc["levels"]
     doc["levels"] = [{"block": 2, "stages": [
         {"kind": "unitary", "ops": level["unitaries"], "s": level["s_unitary"]},
         {"kind": "projection", "ops": serialize.encode_matrix(projection_matrix(2, 1)),
          "s": level["s_projection"]}]}]
     with pytest.raises(ValueError, match="the format changed"):
+        serialize.sheet_from_doc(doc)
+    # so is a document that still stores its input loop beside the recipe
+    doc = serialize.sheet_to_doc(contract_loop(loop))
+    doc["loop"] = serialize.encode_matrix(loop.rhos)
+    with pytest.raises(ValueError, match=r"holds 'n', 's_den' and 'levels' since the format "
+                                         r"changed, got \['levels', 'loop', 'n', 's_den'\]"):
         serialize.sheet_from_doc(doc)
 
 
@@ -514,8 +510,8 @@ def _float_s_tables(doc):
 @pytest.mark.parametrize(
     "forge, message",
     [
-        (_float_s_tables, "no 's_den'.*the format changed"),
-        (lambda doc: doc.pop("s_den"), "no 's_den'.*the format changed"),
+        (_float_s_tables, r"the format changed, got \['levels', 'n'\]"),
+        (lambda doc: doc.pop("s_den"), r"the format changed, got \['levels', 'n'\]"),
         (lambda doc: doc.__setitem__("s_den", 1000), "'s_den' must be 65536, got 1000"),
         (lambda doc: doc.__setitem__("s_den", 65536.0), "'s_den' must be an integer"),
         (lambda doc: doc["levels"][0]["s_unitary"][0].__setitem__(2, 0.5),
@@ -575,7 +571,8 @@ def pure_sheet():
 
 @pytest.mark.parametrize(
     "kind, cell",
-    [("row0-mismatch", (0, 150)), ("left-column", (20, 0)), ("right-column", (20, -1)),
+    # row 0 is the input loop by construction, and its cells are checked too
+    [("left-column", (0, 0)), ("left-column", (20, 0)), ("right-column", (20, -1)),
      ("final-row", (-1, 150))],
 )
 def test_verifier_names_each_boundary_check_at_an_int_cell(pure_sheet, monkeypatch, kind, cell):
@@ -601,7 +598,7 @@ def test_write_sheet_matches_dumps(pure_sheet, tmp_path):
     doc = serialize.sheet_to_doc(pure_sheet)
     assert path.read_text(encoding="utf-8") == serialize.dumps(doc) + "\n"
     # the document is the recipe, not the cells
-    assert sorted(doc) == ["levels", "loop", "n", "s_den"]
+    assert sorted(doc) == ["levels", "n", "s_den"]
     (level,) = doc["levels"]
     assert sorted(level) == ["s_projection", "s_unitary", "unitaries"]
     assert np.array(level["unitaries"]).shape == (401, 2, 2, 2)
@@ -624,20 +621,19 @@ def test_written_sheet_reads_back_bitwise(pure_sheet, tmp_path):
     for got, want in zip(back.levels, pure_sheet.levels, strict=True):
         for a, b in zip(got, want, strict=True):
             assert np.array_equal(a, b)
-    assert np.array_equal(cells(back), cells(pure_sheet))
+    loop = bundled_pure_loop()
+    assert np.array_equal(cells(back, loop), cells(pure_sheet, loop))
 
 
 def test_write_sheet_rejects_non_finite_before_writing(tmp_path):
-    # a NaN in the loop, or an infinity in an operator or an s table
+    # an infinity in an operator or an s table
     sheet = contract_loop(constant_loop(2, 6))
-    loop = sheet.loop.copy()
-    loop[3, 1, 1] = np.nan
-    forged = [HomotopySheet(2, loop, sheet.levels)]
     (level,) = sheet.levels
+    forged = []
     for field in Level._fields:
         array = getattr(level, field).copy()
         array.reshape(-1)[-1] = np.inf
-        forged.append(HomotopySheet(2, sheet.loop, [level._replace(**{field: array})]))
+        forged.append(HomotopySheet(2, [level._replace(**{field: array})]))
     path = tmp_path / "sheet.json"
     for bad in forged:
         with pytest.raises(ValueError, match="non-finite"):
@@ -664,8 +660,35 @@ def test_read_back_cells_equal_the_contractors(name, tmp_path):
     path = tmp_path / "sheet.json"
     serialize.write_sheet(str(path), sheet)
     back = serialize.sheet_from_doc(serialize.read_doc(str(path)))
-    assert np.array_equal(cells(back), cells(sheet))
+    assert np.array_equal(cells(back, loop), cells(sheet, loop))
     assert verify_homotopy(back, loop, 5 * loop.max_step).passed
+
+
+@pytest.mark.parametrize(
+    "other",
+    [lambda: random_based_loop(4, 2, 700), lambda: random_based_loop(3, 2, 699)],
+    ids=["other-n", "other-T"],
+)
+def test_verifier_refuses_a_loop_the_recipe_does_not_fit(other):
+    # a recipe is expanded on the loop it is handed, which must have its n and T
+    _, sheet = _contracted("seed2")
+    loop = other()
+    with pytest.raises(ValueError, match=r"a recipe on M_3 over 701 columns does not fit"):
+        verify_homotopy(sheet, loop, 5 * loop.max_step)
+    with pytest.raises(ValueError, match="does not fit"):
+        cells(sheet, loop)
+
+
+def test_a_recipe_certifies_only_its_own_loop():
+    # seed 2's recipe expanded on the seed-7 loop, of the same n and T: row
+    # 0 is the seed-7 loop by construction, and the sheet over it fails
+    _, sheet = _contracted("seed2")
+    loop, own = _contracted("seed7")
+    assert verify_homotopy(own, loop, 5 * loop.max_step).passed
+    report = verify_homotopy(sheet, loop, 5 * loop.max_step)
+    assert not report.passed
+    assert report.max_cell_step > 1.0
+    assert [v[0] for v in report.violations] == ["step-modulus"]
 
 
 def _stage_recipes(sheet):
@@ -676,10 +699,10 @@ def _stage_recipes(sheet):
         yield projection_matrix(sheet.n - k, 1), level.s_projection
 
 
-def _stage_inputs(sheet):
+def _stage_inputs(sheet, loop):
     """(operators, s table, input densities (T, b, b)) for every stage of
-    a sheet."""
-    arr, row = cells(sheet), 0
+    a sheet on `loop`."""
+    arr, row = cells(sheet, loop), 0
     for i, (ops, s) in enumerate(_stage_recipes(sheet)):
         b = ops.shape[-1]
         rhos = arr[row, :, :b, :b]
@@ -727,8 +750,8 @@ def test_pencil_s_tables_match_the_direct_form(name):
     # moves has an s table made of rounding, in either form, so s itself
     # must match where the arc length is at least 1e-3, and everywhere the
     # arc length the error stands for.
-    _, sheet = _contracted(name)
-    for ops, s, rhos in _stage_inputs(sheet):
+    loop, sheet = _contracted(name)
+    for ops, s, rhos in _stage_inputs(sheet, loop):
         direct, lengths = _direct_s_table(ops, rhos, len(s))
         error = np.abs(homotopy._arc_rows(pencil(ops, rhos), len(s)) - direct)
         assert np.max(error[:, lengths >= 1e-3]) < 1e-12
@@ -741,8 +764,8 @@ def test_a_column_of_rounding_takes_the_plain_fractions():
     # seed 2's level 1 unitary stage: column 697 moves by 4.6e-11, over
     # ROUNDING_ARC but under ARC_FLOOR of the stage's largest arc, so its
     # table is k / rows and not the rounding of its arc
-    _, sheet = _contracted("seed2")
-    ops, s, rhos = list(_stage_inputs(sheet))[2]
+    loop, sheet = _contracted("seed2")
+    ops, s, rhos = list(_stage_inputs(sheet, loop))[2]
     _, lengths = _direct_s_table(ops, rhos, len(s))
     assert homotopy.ROUNDING_ARC < lengths[697] < homotopy.ARC_FLOOR * lengths.max()
     fractions = np.arange(1, len(s) + 1) / len(s)
@@ -753,8 +776,8 @@ def test_a_column_of_rounding_takes_the_plain_fractions():
 def test_s_tables_are_the_arc_length_tables_on_the_dyadic_grid(name):
     # every s a multiple of 2^-16 within 2^-17 of the table before rounding,
     # every column nondecreasing, and every last row 1 exactly
-    _, sheet = _contracted(name)
-    for ops, s, rhos in _stage_inputs(sheet):
+    loop, sheet = _contracted(name)
+    for ops, s, rhos in _stage_inputs(sheet, loop):
         unrounded = homotopy._arc_rows(pencil(ops, rhos), len(s))
         assert np.array_equal(s * 2**16, np.round(s * 2**16))
         assert np.max(np.abs(s - unrounded)) <= 2.0**-17
@@ -766,9 +789,9 @@ def test_s_tables_are_the_arc_length_tables_on_the_dyadic_grid(name):
 def test_sheet_cells_are_the_direct_action(name):
     # every cell, evaluated from its stage's pencil, against the per-matrix
     # product B(s) rho B(s)† / tr on the stage's input; zero outside the block
-    _, sheet = _contracted(name)
-    arr, row = cells(sheet), 1
-    for ops, s_table, rhos in _stage_inputs(sheet):
+    loop, sheet = _contracted(name)
+    arr, row = cells(sheet, loop), 1
+    for ops, s_table, rhos in _stage_inputs(sheet, loop):
         b, s = rhos.shape[-1], s_table[..., None, None]
         bs = s * ops + (1.0 - s) * np.eye(b)
         raw = bs @ rhos @ bs.conj().swapaxes(-1, -2)
@@ -796,7 +819,7 @@ def test_pencil_is_the_interpolation_polynomial():
 def _forge(sheet, **fields):
     """The sheet's recipe with fields of its first level replaced."""
     levels = [sheet.levels[0]._replace(**fields), *sheet.levels[1:]]
-    return HomotopySheet(sheet.n, sheet.loop, levels)
+    return HomotopySheet(sheet.n, levels)
 
 
 def _set(array, index, value):
@@ -831,7 +854,7 @@ def test_verifier_flags_forged_recipes(stage_index, forge, kind, at):
     loop = constant_loop(2, 10)
     sheet = contract_loop(loop)
     forged = _forge(sheet, **forge(sheet.levels[0]))
-    assert np.max(np.abs(cells(forged) - cells(sheet))) < 1e-15
+    assert np.max(np.abs(cells(forged, loop) - cells(sheet, loop))) < 1e-15
     report = verify_homotopy(forged, loop, modulus=1e-9)
     assert not report.passed
     assert {v[0] for v in report.violations} == {kind}
@@ -847,7 +870,7 @@ def test_verifier_fails_a_recipe_in_the_gelfand_ideal():
     halves = np.flatnonzero(sheet.levels[0].s_unitary[:, 4] == 0.5)
     assert halves.size
     forged = _forge(sheet, unitaries=_set(sheet.levels[0].unitaries, 4, -np.eye(2)))
-    arr = cells(forged)
+    arr = cells(forged, loop)
     bad = ~np.isfinite(arr).all(axis=(-2, -1))
     assert [tuple(i) for i in np.argwhere(bad).tolist()] == [(1 + h, 4) for h in halves]
     # its document reads back as the recipe, with the same verdict
@@ -870,7 +893,7 @@ def test_verifier_flags_a_scaled_unitary_on_a_moving_loop(pure_sheet):
 def test_verifier_reports_the_safety_minimum():
     loop, sheet = _contracted("seed2")
     report = verify_homotopy(sheet, loop, 5 * loop.max_step)
-    values = [safety_min(pencil(ops, rhos))[0] for ops, _, rhos in _stage_inputs(sheet)]
+    values = [safety_min(pencil(ops, rhos))[0] for ops, _, rhos in _stage_inputs(sheet, loop)]
     level, stage, column = report.safety_at
     index = 2 * level + stage
     assert report.safety_min == min(v.min() for v in values)
@@ -884,11 +907,11 @@ def test_streamed_verdict_equals_the_whole_sheets(name):
     # whole expanded sheet, bit for bit
     loop, sheet = _contracted(name)
     report = verify_homotopy(sheet, loop, 5 * loop.max_step)
-    arr = cells(sheet)
+    arr = cells(sheet, loop)
     step_t = linalg.trace_norm(arr[:, 1:] - arr[:, :-1])
     step_s = linalg.trace_norm(arr[1:] - arr[:-1])
     assert report.max_cell_step == float(max(step_t.max(), step_s.max()))
-    values = [safety_min(pencil(ops, rhos))[0] for ops, _, rhos in _stage_inputs(sheet)]
+    values = [safety_min(pencil(ops, rhos))[0] for ops, _, rhos in _stage_inputs(sheet, loop)]
     index = int(np.argmin([v.min() for v in values]))
     assert report.safety_min == values[index].min()
     level, stage = divmod(index, 2)
@@ -979,13 +1002,14 @@ def test_contraction_matches_the_eigvalsh_oracle(name, monkeypatch):
     oracle_report = verify_homotopy(oracle, loop, 5 * loop.max_step)
     assert oracle.shape == sheet.shape
     assert len(oracle.levels) == len(sheet.levels)
-    for (ops, s, rhos), (want_ops, want_s) in zip(_stage_inputs(sheet), _stage_recipes(oracle)):
+    stages = zip(_stage_inputs(sheet, loop), _stage_recipes(oracle))
+    for (ops, s, rhos), (want_ops, want_s) in stages:
         assert np.array_equal(ops, want_ops)
         # s is set by rounding in columns that barely move (see
         # test_pencil_s_tables_match_the_direct_form)
         _, lengths = _direct_s_table(ops, rhos, len(s))
         assert np.max(np.abs(s - want_s)[:, lengths >= 1e-3], initial=0.0) < 1e-12
-    assert np.max(np.abs(cells(oracle) - cells(sheet))) < 1e-14
+    assert np.max(np.abs(cells(oracle, loop) - cells(sheet, loop))) < 1e-14
     assert oracle_report.passed == report.passed
     assert oracle_report.safety_at == report.safety_at
 
@@ -1018,9 +1042,9 @@ def test_packed_prepass_matches_the_matrix_prepass(name):
     # last level of the others), 3x3 blocks (the closed form's other size)
     # and 4x4 blocks (eigvalsh on the unpacked steps). The oracle takes all
     # columns at once, so the tables do not depend on the pre-pass's chunks.
-    _, sheet = _contracted(name)
+    loop, sheet = _contracted(name)
     blocks = set()
-    for ops, s, rhos in _stage_inputs(sheet):
+    for ops, s, rhos in _stage_inputs(sheet, loop):
         r = pencil(ops, rhos)
         rows = len(s)
         assert np.array_equal(homotopy._arc_rows(r, rows), _matrix_s_table(r, rows))
@@ -1078,13 +1102,14 @@ def test_loop_from_doc_rejects_garbage():
 def test_every_contracted_cell_is_a_state(name):
     # sheet_blocks judges no cell; the contractor's cells pass the same
     # validation as a single DensityState
-    _, sheet = _contracted(name)
-    for block in homotopy.sheet_blocks(sheet):
+    loop, sheet = _contracted(name)
+    for block in homotopy.sheet_blocks(sheet, loop):
         validate_densities(block)
 
 
 def test_purity_preserved_along_pure_columns():
-    arr = cells(contract_loop(bundled_pure_loop(320)))
+    loop = bundled_pure_loop(320)
+    arr = cells(contract_loop(loop), loop)
     # every input sample is pure, so every cell above it stays pure
     purities = np.einsum("stij,stji->st", arr, arr).real
     assert purities.min() > 1 - 1e-9

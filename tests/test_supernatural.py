@@ -25,6 +25,13 @@ def test_factorize():
     assert factorize(97) == {97: 1}
     with pytest.raises(ValueError):
         factorize(0)
+    # trial division runs to 10^6, which decides every part left up to 10^12
+    assert factorize(2**60 * 999983) == {2: 60, 999983: 1}
+    assert factorize(999983**2) == {999983: 2}
+    assert factorize(3 * 999999999989) == {3: 1, 999999999989: 1}
+    for n in (1000003 * 1000033, 1000000000039, 2**10 * 1000000000039):
+        with pytest.raises(ValueError, match="trial division up to 10\\^6"):
+            factorize(n)
 
 
 def test_constructor_validation():
