@@ -80,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_loop = command("contract-loop", "contract a based state loop")
     p_loop.add_argument("loop", help="loop document (JSON)")
-    p_loop.add_argument("--sheet-out", help="write the full homotopy sheet here")
+    p_loop.add_argument("--sheet-out", help="write the sheet's recipe, no cells or loop")
     p_loop.add_argument(
         "--modulus-factor",
         type=_positive_factor,

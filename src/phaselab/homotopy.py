@@ -21,8 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import (eye, min_eigenvalues, pack_hermitian, packed_trace_norm, trace_norm,
-                     unpack_hermitian)
+from .linalg import eye, min_eigenvalues, pack_hermitian, trace_norm, unpack_hermitian
 from .projective import elementary_transport
 from .states import basis_state, validate_densities
 from .util import NumericalGateError
@@ -42,10 +41,10 @@ MIN_ROWS = 8
 # s tables are multiples of 1 / S_DEN (_interp_rows). A column's s table
 # follows its arc length when that is at least ARC_FLOOR times its stage's
 # largest and at least ROUNDING_ARC (_arc_rows); below, the table of a
-# column is mostly rounding. Measured on the pure and plateau loops and
-# random_based_loop(3, seed, 700), seeds 1-18: a column of arc 4.6e-11 in
+# column is mostly rounding. Measured in √2‖Δ‖_F on the pure and plateau loops
+# and random_based_loop(3, seed, 700), seeds 1-18: a column of arc 4.6e-11 in
 # seed 2's level 1 unitary stage is 3.3e-10 of its stage's largest, every
-# column of arc 1e-3 or more is at least 7.6e-4 of its stage's largest, and
+# column of arc 1e-3 or more is at least 8.0e-4 of its stage's largest, and
 # the pure loop's projection stage is all rounding, its largest arc 6.2e-14.
 S_DEN = 2**16
 ARC_FLOOR, ROUNDING_ARC = 1e-7, 1e-13
@@ -358,35 +357,37 @@ def _interp_rows(r: np.ndarray, n_rows: int) -> np.ndarray:
 def _arc_rows(r: np.ndarray, n_rows: int) -> np.ndarray:
     """The s table (n_rows, T) of a stage whose column t has the pencil
     r[:, t] (see pencil), before rounding: row k's s is where column t's
-    state has covered k / n_rows of its trace-norm arc length over s in
-    [0, 1], as a fine pre-pass measures it. This keeps the sheet's step
-    modulus proportional to the input modulus even where the interpolation
-    moves unevenly in s. A column whose arc length is under ARC_FLOOR times
-    the stage's largest, or under ROUNDING_ARC, takes the plain fractions
+    state has covered k / n_rows of its arc length over s in [0, 1], as a
+    fine pre-pass measures it. This keeps the sheet's step modulus
+    proportional to the input modulus even where the interpolation moves
+    unevenly in s. A column whose arc length is under ARC_FLOOR times the
+    stage's largest, or under ROUNDING_ARC, takes the plain fractions
     k / n_rows instead. The last row is 1 exactly.
 
-    The pre-pass evaluates the states with _pencil_states, and measures
-    their steps with linalg.packed_trace_norm: the closed form for 2x2 and
-    3x3 blocks, elementwise over the chunk, and eigvalsh on the unpacked
-    steps for larger blocks. Every packed coordinate takes the same
-    arithmetic as the complex matrices would, so the s table is the one a
-    pre-pass over complex states and linalg.trace_norm gives, bit for bit.
+    The pre-pass evaluates the states with _pencil_states and measures each
+    step Δ as √2‖Δ‖_F = sqrt(2 Σ diag² + 4 Σ offdiag²) on the packed layout,
+    one elementwise kernel for every block size: the trace norm for rank-2
+    Δ and within √(b/2) of it otherwise (linalg.trace_norm); the verifier
+    checks the steps the table gives. A pre-pass over complex states that
+    sums the squares in the packed order gives the same table bit for bit.
     Its columns go in chunks of ceil(T / FINE_MULT), so each array weighs
     about half a block of the stage's rows; every column's arc is its own,
     so the chunks leave the table unchanged.
     """
-    t_count = r.shape[1]
+    t_count, b = r.shape[1], r.shape[-1]
     f_count = max(n_rows * FINE_MULT, 48)
     s_fine = np.linspace(0.0, 1.0, f_count + 1)
     fractions = np.arange(1, n_rows + 1) / n_rows
     traces = np.trace(r, axis1=-2, axis2=-1).real
-    packed = np.moveaxis(pack_hermitian(r), 1, 0)  # (3, n², T)
+    packed = np.moveaxis(pack_hermitian(r), 1, 0)  # (3, b², T)
     s_rows, lengths = np.empty((n_rows, t_count)), np.empty(t_count)
     width = -(-t_count // FINE_MULT)
     for lo in range(0, t_count, width):
         cols = slice(lo, lo + width)
         rho_s = _pencil_states(packed[:, :, cols, None], traces[:, cols, None], s_fine)
-        steps = packed_trace_norm(rho_s[..., 1:] - rho_s[..., :-1])  # rho_s: (n², cols, F + 1)
+        squares = rho_s[..., 1:] - rho_s[..., :-1]  # rho_s: (b², cols, F + 1)
+        squares *= squares
+        steps = np.sqrt(2 * squares[:b].sum(axis=0) + 4 * squares[b:].sum(axis=0))
         arcs = np.concatenate([np.zeros((len(steps), 1)), np.cumsum(steps, axis=1)], axis=1)
         lengths[cols] = arcs[:, -1]
         for t, arc in enumerate(arcs, start=lo):

@@ -132,23 +132,24 @@ def trace_norm(m: np.ndarray):
     """Sum of singular values: a float for one matrix, an array of one
     value per matrix for a stack of shape (..., n, n). A matrix equal to its
     adjoint bit for bit takes the sum of its absolute eigenvalues
-    (packed_trace_norm, which reads eigvalsh on the matrices themselves), any
-    other an SVD. The choice is per matrix, and the Hermitian ones of a stack
-    are taken together: a stack with fewer than CLOSED_FORM_MIN_STACK of them
-    gives the values of single calls bit for bit, a larger one agrees with
-    them to 1e-13 of each matrix's Frobenius norm."""
+    (_hermitian_trace_norm), any other an SVD. The choice is per matrix, and
+    the Hermitian ones of a stack are taken together: a stack with fewer
+    than CLOSED_FORM_MIN_STACK of them gives the values of single calls bit
+    for bit, a larger one agrees with them to 1e-13 of each matrix's
+    Frobenius norm. For a traceless Hermitian matrix, such as the
+    difference of two states, √2‖Δ‖_F <= ‖Δ‖₁ <= √n‖Δ‖_F, with equality on
+    the left at rank 2."""
     m = np.asarray(m, dtype=np.complex128)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError("trace_norm expects a square matrix")
     hermitian = (m == m.conj().swapaxes(-1, -2)).all(axis=(-2, -1))
     count = np.count_nonzero(hermitian)
     if count == hermitian.size:
-        norms = packed_trace_norm(pack_hermitian(m), m)
+        norms = _hermitian_trace_norm(m)
     else:
         norms = np.linalg.svd(m, compute_uv=False).sum(axis=-1)
         if count:
-            h = m[hermitian]
-            norms[hermitian] = packed_trace_norm(pack_hermitian(h), h)
+            norms[hermitian] = _hermitian_trace_norm(m[hermitian])
     return float(norms) if m.ndim == 2 else norms
 
 
@@ -234,34 +235,24 @@ def unpack_hermitian(x: np.ndarray) -> np.ndarray:
     return h
 
 
-def packed_trace_norm(x: np.ndarray, h: np.ndarray | None = None) -> np.ndarray:
-    """Sum of absolute eigenvalues of each matrix of a packed Hermitian stack
-    x (n², ...) (see pack_hermitian). For n = 2 and 3 and at least
-    CLOSED_FORM_MIN_STACK matrices a closed form gives it elementwise; the
-    matrices it does not resolve (non-finite entries, a nearly degenerate
-    3x3 pair, a 3x3 scale outside _CLOSED_FORM_P2) and all other stacks take
-    eigvalsh, one LAPACK call per matrix, on `h` if it is given (the same
-    stack unpacked) and on unpack_hermitian(x) otherwise. eigvalsh reads
-    the lower triangle, and the signs of its zero imaginary parts, which the
-    packed layout drops, can change eigvalsh's result (for 33 of 600,000
-    random and small-integer matrices with random zero signs), so a caller
-    holding the matrices passes them."""
-    n = math.isqrt(x.shape[0])
-    flat = x.reshape(n * n, -1)
-    count = flat.shape[1]
-
-    def lapack(k):
-        m = unpack_hermitian(flat[:, k]) if h is None else h.reshape(count, n, n)[k]
-        return np.abs(np.linalg.eigvalsh(m)).sum(axis=-1)
-
-    if not _takes_closed_form(n, count):
-        return lapack(slice(None)).reshape(x.shape[1:])
+def _hermitian_trace_norm(h: np.ndarray) -> np.ndarray:
+    """Sum of absolute eigenvalues of each matrix of an exactly Hermitian
+    stack h (..., n, n). For n = 2 and 3 and at least CLOSED_FORM_MIN_STACK
+    matrices a closed form gives it elementwise over the packed stack
+    (pack_hermitian); the matrices it does not resolve (non-finite entries,
+    a nearly degenerate 3x3 pair, a 3x3 scale outside _CLOSED_FORM_P2) and
+    all other stacks take eigvalsh on the matrices themselves, one LAPACK
+    call per matrix."""
+    n = h.shape[-1]
+    flat = h.reshape(-1, n, n)
+    if not _takes_closed_form(n, len(flat)):
+        return np.abs(np.linalg.eigvalsh(flat)).sum(axis=-1).reshape(h.shape[:-2])
     with np.errstate(all="ignore"):  # 0/0, overflow, inf: those matrices are redone below
-        norms, done = _closed_form_2(flat) if n == 2 else _closed_form_3(flat)
+        norms, done = (_closed_form_2 if n == 2 else _closed_form_3)(pack_hermitian(flat))
     redo = np.flatnonzero(~done)
     if redo.size:
-        norms[redo] = lapack(redo)
-    return norms.reshape(x.shape[1:])
+        norms[redo] = np.abs(np.linalg.eigvalsh(flat[redo])).sum(axis=-1)
+    return norms.reshape(h.shape[:-2])
 
 
 def _closed_form_2(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import inf, isinf
 from typing import NamedTuple
 
@@ -17,8 +18,14 @@ INF = inf
 
 
 def factorize(n: int) -> dict[int, int]:
-    """{prime: exponent} of n >= 1, by trial division up to 10^6; a part of
-    n then left over 10^12, which could be composite, raises ValueError."""
+    """{prime: exponent} of n >= 1, a new dict each call, by trial division
+    up to 10^6, run once per process for each distinct n; a part of n then
+    left over 10^12, which could be composite, raises ValueError."""
+    return dict(_prime_powers(n))
+
+
+@lru_cache(maxsize=None)
+def _prime_powers(n: int) -> tuple[tuple[int, int], ...]:
     if n < 1:
         raise ValueError("factorize expects a positive integer")
     out: dict[int, int] = {}
@@ -32,7 +39,7 @@ def factorize(n: int) -> dict[int, int]:
         raise ValueError(f"cannot factor {whole}: trial division up to 10^6 leaves {n} > 10^12")
     if n > 1:
         out[n] = out.get(n, 0) + 1
-    return out
+    return tuple(out.items())
 
 
 @dataclass(frozen=True)

@@ -83,6 +83,9 @@ def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     assert main(["invariant", "--help"]) == 0
     assert "--n-dimers" in capsys.readouterr().out
+    assert main(["contract-loop", "--help"]) == 0
+    out = " ".join(capsys.readouterr().out.split())  # argparse wraps the help text
+    assert "write the sheet's recipe, no cells or loop" in out
 
 
 @pytest.mark.parametrize(

@@ -715,7 +715,8 @@ def _stage_inputs(sheet, loop):
 
 def _direct_s_table(ops, rhos, n_rows, fine_mult=6, chunk=128):
     """The arc-length s table from B(s) rho B(s)† formed by matrix products
-    at every fine sample, and each column's arc length."""
+    at every fine sample, each step Δ measured as √2‖Δ‖_F, and each
+    column's arc length."""
     b = rhos.shape[-1]
     s_fine = np.linspace(0.0, 1.0, max(n_rows * fine_mult, 48) + 1)
     fractions = np.arange(1, n_rows + 1) / n_rows
@@ -727,7 +728,7 @@ def _direct_s_table(ops, rhos, n_rows, fine_mult=6, chunk=128):
         raw = bs @ rho @ bs.conj().swapaxes(-1, -2)
         states = raw / np.trace(raw, axis1=-2, axis2=-1).real[..., None, None]
         d = np.diff(states, axis=0)
-        steps = np.abs(np.linalg.eigvalsh((d + d.conj().swapaxes(-1, -2)) / 2)).sum(axis=-1)
+        steps = np.sqrt(2) * np.linalg.norm(d, axis=(-2, -1))
         arcs = np.concatenate([np.zeros((1, steps.shape[1])), np.cumsum(steps, axis=0)])
         for t, arc in enumerate(arcs.T, start=lo):
             lengths[t] = arc[-1]
@@ -929,27 +930,27 @@ def test_contract_loop_takes_no_svd(monkeypatch):
 
 
 def test_contract_loop_takes_lapack_only_on_fallback(monkeypatch):
-    # Every trace norm of a contraction and its verification is of 2x2 or
-    # 3x3 Hermitian matrices, which take the closed form, through
-    # trace_norm or, in the arc-length pre-pass, through packed_trace_norm;
-    # eigvalsh sees only the matrices they hand back (nearly degenerate
-    # pairs) and small stacks. The positivity certificate of validation and
+    # Every step a contraction and its verification measure is of 2x2 or
+    # 3x3 Hermitian matrices: the arc-length pre-pass takes √2‖Δ‖_F, with
+    # no LAPACK, and trace_norm the closed form. eigvalsh sees only small
+    # stacks and the matrices the closed form hands back, each with a
+    # nearly degenerate pair. The positivity certificate of validation and
     # the verifier clears every matrix of the stacks it takes on this loop.
     loop = random_based_loop(3, 2, 700)
-    counts = {"trace norm": [0, 0], "positivity": [0, 0], "small": [0, 0]}  # matrices, to eigvalsh
-    active = []
+    counts = {"step": [0, 0], "positivity": [0, 0], "small": [0, 0]}  # matrices, to eigvalsh
+    active, handed_back = [], []
     eigvalsh = np.linalg.eigvalsh
 
-    def size(m):
+    def size(m, *_):
         return np.asarray(m)[..., 0, 0].size
 
     def counting(kernel, key, matrices=size):
         def wrapped(m, *args):
-            count = matrices(m)
+            count = matrices(m, *args)
             # the size rule sends a small stack to eigvalsh, certificate or not
             kind = "small" if key == "positivity" and count < linalg.CLOSED_FORM_MIN_STACK else key
             counts[kind][0] += count
-            active.append(kind)
+            active.append((kind, count))
             try:
                 return kernel(m, *args)
             finally:
@@ -958,24 +959,65 @@ def test_contract_loop_takes_lapack_only_on_fallback(monkeypatch):
 
     def counting_eigvalsh(m, *args, **kwargs):
         if active:
-            counts[active[-1]][1] += size(m)
+            kind, count = active[-1]
+            counts[kind][1] += size(m)
+            if kind == "step" and count >= linalg.CLOSED_FORM_MIN_STACK:
+                handed_back.append(np.asarray(m))
         return eigvalsh(m, *args, **kwargs)
 
-    monkeypatch.setattr(homotopy, "trace_norm", counting(homotopy.trace_norm, "trace norm"))
-    monkeypatch.setattr(
-        homotopy, "packed_trace_norm",
-        counting(homotopy.packed_trace_norm, "trace norm", lambda x: x[0].size),
-    )
+    def prepass_steps(r, n_rows):  # T columns of max(6 rows, 48) fine steps
+        return r.shape[1] * max(n_rows * homotopy.FINE_MULT, 48)
+
+    monkeypatch.setattr(homotopy, "trace_norm", counting(homotopy.trace_norm, "step"))
+    monkeypatch.setattr(homotopy, "_arc_rows", counting(homotopy._arc_rows, "step", prepass_steps))
     for module in (homotopy, states):
         positivity = counting(module.min_eigenvalues, "positivity")
         monkeypatch.setattr(module, "min_eigenvalues", positivity)
     monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
     sheet = contract_loop(loop)
     assert verify_homotopy(sheet, loop, 5 * loop.max_step).passed
-    matrices, lapack = counts["trace norm"]
+    matrices, lapack = counts["step"]
     assert 0 < lapack <= 0.01 * matrices
+    # r = cos 3φ of each handed-back spectrum, from eigvalsh's eigenvalues
+    assert {m.shape[-2:] for m in handed_back} == {(3, 3)}
+    dev = eigvalsh(np.concatenate([m.reshape(-1, 3, 3) for m in handed_back]))
+    dev -= dev.mean(axis=-1, keepdims=True)
+    r = dev.prod(axis=-1) / (2 * np.sqrt((dev * dev).sum(axis=-1) / 6) ** 3)
+    assert (np.abs(r) > linalg.CLOSED_FORM_MAX_R - 1e-12).all()
     assert counts["positivity"][0] > np.prod(sheet.shape)
     assert counts["positivity"][1] == 0
+
+
+def test_the_prepass_takes_no_eigensolver(monkeypatch):
+    # on 4x4 blocks and smaller ones, where trace_norm takes eigvalsh or
+    # the closed form, the pre-pass's √2‖Δ‖_F takes neither
+    loop = random_based_loop(4, 1, 700)
+    stages, inside = [], []
+    solved = {"eigvalsh": 0, "eigh": 0}
+    arc_rows = homotopy._arc_rows
+
+    def tracked(*args):
+        stages.append(args[0].shape[-1])
+        inside.append(True)
+        try:
+            return arc_rows(*args)
+        finally:
+            inside.pop()
+
+    def counted(name):
+        solver = getattr(np.linalg, name)
+
+        def wrapped(*args, **kwargs):
+            solved[name] += bool(inside)
+            return solver(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(homotopy, "_arc_rows", tracked)
+    for name in solved:
+        monkeypatch.setattr(np.linalg, name, counted(name))
+    contract_loop(loop)
+    assert stages == [4, 4, 3, 3, 2, 2]
+    assert solved == {"eigvalsh": 0, "eigh": 0}
 
 
 def _eigvalsh_trace_norm(m):
@@ -987,17 +1029,11 @@ def _eigvalsh_trace_norm(m):
     return float(norms) if norms.ndim == 0 else norms
 
 
-def _eigvalsh_packed_trace_norm(x):
-    """The same oracle for a packed stack (see linalg.pack_hermitian)."""
-    return _eigvalsh_trace_norm(linalg.unpack_hermitian(x))
-
-
 @pytest.mark.parametrize("name", ["pure", "plateau", "seed2", "seed7"])
 def test_contraction_matches_the_eigvalsh_oracle(name, monkeypatch):
     loop, sheet = _contracted(name)
     report = verify_homotopy(sheet, loop, 5 * loop.max_step)
     monkeypatch.setattr(homotopy, "trace_norm", _eigvalsh_trace_norm)
-    monkeypatch.setattr(homotopy, "packed_trace_norm", _eigvalsh_packed_trace_norm)
     oracle = contract_loop(loop)
     oracle_report = verify_homotopy(oracle, loop, 5 * loop.max_step)
     assert oracle.shape == sheet.shape
@@ -1017,8 +1053,10 @@ def test_contraction_matches_the_eigvalsh_oracle(name, monkeypatch):
 def _matrix_s_table(r, n_rows, fine_mult=6):
     """The arc-length s table of _interp_rows with its pre-pass on complex
     matrices, all columns at once: the states (R0 + s R1 + s² R2) /
-    (c0 + s c1 + s² c2) evaluated on real and imaginary parts alike, their
-    steps measured by trace_norm."""
+    (c0 + s c1 + s² c2) evaluated on real and imaginary parts alike, each
+    step Δ measured as √2‖Δ‖_F = sqrt(2 Σ |Δ_ii|² + 4 Σ_{i<j} |Δ_ij|²),
+    its squares summed one at a time: the diagonal, then the real parts of
+    the upper triangle in row-major order, then their imaginary parts."""
     f_count = max(n_rows * fine_mult, 48)
     s_fine = np.linspace(0.0, 1.0, f_count + 1)
     s = s_fine[:, None, None]
@@ -1028,7 +1066,12 @@ def _matrix_s_table(r, n_rows, fine_mult=6):
     c0, c1, c2 = traces[:, :, None]
     norm = c0 + s_fine * (c1 + s_fine * c2)
     rho_s = ((p0 + s * (p1 + s * p2)) / norm[..., None, None]).view(np.complex128)
-    steps = linalg.trace_norm(rho_s[:, 1:] - rho_s[:, :-1])
+    d = rho_s[:, 1:] - rho_s[:, :-1]
+    i, j = np.triu_indices(d.shape[-1], 1)
+    upper = d[..., i, j]
+    diagonal = [d[..., k, k].real for k in range(d.shape[-1])]
+    off = [*np.moveaxis(upper.real, -1, 0), *np.moveaxis(upper.imag, -1, 0)]
+    steps = np.sqrt(2 * sum(x * x for x in diagonal) + 4 * sum(x * x for x in off))
     arcs = np.concatenate([np.zeros((len(steps), 1)), np.cumsum(steps, axis=1)], axis=1)
     table = np.empty((n_rows, r.shape[1]))
     for t, arc in enumerate(arcs):
@@ -1039,9 +1082,10 @@ def _matrix_s_table(r, n_rows, fine_mult=6):
 @pytest.mark.parametrize("name", ["pure", "plateau", "seed2", "seed7", "n4"])
 def test_packed_prepass_matches_the_matrix_prepass(name):
     # every stage of each contraction: 2x2 blocks (the pure loop, and the
-    # last level of the others), 3x3 blocks (the closed form's other size)
-    # and 4x4 blocks (eigvalsh on the unpacked steps). The oracle takes all
-    # columns at once, so the tables do not depend on the pre-pass's chunks.
+    # last level of the others), 3x3 and 4x4 blocks. The packed states
+    # equal the complex ones bit for bit, and so do their steps. The oracle
+    # takes all columns at once, so the tables do not depend on the
+    # pre-pass's chunks.
     loop, sheet = _contracted(name)
     blocks = set()
     for ops, s, rhos in _stage_inputs(sheet, loop):

@@ -264,6 +264,34 @@ def test_trace_norm_closed_form_at_extreme_scales(scale):
     assert np.all(np.abs(trace_norm(m) - want) <= 1e-13 * np.linalg.norm(m, axis=(-2, -1)))
 
 
+@given(
+    n=st.integers(2, 8),
+    count=st.sampled_from([1, 5, linalg.CLOSED_FORM_MIN_STACK]),
+    scale=st.floats(1e-12, 1e3),
+    rank=st.integers(2, 8),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_trace_norm_of_a_traceless_hermitian_is_bounded_by_its_frobenius_norm(
+        n, count, scale, rank, seed):
+    # √2‖Δ‖_F <= ‖Δ‖₁ <= √n‖Δ‖_F for a traceless Hermitian Δ, with
+    # equality on the left at rank 2: the arc measure of the contractor's
+    # pre-pass against the trace norm the verifier's steps take
+    rng = np.random.default_rng(seed)
+    rank = min(rank, n)
+    evals = np.zeros((count, n))
+    evals[:, :rank] = scale * rng.normal(size=(count, rank))
+    evals[:, :rank] -= evals[:, :rank].mean(axis=1, keepdims=True)
+    vecs = _haar_unitaries(count, n, rng)
+    m = (vecs * evals[:, None, :]) @ vecs.conj().swapaxes(-1, -2)
+    m = (m + m.conj().swapaxes(-1, -2)) / 2
+    frobenius = np.linalg.norm(m, axis=(-2, -1))
+    norms = trace_norm(m)
+    assert np.all(np.sqrt(2) * frobenius <= norms * (1 + 1e-13))
+    assert np.all(norms <= np.sqrt(n) * frobenius * (1 + 1e-13))
+    if rank == 2:
+        assert np.all(np.abs(norms - np.sqrt(2) * frobenius) <= 1e-13 * norms)
+
+
 def _lapack_trace_norm(m):
     """The trace norm by LAPACK alone: sum |eigvalsh| for a matrix equal to
     its adjoint bit for bit, the SVD for any other."""

@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import pytest
 
+from phaselab import supernatural
+from phaselab.cli import main
 from phaselab.supernatural import (
     INF,
     MAX_TABLE_K,
@@ -32,6 +34,26 @@ def test_factorize():
     for n in (1000003 * 1000033, 1000000000039, 2**10 * 1000000000039):
         with pytest.raises(ValueError, match="trial division up to 10\\^6"):
             factorize(n)
+
+
+def test_each_integer_is_trial_divided_once_per_process(capsys):
+    # the tower, its tail ratio, the Q(a) denominator, the iso-type tower
+    # and every SupernaturalNumber's prime check all factorize p: one trial
+    # division (a miss of factorize's cache), and the rest read its result
+    p = 999999999989
+    supernatural._prime_powers.cache_clear()
+    argv = ["supernatural", "--type", str(p), "--tail-ratio", str(p), "--contains", f"1/{p}",
+            "--iso-type", str(p), "--no-timestamp"]
+    assert main(argv) == 0
+    assert f'"{p}^inf"' in capsys.readouterr().out
+    divisions = supernatural._prime_powers.cache_info()
+    assert (divisions.misses, divisions.currsize) == (1, 1)
+    assert divisions.hits >= 5
+    # each caller gets a dict of its own
+    mine = factorize(p)
+    mine[p] = 2
+    assert factorize(p) == {p: 1}
+    assert supernatural._prime_powers.cache_info().misses == 1
 
 
 def test_constructor_validation():
