@@ -1,13 +1,16 @@
 """Discrete loop rectification in the state space of M_n(C).
 
 A based loop of density matrices is contracted to the constant loop by
-the action of explicit operator families: unitary eigenvector transport
-(with a disk phase lift to keep linear interpolations outside the Gelfand
-ideal), compression onto nested corner blocks, and a verifier that
+the action of explicit operator families: unitary eigenvector transport,
+batched over each near-pure run and continuous wherever the top
+eigenvector keeps a nonzero e_0 component (projective.transport_to_e0),
+with a disk phase lift to keep linear interpolations outside the Gelfand
+ideal; compression onto nested corner blocks; and a verifier that
 certifies the resulting two-parameter sheet cell by cell. A sheet is held
 as its recipe, which is what a sheet document stores: per level k on the
 corner block b = n - k, its T unitaries and the s tables of its two stages,
-the unitaries' and the corner projection P^b_1's. Its cells are evaluated
+the unitaries' and the corner projection P^b_1's, every unitary entry a
+multiple of 1 / U_DEN and every s one of 1 / S_DEN. Its cells are evaluated
 on the loop it is given, row 0, one stage at a time (sheet_blocks), and
 the verifier checks each stage's block of rows as it comes.
 """
@@ -22,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .linalg import eye, min_eigenvalues, pack_hermitian, trace_norm, unpack_hermitian
-from .projective import elementary_transport
+from .projective import transport_to_e0
 from .states import basis_state, validate_densities
 from .util import NumericalGateError
 
@@ -47,6 +50,11 @@ MIN_ROWS = 8
 # column of arc 1e-3 or more is at least 8.0e-4 of its stage's largest, and
 # the pure loop's projection stage is all rounding, its largest arc 6.2e-14.
 S_DEN = 2**16
+# The lifted unitaries are multiples of 1 / U_DEN (_rectify). Rounding
+# moves an entry by at most 2^-41, which leaves the unitarity defect near
+# 1e-12, about 700 times under OPERATOR_TOL, and a numerator of at most
+# 2^40 in modulus is an exact double.
+U_DEN = 2**40
 ARC_FLOOR, ROUNDING_ARC = 1e-7, 1e-13
 # Bytes a sheet may hold (_held_bytes): its recipe and BLOCK_COPIES blocks
 # of its stage of most rows. Beyond the recipe, tracemalloc reads a
@@ -284,24 +292,21 @@ def disk_phase_lift(gamma: np.ndarray) -> np.ndarray:
     return lam
 
 
-def _pin_phase(v: np.ndarray) -> np.ndarray:
-    k = int(np.argmax(np.abs(v)))
-    ph = v[k] / abs(v[k])
-    return v / ph
-
-
 def _transport_unitaries(rhos: np.ndarray) -> np.ndarray:
     """Stage 1: eigenvector transport on near-pure runs, geodesic bridges
     across non-pure gaps.
 
     On each maximal run of samples with top eigenvalue > 7/8 the top
-    eigenvector is continued with positive-overlap phase alignment and
-    sent to e_0 by an elementary transport. Inside a gap any unitary is
-    admissible (a unitary cannot make a non-pure state pure), so the held
-    endpoint unitary is rotated to the next run's initial transport along
-    the unitary-group geodesic over the gap (_unitary_powers). Runs and gaps
-    alternate between the edges of the near-pure mask, starting and ending
-    with a run.
+    eigenvector is continued with positive-overlap phase alignment, a
+    cumulative product of the normalized consecutive overlaps that starts
+    from e_0 on the run at the basepoint and from the top eigenvector with
+    its largest entry real and positive on the others; one call of
+    projective.transport_to_e0 sends the whole run to e_0. Inside a gap any
+    unitary is admissible (a unitary cannot make a non-pure state pure), so
+    the held endpoint unitary is rotated to the next run's initial
+    transport along the unitary-group geodesic over the gap
+    (_unitary_powers). Runs and gaps alternate between the edges of the
+    near-pure mask, starting and ending with a run.
     """
     t_count, n = rhos.shape[0], rhos.shape[-1]
     evals, evecs = np.linalg.eigh(rhos)
@@ -310,23 +315,24 @@ def _transport_unitaries(rhos: np.ndarray) -> np.ndarray:
     if not (near_pure[0] and near_pure[-1]):
         raise ValueError("basepoint samples must be near-pure")
 
-    e0 = np.zeros(n, dtype=np.complex128)
-    e0[0] = 1.0
     edges = [0, *(np.flatnonzero(np.diff(near_pure)) + 1).tolist(), t_count]
     runs = list(zip(edges[0::2], edges[1::2]))
     unitaries = np.empty((t_count, n, n), dtype=np.complex128)
     for start, end in runs:
-        v = e0 if start == 0 else _pin_phase(tops[start])
-        unitaries[start] = elementary_transport(v, e0)
-        for i in range(start + 1, end):
-            ov = np.vdot(v, tops[i])
-            if abs(ov) < CONTINUATION_MIN_OVERLAP:
-                raise NumericalGateError(
-                    f"eigenvector continuation ambiguous at sample {i} "
-                    f"(overlap {abs(ov):.3f})"
-                )
-            v = tops[i] * (np.conj(ov) / abs(ov))
-            unitaries[i] = elementary_transport(v, e0)
+        v = tops[start:end].copy()
+        if start == 0:
+            v[0] = eye(n)[0]
+        overlaps = np.einsum("ti,ti->t", v[:-1].conj(), v[1:])
+        size = np.abs(overlaps)
+        weak = np.flatnonzero(size < CONTINUATION_MIN_OVERLAP)
+        if weak.size:
+            raise NumericalGateError(
+                f"eigenvector continuation ambiguous at sample {start + 1 + weak[0]} "
+                f"(overlap {size[weak[0]]:.3f})"
+            )
+        k = np.argmax(np.abs(v[0]))
+        phases = np.cumprod([np.conj(v[0, k]) / abs(v[0, k]), *(overlaps.conj() / size)])
+        unitaries[start:end] = transport_to_e0(v * phases[:, None])
 
     for (_, gap_start), (right, _) in zip(runs[:-1], runs[1:]):
         left = gap_start - 1
@@ -431,13 +437,14 @@ def _rectify(rhos: np.ndarray, target: float, admit):
 
     Eigenvector-transport unitaries come first, each checked unitary
     before the disk phase lift of t -> omega_t(U_t) that keeps the unitary
-    interpolation outside every Gelfand ideal; then the linear
-    interpolations with s lambda_t U_t and with s P^b_1. Every one is
-    certified by its exact safety minimum over s in [0, 1], and its rows
-    step by about `target`. Each stage's last row is built once, from the
-    pencil that certifies the stage, at s = 1 as the expansion builds it
-    (_stage_rows); it measures the stage's movement and is the next stage's
-    input. Each stage's rows pass through admit, which may refuse them,
+    interpolation outside every Gelfand ideal; the lifted lambda_t U_t are
+    rounded to multiples of 1 / U_DEN, which a sheet document writes as
+    integers; then the linear interpolations with s lambda_t U_t and with
+    s P^b_1. Every one is certified by its exact safety minimum over s in
+    [0, 1], and its rows step by about `target`. Each stage's last row is
+    built once, from the pencil that certifies the stage, at s = 1 as the
+    expansion builds it (_stage_rows); it measures the stage's movement and
+    is the next stage's input. Each stage's rows pass through admit, which may refuse them,
     before its pre-pass.
     """
     n, ones = rhos.shape[-1], np.ones((1, len(rhos)))
@@ -450,8 +457,8 @@ def _rectify(rhos: np.ndarray, target: float, admit):
     gamma = np.where(np.abs(gamma) > 1.0, gamma / np.abs(gamma), gamma)
     lam = disk_phase_lift(gamma)
 
-    lifted = lam[:, None, None] * unitaries
-    # safety of the *lifted* interpolation, the one the sheet uses
+    lifted = np.round(lam[:, None, None] * unitaries * U_DEN) / U_DEN
+    # safety of the *lifted* interpolation on the dyadic grid, the one the sheet uses
     r_lifted = pencil(lifted, rhos)
     lifted_min, _ = safety_min(r_lifted)
     failing = np.flatnonzero(~(lifted_min > SAFETY_FLOOR))

@@ -2,8 +2,9 @@
 
 Ray products of representative vectors and the three equivalent metrics
 (chord / Fubini-Study / gap), for one pair or for stacks of pairs, and the
-elementary unitary transport with which loop contraction carries top
-eigenvectors to e_0.
+batched unitary transport with which loop contraction carries top
+eigenvectors to e_0: a local trivialization of the bundle of unit vectors
+over the chart <e_0, x> != 0 of projective space.
 """
 
 from __future__ import annotations
@@ -13,15 +14,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .linalg import eye
-
-
-def _rep(x) -> np.ndarray:
-    """Unit representative of the ray of a nonzero vector."""
-    v = np.asarray(x, dtype=np.complex128).ravel()
-    nrm = np.linalg.norm(v)
-    if nrm == 0.0:
-        raise ValueError("zero vector does not represent a ray")
-    return v / nrm
 
 
 def ray_product(a, b):
@@ -54,28 +46,38 @@ def ray_distances(a, b) -> RayDistances:
     return RayDistances(*(map(float, dists) if p.ndim == 0 else dists))
 
 
-def elementary_transport(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Unitary z -> <y,x> z - <y,z> x + <x,z> y on span{x,y}, identity on
-    the complement. Maps x to y and satisfies ||1 - U|| = ||x - y||."""
-    x = _rep(x)
-    y = _rep(y)
-    n = x.shape[0]
-    out = np.vdot(y, x) * eye(n)
-    out -= np.outer(x, y.conj())
-    out += np.outer(y, x.conj())
-    # the span-complement must carry the identity, not the scalar <y,x>:
-    # add back (1 - <y,x>) on the orthogonal complement of span{x,y}
-    q = _orthonormal_span(x, y)
-    comp = eye(n) - q @ q.conj().T
-    out += (1.0 - np.vdot(y, x)) * comp
-    return out
+def transport_to_e0(x) -> np.ndarray:
+    """Unitaries U(x) with U(x) x = e_0, (..., n, n) for a stack of nonzero
+    vectors (..., n), each normalized first.
 
+    U = T D: D = 1 + (c - 1) x x† turns x to x' = c x, c = conj(x_0)/|x_0|
+    for x_0 = <e_0, x> (c = 1 where x_0 = 0 exactly), and T sends x' to e_0
+    on span{x', e_0} as z -> a z - <e_0, z> x' + <x', z> e_0 with the
+    identity on the complement, a = <e_0, x'> = |x_0| >= 0. With
+    r = e_0 - a x', the projector onto the span is x x† + r r† / (1 - a²),
+    so T's complement term (1 - a) times it is (1 - a) x x† + r r† / (1 + a)
+    and needs no rank cut-off: as x tends to e^{iα} e_0, U tends to
+    1 + (e^{-iα} - 1) e_0 e_0†, and U(e_0) = 1 exactly. In closed form,
+    U = 1 - (1 - a) x x† - r r† / (1 + a) - x' e_0† + e_0 x†.
 
-def _orthonormal_span(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Orthonormal columns spanning span{x, y}."""
-    cols = [x]
-    r = y - np.vdot(x, y) * x
-    nrm = np.linalg.norm(r)
-    if nrm > 1e-14:
-        cols.append(r / nrm)
-    return np.column_stack(cols)
+    U is unitary to rounding everywhere, and smooth in x on the chart
+    x_0 != 0; across x_0 = 0, where the phase c of x_0 is undefined, it
+    jumps. A pure state x x† does not see the jump: U x x† U† = e_0 e_0†
+    and U x = e_0 on either side.
+    """
+    x = np.asarray(x, dtype=np.complex128)
+    norms = np.linalg.norm(x, axis=-1, keepdims=True)
+    if not norms.all():
+        raise ValueError("zero vector does not represent a ray")
+    x = x / norms
+    a = np.abs(x[..., :1])
+    c = np.where(a > 0.0, x[..., :1].conj() / np.where(a > 0.0, a, 1.0), 1.0)
+    xc = c * x
+    xc[..., 0] = a[..., 0]
+    r = -a * xc
+    r[..., 0] += 1.0
+    u = eye(x.shape[-1]) - ((1.0 - a) * x)[..., :, None] * x.conj()[..., None, :]
+    u -= (r / (1.0 + a))[..., :, None] * r.conj()[..., None, :]
+    u[..., :, 0] -= xc
+    u[..., 0, :] += x.conj()
+    return u

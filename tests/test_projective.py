@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from phaselab import homotopy
+from phaselab.homotopy import bundled_pure_loop, contract_loop, verify_homotopy
 from phaselab.linalg import eye, operator_norm, trace_norm
-from phaselab.projective import elementary_transport, ray_distances, ray_product
+from phaselab.projective import ray_distances, ray_product, transport_to_e0
 
 E0 = np.array([1, 0], dtype=complex)
 E1 = np.array([0, 1], dtype=complex)
@@ -10,7 +14,7 @@ E1 = np.array([0, 1], dtype=complex)
 
 def unit(rng, n):
     v = rng.normal(size=n) + 1j * rng.normal(size=n)
-    return v / np.linalg.norm(v)
+    return v / np.linalg.norm(v, axis=-1, keepdims=True)
 
 
 def test_ray_product_examples():
@@ -84,30 +88,67 @@ def test_metric_sandwich():
         assert d.gap <= d.chord + 1e-10
 
 
-def test_elementary_transport():
-    assert np.allclose(elementary_transport(E0, E0), eye(2))
-    u = elementary_transport(E0, E1)
-    assert np.linalg.norm(u @ E0 - E1) < 1e-12
-    assert abs(operator_norm(eye(2) - u) - np.sqrt(2)) < 1e-10
+def _defect(u):
+    """max |U U† - 1| over a stack of matrices."""
+    return np.abs(u @ u.conj().swapaxes(-1, -2) - eye(u.shape[-1])).max()
 
 
-def test_elementary_transport_spectrum():
-    rng = np.random.default_rng(21)
-    x, y = unit(rng, 4), unit(rng, 4)
-    u = elementary_transport(x, y)
-    assert operator_norm(u @ u.conj().T - eye(4)) < 1e-9
-    assert abs(operator_norm(eye(4) - u) - np.linalg.norm(x - y)) < 1e-10
-    c = np.vdot(x, y).real
-    lam_pm = c + 1j * np.sqrt(1 - c * c), c - 1j * np.sqrt(1 - c * c)
-    evals = np.linalg.eigvals(u)
-    for ev in evals:
-        assert min(abs(ev - lam_pm[0]), abs(ev - lam_pm[1]), abs(ev - 1)) < 1e-9
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 6),
+    alpha=st.floats(-np.pi, np.pi),
+    head=st.sampled_from([1.0, 1e-8, 0.0]),
+)
+def test_transport_is_unitary_and_maps_x_to_e0(seed, n, alpha, head):
+    # stacks of random vectors of norm 3 and phase alpha, with <e0, x>
+    # scaled by head: tiny, or exactly 0
+    x = unit(np.random.default_rng(seed), (5, n)) * np.exp(1j * alpha) * 3.0
+    x[:, 0] *= head
+    u = transport_to_e0(x)
+    assert _defect(u) < 1e-14
+    e0 = eye(n)[0]
+    mapped = np.einsum("tij,tj->ti", u, x / np.linalg.norm(x, axis=-1, keepdims=True))
+    assert np.abs(mapped - e0).max() < 1e-14
+    for k in range(5):  # each row is the single call's
+        assert np.array_equal(u[k], transport_to_e0(x[k]))
 
 
-def test_transports_on_the_second_vector():
-    # the transport sends the target to 2 Re<x, y> y - x on the span
-    rng = np.random.default_rng(51)
-    for _ in range(10):
-        x, y = unit(rng, 4), unit(rng, 4)
-        target = 2 * np.vdot(x, y).real * y - x
-        assert np.linalg.norm(elementary_transport(x, y) @ y - target) < 1e-10
+@pytest.mark.parametrize("alpha", [0.0, 0.5, -1.759, np.pi])
+def test_transport_is_continuous_at_the_basepoint(alpha):
+    # x = e^{iα}(e0 + δ e1)/‖·‖ tends to e^{iα} e0, where the transport
+    # tends to 1 + (e^{-iα} - 1) e0 e0†: the step is O(δ), with no jump of
+    # |e^{iα} - 1| as the span {x, e0} collapses
+    limit = transport_to_e0(np.exp(1j * alpha) * E0)
+    assert np.abs(limit - np.diag([np.exp(-1j * alpha), 1.0])).max() < 1e-15
+    for delta in (1e-3, 1e-5, 1e-8, 1e-12, 0.0):
+        u = transport_to_e0(np.exp(1j * alpha) * (E0 + delta * E1))
+        assert operator_norm(u - limit) <= 1.01 * delta
+    assert np.array_equal(transport_to_e0(E0), eye(2))
+
+
+def test_transport_at_x0_zero_is_a_finite_unitary():
+    # c = 1 where <e0, x> = 0 exactly: the transport is the quarter turn
+    # of span{x, e0} that sends x to e0 and e0 to -x
+    x = np.array([0.0, 0.6, 0.8j])
+    u = transport_to_e0(x)
+    assert np.isfinite(u).all() and _defect(u) < 1e-15
+    assert np.abs(u @ x - eye(3)[0]).max() < 1e-15
+    assert np.abs(u @ eye(3)[0] + x).max() < 1e-15
+    with pytest.raises(ValueError, match="zero vector"):
+        transport_to_e0(np.zeros((2, 3)))
+
+
+def test_pure_loop_certifies_across_x0_zero():
+    # the pure loop's continued top eigenvector is ±e1 up to rounding at
+    # sample 200, where <e0, x> = 6e-17 changes sign: the transport jumps
+    # by about 2 into sample 201, and its pure samples do not see it,
+    # since U x x† U† = e0 e0† on either side. The loop certifies.
+    loop = bundled_pure_loop()
+    assert np.abs(np.linalg.eigh(loop.rhos[200])[1][0, -1]) < 1e-15
+    u = homotopy._transport_unitaries(loop.rhos)
+    steps = operator_norm(u[1:] - u[:-1])
+    assert np.flatnonzero(steps > 0.1).tolist() == [200] and abs(steps[200] - 2.0) < 0.1
+    moved = u @ loop.rhos @ u.conj().swapaxes(-1, -2)
+    assert np.abs(moved - np.diag([1.0, 0.0])).max() < 1e-14
+    sheet = contract_loop(loop)
+    assert verify_homotopy(sheet, loop, 5 * loop.max_step).passed
