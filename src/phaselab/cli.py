@@ -1,10 +1,11 @@
 """Command-line surface: reproducible runs with JSON reports.
 
 `invariant` reports the sweep's own verdict (`InvariantRecord.passed`),
-`contract-loop` the verifier's, and `selfcheck` passes iff every suite
-does. Exit codes: 0 pass, 2 numerical-gate failure, 3 input error (usage
-errors included). Each command takes only the flags, and --config keys, it
-reads, and every one of them changes what the command computes or writes.
+`contract-loop` the verifier's at the loop's step modulus
+(`StateLoop.modulus`), and `selfcheck` passes iff every suite does. Exit
+codes: 0 pass, 2 numerical-gate failure, 3 input error (usage errors
+included). Each command takes only the flags, and --config keys, it reads,
+and every one of them changes what the command computes or writes.
 """
 
 from __future__ import annotations
@@ -32,13 +33,6 @@ def _parse_grid(text: str) -> tuple[int, int]:
         return int(k), int(m)
     except ValueError as exc:
         raise ValueError(f"grid must look like 32x64, got {text!r}") from exc
-
-
-def _positive_factor(text: str) -> float:
-    value = float(text)
-    if not 0.0 < value < float("inf"):  # also refuses NaN
-        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text!r}")
-    return value
 
 
 def _is_int(value) -> bool:
@@ -81,12 +75,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_loop = command("contract-loop", "contract a based state loop")
     p_loop.add_argument("loop", help="loop document (JSON)")
     p_loop.add_argument("--sheet-out", help="write the sheet's recipe, no cells or loop")
-    p_loop.add_argument(
-        "--modulus-factor",
-        type=_positive_factor,
-        default=5.0,
-        help="verifier modulus as a multiple of the input step (default 5)",
-    )
 
     p_check = command("selfcheck", "run the seeded property suites", config=True)
     p_check.add_argument("--seed", type=int, help="seed of the suites' randomness (required)")
@@ -174,7 +162,6 @@ def cmd_contract_loop(args, file_cfg: dict) -> int:
             "n": loop.n,
             "n_samples": loop.n_samples,
             "input_step": loop.max_step,
-            "modulus_factor": args.modulus_factor,
         },
     }
     try:
@@ -183,12 +170,11 @@ def cmd_contract_loop(args, file_cfg: dict) -> int:
         report["failure"] = {"kind": "numerical-gate", "message": str(exc)}
         _emit(report, args)
         return EXIT_GATE
-    modulus = args.modulus_factor * max(loop.max_step, 1e-9)
-    verdict = verify_homotopy(sheet, loop, modulus)
+    verdict = verify_homotopy(sheet, loop, loop.modulus)
     report["verifier"] = {
         "passed": verdict.passed,
         "max_cell_step": verdict.max_cell_step,
-        "modulus": modulus,
+        "modulus": loop.modulus,
         "shape": list(verdict.shape),
         "safety_min": verdict.safety_min,
         "safety_margin": verdict.safety_min - SAFETY_FLOOR,
@@ -210,6 +196,8 @@ def cmd_selfcheck(args, file_cfg: dict) -> int:
     seed = args.seed if args.seed is not None else file_cfg.get("seed")
     if seed is None:
         raise ValueError("selfcheck is randomized and needs --seed")
+    if seed < 0:
+        raise ValueError(f"--seed must be a non-negative integer, got {seed}")
     results = run_selfcheck(seed)
     report = {
         "command": "selfcheck",

@@ -35,6 +35,9 @@ SAFETY_FLOOR = 1e-10
 BOUNDARY_RADIUS = 1.0 - 1e-9
 BASEPOINT_TOL = 1e-9
 OPERATOR_TOL = 1e-9
+# A loop's step modulus (StateLoop.modulus): the contractor's rows aim at
+# half of it, and the verifier judges the sheet's cell steps by it.
+MODULUS_FACTOR, STEP_FLOOR = 5.0, 1e-9
 # The verifier's gate on cells (state, edge columns, last row)
 CELL_TOL = 1e-8
 # Fine samples of the pre-pass per row of its s table (48 at least), and
@@ -107,6 +110,11 @@ class StateLoop:
     def max_step(self) -> float:
         """Largest trace-norm step between consecutive samples."""
         return float(trace_norm(self.rhos[1:] - self.rhos[:-1]).max())
+
+    @cached_property
+    def modulus(self) -> float:
+        """The step modulus a contraction of this loop is built for and judged by."""
+        return MODULUS_FACTOR * max(self.max_step, STEP_FLOOR)
 
 
 class Level(NamedTuple):
@@ -425,9 +433,10 @@ def _stage_rows(r: np.ndarray, s: np.ndarray) -> np.ndarray:
 
 
 def _rows_for(target_step: float, movement: float) -> int:
+    """Rows, at least MIN_ROWS, that step `movement` by about `target_step` (> 0)."""
     if movement <= 0:
         return MIN_ROWS
-    return max(MIN_ROWS, int(np.ceil(movement / max(target_step, 1e-12))))
+    return max(MIN_ROWS, int(np.ceil(movement / target_step)))
 
 
 def _rectify(rhos: np.ndarray, target: float, admit):
@@ -522,8 +531,9 @@ def contract_loop(loop: StateLoop) -> HomotopySheet:
     loop gives weight one to P^n_k, and the block homotopy is pushed
     forward by (1 - P) + (embedded block operator), that is, its cells are
     zero-padded to n x n. At k = n-1 the loop is pinned to the basepoint.
-    Each level's recipe is built from the last rows alone, and the sheet is
-    returned as its recipe, unexpanded. A loop whose sheet would hold over
+    Each level's recipe is built from the last rows alone, its rows aimed
+    at steps of half the loop's modulus, and the sheet is returned as its
+    recipe, unexpanded. A loop whose sheet would hold over
     MAX_SHEET_BYTES even at MIN_ROWS a stage is refused first, and each
     stage is checked again with its rows before its pre-pass runs.
     """
@@ -537,13 +547,12 @@ def contract_loop(loop: StateLoop) -> HomotopySheet:
         _check_sheet_budget(_held_bytes(n, t_count, made + least[len(made):]))
         return rows
 
-    target = 2.5 * max(loop.max_step, 1e-3)
     rhos, levels = loop.rhos, []
     for b in range(n, 1, -1):  # the corner block algebra M_b of each level
         if b < n:
             rhos = validate_densities(_compress(rhos, b))
             _check_based(rhos)
-        level, rhos = _rectify(rhos, target, admit)
+        level, rhos = _rectify(rhos, loop.modulus / 2, admit)
         levels.append(level)
         _check_based(rhos)
     return HomotopySheet(n, levels)
@@ -588,8 +597,10 @@ def verify_homotopy(sheet: HomotopySheet, input_loop: StateLoop, modulus: float)
     loop raises ValueError. It is the only judge of the cells: every cell a
     state to CELL_TOL, the basepoint columns constant, the final row
     constant at the basepoint, and all adjacent-cell steps within the
-    modulus. The recipe: every unitary a unitary to OPERATOR_TOL; every
-    s in [0, 1] and each stage's last row at s = 1; and the exact safety
+    modulus, else one "step-modulus" violation at the largest step (on an
+    exact tie of an s-step and a t-step, the one scanned first). The
+    recipe: every unitary a unitary to OPERATOR_TOL; every s in [0, 1] and
+    each stage's last row at s = 1; and the exact safety
     minimum (safety_min) of every column above SAFETY_FLOOR on the stage's
     input as the streamed rows hold it, except in columns whose input is
     not finite, so a recipe in a Gelfand ideal fails as "unsafe". A cell
@@ -606,7 +617,7 @@ def verify_homotopy(sheet: HomotopySheet, input_loop: StateLoop, modulus: float)
     found: dict = {kind: [] for kind in ("non-finite", "non-hermitian", "trace", "negative-eigenvalue",
                                          "left-column", "right-column")}
     recipe = []
-    step_t = step_s = (0.0, (0, 0))  # the largest step along t and along s, at its cell
+    step = (0.0, (0, 0))  # the largest step along s or t, at its cell
     safety: tuple = (None, None)
     blocks = sheet_blocks(sheet, input_loop)  # pulled by next(), so no iterator holds a block past its turn
     prev, prev_ok, row = None, None, 0
@@ -647,11 +658,11 @@ def verify_homotopy(sheet: HomotopySheet, input_loop: StateLoop, modulus: float)
         found["negative-eigenvalue"] += _flags("negative-eigenvalue", neg, neg > CELL_TOL, CELL_TOL, at)
         if row:  # the steps from the row before the block
             steps = np.where(ok[0] & prev_ok, trace_norm(block[0] - prev), 0.0)
-            step_s = _largest(step_s, steps[None], row - 1)
+            step = _largest(step, steps[None], row - 1)
         steps = np.where(ok[1:] & ok[:-1], trace_norm(block[1:] - block[:-1]), 0.0)
-        step_s = _largest(step_s, steps, row)
+        step = _largest(step, steps, row)
         steps = np.where(ok[:, 1:] & ok[:, :-1], trace_norm(block[:, 1:] - block[:, :-1]), 0.0)
-        step_t = _largest(step_t, steps, row)
+        step = _largest(step, steps, row)
         dev = trace_norm(block[:, [0, -1]] - base)
         for i, (col, label) in enumerate(((0, "left-column"), (t_dim - 1, "right-column"))):
             found[label] += _flags(label, dev[:, i], (dev[:, i] > CELL_TOL) & ok[:, col], CELL_TOL,
@@ -663,10 +674,9 @@ def verify_homotopy(sheet: HomotopySheet, input_loop: StateLoop, modulus: float)
     violations = [v for kind in found.values() for v in kind]
     last = trace_norm(prev - base[None])
     violations += _flags("final-row", last, (last > CELL_TOL) & prev_ok, CELL_TOL, lambda t: (s_dim - 1, t))
-    max_step = float(max(step_t[0], step_s[0]))
+    max_step = float(step[0])
     if not max_step <= modulus:  # a NaN modulus or step fails too
-        violations.append(("step-modulus", (step_t if step_t[0] >= step_s[0] else step_s)[1],
-                           max_step, modulus))
+        violations.append(("step-modulus", step[1], max_step, modulus))
     violations += recipe
     return VerifyReport(
         passed=(len(violations) == 0),

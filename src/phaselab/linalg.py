@@ -133,12 +133,9 @@ def trace_norm(m: np.ndarray):
     value per matrix for a stack of shape (..., n, n). A matrix equal to its
     adjoint bit for bit takes the sum of its absolute eigenvalues
     (_hermitian_trace_norm), any other an SVD. The choice is per matrix, and
-    the Hermitian ones of a stack are taken together: a stack with fewer
-    than CLOSED_FORM_MIN_STACK of them gives the values of single calls bit
-    for bit, a larger one agrees with them to 1e-13 of each matrix's
-    Frobenius norm. For a traceless Hermitian matrix, such as the
-    difference of two states, √2‖Δ‖_F <= ‖Δ‖₁ <= √n‖Δ‖_F, with equality on
-    the left at rank 2."""
+    each matrix's value is that of a single call on it, whatever the stack.
+    For a traceless Hermitian matrix, such as the difference of two states,
+    √2‖Δ‖_F <= ‖Δ‖₁ <= √n‖Δ‖_F, with equality on the left at rank 2."""
     m = np.asarray(m, dtype=np.complex128)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError("trace_norm expects a square matrix")
@@ -171,14 +168,6 @@ CLOSED_FORM_MAX_R = 1.0 - (4 * 8 * np.finfo(float).eps / (3 * np.sqrt(6) * 5e-14
 # entries of H - q (each at most sqrt(6) p) are normal floats.
 _CLOSED_FORM_P2 = (1e-200, 1e200)
 
-# The closed form costs some 40 array operations whatever the stack size;
-# below this many matrices eigvalsh is faster (3x3, one BLAS thread: 12 us
-# against 70 us for one matrix, 53 against 59 us for 32, 126 against 70 us
-# for 64). Single matrices thus keep the bits of sum |eigvalsh|, which the
-# closed form matches on only about 30% of random 3x3 matrices.
-CLOSED_FORM_MIN_STACK = 32
-
-
 # LDLᴴ positivity certificate (see min_eigenvalues). Let S = Σ|h_ii| + n tol
 # and σ = tol - δ with δ = POSITIVITY_MARGIN * S. If the LDLᴴ factorization
 # of H + σ1 runs with every pivot positive, then LDLᴴ = H + σ1 + E with
@@ -196,12 +185,6 @@ CLOSED_FORM_MIN_STACK = 32
 # |h_ij|²/d, at most 5e-324/d, then stays far below u S for any tol above
 # 1e-140.
 POSITIVITY_MARGIN = 64 * np.finfo(float).eps
-
-
-def _takes_closed_form(n: int, count: int) -> bool:
-    """The size rule of the packed kernels: n = 2 or 3 and a stack of at
-    least CLOSED_FORM_MIN_STACK matrices."""
-    return n in (2, 3) and count >= CLOSED_FORM_MIN_STACK
 
 
 def pack_hermitian(h: np.ndarray) -> np.ndarray:
@@ -235,24 +218,33 @@ def unpack_hermitian(x: np.ndarray) -> np.ndarray:
     return h
 
 
-def _hermitian_trace_norm(h: np.ndarray) -> np.ndarray:
-    """Sum of absolute eigenvalues of each matrix of an exactly Hermitian
-    stack h (..., n, n). For n = 2 and 3 and at least CLOSED_FORM_MIN_STACK
-    matrices a closed form gives it elementwise over the packed stack
-    (pack_hermitian); the matrices it does not resolve (non-finite entries,
-    a nearly degenerate 3x3 pair, a 3x3 scale outside _CLOSED_FORM_P2) and
-    all other stacks take eigvalsh on the matrices themselves, one LAPACK
-    call per matrix."""
+def _packed_or_eigvalsh(h: np.ndarray, kernel, reduce) -> np.ndarray:
+    """One value per matrix of an exactly Hermitian stack h (..., n, n). For
+    n = 2 and 3, kernel(x) gives (values, where they hold) elementwise over
+    the packed stack x (pack_hermitian); the matrices it leaves, and every
+    stack of n >= 4, take reduce(eigvalsh(m)), one LAPACK call per matrix.
+    So a matrix's value depends on that matrix alone, not on its stack."""
     n = h.shape[-1]
     flat = h.reshape(-1, n, n)
-    if not _takes_closed_form(n, len(flat)):
-        return np.abs(np.linalg.eigvalsh(flat)).sum(axis=-1).reshape(h.shape[:-2])
-    with np.errstate(all="ignore"):  # 0/0, overflow, inf: those matrices are redone below
-        norms, done = (_closed_form_2 if n == 2 else _closed_form_3)(pack_hermitian(flat))
+    if n not in (2, 3):
+        return reduce(np.linalg.eigvalsh(flat)).reshape(h.shape[:-2])
+    with np.errstate(all="ignore"):  # 0/0, overflow, inf, nan: those matrices are redone below
+        values, done = kernel(pack_hermitian(flat))
     redo = np.flatnonzero(~done)
     if redo.size:
-        norms[redo] = np.abs(np.linalg.eigvalsh(flat[redo])).sum(axis=-1)
-    return norms.reshape(h.shape[:-2])
+        values[redo] = reduce(np.linalg.eigvalsh(flat[redo]))
+    return values.reshape(h.shape[:-2])
+
+
+def _hermitian_trace_norm(h: np.ndarray) -> np.ndarray:
+    """Sum of absolute eigenvalues of each matrix of an exactly Hermitian
+    stack h (..., n, n): for every 2x2 and 3x3 stack a closed form
+    (_closed_form_2, _closed_form_3), within 1e-13 of each matrix's
+    Frobenius norm, and eigvalsh for the matrices it does not resolve
+    (non-finite entries, a nearly degenerate 3x3 pair, a 3x3 scale outside
+    _CLOSED_FORM_P2) and for n >= 4 (_packed_or_eigvalsh)."""
+    return _packed_or_eigvalsh(h, lambda x: (_closed_form_2 if len(x) == 4 else _closed_form_3)(x),
+                               lambda evals: np.abs(evals).sum(axis=-1))
 
 
 def _closed_form_2(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -308,23 +300,13 @@ def min_eigenvalues(h: np.ndarray, tol: float) -> np.ndarray:
     matrix reads -tol instead, so `min_eigenvalues(h, tol) < -tol` is
     eigvalsh's verdict and every failing value is eigvalsh's own.
 
-    The certificate factors H + (tol - δ)1 elementwise over the packed
-    stack and clears the matrices whose pivots all exceed δ (see
-    POSITIVITY_MARGIN). It takes the closed form's size rule, n = 2 or 3
-    and at least CLOSED_FORM_MIN_STACK matrices; the matrices it does not
-    clear (non-finite entries, overflow, a pivot at or below δ) and all
-    other stacks take eigvalsh, one LAPACK call per matrix."""
-    n, count = h.shape[-1], math.prod(h.shape[:-2])
-    if not _takes_closed_form(n, count):
-        return np.linalg.eigvalsh(h).min(axis=-1)
-    flat = h.reshape(count, n, n)
-    with np.errstate(all="ignore"):  # overflow, inf, nan: those matrices are redone below
-        cleared = _ldl_clears(pack_hermitian(flat), tol)
-    out = np.full(count, -tol)
-    redo = np.flatnonzero(~cleared)
-    if redo.size:
-        out[redo] = np.linalg.eigvalsh(flat[redo]).min(axis=-1)
-    return out.reshape(h.shape[:-2])
+    The certificate factors H + (tol - δ)1 elementwise over every packed
+    2x2 and 3x3 stack and clears the matrices whose pivots all exceed δ
+    (see POSITIVITY_MARGIN); the matrices it does not clear (non-finite
+    entries, overflow, a pivot at or below δ) and every stack of n >= 4
+    take eigvalsh (_packed_or_eigvalsh)."""
+    return _packed_or_eigvalsh(h, lambda x: (np.full(x.shape[1], -tol), _ldl_clears(x, tol)),
+                               lambda evals: evals.min(axis=-1))
 
 
 def _ldl_clears(x: np.ndarray, tol: float) -> np.ndarray:

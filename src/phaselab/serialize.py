@@ -79,7 +79,8 @@ def sheet_to_doc(sheet: HomotopySheet) -> dict:
     """The sheet's recipe: its levels, s_den and u_den, and no loop. A NaN
     or infinite entry, which JSON cannot hold, or an s or a unitary off its
     dyadic grid raises ValueError."""
-    _check_finite(sheet)
+    if not all(np.isfinite(a).all() for lv in sheet.levels for a in lv):
+        raise ValueError("sheet has non-finite entries")  # inf passes the grid test
     levels = [
         {"unitaries": _numerators(np.stack([lv.unitaries.real, lv.unitaries.imag], axis=-1),
                                   U_DEN, "a unitary"),
@@ -127,8 +128,9 @@ def _level(doc: dict) -> Level:
 
 def sheet_from_doc(doc: dict) -> HomotopySheet:
     """Decode a sheet document into its recipe, unexpanded: its shapes must
-    fit n and every entry must be finite. Its cells are judged by
-    verify_homotopy, on the loop it is handed."""
+    fit n. Every entry is a JSON integer over a power of two, so finite (a
+    numerator past a double's range raises OverflowError). Its cells are
+    judged by verify_homotopy, on the loop it is handed."""
     try:
         if sorted(doc) != ["levels", "n", "s_den", "u_den"]:
             raise ValueError("a sheet document holds 'n', 's_den', 'u_den' and 'levels' since "
@@ -140,17 +142,11 @@ def sheet_from_doc(doc: dict) -> HomotopySheet:
         levels = [_level(level) for level in doc["levels"]]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed sheet document: {exc}") from exc
-    return _check_finite(HomotopySheet(n, levels))
+    return HomotopySheet(n, levels)
 
 
 def dumps(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
-
-
-def _check_finite(sheet: HomotopySheet) -> HomotopySheet:
-    if not all(np.isfinite(a).all() for lv in sheet.levels for a in lv):
-        raise ValueError("sheet has non-finite entries")
-    return sheet
 
 
 def write_sheet(path: str, sheet: HomotopySheet):

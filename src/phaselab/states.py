@@ -72,8 +72,9 @@ def validate_densities(rho: np.ndarray) -> np.ndarray:
     order, naming the first check it fails: finite entries (NaN slips past
     every comparison), then Hermitian, then no negative eigenvalue, then unit trace.
     The eigenvalue check is linalg.min_eigenvalues of (ρ + ρ†)/2: an LDLᴴ
-    certificate clears 2x2 and 3x3 stacks elementwise, and eigvalsh decides,
-    and gives the reported value for, every matrix it does not clear.
+    certificate clears every 2x2 and 3x3 stack elementwise, whatever its
+    size, and eigvalsh decides, and gives the reported value for, every
+    matrix it does not clear.
     """
     rho = np.asarray(rho, dtype=np.complex128)
     if rho.ndim < 2 or rho.shape[-1] != rho.shape[-2]:

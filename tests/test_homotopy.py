@@ -46,8 +46,9 @@ def test_state_loop_validation():
     with pytest.raises(ValueError):
         StateLoop(2, np.array([base, other, other]))  # not closed
     coarse = StateLoop(2, np.array([base, other, base]))  # valid loop, just coarse
-    assert coarse.max_step == 2.0
-    assert constant_loop(2, 8).max_step == 0.0
+    assert coarse.max_step == 2.0 and coarse.modulus == 10.0
+    flat = constant_loop(2, 8)
+    assert flat.max_step == 0.0 and flat.modulus == 5e-9  # 5 times the step floor
 
 
 def test_state_loop_is_one_validated_array():
@@ -221,7 +222,7 @@ def test_sheet_boundary_exactness():
 def test_contract_loop_verifies(make_loop):
     loop = make_loop()
     sheet = contract_loop(loop)
-    report = verify_homotopy(sheet, loop, modulus=5 * loop.max_step)
+    report = verify_homotopy(sheet, loop, modulus=loop.modulus)
     assert report.passed, report.violations[:5]
     base = basis_state(loop.n)
     for rho in cells(sheet, loop)[-1]:
@@ -236,7 +237,7 @@ def test_formerly_failing_seeds_contract_and_verify(seed):
     # continuous
     loop = random_based_loop(3, seed, 700)
     sheet = contract_loop(loop)
-    assert verify_homotopy(sheet, loop, 5 * loop.max_step).passed
+    assert verify_homotopy(sheet, loop, loop.modulus).passed
 
 
 def test_unitarity_is_checked_before_the_phase_lift(monkeypatch):
@@ -335,7 +336,7 @@ def test_verifier_measures_the_steps_between_stage_blocks(monkeypatch):
 def test_verifier_fails_a_nan_modulus(pure_sheet):
     # a NaN modulus must not turn the step gate off
     loop = bundled_pure_loop()
-    assert verify_homotopy(pure_sheet, loop, 5 * loop.max_step).passed
+    assert verify_homotopy(pure_sheet, loop, loop.modulus).passed
     report = verify_homotopy(pure_sheet, loop, float("nan"))
     assert not report.passed
     assert [v[0] for v in report.violations] == ["step-modulus"]
@@ -385,7 +386,7 @@ def _traced_contract_and_verify(loop) -> tuple:
     tracemalloc.start()
     try:
         sheet = contract_loop(loop)
-        report = verify_homotopy(sheet, loop, 5 * max(loop.max_step, 1e-3))
+        report = verify_homotopy(sheet, loop, loop.modulus)
         return sheet, report, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -411,6 +412,27 @@ def test_contraction_and_verification_stay_within_the_count(make_loop, monkeypat
     assert report.passed, report.violations[:5]
     assert sheet.held_bytes == held
     assert peak <= held
+
+
+def test_a_slow_loop_is_contracted_for_the_modulus_it_is_judged_by(monkeypatch):
+    # max_step 6.3e-4, modulus 3.1e-3: the rows aim at half the modulus, so
+    # the sheet's largest cell step comes to about half of it (0.50)
+    t = np.linspace(0.0, 1.0, 1001)
+    a = 0.1 * np.sin(np.pi * t)
+    v = np.stack([np.cos(a), np.sin(a) * np.exp(1j * np.pi * t)], axis=-1)
+    rhos = v[:, :, None] * v[:, None, :].conj()
+    loop = StateLoop(2, (rhos + rhos.conj().swapaxes(-1, -2)) / 2)
+    assert loop.max_step < 1e-3
+    assert loop.modulus == homotopy.MODULUS_FACTOR * loop.max_step
+    targets, rows_for = [], homotopy._rows_for
+    monkeypatch.setattr(homotopy, "_rows_for", lambda target, move: targets.append(target)
+                        or rows_for(target, move))
+    sheet = contract_loop(loop)
+    assert targets == [loop.modulus / 2] * 2
+    report = verify_homotopy(sheet, loop, loop.modulus)
+    assert report.passed, report.violations[:5]
+    assert report.max_cell_step <= loop.modulus
+    assert sheet.shape == (137, 1001)
 
 
 def test_a_sheet_over_its_cell_bytes_contracts_and_verifies_within_the_budget(monkeypatch):
@@ -639,7 +661,7 @@ def test_verifier_names_each_boundary_check_at_an_int_cell(pure_sheet, monkeypat
         arr[cell] = (1 - 1e-6) * arr[cell] + 1e-6 * basis_state(2, 1).rho
 
     forge_cells(monkeypatch, corrupt)
-    report = verify_homotopy(pure_sheet, loop, 5 * loop.max_step)
+    report = verify_homotopy(pure_sheet, loop, loop.modulus)
     assert not report.passed
     want = tuple(i % size for i, size in zip(cell, pure_sheet.shape))
     flagged = [v for v in report.violations if v[0] == kind]
@@ -718,7 +740,7 @@ def test_read_back_cells_equal_the_contractors(name, tmp_path):
     serialize.write_sheet(str(path), sheet)
     back = serialize.sheet_from_doc(serialize.read_doc(str(path)))
     assert np.array_equal(cells(back, loop), cells(sheet, loop))
-    assert verify_homotopy(back, loop, 5 * loop.max_step).passed
+    assert verify_homotopy(back, loop, loop.modulus).passed
 
 
 @pytest.mark.parametrize(
@@ -731,7 +753,7 @@ def test_verifier_refuses_a_loop_the_recipe_does_not_fit(other):
     _, sheet = _contracted("seed2")
     loop = other()
     with pytest.raises(ValueError, match=r"a recipe on M_3 over 701 columns does not fit"):
-        verify_homotopy(sheet, loop, 5 * loop.max_step)
+        verify_homotopy(sheet, loop, loop.modulus)
     with pytest.raises(ValueError, match="does not fit"):
         cells(sheet, loop)
 
@@ -741,8 +763,8 @@ def test_a_recipe_certifies_only_its_own_loop():
     # 0 is the seed-7 loop by construction, and the sheet over it fails
     _, sheet = _contracted("seed2")
     loop, own = _contracted("seed7")
-    assert verify_homotopy(own, loop, 5 * loop.max_step).passed
-    report = verify_homotopy(sheet, loop, 5 * loop.max_step)
+    assert verify_homotopy(own, loop, loop.modulus).passed
+    report = verify_homotopy(sheet, loop, loop.modulus)
     assert not report.passed
     assert report.max_cell_step > 1.0
     assert [v[0] for v in report.violations] == ["step-modulus"]
@@ -944,13 +966,13 @@ def test_verifier_flags_a_scaled_unitary_on_a_moving_loop(pure_sheet):
     loop = bundled_pure_loop()
     ops = pure_sheet.levels[0].unitaries
     forged = _forge(pure_sheet, unitaries=_set(ops, 200, 1.01 * ops[200]))
-    report = verify_homotopy(forged, loop, modulus=5 * loop.max_step)
+    report = verify_homotopy(forged, loop, modulus=loop.modulus)
     assert [v[:2] for v in report.violations] == [("not-unitary", (0, 0, 200))]
 
 
 def test_verifier_reports_the_safety_minimum():
     loop, sheet = _contracted("seed2")
-    report = verify_homotopy(sheet, loop, 5 * loop.max_step)
+    report = verify_homotopy(sheet, loop, loop.modulus)
     values = [safety_min(pencil(ops, rhos))[0] for ops, _, rhos in _stage_inputs(sheet, loop)]
     level, stage, column = report.safety_at
     index = 2 * level + stage
@@ -964,7 +986,7 @@ def test_streamed_verdict_equals_the_whole_sheets(name):
     # step and its safety minimum and location are those recomputed on the
     # whole expanded sheet, bit for bit
     loop, sheet = _contracted(name)
-    report = verify_homotopy(sheet, loop, 5 * loop.max_step)
+    report = verify_homotopy(sheet, loop, loop.modulus)
     arr = cells(sheet, loop)
     step_t = linalg.trace_norm(arr[:, 1:] - arr[:, :-1])
     step_s = linalg.trace_norm(arr[1:] - arr[:-1])
@@ -982,19 +1004,19 @@ def test_contract_loop_takes_no_svd(monkeypatch):
     svd = np.linalg.svd
     monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
     sheet = contract_loop(loop)
-    assert verify_homotopy(sheet, loop, 5 * loop.max_step).passed
+    assert verify_homotopy(sheet, loop, loop.modulus).passed
     assert calls == []  # every trace norm took the Hermitian path
 
 
 def test_contract_loop_takes_lapack_only_on_fallback(monkeypatch):
     # Every step a contraction and its verification measure is of 2x2 or
     # 3x3 Hermitian matrices: the arc-length pre-pass takes √2‖Δ‖_F, with
-    # no LAPACK, and trace_norm the closed form. eigvalsh sees only small
-    # stacks and the matrices the closed form hands back, each with a
-    # nearly degenerate pair. The positivity certificate of validation and
-    # the verifier clears every matrix of the stacks it takes on this loop.
+    # no LAPACK, and trace_norm the closed form. eigvalsh sees only the
+    # matrices the closed form hands back, each with a nearly degenerate
+    # pair. The positivity certificate of validation and the verifier
+    # clears every matrix it takes on this loop, single states included.
     loop = random_based_loop(3, 2, 700)
-    counts = {"step": [0, 0], "positivity": [0, 0], "small": [0, 0]}  # matrices, to eigvalsh
+    counts = {"step": [0, 0], "positivity": [0, 0]}  # matrices, to eigvalsh
     active, handed_back = [], []
     eigvalsh = np.linalg.eigvalsh
 
@@ -1003,11 +1025,8 @@ def test_contract_loop_takes_lapack_only_on_fallback(monkeypatch):
 
     def counting(kernel, key, matrices=size):
         def wrapped(m, *args):
-            count = matrices(m, *args)
-            # the size rule sends a small stack to eigvalsh, certificate or not
-            kind = "small" if key == "positivity" and count < linalg.CLOSED_FORM_MIN_STACK else key
-            counts[kind][0] += count
-            active.append((kind, count))
+            counts[key][0] += matrices(m, *args)
+            active.append(key)
             try:
                 return kernel(m, *args)
             finally:
@@ -1016,9 +1035,8 @@ def test_contract_loop_takes_lapack_only_on_fallback(monkeypatch):
 
     def counting_eigvalsh(m, *args, **kwargs):
         if active:
-            kind, count = active[-1]
-            counts[kind][1] += size(m)
-            if kind == "step" and count >= linalg.CLOSED_FORM_MIN_STACK:
+            counts[active[-1]][1] += size(m)
+            if active[-1] == "step":
                 handed_back.append(np.asarray(m))
         return eigvalsh(m, *args, **kwargs)
 
@@ -1032,7 +1050,7 @@ def test_contract_loop_takes_lapack_only_on_fallback(monkeypatch):
         monkeypatch.setattr(module, "min_eigenvalues", positivity)
     monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
     sheet = contract_loop(loop)
-    assert verify_homotopy(sheet, loop, 5 * loop.max_step).passed
+    assert verify_homotopy(sheet, loop, loop.modulus).passed
     matrices, lapack = counts["step"]
     assert 0 < lapack <= 0.01 * matrices
     # r = cos 3φ of each handed-back spectrum, from eigvalsh's eigenvalues
@@ -1089,10 +1107,10 @@ def _eigvalsh_trace_norm(m):
 @pytest.mark.parametrize("name", ["pure", "plateau", "seed2", "seed7"])
 def test_contraction_matches_the_eigvalsh_oracle(name, monkeypatch):
     loop, sheet = _contracted(name)
-    report = verify_homotopy(sheet, loop, 5 * loop.max_step)
+    report = verify_homotopy(sheet, loop, loop.modulus)
     monkeypatch.setattr(homotopy, "trace_norm", _eigvalsh_trace_norm)
     oracle = contract_loop(loop)
-    oracle_report = verify_homotopy(oracle, loop, 5 * loop.max_step)
+    oracle_report = verify_homotopy(oracle, loop, loop.modulus)
     assert oracle.shape == sheet.shape
     assert len(oracle.levels) == len(sheet.levels)
     stages = zip(_stage_inputs(sheet, loop), _stage_recipes(oracle))
@@ -1167,13 +1185,13 @@ def test_verifier_reports_negative_cells_as_eigvalsh_does(monkeypatch):
             arr[row, col] = (cell + cell.conj().T) / 2
 
     forge_cells(monkeypatch, corrupt)
-    report = verify_homotopy(forged, loop, 5 * loop.max_step)
+    report = verify_homotopy(forged, loop, loop.modulus)
 
     def eigvalsh_scan(h, tol):
         return np.linalg.eigvalsh(h).min(axis=-1)
 
     monkeypatch.setattr(homotopy, "min_eigenvalues", eigvalsh_scan)
-    oracle = verify_homotopy(forged, loop, 5 * loop.max_step)
+    oracle = verify_homotopy(forged, loop, loop.modulus)
     negative = [v for v in report.violations if v[0] == "negative-eigenvalue"]
     assert [v[1] for v in negative] == [(7, 300)]
     assert abs(negative[0][2] - 3e-6) < 1e-15

@@ -199,7 +199,7 @@ def test_trace_norm_of_hermitian_stacks_matches_svd(n, count, scale, rank, seed)
     evals[:, min(rank, n):] = 0.0  # rank-deficient, or zero at rank 0
     m = (vecs * evals[:, None, :]) @ vecs.conj().swapaxes(-1, -2)
     m = (m + m.conj().swapaxes(-1, -2)) / 2
-    assert np.array_equal(m, m.conj().swapaxes(-1, -2))  # takes the eigvalsh path
+    assert np.array_equal(m, m.conj().swapaxes(-1, -2))  # takes the Hermitian path
     svd = np.sum(np.linalg.svd(m, compute_uv=False), axis=-1)
     bound = 1e-12 * np.maximum(1.0, np.linalg.norm(m, axis=(-2, -1)))
     assert np.all(np.abs(trace_norm(m) - svd) <= bound)
@@ -232,8 +232,8 @@ def _haar_unitaries(count, n, rng):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_trace_norm_closed_form_matches_eigvalsh(n, kind, split, scale, rank, seed):
-    # Stacks of unitary conjugates of one spectrum, large enough to take the
-    # closed form. Exact double and triple eigenvalues, and pairs split by
+    # Stacks of unitary conjugates of one spectrum. Exact double and triple
+    # eigenvalues, and pairs split by
     # 1e-15..1e-2 of the scale, put |r| at or near 1, where the 3x3 closed
     # form must hand the matrix to eigvalsh; the rest stay on its side.
     rng = np.random.default_rng(seed)
@@ -246,7 +246,7 @@ def test_trace_norm_closed_form_matches_eigvalsh(n, kind, split, scale, rank, se
     }.get(kind, [centre + split / 2, centre - split / 2, y])
     evals = scale * np.array(spectrum[:n])
     evals[min(rank, n):] = 0.0
-    vecs = _haar_unitaries(2 * linalg.CLOSED_FORM_MIN_STACK, n, rng)
+    vecs = _haar_unitaries(2 * 32, n, rng)
     m = (vecs * evals) @ vecs.conj().swapaxes(-1, -2)
     m = (m + m.conj().swapaxes(-1, -2)) / 2
     want = np.abs(np.linalg.eigvalsh(m)).sum(axis=-1)
@@ -258,7 +258,7 @@ def test_trace_norm_closed_form_matches_eigvalsh(n, kind, split, scale, rank, se
 def test_trace_norm_closed_form_at_extreme_scales(scale):
     # near 1e-105, p³ is subnormal and r loses its digits (error 1e-5 of the
     # norm if the closed form took it); such scales take eigvalsh
-    herm = random_complex((linalg.CLOSED_FORM_MIN_STACK, 3, 3), np.random.default_rng(4))
+    herm = random_complex((32, 3, 3), np.random.default_rng(4))
     m = scale * (herm + herm.conj().swapaxes(-1, -2)) / 2
     want = np.abs(np.linalg.eigvalsh(m)).sum(axis=-1)
     assert np.all(np.abs(trace_norm(m) - want) <= 1e-13 * np.linalg.norm(m, axis=(-2, -1)))
@@ -266,7 +266,7 @@ def test_trace_norm_closed_form_at_extreme_scales(scale):
 
 @given(
     n=st.integers(2, 8),
-    count=st.sampled_from([1, 5, linalg.CLOSED_FORM_MIN_STACK]),
+    count=st.sampled_from([1, 5, 32]),
     scale=st.floats(1e-12, 1e3),
     rank=st.integers(2, 8),
     seed=st.integers(0, 2**32 - 1),
@@ -310,11 +310,10 @@ def _outcome(f, *args):
 @pytest.mark.parametrize("n", [2, 3])
 @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan, complex(np.inf, 1.0), complex(np.nan, 0.0)])
 def test_trace_norm_of_non_finite_matrices_takes_lapack(n, value):
-    # a single matrix, and the same matrix in a stack that takes the closed
-    # form, give what the LAPACK path gives: a value (nan included) or
-    # LinAlgError
+    # a single matrix, and the same matrix in a stack, give what the LAPACK
+    # path gives: a value (nan included) or LinAlgError
     rng = np.random.default_rng(11)
-    herm = random_complex((linalg.CLOSED_FORM_MIN_STACK, n, n), rng)
+    herm = random_complex((32, n, n), rng)
     herm = (herm + herm.conj().swapaxes(-1, -2)) / 2
     for i in range(n):
         for j in range(n):
@@ -330,6 +329,26 @@ def test_trace_norm_of_non_finite_matrices_takes_lapack(n, value):
                 assert got is stacked is np.linalg.LinAlgError
             else:
                 assert np.array_equal([got, stacked], [want, want], equal_nan=True)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("count", [1, 2, 31, 32, 33])
+def test_packed_kernels_give_each_matrix_its_single_call_value(n, count):
+    # states, which the certificate clears, indefinite matrices, which it
+    # hands to eigvalsh, and 3x3 conjugates of a near pair, which the closed
+    # form hands to eigvalsh: each value is the same bits in any stack
+    rng = np.random.default_rng(40 + count)
+    v = random_complex((count, n, n), rng)
+    states = v @ v.conj().swapaxes(-1, -2)
+    kinds = (states / np.trace(states, axis1=-2, axis2=-1).real[:, None, None],
+             v + v.conj().swapaxes(-1, -2),
+             _spectrum_conjugates([1.0, 1.0 + 1e-12, 0.5][:n], count, rng))
+    herm = np.stack(kinds, axis=1).reshape(-1, n, n)[:count]  # the kinds in turn
+    herm = (herm + herm.conj().swapaxes(-1, -2)) / 2
+    for kernel in (trace_norm, lambda h: linalg.min_eigenvalues(h, 1e-10)):
+        stacked = kernel(herm)
+        assert stacked.shape == (count,)
+        assert np.array_equal(stacked, [kernel(m) for m in herm])
 
 
 def test_chain_layout_validation():
@@ -409,7 +428,7 @@ def test_positivity_certificate_hands_non_finite_and_overflow_to_eigvalsh(n, val
     # one such matrix in a stack the certificate takes: it alone goes to
     # eigvalsh, whose value or LinAlgError it gives
     rng = np.random.default_rng(12)
-    stack = _spectrum_conjugates([1.0, 0.5, 0.25][:n], linalg.CLOSED_FORM_MIN_STACK, rng)
+    stack = _spectrum_conjugates([1.0, 0.5, 0.25][:n], 32, rng)
     eigvalsh = np.linalg.eigvalsh
     for i in range(n):
         for j in range(i, n):

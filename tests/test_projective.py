@@ -151,4 +151,4 @@ def test_pure_loop_certifies_across_x0_zero():
     moved = u @ loop.rhos @ u.conj().swapaxes(-1, -2)
     assert np.abs(moved - np.diag([1.0, 0.0])).max() < 1e-14
     sheet = contract_loop(loop)
-    assert verify_homotopy(sheet, loop, 5 * loop.max_step).passed
+    assert verify_homotopy(sheet, loop, loop.modulus).passed
