@@ -8,11 +8,13 @@ with a disk phase lift to keep linear interpolations outside the Gelfand
 ideal; compression onto nested corner blocks; and a verifier that
 certifies the resulting two-parameter sheet cell by cell. A sheet is held
 as its recipe, which is what a sheet document stores: per level k on the
-corner block b = n - k, its T unitaries and the s tables of its two stages,
-the unitaries' and the corner projection P^b_1's, every unitary entry a
-multiple of 1 / U_DEN and every s one of 1 / S_DEN. Its cells are evaluated
-on the loop it is given, row 0, one stage at a time (sheet_blocks), and
-the verifier checks each stage's block of rows as it comes.
+corner block b = n - k, its T unitaries, every entry a multiple of
+1 / U_DEN, and the row counts of its two stages, the unitaries' and the
+corner projection P^b_1's. A stage's s rows are no part of it: each
+column's follow from the column's pencil (_rule_rows). Its cells are
+evaluated on the loop it is given, row 0, one stage at a time
+(sheet_blocks), and the verifier checks each stage's block of rows as it
+comes.
 """
 
 from __future__ import annotations
@@ -40,31 +42,19 @@ OPERATOR_TOL = 1e-9
 MODULUS_FACTOR, STEP_FLOOR = 5.0, 1e-9
 # The verifier's gate on cells (state, edge columns, last row)
 CELL_TOL = 1e-8
-# Fine samples of the pre-pass per row of its s table (48 at least), and
-# the fewest rows a stage takes.
-FINE_MULT = 6
+# The fewest rows a stage takes
 MIN_ROWS = 8
-# s tables are multiples of 1 / S_DEN (_interp_rows). A column's s table
-# follows its arc length when that is at least ARC_FLOOR times its stage's
-# largest and at least ROUNDING_ARC (_arc_rows); below, the table of a
-# column is mostly rounding. Measured in √2‖Δ‖_F on the pure and plateau loops
-# and random_based_loop(3, seed, 700), seeds 1-18: a column of arc 4.6e-11 in
-# seed 2's level 1 unitary stage is 3.3e-10 of its stage's largest, every
-# column of arc 1e-3 or more is at least 8.0e-4 of its stage's largest, and
-# the pure loop's projection stage is all rounding, its largest arc 6.2e-14.
-S_DEN = 2**16
 # The lifted unitaries are multiples of 1 / U_DEN (_rectify). Rounding
 # moves an entry by at most 2^-41, which leaves the unitarity defect near
 # 1e-12, about 700 times under OPERATOR_TOL, and a numerator of at most
 # 2^40 in modulus is an exact double.
 U_DEN = 2**40
-ARC_FLOOR, ROUNDING_ARC = 1e-7, 1e-13
 # Bytes a sheet may hold (_held_bytes): its recipe and BLOCK_COPIES blocks
 # of its stage of most rows. Beyond the recipe, tracemalloc reads a
-# contraction's pre-pass at 2.0 to 3.2 blocks and a verification at 3.6 to
-# 4.7 (n = 2 to 40, 17 to 901 samples). The count covers arrays only: on
-# sheets under about 1 MB, tracemalloc's fixed overhead can exceed it
-# (constant_loop(2, 16) reads 65,445 B against a count of 65,280 B).
+# contraction, its row probes included, at 2.4 to 3.7 blocks and a
+# verification at 3.6 to 4.8 (n = 2 to 40, 17 to 901 samples). The count
+# covers arrays only: on sheets under about 1 MB, tracemalloc's fixed
+# overhead can exceed it (constant_loop(2, 16) reads 7.2 blocks).
 MAX_SHEET_BYTES, BLOCK_COPIES = 2**28, 7
 
 
@@ -121,29 +111,30 @@ class Level(NamedTuple):
     """Rectification level k of a contraction recipe over T columns, on the
     corner block algebra M_b with b = n - k: a unitary stage, then a
     projection stage, act in turn on the block of the previous level's last
-    row, and their rows are zero-padded into the n x n corner. A stage's
-    row r acts on column t of its input with s[r, t] A_t + (1 - s[r, t]) 1,
+    row, and their rows are zero-padded into the n x n corner. A stage of
+    `rows` rows acts on column t of its input with s A_t + (1 - s) 1 at the
+    column's s rows from the rule (_rule_rows), the last at s = 1, with
     A_t = unitaries[t] in the unitary stage and the corner projection
-    P^b_1 in the projection stage; each s table's last row is 1."""
+    P^b_1 in the projection stage."""
 
     unitaries: np.ndarray  # (T, b, b)
-    s_unitary: np.ndarray  # (rows, T)
-    s_projection: np.ndarray  # (rows, T)
+    rows: tuple  # (the unitary stage's, the projection stage's), positive ints
 
 
 def _stages(n: int, levels: list) -> Iterator[tuple]:
     """Each stage of a recipe on M_n in order, as (level, stage, block,
-    operators, s table), the projection stage's operator P^b_1."""
+    operators, rows), the projection stage's operator P^b_1."""
     for k, level in enumerate(levels):
         b = n - k
-        yield k, 0, b, level.unitaries, level.s_unitary
-        yield k, 1, b, projection_matrix(b, 1), level.s_projection
+        yield k, 0, b, level.unitaries, level.rows[0]
+        yield k, 1, b, projection_matrix(b, 1), level.rows[1]
 
 
 def _recipe_rows(n: int, levels: list) -> int:
     """Rows of the sheet a recipe expands to, counting row 0, over the T
     columns of its level 0 unitaries; raises ValueError for a recipe whose
-    shapes do not fit n and T."""
+    shapes do not fit n and T, or whose row counts are not two positive
+    integers a level (a bool is not one)."""
     if n < 2:
         raise ValueError(f"a recipe is on M_n with n >= 2, got n = {n}")
     if len(levels) != n - 1:
@@ -153,10 +144,9 @@ def _recipe_rows(n: int, levels: list) -> int:
         if level.unitaries.shape != (t_count, n - k, n - k):
             raise ValueError(f"level {k} unitaries of shape {level.unitaries.shape}, "
                              f"not {(t_count, n - k, n - k)}")
-        for s in level[1:]:
-            if s.ndim != 2 or s.shape[0] < 1 or s.shape[1] != t_count:
-                raise ValueError(f"s table of shape {s.shape} over {t_count} columns")
-            rows += s.shape[0]
+        if len(level.rows) != 2 or not all(type(r) is int and r > 0 for r in level.rows):
+            raise ValueError(f"level {k} takes two positive integer row counts, got {level.rows!r}")
+        rows += sum(level.rows)
     return rows
 
 
@@ -166,7 +156,8 @@ class HomotopySheet:
     row 0, the loop it is expanded on: the n - 1 `levels` (Level), whose
     unitaries give T. Its cells are never held at once; sheet_blocks
     evaluates them a stage at a time. A recipe whose shapes do not fit n,
-    or over MAX_SHEET_BYTES, raises ValueError."""
+    whose row counts are not positive integers, or over MAX_SHEET_BYTES
+    raises ValueError, before any cell is made."""
 
     n: int
     levels: list
@@ -181,17 +172,17 @@ class HomotopySheet:
     @property
     def held_bytes(self) -> int:
         """The bytes the budget counts for this sheet (_held_bytes)."""
-        return _held_bytes(self.n, self.shape[1], [len(s) for lv in self.levels for s in lv[1:]])
+        return _held_bytes(self.n, self.shape[1], [r for lv in self.levels for r in lv.rows])
 
 
 def _held_bytes(n: int, t_count: int, rows: list) -> int:
     """The most a sheet on M_n over t_count columns holds, for the rows of
-    its 2(n - 1) stages: its recipe (unitaries and s tables), the loop that
-    a contraction and a verification hold, and BLOCK_COPIES blocks of cells
-    of its stage of most rows, which bound a contraction's pre-pass
-    (_interp_rows) and a verification's block and temporaries alike."""
+    its 2(n - 1) stages: its recipe's unitaries, the loop that a
+    contraction and a verification hold, and BLOCK_COPIES blocks of cells
+    of its stage of most rows, which bound a contraction's row probe
+    (_grown_rows) and a verification's block and temporaries alike."""
     unitaries = sum(t_count * b * b * 16 for b in range(2, n + 1))
-    held = t_count * n * n * 16 + unitaries + sum(rows) * t_count * 8  # the loop and the recipe
+    held = t_count * n * n * 16 + unitaries  # the loop and the recipe
     return held + BLOCK_COPIES * max(rows, default=1) * t_count * n * n * 16
 
 
@@ -360,76 +351,50 @@ def _unitary_powers(v: np.ndarray, f: np.ndarray) -> np.ndarray:
     return (q * np.exp(1j * f[:, None] * np.angle(evals))[:, None, :]) @ q.conj().T
 
 
-def _interp_rows(r: np.ndarray, n_rows: int) -> np.ndarray:
-    """The s table of a stage (_arc_rows) on the dyadic grid: every s a
-    multiple of 1 / S_DEN, nearest the arc-length one. Rounding is monotone,
-    so each column stays nondecreasing in [0, 1], and the last row stays 1
-    exactly; a sheet document writes the numerators as integers."""
-    return np.round(_arc_rows(r, n_rows) * S_DEN) / S_DEN
+def _rule_rows(c: np.ndarray, rows: int) -> np.ndarray:
+    """The s rows (rows, T) of a stage whose column t has the normalizer
+    c(s) = c[0, t] + c[1, t] s + c[2, t] s², the traces of its pencil (see
+    safety_min): row k's s is where ∫_0^s ds/c has reached k / rows of its
+    value on [0, 1], clipped to [0, 1], and the last row is 1 exactly.
 
-
-def _arc_rows(r: np.ndarray, n_rows: int) -> np.ndarray:
-    """The s table (n_rows, T) of a stage whose column t has the pencil
-    r[:, t] (see pencil), before rounding: row k's s is where column t's
-    state has covered k / n_rows of its arc length over s in [0, 1], as a
-    fine pre-pass measures it. This keeps the sheet's step modulus
-    proportional to the input modulus even where the interpolation moves
-    unevenly in s. A column whose arc length is under ARC_FLOOR times the
-    stage's largest, or under ROUNDING_ARC, takes the plain fractions
-    k / n_rows instead. The last row is 1 exactly.
-
-    The pre-pass evaluates the states with _pencil_states and measures each
-    step Δ as √2‖Δ‖_F = sqrt(2 Σ diag² + 4 Σ offdiag²) on the packed layout,
-    one elementwise kernel for every block size: the trace norm for rank-2
-    Δ and within √(b/2) of it otherwise (linalg.trace_norm); the verifier
-    checks the steps the table gives. A pre-pass over complex states that
-    sums the squares in the packed order gives the same table bit for bit.
-    Its columns go in chunks of ceil(T / FINE_MULT), so each array weighs
-    about half a block of the stage's rows; every column's arc is its own,
-    so the chunks leave the table unchanged.
+    With D = 4 c0 c2 - c1², w = √|D| and f = k / rows, the integral
+    inverts in closed form: θ = f atan2(w, 2c0 + c1) for D > 0 and
+    f atanh(w / (2c0 + c1)) for D < 0, g = sin θ / w and h = cos θ (sinh
+    and cosh for D < 0), and s = 2 c0 g / (h - c1 g); at w = 0, the limit
+    g = f / (2c0 + c1) and h = 1. No term cancels as D -> 0. The rule
+    needs c > 0 on [0, 1], and a column where that fails is failed by the
+    verifier as unsafe whatever its rows; so any rows it gives are sound.
     """
-    t_count, b = r.shape[1], r.shape[-1]
-    f_count = max(n_rows * FINE_MULT, 48)
-    s_fine = np.linspace(0.0, 1.0, f_count + 1)
-    fractions = np.arange(1, n_rows + 1) / n_rows
-    traces = np.trace(r, axis1=-2, axis2=-1).real
-    packed = np.moveaxis(pack_hermitian(r), 1, 0)  # (3, b², T)
-    s_rows, lengths = np.empty((n_rows, t_count)), np.empty(t_count)
-    width = -(-t_count // FINE_MULT)
-    for lo in range(0, t_count, width):
-        cols = slice(lo, lo + width)
-        rho_s = _pencil_states(packed[:, :, cols, None], traces[:, cols, None], s_fine)
-        squares = rho_s[..., 1:] - rho_s[..., :-1]  # rho_s: (b², cols, F + 1)
-        squares *= squares
-        steps = np.sqrt(2 * squares[:b].sum(axis=0) + 4 * squares[b:].sum(axis=0))
-        arcs = np.concatenate([np.zeros((len(steps), 1)), np.cumsum(steps, axis=1)], axis=1)
-        lengths[cols] = arcs[:, -1]
-        for t, arc in enumerate(arcs, start=lo):
-            s_rows[:, t] = np.interp(fractions * arc[-1], arc, s_fine)
-    still = lengths < max(ARC_FLOOR * lengths.max(initial=0.0), ROUNDING_ARC)
-    s_rows[:, still] = fractions[:, None]
-    s_rows[-1] = 1.0
-    return s_rows
-
-
-def _pencil_states(p: np.ndarray, c: np.ndarray, s) -> np.ndarray:
-    """A pencil's states B(s) rho B(s)† / tr at s on the packed layout,
-    (p0 + s (p1 + s p2)) / (c0 + s (c1 + s c2)), for packed pencil
-    coefficients p (3, n², ...) (see pencil and linalg.pack_hermitian) and
-    their traces c (3, ...), broadcast against s."""
-    return (p[0] + s * (p[1] + s * p[2])) / (c[0] + s * (c[1] + s * c[2]))
+    c0, c1, c2 = c
+    f = (np.arange(1, rows + 1) / rows)[:, None]
+    d, x = 4.0 * c0 * c2 - c1 * c1, 2.0 * c0 + c1
+    w = np.sqrt(np.abs(d))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        theta = f * np.where(d > 0.0, np.arctan2(w, x), np.arctanh(w / x))
+        g = np.where(w > 0.0, np.where(d > 0.0, np.sin(theta), np.sinh(theta)) / w, f / x)
+        h = np.where(w > 0.0, np.where(d > 0.0, np.cos(theta), np.cosh(theta)), 1.0)
+        s = np.clip(2.0 * c0 * g / (h - c1 * g), 0.0, 1.0)
+    s[-1] = 1.0
+    return s
 
 
 def _stage_rows(r: np.ndarray, s: np.ndarray) -> np.ndarray:
     """Rows (rows, T, b, b) of a stage whose column t has the pencil
-    r[:, t] (see pencil): column t of row k is the state at s[k, t], from
-    one packing of the pencil (_pencil_states), exactly Hermitian, and
-    unjudged: a B(s) in the Gelfand ideal of its column's state makes a
-    non-finite cell, which the verifier flags."""
-    packed = np.moveaxis(pack_hermitian(r), 1, 0)[:, :, None]  # (3, b², 1, T)
+    r[:, t] (see pencil): column t of row k is the state at s[k, t],
+    (p0 + s (p1 + s p2)) / (c0 + s (c1 + s c2)) on one packing p of the
+    pencil (linalg.pack_hermitian) and its traces c, exactly Hermitian,
+    and unjudged: a B(s) in the Gelfand ideal of its column's state makes
+    a non-finite cell, which the verifier flags."""
+    p = np.moveaxis(pack_hermitian(r), 1, 0)[:, :, None]  # (3, b², 1, T)
+    c0, c1, c2 = np.trace(r, axis1=-2, axis2=-1).real
     with np.errstate(divide="ignore", invalid="ignore"):
-        rows = _pencil_states(packed, np.trace(r, axis1=-2, axis2=-1).real, s)
+        rows = (p[0] + s * (p[1] + s * p[2])) / (c0 + s * (c1 + s * c2))
     return unpack_hermitian(rows)
+
+
+def _rule_block(r: np.ndarray, rows: int) -> np.ndarray:
+    """The `rows` rows of a stage of pencil r at the rule's s rows (_rule_rows)."""
+    return _stage_rows(r, _rule_rows(np.trace(r, axis1=-2, axis2=-1).real, rows))
 
 
 def _rows_for(target_step: float, movement: float) -> int:
@@ -437,6 +402,23 @@ def _rows_for(target_step: float, movement: float) -> int:
     if movement <= 0:
         return MIN_ROWS
     return max(MIN_ROWS, int(np.ceil(movement / target_step)))
+
+
+def _grown_rows(r: np.ndarray, rho: np.ndarray, rows: int, target: float) -> int:
+    """`rows` for a stage of pencil r on the input stack rho (T, b, b),
+    unless its block at the rule's `rows` rows (_rule_block) has an s-step,
+    from rho on, over the modulus 2 target: then ceil(rows step / target),
+    which aims the largest step at target again. It grows once, and the
+    verifier judges the rows it gives. A step's trace norm is at most √b
+    times its Frobenius norm, so only the steps whose bound exceeds the
+    modulus take trace_norm, and a stage where none does takes no
+    eigensolver."""
+    block = _rule_block(r, rows)
+    steps = np.concatenate([(block[0] - rho)[None], block[1:] - block[:-1]])
+    del block
+    over = steps[np.sqrt(rho.shape[-1]) * np.linalg.norm(steps, axis=(-2, -1)) > 2.0 * target]
+    step = trace_norm(over).max() if len(over) else 0.0
+    return rows if step <= 2.0 * target else int(np.ceil(rows * step / target))
 
 
 def _rectify(rhos: np.ndarray, target: float, admit):
@@ -452,11 +434,13 @@ def _rectify(rhos: np.ndarray, target: float, admit):
     s P^b_1. Every one is certified by its exact safety minimum over s in
     [0, 1], and its rows step by about `target`. Each stage's last row is
     built once, from the pencil that certifies the stage, at s = 1 as the
-    expansion builds it (_stage_rows); it measures the stage's movement and
-    is the next stage's input. Each stage's rows pass through admit, which may refuse them,
-    before its pre-pass.
+    expansion builds it (_rule_block of one row); it measures the stage's movement and
+    is the next stage's input. Each stage's rows come from its movement
+    (_rows_for) and pass through admit, which may refuse them, before its
+    block is probed (_grown_rows), and the rows the probe leaves pass
+    through admit again.
     """
-    n, ones = rhos.shape[-1], np.ones((1, len(rhos)))
+    n = rhos.shape[-1]
 
     unitaries = _transport_unitaries(rhos)
     # before the phase lift, whose path a non-unitary transport can break
@@ -479,17 +463,19 @@ def _rectify(rhos: np.ndarray, target: float, admit):
             f"(min {lifted_min[t]:.3e}, unlifted min {unlifted_min:.3e})"
         )
 
-    out_a = _stage_rows(r_lifted, ones)[0]
+    (out_a,) = _rule_block(r_lifted, 1)
     proj = projection_matrix(n, 1)
     r_proj = pencil(proj, out_a)
     failing = np.flatnonzero(~(safety_min(r_proj)[0] > SAFETY_FLOOR))
     if failing.size:
         raise NumericalGateError(f"projection interpolation unsafe at sample {failing[0]}")
 
-    s_a = _interp_rows(r_lifted, admit(_rows_for(target, trace_norm(out_a - rhos).max())))
-    out_b = _stage_rows(r_proj, ones)[0]
-    s_b = _interp_rows(r_proj, admit(_rows_for(target, trace_norm(out_b - out_a).max())))
-    return Level(lifted, s_a, s_b), out_b
+    (out_b,) = _rule_block(r_proj, 1)
+    rows = []
+    for r, rho, out in ((r_lifted, rhos, out_a), (r_proj, out_a, out_b)):
+        count = admit(_rows_for(target, trace_norm(out - rho).max()))
+        rows.append(admit(_grown_rows(r, rho, count, target)))
+    return Level(lifted, tuple(rows)), out_b
 
 
 def _compress(rhos: np.ndarray, block: int) -> np.ndarray:
@@ -503,20 +489,21 @@ def sheet_blocks(sheet: HomotopySheet, loop: StateLoop) -> Iterator[np.ndarray]:
     block of one row, then each stage's rows (rows, T, n, n) in order. Each
     level below M_n takes its input from the last row so far, compressed to
     its corner block (_compress); each of its stages evaluates its pencil on
-    the last row of the stage before at its s table (_stage_rows); and its
-    rows are zero-padded into the n x n corner. Every cell is made here, so
-    a sheet read back from its document expands on its input loop to the
-    contractor's cells bit for bit. A loop whose n or T the recipe does not
+    the last row of the stage before at the s rows that the rule derives
+    from the pencil's traces (_rule_block); and its rows are zero-padded
+    into the n x n corner. Every cell is made here, so a sheet read back
+    from its document expands on its input loop to the contractor's cells
+    bit for bit. A loop whose n or T the recipe does not
     fit raises ValueError. Nothing here judges a cell: verify_homotopy does."""
     n, rhos = sheet.n, loop.rhos  # the last row so far, on its block
     if rhos.shape != (sheet.shape[1], n, n):
         raise ValueError(f"a recipe on M_{n} over {sheet.shape[1]} columns does not fit {rhos.shape}")
     yield rhos[None]
-    for _, stage, b, ops, s in _stages(n, sheet.levels):
+    for _, stage, b, ops, rows in _stages(n, sheet.levels):
         if stage == 0 and b < n:
             with np.errstate(divide="ignore", invalid="ignore"):  # a zero trace is the verifier's
                 rhos = _compress(rhos, b)
-        block = _stage_rows(pencil(ops, rhos), s)
+        block = _rule_block(pencil(ops, rhos), rows)
         rhos = block[-1].copy()
         if b < n:
             block = np.pad(block, [(0, 0), (0, 0), (0, n - b), (0, n - b)])
@@ -535,17 +522,18 @@ def contract_loop(loop: StateLoop) -> HomotopySheet:
     at steps of half the loop's modulus, and the sheet is returned as its
     recipe, unexpanded. A loop whose sheet would hold over
     MAX_SHEET_BYTES even at MIN_ROWS a stage is refused first, and each
-    stage is checked again with its rows before its pre-pass runs.
+    stage is checked again with its rows before its block is probed, and
+    with the rows the probe leaves. A sheet's count grows with its stage
+    of most rows alone (_held_bytes), so checking each stage's rows as
+    they come checks every recipe they can make.
     """
     n, t_count = loop.n, loop.n_samples
-    least = [MIN_ROWS] * (2 * n - 2)  # the least recipe: every stage of MIN_ROWS rows
-    _check_sheet_budget(_held_bytes(n, t_count, least))
-    made = []  # the rows of the stages whose rows are known
 
     def admit(rows: int) -> int:
-        made.append(rows)
-        _check_sheet_budget(_held_bytes(n, t_count, made + least[len(made):]))
+        _check_sheet_budget(_held_bytes(n, t_count, [rows]))
         return rows
+
+    admit(MIN_ROWS)  # the least recipe: every stage of MIN_ROWS rows
 
     rhos, levels = loop.rhos, []
     for b in range(n, 1, -1):  # the corner block algebra M_b of each level
@@ -599,11 +587,12 @@ def verify_homotopy(sheet: HomotopySheet, input_loop: StateLoop, modulus: float)
     constant at the basepoint, and all adjacent-cell steps within the
     modulus, else one "step-modulus" violation at the largest step (on an
     exact tie of an s-step and a t-step, the one scanned first). The
-    recipe: every unitary a unitary to OPERATOR_TOL; every s in [0, 1] and
-    each stage's last row at s = 1; and the exact safety
+    recipe: every unitary a unitary to OPERATOR_TOL, and the exact safety
     minimum (safety_min) of every column above SAFETY_FLOOR on the stage's
     input as the streamed rows hold it, except in columns whose input is
-    not finite, so a recipe in a Gelfand ideal fails as "unsafe". A cell
+    not finite, so a recipe in a Gelfand ideal fails as "unsafe". The s
+    rows are the rule's, in [0, 1] and ending at 1 (_rule_rows), so they
+    take no check. A cell
     with a NaN or infinite entry is one "non-finite" violation, valued by
     the count of such entries; it is zeroed for, and skipped by, the rest.
     Violations are listed by kind, each kind in C order of its cell; the
@@ -624,18 +613,13 @@ def verify_homotopy(sheet: HomotopySheet, input_loop: StateLoop, modulus: float)
     for at_stage in [None, *_stages(n, sheet.levels)]:  # row 0 has no stage
         block = next(blocks)
         if at_stage is not None:  # the recipe of the stage whose input is `prev`
-            li, si, b, ops, s = at_stage
+            li, si, b, ops, _ = at_stage
             at = lambda t: (li, si, t)
             with np.errstate(divide="ignore", invalid="ignore"):  # a level compresses its input
                 rhos = _compress(prev, b) if si == 0 and b < n else prev
             if si == 0:  # the projection stage's operator is P^b_1 by construction
                 defect = _unitarity_defect(ops)
                 recipe += _flags("not-unitary", defect, ~(defect <= OPERATOR_TOL), OPERATOR_TOL, at)
-            low, high = s.min(axis=0), s.max(axis=0)
-            for t in np.flatnonzero(~((low >= 0.0) & (high <= 1.0))):
-                out, bound = (low[t], 0.0) if low[t] < 0.0 else (high[t], 1.0)
-                recipe.append(("s-range", (li, si, int(t)), float(out), bound))
-            recipe += _flags("s-last-row", s[-1], s[-1] != 1.0, 1.0, at)
             value = np.where(prev_ok, safety_min(pencil(ops, rhos[:, :b, :b]))[0], np.inf)
             recipe += _flags("unsafe", value, ~(value > SAFETY_FLOOR) & prev_ok, SAFETY_FLOOR, at)
             t = int(np.argmin(value))

@@ -2,19 +2,18 @@
 
 Matrices are row-major nested arrays of [re, im] pairs. Loops are
 {n, samples: [matrix, ...]}. A sheet document holds the contraction's
-recipe, not its cells and not its loop: {n, s_den, u_den, levels:
-[{unitaries, s_unitary, s_projection}, ...]}, with level k on the corner
-block b = n - k: its T unitaries and the rows x T tables of interpolation
-parameters of its unitary and projection stages. Every s is a multiple of
-1 / s_den, s_den = homotopy.S_DEN = 65536, and every real and imaginary
-part of a unitary a multiple of 1 / u_den, u_den = homotopy.U_DEN = 2^40;
-the document holds their integer numerators, and dividing them by the
-power of two gives back the contractor's values bit for bit (a numerator
-of a unitary's entry is at most 2^40 < 2^53 in modulus). The block and
-the projection P^b_1 are implied, never stored. Reading a sheet document
-gives the recipe, a homotopy.HomotopySheet, without expanding it; it is
-expanded, and verified, on the loop document's loop. All documents are UTF-8 JSON,
-written compactly with sorted keys.
+recipe, not its cells and not its loop: {n, u_den, levels: [{unitaries,
+rows}, ...]}, with level k on the corner block b = n - k: its T unitaries
+and the row counts [r_unitary, r_projection] of its unitary and
+projection stages. Every real and imaginary part of a unitary is a
+multiple of 1 / u_den, u_den = homotopy.U_DEN = 2^40; the document holds
+their integer numerators, and dividing them by the power of two gives
+back the contractor's values bit for bit (a numerator is at most
+2^40 < 2^53 in modulus). The block, the projection P^b_1 and each
+stage's s rows (homotopy._rule_rows) are implied, never stored. Reading
+a sheet document gives the recipe, a homotopy.HomotopySheet, without
+expanding it; it is expanded, and verified, on the loop document's loop.
+All documents are UTF-8 JSON, written compactly with sorted keys.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from itertools import chain
 
 import numpy as np
 
-from .homotopy import S_DEN, U_DEN, HomotopySheet, Level, StateLoop
+from .homotopy import U_DEN, HomotopySheet, Level, StateLoop
 
 
 def encode_matrix(m: np.ndarray) -> list:
@@ -76,69 +75,58 @@ def loop_from_doc(doc: dict) -> StateLoop:
 
 
 def sheet_to_doc(sheet: HomotopySheet) -> dict:
-    """The sheet's recipe: its levels, s_den and u_den, and no loop. A NaN
-    or infinite entry, which JSON cannot hold, or an s or a unitary off its
+    """The sheet's recipe: its levels and u_den, and no loop. A NaN or
+    infinite entry, which JSON cannot hold, or a unitary entry off its
     dyadic grid raises ValueError."""
-    if not all(np.isfinite(a).all() for lv in sheet.levels for a in lv):
+    levels = [{"unitaries": _numerators(lv.unitaries), "rows": list(lv.rows)} for lv in sheet.levels]
+    return {"n": sheet.n, "u_den": U_DEN, "levels": levels}
+
+
+def _numerators(unitaries: np.ndarray) -> list:
+    """The integer numerators over U_DEN of the unitaries' [re, im] pairs,
+    as nested lists."""
+    if not np.isfinite(unitaries).all():
         raise ValueError("sheet has non-finite entries")  # inf passes the grid test
-    levels = [
-        {"unitaries": _numerators(np.stack([lv.unitaries.real, lv.unitaries.imag], axis=-1),
-                                  U_DEN, "a unitary"),
-         "s_unitary": _numerators(lv.s_unitary, S_DEN, "an s table"),
-         "s_projection": _numerators(lv.s_projection, S_DEN, "an s table")}
-        for lv in sheet.levels
-    ]
-    return {"n": sheet.n, "s_den": S_DEN, "u_den": U_DEN, "levels": levels}
-
-
-def _numerators(values: np.ndarray, den: int, what: str) -> list:
-    """The integer numerators over `den` of real values, as nested lists."""
-    scaled = values * den
+    scaled = np.stack([unitaries.real, unitaries.imag], axis=-1) * U_DEN
     if not (scaled == np.round(scaled)).all():
-        raise ValueError(f"{what} holds values that are not multiples of 1/{den}")
+        raise ValueError(f"a unitary holds values that are not multiples of 1/{U_DEN}")
     return scaled.astype(np.int64).tolist()
 
 
-def _from_numerators(rows, den: int, what: str, den_key: str) -> np.ndarray:
-    """Real values from nested rows of JSON integer numerators over `den`
-    (a bool is not one)."""
-    values = np.array(rows, dtype=np.float64)
-    kinds = _entry_kinds(rows, values.ndim) - {int}
-    if kinds:
-        raise ValueError(f"{what} hold integer numerators over {den_key!r} since the format "
-                         f"changed, got {', '.join(sorted(k.__name__ for k in kinds))} entries")
-    return values / den
-
-
 def _unitaries(rows) -> np.ndarray:
-    pairs = _from_numerators(rows, U_DEN, "unitaries", "u_den")
+    """Unitaries from nested [re, im] pairs of JSON integer numerators over
+    U_DEN (a bool is not one)."""
+    pairs = np.array(rows, dtype=np.float64)
+    kinds = _entry_kinds(rows, pairs.ndim) - {int}
+    if kinds:
+        raise ValueError("unitaries hold integer numerators over 'u_den' since the format "
+                         f"changed, got {', '.join(sorted(k.__name__ for k in kinds))} entries")
     if pairs.ndim != 4 or pairs.shape[-1] != 2:
         raise ValueError("unitaries must be nested arrays of [re, im] pairs")
-    return np.ascontiguousarray(pairs).view(np.complex128)[..., 0]
+    return np.ascontiguousarray(pairs / U_DEN).view(np.complex128)[..., 0]
 
 
 def _level(doc: dict) -> Level:
-    if sorted(doc) != ["s_projection", "s_unitary", "unitaries"]:
-        raise ValueError("a level holds 'unitaries', 's_unitary' and 's_projection' since the "
-                         f"format changed, got {sorted(doc)}")
-    s_unitary, s_projection = (_from_numerators(doc[key], S_DEN, "s tables", "s_den")
-                               for key in ("s_unitary", "s_projection"))
-    return Level(_unitaries(doc["unitaries"]), s_unitary, s_projection)
+    if sorted(doc) != ["rows", "unitaries"]:
+        raise ValueError("a level holds 'unitaries' and 'rows' since the format changed, "
+                         f"got {sorted(doc)}")
+    return Level(_unitaries(doc["unitaries"]), tuple(doc["rows"]))
 
 
 def sheet_from_doc(doc: dict) -> HomotopySheet:
     """Decode a sheet document into its recipe, unexpanded: its shapes must
-    fit n. Every entry is a JSON integer over a power of two, so finite (a
-    numerator past a double's range raises OverflowError). Its cells are
-    judged by verify_homotopy, on the loop it is handed."""
+    fit n, and its row counts be positive integers within the budget
+    (HomotopySheet). Every unitary entry is a JSON integer over a power of
+    two, so finite (a numerator past a double's range raises
+    OverflowError). Its cells are judged by verify_homotopy, on the loop
+    it is handed."""
     try:
-        if sorted(doc) != ["levels", "n", "s_den", "u_den"]:
-            raise ValueError("a sheet document holds 'n', 's_den', 'u_den' and 'levels' since "
+        if sorted(doc) != ["levels", "n", "u_den"]:
+            raise ValueError("a sheet document holds 'n', 'u_den' and 'levels' since "
                              f"the format changed, got {sorted(doc)}")
         n = _integer(doc, "n")
-        for key, den in (("s_den", S_DEN), ("u_den", U_DEN)):
-            if _integer(doc, key) != den:
-                raise ValueError(f"{key!r} must be {den}, got {doc[key]}")
+        if _integer(doc, "u_den") != U_DEN:
+            raise ValueError(f"'u_den' must be {U_DEN}, got {doc['u_den']}")
         levels = [_level(level) for level in doc["levels"]]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed sheet document: {exc}") from exc

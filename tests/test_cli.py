@@ -264,8 +264,7 @@ def test_contract_loop_roundtrip(tmp_path, capsys):
     assert report["verifier"]["passed"] is True
     sheet_doc = serialize.read_doc(str(sheet_path))
     assert sheet_doc["n"] == 2
-    rows = [len(level[s]) for level in sheet_doc["levels"] for s in ("s_unitary", "s_projection")]
-    assert 1 + sum(rows) == report["verifier"]["shape"][0]
+    assert 1 + sum(sum(level["rows"]) for level in sheet_doc["levels"]) == report["verifier"]["shape"][0]
     verifier = report["verifier"]
     assert verifier["safety_margin"] == verifier["safety_min"] - SAFETY_FLOOR > 0
     assert sorted(verifier["safety_at"]) == ["column", "level", "stage"]

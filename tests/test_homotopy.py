@@ -13,7 +13,6 @@ from phaselab import homotopy, linalg, serialize, states
 from phaselab.homotopy import (
     SAFETY_FLOOR,
     HomotopySheet,
-    Level,
     StateLoop,
     bundled_plateau_loop,
     bundled_pure_loop,
@@ -152,7 +151,7 @@ def _level_last_rows(sheet: HomotopySheet, loop: StateLoop) -> list:
     """The last row of each level of a contraction sheet on `loop`."""
     rows, row, arr = [], 0, cells(sheet, loop)
     for level in sheet.levels:
-        row += len(level.s_unitary) + len(level.s_projection)
+        row += sum(level.rows)
         rows.append(arr[row])
     return rows
 
@@ -206,7 +205,7 @@ def test_sheet_boundary_exactness():
         assert np.max(np.abs(row[-1] - base.rho)) < 1e-10
     (level,) = sheet.levels
     assert level.unitaries.shape == (321, 2, 2)
-    for s in (level.s_unitary, level.s_projection):
+    for _, s, _ in _stage_inputs(sheet, loop):
         assert (s > 0).all() and (s[-1] == 1.0).all()
 
 
@@ -326,7 +325,7 @@ def test_verifier_measures_the_steps_between_stage_blocks(monkeypatch):
     # from row 0 into it and from it into the next stage, see the forgery
     loop = constant_loop(2, 10)
     sheet = contract_loop(loop)
-    rows = len(sheet.levels[0].s_unitary)
+    rows = sheet.levels[0].rows[0]
     forge_cells(monkeypatch, lambda arr: arr.__setitem__(slice(1, 1 + rows), basis_state(2, 1).rho))
     report = verify_homotopy(sheet, loop, modulus=1e-6)
     assert report.max_cell_step == 2.0
@@ -367,14 +366,15 @@ def test_contract_loop_checks_each_stage_before_its_prepass(pure_sheet, monkeypa
     # the pure loop's unitary stage takes more than MIN_ROWS rows and its
     # projection stage MIN_ROWS, so the unitary stage's rows alone bring the
     # count to the sheet's: a budget one byte short, which the least recipe
-    # fits, refuses that stage before its pre-pass
+    # fits, refuses that stage before its block is probed (_grown_rows)
     loop = bundled_pure_loop()
     (level,) = pure_sheet.levels
-    assert [len(s) > homotopy.MIN_ROWS for s in level[1:]] == [True, False]
+    assert [r > homotopy.MIN_ROWS for r in level.rows] == [True, False]
     least = [homotopy.MIN_ROWS] * 2
     assert homotopy._held_bytes(2, loop.n_samples, least) < pure_sheet.held_bytes - 1
-    seen, interp = [], homotopy._interp_rows
-    monkeypatch.setattr(homotopy, "_interp_rows", lambda r, rows: seen.append(rows) or interp(r, rows))
+    seen, grown = [], homotopy._grown_rows
+    monkeypatch.setattr(homotopy, "_grown_rows",
+                        lambda r, rho, rows, target: seen.append(rows) or grown(r, rho, rows, target))
     monkeypatch.setattr(homotopy, "MAX_SHEET_BYTES", pure_sheet.held_bytes - 1)
     with pytest.raises(ValueError, match="budget"):
         contract_loop(loop)
@@ -462,14 +462,14 @@ def test_loop_and_sheet_serialization_roundtrip():
 
 
 def test_sheet_from_doc_rejects_a_nan_cell():
-    # unitaries and s tables hold integers, so a NaN in either is refused
-    # as a non-integer numerator
+    # unitaries and row counts hold integers, so a NaN in either is refused
+    # as a non-integer
     sheet = contract_loop(constant_loop(2, 6))
     for forge, message in (
         (lambda doc: doc["levels"][0]["unitaries"][3][1].__setitem__(1, [float("nan"), 0]),
          "unitaries hold integer numerators"),
-        (lambda doc: doc["levels"][0]["s_projection"][2].__setitem__(4, float("nan")),
-         "s tables hold integer numerators"),
+        (lambda doc: doc["levels"][0]["rows"].__setitem__(1, float("nan")),
+         "two positive integer row counts"),
     ):
         doc = serialize.sheet_to_doc(sheet)
         forge(doc)
@@ -486,11 +486,19 @@ def test_sheet_from_doc_rejects_a_nan_cell():
         (lambda doc: doc["levels"][0].__setitem__("unitaries", serialize.sheet_to_doc(
             contract_loop(constant_loop(3, 6)))["levels"][0]["unitaries"]),
          r"shape \(7, 3, 3\), not \(7, 2, 2\)"),
-        # level 0's unitaries give T, so the s tables are over one column too many
+        # level 0's unitaries give T, and a loop of 7 samples does not fit 6 columns
         (lambda doc: doc["levels"][0]["unitaries"].pop(),
-         r"s table of shape \(\d+, 7\) over 6 columns"),
-        (lambda doc: doc["levels"][0]["s_projection"][0].pop(), "malformed sheet"),
-        (lambda doc: doc["levels"][0].__setitem__("s_projection", []), "s table"),
+         r"a recipe on M_2 over 6 columns does not fit \(7, 2, 2\)"),
+        # the stage rows: two positive JSON integers, within the budget
+        (lambda doc: doc["levels"][0]["rows"].pop(), r"two positive integer row counts, got \(8,\)"),
+        (lambda doc: doc["levels"][0].__setitem__("rows", []), "two positive integer row counts"),
+        (lambda doc: doc["levels"][0]["rows"].__setitem__(0, 0), r"got \(0, 8\)"),
+        (lambda doc: doc["levels"][0]["rows"].__setitem__(1, -8), r"got \(8, -8\)"),
+        (lambda doc: doc["levels"][0]["rows"].__setitem__(0, True), r"got \(True, 8\)"),
+        (lambda doc: doc["levels"][0]["rows"].__setitem__(0, 8.0), r"got \(8.0, 8\)"),
+        (lambda doc: doc["levels"][0]["rows"].__setitem__(0, "8"), r"got \('8', 8\)"),
+        (lambda doc: doc["levels"][0].__setitem__("rows", 8), "malformed sheet"),
+        (lambda doc: doc["levels"][0]["rows"].__setitem__(0, 10**9), "budget"),
         (lambda doc: doc.pop("levels"), "malformed sheet"),
         (lambda doc: doc.__setitem__("n", 2.7), "'n' must be an integer"),
         (lambda doc: doc.__setitem__("n", "2"), "'n' must be an integer"),
@@ -500,13 +508,18 @@ def test_sheet_from_doc_rejects_a_nan_cell():
          "unitaries hold integer numerators over 'u_den'.*got bool entries"),
     ],
     ids=["levels-short", "levels-long", "wrong-block", "ops-shape", "s-ragged", "s-empty",
-         "no-levels", "n-float", "n-string", "ops-string", "ops-bool"],
+         "rows-zero", "rows-negative", "rows-bool", "rows-float", "rows-string", "rows-not-a-list",
+         "rows-oversize", "no-levels", "n-float", "n-string", "ops-string", "ops-bool"],
 )
-def test_sheet_from_doc_rejects_malformed_recipes(forge, message):
-    doc = serialize.sheet_to_doc(contract_loop(constant_loop(2, 6)))
+def test_sheet_from_doc_rejects_malformed_recipes(forge, message, monkeypatch):
+    # every refusal is a ValueError, raised before any cell is made, which
+    # the command line reports as an input error (exit 3)
+    loop = constant_loop(2, 6)
+    doc = serialize.sheet_to_doc(contract_loop(loop))
     forge(doc)
+    monkeypatch.setattr(homotopy, "_stage_rows", None)  # not reached
     with pytest.raises(ValueError, match=message):
-        serialize.sheet_from_doc(doc)
+        homotopy.verify_homotopy(serialize.sheet_from_doc(doc), loop, loop.modulus)
 
 
 def test_sheet_from_doc_refuses_the_earlier_format():
@@ -515,50 +528,59 @@ def test_sheet_from_doc_refuses_the_earlier_format():
     loop = constant_loop(2, 6)
     doc = serialize.sheet_to_doc(contract_loop(loop))
     (level,) = doc["levels"]
+    s_table = [[1.0] * 7] * 8
     doc["levels"] = [{"block": 2, "stages": [
-        {"kind": "unitary", "ops": level["unitaries"], "s": level["s_unitary"]},
+        {"kind": "unitary", "ops": level["unitaries"], "s": s_table},
         {"kind": "projection", "ops": serialize.encode_matrix(projection_matrix(2, 1)),
-         "s": level["s_projection"]}]}]
+         "s": s_table}]}]
     with pytest.raises(ValueError, match="the format changed"):
         serialize.sheet_from_doc(doc)
     # so is a document that still stores its input loop beside the recipe
     doc = serialize.sheet_to_doc(contract_loop(loop))
     doc["loop"] = serialize.encode_matrix(loop.rhos)
-    with pytest.raises(ValueError, match=r"holds 'n', 's_den', 'u_den' and 'levels' since the "
-                                         r"format changed, got \['levels', 'loop', 'n', 's_den', "
+    with pytest.raises(ValueError, match=r"holds 'n', 'u_den' and 'levels' since the "
+                                         r"format changed, got \['levels', 'loop', 'n', "
                                          r"'u_den'\]"):
         serialize.sheet_from_doc(doc)
 
 
-def _float_s_tables(doc):
-    """The document as the earlier format wrote it: s tables of floats,
-    no s_den."""
-    den = doc.pop("s_den")
+def _s_tables(doc, den=65536):
+    """The document as the formats before row counts wrote it: each level's
+    s tables in place of its row counts, the rule's rows of a constant
+    column, as integer numerators over `den` under 's_den', or as floats
+    and no 's_den' if den is None."""
     for level in doc["levels"]:
-        for key in ("s_unitary", "s_projection"):
-            level[key] = (np.array(level[key]) / den).tolist()
+        for key, rows in zip(("s_unitary", "s_projection"), level.pop("rows")):
+            s = np.repeat(np.arange(1, rows + 1)[:, None] / rows, len(level["unitaries"]), axis=1)
+            level[key] = s.tolist() if den is None else (s * den).astype(int).tolist()
+    if den is not None:
+        doc["s_den"] = den
 
 
 @pytest.mark.parametrize(
     "forge, message",
     [
-        (_float_s_tables, r"the format changed, got \['levels', 'n', 'u_den'\]"),
-        (lambda doc: doc.pop("s_den"), r"the format changed, got \['levels', 'n', 'u_den'\]"),
-        (lambda doc: doc.__setitem__("s_den", 1000), "'s_den' must be 65536, got 1000"),
-        (lambda doc: doc.__setitem__("s_den", 65536.0), "'s_den' must be an integer"),
-        (lambda doc: doc["levels"][0]["s_unitary"][0].__setitem__(2, 0.5),
-         "integer numerators.*the format changed, got float entries"),
-        (lambda doc: doc["levels"][0]["s_projection"][1].__setitem__(0, "2"),
-         "integer numerators.*got str entries"),
-        (lambda doc: doc["levels"][0]["s_projection"][1].__setitem__(0, True),
-         "integer numerators.*got bool entries"),
-        (lambda doc: doc["levels"][0]["s_unitary"][1].__setitem__(0, 10**400),
-         "malformed sheet document: int too large"),
+        (lambda doc: _s_tables(doc, None),
+         r"a level holds 'unitaries' and 'rows' since the format changed, got "
+         r"\['s_projection', 's_unitary', 'unitaries'\]"),
+        (lambda doc: _s_tables(doc) or doc.pop("s_den"), "a level holds 'unitaries' and 'rows'"),
+        (lambda doc: _s_tables(doc, 1000), r"the format changed, got \['levels', 'n', 's_den', 'u_den'\]"),
+        (lambda doc: _s_tables(doc) or doc.__setitem__("s_den", 65536.0), "the format changed"),
+        (lambda doc: _s_tables(doc) or doc["levels"][0]["s_unitary"][0].__setitem__(2, 0.5),
+         "the format changed"),
+        (lambda doc: _s_tables(doc) or doc["levels"][0]["s_projection"][1].__setitem__(0, "2"),
+         "the format changed"),
+        (lambda doc: _s_tables(doc) or doc["levels"][0]["s_projection"][1].__setitem__(0, True),
+         "the format changed"),
+        (lambda doc: _s_tables(doc) or doc["levels"][0]["s_unitary"][1].__setitem__(0, 10**400),
+         "the format changed"),
     ],
     ids=["float-tables", "no-s-den", "other-s-den", "float-s-den", "float-numerator",
          "string-numerator", "bool-numerator", "huge-numerator"],
 )
 def test_sheet_from_doc_refuses_s_tables_off_the_format(forge, message):
+    # s tables, over 's_den' or as floats, well-formed or not, are off the
+    # format: each is refused as a format change before any entry is read
     doc = serialize.sheet_to_doc(contract_loop(constant_loop(2, 6)))
     forge(doc)
     with pytest.raises(ValueError, match=message):
@@ -577,10 +599,10 @@ def _float_unitaries(doc):
     [
         # the earlier format: float unitaries and no u_den
         (lambda doc: _float_unitaries(doc) or doc.pop("u_den"),
-         r"the format changed, got \['levels', 'n', 's_den'\]"),
+         r"the format changed, got \['levels', 'n'\]"),
         (_float_unitaries, "unitaries hold integer numerators over 'u_den' since the format "
                            "changed, got float entries"),
-        (lambda doc: doc.pop("u_den"), r"the format changed, got \['levels', 'n', 's_den'\]"),
+        (lambda doc: doc.pop("u_den"), r"the format changed, got \['levels', 'n'\]"),
         (lambda doc: doc.__setitem__("u_den", 2**36),
          "'u_den' must be 1099511627776, got 68719476736"),
         (lambda doc: doc.__setitem__("u_den", float(2**40)), "'u_den' must be an integer"),
@@ -608,13 +630,6 @@ def test_sheet_to_doc_refuses_a_unitary_off_the_grid(pure_sheet):
     ops = pure_sheet.levels[0].unitaries
     forged = _forge(pure_sheet, unitaries=_set(ops, (5, 0, 1), ops[5, 0, 1] + 2.0**-41))
     with pytest.raises(ValueError, match="not multiples of 1/1099511627776"):
-        serialize.sheet_to_doc(forged)
-
-
-def test_sheet_to_doc_refuses_an_s_off_the_grid():
-    sheet = contract_loop(constant_loop(2, 6))
-    forged = _forge(sheet, s_unitary=_set(sheet.levels[0].s_unitary, (0, 3), 1 / 3))
-    with pytest.raises(ValueError, match="not multiples of 1/65536"):
         serialize.sheet_to_doc(forged)
 
 
@@ -676,12 +691,13 @@ def test_write_sheet_matches_dumps(pure_sheet, tmp_path):
     doc = serialize.sheet_to_doc(pure_sheet)
     assert path.read_text(encoding="utf-8") == serialize.dumps(doc) + "\n"
     # the document is the recipe, not the cells
-    assert sorted(doc) == ["levels", "n", "s_den", "u_den"]
+    assert sorted(doc) == ["levels", "n", "u_den"]
     (level,) = doc["levels"]
-    assert sorted(level) == ["s_projection", "s_unitary", "unitaries"]
+    assert sorted(level) == ["rows", "unitaries"]
     assert np.array(level["unitaries"]).shape == (401, 2, 2, 2)
     assert {type(m) for m in np.ravel(np.array(level["unitaries"], dtype=object))} == {int}
-    assert 1 + len(level["s_unitary"]) + len(level["s_projection"]) == pure_sheet.shape[0]
+    assert {type(m) for m in level["rows"]} == {int}
+    assert 1 + sum(level["rows"]) == pure_sheet.shape[0]
 
 
 def test_written_sheet_keys_are_the_readmes(pure_sheet):
@@ -705,18 +721,14 @@ def test_written_sheet_reads_back_bitwise(pure_sheet, tmp_path):
 
 
 def test_write_sheet_rejects_non_finite_before_writing(tmp_path):
-    # an infinity in an operator or an s table
+    # an infinity or a NaN in an operator
     sheet = contract_loop(constant_loop(2, 6))
     (level,) = sheet.levels
-    forged = []
-    for field in Level._fields:
-        array = getattr(level, field).copy()
-        array.reshape(-1)[-1] = np.inf
-        forged.append(HomotopySheet(2, [level._replace(**{field: array})]))
     path = tmp_path / "sheet.json"
-    for bad in forged:
+    for bad in (np.inf, np.nan):
+        forged = _forge(sheet, unitaries=_set(level.unitaries, (6, 1, 1), bad))
         with pytest.raises(ValueError, match="non-finite"):
-            serialize.write_sheet(str(path), bad)
+            serialize.write_sheet(str(path), forged)
         assert not path.exists()
 
 
@@ -760,109 +772,132 @@ def test_verifier_refuses_a_loop_the_recipe_does_not_fit(other):
 
 def test_a_recipe_certifies_only_its_own_loop():
     # seed 2's recipe expanded on the seed-7 loop, of the same n and T: row
-    # 0 is the seed-7 loop by construction, and the sheet over it fails
+    # 0 is the seed-7 loop by construction, and the sheet over it fails: its
+    # unitaries do not carry that loop, whatever s rows the rule gives them
     _, sheet = _contracted("seed2")
     loop, own = _contracted("seed7")
     assert verify_homotopy(own, loop, loop.modulus).passed
     report = verify_homotopy(sheet, loop, loop.modulus)
     assert not report.passed
-    assert report.max_cell_step > 1.0
+    assert report.max_cell_step > 3 * loop.modulus
     assert [v[0] for v in report.violations] == ["step-modulus"]
 
 
 def _stage_recipes(sheet):
-    """(operators, s table) of every stage of a sheet in order: level k's
+    """(operators, rows) of every stage of a sheet in order: level k's
     unitaries, then the corner projection of its block b = n - k."""
     for k, level in enumerate(sheet.levels):
-        yield level.unitaries, level.s_unitary
-        yield projection_matrix(sheet.n - k, 1), level.s_projection
+        yield level.unitaries, level.rows[0]
+        yield projection_matrix(sheet.n - k, 1), level.rows[1]
+
+
+def _normalizer(ops, rhos):
+    """(c0, c1, c2) per column: tr(B(s) rho B(s)†) = c0 + c1 s + c2 s² for
+    B(s) = s A + (1 - s) 1, from the expectations of 1, X and X†X, X = A - 1."""
+    x = ops - np.eye(rhos.shape[-1])
+    c1 = 2 * np.einsum("tij,tji->t", x, rhos).real
+    c2 = np.einsum("tij,tjk,tik->t", x, rhos, x.conj()).real
+    return np.stack([np.trace(rhos, axis1=-2, axis2=-1).real, c1, c2])
 
 
 def _stage_inputs(sheet, loop):
-    """(operators, s table, input densities (T, b, b)) for every stage of
-    a sheet on `loop`."""
+    """(operators, s rows (rows, T), input densities (T, b, b)) for every
+    stage of a sheet on `loop`, the s rows from the rule on the input."""
     arr, row = cells(sheet, loop), 0
-    for i, (ops, s) in enumerate(_stage_recipes(sheet)):
+    for i, (ops, rows) in enumerate(_stage_recipes(sheet)):
         b = ops.shape[-1]
         rhos = arr[row, :, :b, :b]
         if i % 2 == 0 and b < sheet.n:  # a level compresses its input
             rhos = rhos / np.trace(rhos, axis1=-2, axis2=-1).real[:, None, None]
             rhos = (rhos + rhos.conj().swapaxes(-1, -2)) / 2
-        yield ops, s, rhos
-        row += len(s)
+        ops = np.broadcast_to(ops, rhos.shape)
+        yield ops, homotopy._rule_rows(np.trace(pencil(ops, rhos), axis1=-2, axis2=-1).real, rows), rhos
+        row += rows
 
 
-def _direct_s_table(ops, rhos, n_rows, fine_mult=6, chunk=128):
-    """The arc-length s table from B(s) rho B(s)† formed by matrix products
-    at every fine sample, each step Δ measured as √2‖Δ‖_F, and each
-    column's arc length."""
-    b = rhos.shape[-1]
-    s_fine = np.linspace(0.0, 1.0, max(n_rows * fine_mult, 48) + 1)
-    fractions = np.arange(1, n_rows + 1) / n_rows
-    ops = np.broadcast_to(ops, rhos.shape)
-    table, lengths = np.empty((n_rows, len(rhos))), np.empty(len(rhos))
-    for lo in range(0, len(rhos), chunk):
-        a, rho = ops[lo:lo + chunk], rhos[lo:lo + chunk]
-        bs = s_fine[:, None, None, None] * a + (1.0 - s_fine)[:, None, None, None] * np.eye(b)
-        raw = bs @ rho @ bs.conj().swapaxes(-1, -2)
-        states = raw / np.trace(raw, axis1=-2, axis2=-1).real[..., None, None]
-        d = np.diff(states, axis=0)
-        steps = np.sqrt(2) * np.linalg.norm(d, axis=(-2, -1))
-        arcs = np.concatenate([np.zeros((1, steps.shape[1])), np.cumsum(steps, axis=0)])
-        for t, arc in enumerate(arcs.T, start=lo):
-            lengths[t] = arc[-1]
-            table[:, t] = np.interp(fractions * arc[-1], arc, s_fine)
-    return _floored(table, lengths, fractions), lengths
+def _direct_rows(c, rows, fine):
+    """The s rows (rows, T) of normalizers c (3, T) by numerical inversion
+    of the integral of 1/c: its cumulative trapezoid on a fine grid, and
+    np.interp at k / rows of each column's total."""
+    s = np.linspace(0.0, 1.0, fine + 1)[:, None]
+    inverse = 1.0 / (c[0] + s * (c[1] + s * c[2]))
+    steps = (inverse[1:] + inverse[:-1]) / (2 * fine)
+    integral = np.concatenate([np.zeros((1, c.shape[1])), np.cumsum(steps, axis=0)])
+    f = np.arange(1, rows + 1) / rows
+    return np.stack([np.interp(f * col[-1], col, s[:, 0]) for col in integral.T], axis=1)
 
 
-def _floored(table, lengths, fractions):
-    """An arc-length s table with the plain fractions in the columns that
-    do not move (homotopy.ARC_FLOOR) and its last row 1."""
-    floor = max(homotopy.ARC_FLOOR * lengths.max(), homotopy.ROUNDING_ARC)
-    table[:, lengths < floor] = fractions[:, None]
-    table[-1] = 1.0
-    return table
+def _assert_rule_rows(s, c, rows, fine, tol):
+    """s (rows, T) within tol of the direct inversion for c on `fine`
+    intervals, nondecreasing in [0, 1], its last row 1 exactly."""
+    assert s.shape == (rows, c.shape[1])
+    assert np.max(np.abs(s - _direct_rows(c, rows, fine))) < tol
+    assert (np.diff(s, axis=0) >= 0).all() and (s >= 0).all() and (s <= 1).all()
+    assert (s[-1] == 1.0).all()
+
+
+def test_rule_rows_match_a_direct_inversion():
+    # random positive quadratics, and one of each branch: D > 0, D < 0,
+    # D = 0 exactly and within 1e-13 on either side, c2 = 0, constant c,
+    # and the atan2 branch past a quarter turn, c1 < 0 with 2 c0 + c1 < 0
+    rng = np.random.default_rng(26)
+    c = np.stack([rng.uniform(0.1, 2.0, 400), rng.uniform(-3.0, 3.0, 400), rng.uniform(0.0, 4.0, 400)])
+    s = np.linspace(0.0, 1.0, 1001)[:, None]
+    c = c[:, (c[0] + s * (c[1] + s * c[2])).min(axis=0) > 0.05][:, :40]
+    special = np.array([[1.0, 0.5, 1.0], [1.0, 2.0, 0.5], [1.0, -1.0, 0.25], [1.0, -1.0, 0.25 + 1e-13],
+                        [1.0, -1.0, 0.25 - 1e-13], [1.0, -0.5, 0.0], [0.7, 0.0, 0.0],
+                        [1.0, -2.5, 2.0]]).T
+    d = 4 * special[0] * special[2] - special[1] ** 2
+    assert list(np.sign(d)) == [1, -1, 0, 1, -1, -1, 0, 1]
+    assert 2 * special[0, -1] + special[1, -1] < 0
+    c = np.concatenate([c, special], axis=1)
+    assert c.shape[1] == 48
+    for rows in (1, 8, 61):
+        _assert_rule_rows(homotopy._rule_rows(c, rows), c, rows, 20000, 1e-8)
+    # a constant c spaces the rows equally, and D -> 0 meets the D = 0 limit
+    plain = homotopy._rule_rows(special, 16)
+    assert np.max(np.abs(plain[:, 6] - np.arange(1, 17) / 16)) < 1e-15
+    assert np.max(np.abs(plain[:, 3:5] - plain[:, 2:3])) < 1e-11
 
 
 @pytest.mark.parametrize("name", ["plateau", "seed2"])
 def test_pencil_s_tables_match_the_direct_form(name):
-    # The s tables before rounding to the dyadic grid. A column that barely
-    # moves has an s table made of rounding, in either form, so s itself
-    # must match where the arc length is at least 1e-3, and everywhere the
-    # arc length the error stands for.
+    # every stage's s rows, from the rule on its pencil's traces, against
+    # the direct inversion of the integral of 1/c, with c formed from the
+    # stage's input and operators without the pencil
     loop, sheet = _contracted(name)
     for ops, s, rhos in _stage_inputs(sheet, loop):
-        direct, lengths = _direct_s_table(ops, rhos, len(s))
-        error = np.abs(homotopy._arc_rows(pencil(ops, rhos), len(s)) - direct)
-        assert np.max(error[:, lengths >= 1e-3]) < 1e-12
-        assert np.max(error * lengths) < 1e-13
-        # every column that moves by 1e-3 keeps its arc-length table
-        assert (lengths[lengths >= 1e-3] > homotopy.ARC_FLOOR * lengths.max()).all()
+        c = _normalizer(ops, rhos)
+        assert np.max(np.abs(np.trace(pencil(ops, rhos), axis1=-2, axis2=-1).real - c)) < 1e-13
+        _assert_rule_rows(s, c, len(s), 2000, 1e-6)  # the trapezoid's error is 1e-7
 
 
-def test_a_column_of_rounding_takes_the_plain_fractions():
-    # seed 2's level 1 unitary stage: column 697 moves by 4.6e-11, over
-    # ROUNDING_ARC but under ARC_FLOOR of the stage's largest arc, so its
-    # table is k / rows and not the rounding of its arc
-    loop, sheet = _contracted("seed2")
-    ops, s, rhos = list(_stage_inputs(sheet, loop))[2]
-    _, lengths = _direct_s_table(ops, rhos, len(s))
-    assert homotopy.ROUNDING_ARC < lengths[697] < homotopy.ARC_FLOOR * lengths.max()
-    fractions = np.arange(1, len(s) + 1) / len(s)
-    assert np.array_equal(homotopy._arc_rows(pencil(ops, rhos), len(s))[:, 697], fractions)
-
-
-@pytest.mark.parametrize("name", ["pure", "plateau", "seed2", "seed7", "n4"])
-def test_s_tables_are_the_arc_length_tables_on_the_dyadic_grid(name):
-    # every s a multiple of 2^-16 within 2^-17 of the table before rounding,
-    # every column nondecreasing, and every last row 1 exactly
-    loop, sheet = _contracted(name)
-    for ops, s, rhos in _stage_inputs(sheet, loop):
-        unrounded = homotopy._arc_rows(pencil(ops, rhos), len(s))
-        assert np.array_equal(s * 2**16, np.round(s * 2**16))
-        assert np.max(np.abs(s - unrounded)) <= 2.0**-17
-        assert (np.diff(s, axis=0) >= 0).all() and (s[0] >= 0).all()
-        assert (s[-1] == 1.0).all()
+def test_the_rows_grow_where_the_rule_steps_past_the_modulus(monkeypatch):
+    # random n = 5 seed 9: at the 30 rows its movement asks for, the rule's
+    # level 0 unitary stage steps by 1.008 of the modulus, so the probe
+    # grows that stage once, and the sheet from 87 to 118 rows
+    loop = random_based_loop(5, 9, 700)
+    sheet = contract_loop(loop)
+    report = verify_homotopy(sheet, loop, loop.modulus)
+    assert report.passed, report.violations[:5]
+    assert sheet.shape == (118, 701)
+    assert sheet.levels[0].rows == (61, 8)
+    # the grown rows are checked against the budget as the probe leaves
+    # them: one that admits the 30 rows of the movement refuses the 61 the
+    # probe asks for, before any other stage is probed
+    probed, grown_rows = [], homotopy._grown_rows
+    monkeypatch.setattr(homotopy, "_grown_rows", lambda *args: probed.append(1) or grown_rows(*args))
+    monkeypatch.setattr(homotopy, "MAX_SHEET_BYTES", homotopy._held_bytes(5, 701, [30]))
+    with pytest.raises(ValueError, match="budget"):
+        contract_loop(loop)
+    assert probed == [1]
+    monkeypatch.undo()
+    monkeypatch.setattr(homotopy, "_grown_rows", lambda r, rho, rows, target: rows)
+    sheet = contract_loop(loop)
+    report = verify_homotopy(sheet, loop, loop.modulus)
+    assert sheet.shape == (87, 701)
+    assert [v[0] for v in report.violations] == ["step-modulus"]
+    assert 1.0 < report.max_cell_step / loop.modulus < 1.01
 
 
 @pytest.mark.parametrize("name", ["plateau", "seed2"])
@@ -908,25 +943,16 @@ def _set(array, index, value):
     return out
 
 
-def _skip_half(s, t):
-    """Column t of an s table with its s = 1/2 row moved to 0.45."""
-    assert (s[:, t] == 0.5).any()
-    return _set(s, (s[:, t] == 0.5, t), 0.45)
-
-
 @pytest.mark.parametrize(
     "stage_index, forge, kind, at",
     [
         (0, lambda lv: {"unitaries": _set(lv.unitaries, 4, np.diag([1.0, 2.0]))}, "not-unitary",
          [4]),
-        (0, lambda lv: {"s_unitary": _set(lv.s_unitary, (0, 3), -0.25)}, "s-range", [3]),
-        (1, lambda lv: {"s_projection": _set(lv.s_projection, (2, 6), 1.5)}, "s-range", [6]),
-        (0, lambda lv: {"s_unitary": _set(lv.s_unitary, (-1, 5), 0.75)}, "s-last-row", [5]),
-        # A = -1 is a unitary in the Gelfand ideal at s = 1/2, which the s table skips
-        (0, lambda lv: {"unitaries": _set(lv.unitaries, 4, -np.eye(2)),
-                        "s_unitary": _skip_half(lv.s_unitary, 4)}, "unsafe", [4]),
+        # A = -1 is a unitary in the Gelfand ideal at s = 1/2: c = (1 - 2s)²,
+        # and the rule puts that column's rows at s = 0 and 1 only
+        (0, lambda lv: {"unitaries": _set(lv.unitaries, 4, -np.eye(2))}, "unsafe", [4]),
     ],
-    ids=["non-unitary", "s-below-0", "s-above-1", "last-s-not-1", "unsafe"],
+    ids=["non-unitary", "unsafe"],
 )
 def test_verifier_flags_forged_recipes(stage_index, forge, kind, at):
     # on the constant loop every forgery leaves every cell at the basepoint,
@@ -942,24 +968,23 @@ def test_verifier_flags_forged_recipes(stage_index, forge, kind, at):
 
 
 def test_verifier_fails_a_recipe_in_the_gelfand_ideal():
-    # A = -1 with its s = 1/2 row kept: B(1/2) = 0 annihilates the state, so
-    # the expansion makes non-finite cells there, and the verifier fails the
-    # recipe as unsafe and those cells as non-finite, without raising
+    # A = -1: B(1/2) = 0 annihilates the state, and c = (1 - 2s)² vanishes
+    # there. The rule clips the column's rows to s = 0 up to the half and
+    # s = 1 past it, so no cell is made at the zero and every cell is
+    # finite; the verifier fails the recipe as unsafe, without raising
     loop = constant_loop(2, 10)
     sheet = contract_loop(loop)
-    halves = np.flatnonzero(sheet.levels[0].s_unitary[:, 4] == 0.5)
-    assert halves.size
     forged = _forge(sheet, unitaries=_set(sheet.levels[0].unitaries, 4, -np.eye(2)))
-    arr = cells(forged, loop)
-    bad = ~np.isfinite(arr).all(axis=(-2, -1))
-    assert [tuple(i) for i in np.argwhere(bad).tolist()] == [(1 + h, 4) for h in halves]
+    rows = sheet.levels[0].rows[0]
+    s = homotopy._rule_rows(np.array([[1.0], [-4.0], [4.0]]), rows)[:, 0]
+    assert list(s) == [0.0] * (rows // 2) + [1.0] * (rows - rows // 2)
+    assert np.isfinite(cells(forged, loop)).all()
     # its document reads back as the recipe, with the same verdict
     back = serialize.sheet_from_doc(serialize.sheet_to_doc(forged))
     for recipe in (forged, back):
         report = verify_homotopy(recipe, loop, modulus=1e-9)
         assert not report.passed
-        assert [v[:2] for v in report.violations] == [
-            *(("non-finite", (1 + h, 4)) for h in halves), ("unsafe", (0, 0, 4))]
+        assert [v[:2] for v in report.violations] == [("unsafe", (0, 0, 4))]
 
 
 def test_verifier_flags_a_scaled_unitary_on_a_moving_loop(pure_sheet):
@@ -1010,11 +1035,12 @@ def test_contract_loop_takes_no_svd(monkeypatch):
 
 def test_contract_loop_takes_lapack_only_on_fallback(monkeypatch):
     # Every step a contraction and its verification measure is of 2x2 or
-    # 3x3 Hermitian matrices: the arc-length pre-pass takes √2‖Δ‖_F, with
-    # no LAPACK, and trace_norm the closed form. eigvalsh sees only the
-    # matrices the closed form hands back, each with a nearly degenerate
-    # pair. The positivity certificate of validation and the verifier
-    # clears every matrix it takes on this loop, single states included.
+    # 3x3 Hermitian matrices, and trace_norm takes the closed form. eigvalsh
+    # sees only the matrices the closed form hands back, each with a nearly
+    # degenerate pair: none of the contraction's, and about 1.2% of the
+    # verification's. The positivity certificate of validation and the
+    # verifier clears every matrix it takes on this loop, single states
+    # included.
     loop = random_based_loop(3, 2, 700)
     counts = {"step": [0, 0], "positivity": [0, 0]}  # matrices, to eigvalsh
     active, handed_back = [], []
@@ -1040,19 +1066,17 @@ def test_contract_loop_takes_lapack_only_on_fallback(monkeypatch):
                 handed_back.append(np.asarray(m))
         return eigvalsh(m, *args, **kwargs)
 
-    def prepass_steps(r, n_rows):  # T columns of max(6 rows, 48) fine steps
-        return r.shape[1] * max(n_rows * homotopy.FINE_MULT, 48)
-
     monkeypatch.setattr(homotopy, "trace_norm", counting(homotopy.trace_norm, "step"))
-    monkeypatch.setattr(homotopy, "_arc_rows", counting(homotopy._arc_rows, "step", prepass_steps))
     for module in (homotopy, states):
         positivity = counting(module.min_eigenvalues, "positivity")
         monkeypatch.setattr(module, "min_eigenvalues", positivity)
     monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
     sheet = contract_loop(loop)
-    assert verify_homotopy(sheet, loop, loop.modulus).passed
     matrices, lapack = counts["step"]
-    assert 0 < lapack <= 0.01 * matrices
+    assert matrices > 0 and lapack == 0
+    assert verify_homotopy(sheet, loop, loop.modulus).passed
+    matrices, lapack = np.subtract(counts["step"], [matrices, lapack])
+    assert 0 < lapack <= 0.0125 * matrices
     # r = cos 3φ of each handed-back spectrum, from eigvalsh's eigenvalues
     assert {m.shape[-2:] for m in handed_back} == {(3, 3)}
     dev = eigvalsh(np.concatenate([m.reshape(-1, 3, 3) for m in handed_back]))
@@ -1064,20 +1088,24 @@ def test_contract_loop_takes_lapack_only_on_fallback(monkeypatch):
 
 
 def test_the_prepass_takes_no_eigensolver(monkeypatch):
-    # on 4x4 blocks and smaller ones, where trace_norm takes eigvalsh or
-    # the closed form, the pre-pass's √2‖Δ‖_F takes neither
+    # the contractor's pass before a stage's rows are fixed, the probe of
+    # _grown_rows, runs on 4x4 blocks and smaller ones, where trace_norm
+    # takes eigvalsh or the closed form. Every step of this loop's probes
+    # has a √b‖Δ‖_F bound under the modulus, so the probe takes neither
     loop = random_based_loop(4, 1, 700)
     stages, inside = [], []
     solved = {"eigvalsh": 0, "eigh": 0}
-    arc_rows = homotopy._arc_rows
+    grown_rows = homotopy._grown_rows
 
-    def tracked(*args):
-        stages.append(args[0].shape[-1])
+    def tracked(r, rho, rows, target):
+        stages.append(r.shape[-1])
         inside.append(True)
         try:
-            return arc_rows(*args)
+            grown = grown_rows(r, rho, rows, target)
         finally:
             inside.pop()
+        assert grown == rows
+        return grown
 
     def counted(name):
         solver = getattr(np.linalg, name)
@@ -1087,7 +1115,7 @@ def test_the_prepass_takes_no_eigensolver(monkeypatch):
             return solver(*args, **kwargs)
         return wrapped
 
-    monkeypatch.setattr(homotopy, "_arc_rows", tracked)
+    monkeypatch.setattr(homotopy, "_grown_rows", tracked)
     for name in solved:
         monkeypatch.setattr(np.linalg, name, counted(name))
     contract_loop(loop)
@@ -1113,60 +1141,31 @@ def test_contraction_matches_the_eigvalsh_oracle(name, monkeypatch):
     oracle_report = verify_homotopy(oracle, loop, loop.modulus)
     assert oracle.shape == sheet.shape
     assert len(oracle.levels) == len(sheet.levels)
-    stages = zip(_stage_inputs(sheet, loop), _stage_recipes(oracle))
-    for (ops, s, rhos), (want_ops, want_s) in stages:
+    for (ops, rows), (want_ops, want_rows) in zip(_stage_recipes(sheet), _stage_recipes(oracle)):
         assert np.array_equal(ops, want_ops)
-        # s is set by rounding in columns that barely move (see
-        # test_pencil_s_tables_match_the_direct_form)
-        _, lengths = _direct_s_table(ops, rhos, len(s))
-        assert np.max(np.abs(s - want_s)[:, lengths >= 1e-3], initial=0.0) < 1e-12
+        assert rows == want_rows
     assert np.max(np.abs(cells(oracle, loop) - cells(sheet, loop))) < 1e-14
     assert oracle_report.passed == report.passed
     assert oracle_report.safety_at == report.safety_at
 
 
-def _matrix_s_table(r, n_rows, fine_mult=6):
-    """The arc-length s table of _interp_rows with its pre-pass on complex
-    matrices, all columns at once: the states (R0 + s R1 + s² R2) /
-    (c0 + s c1 + s² c2) evaluated on real and imaginary parts alike, each
-    step Δ measured as √2‖Δ‖_F = sqrt(2 Σ |Δ_ii|² + 4 Σ_{i<j} |Δ_ij|²),
-    its squares summed one at a time: the diagonal, then the real parts of
-    the upper triangle in row-major order, then their imaginary parts."""
-    f_count = max(n_rows * fine_mult, 48)
-    s_fine = np.linspace(0.0, 1.0, f_count + 1)
-    s = s_fine[:, None, None]
-    fractions = np.arange(1, n_rows + 1) / n_rows
-    traces = np.trace(r, axis1=-2, axis2=-1).real
-    p0, p1, p2 = r.view(np.float64)[:, :, None]
-    c0, c1, c2 = traces[:, :, None]
-    norm = c0 + s_fine * (c1 + s_fine * c2)
-    rho_s = ((p0 + s * (p1 + s * p2)) / norm[..., None, None]).view(np.complex128)
-    d = rho_s[:, 1:] - rho_s[:, :-1]
-    i, j = np.triu_indices(d.shape[-1], 1)
-    upper = d[..., i, j]
-    diagonal = [d[..., k, k].real for k in range(d.shape[-1])]
-    off = [*np.moveaxis(upper.real, -1, 0), *np.moveaxis(upper.imag, -1, 0)]
-    steps = np.sqrt(2 * sum(x * x for x in diagonal) + 4 * sum(x * x for x in off))
-    arcs = np.concatenate([np.zeros((len(steps), 1)), np.cumsum(steps, axis=1)], axis=1)
-    table = np.empty((n_rows, r.shape[1]))
-    for t, arc in enumerate(arcs):
-        table[:, t] = np.interp(fractions * arc[-1], arc, s_fine)
-    return _floored(table, arcs[:, -1], fractions)
-
-
 @pytest.mark.parametrize("name", ["pure", "plateau", "seed2", "seed7", "n4"])
 def test_packed_prepass_matches_the_matrix_prepass(name):
-    # every stage of each contraction: 2x2 blocks (the pure loop, and the
-    # last level of the others), 3x3 and 4x4 blocks. The packed states
-    # equal the complex ones bit for bit, and so do their steps. The oracle
-    # takes all columns at once, so the tables do not depend on the
-    # pre-pass's chunks.
+    # the blocks of the contractor's probe, which are the sheet's cells,
+    # evaluated on the pencil's packed layout (_rule_block), against the
+    # same arithmetic on the complex pencil's real and imaginary parts at
+    # the rule's rows, (R0 + s (R1 + s R2)) / (c0 + s (c1 + s c2)): equal
+    # bit for bit, on 2x2 blocks (the pure loop, and the last level of the
+    # others), 3x3 and 4x4 blocks
     loop, sheet = _contracted(name)
     blocks = set()
     for ops, s, rhos in _stage_inputs(sheet, loop):
         r = pencil(ops, rhos)
-        rows = len(s)
-        assert np.array_equal(homotopy._arc_rows(r, rows), _matrix_s_table(r, rows))
+        c0, c1, c2 = np.trace(r, axis1=-2, axis2=-1).real
+        p0, p1, p2 = r.view(np.float64)[:, None]
+        x = s[..., None, None]
+        want = (p0 + x * (p1 + x * p2)) / (c0 + s * (c1 + s * c2))[..., None, None]
+        assert np.array_equal(homotopy._rule_block(r, len(s)), want.view(np.complex128))
         blocks.add(rhos.shape[-1])
     assert blocks == set(range(2, sheet.n + 1))
 

@@ -274,8 +274,7 @@ def test_trace_norm_closed_form_at_extreme_scales(scale):
 def test_trace_norm_of_a_traceless_hermitian_is_bounded_by_its_frobenius_norm(
         n, count, scale, rank, seed):
     # √2‖Δ‖_F <= ‖Δ‖₁ <= √n‖Δ‖_F for a traceless Hermitian Δ, with
-    # equality on the left at rank 2: the arc measure of the contractor's
-    # pre-pass against the trace norm the verifier's steps take
+    # equality on the left at rank 2
     rng = np.random.default_rng(seed)
     rank = min(rank, n)
     evals = np.zeros((count, n))
