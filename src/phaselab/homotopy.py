@@ -19,6 +19,7 @@ comes.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
@@ -26,7 +27,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import eye, min_eigenvalues, pack_hermitian, trace_norm, unpack_hermitian
+from .linalg import (_hermitian_min_eigenvalues, _hermitian_trace_norm, eye, min_eigenvalues,
+                     pack_hermitian, trace_norm, unpack_hermitian)
 from .projective import transport_to_e0
 from .states import basis_state, validate_densities
 from .util import NumericalGateError
@@ -42,6 +44,9 @@ OPERATOR_TOL = 1e-9
 MODULUS_FACTOR, STEP_FLOOR = 5.0, 1e-9
 # The verifier's gate on cells (state, edge columns, last row)
 CELL_TOL = 1e-8
+# The relative margin of a step's Frobenius bounds (_bounded_steps): ten
+# times the closed form's 1e-13 of ‖Δ‖_F
+STEP_MARGIN = 1e-12
 # The fewest rows a stage takes
 MIN_ROWS = 8
 # The lifted unitaries are multiples of 1 / U_DEN (_rectify). Rounding
@@ -50,11 +55,13 @@ MIN_ROWS = 8
 # 2^40 in modulus is an exact double.
 U_DEN = 2**40
 # Bytes a sheet may hold (_held_bytes): its recipe and BLOCK_COPIES blocks
-# of its stage of most rows. Beyond the recipe, tracemalloc reads a
-# contraction, its row probes included, at 2.4 to 3.7 blocks and a
-# verification at 3.6 to 4.8 (n = 2 to 40, 17 to 901 samples). The count
-# covers arrays only: on sheets under about 1 MB, tracemalloc's fixed
-# overhead can exceed it (constant_loop(2, 16) reads 7.2 blocks).
+# of complex cells of its stage of most rows. Stage blocks are packed, half
+# those bytes, and beyond the recipe tracemalloc reads a contraction, its
+# row probes included, at 0.9 to 2.8 blocks and a verification at 1.9 to
+# 2.8 (n = 2 to 40, 17 to 901 samples). Six copies would admit the n = 50,
+# 101-sample loop that the CLI refuses. The count covers arrays only: on
+# sheets under about 1 MB, tracemalloc's fixed overhead can exceed it
+# (constant_loop(2, 16) reads 5.2 blocks).
 MAX_SHEET_BYTES, BLOCK_COPIES = 2**28, 7
 
 
@@ -379,21 +386,21 @@ def _rule_rows(c: np.ndarray, rows: int) -> np.ndarray:
 
 
 def _stage_rows(r: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Rows (rows, T, b, b) of a stage whose column t has the pencil
-    r[:, t] (see pencil): column t of row k is the state at s[k, t],
-    (p0 + s (p1 + s p2)) / (c0 + s (c1 + s c2)) on one packing p of the
-    pencil (linalg.pack_hermitian) and its traces c, exactly Hermitian,
+    """Rows of a stage whose column t has the pencil r[:, t] (see pencil),
+    packed (linalg.pack_hermitian) as (b², rows, T): column t of row k is
+    the state at s[k, t], (p0 + s (p1 + s p2)) / (c0 + s (c1 + s c2)) on
+    the packing p of the pencil and its traces c, Hermitian by its layout,
     and unjudged: a B(s) in the Gelfand ideal of its column's state makes
     a non-finite cell, which the verifier flags."""
     p = np.moveaxis(pack_hermitian(r), 1, 0)[:, :, None]  # (3, b², 1, T)
     c0, c1, c2 = np.trace(r, axis1=-2, axis2=-1).real
     with np.errstate(divide="ignore", invalid="ignore"):
-        rows = (p[0] + s * (p[1] + s * p[2])) / (c0 + s * (c1 + s * c2))
-    return unpack_hermitian(rows)
+        return (p[0] + s * (p[1] + s * p[2])) / (c0 + s * (c1 + s * c2))
 
 
 def _rule_block(r: np.ndarray, rows: int) -> np.ndarray:
-    """The `rows` rows of a stage of pencil r at the rule's s rows (_rule_rows)."""
+    """The `rows` rows of a stage of pencil r at the rule's s rows
+    (_rule_rows), packed as (b², rows, T) (_stage_rows)."""
     return _stage_rows(r, _rule_rows(np.trace(r, axis1=-2, axis2=-1).real, rows))
 
 
@@ -409,16 +416,46 @@ def _grown_rows(r: np.ndarray, rho: np.ndarray, rows: int, target: float) -> int
     unless its block at the rule's `rows` rows (_rule_block) has an s-step,
     from rho on, over the modulus 2 target: then ceil(rows step / target),
     which aims the largest step at target again. It grows once, and the
-    verifier judges the rows it gives. A step's trace norm is at most √b
-    times its Frobenius norm, so only the steps whose bound exceeds the
-    modulus take trace_norm, and a stage where none does takes no
-    eigensolver."""
+    verifier judges the rows it gives. The steps are taken on the packed
+    block, rho's by its upper triangle, and only those whose Frobenius
+    bounds let them reach the modulus take a trace norm (_bounded_steps),
+    so a stage where none does takes no eigensolver."""
     block = _rule_block(r, rows)
-    steps = np.concatenate([(block[0] - rho)[None], block[1:] - block[:-1]])
-    del block
-    over = steps[np.sqrt(rho.shape[-1]) * np.linalg.norm(steps, axis=(-2, -1)) > 2.0 * target]
-    step = trace_norm(over).max() if len(over) else 0.0
+    first, floor = _bounded_steps(block[:, 0] - pack_hermitian(rho), 2.0 * target)
+    steps, _ = _bounded_steps(block[:, 1:] - block[:, :-1], floor)
+    step = max(first.max(), steps.max(initial=0.0))
     return rows if step <= 2.0 * target else int(np.ceil(rows * step / target))
+
+
+def _bounded_steps(d: np.ndarray, floor: float) -> tuple[np.ndarray, float]:
+    """Trace norms of a packed stack d (n², ...) of Hermitian steps, and
+    `floor` raised to their largest lower bound. `floor` is a threshold, or
+    a lower bound or exact norm of a step scanned before. A step takes its
+    exact norm (linalg._hermitian_trace_norm) where its upper bound is
+    positive and reaches the raised floor. Any other step reads 0.0: it is
+    under the floor, so it is neither the largest step so far nor over the
+    threshold. The largest step and all its ties keep their exact norms.
+
+    With F = ‖Δ‖_F, F² = Σ diag² + 2 Σ offdiag² on the packed rows, every
+    Hermitian Δ has max(F, √(2F² - (tr Δ)²)) <= ‖Δ‖₁ <= √n F: the left
+    from ‖Δ‖₁² = (P + N)² and F² <= P² + N² for its positive and negative
+    parts P, N, and (P - N)² = (tr Δ)²; the right by Cauchy-Schwarz. Each
+    side moves by the relative margin STEP_MARGIN + n² eps, which covers
+    the exact norm's error (1e-13 F for the closed form, eigvalsh's near
+    n eps on each of n eigenvalues) and the rounding of F² and tr Δ. A
+    step whose bound is NaN keeps its exact norm."""
+    n = math.isqrt(len(d))
+    diag, off = d[:n], d[n:]
+    f2 = np.einsum("k...,k...->...", diag, diag) + 2.0 * np.einsum("k...,k...->...", off, off)
+    tr = diag.sum(axis=0)
+    margin = STEP_MARGIN + n * n * np.finfo(float).eps
+    upper = np.sqrt(n * f2) * (1.0 + margin)
+    lower = np.sqrt(np.maximum(f2, 2.0 * f2 - tr * tr)) * (1.0 - margin)
+    floor = float(np.fmax.reduce(lower, axis=None, initial=floor))
+    norms = np.zeros(upper.shape)
+    keep = (upper != 0.0) & ~(upper < floor)
+    norms[keep] = _hermitian_trace_norm(d[:, keep])
+    return norms, floor
 
 
 def _rectify(rhos: np.ndarray, target: float, admit):
@@ -463,14 +500,14 @@ def _rectify(rhos: np.ndarray, target: float, admit):
             f"(min {lifted_min[t]:.3e}, unlifted min {unlifted_min:.3e})"
         )
 
-    (out_a,) = _rule_block(r_lifted, 1)
+    out_a = unpack_hermitian(_rule_block(r_lifted, 1)[:, 0])
     proj = projection_matrix(n, 1)
     r_proj = pencil(proj, out_a)
     failing = np.flatnonzero(~(safety_min(r_proj)[0] > SAFETY_FLOOR))
     if failing.size:
         raise NumericalGateError(f"projection interpolation unsafe at sample {failing[0]}")
 
-    (out_b,) = _rule_block(r_proj, 1)
+    out_b = unpack_hermitian(_rule_block(r_proj, 1)[:, 0])
     rows = []
     for r, rho, out in ((r_lifted, rhos, out_a), (r_proj, out_a, out_b)):
         count = admit(_rows_for(target, trace_norm(out - rho).max()))
@@ -484,17 +521,32 @@ def _compress(rhos: np.ndarray, block: int) -> np.ndarray:
     return (rho + rho.conj().swapaxes(-1, -2)) / 2
 
 
+def _packed_corner(x: np.ndarray, n: int) -> np.ndarray:
+    """A packed stack x (b², ...) of b x b matrices (linalg.pack_hermitian)
+    as the packed stack (n², ...) of their n x n zero-padding: b's diagonal,
+    and the real and imaginary parts of each upper pair (i, j), i < j < b,
+    go to n's rows of the same entries."""
+    b = math.isqrt(len(x))
+    i, j = np.triu_indices(b, 1)
+    pair = i * n - i * (i + 1) // 2 + j - i - 1  # (i, j)'s index among n's upper pairs
+    out = np.zeros((n * n, *x.shape[1:]))
+    out[np.concatenate([np.arange(b), n + pair, n + n * (n - 1) // 2 + pair])] = x
+    return out
+
+
 def sheet_blocks(sheet: HomotopySheet, loop: StateLoop) -> Iterator[np.ndarray]:
     """A sheet's cells on `loop`, one stage at a time: row 0, the loop, as a
-    block of one row, then each stage's rows (rows, T, n, n) in order. Each
-    level below M_n takes its input from the last row so far, compressed to
-    its corner block (_compress); each of its stages evaluates its pencil on
-    the last row of the stage before at the s rows that the rule derives
-    from the pencil's traces (_rule_block); and its rows are zero-padded
-    into the n x n corner. Every cell is made here, so a sheet read back
-    from its document expands on its input loop to the contractor's cells
-    bit for bit. A loop whose n or T the recipe does not
-    fit raises ValueError. Nothing here judges a cell: verify_homotopy does."""
+    complex block (1, T, n, n), then each stage's rows in order, packed
+    (linalg.pack_hermitian) as (n², rows, T). Each level below M_n takes
+    its input from the last row so far, compressed to its corner block
+    (_compress); each of its stages evaluates its pencil on the last row of
+    the stage before, unpacked, at the s rows that the rule derives from
+    the pencil's traces (_rule_block); and its b x b rows are scattered
+    into the n x n corner's packed rows (_packed_corner), zero elsewhere.
+    Every cell is made here, so a sheet read back from its document expands
+    on its input loop to the contractor's cells bit for bit. A loop whose n
+    or T the recipe does not fit raises ValueError. Nothing here judges a
+    cell: verify_homotopy does."""
     n, rhos = sheet.n, loop.rhos  # the last row so far, on its block
     if rhos.shape != (sheet.shape[1], n, n):
         raise ValueError(f"a recipe on M_{n} over {sheet.shape[1]} columns does not fit {rhos.shape}")
@@ -504,9 +556,9 @@ def sheet_blocks(sheet: HomotopySheet, loop: StateLoop) -> Iterator[np.ndarray]:
             with np.errstate(divide="ignore", invalid="ignore"):  # a zero trace is the verifier's
                 rhos = _compress(rhos, b)
         block = _rule_block(pencil(ops, rhos), rows)
-        rhos = block[-1].copy()
+        rhos = unpack_hermitian(block[:, -1])
         if b < n:
-            block = np.pad(block, [(0, 0), (0, 0), (0, n - b), (0, n - b)])
+            block = _packed_corner(block, n)
         yield block
         del block  # so that only the caller holds a block while the next is made
 
@@ -592,71 +644,100 @@ def verify_homotopy(sheet: HomotopySheet, input_loop: StateLoop, modulus: float)
     input as the streamed rows hold it, except in columns whose input is
     not finite, so a recipe in a Gelfand ideal fails as "unsafe". The s
     rows are the rule's, in [0, 1] and ending at 1 (_rule_rows), so they
-    take no check. A cell
-    with a NaN or infinite entry is one "non-finite" violation, valued by
-    the count of such entries; it is zeroed for, and skipped by, the rest.
-    Violations are listed by kind, each kind in C order of its cell; the
-    recipe's come last, stage by stage, at (level, stage, column) indices
-    into the recipe. The negative-eigenvalue scan is linalg.min_eigenvalues
-    at CELL_TOL: the LDLᴴ certificate clears a cell without LAPACK, and
-    each cell it does not clear takes eigvalsh, which decides it and gives
-    a violation's value."""
+    take no check. A cell with a NaN or infinite entry is one "non-finite"
+    violation, valued by the count of such entries; it is zeroed for, and
+    skipped by, the rest. Violations are listed by kind, each kind in C
+    order of its cell; the recipe's come last, stage by stage, at (level,
+    stage, column) indices into the recipe.
+
+    Row 0, the input loop, is checked as given, complex, since a loop need
+    not be exactly Hermitian: with a Hermiticity scan, and its steps in
+    exact trace norm. The stage blocks are read in their packed layout,
+    whose cells are Hermitian by construction, so they take no Hermiticity
+    scan. Their negative-eigenvalue scan is the LDLᴴ certificate of
+    linalg.min_eigenvalues at CELL_TOL on the packed block
+    (linalg._hermitian_min_eigenvalues): it clears a
+    cell without LAPACK, and each cell it does not clear takes eigvalsh,
+    which decides it and gives a violation's value. Their steps are
+    bounded by Frobenius norms first, and only those that can be the
+    largest so far take an exact trace norm (_bounded_steps), so the
+    largest step and its cell are those of an exact scan of every step."""
     n, (s_dim, t_dim) = sheet.n, sheet.shape
     base = basis_state(n).rho
+    packed_base, pairs = pack_hermitian(base)[:, None, None], n * (n - 1) // 2
     found: dict = {kind: [] for kind in ("non-finite", "non-hermitian", "trace", "negative-eigenvalue",
                                          "left-column", "right-column")}
     recipe = []
-    step = (0.0, (0, 0))  # the largest step along s or t, at its cell
+    step, floor = (0.0, (0, 0)), 0.0  # the largest step along s or t, at its cell; the steps' floor
     safety: tuple = (None, None)
-    blocks = sheet_blocks(sheet, input_loop)  # pulled by next(), so no iterator holds a block past its turn
-    prev, prev_ok, row = None, None, 0
-    for at_stage in [None, *_stages(n, sheet.levels)]:  # row 0 has no stage
-        block = next(blocks)
-        if at_stage is not None:  # the recipe of the stage whose input is `prev`
-            li, si, b, ops, _ = at_stage
-            at = lambda t: (li, si, t)
-            with np.errstate(divide="ignore", invalid="ignore"):  # a level compresses its input
-                rhos = _compress(prev, b) if si == 0 and b < n else prev
-            if si == 0:  # the projection stage's operator is P^b_1 by construction
-                defect = _unitarity_defect(ops)
-                recipe += _flags("not-unitary", defect, ~(defect <= OPERATOR_TOL), OPERATOR_TOL, at)
-            value = np.where(prev_ok, safety_min(pencil(ops, rhos[:, :b, :b]))[0], np.inf)
-            recipe += _flags("unsafe", value, ~(value > SAFETY_FLOOR) & prev_ok, SAFETY_FLOOR, at)
-            t = int(np.argmin(value))
-            if prev_ok[t] and (safety[0] is None or value[t] < safety[0]):
-                safety = (float(value[t]), (li, si, t))
 
-        at = lambda s, t: (row + s, t)
-        bad = np.sum(~np.isfinite(block), axis=(-1, -2))
-        ok = bad == 0
-        found["non-finite"] += _flags("non-finite", bad, ~ok, 0.0, at)
-        if not ok.all():
-            block = np.where(ok[..., None, None], block, 0.0)
-        adj = np.conj(np.swapaxes(block, -1, -2))
-        herm = np.max(np.abs(block - adj), axis=(-1, -2))
-        found["non-hermitian"] += _flags("non-hermitian", herm, herm > CELL_TOL, CELL_TOL, at)
-        traces = np.abs(np.einsum("stii->st", block) - 1.0)
-        found["trace"] += _flags("trace", traces, (traces > CELL_TOL) & ok, CELL_TOL, at)
-        neg = -min_eigenvalues((block + adj) / 2, CELL_TOL)
-        del adj  # read by nothing after the scan, so the step checks peak without it
-        found["negative-eigenvalue"] += _flags("negative-eigenvalue", neg, neg > CELL_TOL, CELL_TOL, at)
-        if row:  # the steps from the row before the block
-            steps = np.where(ok[0] & prev_ok, trace_norm(block[0] - prev), 0.0)
-            step = _largest(step, steps[None], row - 1)
-        steps = np.where(ok[1:] & ok[:-1], trace_norm(block[1:] - block[:-1]), 0.0)
-        step = _largest(step, steps, row)
-        steps = np.where(ok[:, 1:] & ok[:, :-1], trace_norm(block[:, 1:] - block[:, :-1]), 0.0)
-        step = _largest(step, steps, row)
-        dev = trace_norm(block[:, [0, -1]] - base)
+    def edge_columns(dev, ok, row):
         for i, (col, label) in enumerate(((0, "left-column"), (t_dim - 1, "right-column"))):
             found[label] += _flags(label, dev[:, i], (dev[:, i] > CELL_TOL) & ok[:, col], CELL_TOL,
                                    lambda s: (row + s, col))
-        prev, prev_ok = block[-1].copy(), ok[-1]
-        row += len(block)
-        del block
+
+    blocks = sheet_blocks(sheet, input_loop)  # pulled by next(), so no iterator holds a block past its turn
+    prev = next(blocks)[0]
+    at = lambda t: (0, t)
+    bad = np.sum(~np.isfinite(prev), axis=(-1, -2))
+    prev_ok = bad == 0
+    found["non-finite"] += _flags("non-finite", bad, ~prev_ok, 0.0, at)
+    if not prev_ok.all():
+        prev = np.where(prev_ok[:, None, None], prev, 0.0)
+    adj = np.conj(np.swapaxes(prev, -1, -2))
+    herm = np.max(np.abs(prev - adj), axis=(-1, -2))
+    found["non-hermitian"] += _flags("non-hermitian", herm, herm > CELL_TOL, CELL_TOL, at)
+    traces = np.abs(np.einsum("tii->t", prev) - 1.0)
+    found["trace"] += _flags("trace", traces, (traces > CELL_TOL) & prev_ok, CELL_TOL, at)
+    neg = -min_eigenvalues((prev + adj) / 2, CELL_TOL)
+    found["negative-eigenvalue"] += _flags("negative-eigenvalue", neg, neg > CELL_TOL, CELL_TOL, at)
+    steps = np.where(prev_ok[1:] & prev_ok[:-1], trace_norm(prev[1:] - prev[:-1]), 0.0)
+    step = _largest(step, steps[None], 0)
+    edge_columns(trace_norm(prev[[0, -1]] - base)[None], prev_ok[None], 0)
+    prev_x, row = None, 1
+    for li, si, b, ops, _ in _stages(n, sheet.levels):
+        x = next(blocks)
+        at = lambda t: (li, si, t)  # the recipe of the stage whose input is `prev`
+        with np.errstate(divide="ignore", invalid="ignore"):  # a level compresses its input
+            rhos = _compress(prev, b) if si == 0 and b < n else prev
+        if si == 0:  # the projection stage's operator is P^b_1 by construction
+            defect = _unitarity_defect(ops)
+            recipe += _flags("not-unitary", defect, ~(defect <= OPERATOR_TOL), OPERATOR_TOL, at)
+        value = np.where(prev_ok, safety_min(pencil(ops, rhos[:, :b, :b]))[0], np.inf)
+        recipe += _flags("unsafe", value, ~(value > SAFETY_FLOOR) & prev_ok, SAFETY_FLOOR, at)
+        t = int(np.argmin(value))
+        if prev_ok[t] and (safety[0] is None or value[t] < safety[0]):
+            safety = (float(value[t]), (li, si, t))
+
+        at = lambda s, t: (row + s, t)
+        nonfinite = ~np.isfinite(x)  # each packed off-diagonal pair is two entries of the cell
+        bad = nonfinite[:n].sum(axis=0) + 2 * (nonfinite[n:n + pairs] | nonfinite[n + pairs:]).sum(axis=0)
+        del nonfinite
+        ok = bad == 0
+        found["non-finite"] += _flags("non-finite", bad, ~ok, 0.0, at)
+        if not ok.all():
+            x = np.where(ok, x, 0.0)
+        traces = np.abs(x[:n].sum(axis=0) - 1.0)
+        found["trace"] += _flags("trace", traces, (traces > CELL_TOL) & ok, CELL_TOL, at)
+        neg = -_hermitian_min_eigenvalues(x, CELL_TOL)
+        found["negative-eigenvalue"] += _flags("negative-eigenvalue", neg, neg > CELL_TOL, CELL_TOL, at)
+        if prev_x is None:  # the steps from row 0, as given
+            steps = np.where(ok[0] & prev_ok, trace_norm(unpack_hermitian(x[:, 0]) - prev), 0.0)
+        else:
+            steps, floor = _masked_steps(x[:, 0] - prev_x, ok[0] & prev_ok, max(floor, step[0]))
+        step = _largest(step, steps[None], row - 1)
+        steps, floor = _masked_steps(x[:, 1:] - x[:, :-1], ok[1:] & ok[:-1], max(floor, step[0]))
+        step = _largest(step, steps, row)
+        steps, floor = _masked_steps(x[:, :, 1:] - x[:, :, :-1], ok[:, 1:] & ok[:, :-1], max(floor, step[0]))
+        step = _largest(step, steps, row)
+        edge_columns(_hermitian_trace_norm(x[:, :, [0, -1]] - packed_base), ok, row)
+        prev_x, prev_ok = x[:, -1].copy(), ok[-1]
+        prev = unpack_hermitian(prev_x)
+        row += x.shape[1]
+        del x
 
     violations = [v for kind in found.values() for v in kind]
-    last = trace_norm(prev - base[None])
+    last = _hermitian_trace_norm(prev_x - packed_base[:, 0])
     violations += _flags("final-row", last, (last > CELL_TOL) & prev_ok, CELL_TOL, lambda t: (s_dim - 1, t))
     max_step = float(step[0])
     if not max_step <= modulus:  # a NaN modulus or step fails too
@@ -670,6 +751,11 @@ def verify_homotopy(sheet: HomotopySheet, input_loop: StateLoop, modulus: float)
         safety_min=safety[0],
         safety_at=safety[1],
     )
+
+
+def _masked_steps(d: np.ndarray, keep: np.ndarray, floor: float) -> tuple[np.ndarray, float]:
+    """_bounded_steps of the packed steps d where `keep`, and 0.0 elsewhere."""
+    return _bounded_steps(d if keep.all() else np.where(keep, d, 0.0), floor)
 
 
 # --- bundled example loops -------------------------------------------------

@@ -142,11 +142,11 @@ def trace_norm(m: np.ndarray):
     hermitian = (m == m.conj().swapaxes(-1, -2)).all(axis=(-2, -1))
     count = np.count_nonzero(hermitian)
     if count == hermitian.size:
-        norms = _hermitian_trace_norm(m)
+        norms = _hermitian_trace_norm(pack_hermitian(m))
     else:
         norms = np.linalg.svd(m, compute_uv=False).sum(axis=-1)
         if count:
-            norms[hermitian] = _hermitian_trace_norm(m[hermitian])
+            norms[hermitian] = _hermitian_trace_norm(pack_hermitian(m[hermitian]))
     return float(norms) if m.ndim == 2 else norms
 
 
@@ -218,32 +218,34 @@ def unpack_hermitian(x: np.ndarray) -> np.ndarray:
     return h
 
 
-def _packed_or_eigvalsh(h: np.ndarray, kernel, reduce) -> np.ndarray:
-    """One value per matrix of an exactly Hermitian stack h (..., n, n). For
-    n = 2 and 3, kernel(x) gives (values, where they hold) elementwise over
-    the packed stack x (pack_hermitian); the matrices it leaves, and every
-    stack of n >= 4, take reduce(eigvalsh(m)), one LAPACK call per matrix.
-    So a matrix's value depends on that matrix alone, not on its stack."""
-    n = h.shape[-1]
-    flat = h.reshape(-1, n, n)
-    if n not in (2, 3):
-        return reduce(np.linalg.eigvalsh(flat)).reshape(h.shape[:-2])
-    with np.errstate(all="ignore"):  # 0/0, overflow, inf, nan: those matrices are redone below
-        values, done = kernel(pack_hermitian(flat))
-    redo = np.flatnonzero(~done)
+def _packed_or_eigvalsh(x: np.ndarray, kernel, reduce) -> np.ndarray:
+    """One value per matrix of a packed Hermitian stack x (n², ...)
+    (pack_hermitian). For n = 2 and 3, kernel(x) gives (values, where they
+    hold) elementwise over the stack; the matrices it leaves, and every
+    matrix of n >= 4, are unpacked and take reduce(eigvalsh(m)), one LAPACK
+    call per matrix, and an empty stack takes none. So a matrix's value
+    depends on that matrix alone, not on its stack."""
+    n = math.isqrt(len(x))
+    flat = x.reshape(len(x), -1)
+    if n in (2, 3):
+        with np.errstate(all="ignore"):  # 0/0, overflow, inf, nan: those matrices are redone below
+            values, done = kernel(flat)
+        redo = np.flatnonzero(~done)
+    else:
+        values, redo = np.empty(flat.shape[1]), np.arange(flat.shape[1])
     if redo.size:
-        values[redo] = reduce(np.linalg.eigvalsh(flat[redo]))
-    return values.reshape(h.shape[:-2])
+        values[redo] = reduce(np.linalg.eigvalsh(unpack_hermitian(flat[:, redo])))
+    return values.reshape(x.shape[1:])
 
 
-def _hermitian_trace_norm(h: np.ndarray) -> np.ndarray:
-    """Sum of absolute eigenvalues of each matrix of an exactly Hermitian
-    stack h (..., n, n): for every 2x2 and 3x3 stack a closed form
+def _hermitian_trace_norm(x: np.ndarray) -> np.ndarray:
+    """Sum of absolute eigenvalues of each matrix of a packed Hermitian
+    stack x (n², ...): for every 2x2 and 3x3 stack a closed form
     (_closed_form_2, _closed_form_3), within 1e-13 of each matrix's
     Frobenius norm, and eigvalsh for the matrices it does not resolve
     (non-finite entries, a nearly degenerate 3x3 pair, a 3x3 scale outside
     _CLOSED_FORM_P2) and for n >= 4 (_packed_or_eigvalsh)."""
-    return _packed_or_eigvalsh(h, lambda x: (_closed_form_2 if len(x) == 4 else _closed_form_3)(x),
+    return _packed_or_eigvalsh(x, lambda x: (_closed_form_2 if len(x) == 4 else _closed_form_3)(x),
                                lambda evals: np.abs(evals).sum(axis=-1))
 
 
@@ -298,14 +300,19 @@ def min_eigenvalues(h: np.ndarray, tol: float) -> np.ndarray:
     Hermitian matrices, as eigvalsh gives it, for the test λmin >= -tol:
     where an LDLᴴ certificate proves that eigvalsh's value passes, the
     matrix reads -tol instead, so `min_eigenvalues(h, tol) < -tol` is
-    eigvalsh's verdict and every failing value is eigvalsh's own.
+    eigvalsh's verdict and every failing value is eigvalsh's own
+    (_hermitian_min_eigenvalues of the packed stack)."""
+    return _hermitian_min_eigenvalues(pack_hermitian(h), tol)
 
-    The certificate factors H + (tol - δ)1 elementwise over every packed
-    2x2 and 3x3 stack and clears the matrices whose pivots all exceed δ
-    (see POSITIVITY_MARGIN); the matrices it does not clear (non-finite
-    entries, overflow, a pivot at or below δ) and every stack of n >= 4
-    take eigvalsh (_packed_or_eigvalsh)."""
-    return _packed_or_eigvalsh(h, lambda x: (np.full(x.shape[1], -tol), _ldl_clears(x, tol)),
+
+def _hermitian_min_eigenvalues(x: np.ndarray, tol: float) -> np.ndarray:
+    """min_eigenvalues of a packed Hermitian stack x (n², ...). The
+    certificate factors H + (tol - δ)1 elementwise over every packed 2x2
+    and 3x3 stack and clears the matrices whose pivots all exceed δ (see
+    POSITIVITY_MARGIN); the matrices it does not clear (non-finite entries,
+    overflow, a pivot at or below δ) and every matrix of n >= 4 take
+    eigvalsh (_packed_or_eigvalsh)."""
+    return _packed_or_eigvalsh(x, lambda x: (np.full(x.shape[1], -tol), _ldl_clears(x, tol)),
                                lambda evals: evals.min(axis=-1))
 
 

@@ -399,8 +399,8 @@ def _traced_contract_and_verify(loop) -> tuple:
     ids=["constant-n10-T101", "random-n8-T151", "constant-n40-T17"],
 )
 def test_contraction_and_verification_stay_within_the_count(make_loop, monkeypatch):
-    # the verification weighs most, at 3.9 to 4.0 blocks of a stage's 8 rows
-    # against the contraction's 2.0 to 3.2. At n = 40 and 17 samples the
+    # the verification weighs most, at 2.7 blocks of complex cells of a
+    # stage's 8 rows against the contraction's 0.9 to 2.1. At n = 40 and 17 samples the
     # sheet has 625 rows of 8 a stage: gathering its edge columns to check
     # them last peaked at 76.6 MB, against a count of 31.3 MB. A budget of
     # exactly the sheet's count admits the loop, and the contraction and
@@ -647,11 +647,12 @@ def test_verifier_reports_non_finite_cells(monkeypatch):
     forge_cells(monkeypatch, corrupt)
     report = verify_homotopy(sheet, loop, modulus=1e-6)
     assert not report.passed
-    # the zeroed stand-ins for the bad cells add no violation of their own
+    # the zeroed stand-ins for the bad cells add no violation of their own;
+    # a stage cell is packed, so the NaN at (0, 1) is mirrored at (1, 0)
     assert report.violations == [
         ("non-finite", (0, 3), 1.0, 0.0),
         ("non-finite", (1, 0), 4.0, 0.0),
-        ("non-finite", (2, 4), 1.0, 0.0),
+        ("non-finite", (2, 4), 2.0, 0.0),
         ("non-finite", (last, 5), 1.0, 0.0),
     ]
     assert report.max_cell_step == 0.0
@@ -740,6 +741,7 @@ def _contracted(name: str):
         "seed2": lambda: random_based_loop(3, 2, 700),
         "seed7": lambda: random_based_loop(3, 7, 700),
         "n4": lambda: random_based_loop(4, 2, 300),
+        "n4s1": lambda: random_based_loop(4, 1, 700),
     }
     loop = loops[name]()
     return loop, contract_loop(loop)
@@ -1023,6 +1025,62 @@ def test_streamed_verdict_equals_the_whole_sheets(name):
     assert report.safety_at == (level, stage, int(np.argmin(values[index])))
 
 
+def _scanned_largest_step(sheet, arr):
+    """The largest step of a whole sheet of cells arr (S, T, n, n), each in
+    exact trace norm, and its cell, the first of its ties in the verifier's
+    scan order: block by block (row 0, then each stage's rows), the s-steps
+    into and inside the block, then the block's t-steps. A step's cell is
+    the one it starts from."""
+    s_steps = linalg.trace_norm(arr[1:] - arr[:-1])
+    t_steps = linalg.trace_norm(arr[:, 1:] - arr[:, :-1])
+    edges = np.cumsum([0, 1, *[rows for level in sheet.levels for rows in level.rows]])
+    best, at = 0.0, (0, 0)
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        first = max(lo - 1, 0)
+        for steps, row in ((s_steps[first:hi - 1], first), (t_steps[lo:hi], lo)):
+            if steps.size:
+                i, j = np.unravel_index(np.argmax(steps), steps.shape)
+                if steps[i, j] > best:
+                    best, at = float(steps[i, j]), (row + int(i), int(j))
+    return best, at
+
+
+@pytest.mark.parametrize("name", ["pure", "plateau", "seed2", "n4s1"])
+def test_bounded_steps_find_the_exact_scans_largest_step(name):
+    # the verifier takes exact norms only for the steps whose Frobenius
+    # bounds let them be the largest so far; its largest step and the cell
+    # it reports it at are those of an exact trace norm of every step
+    loop, sheet = _contracted(name)
+    best, at = _scanned_largest_step(sheet, cells(sheet, loop))
+    report = verify_homotopy(sheet, loop, 0.0)
+    assert report.max_cell_step == best > 0.0
+    assert [v for v in report.violations if v[0] == "step-modulus"] == [("step-modulus", at, best, 0.0)]
+
+
+def test_bounded_steps_bound_a_step_by_sqrt_n(monkeypatch):
+    # two cells of one stage block of a constant 3x3 sheet forged: a rank-3
+    # step eps diag(-2, 1, 1), of trace norm 4 eps and Frobenius norm
+    # √6 eps, and a rank-2 step 1.9 eps diag(-1, 1, 0), of trace norm
+    # 3.8 eps = √2 times its Frobenius norm, its lower bound. Only the upper
+    # bound √3‖Δ‖_F = √18 eps keeps the rank-3 step; √2‖Δ‖_F = √12 eps, the
+    # bound of a rank-2 step, falls under 3.8 eps and would report that one
+    loop = constant_loop(3, 10)
+    sheet = contract_loop(loop)
+    eps, base = 1e-3, basis_state(3).rho
+
+    def corrupt(arr):
+        arr[3, 4] = base + eps * np.diag([-2.0, 1.0, 1.0])
+        arr[3, 6] = base + 1.9 * eps * np.diag([-1.0, 1.0, 0.0])
+
+    forge_cells(monkeypatch, corrupt)
+    arr = cells(sheet, loop)
+    rank3, rank2 = linalg.trace_norm(arr[3, [4, 6]] - arr[2, [4, 6]])
+    assert abs(rank3 - 4 * eps) < 1e-15 and abs(rank2 - 3.8 * eps) < 1e-15
+    report = verify_homotopy(sheet, loop, 1e-6)
+    assert report.max_cell_step == rank3
+    assert [v[:3] for v in report.violations] == [("step-modulus", (2, 4), rank3)]
+
+
 def test_contract_loop_takes_no_svd(monkeypatch):
     loop = bundled_pure_loop(320)
     calls = []
@@ -1035,12 +1093,15 @@ def test_contract_loop_takes_no_svd(monkeypatch):
 
 def test_contract_loop_takes_lapack_only_on_fallback(monkeypatch):
     # Every step a contraction and its verification measure is of 2x2 or
-    # 3x3 Hermitian matrices, and trace_norm takes the closed form. eigvalsh
-    # sees only the matrices the closed form hands back, each with a nearly
-    # degenerate pair: none of the contraction's, and about 1.2% of the
-    # verification's. The positivity certificate of validation and the
-    # verifier clears every matrix it takes on this loop, single states
-    # included.
+    # 3x3 Hermitian matrices, and an exact trace norm takes the closed form.
+    # The verifier takes exact norms for a stage block's steps only where
+    # their Frobenius bounds let them be the largest (_bounded_steps):
+    # 9,209 matrices in all for this 61x701 sheet of 84,760 steps, its row
+    # 0, edge columns and last row included. eigvalsh sees only the
+    # matrices the closed form hands back, each with a nearly degenerate
+    # pair: none of the contraction's, and 193 (2.1%) of the verification's.
+    # The positivity certificate of validation and the verifier clears every
+    # matrix it takes on this loop, single states included.
     loop = random_based_loop(3, 2, 700)
     counts = {"step": [0, 0], "positivity": [0, 0]}  # matrices, to eigvalsh
     active, handed_back = [], []
@@ -1049,7 +1110,10 @@ def test_contract_loop_takes_lapack_only_on_fallback(monkeypatch):
     def size(m, *_):
         return np.asarray(m)[..., 0, 0].size
 
-    def counting(kernel, key, matrices=size):
+    def packed_size(x, *_):
+        return x[0].size
+
+    def counting(kernel, key, matrices):
         def wrapped(m, *args):
             counts[key][0] += matrices(m, *args)
             active.append(key)
@@ -1066,17 +1130,20 @@ def test_contract_loop_takes_lapack_only_on_fallback(monkeypatch):
                 handed_back.append(np.asarray(m))
         return eigvalsh(m, *args, **kwargs)
 
-    monkeypatch.setattr(homotopy, "trace_norm", counting(homotopy.trace_norm, "step"))
-    for module in (homotopy, states):
-        positivity = counting(module.min_eigenvalues, "positivity")
-        monkeypatch.setattr(module, "min_eigenvalues", positivity)
+    for name, key, matrices in (("trace_norm", "step", size), ("_hermitian_trace_norm", "step", packed_size),
+                                ("min_eigenvalues", "positivity", size),
+                                ("_hermitian_min_eigenvalues", "positivity", packed_size)):
+        monkeypatch.setattr(homotopy, name, counting(getattr(homotopy, name), key, matrices))
+    monkeypatch.setattr(states, "min_eigenvalues", counting(states.min_eigenvalues, "positivity", size))
     monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
     sheet = contract_loop(loop)
     matrices, lapack = counts["step"]
     assert matrices > 0 and lapack == 0
     assert verify_homotopy(sheet, loop, loop.modulus).passed
     matrices, lapack = np.subtract(counts["step"], [matrices, lapack])
-    assert 0 < lapack <= 0.0125 * matrices
+    rows, columns = sheet.shape
+    assert 0 < matrices < 0.12 * ((rows - 1) * columns + rows * (columns - 1))
+    assert 0 < lapack <= 0.025 * matrices
     # r = cos 3φ of each handed-back spectrum, from eigvalsh's eigenvalues
     assert {m.shape[-2:] for m in handed_back} == {(3, 3)}
     dev = eigvalsh(np.concatenate([m.reshape(-1, 3, 3) for m in handed_back]))
@@ -1137,6 +1204,8 @@ def test_contraction_matches_the_eigvalsh_oracle(name, monkeypatch):
     loop, sheet = _contracted(name)
     report = verify_homotopy(sheet, loop, loop.modulus)
     monkeypatch.setattr(homotopy, "trace_norm", _eigvalsh_trace_norm)
+    monkeypatch.setattr(homotopy, "_hermitian_trace_norm",  # the bounded steps' exact norms
+                        lambda x: _eigvalsh_trace_norm(linalg.unpack_hermitian(x)))
     oracle = contract_loop(loop)
     oracle_report = verify_homotopy(oracle, loop, loop.modulus)
     assert oracle.shape == sheet.shape
@@ -1165,7 +1234,8 @@ def test_packed_prepass_matches_the_matrix_prepass(name):
         p0, p1, p2 = r.view(np.float64)[:, None]
         x = s[..., None, None]
         want = (p0 + x * (p1 + x * p2)) / (c0 + s * (c1 + s * c2))[..., None, None]
-        assert np.array_equal(homotopy._rule_block(r, len(s)), want.view(np.complex128))
+        got = linalg.unpack_hermitian(homotopy._rule_block(r, len(s)))
+        assert np.array_equal(got, want.view(np.complex128))
         blocks.add(rhos.shape[-1])
     assert blocks == set(range(2, sheet.n + 1))
 
@@ -1186,10 +1256,10 @@ def test_verifier_reports_negative_cells_as_eigvalsh_does(monkeypatch):
     forge_cells(monkeypatch, corrupt)
     report = verify_homotopy(forged, loop, loop.modulus)
 
-    def eigvalsh_scan(h, tol):
-        return np.linalg.eigvalsh(h).min(axis=-1)
+    def eigvalsh_scan(x, tol):  # a stage block, packed
+        return np.linalg.eigvalsh(linalg.unpack_hermitian(x)).min(axis=-1)
 
-    monkeypatch.setattr(homotopy, "min_eigenvalues", eigvalsh_scan)
+    monkeypatch.setattr(homotopy, "_hermitian_min_eigenvalues", eigvalsh_scan)
     oracle = verify_homotopy(forged, loop, loop.modulus)
     negative = [v for v in report.violations if v[0] == "negative-eigenvalue"]
     assert [v[1] for v in negative] == [(7, 300)]
@@ -1221,8 +1291,7 @@ def test_every_contracted_cell_is_a_state(name):
     # sheet_blocks judges no cell; the contractor's cells pass the same
     # validation as a single DensityState
     loop, sheet = _contracted(name)
-    for block in homotopy.sheet_blocks(sheet, loop):
-        validate_densities(block)
+    validate_densities(cells(sheet, loop))
 
 
 def test_purity_preserved_along_pure_columns():
@@ -1239,7 +1308,7 @@ def test_compression_pushforward_matches_block_action():
     rng = np.random.default_rng(55)
 
     def act(a, rho):  # the stage row of s A + (1 - s) 1 at s = 1
-        return homotopy._stage_rows(pencil(a, rho)[:, None], np.ones((1, 1)))[0, 0]
+        return linalg.unpack_hermitian(homotopy._stage_rows(pencil(a, rho)[:, None], np.ones((1, 1))))[0, 0]
 
     block = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     rho_block = block @ block.conj().T

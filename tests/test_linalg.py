@@ -446,3 +446,14 @@ def test_positivity_certificate_hands_non_finite_and_overflow_to_eigvalsh(n, val
                 assert got is np.linalg.LinAlgError
             else:
                 assert np.array_equal(got, want, equal_nan=True)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 6])
+def test_empty_stacks_take_no_lapack(n, monkeypatch):
+    # an empty stack has no matrix to hand to eigvalsh, whatever its n
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda *a, **k: calls.append(1) or eigvalsh(*a, **k))
+    assert trace_norm(np.zeros((0, n, n))).shape == (0,)
+    assert linalg.min_eigenvalues(np.zeros((0, 2, n, n)), 1e-10).shape == (0, 2)
+    assert calls == []
