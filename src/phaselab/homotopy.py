@@ -27,8 +27,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import (_hermitian_min_eigenvalues, _hermitian_trace_norm, eye, min_eigenvalues,
-                     pack_hermitian, trace_norm, unpack_hermitian)
+from .linalg import (_hermitian_min_eigenvalues, _hermitian_trace_norm, eye, pack_hermitian,
+                     trace_norm, unpack_hermitian)
 from .projective import transport_to_e0
 from .states import basis_state, validate_densities
 from .util import NumericalGateError
@@ -84,19 +84,24 @@ def _check_based(rhos: np.ndarray):
 @dataclass
 class StateLoop:
     """A closed, based loop of states on M_n, stored as one (T, n, n)
-    complex array of densities, first sample == last."""
+    complex array of densities, first sample == last. The samples are
+    validated as given (states.validate_densities) and stored as their
+    Hermitian part (ρ + ρ†)/2: exactly Hermitian, and bit for bit the
+    samples of an exactly Hermitian stack. So the contractor, the
+    expansion and the verifier read one row 0."""
 
     n: int
     rhos: np.ndarray
 
     def __post_init__(self):
-        self.rhos = validate_densities(self.rhos)
+        rhos = validate_densities(self.rhos)
         if self.n < 2:
             raise ValueError("loops live on M_n with n >= 2")
-        if self.rhos.ndim != 3 or self.rhos.shape[1:] != (self.n, self.n):
+        if rhos.ndim != 3 or rhos.shape[1:] != (self.n, self.n):
             raise ValueError("loop samples must be states on M_n")
-        if len(self.rhos) < 3:
+        if len(rhos) < 3:
             raise ValueError("a loop needs at least three samples")
+        self.rhos = (rhos + rhos.conj().swapaxes(-1, -2)) / 2
         _check_based(self.rhos)
 
     @property
@@ -535,9 +540,9 @@ def _packed_corner(x: np.ndarray, n: int) -> np.ndarray:
 
 
 def sheet_blocks(sheet: HomotopySheet, loop: StateLoop) -> Iterator[np.ndarray]:
-    """A sheet's cells on `loop`, one stage at a time: row 0, the loop, as a
-    complex block (1, T, n, n), then each stage's rows in order, packed
-    (linalg.pack_hermitian) as (n², rows, T). Each level below M_n takes
+    """A sheet's cells on `loop`, one stage at a time, each block packed
+    (linalg.pack_hermitian) as (n², rows, T): row 0, the loop, as a block
+    of one row, then each stage's rows in order. Each level below M_n takes
     its input from the last row so far, compressed to its corner block
     (_compress); each of its stages evaluates its pencil on the last row of
     the stage before, unpacked, at the s rows that the rule derives from
@@ -550,7 +555,7 @@ def sheet_blocks(sheet: HomotopySheet, loop: StateLoop) -> Iterator[np.ndarray]:
     n, rhos = sheet.n, loop.rhos  # the last row so far, on its block
     if rhos.shape != (sheet.shape[1], n, n):
         raise ValueError(f"a recipe on M_{n} over {sheet.shape[1]} columns does not fit {rhos.shape}")
-    yield rhos[None]
+    yield pack_hermitian(rhos)[:, None]
     for _, stage, b, ops, rows in _stages(n, sheet.levels):
         if stage == 0 and b < n:
             with np.errstate(divide="ignore", invalid="ignore"):  # a zero trace is the verifier's
@@ -650,65 +655,34 @@ def verify_homotopy(sheet: HomotopySheet, input_loop: StateLoop, modulus: float)
     order of its cell; the recipe's come last, stage by stage, at (level,
     stage, column) indices into the recipe.
 
-    Row 0, the input loop, is checked as given, complex, since a loop need
-    not be exactly Hermitian: with a Hermiticity scan, and its steps in
-    exact trace norm. The stage blocks are read in their packed layout,
-    whose cells are Hermitian by construction, so they take no Hermiticity
-    scan. Their negative-eigenvalue scan is the LDLᴴ certificate of
+    Every block, row 0 included, is read in the packed layout, whose cells
+    are Hermitian by construction, so no cell takes a Hermiticity scan.
+    The loop as given does, since a StateLoop is mutable: a sample whose
+    max|ρ - ρ†| exceeds CELL_TOL is a "non-hermitian" violation at (0, t).
+    Row 0 has no recipe stage before it and no step from an earlier row.
+    The negative-eigenvalue scan is the LDLᴴ certificate of
     linalg.min_eigenvalues at CELL_TOL on the packed block
-    (linalg._hermitian_min_eigenvalues): it clears a
-    cell without LAPACK, and each cell it does not clear takes eigvalsh,
-    which decides it and gives a violation's value. Their steps are
-    bounded by Frobenius norms first, and only those that can be the
-    largest so far take an exact trace norm (_bounded_steps), so the
-    largest step and its cell are those of an exact scan of every step."""
+    (linalg._hermitian_min_eigenvalues): it clears a cell without LAPACK,
+    and each cell it does not clear takes eigvalsh, which decides it and
+    gives a violation's value. Steps are bounded by Frobenius norms first,
+    and only those that can be the largest so far take an exact trace norm
+    (_bounded_steps), so the largest step and its cell are those of an
+    exact scan of every step."""
     n, (s_dim, t_dim) = sheet.n, sheet.shape
-    base = basis_state(n).rho
-    packed_base, pairs = pack_hermitian(base)[:, None, None], n * (n - 1) // 2
+    packed_base, pairs = pack_hermitian(basis_state(n).rho)[:, None, None], n * (n - 1) // 2
     found: dict = {kind: [] for kind in ("non-finite", "non-hermitian", "trace", "negative-eigenvalue",
                                          "left-column", "right-column")}
     recipe = []
     step, floor = (0.0, (0, 0)), 0.0  # the largest step along s or t, at its cell; the steps' floor
     safety: tuple = (None, None)
-
-    def edge_columns(dev, ok, row):
-        for i, (col, label) in enumerate(((0, "left-column"), (t_dim - 1, "right-column"))):
-            found[label] += _flags(label, dev[:, i], (dev[:, i] > CELL_TOL) & ok[:, col], CELL_TOL,
-                                   lambda s: (row + s, col))
+    given = input_loop.rhos
+    herm = np.max(np.abs(given - given.conj().swapaxes(-1, -2)), axis=(-1, -2))
+    found["non-hermitian"] += _flags("non-hermitian", herm, herm > CELL_TOL, CELL_TOL, lambda t: (0, t))
 
     blocks = sheet_blocks(sheet, input_loop)  # pulled by next(), so no iterator holds a block past its turn
-    prev = next(blocks)[0]
-    at = lambda t: (0, t)
-    bad = np.sum(~np.isfinite(prev), axis=(-1, -2))
-    prev_ok = bad == 0
-    found["non-finite"] += _flags("non-finite", bad, ~prev_ok, 0.0, at)
-    if not prev_ok.all():
-        prev = np.where(prev_ok[:, None, None], prev, 0.0)
-    adj = np.conj(np.swapaxes(prev, -1, -2))
-    herm = np.max(np.abs(prev - adj), axis=(-1, -2))
-    found["non-hermitian"] += _flags("non-hermitian", herm, herm > CELL_TOL, CELL_TOL, at)
-    traces = np.abs(np.einsum("tii->t", prev) - 1.0)
-    found["trace"] += _flags("trace", traces, (traces > CELL_TOL) & prev_ok, CELL_TOL, at)
-    neg = -min_eigenvalues((prev + adj) / 2, CELL_TOL)
-    found["negative-eigenvalue"] += _flags("negative-eigenvalue", neg, neg > CELL_TOL, CELL_TOL, at)
-    steps = np.where(prev_ok[1:] & prev_ok[:-1], trace_norm(prev[1:] - prev[:-1]), 0.0)
-    step = _largest(step, steps[None], 0)
-    edge_columns(trace_norm(prev[[0, -1]] - base)[None], prev_ok[None], 0)
-    prev_x, row = None, 1
-    for li, si, b, ops, _ in _stages(n, sheet.levels):
+    row = 0
+    for stage in (None, *_stages(n, sheet.levels)):
         x = next(blocks)
-        at = lambda t: (li, si, t)  # the recipe of the stage whose input is `prev`
-        with np.errstate(divide="ignore", invalid="ignore"):  # a level compresses its input
-            rhos = _compress(prev, b) if si == 0 and b < n else prev
-        if si == 0:  # the projection stage's operator is P^b_1 by construction
-            defect = _unitarity_defect(ops)
-            recipe += _flags("not-unitary", defect, ~(defect <= OPERATOR_TOL), OPERATOR_TOL, at)
-        value = np.where(prev_ok, safety_min(pencil(ops, rhos[:, :b, :b]))[0], np.inf)
-        recipe += _flags("unsafe", value, ~(value > SAFETY_FLOOR) & prev_ok, SAFETY_FLOOR, at)
-        t = int(np.argmin(value))
-        if prev_ok[t] and (safety[0] is None or value[t] < safety[0]):
-            safety = (float(value[t]), (li, si, t))
-
         at = lambda s, t: (row + s, t)
         nonfinite = ~np.isfinite(x)  # each packed off-diagonal pair is two entries of the cell
         bad = nonfinite[:n].sum(axis=0) + 2 * (nonfinite[n:n + pairs] | nonfinite[n + pairs:]).sum(axis=0)
@@ -721,18 +695,31 @@ def verify_homotopy(sheet: HomotopySheet, input_loop: StateLoop, modulus: float)
         found["trace"] += _flags("trace", traces, (traces > CELL_TOL) & ok, CELL_TOL, at)
         neg = -_hermitian_min_eigenvalues(x, CELL_TOL)
         found["negative-eigenvalue"] += _flags("negative-eigenvalue", neg, neg > CELL_TOL, CELL_TOL, at)
-        if prev_x is None:  # the steps from row 0, as given
-            steps = np.where(ok[0] & prev_ok, trace_norm(unpack_hermitian(x[:, 0]) - prev), 0.0)
-        else:
+        if stage:  # the recipe stage that made x from the row before, and the steps from that row
+            li, si, b, ops, _ = stage
+            of_stage = lambda t: (li, si, t)
+            rhos = unpack_hermitian(prev_x)
+            with np.errstate(divide="ignore", invalid="ignore"):  # a level compresses its input
+                rhos = _compress(rhos, b) if si == 0 and b < n else rhos[:, :b, :b]
+            if si == 0:  # the projection stage's operator is P^b_1 by construction
+                defect = _unitarity_defect(ops)
+                recipe += _flags("not-unitary", defect, ~(defect <= OPERATOR_TOL), OPERATOR_TOL, of_stage)
+            value = np.where(prev_ok, safety_min(pencil(ops, rhos))[0], np.inf)
+            recipe += _flags("unsafe", value, ~(value > SAFETY_FLOOR) & prev_ok, SAFETY_FLOOR, of_stage)
+            t = int(np.argmin(value))
+            if prev_ok[t] and (safety[0] is None or value[t] < safety[0]):
+                safety = (float(value[t]), (li, si, t))
             steps, floor = _masked_steps(x[:, 0] - prev_x, ok[0] & prev_ok, max(floor, step[0]))
-        step = _largest(step, steps[None], row - 1)
+            step = _largest(step, steps[None], row - 1)
         steps, floor = _masked_steps(x[:, 1:] - x[:, :-1], ok[1:] & ok[:-1], max(floor, step[0]))
         step = _largest(step, steps, row)
         steps, floor = _masked_steps(x[:, :, 1:] - x[:, :, :-1], ok[:, 1:] & ok[:, :-1], max(floor, step[0]))
         step = _largest(step, steps, row)
-        edge_columns(_hermitian_trace_norm(x[:, :, [0, -1]] - packed_base), ok, row)
+        dev = _hermitian_trace_norm(x[:, :, [0, -1]] - packed_base)
+        for i, (col, label) in enumerate(((0, "left-column"), (t_dim - 1, "right-column"))):
+            found[label] += _flags(label, dev[:, i], (dev[:, i] > CELL_TOL) & ok[:, col], CELL_TOL,
+                                   lambda s: (row + s, col))
         prev_x, prev_ok = x[:, -1].copy(), ok[-1]
-        prev = unpack_hermitian(prev_x)
         row += x.shape[1]
         del x
 

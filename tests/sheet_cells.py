@@ -1,11 +1,10 @@
 """Whole-sheet views of a contraction sheet, for the tests.
 
 The program never holds a sheet's S x T cells at once: it evaluates them a
-stage at a time on the loop it is given (homotopy.sheet_blocks), row 0 as
-the loop's complex cells and each stage's rows in the packed Hermitian
-layout (linalg.pack_hermitian). The tests read them whole, as complex
-cells, and forge them, through these helpers, which are built from that
-generator.
+stage at a time on the loop it is given (homotopy.sheet_blocks), every
+block, row 0 the loop's included, in the packed Hermitian layout
+(linalg.pack_hermitian). The tests read them whole, as complex cells, and
+forge them, through these helpers, which are built from that generator.
 """
 
 import numpy as np
@@ -14,31 +13,24 @@ from phaselab import homotopy
 from phaselab.linalg import pack_hermitian, unpack_hermitian
 
 
-def _unpacked(blocks) -> list:
-    row0, *stages = blocks
-    return [row0, *map(unpack_hermitian, stages)]
-
-
 def cells(sheet, loop) -> np.ndarray:
     """The sheet's cells on `loop` as one (S, T, n, n) complex array."""
-    return np.concatenate(_unpacked(homotopy.sheet_blocks(sheet, loop)))
+    return np.concatenate(list(map(unpack_hermitian, homotopy.sheet_blocks(sheet, loop))))
 
 
 def forge_cells(monkeypatch, edit):
     """Make every expansion of a sheet, the verifier's included, yield its
     cells with edit(cells) applied to the whole complex array, in the same
-    blocks. Row 0 keeps the edit as made; each stage block is packed again,
-    so a stage cell keeps its diagonal's real parts and its upper triangle,
-    and its lower triangle mirrors the upper one."""
+    blocks. Each block is packed again, so a cell keeps its diagonal's real
+    parts and its upper triangle, and its lower triangle mirrors the upper
+    one."""
     blocks = homotopy.sheet_blocks
 
     def forged(sheet, loop):
-        parts = _unpacked(blocks(sheet, loop))
+        parts = list(map(unpack_hermitian, blocks(sheet, loop)))
         arr = np.concatenate(parts)
         edit(arr)
-        row0, *stages = np.split(arr, np.cumsum([len(p) for p in parts])[:-1])
-        yield row0
-        for stage in stages:
-            yield pack_hermitian(stage)
+        for part in np.split(arr, np.cumsum([len(p) for p in parts])[:-1]):
+            yield pack_hermitian(part)
 
     monkeypatch.setattr(homotopy, "sheet_blocks", forged)

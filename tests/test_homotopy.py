@@ -48,6 +48,15 @@ def test_state_loop_validation():
     assert coarse.max_step == 2.0 and coarse.modulus == 10.0
     flat = constant_loop(2, 8)
     assert flat.max_step == 0.0 and flat.modulus == 5e-9  # 5 times the step floor
+    # the samples are stored as their Hermitian part: an exactly Hermitian
+    # stack bit for bit, and one off by 1e-12 exactly Hermitian
+    rhos = random_based_loop(3, 2, 40).rhos
+    assert StateLoop(3, rhos).rhos.tobytes() == rhos.tobytes()
+    rhos = rhos.copy()
+    rhos[1:-1, 0, 1] += 1e-12
+    stored = StateLoop(3, rhos).rhos
+    assert np.array_equal(stored, stored.conj().swapaxes(-1, -2))
+    assert np.array_equal(stored, (rhos + rhos.conj().swapaxes(-1, -2)) / 2)
 
 
 def test_state_loop_is_one_validated_array():
@@ -1082,24 +1091,43 @@ def test_bounded_steps_bound_a_step_by_sqrt_n(monkeypatch):
 
 
 def test_contract_loop_takes_no_svd(monkeypatch):
-    loop = bundled_pure_loop(320)
+    def off_hermitian():  # Hermitian only to rounding, which StateLoop accepts
+        rhos = bundled_pure_loop(320).rhos.copy()
+        rhos[1:-1, 0, 1] += 1e-12j
+        return StateLoop(2, rhos)
+
     calls = []
     svd = np.linalg.svd
     monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
-    sheet = contract_loop(loop)
-    assert verify_homotopy(sheet, loop, loop.modulus).passed
+    for make in (lambda: bundled_pure_loop(320), off_hermitian):
+        loop = make()
+        sheet = contract_loop(loop)
+        assert verify_homotopy(sheet, loop, loop.modulus).passed
     assert calls == []  # every trace norm took the Hermitian path
+
+
+def test_verifier_scans_the_loop_as_given_for_hermiticity(pure_sheet):
+    # a StateLoop is validated when it is made, and mutable after
+    loop = bundled_pure_loop()
+    rhos = loop.rhos.copy()
+    rhos[5, 0, 1] += 1e-7
+    loop.rhos = rhos
+    report = verify_homotopy(pure_sheet, loop, loop.modulus)
+    assert [v[:2] for v in report.violations] == [("non-hermitian", (0, 5))]
+    (_, _, value, bound), = report.violations
+    assert abs(value - 1e-7) < 1e-15 and bound == homotopy.CELL_TOL
 
 
 def test_contract_loop_takes_lapack_only_on_fallback(monkeypatch):
     # Every step a contraction and its verification measure is of 2x2 or
     # 3x3 Hermitian matrices, and an exact trace norm takes the closed form.
-    # The verifier takes exact norms for a stage block's steps only where
-    # their Frobenius bounds let them be the largest (_bounded_steps):
-    # 9,209 matrices in all for this 61x701 sheet of 84,760 steps, its row
-    # 0, edge columns and last row included. eigvalsh sees only the
-    # matrices the closed form hands back, each with a nearly degenerate
-    # pair: none of the contraction's, and 193 (2.1%) of the verification's.
+    # The verifier takes exact norms for a block's steps, row 0's
+    # included, only where their Frobenius bounds let them be the largest
+    # (_bounded_steps): 8,199 matrices in all for this 61x701 sheet of
+    # 84,760 steps, its edge columns and last row included. eigvalsh sees
+    # only the matrices the closed form hands back, each with a nearly
+    # degenerate pair: none of the contraction's, and 193 (2.4%) of the
+    # verification's.
     # The positivity certificate of validation and the verifier clears every
     # matrix it takes on this loop, single states included.
     loop = random_based_loop(3, 2, 700)
@@ -1131,7 +1159,6 @@ def test_contract_loop_takes_lapack_only_on_fallback(monkeypatch):
         return eigvalsh(m, *args, **kwargs)
 
     for name, key, matrices in (("trace_norm", "step", size), ("_hermitian_trace_norm", "step", packed_size),
-                                ("min_eigenvalues", "positivity", size),
                                 ("_hermitian_min_eigenvalues", "positivity", packed_size)):
         monkeypatch.setattr(homotopy, name, counting(getattr(homotopy, name), key, matrices))
     monkeypatch.setattr(states, "min_eigenvalues", counting(states.min_eigenvalues, "positivity", size))
