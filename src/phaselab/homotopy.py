@@ -13,8 +13,8 @@ corner block b = n - k, its T unitaries, every entry a multiple of
 corner projection P^b_1's. A stage's s rows are no part of it: each
 column's follow from the column's pencil (_rule_rows). Its cells are
 evaluated on the loop it is given, row 0, one stage at a time
-(sheet_blocks), and the verifier checks each stage's block of rows as it
-comes.
+(sheet_blocks), and the verifier checks each stage's block of rows, and
+the traces of the one pencil that made it, as it comes.
 """
 
 from __future__ import annotations
@@ -57,11 +57,11 @@ U_DEN = 2**40
 # Bytes a sheet may hold (_held_bytes): its recipe and BLOCK_COPIES blocks
 # of complex cells of its stage of most rows. Stage blocks are packed, half
 # those bytes, and beyond the recipe tracemalloc reads a contraction, its
-# row probes included, at 0.9 to 2.8 blocks and a verification at 1.9 to
-# 2.8 (n = 2 to 40, 17 to 901 samples). Six copies would admit the n = 50,
+# row probes included, at 0.3 to 2.0 blocks and a verification at 1.7 to
+# 2.5 (n = 2 to 40, 17 to 901 samples). Six copies would admit the n = 50,
 # 101-sample loop that the CLI refuses. The count covers arrays only: on
 # sheets under about 1 MB, tracemalloc's fixed overhead can exceed it
-# (constant_loop(2, 16) reads 5.2 blocks).
+# (constant_loop(2, 16) reads 3.7 blocks).
 MAX_SHEET_BYTES, BLOCK_COPIES = 2**28, 7
 
 
@@ -212,24 +212,26 @@ def _unitarity_defect(a: np.ndarray) -> np.ndarray:
     return np.max(np.abs(a @ adj - eye(a.shape[-1])), axis=(-2, -1))
 
 
-def pencil(a: np.ndarray, rho: np.ndarray) -> np.ndarray:
+def pencil(a: np.ndarray, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The quadratic pencil of s A + (1-s) 1 acting on rho, over broadcast
-    stacks (..., n, n) of elements and densities: R = (R0, R1, R2) on a new
-    leading axis with B(s) rho B(s)† = R0 + s R1 + s² R2 for
-    B(s) = s A + (1-s) 1. With X = A - 1, R0 = rho, R1 = X rho + rho X† and
-    R2 = X rho X†, each exactly Hermitian."""
+    stacks (..., n, n) of elements and exactly Hermitian densities, as
+    (p, c): R0, R1 and R2 with B(s) rho B(s)† = R0 + s R1 + s² R2 for
+    B(s) = s A + (1-s) 1, packed (linalg.pack_hermitian) as p (3, n², ...),
+    and their traces c (3, ...). With X = A - 1, R0 = rho, R1 = X rho +
+    rho X† and R2 = X rho X†, made exactly Hermitian. A stage's pencil is
+    formed here once: its cells (_stage_rows), its s rows (_rule_rows) and
+    its safety value (safety_min) are all read from p and c."""
     x = a - eye(a.shape[-1])
     xr = x @ rho
     r2 = xr @ x.conj().swapaxes(-1, -2)
-    r0 = (rho + rho.conj().swapaxes(-1, -2)) / 2
-    r1 = xr + xr.conj().swapaxes(-1, -2)
-    r2 = (r2 + r2.conj().swapaxes(-1, -2)) / 2
-    return np.stack(np.broadcast_arrays(r0, r1, r2))
+    r1, r2 = xr + xr.conj().swapaxes(-1, -2), (r2 + r2.conj().swapaxes(-1, -2)) / 2
+    r = np.stack(np.broadcast_arrays(rho, r1, r2))
+    return np.moveaxis(pack_hermitian(r), 1, 0), np.trace(r, axis1=-2, axis2=-1).real
 
 
-def safety_min(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def safety_min(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Exact minimum over s in [0, 1] of omega(B(s)† B(s)) = tr(B(s) rho B(s)†)
-    and the s attaining it, for a pencil stack `r` (see pencil).
+    and the s attaining it, for the traces c (3, ...) of a pencil (see pencil).
 
     The value is the quadratic c0 + c1 s + c2 s² of the pencil's traces:
     c0 = omega(1), c1 = 2 Re omega(X) and c2 = omega(X†X) >= 0. Its minimum
@@ -238,7 +240,7 @@ def safety_min(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     minimum is at an endpoint too. Projections with omega(P) > 0 are always
     safe; unitaries are unsafe only near omega(U) = -1 at s = 1/2.
     """
-    c0, c1, c2 = np.trace(r, axis1=-2, axis2=-1).real
+    c0, c1, c2 = c
     with np.errstate(divide="ignore", invalid="ignore"):
         vertex = -c1 / (2.0 * c2)
     inside = (c2 > 0.0) & (vertex > 0.0) & (vertex < 1.0)
@@ -390,23 +392,22 @@ def _rule_rows(c: np.ndarray, rows: int) -> np.ndarray:
     return s
 
 
-def _stage_rows(r: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Rows of a stage whose column t has the pencil r[:, t] (see pencil),
-    packed (linalg.pack_hermitian) as (b², rows, T): column t of row k is
-    the state at s[k, t], (p0 + s (p1 + s p2)) / (c0 + s (c1 + s c2)) on
-    the packing p of the pencil and its traces c, Hermitian by its layout,
+def _stage_rows(p: np.ndarray, c: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Rows of a stage whose column t has the packed pencil p[:, :, t] and
+    traces c[:, t] (see pencil), packed (linalg.pack_hermitian) as
+    (b², rows, T): column t of row k is the state at s[k, t],
+    (p0 + s (p1 + s p2)) / (c0 + s (c1 + s c2)), Hermitian by its layout,
     and unjudged: a B(s) in the Gelfand ideal of its column's state makes
     a non-finite cell, which the verifier flags."""
-    p = np.moveaxis(pack_hermitian(r), 1, 0)[:, :, None]  # (3, b², 1, T)
-    c0, c1, c2 = np.trace(r, axis1=-2, axis2=-1).real
+    p, (c0, c1, c2) = p[:, :, None], c  # p (3, b², 1, T)
     with np.errstate(divide="ignore", invalid="ignore"):
         return (p[0] + s * (p[1] + s * p[2])) / (c0 + s * (c1 + s * c2))
 
 
-def _rule_block(r: np.ndarray, rows: int) -> np.ndarray:
-    """The `rows` rows of a stage of pencil r at the rule's s rows
+def _rule_block(p: np.ndarray, c: np.ndarray, rows: int) -> np.ndarray:
+    """The `rows` rows of a stage of pencil (p, c) at the rule's s rows
     (_rule_rows), packed as (b², rows, T) (_stage_rows)."""
-    return _stage_rows(r, _rule_rows(np.trace(r, axis1=-2, axis2=-1).real, rows))
+    return _stage_rows(p, c, _rule_rows(c, rows))
 
 
 def _rows_for(target_step: float, movement: float) -> int:
@@ -416,17 +417,17 @@ def _rows_for(target_step: float, movement: float) -> int:
     return max(MIN_ROWS, int(np.ceil(movement / target_step)))
 
 
-def _grown_rows(r: np.ndarray, rho: np.ndarray, rows: int, target: float) -> int:
-    """`rows` for a stage of pencil r on the input stack rho (T, b, b),
-    unless its block at the rule's `rows` rows (_rule_block) has an s-step,
-    from rho on, over the modulus 2 target: then ceil(rows step / target),
-    which aims the largest step at target again. It grows once, and the
-    verifier judges the rows it gives. The steps are taken on the packed
-    block, rho's by its upper triangle, and only those whose Frobenius
-    bounds let them reach the modulus take a trace norm (_bounded_steps),
-    so a stage where none does takes no eigensolver."""
-    block = _rule_block(r, rows)
-    first, floor = _bounded_steps(block[:, 0] - pack_hermitian(rho), 2.0 * target)
+def _grown_rows(p: np.ndarray, c: np.ndarray, rows: int, target: float) -> int:
+    """`rows` for a stage of pencil (p, c), unless its block at the rule's
+    `rows` rows (_rule_block) has an s-step, from the stage's input R0 on,
+    over the modulus 2 target: then ceil(rows step / target), which aims
+    the largest step at target again. It grows once, and the verifier
+    judges the rows it gives. The steps are taken on the packed block and
+    p[0], and only those whose Frobenius bounds let them reach the modulus
+    take a trace norm (_bounded_steps), so a stage where none does takes
+    no eigensolver."""
+    block = _rule_block(p, c, rows)
+    first, floor = _bounded_steps(block[:, 0] - p[0], 2.0 * target)
     steps, _ = _bounded_steps(block[:, 1:] - block[:, :-1], floor)
     step = max(first.max(), steps.max(initial=0.0))
     return rows if step <= 2.0 * target else int(np.ceil(rows * step / target))
@@ -472,18 +473,16 @@ def _rectify(rhos: np.ndarray, target: float, admit):
     before the disk phase lift of t -> omega_t(U_t) that keeps the unitary
     interpolation outside every Gelfand ideal; the lifted lambda_t U_t are
     rounded to multiples of 1 / U_DEN, which a sheet document writes as
-    integers; then the linear interpolations with s lambda_t U_t and with
-    s P^b_1. Every one is certified by its exact safety minimum over s in
-    [0, 1], and its rows step by about `target`. Each stage's last row is
-    built once, from the pencil that certifies the stage, at s = 1 as the
-    expansion builds it (_rule_block of one row); it measures the stage's movement and
-    is the next stage's input. Each stage's rows come from its movement
-    (_rows_for) and pass through admit, which may refuse them, before its
-    block is probed (_grown_rows), and the rows the probe leaves pass
-    through admit again.
+    integers. Then one pass makes the level's two stages, the linear
+    interpolations with s lambda_t U_t and with s P^b_1, each from its one
+    pencil: its exact safety minimum over s in [0, 1] must clear
+    SAFETY_FLOOR in every column; its last row, at s = 1 as the expansion
+    builds it (_rule_block of one row), measures the stage's movement and
+    is the next stage's input; its rows step by about `target`, from its
+    movement (_rows_for), and pass through admit, which may refuse them,
+    before its block is probed (_grown_rows), and again as the probe leaves
+    them.
     """
-    n = rhos.shape[-1]
-
     unitaries = _transport_unitaries(rhos)
     # before the phase lift, whose path a non-unitary transport can break
     if not (_unitarity_defect(unitaries) <= OPERATOR_TOL).all():
@@ -493,37 +492,22 @@ def _rectify(rhos: np.ndarray, target: float, admit):
     lam = disk_phase_lift(gamma)
 
     lifted = np.round(lam[:, None, None] * unitaries * U_DEN) / U_DEN
-    # safety of the *lifted* interpolation on the dyadic grid, the one the sheet uses
-    r_lifted = pencil(lifted, rhos)
-    lifted_min, _ = safety_min(r_lifted)
-    failing = np.flatnonzero(~(lifted_min > SAFETY_FLOOR))
-    if failing.size:
-        t = failing[0]
-        unlifted_min, _ = safety_min(pencil(unitaries[t], rhos[t]))
-        raise NumericalGateError(
-            f"unitary interpolation unsafe at sample {t} despite phase lift "
-            f"(min {lifted_min[t]:.3e}, unlifted min {unlifted_min:.3e})"
-        )
-
-    out_a = unpack_hermitian(_rule_block(r_lifted, 1)[:, 0])
-    proj = projection_matrix(n, 1)
-    r_proj = pencil(proj, out_a)
-    failing = np.flatnonzero(~(safety_min(r_proj)[0] > SAFETY_FLOOR))
-    if failing.size:
-        raise NumericalGateError(f"projection interpolation unsafe at sample {failing[0]}")
-
-    out_b = unpack_hermitian(_rule_block(r_proj, 1)[:, 0])
     rows = []
-    for r, rho, out in ((r_lifted, rhos, out_a), (r_proj, out_a, out_b)):
-        count = admit(_rows_for(target, trace_norm(out - rho).max()))
-        rows.append(admit(_grown_rows(r, rho, count, target)))
-    return Level(lifted, tuple(rows)), out_b
+    for kind, a in (("unitary", lifted), ("projection", projection_matrix(rhos.shape[-1], 1))):
+        p, c = pencil(a, rhos)
+        failing = np.flatnonzero(~(safety_min(c)[0] > SAFETY_FLOOR))
+        if failing.size:
+            raise NumericalGateError(f"{kind} interpolation unsafe at sample {failing[0]}")
+        out = unpack_hermitian(_rule_block(p, c, 1)[:, 0])
+        count = admit(_rows_for(target, trace_norm(out - rhos).max()))
+        rows.append(admit(_grown_rows(p, c, count, target)))
+        rhos = out
+    return Level(lifted, tuple(rows)), rhos
 
 
 def _compress(rhos: np.ndarray, block: int) -> np.ndarray:
     rho = rhos[:, :block, :block]
-    rho = rho / np.trace(rho, axis1=-2, axis2=-1).real[:, None, None]
-    return (rho + rho.conj().swapaxes(-1, -2)) / 2
+    return rho / np.trace(rho, axis1=-2, axis2=-1).real[:, None, None]
 
 
 def _packed_corner(x: np.ndarray, n: int) -> np.ndarray:
@@ -539,32 +523,39 @@ def _packed_corner(x: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def sheet_blocks(sheet: HomotopySheet, loop: StateLoop) -> Iterator[np.ndarray]:
-    """A sheet's cells on `loop`, one stage at a time, each block packed
-    (linalg.pack_hermitian) as (n², rows, T): row 0, the loop, as a block
-    of one row, then each stage's rows in order. Each level below M_n takes
-    its input from the last row so far, compressed to its corner block
-    (_compress); each of its stages evaluates its pencil on the last row of
-    the stage before, unpacked, at the s rows that the rule derives from
-    the pencil's traces (_rule_block); and its b x b rows are scattered
+def sheet_blocks(sheet: HomotopySheet, loop: StateLoop) -> Iterator[tuple]:
+    """A sheet's cells on `loop`, one stage at a time, as (stage, c, block):
+    `stage` the recipe stage (_stages) that made the block, `c` the traces
+    of its pencil (see pencil), and the block packed (linalg.pack_hermitian)
+    as (n², rows, T). Row 0, the loop, comes first, as a block of one row
+    with no stage and no traces (None, None), then each stage's rows in
+    order. Each stage evaluates its pencil on the last row so far, unpacked,
+    row 0 included, at the s rows that the rule derives from the pencil's
+    traces (_rule_block); a level below M_n takes its input compressed to
+    its corner block (_compress); and a stage's b x b rows are scattered
     into the n x n corner's packed rows (_packed_corner), zero elsewhere.
     Every cell is made here, so a sheet read back from its document expands
     on its input loop to the contractor's cells bit for bit. A loop whose n
     or T the recipe does not fit raises ValueError. Nothing here judges a
-    cell: verify_homotopy does."""
-    n, rhos = sheet.n, loop.rhos  # the last row so far, on its block
+    cell: verify_homotopy does, with the traces of the pencil that made it."""
+    n, rhos = sheet.n, loop.rhos
     if rhos.shape != (sheet.shape[1], n, n):
         raise ValueError(f"a recipe on M_{n} over {sheet.shape[1]} columns does not fit {rhos.shape}")
-    yield pack_hermitian(rhos)[:, None]
-    for _, stage, b, ops, rows in _stages(n, sheet.levels):
-        if stage == 0 and b < n:
+    block = pack_hermitian(rhos)[:, None]
+    rhos = unpack_hermitian(block[:, 0])  # the last row so far, on its block
+    yield None, None, block
+    for stage in _stages(n, sheet.levels):
+        _, si, b, ops, rows = stage
+        if si == 0 and b < n:
             with np.errstate(divide="ignore", invalid="ignore"):  # a zero trace is the verifier's
                 rhos = _compress(rhos, b)
-        block = _rule_block(pencil(ops, rhos), rows)
+        p, c = pencil(ops, rhos)
+        block = _rule_block(p, c, rows)
+        del p  # so that the packed pencil is not held while the caller reads the block
         rhos = unpack_hermitian(block[:, -1])
         if b < n:
             block = _packed_corner(block, n)
-        yield block
+        yield stage, c, block
         del block  # so that only the caller holds a block while the next is made
 
 
@@ -645,9 +636,11 @@ def verify_homotopy(sheet: HomotopySheet, input_loop: StateLoop, modulus: float)
     modulus, else one "step-modulus" violation at the largest step (on an
     exact tie of an s-step and a t-step, the one scanned first). The
     recipe: every unitary a unitary to OPERATOR_TOL, and the exact safety
-    minimum (safety_min) of every column above SAFETY_FLOOR on the stage's
-    input as the streamed rows hold it, except in columns whose input is
-    not finite, so a recipe in a Gelfand ideal fails as "unsafe". The s
+    minimum (safety_min) of every column above SAFETY_FLOOR on the traces
+    of the pencil that made the stage's cells, which sheet_blocks hands
+    over with the block, so the verifier forms no pencil and rebuilds no
+    stage input; columns whose input is not finite are skipped, and a
+    recipe in a Gelfand ideal fails as "unsafe". The s
     rows are the rule's, in [0, 1] and ending at 1 (_rule_rows), so they
     take no check. A cell with a NaN or infinite entry is one "non-finite"
     violation, valued by the count of such entries; it is zeroed for, and
@@ -679,10 +672,8 @@ def verify_homotopy(sheet: HomotopySheet, input_loop: StateLoop, modulus: float)
     herm = np.max(np.abs(given - given.conj().swapaxes(-1, -2)), axis=(-1, -2))
     found["non-hermitian"] += _flags("non-hermitian", herm, herm > CELL_TOL, CELL_TOL, lambda t: (0, t))
 
-    blocks = sheet_blocks(sheet, input_loop)  # pulled by next(), so no iterator holds a block past its turn
     row = 0
-    for stage in (None, *_stages(n, sheet.levels)):
-        x = next(blocks)
+    for stage, c, x in sheet_blocks(sheet, input_loop):
         at = lambda s, t: (row + s, t)
         nonfinite = ~np.isfinite(x)  # each packed off-diagonal pair is two entries of the cell
         bad = nonfinite[:n].sum(axis=0) + 2 * (nonfinite[n:n + pairs] | nonfinite[n + pairs:]).sum(axis=0)
@@ -696,15 +687,12 @@ def verify_homotopy(sheet: HomotopySheet, input_loop: StateLoop, modulus: float)
         neg = -_hermitian_min_eigenvalues(x, CELL_TOL)
         found["negative-eigenvalue"] += _flags("negative-eigenvalue", neg, neg > CELL_TOL, CELL_TOL, at)
         if stage:  # the recipe stage that made x from the row before, and the steps from that row
-            li, si, b, ops, _ = stage
+            li, si, _, ops, _ = stage
             of_stage = lambda t: (li, si, t)
-            rhos = unpack_hermitian(prev_x)
-            with np.errstate(divide="ignore", invalid="ignore"):  # a level compresses its input
-                rhos = _compress(rhos, b) if si == 0 and b < n else rhos[:, :b, :b]
             if si == 0:  # the projection stage's operator is P^b_1 by construction
                 defect = _unitarity_defect(ops)
                 recipe += _flags("not-unitary", defect, ~(defect <= OPERATOR_TOL), OPERATOR_TOL, of_stage)
-            value = np.where(prev_ok, safety_min(pencil(ops, rhos))[0], np.inf)
+            value = np.where(prev_ok, safety_min(c)[0], np.inf)
             recipe += _flags("unsafe", value, ~(value > SAFETY_FLOOR) & prev_ok, SAFETY_FLOOR, of_stage)
             t = int(np.argmin(value))
             if prev_ok[t] and (safety[0] is None or value[t] < safety[0]):

@@ -15,22 +15,23 @@ from phaselab.linalg import pack_hermitian, unpack_hermitian
 
 def cells(sheet, loop) -> np.ndarray:
     """The sheet's cells on `loop` as one (S, T, n, n) complex array."""
-    return np.concatenate(list(map(unpack_hermitian, homotopy.sheet_blocks(sheet, loop))))
+    return np.concatenate([unpack_hermitian(x) for _, _, x in homotopy.sheet_blocks(sheet, loop)])
 
 
 def forge_cells(monkeypatch, edit):
     """Make every expansion of a sheet, the verifier's included, yield its
     cells with edit(cells) applied to the whole complex array, in the same
-    blocks. Each block is packed again, so a cell keeps its diagonal's real
-    parts and its upper triangle, and its lower triangle mirrors the upper
-    one."""
+    blocks, each with the stage and pencil traces the expansion gave it.
+    Each block is packed again, so a cell keeps its diagonal's real parts
+    and its upper triangle, and its lower triangle mirrors the upper one."""
     blocks = homotopy.sheet_blocks
 
     def forged(sheet, loop):
-        parts = list(map(unpack_hermitian, blocks(sheet, loop)))
-        arr = np.concatenate(parts)
+        parts = list(blocks(sheet, loop))
+        arr = np.concatenate([unpack_hermitian(x) for _, _, x in parts])
         edit(arr)
-        for part in np.split(arr, np.cumsum([len(p) for p in parts])[:-1]):
-            yield pack_hermitian(part)
+        edges = np.cumsum([x.shape[1] for _, _, x in parts])[:-1]
+        for (stage, c, _), part in zip(parts, np.split(arr, edges)):
+            yield stage, c, pack_hermitian(part)
 
     monkeypatch.setattr(homotopy, "sheet_blocks", forged)

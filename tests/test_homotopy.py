@@ -1,4 +1,5 @@
 import copy
+import math
 import re
 import tracemalloc
 from functools import lru_cache
@@ -105,18 +106,18 @@ def test_disk_phase_lift_rejects_coarse_paths():
 
 def test_safety_min():
     base = basis_state(2).rho
-    value, s = safety_min(pencil(projection_matrix(2, 1), base))
+    value, s = safety_min(pencil(projection_matrix(2, 1), base)[1])
     assert value > SAFETY_FLOOR and abs(value - 1.0) < 1e-12
-    value, s = safety_min(pencil(-np.eye(2, dtype=complex), base))
+    value, s = safety_min(pencil(-np.eye(2, dtype=complex), base)[1])
     assert not value > SAFETY_FLOOR and s == 0.5
     # omega(U) = 0: safe with min s^2 + (1-s)^2 = 1/2 at s = 1/2
     sx = np.array([[0, 1], [1, 0]], dtype=complex)
-    value, s = safety_min(pencil(sx, base))
+    value, s = safety_min(pencil(sx, base)[1])
     assert value > SAFETY_FLOOR
     assert abs(value - 0.5) < 1e-12 and s == 0.5
     # a stack gives the values of single calls
-    values, _ = safety_min(pencil(np.stack([sx, -np.eye(2)]), base))
-    assert values[0] == safety_min(pencil(sx, base))[0]
+    values, _ = safety_min(pencil(np.stack([sx, -np.eye(2)]), base)[1])
+    assert values[0] == safety_min(pencil(sx, base)[1])[0]
     # operators are checked by the verifier: see test_verifier_flags_forged_recipes
 
 
@@ -150,7 +151,7 @@ def test_safety_min_is_the_exact_minimum(n, kind, seed, angle, weight):
         b = s * a + (1.0 - s) * np.eye(n)
         return float(np.trace(omega.rho @ b.conj().T @ b).real)
 
-    min_value, s_at_min = map(float, safety_min(pencil(a, omega.rho)))
+    min_value, s_at_min = map(float, safety_min(pencil(a, omega.rho)[1]))
     assert 0.0 <= s_at_min <= 1.0
     assert min_value <= min(value(s) for s in np.linspace(0.0, 1.0, 1001)) + 1e-12
     assert abs(min_value - value(s_at_min)) < 1e-12
@@ -822,7 +823,7 @@ def _stage_inputs(sheet, loop):
             rhos = rhos / np.trace(rhos, axis1=-2, axis2=-1).real[:, None, None]
             rhos = (rhos + rhos.conj().swapaxes(-1, -2)) / 2
         ops = np.broadcast_to(ops, rhos.shape)
-        yield ops, homotopy._rule_rows(np.trace(pencil(ops, rhos), axis1=-2, axis2=-1).real, rows), rhos
+        yield ops, homotopy._rule_rows(pencil(ops, rhos)[1], rows), rhos
         row += rows
 
 
@@ -879,7 +880,7 @@ def test_pencil_s_tables_match_the_direct_form(name):
     loop, sheet = _contracted(name)
     for ops, s, rhos in _stage_inputs(sheet, loop):
         c = _normalizer(ops, rhos)
-        assert np.max(np.abs(np.trace(pencil(ops, rhos), axis1=-2, axis2=-1).real - c)) < 1e-13
+        assert np.max(np.abs(pencil(ops, rhos)[1] - c)) < 1e-13
         _assert_rule_rows(s, c, len(s), 2000, 1e-6)  # the trapezoid's error is 1e-7
 
 
@@ -934,7 +935,9 @@ def test_pencil_is_the_interpolation_polynomial():
     a = rng.normal(size=(5, 3, 3)) + 1j * rng.normal(size=(5, 3, 3))
     m = rng.normal(size=(5, 3, 3)) + 1j * rng.normal(size=(5, 3, 3))
     rho = m @ m.conj().swapaxes(-1, -2)
-    r = pencil(a, rho)
+    p, c = pencil(a, rho)
+    r = linalg.unpack_hermitian(p.swapaxes(0, 1))
+    assert np.array_equal(c, np.trace(r, axis1=-2, axis2=-1).real)
     assert np.array_equal(r, r.conj().swapaxes(-1, -2))  # exactly Hermitian
     for s in (0.0, 0.3, 1.0):
         b = s * a + (1 - s) * np.eye(3)
@@ -1009,11 +1012,46 @@ def test_verifier_flags_a_scaled_unitary_on_a_moving_loop(pure_sheet):
 def test_verifier_reports_the_safety_minimum():
     loop, sheet = _contracted("seed2")
     report = verify_homotopy(sheet, loop, loop.modulus)
-    values = [safety_min(pencil(ops, rhos))[0] for ops, _, rhos in _stage_inputs(sheet, loop)]
+    values = [safety_min(pencil(ops, rhos)[1])[0] for ops, _, rhos in _stage_inputs(sheet, loop)]
     level, stage, column = report.safety_at
     index = 2 * level + stage
     assert report.safety_min == min(v.min() for v in values)
     assert report.safety_min == values[index][column] > SAFETY_FLOOR
+
+
+def test_a_loop_is_expanded_and_verified_from_its_packed_row_0():
+    # 5e-9 on entry (1, 0) of a sample of the contracted pure loop, under
+    # the non-hermitian gate, where packed row 0 does not read it: the
+    # stage blocks, and the safety value and place the verifier takes from
+    # them, are those of the loop whose lower triangle mirrors its upper
+    # one, bit for bit
+    loop = bundled_pure_loop()
+    sheet = contract_loop(loop)
+    loop.rhos[5, 1, 0] += 5e-9
+    mirrored = StateLoop(2, linalg.unpack_hermitian(linalg.pack_hermitian(loop.rhos)))
+    assert not np.array_equal(loop.rhos, mirrored.rhos)
+    got, want = list(homotopy.sheet_blocks(sheet, loop)), list(homotopy.sheet_blocks(sheet, mirrored))
+    assert len(got) == len(want) == 3
+    for (_, c, x), (_, want_c, want_x) in zip(got, want):
+        assert np.array_equal(c, want_c) and np.array_equal(x, want_x)
+    report = verify_homotopy(sheet, loop, mirrored.modulus)
+    oracle = verify_homotopy(sheet, mirrored, mirrored.modulus)
+    assert report.passed and oracle.passed
+    assert (report.safety_min, report.safety_at) == (oracle.safety_min, oracle.safety_at)
+
+
+def test_each_stage_pencil_is_formed_once(monkeypatch):
+    # the contractor forms a stage's pencil once for its safety, last row
+    # and rows, and the verifier takes its safety from the traces of the
+    # pencil that made the stage's cells: 2(n - 1) pencils each
+    loop = random_based_loop(3, 2, 700)
+    formed, pencils = [], homotopy.pencil
+    monkeypatch.setattr(homotopy, "pencil", lambda a, rho: formed.append(1) or pencils(a, rho))
+    sheet = contract_loop(loop)
+    assert len(formed) == 2 * (loop.n - 1)
+    formed.clear()
+    assert verify_homotopy(sheet, loop, loop.modulus).passed
+    assert len(formed) == 2 * (loop.n - 1)
 
 
 @pytest.mark.parametrize("name", ["pure", "plateau", "seed2"])
@@ -1027,7 +1065,7 @@ def test_streamed_verdict_equals_the_whole_sheets(name):
     step_t = linalg.trace_norm(arr[:, 1:] - arr[:, :-1])
     step_s = linalg.trace_norm(arr[1:] - arr[:-1])
     assert report.max_cell_step == float(max(step_t.max(), step_s.max()))
-    values = [safety_min(pencil(ops, rhos))[0] for ops, _, rhos in _stage_inputs(sheet, loop)]
+    values = [safety_min(pencil(ops, rhos)[1])[0] for ops, _, rhos in _stage_inputs(sheet, loop)]
     index = int(np.argmin([v.min() for v in values]))
     assert report.safety_min == values[index].min()
     level, stage = divmod(index, 2)
@@ -1191,11 +1229,11 @@ def test_the_prepass_takes_no_eigensolver(monkeypatch):
     solved = {"eigvalsh": 0, "eigh": 0}
     grown_rows = homotopy._grown_rows
 
-    def tracked(r, rho, rows, target):
-        stages.append(r.shape[-1])
+    def tracked(p, c, rows, target):
+        stages.append(math.isqrt(p.shape[1]))
         inside.append(True)
         try:
-            grown = grown_rows(r, rho, rows, target)
+            grown = grown_rows(p, c, rows, target)
         finally:
             inside.pop()
         assert grown == rows
@@ -1256,12 +1294,13 @@ def test_packed_prepass_matches_the_matrix_prepass(name):
     loop, sheet = _contracted(name)
     blocks = set()
     for ops, s, rhos in _stage_inputs(sheet, loop):
-        r = pencil(ops, rhos)
+        p, c = pencil(ops, rhos)
+        r = linalg.unpack_hermitian(p.swapaxes(0, 1))
         c0, c1, c2 = np.trace(r, axis1=-2, axis2=-1).real
         p0, p1, p2 = r.view(np.float64)[:, None]
         x = s[..., None, None]
         want = (p0 + x * (p1 + x * p2)) / (c0 + s * (c1 + s * c2))[..., None, None]
-        got = linalg.unpack_hermitian(homotopy._rule_block(r, len(s)))
+        got = linalg.unpack_hermitian(homotopy._rule_block(p, c, len(s)))
         assert np.array_equal(got, want.view(np.complex128))
         blocks.add(rhos.shape[-1])
     assert blocks == set(range(2, sheet.n + 1))
@@ -1335,7 +1374,8 @@ def test_compression_pushforward_matches_block_action():
     rng = np.random.default_rng(55)
 
     def act(a, rho):  # the stage row of s A + (1 - s) 1 at s = 1
-        return linalg.unpack_hermitian(homotopy._stage_rows(pencil(a, rho)[:, None], np.ones((1, 1))))[0, 0]
+        rows = homotopy._stage_rows(*pencil(a[None], rho[None]), np.ones((1, 1)))
+        return linalg.unpack_hermitian(rows)[0, 0]
 
     block = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     rho_block = block @ block.conj().T
