@@ -52,8 +52,9 @@ PHASE_FIX_TOL = 1e-12
 MAX_DENSE_BYTES = 2**24
 # Grid points per window batch of the sweep. The window's arrays have a fixed
 # size per point, so this bounds the sweep's peak memory for any grid and N:
-# a 64x128 run at N=2 or 3 raises the peak RSS by 3.7 MB, as much as with
-# one-point batches, and by 15.5 MB when the whole grid is one batch.
+# a 64x128 run at N=2 or 3 raises the peak RSS over that after import by
+# 3.1-3.3 MB, about as much as with one-point batches (3.3-3.4 MB), and by
+# 14.7-14.8 MB when the whole grid is one batch.
 SWEEP_POINTS = 512
 # The sweep's whole-grid arrays peak while plaquette_degree builds the ray
 # field's azimuthal links: theta and phi (8 + 8 bytes a point), the Bloch
@@ -341,12 +342,16 @@ def _pattern(n_sites: int) -> int:
     return int(("01" * n_sites)[:n_sites], 2)
 
 
-def _interior_overlap(m_omega: np.ndarray, n_sites: int) -> float:
+def _interior_overlap(m_omega: np.ndarray, n_sites: int) -> np.ndarray:
     """Overlap of the reduced state on sites 1..2N-2 with the reference
     pattern, after tracing out the far boundary dimer; vectorised over
-    leading axes of m_omega."""
+    leading axes of m_omega, one value per state."""
     rows = m_omega.reshape(*m_omega.shape[:-1], 2 ** (n_sites - 2), 4)
     return np.linalg.norm(rows[..., _pattern(n_sites - 2), :], axis=-1)
+
+
+_W = dimer_swap_unitary()
+_W_DAG = _W.conj().T
 
 
 class _EquatorBatch(NamedTuple):
@@ -356,6 +361,7 @@ class _EquatorBatch(NamedTuple):
     weight: np.ndarray  # (P,) in-span weight modulo the far site
     rays: np.ndarray  # (P, 2) unit rays in span{Omega_R, sx_1 Omega_R}
     far: np.ndarray  # (P, 2) unit far-site factor of the ray's singular pair
+    u: np.ndarray  # (P, 2, 2) the site rotation u(theta, phi) of each point
 
 
 def _layer(psi: np.ndarray, gate: np.ndarray, sites) -> np.ndarray:
@@ -386,6 +392,30 @@ def _layer(psi: np.ndarray, gate: np.ndarray, sites) -> np.ndarray:
     return psi
 
 
+def _brick(psi: np.ndarray, w: np.ndarray, u: np.ndarray, pairs, sites) -> np.ndarray:
+    """One brick of the brickwork on a points-last batch: w† on each of
+    `pairs`, then u on each of `sites`, then w on each of `pairs`."""
+    return _layer(_layer(_layer(psi, w.conj().T, pairs), u, sites), w, pairs)
+
+
+def _pair(w: np.ndarray, u: np.ndarray, index: int) -> np.ndarray:
+    """The two-site state w(u⊗u)w†|index> at P points, points last (4, P),
+    for site rotations u (P, 2, 2). w acts column by column: a matmul with
+    one column (P = 1) takes another BLAS kernel, whose last bits differ.
+    Either order of the two u is exact; site 2's first keeps the sweep's
+    degree_integrality at 0.0 on 32x64, where the other reads 1 ulp."""
+    x = _layer(np.tile(w.conj().T[:, index, None], (1, len(u))), u, (1, 0))
+    return sum(w[:, j, None] * x[j] for j in range(4))
+
+
+def _product(factors) -> np.ndarray:
+    """Kronecker product, point by point, of points-last states (d_i, P)."""
+    out = factors[0]
+    for f in factors[1:]:
+        out = (out[:, None] * f[None]).reshape(-1, out.shape[-1])
+    return out
+
+
 def _dominant_pair(block: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Dominant singular pair of a stack of nonzero 2x2 blocks B (P, 2, 2)
     in closed form: returns sigma1^2 (P,), the unit left vector u (P, 2) and
@@ -411,32 +441,41 @@ def _dominant_pair(block: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
 
 
 def _equator_batch(theta: np.ndarray, phi: np.ndarray, n: int) -> _EquatorBatch:
-    """z† Omega_R and its monitors at P band points, one gate layer at a time.
+    """z† Omega_R and its monitors at P band points: two-site pair states,
+    then one brick of the brickwork on the chain for each path.
 
     M† Omega = U1 B+† G† B+ B- G B-† Omega with B- = W on the pairs (1,2),
     (3,4), ..., B+ = W on (2,3), ..., (2N-2, 2N-1), G = u^(x)2N and U1 = u
-    on site 1; M Omega runs the adjoint layers in reverse. `_layer` applies
-    each site rotation as slice combinations and each pair layer as one
-    product over the batch; the ray and far-site factor are the dominant
+    on site 1; M Omega runs the adjoint layers in reverse. The first brick
+    of each path acts on disjoint pairs of the product state Omega =
+    |0101...>, so it is formed once, on the per-point pair state
+    phi = W(u⊗u)W†|01> (4, P), and the chain state is a product of pair
+    states (`_product`): B- G B-† Omega = phi^(x)N, and B+† G B+ U1† Omega
+    = |0> ⊗ psi^(x)(N-1) ⊗ u|1> with psi = W†(u⊗u)W|10> = S phi, since
+    W† = S W S for the swap S of a pair's sites. The second brick runs on
+    the 2^n amplitudes: `_layer` applies each site rotation as slice
+    combinations and each pair layer as one product over the batch. On
+    M Omega it leaves out the gates that act on the far dimer alone (W,
+    W† and u† on sites 2N-1, 2N, and the first brick's u on site 2N):
+    they commute with every gate after them and are traced out of
+    y_overlap, the one value read from M Omega. <Omega, M Omega> is read
+    from the two amplitudes of U1† M† Omega that site 1's u takes into
+    the reference pattern. The ray and far-site factor are the dominant
     singular pair of the (site 1) x (far site) block in closed form
     (`_dominant_pair`). So no step runs a product or a LAPACK call per
     point. Gate failures are raised for the first failing point in batch
     order.
     """
-    u, w = site_rotation(theta, phi), dimer_swap_unitary()
-    u_dag, w_dag = u.conj().swapaxes(-1, -2), w.conj().T
-    minus, plus, every = range(0, n, 2), range(1, n - 2, 2), range(n)
-    layers = ((w_dag, minus), (u, every), (w, minus), (w, plus), (u_dag, every), (w_dag, plus))
+    u = site_rotation(theta, phi)
+    u_dag = u.conj().swapaxes(-1, -2)
+    pair = _pair(_W, u, 1)
+    s = _brick(_product([pair] * (n // 2)), _W_DAG, u_dag, range(1, n - 2, 2), range(n))
+    m_omega = np.zeros((2, 2 ** (n - 2), 2, len(u)), dtype=np.complex128)
+    m_omega[0, :, 1] = _product([pair[[0, 2, 1, 3]]] * (n // 2 - 1))  # |0> psi^(x)(N-1) |1>
+    m_omega = _brick(m_omega.reshape(2**n, -1), _W, u_dag, range(0, n - 2, 2), range(n - 2))
     ref = _pattern(n)
-    omega = np.zeros((2**n, len(u)), dtype=np.complex128)  # points last
-    omega[ref] = 1.0
-    s = omega  # U1† M† Omega
-    for gate, sites in layers:
-        s = _layer(s, gate, sites)
-    m_omega = _layer(omega, u_dag, [0])
-    for gate, sites in reversed(layers):
-        m_omega = _layer(m_omega, gate.conj().swapaxes(-1, -2), sites)
-    y = _layer(s, u, [0])[ref].conj()  # <Omega, M Omega> = conj <Omega, M† Omega>
+    # <Omega, M Omega> = conj <Omega, U1 (U1† M† Omega)>: site 1 is up in the pattern
+    y = (u[:, 0, 0] * s[ref] + u[:, 0, 1] * s[ref + 2 ** (n - 1)]).conj()
 
     block = np.moveaxis(s.reshape(2, 2 ** (n - 2), 2, -1)[:, _pattern(n - 1)], -1, 0)
     lam, rays, far = _dominant_pair(block)
@@ -450,7 +489,7 @@ def _equator_batch(theta: np.ndarray, phi: np.ndarray, n: int) -> _EquatorBatch:
             f"projection weight {weight[i]:.9f} deficient: state left the invariant span"
         )
     zdag_omega = (s * (y / np.abs(y))).T
-    return _EquatorBatch(zdag_omega, y, _interior_overlap(m_omega.T, n), weight, rays, far)
+    return _EquatorBatch(zdag_omega, y, _interior_overlap(m_omega.T, n), weight, rays, far, u)
 
 
 class _Window(NamedTuple):
@@ -464,11 +503,9 @@ def _bond(x: np.ndarray, u: np.ndarray, w: np.ndarray, pattern: int) -> np.ndarr
     x ⊗ w(u⊗u)w†|3 - pattern>, for site vectors x (P, 2), projected onto
     `pattern` (a two-site basis index) on its first two sites. Returns the
     third site's vector (P, 2)."""
-    w_dag, p = w.conj().T, len(x)
-    pair = _layer(_layer(np.tile(w_dag[:, 3 - pattern, None], (1, p)), u, (0, 1)), w, (0,))
-    psi = (x.T[:, None, :] * pair[None, :, :]).reshape(8, p)
-    psi = _layer(_layer(_layer(psi, w, (0,)), u.conj().swapaxes(-1, -2), (0, 1)), w_dag, (0,))
-    return psi.reshape(4, 2, p)[pattern].T
+    psi = _product([x.T, _pair(w, u, 3 - pattern)])
+    psi = _brick(psi, w.conj().T, u.conj().swapaxes(-1, -2), (0,), (0, 1))
+    return psi.reshape(4, 2, -1)[pattern].T
 
 
 def _equator_window(theta: np.ndarray, phi: np.ndarray, n_dimers: int) -> _Window:
@@ -488,14 +525,14 @@ def _equator_window(theta: np.ndarray, phi: np.ndarray, n_dimers: int) -> _Windo
     left = _equator_batch(theta, phi, 4)
     if n_dimers == 2:
         return _Window(left.rays, left.weight, left.y_overlap)
-    u, w = site_rotation(theta, phi), dimer_swap_unitary()
+    u = left.u
     xi = np.sum(u * left.far[:, None, :], axis=-1)  # unit: u is unitary
     up = np.zeros_like(xi)
     up[:, 0] = 1.0
-    eta = _bond(up, u, w.conj().T, 1)  # site 3 once sites 1, 2 hold |01>
+    eta = _bond(up, u, _W_DAG, 1)  # site 3 once sites 1, 2 hold |01>
     eta /= np.linalg.norm(eta, axis=-1, keepdims=True)
-    fid_dag = np.abs(np.sum(xi.conj() * _bond(xi, u, w, 2), axis=-1))
-    fid = np.abs(np.sum(eta.conj() * _bond(eta, u, w.conj().T, 1), axis=-1))
+    fid_dag = np.abs(np.sum(xi.conj() * _bond(xi, u, _W, 2), axis=-1))
+    fid = np.abs(np.sum(eta.conj() * _bond(eta, u, _W_DAG, 1), axis=-1))
     weight = np.minimum(left.weight, fid_dag**2)
     bad = weight < 1.0 - PROJECTION_WEIGHT_GATE
     if bad.any():

@@ -583,7 +583,8 @@ def contract_loop(loop: StateLoop) -> HomotopySheet:
 
     admit(MIN_ROWS)  # the least recipe: every stage of MIN_ROWS rows
 
-    rhos, levels = loop.rhos, []
+    # level 0 reads packed row 0, the upper triangle, as sheet_blocks does
+    rhos, levels = unpack_hermitian(pack_hermitian(loop.rhos)), []
     for b in range(n, 1, -1):  # the corner block algebra M_b of each level
         if b < n:
             rhos = validate_densities(_compress(rhos, b))

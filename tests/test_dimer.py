@@ -332,6 +332,30 @@ def test_equator_batch_matches_dense_oracle(n_dimers):
         assert abs(batch.y_overlap[i] - tz.y_overlap) <= 1e-12
 
 
+@pytest.mark.parametrize("n", [4, 8])
+def test_equator_batch_runs_one_brick_a_path_on_the_chain(n, monkeypatch):
+    # each path's first brick is formed on pair states, so the 2^n
+    # amplitudes see only its second: on M† Omega, n site and n - 2 pair
+    # passes; on M Omega, without the far dimer's own gates, n - 2 and
+    # n - 2. A path is a run of _layer calls, each on the last one's output.
+    from phaselab import dimer
+
+    paths, layer = [], dimer._layer
+
+    def counted(psi, gate, sites):
+        out = layer(psi, gate, sites)
+        if psi.shape[0] == 2**n:
+            if not paths or psi is not paths[-1][0]:
+                paths.append([None, 0, 0])  # (last output, site passes, pair passes)
+            paths[-1][0] = out
+            paths[-1][1 if gate.ndim == 3 else 2] += len(sites)
+        return out
+
+    monkeypatch.setattr(dimer, "_layer", counted)
+    dimer._equator_batch(np.array([0.4, 1.3, 2.9]), np.array([0.1, -2.0, 1.7]), n)
+    assert [tuple(p[1:]) for p in paths] == [(n, n - 2), (n - 2, n - 2)]
+
+
 def test_equator_batch_raises_for_first_failing_point(monkeypatch):
     from phaselab import dimer
     from phaselab.util import NumericalGateError

@@ -1040,6 +1040,37 @@ def test_a_loop_is_expanded_and_verified_from_its_packed_row_0():
     assert (report.safety_min, report.safety_at) == (oracle.safety_min, oracle.safety_at)
 
 
+def test_a_loop_is_contracted_from_its_packed_row_0():
+    # the same 5e-9 on entry (1, 0) of sample 5 of the pure loop: the
+    # contractor reads level 0's input as packed row 0, as the expansion
+    # and the verifier do, so its recipe is that of the loop whose lower
+    # triangle mirrors its upper one, bit for bit
+    loop = bundled_pure_loop()
+    loop.rhos[5, 1, 0] += 5e-9
+    mirrored = StateLoop(2, linalg.unpack_hermitian(linalg.pack_hermitian(loop.rhos)))
+    assert not np.array_equal(loop.rhos, mirrored.rhos)
+    got, want = contract_loop(loop), contract_loop(mirrored)
+    assert len(got.levels) == len(want.levels) == 1
+    for level, want_level in zip(got.levels, want.levels):
+        assert np.array_equal(level.unitaries, want_level.unitaries)
+        assert level.rows == want_level.rows
+
+
+@pytest.mark.parametrize("name", ["seed2", "plateau"])
+def test_each_stage_block_comes_with_its_own_pencil_traces(name):
+    # the traces the expansion hands the verifier with each stage block are
+    # those of the pencil on that stage's input, chained independently from
+    # the whole sheet's cells (_stage_inputs), bit for bit: a block paired
+    # with another stage's traces fails here, whichever stage holds the
+    # safety minimum
+    loop, sheet = _contracted(name)
+    yielded = [c for _, c, _ in homotopy.sheet_blocks(sheet, loop)][1:]
+    inputs = list(_stage_inputs(sheet, loop))
+    assert len(yielded) == len(inputs) == 2 * (loop.n - 1)
+    for c, (ops, _, rhos) in zip(yielded, inputs):
+        assert np.array_equal(c, pencil(ops, rhos)[1])
+
+
 def test_each_stage_pencil_is_formed_once(monkeypatch):
     # the contractor forms a stage's pencil once for its safety, last row
     # and rows, and the verifier takes its safety from the traces of the
