@@ -603,6 +603,7 @@ class VerifyReport:
     shape: tuple[int, int]
     safety_min: float | None = None  # smallest exact safety value checked
     safety_at: tuple[int, int, int] | None = None  # its (level, stage, column)
+    max_step_at: tuple[int, int] | None = None  # the cell the largest step leaves
 
     def summary(self) -> str:
         status = "pass" if self.passed else "fail"
@@ -726,6 +727,7 @@ def verify_homotopy(sheet: HomotopySheet, input_loop: StateLoop, modulus: float)
         shape=(s_dim, t_dim),
         safety_min=safety[0],
         safety_at=safety[1],
+        max_step_at=step[1],
     )
 
 

@@ -1,0 +1,115 @@
+"""Parity panel: the verdicts and figures of 45 contractions and five
+`invariant` runs, against the record in tests/panel.json.
+
+Run from the repository root, with phaselab installed or on PYTHONPATH:
+
+    PYTHONPATH=src python tests/panel.py           # compare with tests/panel.json
+    PYTHONPATH=src python tests/panel.py --write   # regenerate tests/panel.json
+
+The loops are the bundled pure and plateau loops, constant_loop(3, 10),
+and the random loops of n = 3 seeds 1-18 and of n = 4 and 5 seeds 1-12,
+at 700 samples. Each records the verifier's verdict and violation kinds,
+the sheet's shape, the row counts of each level, max_cell_step and its
+cell, safety_min and safety_at, and the byte length of the sheet document
+write_sheet writes. Each invariant run, N = 2..5 on 32x64 and N = 2 on
+64x128, records its --no-timestamp report. Integers, strings, booleans and
+cells compare exactly, floats to a relative tolerance of REL_TOL. The
+comparison prints every difference and exits 1 if there is one. The
+record holds one run a line. pytest does not collect this file: it takes
+about 20 s.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import sys
+from pathlib import Path
+
+from phaselab import serialize
+from phaselab.cli import main
+from phaselab.homotopy import (bundled_plateau_loop, bundled_pure_loop, constant_loop, contract_loop,
+                               random_based_loop, verify_homotopy)
+from phaselab.util import NumericalGateError
+
+RECORD = Path(__file__).with_name("panel.json")
+REL_TOL = 1e-9
+SAMPLES = 700
+
+
+def loops():
+    """(name, loop factory) of the 45 panel loops."""
+    yield "pure", bundled_pure_loop
+    yield "plateau", bundled_plateau_loop
+    yield "constant-n3", lambda: constant_loop(3, 10)
+    for n, seeds in ((3, range(1, 19)), (4, range(1, 13)), (5, range(1, 13))):
+        for seed in seeds:
+            yield f"random-n{n}-seed{seed}", lambda n=n, seed=seed: random_based_loop(n, seed, SAMPLES)
+
+
+def contraction(loop) -> dict:
+    try:
+        sheet = contract_loop(loop)
+    except NumericalGateError as exc:
+        return {"passed": False, "failure": str(exc)}
+    report = verify_homotopy(sheet, loop, loop.modulus)
+    return {
+        "passed": report.passed,
+        "violation_kinds": sorted({v[0] for v in report.violations}),
+        "shape": list(report.shape),
+        "rows": [list(level.rows) for level in sheet.levels],
+        "max_cell_step": report.max_cell_step,
+        "max_step_at": list(report.max_step_at),
+        "safety_min": report.safety_min,
+        "safety_at": list(report.safety_at),
+        "document_bytes": len(serialize.dumps(serialize.sheet_to_doc(sheet)).encode()) + 1,
+    }
+
+
+def invariant(n_dimers: int, grid: str) -> dict:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        main(["invariant", "--n-dimers", str(n_dimers), "--grid", grid, "--no-timestamp"])
+    return json.loads(out.getvalue())
+
+
+def panel() -> dict:
+    runs = {name: contraction(make()) for name, make in loops()}
+    for n_dimers, grid in ((2, "32x64"), (3, "32x64"), (4, "32x64"), (5, "32x64"), (2, "64x128")):
+        runs[f"invariant-n{n_dimers}-{grid}"] = invariant(n_dimers, grid)
+    return runs
+
+
+def differences(want, got, path: str = "") -> list[str]:
+    """Every place where `got` differs from the record `want`, as text."""
+    if isinstance(want, dict) and isinstance(got, dict):
+        out = [f"{path}/{k}: recorded, now missing" for k in want if k not in got]
+        out += [f"{path}/{k}: new, not recorded" for k in got if k not in want]
+        return out + [d for k in want if k in got for d in differences(want[k], got[k], f"{path}/{k}")]
+    if isinstance(want, list) and isinstance(got, list) and len(want) == len(got):
+        return [d for i, (w, g) in enumerate(zip(want, got)) for d in differences(w, g, f"{path}[{i}]")]
+    if type(want) is float and type(got) is float:
+        same = abs(want - got) <= REL_TOL * max(abs(want), abs(got))
+    else:
+        same = type(want) is type(got) and want == got
+    return [] if same else [f"{path}: recorded {want!r}, now {got!r}"]
+
+
+def run(argv) -> int:
+    if argv not in ([], ["--write"]):
+        print(__doc__, file=sys.stderr)
+        return 3
+    got = panel()
+    if argv:
+        lines = [f"{json.dumps(name)}: {json.dumps(got[name], sort_keys=True)}" for name in sorted(got)]
+        RECORD.write_text("{\n" + ",\n".join(lines) + "\n}\n", encoding="utf-8")
+        print(f"wrote {RECORD}: {len(got)} runs")
+        return 0
+    found = differences(json.loads(RECORD.read_text(encoding="utf-8")), got)
+    print("\n".join(found) or f"{len(got)} runs as recorded")
+    return 1 if found else 0
+
+
+if __name__ == "__main__":
+    sys.exit(run(sys.argv[1:]))
