@@ -479,7 +479,8 @@ def _equator_batch(theta: np.ndarray, phi: np.ndarray, n: int) -> _EquatorBatch:
 
     block = np.moveaxis(s.reshape(2, 2 ** (n - 2), 2, -1)[:, _pattern(n - 1)], -1, 0)
     lam, rays, far = _dominant_pair(block)
-    weight = lam / np.sum(np.abs(s) ** 2, axis=0)
+    # the rows summed in sequence (cumsum), so a point's weight is the same in any batch
+    weight = lam / np.cumsum(np.abs(s) ** 2, axis=0)[-1]
     bad = (np.abs(y) < PHASE_FIX_TOL) | (weight < 1.0 - PROJECTION_WEIGHT_GATE)
     if bad.any():
         i = int(np.argmax(bad))

@@ -379,6 +379,20 @@ def test_invariant_sweep_chunking_is_invisible(monkeypatch):
     assert invariant_sweep(cfg) == whole
 
 
+@pytest.mark.parametrize("n_dimers", [2, 3, 4])
+def test_equator_window_weight_is_the_same_in_any_batch(n_dimers):
+    # the weight's norm sums the chain's rows in sequence, so a point's
+    # weight, ray and interior overlap are those of the whole batch bit for bit
+    from phaselab.dimer import _equator_window
+
+    theta, phi = _grid_points(8, 16)
+    whole = _equator_window(theta, phi, n_dimers)
+    for i in range(len(theta)):
+        point = _equator_window(theta[i:i + 1], phi[i:i + 1], n_dimers)
+        for field in ("weight", "rays", "y_overlap"):
+            assert np.array_equal(getattr(point, field)[0], getattr(whole, field)[i]), (field, i)
+
+
 def test_model_config_grid_budget():
     # the largest square grid within the budget is accepted (not swept); one
     # more ring is refused before the sweep allocates anything
