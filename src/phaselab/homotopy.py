@@ -19,6 +19,7 @@ the traces of the one pencil that made it, as it comes.
 
 from __future__ import annotations
 
+import cmath
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -248,13 +249,6 @@ def safety_min(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return c0 + s * (c1 + c2 * s), s
 
 
-def _alignment_wedge(r: float) -> float:
-    """Half-angle around +1 that lambda*gamma is confined to at radius r:
-    unconstrained at the center, shrinking linearly to 0 on the boundary
-    circle. Confinement keeps 1 + Re(lambda*gamma) >= 0.8 everywhere."""
-    return np.pi * (1.0 - min(max(r, 0.0), 1.0))
-
-
 def disk_phase_lift(gamma: np.ndarray) -> np.ndarray:
     """Continuous unit-scalar path lambda with lambda*gamma = 1 wherever
     gamma touches the boundary circle.
@@ -263,8 +257,10 @@ def disk_phase_lift(gamma: np.ndarray) -> np.ndarray:
     around +1 that closes as |gamma| grows from the engage radius to the
     boundary. Deep inside the disk lambda is held; outside, it is rotated
     by the minimal amount that keeps the product inside the wedge, and is
-    snapped to exact alignment when gamma touches the boundary. This
-    keeps 1 + Re(lambda*gamma) uniformly positive, so linear unitary
+    snapped to exact alignment when gamma touches the boundary. The wedge's
+    half-angle at radius r is pi (1 - r): unconstrained at the center,
+    shrinking linearly to 0 on the boundary circle. This keeps
+    1 + Re(lambda*gamma) uniformly positive, so linear unitary
     interpolations never approach the Gelfand ideal.
     """
     g = np.asarray(gamma, dtype=np.complex128).ravel()
@@ -276,23 +272,21 @@ def disk_phase_lift(gamma: np.ndarray) -> np.ndarray:
     if steps.max(initial=0.0) >= 0.1:
         raise ValueError("path too coarsely sampled for the phase lift (step >= 0.1)")
 
-    lam = np.ones(g.shape[0], dtype=np.complex128)
-    for t in range(g.shape[0]):
-        prev = lam[t - 1] if t > 0 else 1.0 + 0.0j
-        w = g[t]
+    lam, prev = [], 1.0 + 0.0j
+    for w in g.tolist():  # on Python scalars, with numpy's bits
         r = abs(w)
         if r >= BOUNDARY_RADIUS:
-            lam[t] = np.conj(w) / r
-            continue
-        if r < 1e-12:
-            lam[t] = prev
-            continue
-        wedge = _alignment_wedge(r)
-        ang = float(np.angle(prev * w))
-        if abs(ang) <= wedge:
-            lam[t] = prev
-        else:
-            lam[t] = prev * np.exp(-1j * (ang - np.sign(ang) * wedge))
+            prev = w.conjugate() * (1.0 / r)  # a numpy complex scalar / real divides so
+        elif r >= 1e-12:
+            z, wedge = prev * w, math.pi * (1.0 - r)
+            # math.atan2 and np.arctan2 agree to an ulp, so a held lambda
+            # needs only the first, and a rotated one takes numpy's angle
+            if abs(math.atan2(z.imag, z.real)) > wedge - 1e-12:
+                ang = float(np.arctan2(z.imag, z.real))
+                if abs(ang) > wedge:
+                    prev = prev * cmath.exp(-1j * (ang - math.copysign(wedge, ang)))
+        lam.append(prev)
+    lam = np.array(lam)
 
     phase_steps = np.abs(np.angle(lam[1:] / lam[:-1]))
     if phase_steps.max(initial=0.0) >= np.pi:

@@ -99,6 +99,42 @@ def test_disk_phase_lift_chord():
     assert np.max(np.abs(np.angle(lam[1:] / lam[:-1]))) < np.pi
 
 
+def _numpy_phase_lift(gamma):
+    """The lift's per-sample rule on numpy scalars (np.angle, np.exp,
+    np.sign, a complex divided by its modulus), as disk_phase_lift ran it
+    before its loop took Python scalars: the oracle of that loop's bits."""
+    g = np.asarray(gamma, dtype=np.complex128).ravel()
+    lam = np.ones(g.shape[0], dtype=np.complex128)
+    for t in range(g.shape[0]):
+        prev = lam[t - 1] if t > 0 else 1.0 + 0.0j
+        w = g[t]
+        r = abs(w)
+        if r >= homotopy.BOUNDARY_RADIUS:
+            lam[t] = np.conj(w) / r
+        elif r < 1e-12:
+            lam[t] = prev
+        else:
+            wedge = np.pi * (1.0 - min(max(r, 0.0), 1.0))
+            ang = float(np.angle(prev * w))
+            lam[t] = prev if abs(ang) <= wedge else prev * np.exp(-1j * (ang - np.sign(ang) * wedge))
+    return lam
+
+
+@pytest.mark.parametrize("name", ["pure", "plateau", "seed2", "seed13", "n4s1"])
+def test_disk_phase_lift_is_the_numpy_scalar_rule_bit_for_bit(name, monkeypatch):
+    # the paths t -> omega_t(U_t) of each level of real contractions, whose
+    # lambda is held, rotated and snapped to the boundary in turn
+    loop, _ = _contracted(name)
+    paths, lift = [], homotopy.disk_phase_lift
+    monkeypatch.setattr(homotopy, "disk_phase_lift", lambda g: paths.append(g) or lift(g))
+    contract_loop(loop)
+    assert len(paths) == loop.n - 1
+    # and a circle at radius 0.95 wound twice, where lambda rotates at every sample
+    paths.append(0.95 * np.exp(4j * np.pi * np.linspace(0.0, 1.0, 300)))
+    for g in paths:
+        assert np.array_equal(lift(g), _numpy_phase_lift(g))
+
+
 def test_disk_phase_lift_rejects_coarse_paths():
     with pytest.raises(ValueError):
         disk_phase_lift(np.array([1.0, -1.0, 1.0, -1.0], dtype=complex))
@@ -750,6 +786,7 @@ def _contracted(name: str):
         "plateau": bundled_plateau_loop,
         "seed2": lambda: random_based_loop(3, 2, 700),
         "seed7": lambda: random_based_loop(3, 7, 700),
+        "seed13": lambda: random_based_loop(3, 13, 700),
         "n4": lambda: random_based_loop(4, 2, 300),
         "n4s1": lambda: random_based_loop(4, 1, 700),
     }
