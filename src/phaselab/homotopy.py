@@ -7,14 +7,17 @@ eigenvector keeps a nonzero e_0 component (projective.transport_to_e0),
 with a disk phase lift to keep linear interpolations outside the Gelfand
 ideal; compression onto nested corner blocks; and a verifier that
 certifies the resulting two-parameter sheet cell by cell. A sheet is held
-as its recipe, which is what a sheet document stores: per level k on the
-corner block b = n - k, its T unitaries, every entry a multiple of
-1 / U_DEN, and the row counts of its two stages, the unitaries' and the
-corner projection P^b_1's. A stage's s rows are no part of it: each
-column's follow from the column's pencil (_rule_rows). Its cells are
-evaluated on the loop it is given, row 0, one stage at a time
-(sheet_blocks), and the verifier checks each stage's block of rows, and
-the traces of the one pencil that made it, as it comes.
+as its recipe: per level k on the corner block b = n - k, its T operators
+A_t = lambda_t U_t, and the row counts of its two stages, the operators'
+and the corner projection P^b_1's. A sheet document stores what the
+operators are rebuilt from (level_unitaries): the edges of the level's
+near-pure runs, the continued top eigenvector of each run sample and the
+phase lambda_t = exp(2 pi i k_t / U_DEN) of each sample, as integers over
+U_DEN. A stage's s rows are no part of it: each column's follow from the
+column's pencil (_rule_rows). Its cells are evaluated on the loop it is
+given, row 0, one stage at a time (sheet_blocks), and the verifier checks
+each stage's block of rows, and the traces of the one pencil that made
+it, as it comes.
 """
 
 from __future__ import annotations
@@ -50,10 +53,11 @@ CELL_TOL = 1e-8
 STEP_MARGIN = 1e-12
 # The fewest rows a stage takes
 MIN_ROWS = 8
-# The lifted unitaries are multiples of 1 / U_DEN (_rectify). Rounding
-# moves an entry by at most 2^-41, which leaves the unitarity defect near
-# 1e-12, about 700 times under OPERATOR_TOL, and a numerator of at most
-# 2^40 in modulus is an exact double.
+# A recipe's transport vectors are multiples of 1 / U_DEN, and its phases
+# multiples of 2 pi / U_DEN (_rectify): a vector entry's numerator is at
+# most 2^40 in modulus, and so an exact double, and rounding moves a phase
+# by at most 2.9e-12. The operators rebuilt from them are unitary to
+# rounding.
 U_DEN = 2**40
 # Bytes a sheet may hold (_held_bytes): its recipe and BLOCK_COPIES blocks
 # of complex cells of its stage of most rows. Stage blocks are packed, half
@@ -128,10 +132,15 @@ class Level(NamedTuple):
     `rows` rows acts on column t of its input with s A_t + (1 - s) 1 at the
     column's s rows from the rule (_rule_rows), the last at s = 1, with
     A_t = unitaries[t] in the unitary stage and the corner projection
-    P^b_1 in the projection stage."""
+    P^b_1 in the projection stage. The unitaries are the rebuild of the
+    level's runs, vectors and phases (level_unitaries), which is what a
+    sheet document stores of them."""
 
-    unitaries: np.ndarray  # (T, b, b)
+    unitaries: np.ndarray  # (T, b, b), A_t = lambda_t U_t
     rows: tuple  # (the unitary stage's, the projection stage's), positive ints
+    runs: tuple  # the run edges (0, ..., T): near-pure runs and gaps alternate
+    vectors: np.ndarray  # (run samples, b), each run sample's x_t, multiples of 1 / U_DEN
+    phases: np.ndarray  # (T,) int64, k_t of lambda_t = exp(2 pi i k_t / U_DEN)
 
 
 def _stages(n: int, levels: list) -> Iterator[tuple]:
@@ -143,24 +152,24 @@ def _stages(n: int, levels: list) -> Iterator[tuple]:
         yield k, 1, b, projection_matrix(b, 1), level.rows[1]
 
 
-def _recipe_rows(n: int, levels: list) -> int:
-    """Rows of the sheet a recipe expands to, counting row 0, over the T
-    columns of its level 0 unitaries; raises ValueError for a recipe whose
-    shapes do not fit n and T, or whose row counts are not two positive
-    integers a level (a bool is not one)."""
+def _recipe_rows(n: int, shapes: list, level_rows: list) -> int:
+    """Rows of the sheet a recipe expands to, counting row 0, for the shapes
+    of its levels' unitaries and their row counts, over the T columns of
+    level 0's; raises ValueError for a recipe whose shapes do not fit n and
+    T, or whose row counts are not two positive integers a level (a bool is
+    not one)."""
     if n < 2:
         raise ValueError(f"a recipe is on M_n with n >= 2, got n = {n}")
-    if len(levels) != n - 1:
-        raise ValueError(f"a recipe on M_{n} has {n - 1} levels, got {len(levels)}")
-    t_count, rows = len(levels[0].unitaries), 1
-    for k, level in enumerate(levels):
-        if level.unitaries.shape != (t_count, n - k, n - k):
-            raise ValueError(f"level {k} unitaries of shape {level.unitaries.shape}, "
-                             f"not {(t_count, n - k, n - k)}")
-        if len(level.rows) != 2 or not all(type(r) is int and r > 0 for r in level.rows):
-            raise ValueError(f"level {k} takes two positive integer row counts, got {level.rows!r}")
-        rows += sum(level.rows)
-    return rows
+    if len(shapes) != n - 1:
+        raise ValueError(f"a recipe on M_{n} has {n - 1} levels, got {len(shapes)}")
+    t_count, total = shapes[0][0], 1
+    for k, (shape, rows) in enumerate(zip(shapes, level_rows)):
+        if shape != (t_count, n - k, n - k):
+            raise ValueError(f"level {k} unitaries of shape {shape}, not {(t_count, n - k, n - k)}")
+        if len(rows) != 2 or not all(type(r) is int and r > 0 for r in rows):
+            raise ValueError(f"level {k} takes two positive integer row counts, got {rows!r}")
+        total += sum(rows)
+    return total
 
 
 @dataclass
@@ -180,7 +189,8 @@ class HomotopySheet:
 
     @property
     def shape(self) -> tuple[int, int]:
-        return _recipe_rows(self.n, self.levels), len(self.levels[0].unitaries)
+        shapes = [lv.unitaries.shape for lv in self.levels]
+        return _recipe_rows(self.n, shapes, [lv.rows for lv in self.levels]), shapes[0][0]
 
     @property
     def held_bytes(self) -> int:
@@ -190,12 +200,13 @@ class HomotopySheet:
 
 def _held_bytes(n: int, t_count: int, rows: list) -> int:
     """The most a sheet on M_n over t_count columns holds, for the rows of
-    its 2(n - 1) stages: its recipe's unitaries, the loop that a
-    contraction and a verification hold, and BLOCK_COPIES blocks of cells
-    of its stage of most rows, which bound a contraction's row probe
-    (_grown_rows) and a verification's block and temporaries alike."""
-    unitaries = sum(t_count * b * b * 16 for b in range(2, n + 1))
-    held = t_count * n * n * 16 + unitaries  # the loop and the recipe
+    its 2(n - 1) stages: its recipe's unitaries, vectors and phases, the
+    loop that a contraction and a verification hold, and BLOCK_COPIES
+    blocks of cells of its stage of most rows, which bound a contraction's
+    row probe (_grown_rows) and a verification's block and temporaries
+    alike."""
+    recipe = sum(t_count * ((b * b + b) * 16 + 8) for b in range(2, n + 1))
+    held = t_count * n * n * 16 + recipe  # the loop and the recipe
     return held + BLOCK_COPIES * max(rows, default=1) * t_count * n * n * 16
 
 
@@ -299,21 +310,18 @@ def disk_phase_lift(gamma: np.ndarray) -> np.ndarray:
     return lam
 
 
-def _transport_unitaries(rhos: np.ndarray) -> np.ndarray:
-    """Stage 1: eigenvector transport on near-pure runs, geodesic bridges
-    across non-pure gaps.
+def _transport_vectors(rhos: np.ndarray) -> tuple[tuple, np.ndarray]:
+    """The run edges (0, ..., T) of a density stack (T, n, n) and the
+    continued top eigenvector x_t (run samples, n) of each run sample, in
+    order: what its transport unitaries are built from (_transport_unitaries).
 
-    On each maximal run of samples with top eigenvalue > 7/8 the top
-    eigenvector is continued with positive-overlap phase alignment, a
-    cumulative product of the normalized consecutive overlaps that starts
-    from e_0 on the run at the basepoint and from the top eigenvector with
-    its largest entry real and positive on the others; one call of
-    projective.transport_to_e0 sends the whole run to e_0. Inside a gap any
-    unitary is admissible (a unitary cannot make a non-pure state pure), so
-    the held endpoint unitary is rotated to the next run's initial
-    transport along the unitary-group geodesic over the gap
-    (_unitary_powers). Runs and gaps alternate between the edges of the
-    near-pure mask, starting and ending with a run.
+    Runs are the maximal runs of samples with top eigenvalue > 7/8, and
+    runs and gaps alternate between the edges of the near-pure mask,
+    starting and ending with a run. On each run the top eigenvector is
+    continued with positive-overlap phase alignment, a cumulative product
+    of the normalized consecutive overlaps that starts from e_0 on the run
+    at the basepoint and from the top eigenvector with its largest entry
+    real and positive on the others.
     """
     t_count, n = rhos.shape[0], rhos.shape[-1]
     evals, evecs = np.linalg.eigh(rhos)
@@ -322,10 +330,9 @@ def _transport_unitaries(rhos: np.ndarray) -> np.ndarray:
     if not (near_pure[0] and near_pure[-1]):
         raise ValueError("basepoint samples must be near-pure")
 
-    edges = [0, *(np.flatnonzero(np.diff(near_pure)) + 1).tolist(), t_count]
-    runs = list(zip(edges[0::2], edges[1::2]))
-    unitaries = np.empty((t_count, n, n), dtype=np.complex128)
-    for start, end in runs:
+    runs = (0, *(np.flatnonzero(np.diff(near_pure)) + 1).tolist(), t_count)
+    vectors = []
+    for start, end in zip(runs[0::2], runs[1::2]):
         v = tops[start:end].copy()
         if start == 0:
             v[0] = eye(n)[0]
@@ -339,14 +346,58 @@ def _transport_unitaries(rhos: np.ndarray) -> np.ndarray:
             )
         k = np.argmax(np.abs(v[0]))
         phases = np.cumprod([np.conj(v[0, k]) / abs(v[0, k]), *(overlaps.conj() / size)])
-        unitaries[start:end] = transport_to_e0(v * phases[:, None])
+        vectors.append(v * phases[:, None])
+    return runs, np.concatenate(vectors)
 
-    for (_, gap_start), (right, _) in zip(runs[:-1], runs[1:]):
+
+def _transport_unitaries(runs: tuple, vectors: np.ndarray) -> np.ndarray:
+    """The transport unitaries U_t (T, n, n) of run edges (0, ..., T) and
+    the vectors (run samples, n) of the run samples in order
+    (_transport_vectors): one call of projective.transport_to_e0 sends
+    every run vector to e_0. Inside a gap any unitary is admissible (a
+    unitary cannot make a non-pure state pure), so the held endpoint
+    unitary is rotated to the next run's initial transport along the
+    unitary-group geodesic over the gap (_unitary_powers)."""
+    spans = list(zip(runs[0::2], runs[1::2]))
+    in_run = np.zeros(runs[-1], dtype=bool)
+    for start, end in spans:
+        in_run[start:end] = True
+    unitaries = np.empty((runs[-1], vectors.shape[-1], vectors.shape[-1]), dtype=np.complex128)
+    unitaries[in_run] = transport_to_e0(vectors)
+    for (_, gap_start), (right, _) in zip(spans[:-1], spans[1:]):
         left = gap_start - 1
         f = (np.arange(gap_start, right) - left) / (right - left)
         v = unitaries[right] @ unitaries[left].conj().T
         unitaries[gap_start:right] = _unitary_powers(v, f) @ unitaries[left]
     return unitaries
+
+
+def _lifted(unitaries: np.ndarray, phases: np.ndarray) -> np.ndarray:
+    """lambda_t U_t for the unitaries U_t and the phases k_t of lambda_t =
+    exp(2 pi i k_t / U_DEN)."""
+    return np.exp((2j * np.pi / U_DEN) * phases)[:, None, None] * unitaries
+
+
+def level_unitaries(runs: tuple, vectors: np.ndarray, phases: np.ndarray) -> np.ndarray:
+    """A level's operators A_t = lambda_t U_t, rebuilt from what a sheet
+    document stores of them: its run edges, run vectors and phases. The
+    contractor builds its own through the same two calls, so a level read
+    back from its document is the contractor's bit for bit."""
+    return _lifted(_transport_unitaries(runs, vectors), phases)
+
+
+def recipe_levels(n: int, fields: list) -> list:
+    """The levels of a recipe on M_n from their (runs, vectors, phases,
+    rows), every level's unitaries rebuilt (level_unitaries). The shapes
+    the unitaries will have, the row counts and the budget are checked
+    first (_recipe_rows, _held_bytes), so a recipe that does not fit n or
+    would hold over MAX_SHEET_BYTES raises ValueError before any unitary
+    is made."""
+    shapes = [(len(phases), vectors.shape[-1], vectors.shape[-1]) for _, vectors, phases, _ in fields]
+    _recipe_rows(n, shapes, [rows for *_, rows in fields])
+    _check_sheet_budget(_held_bytes(n, shapes[0][0], [r for *_, rows in fields for r in rows]))
+    return [Level(level_unitaries(runs, vectors, phases), rows, runs, vectors, phases)
+            for runs, vectors, phases, rows in fields]
 
 
 def _unitary_powers(v: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -463,29 +514,34 @@ def _rectify(rhos: np.ndarray, target: float, admit):
     that every sample gives weight one to the corner projection P^b_1 (no
     weight on the last basis vector), and its last row.
 
-    Eigenvector-transport unitaries come first, each checked unitary
-    before the disk phase lift of t -> omega_t(U_t) that keeps the unitary
-    interpolation outside every Gelfand ideal; the lifted lambda_t U_t are
-    rounded to multiples of 1 / U_DEN, which a sheet document writes as
-    integers. Then one pass makes the level's two stages, the linear
-    interpolations with s lambda_t U_t and with s P^b_1, each from its one
-    pencil: its exact safety minimum over s in [0, 1] must clear
-    SAFETY_FLOOR in every column; its last row, at s = 1 as the expansion
-    builds it (_rule_block of one row), measures the stage's movement and
-    is the next stage's input; its rows step by about `target`, from its
-    movement (_rows_for), and pass through admit, which may refuse them,
-    before its block is probed (_grown_rows), and again as the probe leaves
-    them.
+    Eigenvector-transport unitaries come first: the continued top
+    eigenvectors are rounded to multiples of 1 / U_DEN, and the unitaries
+    built from them (_transport_unitaries), each checked unitary before the
+    disk phase lift of t -> omega_t(U_t) that keeps the unitary
+    interpolation outside every Gelfand ideal; each lifted phase lambda_t
+    is rounded to a multiple of 2 pi / U_DEN, and A_t = lambda_t U_t
+    (_lifted). A sheet document writes the rounded vectors and phases as
+    integers, and rebuilds A_t from them bit for bit. Then one pass makes
+    the level's two stages, the linear interpolations with s lambda_t U_t
+    and with s P^b_1, each from its one pencil: its exact safety minimum
+    over s in [0, 1] must clear SAFETY_FLOOR in every column; its last row,
+    at s = 1 as the expansion builds it (_rule_block of one row), measures
+    the stage's movement and is the next stage's input; its rows step by
+    about `target`, from its movement (_rows_for), and pass through admit,
+    which may refuse them, before its block is probed (_grown_rows), and
+    again as the probe leaves them.
     """
-    unitaries = _transport_unitaries(rhos)
+    runs, vectors = _transport_vectors(rhos)
+    vectors = (np.round(vectors * U_DEN) + 0.0) / U_DEN  # + 0.0: no negative zeros, as read back
+    unitaries = _transport_unitaries(runs, vectors)
     # before the phase lift, whose path a non-unitary transport can break
     if not (_unitarity_defect(unitaries) <= OPERATOR_TOL).all():
         raise ValueError("not a unitary")
     gamma = np.trace(rhos @ unitaries, axis1=-2, axis2=-1)
-    gamma = np.where(np.abs(gamma) > 1.0, gamma / np.abs(gamma), gamma)
-    lam = disk_phase_lift(gamma)
+    gamma = gamma / np.maximum(np.abs(gamma), 1.0)  # onto the closed disk; a rounded x_0 = 0 gives 0
+    phases = np.round(np.angle(disk_phase_lift(gamma)) * (U_DEN / (2.0 * np.pi))).astype(np.int64)
 
-    lifted = np.round(lam[:, None, None] * unitaries * U_DEN) / U_DEN
+    lifted = _lifted(unitaries, phases)
     rows = []
     for kind, a in (("unitary", lifted), ("projection", projection_matrix(rhos.shape[-1], 1))):
         p, c = pencil(a, rhos)
@@ -496,7 +552,7 @@ def _rectify(rhos: np.ndarray, target: float, admit):
         count = admit(_rows_for(target, trace_norm(out - rhos).max()))
         rows.append(admit(_grown_rows(p, c, count, target)))
         rhos = out
-    return Level(lifted, tuple(rows)), rhos
+    return Level(lifted, tuple(rows), runs, vectors, phases), rhos
 
 
 def _compress(rhos: np.ndarray, block: int) -> np.ndarray:

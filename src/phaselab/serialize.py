@@ -2,18 +2,26 @@
 
 Matrices are row-major nested arrays of [re, im] pairs. Loops are
 {n, samples: [matrix, ...]}. A sheet document holds the contraction's
-recipe, not its cells and not its loop: {n, u_den, levels: [{unitaries,
-rows}, ...]}, with level k on the corner block b = n - k: its T unitaries
-and the row counts [r_unitary, r_projection] of its unitary and
-projection stages. Every real and imaginary part of a unitary is a
-multiple of 1 / u_den, u_den = homotopy.U_DEN = 2^40; the document holds
-their integer numerators, and dividing them by the power of two gives
-back the contractor's values bit for bit (a numerator is at most
-2^40 < 2^53 in modulus). The block, the projection P^b_1 and each
-stage's s rows (homotopy._rule_rows) are implied, never stored. Reading
-a sheet document gives the recipe, a homotopy.HomotopySheet, without
-expanding it; it is expanded, and verified, on the loop document's loop.
-All documents are UTF-8 JSON, written compactly with sorted keys.
+recipe, not its cells and not its loop: {n, u_den, levels: [{runs,
+vectors, phases, rows}, ...]}, with level k on the corner block
+b = n - k. Its T unitaries A_t = lambda_t U_t are stored as what they are
+rebuilt from (homotopy.level_unitaries): `runs`, the edges
+[0, e_1, ..., T] between its near-pure runs and non-pure gaps, which
+alternate, starting and ending with a run; `vectors`, the continued top
+eigenvector x_t of each run sample, b entries of [re, im] pairs of
+integer numerators over u_den = homotopy.U_DEN = 2^40, from which
+projective.transport_to_e0 makes U_t on the runs and the geodesic bridge
+U_t on the gaps; and `phases`, the integer k_t of lambda_t =
+exp(2 pi i k_t / u_den) for every sample. `rows` holds the row counts
+[r_unitary, r_projection] of its unitary and projection stages. A
+numerator is at most 2^40 < 2^53 in modulus, so dividing it by the power
+of two gives back the contractor's value bit for bit, and the rebuild
+gives back its unitaries bit for bit. The block, the projection P^b_1
+and each stage's s rows (homotopy._rule_rows) are implied, never stored.
+Reading a sheet document gives the recipe, a homotopy.HomotopySheet,
+without expanding it; it is expanded, and verified, on the loop
+document's loop. All documents are UTF-8 JSON, written compactly with
+sorted keys.
 """
 
 from __future__ import annotations
@@ -23,7 +31,7 @@ from itertools import chain
 
 import numpy as np
 
-from .homotopy import U_DEN, HomotopySheet, Level, StateLoop
+from .homotopy import U_DEN, HomotopySheet, Level, StateLoop, level_unitaries, recipe_levels
 
 
 def encode_matrix(m: np.ndarray) -> list:
@@ -76,50 +84,70 @@ def loop_from_doc(doc: dict) -> StateLoop:
 
 def sheet_to_doc(sheet: HomotopySheet) -> dict:
     """The sheet's recipe: its levels and u_den, and no loop. A NaN or
-    infinite entry, which JSON cannot hold, or a unitary entry off its
-    dyadic grid raises ValueError."""
-    levels = [{"unitaries": _numerators(lv.unitaries), "rows": list(lv.rows)} for lv in sheet.levels]
-    return {"n": sheet.n, "u_den": U_DEN, "levels": levels}
+    infinite entry, which JSON cannot hold, or a level whose unitaries are
+    not the rebuild of the vectors and phases written for it
+    (homotopy.level_unitaries) raises ValueError, so a document expands to
+    the cells of the recipe it came from and no others."""
+    return {"n": sheet.n, "u_den": U_DEN, "levels": [_level_doc(lv) for lv in sheet.levels]}
 
 
-def _numerators(unitaries: np.ndarray) -> list:
-    """The integer numerators over U_DEN of the unitaries' [re, im] pairs,
-    as nested lists."""
-    if not np.isfinite(unitaries).all():
-        raise ValueError("sheet has non-finite entries")  # inf passes the grid test
-    scaled = np.stack([unitaries.real, unitaries.imag], axis=-1) * U_DEN
-    if not (scaled == np.round(scaled)).all():
-        raise ValueError(f"a unitary holds values that are not multiples of 1/{U_DEN}")
-    return scaled.astype(np.int64).tolist()
+def _level_doc(level: Level) -> dict:
+    if not (np.isfinite(level.unitaries).all() and np.isfinite(level.vectors).all()):
+        raise ValueError("sheet has non-finite entries")
+    numerators = np.round(np.stack([level.vectors.real, level.vectors.imag], axis=-1) * U_DEN)
+    phases = np.asarray(level.phases, dtype=np.int64)
+    if not np.array_equal(level_unitaries(level.runs, _vectors(numerators), phases), level.unitaries):
+        raise ValueError("a level's unitaries are not the rebuild of its vectors and phases")
+    return {"runs": [int(e) for e in level.runs], "vectors": numerators.astype(np.int64).tolist(),
+            "phases": phases.tolist(), "rows": list(level.rows)}
 
 
-def _unitaries(rows) -> np.ndarray:
-    """Unitaries from nested [re, im] pairs of JSON integer numerators over
-    U_DEN (a bool is not one)."""
-    pairs = np.array(rows, dtype=np.float64)
-    kinds = _entry_kinds(rows, pairs.ndim) - {int}
-    if kinds:
-        raise ValueError("unitaries hold integer numerators over 'u_den' since the format "
-                         f"changed, got {', '.join(sorted(k.__name__ for k in kinds))} entries")
-    if pairs.ndim != 4 or pairs.shape[-1] != 2:
-        raise ValueError("unitaries must be nested arrays of [re, im] pairs")
+def _vectors(pairs: np.ndarray) -> np.ndarray:
+    """Complex vectors from [re, im] pairs of numerators over U_DEN."""
     return np.ascontiguousarray(pairs / U_DEN).view(np.complex128)[..., 0]
 
 
-def _level(doc: dict) -> Level:
-    if sorted(doc) != ["rows", "unitaries"]:
-        raise ValueError("a level holds 'unitaries' and 'rows' since the format changed, "
-                         f"got {sorted(doc)}")
-    return Level(_unitaries(doc["unitaries"]), tuple(doc["rows"]))
+def _integers(values, key: str, ndim: int) -> np.ndarray:
+    """A non-empty nested list of JSON integers of depth `ndim` (a bool is
+    not one) as an int64 array."""
+    kinds = _entry_kinds(values, ndim) - {int}
+    if kinds:
+        raise ValueError(f"{key!r} holds JSON integers, got "
+                         f"{', '.join(sorted(k.__name__ for k in kinds))} entries")
+    array = np.array(values, dtype=np.int64)
+    if array.ndim != ndim or array.size == 0:
+        raise ValueError(f"{key!r} must be a non-empty array of depth {ndim}, got shape {array.shape}")
+    return array
+
+
+def _level(doc: dict) -> tuple:
+    """A level document's (runs, vectors, phases, rows): its run edges start
+    at 0, end at T, the number of its phases, and increase, so that runs and
+    gaps alternate, starting and ending with a run; it has one vector, of
+    [re, im] pairs of integer numerators over U_DEN, per run sample."""
+    if sorted(doc) != ["phases", "rows", "runs", "vectors"]:
+        raise ValueError("a level holds 'runs', 'vectors', 'phases' and 'rows' since the format "
+                         f"changed, got {sorted(doc)}")
+    phases, runs = _integers(doc["phases"], "phases", 1), _integers(doc["runs"], "runs", 1)
+    if runs[0] != 0 or runs[-1] != len(phases) or len(runs) % 2 or not (np.diff(runs) > 0).all():
+        raise ValueError(f"'runs' must rise from 0 to the {len(phases)} phases in an even number "
+                         f"of edges, got {runs.tolist()}")
+    pairs = _integers(doc["vectors"], "vectors", 3)
+    if pairs.shape[-1] != 2:
+        raise ValueError("vectors must be nested arrays of [re, im] pairs")
+    samples = int((runs[1::2] - runs[0::2]).sum())
+    if len(pairs) != samples:
+        raise ValueError(f"'vectors' holds one vector per run sample, {samples}, got {len(pairs)}")
+    return tuple(runs.tolist()), _vectors(pairs.astype(np.float64)), phases, tuple(doc["rows"])
 
 
 def sheet_from_doc(doc: dict) -> HomotopySheet:
     """Decode a sheet document into its recipe, unexpanded: its shapes must
-    fit n, and its row counts be positive integers within the budget
-    (HomotopySheet). Every unitary entry is a JSON integer over a power of
-    two, so finite (a numerator past a double's range raises
-    OverflowError). Its cells are judged by verify_homotopy, on the loop
-    it is handed."""
+    fit n, and its row counts be positive integers within the budget, both
+    checked before any unitary is rebuilt (homotopy.recipe_levels). Every
+    numerator is a JSON integer (one past int64 raises OverflowError), and
+    a zero vector has no transport. Its cells are judged by
+    verify_homotopy, on the loop it is handed."""
     try:
         if sorted(doc) != ["levels", "n", "u_den"]:
             raise ValueError("a sheet document holds 'n', 'u_den' and 'levels' since "
@@ -127,7 +155,7 @@ def sheet_from_doc(doc: dict) -> HomotopySheet:
         n = _integer(doc, "n")
         if _integer(doc, "u_den") != U_DEN:
             raise ValueError(f"'u_den' must be {U_DEN}, got {doc['u_den']}")
-        levels = [_level(level) for level in doc["levels"]]
+        levels = recipe_levels(n, [_level(level) for level in doc["levels"]])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed sheet document: {exc}") from exc
     return HomotopySheet(n, levels)

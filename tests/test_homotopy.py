@@ -287,9 +287,11 @@ def test_formerly_failing_seeds_contract_and_verify(seed):
 
 def test_unitarity_is_checked_before_the_phase_lift(monkeypatch):
     # a transport that is not unitary is refused before the phase lift,
-    # whose path it can break: the failure names the transport
+    # whose path it can break: the failure names the transport. No vectors
+    # make one, so the rebuild is patched
     transport = homotopy._transport_unitaries
-    monkeypatch.setattr(homotopy, "_transport_unitaries", lambda rhos: 1.01 * transport(rhos))
+    monkeypatch.setattr(homotopy, "_transport_unitaries",
+                        lambda runs, vectors: 1.01 * transport(runs, vectors))
     monkeypatch.setattr(homotopy, "disk_phase_lift", None)  # not reached
     with pytest.raises(ValueError, match="^not a unitary$"):
         contract_loop(random_based_loop(3, 2, 700))
@@ -332,7 +334,7 @@ def test_gap_bridges_run_from_left_to_right_at_constant_speed():
     # transport at its left edge to the one at its right edge, so the steps
     # from `left` to `right` are all equal, the last into `right` included
     rhos = bundled_plateau_loop().rhos
-    unitaries = homotopy._transport_unitaries(rhos)
+    unitaries = homotopy._transport_unitaries(*homotopy._transport_vectors(rhos))
     near_pure = np.linalg.eigvalsh(rhos)[:, -1] > homotopy.PURITY_THRESHOLD
     edges = np.flatnonzero(np.diff(near_pure)) + 1
     assert len(edges) >= 2
@@ -508,12 +510,14 @@ def test_loop_and_sheet_serialization_roundtrip():
 
 
 def test_sheet_from_doc_rejects_a_nan_cell():
-    # unitaries and row counts hold integers, so a NaN in either is refused
-    # as a non-integer
+    # vectors, phases and row counts hold integers, so a NaN in any is
+    # refused as a non-integer
     sheet = contract_loop(constant_loop(2, 6))
     for forge, message in (
-        (lambda doc: doc["levels"][0]["unitaries"][3][1].__setitem__(1, [float("nan"), 0]),
-         "unitaries hold integer numerators"),
+        (lambda doc: doc["levels"][0]["vectors"][3].__setitem__(1, [float("nan"), 0]),
+         "'vectors' holds JSON integers, got float entries"),
+        (lambda doc: doc["levels"][0]["phases"].__setitem__(3, float("nan")),
+         "'phases' holds JSON integers, got float entries"),
         (lambda doc: doc["levels"][0]["rows"].__setitem__(1, float("nan")),
          "two positive integer row counts"),
     ):
@@ -523,18 +527,25 @@ def test_sheet_from_doc_rejects_a_nan_cell():
             serialize.sheet_from_doc(doc)
 
 
+def _drop_the_last_column(doc):
+    """The document of the constant loop's recipe over one column fewer."""
+    (level,) = doc["levels"]
+    level["phases"].pop()
+    level["vectors"].pop()
+    level["runs"][-1] -= 1
+
+
 @pytest.mark.parametrize(
     "forge, message",
     [
         # a recipe on M_n has n - 1 levels, level k with unitaries on M_{n-k}: here n = 2
         (lambda doc: doc["levels"].pop(), "has 1 levels, got 0"),
         (lambda doc: doc["levels"].append(doc["levels"][0]), "has 1 levels, got 2"),
-        (lambda doc: doc["levels"][0].__setitem__("unitaries", serialize.sheet_to_doc(
-            contract_loop(constant_loop(3, 6)))["levels"][0]["unitaries"]),
+        (lambda doc: doc["levels"][0].__setitem__("vectors", serialize.sheet_to_doc(
+            contract_loop(constant_loop(3, 6)))["levels"][0]["vectors"]),
          r"shape \(7, 3, 3\), not \(7, 2, 2\)"),
-        # level 0's unitaries give T, and a loop of 7 samples does not fit 6 columns
-        (lambda doc: doc["levels"][0]["unitaries"].pop(),
-         r"a recipe on M_2 over 6 columns does not fit \(7, 2, 2\)"),
+        # level 0's phases give T, and a loop of 7 samples does not fit 6 columns
+        (_drop_the_last_column, r"a recipe on M_2 over 6 columns does not fit \(7, 2, 2\)"),
         # the stage rows: two positive JSON integers, within the budget
         (lambda doc: doc["levels"][0]["rows"].pop(), r"two positive integer row counts, got \(8,\)"),
         (lambda doc: doc["levels"][0].__setitem__("rows", []), "two positive integer row counts"),
@@ -548,10 +559,10 @@ def test_sheet_from_doc_rejects_a_nan_cell():
         (lambda doc: doc.pop("levels"), "malformed sheet"),
         (lambda doc: doc.__setitem__("n", 2.7), "'n' must be an integer"),
         (lambda doc: doc.__setitem__("n", "2"), "'n' must be an integer"),
-        (lambda doc: doc["levels"][0]["unitaries"][3][0].__setitem__(0, ["1", False]),
-         "unitaries hold integer numerators over 'u_den'.*got bool, str entries"),
-        (lambda doc: doc["levels"][0]["unitaries"][3][0].__setitem__(0, [True, 0]),
-         "unitaries hold integer numerators over 'u_den'.*got bool entries"),
+        (lambda doc: doc["levels"][0]["vectors"][3].__setitem__(0, ["1", False]),
+         "'vectors' holds JSON integers, got bool, str entries"),
+        (lambda doc: doc["levels"][0]["vectors"][3].__setitem__(0, [True, 0]),
+         "'vectors' holds JSON integers, got bool entries"),
     ],
     ids=["levels-short", "levels-long", "wrong-block", "ops-shape", "s-ragged", "s-empty",
          "rows-zero", "rows-negative", "rows-bool", "rows-float", "rows-string", "rows-not-a-list",
@@ -572,11 +583,11 @@ def test_sheet_from_doc_refuses_the_earlier_format():
     # levels of {block, stages: [{kind, ops, s}, ...]}, which stored the
     # block and the projection operator, are refused with the reason
     loop = constant_loop(2, 6)
-    doc = serialize.sheet_to_doc(contract_loop(loop))
-    (level,) = doc["levels"]
+    sheet = contract_loop(loop)
+    doc = serialize.sheet_to_doc(sheet)
     s_table = [[1.0] * 7] * 8
     doc["levels"] = [{"block": 2, "stages": [
-        {"kind": "unitary", "ops": level["unitaries"], "s": s_table},
+        {"kind": "unitary", "ops": serialize.encode_matrix(sheet.levels[0].unitaries), "s": s_table},
         {"kind": "projection", "ops": serialize.encode_matrix(projection_matrix(2, 1)),
          "s": s_table}]}]
     with pytest.raises(ValueError, match="the format changed"):
@@ -590,11 +601,23 @@ def test_sheet_from_doc_refuses_the_earlier_format():
         serialize.sheet_from_doc(doc)
 
 
+def _unitaries_doc(sheet):
+    """The sheet's document as the format before runs, vectors and phases
+    wrote it: each level's unitaries as [re, im] pairs of integer
+    numerators over u_den, and its row counts."""
+    doc = serialize.sheet_to_doc(sheet)
+    for level, lv in zip(doc["levels"], sheet.levels):
+        pairs = np.stack([lv.unitaries.real, lv.unitaries.imag], axis=-1) * doc["u_den"]
+        level.clear()
+        level.update(unitaries=np.round(pairs).astype(np.int64).tolist(), rows=list(lv.rows))
+    return doc
+
+
 def _s_tables(doc, den=65536):
-    """The document as the formats before row counts wrote it: each level's
-    s tables in place of its row counts, the rule's rows of a constant
-    column, as integer numerators over `den` under 's_den', or as floats
-    and no 's_den' if den is None."""
+    """The unitaries document (_unitaries_doc) as the formats before row
+    counts wrote it: each level's s tables in place of its row counts, the
+    rule's rows of a constant column, as integer numerators over `den`
+    under 's_den', or as floats and no 's_den' if den is None."""
     for level in doc["levels"]:
         for key, rows in zip(("s_unitary", "s_projection"), level.pop("rows")):
             s = np.repeat(np.arange(1, rows + 1)[:, None] / rows, len(level["unitaries"]), axis=1)
@@ -607,9 +630,10 @@ def _s_tables(doc, den=65536):
     "forge, message",
     [
         (lambda doc: _s_tables(doc, None),
-         r"a level holds 'unitaries' and 'rows' since the format changed, got "
+         r"a level holds 'runs', 'vectors', 'phases' and 'rows' since the format changed, got "
          r"\['s_projection', 's_unitary', 'unitaries'\]"),
-        (lambda doc: _s_tables(doc) or doc.pop("s_den"), "a level holds 'unitaries' and 'rows'"),
+        (lambda doc: _s_tables(doc) or doc.pop("s_den"),
+         "a level holds 'runs', 'vectors', 'phases' and 'rows'"),
         (lambda doc: _s_tables(doc, 1000), r"the format changed, got \['levels', 'n', 's_den', 'u_den'\]"),
         (lambda doc: _s_tables(doc) or doc.__setitem__("s_den", 65536.0), "the format changed"),
         (lambda doc: _s_tables(doc) or doc["levels"][0]["s_unitary"][0].__setitem__(2, 0.5),
@@ -627,56 +651,157 @@ def _s_tables(doc, den=65536):
 def test_sheet_from_doc_refuses_s_tables_off_the_format(forge, message):
     # s tables, over 's_den' or as floats, well-formed or not, are off the
     # format: each is refused as a format change before any entry is read
-    doc = serialize.sheet_to_doc(contract_loop(constant_loop(2, 6)))
+    doc = _unitaries_doc(contract_loop(constant_loop(2, 6)))
     forge(doc)
     with pytest.raises(ValueError, match=message):
         serialize.sheet_from_doc(doc)
 
 
 def _float_unitaries(doc):
-    """The unitaries as the earlier format wrote them: [re, im] pairs of
-    floats."""
+    """The unitaries document (_unitaries_doc) as the format before it
+    wrote it: [re, im] pairs of floats."""
     for level in doc["levels"]:
         level["unitaries"] = (np.array(level["unitaries"]) / doc["u_den"]).tolist()
 
 
 @pytest.mark.parametrize(
-    "forge, message",
+    "make, forge, message",
     [
-        # the earlier format: float unitaries and no u_den
-        (lambda doc: _float_unitaries(doc) or doc.pop("u_den"),
+        # the earlier formats: float unitaries and no u_den, and unitaries
+        # of integer numerators, which every format before this one stored
+        (_unitaries_doc, lambda doc: _float_unitaries(doc) or doc.pop("u_den"),
          r"the format changed, got \['levels', 'n'\]"),
-        (_float_unitaries, "unitaries hold integer numerators over 'u_den' since the format "
-                           "changed, got float entries"),
-        (lambda doc: doc.pop("u_den"), r"the format changed, got \['levels', 'n'\]"),
-        (lambda doc: doc.__setitem__("u_den", 2**36),
+        (_unitaries_doc, _float_unitaries,
+         r"a level holds 'runs', 'vectors', 'phases' and 'rows' since the format "
+         r"changed, got \['rows', 'unitaries'\]"),
+        (serialize.sheet_to_doc, lambda doc: doc.pop("u_den"), r"the format changed, got \['levels', 'n'\]"),
+        (serialize.sheet_to_doc, lambda doc: doc.__setitem__("u_den", 2**36),
          "'u_den' must be 1099511627776, got 68719476736"),
-        (lambda doc: doc.__setitem__("u_den", float(2**40)), "'u_den' must be an integer"),
-        (lambda doc: doc["levels"][0]["unitaries"][2][1].__setitem__(0, [0.5, 0]),
-         "unitaries hold integer numerators.*got float entries"),
+        (serialize.sheet_to_doc, lambda doc: doc.__setitem__("u_den", float(2**40)),
+         "'u_den' must be an integer"),
+        (serialize.sheet_to_doc, lambda doc: doc["levels"][0]["vectors"][2].__setitem__(1, [0.5, 0]),
+         "'vectors' holds JSON integers, got float entries"),
         # a float of integral value is not an integer numerator either
-        (lambda doc: doc["levels"][0]["unitaries"][2][1][1].__setitem__(0, 2.0**40),
-         "unitaries hold integer numerators.*got float entries"),
-        (lambda doc: doc["levels"][0]["unitaries"][2].__setitem__(1, [[1, 0]]), "malformed sheet"),
-        # a stack of vectors of pairs, not of matrices
-        (lambda doc: doc["levels"][0].__setitem__("unitaries", [[[1, 0], [0, 0]]] * 401),
-         r"unitaries must be nested arrays of \[re, im\] pairs"),
+        (serialize.sheet_to_doc, lambda doc: doc["levels"][0]["vectors"][2][1].__setitem__(0, 2.0**40),
+         "'vectors' holds JSON integers, got float entries"),
+        (serialize.sheet_to_doc, lambda doc: doc["levels"][0]["vectors"].__setitem__(2, [[1, 0]]),
+         "malformed sheet"),
+        # a stack of vectors of triples, not of pairs
+        (serialize.sheet_to_doc,
+         lambda doc: doc["levels"][0].__setitem__("vectors", [[[1, 0, 0]] * 2] * 401),
+         r"vectors must be nested arrays of \[re, im\] pairs"),
     ],
     ids=["earlier-format", "float-unitaries", "no-u-den", "other-u-den", "float-u-den",
          "float-numerator", "integral-float-numerator", "ragged", "not-pairs"],
 )
-def test_sheet_from_doc_refuses_unitaries_off_the_format(pure_sheet, forge, message):
-    doc = serialize.sheet_to_doc(pure_sheet)
+def test_sheet_from_doc_refuses_unitaries_off_the_format(pure_sheet, make, forge, message):
+    # the first two cases forge the unitaries document of the format before
+    # this one, and the others a document of this one
+    doc = make(pure_sheet)
     forge(doc)
     with pytest.raises(ValueError, match=message):
         serialize.sheet_from_doc(doc)
 
 
 def test_sheet_to_doc_refuses_a_unitary_off_the_grid(pure_sheet):
+    # the unitaries are not the rebuild of the vectors and phases the
+    # document would hold, so their document would expand to other cells
     ops = pure_sheet.levels[0].unitaries
     forged = _forge(pure_sheet, unitaries=_set(ops, (5, 0, 1), ops[5, 0, 1] + 2.0**-41))
-    with pytest.raises(ValueError, match="not multiples of 1/1099511627776"):
+    with pytest.raises(ValueError, match="not the rebuild of its vectors and phases"):
         serialize.sheet_to_doc(forged)
+
+
+@pytest.mark.parametrize("name", ["seed2", "plateau"])
+def test_a_written_document_rebuilds_every_operator_bit_for_bit(name, tmp_path):
+    # every A_t = lambda_t U_t read back from the document is the
+    # contractor's, bit for bit (zero signs included), as are the runs,
+    # vectors and phases it is rebuilt from; the contractor's A_t are the
+    # rebuild of its own fields, and unitary to rounding
+    _, sheet = _contracted(name)
+    path = tmp_path / "sheet.json"
+    serialize.write_sheet(str(path), sheet)
+    back = serialize.sheet_from_doc(serialize.read_doc(str(path)))
+    for got, want in zip(back.levels, sheet.levels, strict=True):
+        assert got.unitaries.tobytes() == want.unitaries.tobytes()
+        assert got.vectors.tobytes() == want.vectors.tobytes()
+        assert got.phases.tobytes() == want.phases.tobytes()
+        assert got.runs == want.runs and got.rows == want.rows
+        rebuilt = homotopy.level_unitaries(want.runs, want.vectors, want.phases)
+        assert rebuilt.tobytes() == want.unitaries.tobytes()
+        assert homotopy._unitarity_defect(want.unitaries).max() < 1e-14
+    assert len(back.levels[0].runs) > 2  # both loops have non-pure gaps at level 0
+
+
+def test_sheet_from_doc_refuses_the_unitaries_format():
+    # the format before this one: unitaries of integer numerators and rows
+    _, sheet = _contracted("seed2")
+    with pytest.raises(ValueError, match=r"since the format changed, got \['rows', 'unitaries'\]"):
+        serialize.sheet_from_doc(_unitaries_doc(sheet))
+
+
+def _drop_the_last_plateau_column(level):
+    level["phases"].pop()
+    level["vectors"].pop()
+    level["runs"][-1] -= 1
+
+
+@pytest.mark.parametrize(
+    "forge, message",
+    [
+        # level 0 of the plateau loop: runs [0, 263, 638, 901], 526 vectors, 901 phases
+        (lambda lv: lv["runs"].__setitem__(0, 1), r"'runs' must rise from 0 to the 901 phases"),
+        (lambda lv: lv["runs"].__setitem__(-1, 900), r"got \[0, 263, 638, 900\]"),
+        (lambda lv: lv["runs"].pop(1), r"in an even number of edges, got \[0, 638, 901\]"),
+        (lambda lv: lv.__setitem__("runs", [0, 638, 263, 901]), "'runs' must rise"),
+        (lambda lv: lv.__setitem__("runs", [0, 263, 263, 901]), "'runs' must rise"),
+        (lambda lv: lv["runs"].__setitem__(1, 263.0), "'runs' holds JSON integers, got float entries"),
+        (lambda lv: lv.__setitem__("runs", []), "'runs' must be a non-empty array"),
+        (lambda lv: lv["vectors"].pop(), "one vector per run sample, 526, got 525"),
+        (lambda lv: lv["vectors"].append(lv["vectors"][0]), "one vector per run sample, 526, got 527"),
+        (lambda lv: lv["vectors"].__setitem__(5, [[0, 0]] * 3), "zero vector does not represent a ray"),
+        (lambda lv: lv["phases"].pop(), r"'runs' must rise from 0 to the 900 phases"),
+        (lambda lv: lv["phases"].__setitem__(3, 0.5), "'phases' holds JSON integers, got float entries"),
+        (lambda lv: lv["phases"].__setitem__(3, True), "'phases' holds JSON integers, got bool entries"),
+        (lambda lv: lv["phases"].__setitem__(3, 10**30), "malformed sheet document"),
+        (lambda lv: lv.__setitem__("phases", [[0]] * 901), "malformed sheet document"),
+        # level 0's phases give T: a level 1 over one column fewer does not fit
+        (None, r"level 1 unitaries of shape \(900, 2, 2\), not \(901, 2, 2\)"),
+    ],
+    ids=["runs-start", "runs-end", "runs-odd", "runs-falling", "runs-empty-gap", "runs-float",
+         "runs-empty", "vectors-short", "vectors-long", "vectors-zero", "phases-short",
+         "phases-float", "phases-bool", "phases-huge", "phases-nested", "phases-other-t"],
+)
+def test_sheet_from_doc_refuses_malformed_transport_fields(forge, message):
+    _, sheet = _contracted("plateau")
+    doc = serialize.sheet_to_doc(sheet)
+    if forge is None:
+        _drop_the_last_plateau_column(doc["levels"][1])
+    else:
+        forge(doc["levels"][0])
+    with pytest.raises(ValueError, match=message):
+        serialize.sheet_from_doc(doc)
+
+
+def test_sheet_from_doc_checks_the_budget_before_any_rebuild(pure_sheet, monkeypatch):
+    # a document's phases and rows set what its recipe would hold, so a
+    # recipe over the budget is refused before any unitary is rebuilt
+    doc = serialize.sheet_to_doc(pure_sheet)
+    monkeypatch.setattr(homotopy, "MAX_SHEET_BYTES", pure_sheet.held_bytes - 1)
+    monkeypatch.setattr(homotopy, "_transport_unitaries", None)  # not reached
+    with pytest.raises(ValueError, match="budget"):
+        serialize.sheet_from_doc(doc)
+
+
+@pytest.mark.parametrize("field", ["vectors", "phases"])
+def test_sheet_to_doc_refuses_fields_that_do_not_rebuild_the_unitaries(pure_sheet, field):
+    # a vector entry moved by one numerator, or a phase by one step of
+    # 2 pi / u_den, with the unitaries kept: the document would expand to
+    # other cells than the recipe's
+    level = pure_sheet.levels[0]
+    moved = _set(getattr(level, field), 5, getattr(level, field)[5] + (1 if field == "phases" else 2.0**-40))
+    with pytest.raises(ValueError, match="not the rebuild of its vectors and phases"):
+        serialize.sheet_to_doc(_forge(pure_sheet, **{field: moved}))
 
 
 def test_verifier_reports_non_finite_cells(monkeypatch):
@@ -740,10 +865,12 @@ def test_write_sheet_matches_dumps(pure_sheet, tmp_path):
     # the document is the recipe, not the cells
     assert sorted(doc) == ["levels", "n", "u_den"]
     (level,) = doc["levels"]
-    assert sorted(level) == ["rows", "unitaries"]
-    assert np.array(level["unitaries"]).shape == (401, 2, 2, 2)
-    assert {type(m) for m in np.ravel(np.array(level["unitaries"], dtype=object))} == {int}
-    assert {type(m) for m in level["rows"]} == {int}
+    assert sorted(level) == ["phases", "rows", "runs", "vectors"]
+    assert level["runs"] == [0, 401]  # the pure loop is one run
+    assert np.array(level["vectors"]).shape == (401, 2, 2)
+    assert len(level["phases"]) == 401
+    for key in ("runs", "vectors", "phases", "rows"):
+        assert {type(m) for m in np.ravel(np.array(level[key], dtype=object))} == {int}
     assert 1 + sum(level["rows"]) == pure_sheet.shape[0]
 
 
@@ -1023,9 +1150,14 @@ def test_verifier_fails_a_recipe_in_the_gelfand_ideal():
     # there. The rule clips the column's rows to s = 0 up to the half and
     # s = 1 past it, so no cell is made at the zero and every cell is
     # finite; the verifier fails the recipe as unsafe, without raising
+    # Here A_4 = -1 to rounding, as a recipe can hold it: phase k = u_den / 2
+    # on the transport U_4 = 1 of the constant loop
     loop = constant_loop(2, 10)
     sheet = contract_loop(loop)
-    forged = _forge(sheet, unitaries=_set(sheet.levels[0].unitaries, 4, -np.eye(2)))
+    (level,) = sheet.levels
+    phases = _set(level.phases, 4, homotopy.U_DEN // 2)
+    forged = _forge(sheet, phases=phases, unitaries=homotopy.level_unitaries(level.runs, level.vectors, phases))
+    assert np.abs(forged.levels[0].unitaries[4] + np.eye(2)).max() < 1e-15
     rows = sheet.levels[0].rows[0]
     s = homotopy._rule_rows(np.array([[1.0], [-4.0], [4.0]]), rows)[:, 0]
     assert list(s) == [0.0] * (rows // 2) + [1.0] * (rows - rows // 2)

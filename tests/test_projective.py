@@ -145,7 +145,7 @@ def test_pure_loop_certifies_across_x0_zero():
     # since U x x† U† = e0 e0† on either side. The loop certifies.
     loop = bundled_pure_loop()
     assert np.abs(np.linalg.eigh(loop.rhos[200])[1][0, -1]) < 1e-15
-    u = homotopy._transport_unitaries(loop.rhos)
+    u = homotopy._transport_unitaries(*homotopy._transport_vectors(loop.rhos))
     steps = operator_norm(u[1:] - u[:-1])
     assert np.flatnonzero(steps > 0.1).tolist() == [200] and abs(steps[200] - 2.0) < 0.1
     moved = u @ loop.rhos @ u.conj().swapaxes(-1, -2)
