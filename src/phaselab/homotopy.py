@@ -359,9 +359,7 @@ def _transport_unitaries(runs: tuple, vectors: np.ndarray) -> np.ndarray:
     unitary is rotated to the next run's initial transport along the
     unitary-group geodesic over the gap (_unitary_powers)."""
     spans = list(zip(runs[0::2], runs[1::2]))
-    in_run = np.zeros(runs[-1], dtype=bool)
-    for start, end in spans:
-        in_run[start:end] = True
+    in_run = np.repeat(np.arange(len(runs) - 1) % 2 == 0, np.diff(runs))  # runs and gaps in turn
     unitaries = np.empty((runs[-1], vectors.shape[-1], vectors.shape[-1]), dtype=np.complex128)
     unitaries[in_run] = transport_to_e0(vectors)
     for (_, gap_start), (right, _) in zip(spans[:-1], spans[1:]):

@@ -138,7 +138,7 @@ def _level(doc: dict) -> tuple:
     samples = int((runs[1::2] - runs[0::2]).sum())
     if len(pairs) != samples:
         raise ValueError(f"'vectors' holds one vector per run sample, {samples}, got {len(pairs)}")
-    return tuple(runs.tolist()), _vectors(pairs.astype(np.float64)), phases, tuple(doc["rows"])
+    return tuple(runs.tolist()), _vectors(pairs), phases, tuple(doc["rows"])
 
 
 def sheet_from_doc(doc: dict) -> HomotopySheet:

@@ -101,8 +101,8 @@ def test_disk_phase_lift_chord():
 
 def _numpy_phase_lift(gamma):
     """The lift's per-sample rule on numpy scalars (np.angle, np.exp,
-    np.sign, a complex divided by its modulus), as disk_phase_lift ran it
-    before its loop took Python scalars: the oracle of that loop's bits."""
+    np.sign, a complex divided by its modulus): the oracle whose bits
+    disk_phase_lift's loop on Python scalars must give."""
     g = np.asarray(gamma, dtype=np.complex128).ravel()
     lam = np.ones(g.shape[0], dtype=np.complex128)
     for t in range(g.shape[0]):
@@ -527,9 +527,8 @@ def test_sheet_from_doc_rejects_a_nan_cell():
             serialize.sheet_from_doc(doc)
 
 
-def _drop_the_last_column(doc):
-    """The document of the constant loop's recipe over one column fewer."""
-    (level,) = doc["levels"]
+def _drop_the_last_column(level):
+    """A level document over one column fewer, its last a run sample."""
     level["phases"].pop()
     level["vectors"].pop()
     level["runs"][-1] -= 1
@@ -545,7 +544,8 @@ def _drop_the_last_column(doc):
             contract_loop(constant_loop(3, 6)))["levels"][0]["vectors"]),
          r"shape \(7, 3, 3\), not \(7, 2, 2\)"),
         # level 0's phases give T, and a loop of 7 samples does not fit 6 columns
-        (_drop_the_last_column, r"a recipe on M_2 over 6 columns does not fit \(7, 2, 2\)"),
+        (lambda doc: _drop_the_last_column(doc["levels"][0]),
+         r"a recipe on M_2 over 6 columns does not fit \(7, 2, 2\)"),
         # the stage rows: two positive JSON integers, within the budget
         (lambda doc: doc["levels"][0]["rows"].pop(), r"two positive integer row counts, got \(8,\)"),
         (lambda doc: doc["levels"][0].__setitem__("rows", []), "two positive integer row counts"),
@@ -740,12 +740,6 @@ def test_sheet_from_doc_refuses_the_unitaries_format():
         serialize.sheet_from_doc(_unitaries_doc(sheet))
 
 
-def _drop_the_last_plateau_column(level):
-    level["phases"].pop()
-    level["vectors"].pop()
-    level["runs"][-1] -= 1
-
-
 @pytest.mark.parametrize(
     "forge, message",
     [
@@ -765,8 +759,8 @@ def _drop_the_last_plateau_column(level):
         (lambda lv: lv["phases"].__setitem__(3, True), "'phases' holds JSON integers, got bool entries"),
         (lambda lv: lv["phases"].__setitem__(3, 10**30), "malformed sheet document"),
         (lambda lv: lv.__setitem__("phases", [[0]] * 901), "malformed sheet document"),
-        # level 0's phases give T: a level 1 over one column fewer does not fit
-        (None, r"level 1 unitaries of shape \(900, 2, 2\), not \(901, 2, 2\)"),
+        # level 0's phases give T: level 1, over one column more, does not fit
+        (_drop_the_last_column, r"level 1 unitaries of shape \(901, 2, 2\), not \(900, 2, 2\)"),
     ],
     ids=["runs-start", "runs-end", "runs-odd", "runs-falling", "runs-empty-gap", "runs-float",
          "runs-empty", "vectors-short", "vectors-long", "vectors-zero", "phases-short",
@@ -775,10 +769,7 @@ def _drop_the_last_plateau_column(level):
 def test_sheet_from_doc_refuses_malformed_transport_fields(forge, message):
     _, sheet = _contracted("plateau")
     doc = serialize.sheet_to_doc(sheet)
-    if forge is None:
-        _drop_the_last_plateau_column(doc["levels"][1])
-    else:
-        forge(doc["levels"][0])
+    forge(doc["levels"][0])
     with pytest.raises(ValueError, match=message):
         serialize.sheet_from_doc(doc)
 
