@@ -50,19 +50,20 @@ PHASE_FIX_TOL = 1e-12
 # Bytes of the dense oracle's largest array, a 2^(2N) x 2^(2N) operator in
 # `ChainOperators.build` (N <= 5); no single-point full chain is left.
 MAX_DENSE_BYTES = 2**24
-# Grid points per window batch of the sweep. The window's arrays have a fixed
-# size per point, so this bounds the sweep's peak memory for any grid and N:
-# a 64x128 run at N=2 or 3 raises the peak RSS over that after import by
-# 3.1-3.3 MB, about as much as with one-point batches (3.3-3.4 MB), and by
-# 14.7-14.8 MB when the whole grid is one batch.
+# Rings per window batch of the sweep, which runs the kernel once a ring, at
+# phi = 0. The window's arrays have a fixed size per ring, so this bounds the
+# kernel's memory for any grid and N: at N=2 or 3 a 64x128 run (one batch)
+# raises the peak RSS over that after import by 3.0-3.1 MB, as with one-ring
+# batches, and a 16384x64 run by 178.4 MB, against 188.0 MB when its 16384
+# rings are one batch.
 SWEEP_POINTS = 512
 # The sweep's whole-grid arrays peak while plaquette_degree builds the ray
-# field's azimuthal links: theta and phi (8 + 8 bytes a point), the Bloch
-# and ray fields (32 + 32), the field's norms (8), its theta links (16), the
-# rolled field and its conjugate (32 + 32) and the azimuthal links (16),
-# 184 bytes; tracemalloc reads 185 a point on 256x512, past the fixed batch
-# arrays. ModelConfig refuses a grid whose GRID_POINT_BYTES a point (that
-# peak, rounded up) exceed MAX_GRID_BYTES: 1024x1024 at most.
+# field's azimuthal links: the Bloch and ray fields (32 + 32 bytes a point),
+# the field's norms (8), its theta links (16), the rolled field and its
+# conjugate (32 + 32) and the azimuthal links (16), 168 bytes; tracemalloc
+# reads 168 a point on 256x512, past the fixed batch arrays. ModelConfig
+# refuses a grid whose GRID_POINT_BYTES a point (that peak, rounded up)
+# exceed MAX_GRID_BYTES: 1024x1024 at most.
 GRID_POINT_BYTES = 256
 MAX_GRID_BYTES = 2**28
 
@@ -597,25 +598,38 @@ def _gate_failure(rec: InvariantRecord) -> str | None:
 def invariant_sweep(cfg: ModelConfig) -> InvariantRecord:
     """Headline computation: sweep the equator 2-sphere, extract the ray
     field of the projected equator map with the window kernel
-    `_equator_window`, SWEEP_POINTS grid points at a time, compare its
-    lattice degree with the Bloch ground-state field on the same grid, and
-    judge the result by its gates (_gate_failure) into `passed`. Neither
-    time nor memory depends on cfg.n_dimers.
+    `_equator_window`, compare its lattice degree with the Bloch
+    ground-state field on the same grid, and judge the result by its gates
+    (_gate_failure) into `passed`. Neither time nor memory depends on
+    cfg.n_dimers.
+
+    The kernel runs once a ring, at phi = 0, SWEEP_POINTS rings at a time,
+    and each ring's ray is turned through the azimuths. W conserves total
+    S_z and u(theta, phi) = R(theta) diag(e^{i phi/2}, e^{-i phi/2}) with
+    R real, so U1† M† Omega at (theta, phi) is that at (theta, 0) times
+    diag(e^{-i phi/2}, e^{i phi/2}) on every site, up to a phase: the ray
+    (r0, r1) turns to (r0 / e^{i phi}, r1), and the weight, interior
+    overlap and bulk-bond fidelities do not depend on phi. The Bloch field
+    is computed at every grid point, so the ray agreement checks every
+    turned ray against an independent field.
     """
     k_dim, m_dim = cfg.grid
-    theta, phi = (a.ravel() for a in np.meshgrid(*sphere_grid(k_dim, m_dim), indexing="ij"))
-    bloch = _bloch_vectors(theta, phi)
-    field = np.zeros_like(bloch)
+    thetas, phis = sphere_grid(k_dim, m_dim)
+    rings = np.empty((k_dim, 2), dtype=np.complex128)
     y_min = weight_min = np.inf
-    for start in range(0, len(theta), SWEEP_POINTS):
+    for start in range(0, k_dim, SWEEP_POINTS):
         part = slice(start, start + SWEEP_POINTS)
-        win = _equator_window(theta[part], phi[part], cfg.n_dimers)
-        field[part] = win.rays
+        win = _equator_window(thetas[part], 0.0, cfg.n_dimers)
+        rings[part] = win.rays
         y_min = min(y_min, np.min(win.y_overlap))
         weight_min = min(weight_min, np.min(win.weight))
+    field = np.empty((k_dim, m_dim, 2), dtype=np.complex128)
+    field[..., 0] = rings[:, None, 0] / np.exp(1j * phis)
+    field[..., 1] = rings[:, None, 1]
+    bloch = _bloch_vectors(thetas[:, None], phis)
     agree_min = np.min(np.abs(np.sum(field.conj() * bloch, axis=-1)))
-    deg = plaquette_degree(field.reshape(k_dim, m_dim, 2))
-    bdeg = plaquette_degree(bloch.reshape(k_dim, m_dim, 2))
+    deg = plaquette_degree(field)
+    bdeg = plaquette_degree(bloch)
     rec = InvariantRecord(
         degree=deg.degree,
         bloch_degree=bdeg.degree,

@@ -458,6 +458,86 @@ def test_equator_window_matches_full_chain_oracle(n_dimers):
     assert np.max(np.abs(win.y_overlap - y_overlap)) <= 1e-13
 
 
+def test_w_conserves_sz_and_the_site_rotation_factors():
+    # the sweep's turn rests on both: W is block-diagonal on {|00>},
+    # {|01>, |10>} and {|11>}, and u(theta, phi) = R(theta) diag(e^{i phi/2},
+    # e^{-i phi/2}) with R(theta) real
+    from phaselab.dimer import _W
+
+    sz = np.array([0, 1, 1, 2])
+    assert np.all(_W[sz[:, None] != sz[None, :]] == 0)
+    rng = np.random.default_rng(61)
+    theta, phi = rng.uniform(0, np.pi, 200), rng.uniform(-np.pi, np.pi, 200)
+    c, s = np.cos(theta / 2), np.sin(theta / 2)
+    r = np.stack([np.stack([c, s], axis=-1), np.stack([-s, c], axis=-1)], axis=-2)
+    d = np.exp(0.5j * np.multiply.outer(phi, [1, -1]))
+    assert np.max(np.abs(site_rotation(theta, phi) - r * d[:, None, :])) <= 1e-15
+
+
+def _swept(cfg, monkeypatch):
+    """invariant_sweep's record and the ray field (K, M, 2) it hands
+    plaquette_degree."""
+    from phaselab import dimer
+
+    fields, degree = [], dimer.plaquette_degree
+    with monkeypatch.context() as m:
+        m.setattr(dimer, "plaquette_degree", lambda f: fields.append(f) or degree(f))
+        rec = invariant_sweep(cfg)
+    return rec, fields[0]
+
+
+@pytest.mark.parametrize("n_dimers", [2, 3, 4, 5])
+def test_turned_ring_field_matches_the_window_at_every_point(n_dimers, monkeypatch):
+    # the sweep runs the window at phi = 0 and turns each ring's ray; the
+    # window at every (theta, phi) is the oracle for the turn
+    from phaselab.dimer import _equator_window
+
+    rec, field = _swept(ModelConfig(n_dimers=n_dimers), monkeypatch)
+    theta, phi = _grid_points(32, 64)
+    win = _equator_window(theta, phi, n_dimers)
+    assert np.max(1 - np.abs(np.sum(field.reshape(-1, 2).conj() * win.rays, axis=-1))) <= 1e-14
+    rings = _equator_window(sphere_grid(32, 64)[0], 0.0, n_dimers)
+    for name in ("weight", "y_overlap"):
+        assert np.max(np.abs(np.repeat(getattr(rings, name), 64) - getattr(win, name))) <= 1e-13
+    assert (rec.weight_min, rec.y_overlap_min) == (np.min(rings.weight), np.min(rings.y_overlap))
+
+
+@pytest.mark.parametrize("n_dimers", [2, 3, 4])
+def test_turned_ring_field_matches_dense_oracle(n_dimers, monkeypatch):
+    # at random grid directions, lifted to band points off the equator
+    from phaselab.dimer import _equator_window, _pattern
+
+    cfg = ModelConfig(n_dimers=n_dimers)
+    _, field = _swept(cfg, monkeypatch)
+    thetas, phis = sphere_grid(32, 64)
+    rings = _equator_window(thetas, 0.0, n_dimers)
+    rng = np.random.default_rng(71 + n_dimers)
+    n = cfg.n_sites
+    for k, m in zip(rng.integers(32, size=4), rng.integers(64, size=4)):
+        th, ph = thetas[k], phis[m]
+        w4 = rng.uniform(-0.24, 0.24)
+        r = np.array([np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th)])
+        tz = truncated_Z(ParamPoint(np.append(np.sqrt(1 - w4**2) * r, w4)), cfg)
+        block = (tz.z.conj().T @ tz.omega_r).reshape(2, 2 ** (n - 2), 2)[:, _pattern(n - 1)]
+        assert 1 - abs(np.vdot(np.linalg.svd(block)[0][:, 0], field[k, m])) <= 1e-12
+        assert abs(rings.y_overlap[k] - tz.y_overlap) <= 1e-12
+
+
+def test_invariant_sweep_runs_the_window_once_a_ring(monkeypatch):
+    from phaselab import dimer
+
+    handed, window = [], dimer._equator_window
+
+    def counted(theta, phi, n_dimers):
+        handed.append(len(theta))
+        return window(theta, phi, n_dimers)
+
+    monkeypatch.setattr(dimer, "_equator_window", counted)
+    monkeypatch.setattr(dimer, "SWEEP_POINTS", 5)  # rings per batch
+    invariant_sweep(ModelConfig(n_dimers=3, grid=(12, 16)))
+    assert handed == [5, 5, 2]
+
+
 def test_perturbed_bulk_bond_fails_the_window(monkeypatch):
     # a bond gate W exp(0.1i sx(x)sx) in the bulk alone: N=2 has no bulk and
     # still passes, N=3 must refuse to certify
