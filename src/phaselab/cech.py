@@ -9,6 +9,7 @@ the plaquette (lattice-degree) extraction on closed S^2 grids.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -330,6 +331,35 @@ def sphere_grid(n_theta: int, n_phi: int) -> tuple[np.ndarray, np.ndarray]:
     return thetas, phis
 
 
+def _check_rays(shape_ok: bool, field: np.ndarray) -> None:
+    """The degree kernels' input gates, on a ray field or its rings."""
+    if not shape_ok:
+        raise ValueError("field must be (K >= 2, M >= 3, d)")
+    if not np.isfinite(field).all():
+        raise ValueError("field entries must be finite")
+    if np.max(np.abs(np.linalg.norm(field, axis=-1) - 1.0)) > 1e-9:
+        raise ValueError("field entries must be unit vectors")
+
+
+def _gated_degree(links, flux: np.ndarray, caps, total: float) -> PlaquetteDegree:
+    """The degree kernels' gates on a closed lattice: its link overlaps,
+    the fluxes of its plaquettes and of its two caps, and its total flux."""
+    if min(np.min(np.abs(link)) for link in links) < LINK_OVERLAP_TOL:
+        raise NumericalGateError("vanishing link overlap: adjacent rays nearly orthogonal")
+    max_flux = float(np.max(np.abs(np.append(flux, caps))))
+    if max_flux >= FLUX_MARGIN:
+        raise NumericalGateError(
+            f"plaquette flux {max_flux:.4f} reaches the ambiguity bound; grid too coarse"
+        )
+    deg = int(np.rint(total / (2 * np.pi)))
+    integrality = abs(total / (2 * np.pi) - deg)
+    if integrality > DEGREE_INT_TOL:
+        raise NumericalGateError(
+            f"total flux / 2pi = {total / (2 * np.pi):.9f} is not an integer"
+        )
+    return PlaquetteDegree(deg, max_flux, total, integrality)
+
+
 def plaquette_degree(field: np.ndarray) -> PlaquetteDegree:
     """Degree of a ray field sampled on the pole-avoiding S^2 grid.
 
@@ -340,21 +370,11 @@ def plaquette_degree(field: np.ndarray) -> PlaquetteDegree:
     single polar plaquettes.
     """
     field = np.asarray(field, dtype=np.complex128)
-    if field.ndim != 3 or field.shape[0] < 2 or field.shape[1] < 3:
-        raise ValueError("field must be (K >= 2, M >= 3, d)")
-    if not np.isfinite(field).all():
-        raise ValueError("field entries must be finite")
-    nrm = np.linalg.norm(field, axis=2)
-    if np.max(np.abs(nrm - 1.0)) > 1e-9:
-        raise ValueError("field entries must be unit vectors")
+    _check_rays(field.ndim == 3 and field.shape[0] >= 2 and field.shape[1] >= 3, field)
 
-    k_dim, m_dim = field.shape[:2]
     # directed links: theta-links k -> k+1, phi-links m -> m+1 (wrapping)
     link_theta = np.einsum("kmd,kmd->km", field[:-1].conj(), field[1:])
     link_phi = np.einsum("kmd,kmd->km", field.conj(), np.roll(field, -1, axis=1))
-    if min(np.min(np.abs(link_theta)), np.min(np.abs(link_phi))) < LINK_OVERLAP_TOL:
-        raise NumericalGateError("vanishing link overlap: adjacent rays nearly orthogonal")
-
     plaq = (
         link_theta
         * link_phi[1:]
@@ -364,17 +384,35 @@ def plaquette_degree(field: np.ndarray) -> PlaquetteDegree:
     flux = np.angle(plaq)
     cap_north = float(np.angle(np.prod(link_phi[0])))
     cap_south = float(np.angle(np.prod(np.conj(link_phi[-1]))))
-
-    max_flux = float(max(np.max(np.abs(flux)), abs(cap_north), abs(cap_south)))
-    if max_flux >= FLUX_MARGIN:
-        raise NumericalGateError(
-            f"plaquette flux {max_flux:.4f} reaches the ambiguity bound; grid too coarse"
-        )
     total = float(np.sum(flux)) + cap_north + cap_south
-    deg = int(np.rint(total / (2 * np.pi)))
-    integrality = abs(total / (2 * np.pi) - deg)
-    if integrality > DEGREE_INT_TOL:
-        raise NumericalGateError(
-            f"total flux / 2pi = {total / (2 * np.pi):.9f} is not an integer"
-        )
-    return PlaquetteDegree(deg, max_flux, total, integrality)
+    return _gated_degree((link_theta, link_phi), flux, (cap_north, cap_south), total)
+
+
+def ring_degree(rings: np.ndarray, n_phi: int) -> PlaquetteDegree:
+    """`plaquette_degree` of the field whose entry (k, m) is rings[k] with
+    its first component turned by e^{-i phi_m}, phi_m = 2 pi m / n_phi, in
+    O(K) work.
+
+    Every link of that field is the same along its ring or band: the theta
+    link a_k = <r_k, r_{k+1}>, and the phi link
+    b_k = |r_k0|^2 e^{-2 pi i / M} + the rest of |r_k|^2. So all M
+    plaquettes of band k have the flux of a_k b_{k+1} conj(a_k) conj(b_k),
+    and the caps are arg(b_0^M) and arg(conj(b_{K-1})^M). The band's
+    plaquette is formed as `plaquette_degree` forms one, |a_k|^2 included,
+    and the total is the correctly rounded sum of every plaquette's flux:
+    of the forms tried, these printed the sweep's fluxes and integrality
+    shortest. M times a band's flux is exact as M times each of its two
+    26-bit halves, for M <= 2^26. A field that differs from this one by a
+    phase at each point, the Bloch field among them, has the same fluxes.
+    """
+    rings = np.asarray(rings, dtype=np.complex128)
+    _check_rays(rings.ndim == 2 and len(rings) >= 2 and n_phi >= 3, rings)
+    weight = np.abs(rings) ** 2
+    link_phi = weight[:, 0] * np.exp(-2j * np.pi / n_phi) + np.sum(weight[:, 1:], axis=1)
+    link_theta = np.einsum("kd,kd->k", rings[:-1].conj(), rings[1:])
+    flux = np.angle(link_theta * link_phi[1:] * np.conj(link_theta) * np.conj(link_phi[:-1]))
+    caps = np.angle([link_phi[0] ** n_phi, np.conj(link_phi[-1]) ** n_phi])
+    split = flux * (2.0**27 + 1)  # Veltkamp's split: flux = high + low, 26 bits each
+    high = split - (split - flux)
+    parts = np.concatenate([n_phi * high, n_phi * (flux - high), caps])
+    return _gated_degree((link_theta, link_phi), flux, caps, math.fsum(parts.tolist()))

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cech import plaquette_degree, sphere_grid
+from .cech import ring_degree, sphere_grid
 from .linalg import (
     DOWN,
     SIGMA_MINUS,
@@ -57,13 +57,14 @@ MAX_DENSE_BYTES = 2**24
 # batches, and a 16384x64 run by 178.4 MB, against 188.0 MB when its 16384
 # rings are one batch.
 SWEEP_POINTS = 512
-# The sweep's whole-grid arrays peak while plaquette_degree builds the ray
-# field's azimuthal links: the Bloch and ray fields (32 + 32 bytes a point),
-# the field's norms (8), its theta links (16), the rolled field and its
-# conjugate (32 + 32) and the azimuthal links (16), 168 bytes; tracemalloc
-# reads 168 a point on 256x512, past the fixed batch arrays. ModelConfig
-# refuses a grid whose GRID_POINT_BYTES a point (that peak, rounded up)
-# exceed MAX_GRID_BYTES: 1024x1024 at most.
+# The sweep's whole-grid arrays peak while it checks the ray agreement: the
+# turned and Bloch fields (32 + 32 bytes a point) and the overlap's two
+# component products (16 + 16), which numpy sums in place, 96 bytes;
+# tracemalloc reads 96 a point on 256x512 and on 1024x1024, past the fixed
+# batch arrays. The degrees take O(K) memory (ring_degree). ModelConfig
+# refuses a grid whose GRID_POINT_BYTES a point exceed MAX_GRID_BYTES:
+# 1024x1024 at most. The 256 were set when the peak was 168 bytes, and are
+# kept so that the largest grid admitted stays where it was.
 GRID_POINT_BYTES = 256
 MAX_GRID_BYTES = 2**28
 
@@ -595,6 +596,15 @@ def _gate_failure(rec: InvariantRecord) -> str | None:
     return None
 
 
+def _turned(rings: np.ndarray, phis: np.ndarray) -> np.ndarray:
+    """The ray field (K, M, 2) of rays (r0 / e^{i phi}, r1) for each ring's
+    ray (r0, r1) at phi = 0 and each azimuth phi."""
+    field = np.empty((len(rings), len(phis), 2), dtype=np.complex128)
+    field[..., 0] = rings[:, None, 0] / np.exp(1j * phis)
+    field[..., 1] = rings[:, None, 1]
+    return field
+
+
 def invariant_sweep(cfg: ModelConfig) -> InvariantRecord:
     """Headline computation: sweep the equator 2-sphere, extract the ray
     field of the projected equator map with the window kernel
@@ -611,7 +621,9 @@ def invariant_sweep(cfg: ModelConfig) -> InvariantRecord:
     (r0, r1) turns to (r0 / e^{i phi}, r1), and the weight, interior
     overlap and bulk-bond fidelities do not depend on phi. The Bloch field
     is computed at every grid point, so the ray agreement checks every
-    turned ray against an independent field.
+    turned ray against an independent field. Both degrees come from the
+    rings (`ring_degree`): the Bloch field is its rings at phi = 0 turned
+    the same way, up to a phase at each point, which no flux sees.
     """
     k_dim, m_dim = cfg.grid
     thetas, phis = sphere_grid(k_dim, m_dim)
@@ -623,13 +635,13 @@ def invariant_sweep(cfg: ModelConfig) -> InvariantRecord:
         rings[part] = win.rays
         y_min = min(y_min, np.min(win.y_overlap))
         weight_min = min(weight_min, np.min(win.weight))
-    field = np.empty((k_dim, m_dim, 2), dtype=np.complex128)
-    field[..., 0] = rings[:, None, 0] / np.exp(1j * phis)
-    field[..., 1] = rings[:, None, 1]
+    field = _turned(rings, phis)
     bloch = _bloch_vectors(thetas[:, None], phis)
-    agree_min = np.min(np.abs(np.sum(field.conj() * bloch, axis=-1)))
-    deg = plaquette_degree(field)
-    bdeg = plaquette_degree(bloch)
+    # component by component: the bits of a sum over the last axis, in a fifth of its time
+    overlap = field[..., 0].conj() * bloch[..., 0] + field[..., 1].conj() * bloch[..., 1]
+    agree_min = np.min(np.abs(overlap))
+    deg = ring_degree(rings, m_dim)
+    bdeg = ring_degree(_bloch_vectors(thetas, 0.0), m_dim)
     rec = InvariantRecord(
         degree=deg.degree,
         bloch_degree=bdeg.degree,

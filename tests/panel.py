@@ -5,6 +5,7 @@ Run from the repository root, with phaselab installed or on PYTHONPATH:
 
     PYTHONPATH=src python tests/panel.py           # compare with tests/panel.json
     PYTHONPATH=src python tests/panel.py --write   # regenerate tests/panel.json
+    PYTHONPATH=src python tests/panel.py --compare OTHER_TREE   # against OTHER_TREE/src
 
 The loops are the bundled pure and plateau loops, constant_loop(3, 10),
 and the random loops of n = 3 seeds 1-18 and of n = 4 and 5 seeds 1-12,
@@ -15,8 +16,11 @@ sheet document write_sheet writes. Each invariant run, N = 2..5 on 32x64
 and N = 2 on 64x128, records its --no-timestamp report. Integers,
 strings, booleans and cells compare exactly, floats to a relative
 tolerance of REL_TOL. The comparison prints every difference and exits 1
-if there is one. The record holds one run a line. pytest does not
-collect this file: it takes about 20 s.
+if there is one. The record holds one run a line. --compare runs the panel
+on OTHER_TREE/src and on this tree's src, each in its own interpreter, and
+prints every difference of this tree's runs from the other tree's, as if
+the other tree's were the record. pytest does not collect this file: it
+takes about 20 s.
 """
 
 from __future__ import annotations
@@ -24,6 +28,8 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -98,7 +104,25 @@ def differences(want, got, path: str = "") -> list[str]:
     return [] if same else [f"{path}: recorded {want!r}, now {got!r}"]
 
 
+def panels_of(trees) -> list[dict]:
+    """The panel of each tree's src, each run in its own interpreter, all at
+    once."""
+    code = "import json, panel; print(json.dumps(panel.panel()))"
+    runs = [subprocess.Popen([sys.executable, "-c", code], cwd=RECORD.parent, stdout=subprocess.PIPE,
+                             text=True, env={**os.environ, "PYTHONPATH": str(Path(tree, "src").resolve())})
+            for tree in trees]
+    outs = [r.communicate()[0] for r in runs]
+    if any(r.returncode for r in runs):
+        raise RuntimeError("a panel run failed")
+    return [json.loads(out.splitlines()[-1]) for out in outs]
+
+
 def run(argv) -> int:
+    if len(argv) == 2 and argv[0] == "--compare":
+        theirs, got = panels_of([argv[1], RECORD.parent.parent])
+        found = differences(theirs, got)
+        print("\n".join(found) or f"{len(got)} runs as in {argv[1]}")
+        return 1 if found else 0
     if argv not in ([], ["--write"]):
         print(__doc__, file=sys.stderr)
         return 3

@@ -14,6 +14,7 @@ from phaselab.cech import (
     is_coboundary_two_chart,
     plaquette_degree,
     refine,
+    ring_degree,
     sphere_grid,
     winding_number,
 )
@@ -413,6 +414,69 @@ def test_plaquette_degree_rejects_non_finite_field():
     field[2, 3, 0] = np.nan
     with pytest.raises(ValueError, match="finite"):
         plaquette_degree(field)
+
+
+def turned_field(rings, n_phi):
+    """The field (K, M, d) whose entry (k, m) is rings[k] with its first
+    component turned by e^{-i phi_m}, formed as the sweep forms it."""
+    phis = sphere_grid(2, n_phi)[1]
+    field = np.repeat(rings[:, None, :], n_phi, axis=1)
+    field[..., 0] = rings[:, None, 0] / np.exp(1j * phis)
+    return field
+
+
+def assert_ring_degree_is_the_reference(rings, n_phi):
+    """ring_degree(rings, n_phi) against plaquette_degree on the turned
+    field: the same degree, max_flux and total_flux to 1e-12 relative (on
+    a scale of at least 1), or the same exception with the same message.
+    Returns the reference, or None where it raises."""
+    try:
+        want = plaquette_degree(turned_field(rings, n_phi))
+    except (ValueError, NumericalGateError) as exc:
+        with pytest.raises(type(exc)) as got:
+            ring_degree(rings, n_phi)
+        assert type(got.value) is type(exc) and str(got.value) == str(exc)
+        return None
+    got = ring_degree(rings, n_phi)
+    assert got.degree == want.degree
+    for x, y in ((got.max_flux, want.max_flux), (got.total_flux, want.total_flux)):
+        assert abs(x - y) <= 1e-12 * max(abs(x), abs(y), 1.0)
+    return want
+
+
+@pytest.mark.parametrize("n_dimers, grid", [(2, (32, 64)), (3, (32, 64)), (4, (32, 64)),
+                                            (5, (32, 64)), (2, (64, 128)), (2, (8, 3))])
+def test_ring_degree_matches_plaquette_degree_on_the_sweep_rings(n_dimers, grid):
+    from phaselab.dimer import _bloch_vectors, _equator_window
+
+    thetas = sphere_grid(*grid)[0]
+    for rings in (_equator_window(thetas, 0.0, n_dimers).rays, _bloch_vectors(thetas, 0.0)):
+        want = assert_ring_degree_is_the_reference(rings, grid[1])
+        assert want is not None and want.degree == PINNED_BLOCH_DEGREE
+
+
+@given(st.integers(2, 10), st.integers(3, 24), st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_ring_degree_matches_plaquette_degree_on_random_rings(k_dim, m_dim, d, seed):
+    rng = np.random.default_rng(seed)
+    rings = rng.normal(size=(k_dim, d)) + 1j * rng.normal(size=(k_dim, d))
+    assert_ring_degree_is_the_reference(rings / np.linalg.norm(rings, axis=1, keepdims=True), m_dim)
+
+
+_HALF = np.array([1.0, 1.0]) / np.sqrt(2)
+
+
+@pytest.mark.parametrize("rings, n_phi, match", [
+    (np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]]), 6, "vanishing link"),
+    (np.array([_HALF, _HALF]), 3, "ambiguity bound"),  # cap flux arg(-1/8)
+    (np.array([[1.0, 0.0], [np.nan, 0.0]]), 6, "finite"),
+    (np.array([[1.0, 0.0], [1.1, 0.0]]), 6, "unit vectors"),
+    (np.array([[1.0, 0.0]]), 6, "must be"),
+    (np.array([[1.0, 0.0], [1.0, 0.0]]), 2, "must be"),
+])
+def test_ring_degree_refuses_as_plaquette_degree_does(rings, n_phi, match):
+    with pytest.raises((ValueError, NumericalGateError), match=match):
+        plaquette_degree(turned_field(rings.astype(complex), n_phi))
+    assert assert_ring_degree_is_the_reference(rings.astype(complex), n_phi) is None
 
 
 def test_refine_two_chart_preserves_winding():

@@ -475,13 +475,18 @@ def test_w_conserves_sz_and_the_site_rotation_factors():
 
 
 def _swept(cfg, monkeypatch):
-    """invariant_sweep's record and the ray field (K, M, 2) it hands
-    plaquette_degree."""
+    """invariant_sweep's record and the turned ray field (K, M, 2) whose
+    agreement with the Bloch field it checks."""
     from phaselab import dimer
 
-    fields, degree = [], dimer.plaquette_degree
+    fields, turned = [], dimer._turned
+
+    def kept(rings, phis):
+        fields.append(turned(rings, phis))
+        return fields[-1]
+
     with monkeypatch.context() as m:
-        m.setattr(dimer, "plaquette_degree", lambda f: fields.append(f) or degree(f))
+        m.setattr(dimer, "_turned", kept)
         rec = invariant_sweep(cfg)
     return rec, fields[0]
 
@@ -536,6 +541,27 @@ def test_invariant_sweep_runs_the_window_once_a_ring(monkeypatch):
     monkeypatch.setattr(dimer, "SWEEP_POINTS", 5)  # rings per batch
     invariant_sweep(ModelConfig(n_dimers=3, grid=(12, 16)))
     assert handed == [5, 5, 2]
+
+
+def test_invariant_sweep_takes_both_degrees_from_the_rings(monkeypatch):
+    # no whole-grid degree: ring_degree gets the K projected rings, then the
+    # K Bloch rings, and plaquette_degree is never called
+    from phaselab import cech, dimer
+
+    handed, ring = [], dimer.ring_degree
+
+    def counted(rings, n_phi):
+        handed.append((rings.shape, n_phi))
+        return ring(rings, n_phi)
+
+    def refused(field):
+        raise AssertionError("the sweep called plaquette_degree")
+
+    monkeypatch.setattr(dimer, "ring_degree", counted)
+    monkeypatch.setattr(cech, "plaquette_degree", refused)
+    monkeypatch.setattr(dimer, "plaquette_degree", refused, raising=False)
+    assert invariant_sweep(ModelConfig(n_dimers=3, grid=(12, 16))).passed
+    assert handed == [((12, 2), 16)] * 2
 
 
 def test_perturbed_bulk_bond_fails_the_window(monkeypatch):
