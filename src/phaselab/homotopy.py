@@ -840,25 +840,25 @@ def bundled_plateau_loop(n_samples: int = 900) -> StateLoop:
 
 def random_based_loop(n: int = 3, seed: int = 7, n_samples: int = 700) -> StateLoop:
     """Seeded smooth based loop on M_n mixing rotation and partial
-    depolarization; endpoints pinned to the basepoint."""
-    import scipy.linalg
-
+    depolarization; endpoints pinned to the basepoint. Sample t is
+    u_t d_t u_t† with u_t = exp(i h_t), taken for the whole stack from one
+    eigh of the Hermitian h_t as V diag(e^{iw}) V†."""
+    if n < 2:
+        raise ValueError("loops live on M_n with n >= 2")
     rng = np.random.default_rng(seed)
     gens = []
     for _ in range(2):
         a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         gens.append((a + a.conj().T) / 2)
     c1, c2 = rng.uniform(0.3, 0.7, size=2)
-
-    def rho_at(t: float) -> np.ndarray:
-        h = c1 * np.sin(np.pi * t) * gens[0] + c2 * np.sin(2 * np.pi * t) * gens[1]
-        u = scipy.linalg.expm(1j * h)
-        mix = 0.18 * np.sin(np.pi * t) ** 2
-        d = np.diag(np.array([1 - mix] + [mix / (n - 1)] * (n - 1)))
-        return u @ d @ u.conj().T
-
-    samples = [_snap(rho_at(t)) for t in np.linspace(0.0, 1.0, n_samples + 1)]
-    return StateLoop(n, np.array(samples))
+    t = np.linspace(0.0, 1.0, n_samples + 1)[:, None, None]
+    w, v = np.linalg.eigh(c1 * np.sin(np.pi * t) * gens[0] + c2 * np.sin(2 * np.pi * t) * gens[1])
+    u = (v * np.exp(1j * w)[:, None]) @ v.conj().swapaxes(-1, -2)
+    mix = 0.18 * np.sin(np.pi * t[:, 0]) ** 2
+    d = np.where(np.arange(n) == 0, 1 - mix, mix / (n - 1))
+    rhos = (u * d[:, None]) @ u.conj().swapaxes(-1, -2)
+    rhos = (rhos + rhos.conj().swapaxes(-1, -2)) / 2
+    return StateLoop(n, rhos / np.trace(rhos, axis1=1, axis2=2).real[:, None, None])
 
 
 def constant_loop(n: int = 2, n_samples: int = 32) -> StateLoop:

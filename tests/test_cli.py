@@ -3,10 +3,12 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import phaselab
 from phaselab import serialize
 from phaselab.cli import main
 from phaselab.homotopy import SAFETY_FLOOR, bundled_plateau_loop, bundled_pure_loop, constant_loop
@@ -363,6 +365,26 @@ def test_commands_run_without_scipy(tmp_path, argv):
         text=True, cwd=tmp_path, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
     )
     assert out.returncode == 0, out.stderr
+
+
+def test_random_loop_contracts_without_scipy():
+    probe = ("import sys; sys.modules['scipy'] = None; "
+             "from phaselab.homotopy import contract_loop, random_based_loop, verify_homotopy; "
+             "loop = random_based_loop(3, 2, 40); "
+             "print(verify_homotopy(contract_loop(loop), loop, loop.modulus).passed)")
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "True"
+
+
+def test_no_source_file_names_scipy():
+    package = Path(phaselab.__file__).parent
+    sources = sorted(package.rglob("*.py"))
+    assert len(sources) > 10
+    assert [p.name for p in sources if "scipy" in p.read_text(encoding="utf-8")] == []
 
 
 def test_contract_loop_refuses_an_oversize_sheet(tmp_path, capsys):

@@ -60,6 +60,45 @@ def test_state_loop_validation():
     assert np.array_equal(stored, (rhos + rhos.conj().swapaxes(-1, -2)) / 2)
 
 
+def _expm_loop_samples(n, seed, n_samples):
+    """The seeded loop's samples one at a time, each exponential from
+    scipy.linalg.expm: the reference for random_based_loop's batched eigh."""
+    from scipy.linalg import expm
+
+    rng = np.random.default_rng(seed)
+    gens = []
+    for _ in range(2):
+        a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        gens.append((a + a.conj().T) / 2)
+    c1, c2 = rng.uniform(0.3, 0.7, size=2)
+
+    def rho_at(t):
+        h = c1 * np.sin(np.pi * t) * gens[0] + c2 * np.sin(2 * np.pi * t) * gens[1]
+        u = expm(1j * h)
+        mix = 0.18 * np.sin(np.pi * t) ** 2
+        d = np.diag(np.array([1 - mix] + [mix / (n - 1)] * (n - 1)))
+        return u @ d @ u.conj().T
+
+    return np.array([homotopy._snap(rho_at(t)) for t in np.linspace(0.0, 1.0, n_samples + 1)])
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_random_loop_matches_the_expm_reference(n):
+    # 1e-13 is about 450 eps, fixed before the batched generator was
+    # measured against the reference (1.2e-15 at worst)
+    for seed in range(1, 13):
+        rhos = random_based_loop(n, seed, 700).rhos
+        assert np.max(np.abs(rhos - _expm_loop_samples(n, seed, 700))) <= 1e-13
+
+
+def test_random_loop_refuses_n_below_two(monkeypatch):
+    # refused before the rng is drawn, not as the 0/0 of mix / (n - 1)
+    monkeypatch.setattr(np.random, "default_rng", None)
+    for n in (1, 0, -2):
+        with pytest.raises(ValueError, match="n >= 2"):
+            random_based_loop(n, 2, 40)
+
+
 def test_state_loop_is_one_validated_array():
     loop = bundled_pure_loop(16)
     assert loop.rhos.dtype == np.complex128
