@@ -134,7 +134,11 @@ def trace_norm(m: np.ndarray):
     adjoint bit for bit takes the sum of its absolute eigenvalues
     (_hermitian_trace_norm), any other an SVD. The choice is per matrix, and
     each matrix's value is that of a single call on it, whatever the stack.
-    For a traceless Hermitian matrix, such as the difference of two states,
+    A stack Hermitian in exact arithmetic but formed from complex products,
+    such as a a† - b b†, is generally not Hermitian bit for bit where the
+    multiply fuses (FMA), and takes the SVD: a caller that knows its stack
+    is Hermitian passes its Hermitian part (m + m†)/2. For a traceless
+    Hermitian matrix, such as the difference of two states,
     √2‖Δ‖_F <= ‖Δ‖₁ <= √n‖Δ‖_F, with equality on the left at rank 2."""
     m = np.asarray(m, dtype=np.complex128)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:

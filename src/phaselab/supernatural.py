@@ -8,6 +8,7 @@ algebras classified by a.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -18,10 +19,11 @@ INF = inf
 
 
 def factorize(n: int) -> dict[int, int]:
-    """{prime: exponent} of n >= 1, a new dict each call, by trial division
-    up to 10^6, run once per process for each distinct n; a part of n then
-    left over 10^12, which could be composite, raises ValueError."""
-    return dict(_prime_powers(n))
+    """{prime: exponent} of an integer n >= 1 (operator.index), a new dict
+    each call, by trial division up to 10^6, run once per process for each
+    distinct n; a part of n then left over 10^12, which could be composite,
+    raises ValueError."""
+    return dict(_prime_powers(operator.index(n)))
 
 
 @lru_cache(maxsize=None)
@@ -46,8 +48,8 @@ def _prime_powers(n: int) -> tuple[tuple[int, int], ...]:
 class SupernaturalNumber:
     """Formal prime factorization with exponents in N union {infinity}.
 
-    Absent primes have exponent zero; exponents are ints except for the
-    infinity marker.
+    Absent primes have exponent zero; primes and exponents are ints, not
+    bools, except for the infinity marker.
     """
 
     exponents: dict = field(default_factory=dict)
@@ -55,16 +57,14 @@ class SupernaturalNumber:
     def __post_init__(self):
         clean = {}
         for p, e in self.exponents.items():
-            if p < 2 or factorize(p) != {p: 1}:
-                raise ValueError(f"{p} is not prime")
+            if type(p) is not int or p < 2 or _prime_powers(p) != ((p, 1),):
+                raise ValueError(f"{p!r} is not a prime int")
             if e == INF:
                 clean[p] = INF
-            elif isinstance(e, int) and e > 0:
-                clean[p] = e
-            elif e == 0:
-                continue
-            else:
+            elif type(e) is not int or e < 0:
                 raise ValueError(f"bad exponent {e!r} for prime {p}")
+            elif e:
+                clean[p] = e
         object.__setattr__(self, "exponents", dict(sorted(clean.items())))
 
     def exponent(self, p: int):

@@ -16,11 +16,13 @@ sheet document write_sheet writes. Each invariant run, N = 2..5 on 32x64
 and N = 2 on 64x128, records its --no-timestamp report. Integers,
 strings, booleans and cells compare exactly, floats to a relative
 tolerance of REL_TOL. The comparison prints every difference and exits 1
-if there is one. The record holds one run a line. --compare runs the panel
-on OTHER_TREE/src and on this tree's src, each in its own interpreter, and
-prints every difference of this tree's runs from the other tree's, as if
-the other tree's were the record. pytest does not collect this file: it
-takes about 20 s.
+if there is one; it also prints how many recorded floats differ at all,
+and the largest relative drift with its path, which does not fail it, so
+a record gone stale under REL_TOL shows. The record holds one run a
+line. --compare runs the panel on OTHER_TREE/src and on this tree's src,
+each in its own interpreter, and prints every difference of this tree's
+runs from the other tree's, as if the other tree's were the record.
+pytest does not collect this file: it takes about 20 s.
 """
 
 from __future__ import annotations
@@ -89,19 +91,54 @@ def panel() -> dict:
     return runs
 
 
-def differences(want, got, path: str = "") -> list[str]:
-    """Every place where `got` differs from the record `want`, as text."""
+MISSING = object()
+
+
+def leaves(want, got, path: str = ""):
+    """(path, recorded, now) of each leaf of the record `want` and of `got`,
+    MISSING for a key that one of them lacks; lists of different lengths
+    are one leaf."""
     if isinstance(want, dict) and isinstance(got, dict):
-        out = [f"{path}/{k}: recorded, now missing" for k in want if k not in got]
-        out += [f"{path}/{k}: new, not recorded" for k in got if k not in want]
-        return out + [d for k in want if k in got for d in differences(want[k], got[k], f"{path}/{k}")]
-    if isinstance(want, list) and isinstance(got, list) and len(want) == len(got):
-        return [d for i, (w, g) in enumerate(zip(want, got)) for d in differences(w, g, f"{path}[{i}]")]
-    if type(want) is float and type(got) is float:
-        same = abs(want - got) <= REL_TOL * max(abs(want), abs(got))
+        yield from ((f"{path}/{k}", want[k], MISSING) for k in want if k not in got)
+        yield from ((f"{path}/{k}", MISSING, got[k]) for k in got if k not in want)
+        for k in want:
+            if k in got:
+                yield from leaves(want[k], got[k], f"{path}/{k}")
+    elif isinstance(want, list) and isinstance(got, list) and len(want) == len(got):
+        for i, (w, g) in enumerate(zip(want, got)):
+            yield from leaves(w, g, f"{path}[{i}]")
     else:
-        same = type(want) is type(got) and want == got
-    return [] if same else [f"{path}: recorded {want!r}, now {got!r}"]
+        yield path, want, got
+
+
+def differences(want, got) -> list[str]:
+    """Every place where `got` differs from the record `want`, as text."""
+    out = []
+    for path, w, g in leaves(want, got):
+        if g is MISSING:
+            out.append(f"{path}: recorded, now missing")
+        elif w is MISSING:
+            out.append(f"{path}: new, not recorded")
+        else:
+            if type(w) is float and type(g) is float:
+                same = abs(w - g) <= REL_TOL * max(abs(w), abs(g))
+            else:
+                same = type(w) is type(g) and w == g
+            if not same:
+                out.append(f"{path}: recorded {w!r}, now {g!r}")
+    return out
+
+
+def drift(want, got) -> str:
+    """How many floats of the record `want` differ from `got` at all, and
+    the largest relative difference with its path: drift under REL_TOL
+    that a stale record shows, and no comparison fails on."""
+    moved = [(abs(w - g) / max(abs(w), abs(g)), path) for path, w, g in leaves(want, got)
+             if type(w) is float and type(g) is float and w != g]
+    if not moved:
+        return "recorded floats that differ at all: 0"
+    rel, path = max(moved)
+    return f"recorded floats that differ at all: {len(moved)}; largest relative drift {rel:.3g} at {path}"
 
 
 def panels_of(trees) -> list[dict]:
@@ -132,8 +169,10 @@ def run(argv) -> int:
         RECORD.write_text("{\n" + ",\n".join(lines) + "\n}\n", encoding="utf-8")
         print(f"wrote {RECORD}: {len(got)} runs")
         return 0
-    found = differences(json.loads(RECORD.read_text(encoding="utf-8")), got)
+    record = json.loads(RECORD.read_text(encoding="utf-8"))
+    found = differences(record, got)
     print("\n".join(found) or f"{len(got)} runs as recorded")
+    print(drift(record, got))
     return 1 if found else 0
 
 

@@ -163,8 +163,8 @@ def test_selfcheck_deterministic(tmp_path):
 def test_metric_suite_batches_trace_norms_as_single_calls():
     # the suite draws every pair's dimension first, then each dimension's
     # pairs in one draw; per-pair ray distances against the same
-    # per-dimension trace_norm stacks are the reference, and the report
-    # must not move a bit
+    # per-dimension trace_norm stacks of the differences' Hermitian parts
+    # are the reference, and the report must not move a bit
     from phaselab import linalg, projective, selfcheck
 
     rng = np.random.default_rng(5)
@@ -176,9 +176,39 @@ def test_metric_suite_batches_trace_norms_as_single_calls():
         a, b = v / np.linalg.norm(v, axis=-1, keepdims=True)
         gaps = np.array([projective.ray_distances(x, y).gap for x, y in zip(a, b)])
         diffs = np.array([np.outer(x, x.conj()) - np.outer(y, y.conj()) for x, y in zip(a, b)])
+        diffs = (diffs + diffs.conj().swapaxes(-1, -2)) / 2
         worst = max(worst, np.max(np.abs(gaps - 0.5 * linalg.trace_norm(diffs))))
     result = selfcheck.metric_suite(np.random.default_rng(5), n_pairs=300)
     assert result.details["gap_vs_half_trace_norm"] == worst
+
+
+def test_metric_suite_takes_no_svd(monkeypatch):
+    # each projector difference is Hermitian bit for bit, so trace_norm
+    # takes the closed forms at n = 2, 3 and eigvalsh at n = 4, 5
+    from phaselab import selfcheck
+
+    def svd(*args, **kwargs):
+        raise AssertionError("metric_suite took an SVD")
+
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    for seed in (1, 7):
+        assert selfcheck.metric_suite(np.random.default_rng([seed, 0])).passed
+
+
+@pytest.mark.parametrize("kernel", ["_closed_form_2", "_closed_form_3"])
+def test_metric_suite_fails_a_closed_form_off_by_a_millionth(monkeypatch, kernel):
+    from phaselab import linalg, selfcheck
+
+    exact = getattr(linalg, kernel)
+
+    def scaled(x):
+        norms, done = exact(x)
+        return norms * (1 + 1e-6), done
+
+    monkeypatch.setattr(linalg, kernel, scaled)
+    result = selfcheck.metric_suite(np.random.default_rng([7, 0]))
+    assert not result.passed
+    assert result.details["gap_vs_half_trace_norm"] > 1e-7
 
 
 def test_metric_suite_skips_empty_dimension_groups():

@@ -1,5 +1,7 @@
 from fractions import Fraction
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from phaselab import supernatural
@@ -62,6 +64,19 @@ def test_constructor_validation():
     with pytest.raises(ValueError):
         SupernaturalNumber({2: -1})
     assert str(SupernaturalNumber({2: 0})) == "1"
+    # a bool is not an exponent, and a prime is an int, as serialize._integer has it
+    for exps in ({2: True}, {2: False}, {2: 2.0}, {2.0: 2}, {True: 1}, {np.int64(2): 1}):
+        with pytest.raises(ValueError):
+            SupernaturalNumber(exps)
+    # what the module builds has int primes, from numpy integers too
+    built = (from_type_sequence([2, 6, 12], tail_ratio=2), from_int(360), from_int(np.int64(7)),
+             mul(from_int(12), SupernaturalNumber({5: INF})))
+    assert [str(x) for x in built] == ["2^inf*3", "2^3*3^2*5", "7", "2^2*3*5^inf"]
+    for x in built:
+        assert all(type(p) is int for p in x.exponents)
+        assert all(type(e) is int or e == INF for e in x.exponents.values())
+    with pytest.raises(TypeError):
+        from_int(7.0)
 
 
 def test_from_type_sequence():
@@ -130,3 +145,50 @@ def test_homotopy_table():
     for k_max in (0, MAX_TABLE_K + 1):
         with pytest.raises(ValueError, match="k_max"):
             homotopy_table(a, k_max)
+
+
+def _scalar_draws(rng):
+    """The supernatural suite's draws as it made them one scalar at a time:
+    its 180 numbers, one draw per prime, then its 40 pairs of rationals."""
+    def rand_sn():
+        exps = {}
+        for p in (2, 3, 5, 7):
+            r = rng.integers(0, 4)
+            if r == 3:
+                exps[p] = INF
+            elif r:
+                exps[p] = int(r)
+        return SupernaturalNumber(exps)
+
+    numbers = [rand_sn() for _ in range(180)]
+    rationals = []
+    for _ in range(40):
+        q1 = Fraction(int(rng.integers(-20, 20)), int(2 ** rng.integers(0, 5) * 3))
+        q2 = Fraction(int(rng.integers(-20, 20)), int(2 ** rng.integers(0, 6)))
+        rationals.append((q1, q2))
+    return numbers, rationals
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+def test_supernatural_suite_draws_as_the_scalar_loop(monkeypatch, seed):
+    from phaselab import selfcheck
+
+    key = [seed, list(selfcheck.SUITES).index("supernatural")]
+    ref_rng = np.random.default_rng(key)
+    numbers, rationals = _scalar_draws(ref_rng)
+    built, asked = [], []
+    spy = SimpleNamespace(**vars(supernatural))
+    spy.SupernaturalNumber = lambda exps: built.append(SupernaturalNumber(exps)) or built[-1]
+    spy.q_contains = lambda a, q: asked.append(q) or q_contains(a, q)
+    monkeypatch.setattr(selfcheck, "supernatural", spy)
+    rng = np.random.default_rng(key)
+    assert selfcheck.supernatural_suite(rng).passed
+    assert built == numbers
+    tower = from_type_sequence([2, 6, 12], tail_ratio=2)
+    want = []
+    for q1, q2 in rationals:
+        want.append(q1)
+        if q_contains(tower, q1):
+            want += [q2, q1 + q2] if q_contains(tower, q2) else [q2]
+    assert asked == want
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
