@@ -4,7 +4,10 @@ Covers carry finitely many sample points per overlap; cochains are valued
 in U(1) or in unitaries-mod-phase. Includes the cocycle checker, pullback
 refinement of U(1) cochains, the two-chart coboundary/winding decision,
 the delta_1 lift of unitary-valued lifts to a U(1)-valued 2-cochain, and
-the plaquette (lattice-degree) extraction on closed S^2 grids.
+the lattice degree, from its K rings, of a ray field on the pole-avoiding
+S^2 grid that turns with the azimuth. The general lattice degree of any
+(K, M, d) field, `plaquette_degree`, is the tests' reference for it
+(tests/ray_fields.py).
 """
 
 from __future__ import annotations
@@ -322,13 +325,14 @@ class PlaquetteDegree(NamedTuple):
 # the branch cut are ambiguous by one unit of 2 pi and mean the grid is too
 # coarse to certify the degree
 FLUX_MARGIN = 0.95 * np.pi
+# ring_degree sums M times each band's flux exactly up to this many azimuths
+MAX_AZIMUTHS = 2**26
 
 
-def sphere_grid(n_theta: int, n_phi: int) -> tuple[np.ndarray, np.ndarray]:
-    """Pole-avoiding S^2 grid: theta = (k + 1/2) pi / K, phi = 2 pi m / M."""
-    thetas = (np.arange(n_theta) + 0.5) * np.pi / n_theta
-    phis = 2.0 * np.pi * np.arange(n_phi) / n_phi
-    return thetas, phis
+def ring_latitudes(n_theta: int) -> np.ndarray:
+    """The K ring latitudes of the pole-avoiding S^2 grid,
+    theta_k = (k + 1/2) pi / K; its azimuths are phi_m = 2 pi m / M."""
+    return (np.arange(n_theta) + 0.5) * np.pi / n_theta
 
 
 def _check_rays(shape_ok: bool, field: np.ndarray) -> None:
@@ -360,51 +364,30 @@ def _gated_degree(links, flux: np.ndarray, caps, total: float) -> PlaquetteDegre
     return PlaquetteDegree(deg, max_flux, total, integrality)
 
 
-def plaquette_degree(field: np.ndarray) -> PlaquetteDegree:
-    """Degree of a ray field sampled on the pole-avoiding S^2 grid.
-
-    `field` has shape (K, M, d): row k is the theta ring, column m the
-    azimuth, each entry a unit vector whose ray matters. Plaquettes are
-    traversed counterclockwise viewed from outside the sphere; the two
-    polar caps are closed by treating the innermost rings as boundaries of
-    single polar plaquettes.
-    """
-    field = np.asarray(field, dtype=np.complex128)
-    _check_rays(field.ndim == 3 and field.shape[0] >= 2 and field.shape[1] >= 3, field)
-
-    # directed links: theta-links k -> k+1, phi-links m -> m+1 (wrapping)
-    link_theta = np.einsum("kmd,kmd->km", field[:-1].conj(), field[1:])
-    link_phi = np.einsum("kmd,kmd->km", field.conj(), np.roll(field, -1, axis=1))
-    plaq = (
-        link_theta
-        * link_phi[1:]
-        * np.conj(np.roll(link_theta, -1, axis=1))
-        * np.conj(link_phi[:-1])
-    )
-    flux = np.angle(plaq)
-    cap_north = float(np.angle(np.prod(link_phi[0])))
-    cap_south = float(np.angle(np.prod(np.conj(link_phi[-1]))))
-    total = float(np.sum(flux)) + cap_north + cap_south
-    return _gated_degree((link_theta, link_phi), flux, (cap_north, cap_south), total)
-
-
 def ring_degree(rings: np.ndarray, n_phi: int) -> PlaquetteDegree:
-    """`plaquette_degree` of the field whose entry (k, m) is rings[k] with
-    its first component turned by e^{-i phi_m}, phi_m = 2 pi m / n_phi, in
-    O(K) work.
+    """Lattice degree, in O(K) work, of the ray field on the pole-avoiding
+    S^2 grid whose entry (k, m) is rings[k] with its first component turned
+    by e^{-i phi_m}, phi_m = 2 pi m / n_phi.
 
-    Every link of that field is the same along its ring or band: the theta
-    link a_k = <r_k, r_{k+1}>, and the phi link
-    b_k = |r_k0|^2 e^{-2 pi i / M} + the rest of |r_k|^2. So all M
-    plaquettes of band k have the flux of a_k b_{k+1} conj(a_k) conj(b_k),
-    and the caps are arg(b_0^M) and arg(conj(b_{K-1})^M). The band's
-    plaquette is formed as `plaquette_degree` forms one, |a_k|^2 included,
+    Plaquettes are traversed counterclockwise viewed from outside the
+    sphere; the two polar caps are closed by treating the innermost rings
+    as boundaries of single polar plaquettes. Every link of the field is
+    the same along its ring or band: the theta link a_k = <r_k, r_{k+1}>,
+    and the phi link b_k = |r_k0|^2 e^{-2 pi i / M} + the rest of |r_k|^2.
+    So all M plaquettes of band k have the flux of
+    a_k b_{k+1} conj(a_k) conj(b_k), and the caps are arg(b_0^M) and
+    arg(conj(b_{K-1})^M). The band's plaquette is formed as the tests'
+    whole-grid reference `plaquette_degree` forms one, |a_k|^2 included,
     and the total is the correctly rounded sum of every plaquette's flux:
     of the forms tried, these printed the sweep's fluxes and integrality
     shortest. M times a band's flux is exact as M times each of its two
-    26-bit halves, for M <= 2^26. A field that differs from this one by a
-    phase at each point, the Bloch field among them, has the same fluxes.
+    26-bit halves, so an M that is not an int or exceeds MAX_AZIMUTHS
+    (2^26) is refused with ValueError. A field that differs from this one
+    by a phase at each point, the Bloch field among them, has the same
+    fluxes.
     """
+    if not isinstance(n_phi, int) or n_phi > MAX_AZIMUTHS:
+        raise ValueError(f"n_phi must be an int of at most {MAX_AZIMUTHS}, got {n_phi!r}")
     rings = np.asarray(rings, dtype=np.complex128)
     _check_rays(rings.ndim == 2 and len(rings) >= 2 and n_phi >= 3, rings)
     weight = np.abs(rings) ** 2

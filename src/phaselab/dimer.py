@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cech import ring_degree, sphere_grid
+from .cech import MAX_AZIMUTHS, ring_degree, ring_latitudes
 from .linalg import (
     DOWN,
     SIGMA_MINUS,
@@ -53,19 +53,20 @@ MAX_DENSE_BYTES = 2**24
 # Rings per window batch of the sweep, which runs the kernel once a ring, at
 # phi = 0. The window's arrays have a fixed size per ring, so this bounds the
 # kernel's memory for any grid and N: at N=2 or 3 a 64x128 run (one batch)
-# raises the peak RSS over that after import by 3.0-3.1 MB, as with one-ring
-# batches, and a 16384x64 run by 178.4 MB, against 188.0 MB when its 16384
+# raises the peak RSS over that after import by 1.1-1.2 MB, as with one-ring
+# batches, and a 16384x64 run by 6.1-6.2 MB, against 29.1 MB when its 16384
 # rings are one batch.
 SWEEP_POINTS = 512
-# The sweep's whole-grid arrays peak while it checks the ray agreement: the
-# turned and Bloch fields (32 + 32 bytes a point) and the overlap's two
-# component products (16 + 16), which numpy sums in place, 96 bytes;
-# tracemalloc reads 96 a point on 256x512 and on 1024x1024, past the fixed
-# batch arrays. The degrees take O(K) memory (ring_degree). ModelConfig
-# refuses a grid whose GRID_POINT_BYTES a point exceed MAX_GRID_BYTES:
-# 1024x1024 at most. The 256 were set when the peak was 168 bytes, and are
-# kept so that the largest grid admitted stays where it was.
-GRID_POINT_BYTES = 256
+# The sweep holds O(K) memory: the K rings and the Bloch rings, the ray
+# agreement's products, and ring_degree's links, fluxes and the Python
+# floats that math.fsum sums; M sets only ring_degree's n_phi. Its
+# tracemalloc peak is the larger of one window batch's arrays (about 1 MiB,
+# freed before the degrees) and 224-230 bytes a ring: at N = 2 and 4, M = 3,
+# on K = 8,192 to 262,144, and 224 MiB at K = 2^20. ModelConfig refuses a
+# grid whose RING_BYTES a ring exceed MAX_GRID_BYTES, K > 2^20, or whose M
+# exceeds cech.MAX_AZIMUTHS. A 2^20 x 3 run takes 2.7-3.1 s whole process
+# (one BLAS thread, 2 cores), with degree 1 and a passing verdict.
+RING_BYTES = 256
 MAX_GRID_BYTES = 2**28
 
 
@@ -123,7 +124,10 @@ class ModelConfig:
             raise ValueError("need at least two dimers")
         if self.grid[0] < 2 or self.grid[1] < 3:
             raise ValueError("grid must be at least 2 x 3")
-        if self.grid[0] * self.grid[1] * GRID_POINT_BYTES > MAX_GRID_BYTES:
+        if not all(isinstance(n, int) for n in self.grid) or self.grid[1] > MAX_AZIMUTHS:
+            raise ValueError(f"grid {self.grid[0]}x{self.grid[1]} must be two integers, with at "
+                             f"most {MAX_AZIMUTHS} azimuths")
+        if self.grid[0] * RING_BYTES > MAX_GRID_BYTES:
             raise ValueError(f"grid {self.grid[0]}x{self.grid[1]} exceeds the "
                              f"{MAX_GRID_BYTES}-byte budget")
 
@@ -596,15 +600,6 @@ def _gate_failure(rec: InvariantRecord) -> str | None:
     return None
 
 
-def _turned(rings: np.ndarray, phis: np.ndarray) -> np.ndarray:
-    """The ray field (K, M, 2) of rays (r0 / e^{i phi}, r1) for each ring's
-    ray (r0, r1) at phi = 0 and each azimuth phi."""
-    field = np.empty((len(rings), len(phis), 2), dtype=np.complex128)
-    field[..., 0] = rings[:, None, 0] / np.exp(1j * phis)
-    field[..., 1] = rings[:, None, 1]
-    return field
-
-
 def invariant_sweep(cfg: ModelConfig) -> InvariantRecord:
     """Headline computation: sweep the equator 2-sphere, extract the ray
     field of the projected equator map with the window kernel
@@ -619,14 +614,18 @@ def invariant_sweep(cfg: ModelConfig) -> InvariantRecord:
     R real, so U1† M† Omega at (theta, phi) is that at (theta, 0) times
     diag(e^{-i phi/2}, e^{i phi/2}) on every site, up to a phase: the ray
     (r0, r1) turns to (r0 / e^{i phi}, r1), and the weight, interior
-    overlap and bulk-bond fidelities do not depend on phi. The Bloch field
-    is computed at every grid point, so the ray agreement checks every
-    turned ray against an independent field. Both degrees come from the
-    rings (`ring_degree`): the Bloch field is its rings at phi = 0 turned
-    the same way, up to a phase at each point, which no flux sees.
+    overlap and bulk-bond fidelities do not depend on phi. The Bloch
+    vector (c / e^{i phi/2}, s e^{i phi/2}) is its ring's at phi = 0
+    turned the same way, up to a phase, so |<z, b>| = |conj(r0) c +
+    conj(r1) s| at every azimuth: the ray agreement is taken on the rings,
+    against the Bloch rings at phi = 0, and so are both degrees
+    (`ring_degree`), which no phase at a point changes. The sweep holds
+    O(K) memory and no array of length M, so it compares no grid point with
+    an independently formed field; the tests compare the turned rings with
+    the window and with the dense oracle at every grid point.
     """
     k_dim, m_dim = cfg.grid
-    thetas, phis = sphere_grid(k_dim, m_dim)
+    thetas = ring_latitudes(k_dim)
     rings = np.empty((k_dim, 2), dtype=np.complex128)
     y_min = weight_min = np.inf
     for start in range(0, k_dim, SWEEP_POINTS):
@@ -635,13 +634,10 @@ def invariant_sweep(cfg: ModelConfig) -> InvariantRecord:
         rings[part] = win.rays
         y_min = min(y_min, np.min(win.y_overlap))
         weight_min = min(weight_min, np.min(win.weight))
-    field = _turned(rings, phis)
-    bloch = _bloch_vectors(thetas[:, None], phis)
-    # component by component: the bits of a sum over the last axis, in a fifth of its time
-    overlap = field[..., 0].conj() * bloch[..., 0] + field[..., 1].conj() * bloch[..., 1]
-    agree_min = np.min(np.abs(overlap))
+    bloch = _bloch_vectors(thetas, 0.0)
+    agree_min = np.min(np.abs(np.sum(rings.conj() * bloch, axis=1)))
     deg = ring_degree(rings, m_dim)
-    bdeg = ring_degree(_bloch_vectors(thetas, 0.0), m_dim)
+    bdeg = ring_degree(bloch, m_dim)
     rec = InvariantRecord(
         degree=deg.degree,
         bloch_degree=bdeg.degree,

@@ -12,14 +12,12 @@ from phaselab.cech import (
     coboundary_u1,
     delta1_lift,
     is_coboundary_two_chart,
-    plaquette_degree,
     refine,
     ring_degree,
-    sphere_grid,
     winding_number,
 )
-from phaselab.dimer import bloch_ground_map
 from phaselab.util import NumericalGateError
+from ray_fields import bloch_field, plaquette_degree, sphere_grid, turned_field
 
 PTS = [(0.1, 0.2), (0.3, -0.4), (0.7, 0.05)]
 
@@ -288,18 +286,6 @@ def test_delta1_exact_and_perturbed():
         delta1_lift(PUCochain1(cover, broken), cover)
 
 
-def bloch_field(k_dim, m_dim, winding=1):
-    """The Bloch map composed with phi -> winding * phi, on the sphere grid."""
-    thetas, phis = sphere_grid(k_dim, m_dim)
-    field = np.zeros((k_dim, m_dim, 2), dtype=complex)
-    for k, th in enumerate(thetas):
-        for m, ph in enumerate(phis):
-            ph = winding * ph
-            r = np.array([np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th)])
-            field[k, m] = bloch_ground_map(r)
-    return field
-
-
 def test_plaquette_degree_constant_field():
     field = np.zeros((8, 12, 2), dtype=complex)
     field[..., 0] = 1.0
@@ -416,15 +402,6 @@ def test_plaquette_degree_rejects_non_finite_field():
         plaquette_degree(field)
 
 
-def turned_field(rings, n_phi):
-    """The field (K, M, d) whose entry (k, m) is rings[k] with its first
-    component turned by e^{-i phi_m}, formed as the sweep forms it."""
-    phis = sphere_grid(2, n_phi)[1]
-    field = np.repeat(rings[:, None, :], n_phi, axis=1)
-    field[..., 0] = rings[:, None, 0] / np.exp(1j * phis)
-    return field
-
-
 def assert_ring_degree_is_the_reference(rings, n_phi):
     """ring_degree(rings, n_phi) against plaquette_degree on the turned
     field: the same degree, max_flux and total_flux to 1e-12 relative (on
@@ -477,6 +454,20 @@ def test_ring_degree_refuses_as_plaquette_degree_does(rings, n_phi, match):
     with pytest.raises((ValueError, NumericalGateError), match=match):
         plaquette_degree(turned_field(rings.astype(complex), n_phi))
     assert assert_ring_degree_is_the_reference(rings.astype(complex), n_phi) is None
+
+
+def test_ring_degree_takes_only_an_azimuth_count_it_sums_exactly():
+    # M times a band's flux is exact for an int M <= 2^26; past it, or for a
+    # float M, ring_degree refuses before it reads the rings
+    from phaselab.cech import MAX_AZIMUTHS
+    from phaselab.dimer import _bloch_vectors
+
+    assert MAX_AZIMUTHS == 2**26
+    rings = _bloch_vectors(sphere_grid(64, 3)[0], 0.0)
+    assert ring_degree(rings, MAX_AZIMUTHS).degree == PINNED_BLOCH_DEGREE
+    for n_phi in (MAX_AZIMUTHS + 1, 64.0, 2.0**40):
+        with pytest.raises(ValueError, match="n_phi must be an int of at most 67108864"):
+            ring_degree(rings, n_phi)
 
 
 def test_refine_two_chart_preserves_winding():

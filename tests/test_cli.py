@@ -574,12 +574,24 @@ def _traced_peak(argv):
 
 
 def test_invariant_refuses_an_oversize_grid(tmp_path, capsys):
-    code, peak = _traced_peak(["invariant", "--grid", "100000x200000", "--no-timestamp"])
+    # the budget counts rings, at most 2^20 of them, whatever M is
+    code, peak = _traced_peak(["invariant", "--grid", "1048577x3", "--no-timestamp"])
     assert code == 3 and peak < 2**20
     assert "budget" in capsys.readouterr().err
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"grid": [1025, 1024]}), encoding="utf-8")
+    path.write_text(json.dumps({"grid": [10**12, 3]}), encoding="utf-8")
     assert main(["invariant", "--config", str(path)]) == 3
+    assert "budget" in capsys.readouterr().err
+
+
+def test_invariant_takes_at_most_the_azimuths_ring_degree_sums_exactly(capsys):
+    # 2^26 azimuths sweep as any M does; one more is refused before the window runs
+    code, peak = _traced_peak(["invariant", "--grid", "64x67108865", "--no-timestamp"])
+    assert code == 3 and peak < 2**20
+    assert "most 67108864 azimuths" in capsys.readouterr().err
+    assert main(["invariant", "--grid", "64x67108864", "--no-timestamp"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["degree"] == report["bloch_degree"] == 1 and report["pass"] is True
 
 
 def test_invariant_long_chain_costs_what_two_dimers_cost(capsys):

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from phaselab.cech import sphere_grid
 from phaselab.dimer import (
     ModelConfig,
     ParamPoint,
@@ -28,6 +27,7 @@ from phaselab.linalg import (
     operator_norm,
     spin_chain,
 )
+from ray_fields import sphere_grid, turned_field
 
 UP_DN = np.array([0, 1, 0, 0], dtype=complex)
 DN_UP = np.array([0, 0, 1, 0], dtype=complex)
@@ -394,19 +394,24 @@ def test_equator_window_weight_is_the_same_in_any_batch(n_dimers):
 
 
 def test_model_config_grid_budget():
-    # the largest square grid within the budget is accepted (not swept); one
-    # more ring is refused before the sweep allocates anything
+    # the budget counts rings: the most rings it admits, 2^20, are accepted
+    # (not swept) at the most azimuths ring_degree sums exactly, 2^26; one
+    # more ring or azimuth, or a float M, is refused before the sweep
+    # allocates anything
     import tracemalloc
 
-    from phaselab.dimer import GRID_POINT_BYTES, MAX_GRID_BYTES
+    from phaselab.cech import MAX_AZIMUTHS
+    from phaselab.dimer import MAX_GRID_BYTES, RING_BYTES
 
-    side = int(np.sqrt(MAX_GRID_BYTES // GRID_POINT_BYTES))
-    assert ModelConfig(grid=(side, side)).grid == (1024, 1024)
-    assert ModelConfig(grid=(256, 512)).grid == (256, 512)
+    k_max = MAX_GRID_BYTES // RING_BYTES
+    assert (k_max, MAX_AZIMUTHS) == (2**20, 2**26)
+    assert ModelConfig(grid=(k_max, MAX_AZIMUTHS)).grid == (2**20, 2**26)
+    assert ModelConfig(grid=(1024, 1024)).grid == (1024, 1024)
     tracemalloc.start()
     try:
-        for grid in ((side + 1, side), (10**6, 10**6)):
-            with pytest.raises(ValueError, match="budget"):
+        for grid, match in (((k_max + 1, 3), "budget"), ((10**12, 3), "budget"),
+                            ((64, MAX_AZIMUTHS + 1), "azimuths"), ((64, 128.0), "two integers")):
+            with pytest.raises(ValueError, match=match):
                 invariant_sweep(ModelConfig(grid=grid))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -475,20 +480,20 @@ def test_w_conserves_sz_and_the_site_rotation_factors():
 
 
 def _swept(cfg, monkeypatch):
-    """invariant_sweep's record and the turned ray field (K, M, 2) whose
-    agreement with the Bloch field it checks."""
+    """invariant_sweep's record and its ray field (K, M, 2): the rings it
+    hands ring_degree first, turned through the azimuths."""
     from phaselab import dimer
 
-    fields, turned = [], dimer._turned
+    handed, ring = [], dimer.ring_degree
 
-    def kept(rings, phis):
-        fields.append(turned(rings, phis))
-        return fields[-1]
+    def kept(rings, n_phi):
+        handed.append(rings.copy())
+        return ring(rings, n_phi)
 
     with monkeypatch.context() as m:
-        m.setattr(dimer, "_turned", kept)
+        m.setattr(dimer, "ring_degree", kept)
         rec = invariant_sweep(cfg)
-    return rec, fields[0]
+    return rec, turned_field(handed[0], cfg.grid[1])
 
 
 @pytest.mark.parametrize("n_dimers", [2, 3, 4, 5])
@@ -545,8 +550,8 @@ def test_invariant_sweep_runs_the_window_once_a_ring(monkeypatch):
 
 def test_invariant_sweep_takes_both_degrees_from_the_rings(monkeypatch):
     # no whole-grid degree: ring_degree gets the K projected rings, then the
-    # K Bloch rings, and plaquette_degree is never called
-    from phaselab import cech, dimer
+    # K Bloch rings
+    from phaselab import dimer
 
     handed, ring = [], dimer.ring_degree
 
@@ -554,14 +559,27 @@ def test_invariant_sweep_takes_both_degrees_from_the_rings(monkeypatch):
         handed.append((rings.shape, n_phi))
         return ring(rings, n_phi)
 
-    def refused(field):
-        raise AssertionError("the sweep called plaquette_degree")
-
     monkeypatch.setattr(dimer, "ring_degree", counted)
-    monkeypatch.setattr(cech, "plaquette_degree", refused)
-    monkeypatch.setattr(dimer, "plaquette_degree", refused, raising=False)
     assert invariant_sweep(ModelConfig(n_dimers=3, grid=(12, 16))).passed
     assert handed == [((12, 2), 16)] * 2
+
+
+def test_invariant_sweep_memory_does_not_grow_with_the_azimuths():
+    # the sweep holds its K rings and no array of length M or K x M: at
+    # K = 64 the peak on 2^20 azimuths is that on 128, to within 64 KiB
+    import tracemalloc
+
+    invariant_sweep(ModelConfig(grid=(64, 128)))  # lazy imports, untraced
+    peaks = []
+    for m_dim in (128, 2**20):
+        tracemalloc.start()
+        try:
+            rec = invariant_sweep(ModelConfig(grid=(64, m_dim)))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert rec.passed and rec.degree == rec.bloch_degree == 1
+    assert abs(peaks[1] - peaks[0]) < 2**16, peaks
 
 
 def test_perturbed_bulk_bond_fails_the_window(monkeypatch):
