@@ -55,10 +55,13 @@ STEP_MARGIN = 1e-12
 MIN_ROWS = 8
 # A recipe's transport vectors are multiples of 1 / U_DEN, and its phases
 # multiples of 2 pi / U_DEN (_rectify): a vector entry's numerator is at
-# most 2^40 in modulus, and so an exact double, and rounding moves a phase
-# by at most 2.9e-12. The operators rebuilt from them are unitary to
-# rounding.
-U_DEN = 2**40
+# most 2^20 in modulus, and so an exact double, and rounding moves a phase
+# by at most pi / 2^20 = 3.0e-6. The operators rebuilt from them are
+# unitary to rounding on any grid, so the grid moves only the cells, which
+# the verifier judges. Over the 45 panel loops, grids set one at a time,
+# every verdict, violation kind, shape and row count holds with vectors
+# down to 1 / 2^9 and phases down to 2 pi / 2^7, a margin of 2^11 and 2^13.
+U_DEN = 2**20
 # Bytes a sheet may hold (_held_bytes): its recipe and BLOCK_COPIES blocks
 # of complex cells of its stage of most rows. Stage blocks are packed, half
 # those bytes, and beyond the recipe tracemalloc reads a contraction, its
@@ -152,16 +155,21 @@ def _stages(n: int, levels: list) -> Iterator[tuple]:
         yield k, 1, b, projection_matrix(b, 1), level.rows[1]
 
 
+def check_level_count(n: int, count: int) -> None:
+    """ValueError unless a recipe on M_n has n >= 2 and count = n - 1 levels."""
+    if n < 2:
+        raise ValueError(f"a recipe is on M_n with n >= 2, got n = {n}")
+    if count != n - 1:
+        raise ValueError(f"a recipe on M_{n} has {n - 1} levels, got {count}")
+
+
 def _recipe_rows(n: int, shapes: list, level_rows: list) -> int:
     """Rows of the sheet a recipe expands to, counting row 0, for the shapes
     of its levels' unitaries and their row counts, over the T columns of
     level 0's; raises ValueError for a recipe whose shapes do not fit n and
     T, or whose row counts are not two positive integers a level (a bool is
     not one)."""
-    if n < 2:
-        raise ValueError(f"a recipe is on M_n with n >= 2, got n = {n}")
-    if len(shapes) != n - 1:
-        raise ValueError(f"a recipe on M_{n} has {n - 1} levels, got {len(shapes)}")
+    check_level_count(n, len(shapes))
     t_count, total = shapes[0][0], 1
     for k, (shape, rows) in enumerate(zip(shapes, level_rows)):
         if shape != (t_count, n - k, n - k):

@@ -8,16 +8,17 @@ b = n - k. Its T unitaries A_t = lambda_t U_t are stored as what they are
 rebuilt from (homotopy.level_unitaries): `runs`, the edges
 [0, e_1, ..., T] between its near-pure runs and non-pure gaps, which
 alternate, starting and ending with a run; `vectors`, the continued top
-eigenvector x_t of each run sample, b entries of [re, im] pairs of
-integer numerators over u_den = homotopy.U_DEN = 2^40, from which
-projective.transport_to_e0 makes U_t on the runs and the geodesic bridge
-U_t on the gaps; and `phases`, the integer k_t of lambda_t =
-exp(2 pi i k_t / u_den) for every sample. `rows` holds the row counts
-[r_unitary, r_projection] of its unitary and projection stages. A
-numerator is at most 2^40 < 2^53 in modulus, so dividing it by the power
-of two gives back the contractor's value bit for bit, and the rebuild
-gives back its unitaries bit for bit. The block, the projection P^b_1
-and each stage's s rows (homotopy._rule_rows) are implied, never stored.
+eigenvector x_t of each run sample, from which projective.transport_to_e0
+makes U_t on the runs and the geodesic bridge U_t on the gaps, as one
+flat list of 2 b (run samples) integer numerators over
+u_den = homotopy.U_DEN = 2^20, sample by sample, each entry's re then im;
+and `phases`, the integer k_t of lambda_t = exp(2 pi i k_t / u_den) for
+every sample. `rows` holds the row counts [r_unitary, r_projection] of
+its unitary and projection stages. A numerator is at most 2^20 < 2^53 in
+modulus, so dividing it by the power of two gives back the contractor's
+value bit for bit, and the rebuild gives back its unitaries bit for bit.
+The block, the projection P^b_1 and each stage's s rows
+(homotopy._rule_rows) are implied, never stored.
 Reading a sheet document gives the recipe, a homotopy.HomotopySheet,
 without expanding it; it is expanded, and verified, on the loop
 document's loop. All documents are UTF-8 JSON, written compactly with
@@ -31,7 +32,8 @@ from itertools import chain
 
 import numpy as np
 
-from .homotopy import U_DEN, HomotopySheet, Level, StateLoop, level_unitaries, recipe_levels
+from .homotopy import (U_DEN, HomotopySheet, Level, StateLoop, check_level_count, level_unitaries,
+                       recipe_levels)
 
 
 def encode_matrix(m: np.ndarray) -> list:
@@ -98,47 +100,48 @@ def _level_doc(level: Level) -> dict:
     phases = np.asarray(level.phases, dtype=np.int64)
     if not np.array_equal(level_unitaries(level.runs, _vectors(numerators), phases), level.unitaries):
         raise ValueError("a level's unitaries are not the rebuild of its vectors and phases")
-    return {"runs": [int(e) for e in level.runs], "vectors": numerators.astype(np.int64).tolist(),
+    return {"runs": [int(e) for e in level.runs], "vectors": numerators.ravel().astype(np.int64).tolist(),
             "phases": phases.tolist(), "rows": list(level.rows)}
 
 
-def _vectors(pairs: np.ndarray) -> np.ndarray:
-    """Complex vectors from [re, im] pairs of numerators over U_DEN."""
-    return np.ascontiguousarray(pairs / U_DEN).view(np.complex128)[..., 0]
+def _vectors(numerators: np.ndarray) -> np.ndarray:
+    """Complex vectors from numerators over U_DEN, (..., b, 2) of re, im."""
+    return np.ascontiguousarray(numerators / U_DEN).view(np.complex128)[..., 0]
 
 
-def _integers(values, key: str, ndim: int) -> np.ndarray:
-    """A non-empty nested list of JSON integers of depth `ndim` (a bool is
-    not one) as an int64 array."""
-    kinds = _entry_kinds(values, ndim) - {int}
+def _integers(values, key: str) -> np.ndarray:
+    """A non-empty flat list of JSON integers (a bool is not one) as an
+    int64 array."""
+    kinds = _entry_kinds(values, 1) - {int}
     if kinds:
         raise ValueError(f"{key!r} holds JSON integers, got "
                          f"{', '.join(sorted(k.__name__ for k in kinds))} entries")
-    array = np.array(values, dtype=np.int64)
-    if array.ndim != ndim or array.size == 0:
-        raise ValueError(f"{key!r} must be a non-empty array of depth {ndim}, got shape {array.shape}")
-    return array
+    if not values:
+        raise ValueError(f"{key!r} must be a non-empty array")
+    return np.array(values, dtype=np.int64)
 
 
-def _level(doc: dict) -> tuple:
-    """A level document's (runs, vectors, phases, rows): its run edges start
-    at 0, end at T, the number of its phases, and increase, so that runs and
-    gaps alternate, starting and ending with a run; it has one vector, of
-    [re, im] pairs of integer numerators over U_DEN, per run sample."""
+def _level(doc: dict, b: int) -> tuple:
+    """A level document's (runs, vectors, phases, rows), for the level on
+    the corner block b: its run edges start at 0, end at T, the number of
+    its phases, and increase, so that runs and gaps alternate, starting and
+    ending with a run; its vectors are 2 b integer numerators over U_DEN
+    per run sample, each entry's re then im."""
     if sorted(doc) != ["phases", "rows", "runs", "vectors"]:
         raise ValueError("a level holds 'runs', 'vectors', 'phases' and 'rows' since the format "
                          f"changed, got {sorted(doc)}")
-    phases, runs = _integers(doc["phases"], "phases", 1), _integers(doc["runs"], "runs", 1)
+    phases, runs = _integers(doc["phases"], "phases"), _integers(doc["runs"], "runs")
     if runs[0] != 0 or runs[-1] != len(phases) or len(runs) % 2 or not (np.diff(runs) > 0).all():
         raise ValueError(f"'runs' must rise from 0 to the {len(phases)} phases in an even number "
                          f"of edges, got {runs.tolist()}")
-    pairs = _integers(doc["vectors"], "vectors", 3)
-    if pairs.shape[-1] != 2:
-        raise ValueError("vectors must be nested arrays of [re, im] pairs")
+    if list in _entry_kinds(doc["vectors"], 1):
+        raise ValueError("'vectors' is one flat list of integers since the format changed")
+    numerators = _integers(doc["vectors"], "vectors")
     samples = int((runs[1::2] - runs[0::2]).sum())
-    if len(pairs) != samples:
-        raise ValueError(f"'vectors' holds one vector per run sample, {samples}, got {len(pairs)}")
-    return tuple(runs.tolist()), _vectors(pairs), phases, tuple(doc["rows"])
+    if len(numerators) != 2 * b * samples:
+        raise ValueError(f"'vectors' holds 2 b = {2 * b} integers for each of {samples} run samples, "
+                         f"{2 * b * samples}, got {len(numerators)}")
+    return tuple(runs.tolist()), _vectors(numerators.reshape(samples, b, 2)), phases, tuple(doc["rows"])
 
 
 def sheet_from_doc(doc: dict) -> HomotopySheet:
@@ -154,8 +157,9 @@ def sheet_from_doc(doc: dict) -> HomotopySheet:
                              f"the format changed, got {sorted(doc)}")
         n = _integer(doc, "n")
         if _integer(doc, "u_den") != U_DEN:
-            raise ValueError(f"'u_den' must be {U_DEN}, got {doc['u_den']}")
-        levels = recipe_levels(n, [_level(level) for level in doc["levels"]])
+            raise ValueError(f"'u_den' is {U_DEN} since the format changed, got {doc['u_den']}")
+        check_level_count(n, len(doc["levels"]))
+        levels = recipe_levels(n, [_level(level, n - k) for k, level in enumerate(doc["levels"])])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed sheet document: {exc}") from exc
     return HomotopySheet(n, levels)

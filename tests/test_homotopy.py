@@ -553,7 +553,7 @@ def test_sheet_from_doc_rejects_a_nan_cell():
     # refused as a non-integer
     sheet = contract_loop(constant_loop(2, 6))
     for forge, message in (
-        (lambda doc: doc["levels"][0]["vectors"][3].__setitem__(1, [float("nan"), 0]),
+        (lambda doc: doc["levels"][0]["vectors"].__setitem__(7, float("nan")),
          "'vectors' holds JSON integers, got float entries"),
         (lambda doc: doc["levels"][0]["phases"].__setitem__(3, float("nan")),
          "'phases' holds JSON integers, got float entries"),
@@ -566,10 +566,11 @@ def test_sheet_from_doc_rejects_a_nan_cell():
             serialize.sheet_from_doc(doc)
 
 
-def _drop_the_last_column(level):
-    """A level document over one column fewer, its last a run sample."""
+def _drop_the_last_column(level, b):
+    """A level document on the corner block b over one column fewer, its
+    last a run sample."""
     level["phases"].pop()
-    level["vectors"].pop()
+    del level["vectors"][-2 * b:]
     level["runs"][-1] -= 1
 
 
@@ -581,9 +582,9 @@ def _drop_the_last_column(level):
         (lambda doc: doc["levels"].append(doc["levels"][0]), "has 1 levels, got 2"),
         (lambda doc: doc["levels"][0].__setitem__("vectors", serialize.sheet_to_doc(
             contract_loop(constant_loop(3, 6)))["levels"][0]["vectors"]),
-         r"shape \(7, 3, 3\), not \(7, 2, 2\)"),
+         r"'vectors' holds 2 b = 4 integers for each of 7 run samples, 28, got 42"),
         # level 0's phases give T, and a loop of 7 samples does not fit 6 columns
-        (lambda doc: _drop_the_last_column(doc["levels"][0]),
+        (lambda doc: _drop_the_last_column(doc["levels"][0], 2),
          r"a recipe on M_2 over 6 columns does not fit \(7, 2, 2\)"),
         # the stage rows: two positive JSON integers, within the budget
         (lambda doc: doc["levels"][0]["rows"].pop(), r"two positive integer row counts, got \(8,\)"),
@@ -598,9 +599,9 @@ def _drop_the_last_column(level):
         (lambda doc: doc.pop("levels"), "malformed sheet"),
         (lambda doc: doc.__setitem__("n", 2.7), "'n' must be an integer"),
         (lambda doc: doc.__setitem__("n", "2"), "'n' must be an integer"),
-        (lambda doc: doc["levels"][0]["vectors"][3].__setitem__(0, ["1", False]),
+        (lambda doc: doc["levels"][0]["vectors"].__setitem__(slice(6, 8), ["1", False]),
          "'vectors' holds JSON integers, got bool, str entries"),
-        (lambda doc: doc["levels"][0]["vectors"][3].__setitem__(0, [True, 0]),
+        (lambda doc: doc["levels"][0]["vectors"].__setitem__(6, True),
          "'vectors' holds JSON integers, got bool entries"),
     ],
     ids=["levels-short", "levels-long", "wrong-block", "ops-shape", "s-ragged", "s-empty",
@@ -696,6 +697,14 @@ def test_sheet_from_doc_refuses_s_tables_off_the_format(forge, message):
         serialize.sheet_from_doc(doc)
 
 
+def _nested_vectors(doc):
+    """The document's vectors nested as the format before this one nested
+    them: one vector per run sample, of b [re, im] pairs."""
+    for k, level in enumerate(doc["levels"]):
+        b = doc["n"] - k
+        level["vectors"] = np.reshape(level["vectors"], (-1, b, 2)).tolist()
+
+
 def _float_unitaries(doc):
     """The unitaries document (_unitaries_doc) as the format before it
     wrote it: [re, im] pairs of floats."""
@@ -715,27 +724,32 @@ def _float_unitaries(doc):
          r"changed, got \['rows', 'unitaries'\]"),
         (serialize.sheet_to_doc, lambda doc: doc.pop("u_den"), r"the format changed, got \['levels', 'n'\]"),
         (serialize.sheet_to_doc, lambda doc: doc.__setitem__("u_den", 2**36),
-         "'u_den' must be 1099511627776, got 68719476736"),
-        (serialize.sheet_to_doc, lambda doc: doc.__setitem__("u_den", float(2**40)),
+         "'u_den' is 1048576 since the format changed, got 68719476736"),
+        # the format before this one: numerators over 2^40, vectors of
+        # [re, im] pairs nested a vector and a sample deep
+        (serialize.sheet_to_doc, lambda doc: doc.__setitem__("u_den", 2**40),
+         "'u_den' is 1048576 since the format changed, got 1099511627776"),
+        (serialize.sheet_to_doc, _nested_vectors,
+         "'vectors' is one flat list of integers since the format changed"),
+        (serialize.sheet_to_doc, lambda doc: doc.__setitem__("u_den", float(2**20)),
          "'u_den' must be an integer"),
-        (serialize.sheet_to_doc, lambda doc: doc["levels"][0]["vectors"][2].__setitem__(1, [0.5, 0]),
+        (serialize.sheet_to_doc, lambda doc: doc["levels"][0]["vectors"].__setitem__(5, 0.5),
          "'vectors' holds JSON integers, got float entries"),
         # a float of integral value is not an integer numerator either
-        (serialize.sheet_to_doc, lambda doc: doc["levels"][0]["vectors"][2][1].__setitem__(0, 2.0**40),
+        (serialize.sheet_to_doc, lambda doc: doc["levels"][0]["vectors"].__setitem__(5, 2.0**20),
          "'vectors' holds JSON integers, got float entries"),
-        (serialize.sheet_to_doc, lambda doc: doc["levels"][0]["vectors"].__setitem__(2, [[1, 0]]),
-         "malformed sheet"),
-        # a stack of vectors of triples, not of pairs
-        (serialize.sheet_to_doc,
-         lambda doc: doc["levels"][0].__setitem__("vectors", [[[1, 0, 0]] * 2] * 401),
-         r"vectors must be nested arrays of \[re, im\] pairs"),
+        (serialize.sheet_to_doc, lambda doc: doc["levels"][0]["vectors"].__setitem__(2, [1, 0]),
+         "'vectors' is one flat list of integers since the format changed"),
+        # an odd count, not re, im pairs: b = 2 over the 401 samples of one run
+        (serialize.sheet_to_doc, lambda doc: doc["levels"][0]["vectors"].append(0),
+         r"'vectors' holds 2 b = 4 integers for each of 401 run samples, 1604, got 1605"),
     ],
-    ids=["earlier-format", "float-unitaries", "no-u-den", "other-u-den", "float-u-den",
-         "float-numerator", "integral-float-numerator", "ragged", "not-pairs"],
+    ids=["earlier-format", "float-unitaries", "no-u-den", "other-u-den", "u-den-2-40", "nested-pairs",
+         "float-u-den", "float-numerator", "integral-float-numerator", "ragged", "not-pairs"],
 )
 def test_sheet_from_doc_refuses_unitaries_off_the_format(pure_sheet, make, forge, message):
-    # the first two cases forge the unitaries document of the format before
-    # this one, and the others a document of this one
+    # the first two cases forge the unitaries document of an earlier
+    # format, and the others a document of this one
     doc = make(pure_sheet)
     forge(doc)
     with pytest.raises(ValueError, match=message):
@@ -790,16 +804,19 @@ def test_sheet_from_doc_refuses_the_unitaries_format():
         (lambda lv: lv.__setitem__("runs", [0, 263, 263, 901]), "'runs' must rise"),
         (lambda lv: lv["runs"].__setitem__(1, 263.0), "'runs' holds JSON integers, got float entries"),
         (lambda lv: lv.__setitem__("runs", []), "'runs' must be a non-empty array"),
-        (lambda lv: lv["vectors"].pop(), "one vector per run sample, 526, got 525"),
-        (lambda lv: lv["vectors"].append(lv["vectors"][0]), "one vector per run sample, 526, got 527"),
-        (lambda lv: lv["vectors"].__setitem__(5, [[0, 0]] * 3), "zero vector does not represent a ray"),
+        (lambda lv: lv["vectors"].pop(),
+         "'vectors' holds 2 b = 6 integers for each of 526 run samples, 3156, got 3155"),
+        (lambda lv: lv["vectors"].extend(lv["vectors"][:6]), "3156, got 3162"),
+        (lambda lv: lv["vectors"].__setitem__(slice(30, 36), [0] * 6),
+         "zero vector does not represent a ray"),
         (lambda lv: lv["phases"].pop(), r"'runs' must rise from 0 to the 900 phases"),
         (lambda lv: lv["phases"].__setitem__(3, 0.5), "'phases' holds JSON integers, got float entries"),
         (lambda lv: lv["phases"].__setitem__(3, True), "'phases' holds JSON integers, got bool entries"),
         (lambda lv: lv["phases"].__setitem__(3, 10**30), "malformed sheet document"),
         (lambda lv: lv.__setitem__("phases", [[0]] * 901), "malformed sheet document"),
         # level 0's phases give T: level 1, over one column more, does not fit
-        (_drop_the_last_column, r"level 1 unitaries of shape \(901, 2, 2\), not \(900, 2, 2\)"),
+        (lambda lv: _drop_the_last_column(lv, 3),
+         r"level 1 unitaries of shape \(901, 2, 2\), not \(900, 2, 2\)"),
     ],
     ids=["runs-start", "runs-end", "runs-odd", "runs-falling", "runs-empty-gap", "runs-float",
          "runs-empty", "vectors-short", "vectors-long", "vectors-zero", "phases-short",
@@ -829,7 +846,8 @@ def test_sheet_to_doc_refuses_fields_that_do_not_rebuild_the_unitaries(pure_shee
     # 2 pi / u_den, with the unitaries kept: the document would expand to
     # other cells than the recipe's
     level = pure_sheet.levels[0]
-    moved = _set(getattr(level, field), 5, getattr(level, field)[5] + (1 if field == "phases" else 2.0**-40))
+    step = 1 if field == "phases" else 1 / homotopy.U_DEN
+    moved = _set(getattr(level, field), 5, getattr(level, field)[5] + step)
     with pytest.raises(ValueError, match="not the rebuild of its vectors and phases"):
         serialize.sheet_to_doc(_forge(pure_sheet, **{field: moved}))
 
@@ -897,7 +915,8 @@ def test_write_sheet_matches_dumps(pure_sheet, tmp_path):
     (level,) = doc["levels"]
     assert sorted(level) == ["phases", "rows", "runs", "vectors"]
     assert level["runs"] == [0, 401]  # the pure loop is one run
-    assert np.array(level["vectors"]).shape == (401, 2, 2)
+    # one flat list: 2 b integers, b = 2, for each of the 401 run samples
+    assert len(level["vectors"]) == 2 * 2 * 401
     assert len(level["phases"]) == 401
     for key in ("runs", "vectors", "phases", "rows"):
         assert {type(m) for m in np.ravel(np.array(level[key], dtype=object))} == {int}
