@@ -32,7 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .linalg import (_hermitian_min_eigenvalues, _hermitian_trace_norm, eye, pack_hermitian,
-                     trace_norm, unpack_hermitian)
+                     trace_norm, unpack_hermitian, upper_pairs)
 from .projective import transport_to_e0
 from .states import basis_state, validate_densities
 from .util import NumericalGateError
@@ -426,18 +426,27 @@ def _rule_rows(c: np.ndarray, rows: int) -> np.ndarray:
     inverts in closed form: θ = f atan2(w, 2c0 + c1) for D > 0 and
     f atanh(w / (2c0 + c1)) for D < 0, g = sin θ / w and h = cos θ (sinh
     and cosh for D < 0), and s = 2 c0 g / (h - c1 g); at w = 0, the limit
-    g = f / (2c0 + c1) and h = 1. No term cancels as D -> 0. The rule
-    needs c > 0 on [0, 1], and a column where that fails is failed by the
-    verifier as unsafe whatever its rows; so any rows it gives are sound.
+    g = f / (2c0 + c1) and h = 1. No term cancels as D -> 0. As c(s) is
+    the squared norm of a line in s, D >= 0 by Cauchy-Schwarz, so the
+    hyperbolic branch is computed only on the columns where rounding or a
+    non-finite c makes D <= 0, or where c is constant, as at the basepoint
+    (D = 0). The rule needs c > 0 on [0, 1], and a column where
+    that fails is failed by the verifier as unsafe whatever its rows; so
+    any rows it gives are sound.
     """
     c0, c1, c2 = c
     f = (np.arange(1, rows + 1) / rows)[:, None]
     d, x = 4.0 * c0 * c2 - c1 * c1, 2.0 * c0 + c1
     w = np.sqrt(np.abs(d))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        theta = f * np.where(d > 0.0, np.arctan2(w, x), np.arctanh(w / x))
-        g = np.where(w > 0.0, np.where(d > 0.0, np.sin(theta), np.sinh(theta)) / w, f / x)
-        h = np.where(w > 0.0, np.where(d > 0.0, np.cos(theta), np.cosh(theta)), 1.0)
+        theta = f * np.arctan2(w, x)
+        g, h = np.sin(theta) / w, np.cos(theta)
+        flat = ~(d > 0.0)  # D <= 0, or NaN: w = 0 or the hyperbolic branch
+        if flat.any():
+            w, x = w[flat], x[flat]
+            theta = f * np.arctanh(w / x)
+            g[:, flat] = np.where(w > 0.0, np.sinh(theta) / w, f / x)
+            h[:, flat] = np.where(w > 0.0, np.cosh(theta), 1.0)
         s = np.clip(2.0 * c0 * g / (h - c1 * g), 0.0, 1.0)
     s[-1] = 1.0
     return s
@@ -452,7 +461,11 @@ def _stage_rows(p: np.ndarray, c: np.ndarray, s: np.ndarray) -> np.ndarray:
     a non-finite cell, which the verifier flags."""
     p, (c0, c1, c2) = p[:, :, None], c  # p (3, b², 1, T)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return (p[0] + s * (p[1] + s * p[2])) / (c0 + s * (c1 + s * c2))
+        out = np.multiply(s, p[2])  # the one (b², rows, T) array, in the expression's order
+        np.add(p[1], out, out=out)
+        np.multiply(s, out, out=out)
+        np.add(p[0], out, out=out)
+        return np.divide(out, c0 + s * (c1 + s * c2), out=out)
 
 
 def _rule_block(p: np.ndarray, c: np.ndarray, rows: int) -> np.ndarray:
@@ -572,7 +585,7 @@ def _packed_corner(x: np.ndarray, n: int) -> np.ndarray:
     and the real and imaginary parts of each upper pair (i, j), i < j < b,
     go to n's rows of the same entries."""
     b = math.isqrt(len(x))
-    i, j = np.triu_indices(b, 1)
+    i, j = upper_pairs(b)
     pair = i * n - i * (i + 1) // 2 + j - i - 1  # (i, j)'s index among n's upper pairs
     out = np.zeros((n * n, *x.shape[1:]))
     out[np.concatenate([np.arange(b), n + pair, n + n * (n - 1) // 2 + pair])] = x

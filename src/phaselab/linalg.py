@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -191,6 +192,17 @@ _CLOSED_FORM_P2 = (1e-200, 1e200)
 POSITIVITY_MARGIN = 64 * np.finfo(float).eps
 
 
+@lru_cache(maxsize=None)
+def upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """np.triu_indices(n, 1), the upper off-diagonal pairs (i, j) of an n x n
+    matrix in row-major order, made once per n and read-only: the bytes of
+    one real n x n matrix, kept for each n seen."""
+    pairs = np.triu_indices(n, 1)
+    for index in pairs:
+        index.flags.writeable = False
+    return pairs
+
+
 def pack_hermitian(h: np.ndarray) -> np.ndarray:
     """The packed layout of a stack (..., n, n) of Hermitian matrices: a real
     array (n², ...) whose rows are the n diagonal entries, then the real
@@ -199,7 +211,7 @@ def pack_hermitian(h: np.ndarray) -> np.ndarray:
     coordinate. The lower triangle and the diagonal's imaginary parts are
     not read."""
     n = h.shape[-1]
-    i, j = np.triu_indices(n, 1)
+    i, j = upper_pairs(n)
     upper = 2 * (n * i + j)
     rows = np.concatenate([2 * (n + 1) * np.arange(n), upper, upper + 1])
     flat = np.ascontiguousarray(h, dtype=np.complex128).reshape(-1, n * n).view(np.float64)
@@ -211,7 +223,7 @@ def unpack_hermitian(x: np.ndarray) -> np.ndarray:
     imaginary part of the lower triangle is 0.0 minus the upper one: its
     negation, and +0.0 for a zero of either sign."""
     n = math.isqrt(x.shape[0])
-    i, j = np.triu_indices(n, 1)
+    i, j = upper_pairs(n)
     k, m = np.arange(n), len(i)
     rows = np.moveaxis(x, 0, -1)
     h = np.zeros(x.shape[1:] + (n, n), dtype=np.complex128)
@@ -355,7 +367,7 @@ def hermitian_basis(n: int) -> np.ndarray:
     """An orthogonal Hermitian basis of M_n, as a stack (n², n, n): diagonal
     units, then for each pair i < j in row-major order the symmetric and
     antisymmetric off-diagonal combinations."""
-    i, j = np.triu_indices(n, 1)
+    i, j = upper_pairs(n)
     sym = n + 2 * np.arange(len(i))
     basis = np.zeros((n * n, n, n), dtype=np.complex128)
     basis[np.arange(n), np.arange(n), np.arange(n)] = 1.0

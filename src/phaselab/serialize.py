@@ -3,22 +3,28 @@
 Matrices are row-major nested arrays of [re, im] pairs. Loops are
 {n, samples: [matrix, ...]}. A sheet document holds the contraction's
 recipe, not its cells and not its loop: {n, u_den, levels: [{runs,
-vectors, phases, rows}, ...]}, with level k on the corner block
+vectors_d2, phases_d1, rows}, ...]}, with level k on the corner block
 b = n - k. Its T unitaries A_t = lambda_t U_t are stored as what they are
 rebuilt from (homotopy.level_unitaries): `runs`, the edges
 [0, e_1, ..., T] between its near-pure runs and non-pure gaps, which
-alternate, starting and ending with a run; `vectors`, the continued top
-eigenvector x_t of each run sample, from which projective.transport_to_e0
-makes U_t on the runs and the geodesic bridge U_t on the gaps, as one
-flat list of 2 b (run samples) integer numerators over
-u_den = homotopy.U_DEN = 2^20, sample by sample, each entry's re then im;
-and `phases`, the integer k_t of lambda_t = exp(2 pi i k_t / u_den) for
-every sample. `rows` holds the row counts [r_unitary, r_projection] of
-its unitary and projection stages. A numerator is at most 2^20 < 2^53 in
-modulus, so dividing it by the power of two gives back the contractor's
-value bit for bit, and the rebuild gives back its unitaries bit for bit.
-The block, the projection P^b_1 and each stage's s rows
-(homotopy._rule_rows) are implied, never stored.
+alternate, starting and ending with a run; the continued top
+eigenvector x_t of each run sample, from which
+projective.transport_to_e0 makes U_t on the runs and the geodesic bridge
+U_t on the gaps, as 2 b (run samples) integer numerators over
+u_den = homotopy.U_DEN = 2^20, sample by sample, each entry's re then
+im; and the integer k_t of lambda_t = exp(2 pi i k_t / u_den) for every
+sample. `vectors_d2` holds each numerator coordinate's second
+differences along each run, and `phases_d1` the first differences of
+the k_t, each from zeros before its first value (_differences): x_t
+samples a smooth path, so most are small. `rows` holds the row counts
+[r_unitary, r_projection] of its unitary and projection stages. The
+reader decodes the differences in int64, refusing any that would leave
+the writer's range, a numerator of modulus at most 2^20 and a k_t of at
+most 2^19, before it sums them (_decoded). A numerator is at most
+2^20 < 2^53 in modulus, so dividing it by the power of two gives back
+the contractor's value bit for bit, and the rebuild gives back its
+unitaries bit for bit. The block, the projection P^b_1 and each stage's
+s rows (homotopy._rule_rows) are implied, never stored.
 Reading a sheet document gives the recipe, a homotopy.HomotopySheet,
 without expanding it; it is expanded, and verified, on the loop
 document's loop. All documents are UTF-8 JSON, written compactly with
@@ -80,7 +86,7 @@ def loop_from_doc(doc: dict) -> StateLoop:
     that names the document once."""
     try:
         return StateLoop(_integer(doc, "n"), decode_matrix(doc["samples"]))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"invalid loop document: {exc}") from exc
 
 
@@ -96,17 +102,58 @@ def sheet_to_doc(sheet: HomotopySheet) -> dict:
 def _level_doc(level: Level) -> dict:
     if not (np.isfinite(level.unitaries).all() and np.isfinite(level.vectors).all()):
         raise ValueError("sheet has non-finite entries")
-    numerators = np.round(np.stack([level.vectors.real, level.vectors.imag], axis=-1) * U_DEN)
-    phases = np.asarray(level.phases, dtype=np.int64)
-    if not np.array_equal(level_unitaries(level.runs, _vectors(numerators), phases), level.unitaries):
+    pairs = np.stack([level.vectors.real, level.vectors.imag], axis=-1)
+    numerators = np.round(pairs * U_DEN).astype(np.int64).reshape(len(pairs), -1)
+    lengths, phases = np.diff(level.runs)[::2], np.asarray(level.phases, dtype=np.int64)
+    vector_steps, phase_steps = _differences(numerators, lengths, 2), _differences(phases, [len(phases)], 1)
+    if not np.array_equal(level_unitaries(level.runs, *_transports(vector_steps, phase_steps, lengths)),
+                          level.unitaries):
         raise ValueError("a level's unitaries are not the rebuild of its vectors and phases")
-    return {"runs": [int(e) for e in level.runs], "vectors": numerators.ravel().astype(np.int64).tolist(),
-            "phases": phases.tolist(), "rows": list(level.rows)}
+    return {"runs": [int(e) for e in level.runs], "vectors_d2": vector_steps.ravel().tolist(),
+            "phases_d1": phase_steps.tolist(), "rows": list(level.rows)}
 
 
-def _vectors(numerators: np.ndarray) -> np.ndarray:
-    """Complex vectors from numerators over U_DEN, (..., b, 2) of re, im."""
-    return np.ascontiguousarray(numerators / U_DEN).view(np.complex128)[..., 0]
+def _differences(values: np.ndarray, lengths, order: int) -> np.ndarray:
+    """The order-th differences of values (samples, ...) along axis 0, each
+    run of `lengths` samples differenced from zeros before its start."""
+    starts = np.cumsum(lengths) - lengths
+    for _ in range(order):
+        previous = np.concatenate([np.zeros_like(values[:1]), values[:-1]])
+        previous[starts] = 0
+        values = values - previous
+    return values
+
+
+def _decoded(steps: np.ndarray, lengths, order: int, bound: int, key: str) -> np.ndarray:
+    """The integers (samples, ...) whose order-th differences along each run
+    of `lengths` samples are `steps` (_differences), each at most `bound`
+    in modulus. The k-th differences of values within the bound are within
+    2^k bound, so an entry past that raises ValueError before it is summed,
+    and a sum of fewer than 2^40 entries within 2^22 stays within int64."""
+    ends = np.cumsum(lengths)[:-1]
+    for k in range(order, -1, -1):
+        past = np.flatnonzero((steps > bound << k) | (steps < -(bound << k)))
+        if past.size:
+            what = f"a difference of order {k}" if k else "a value"
+            raise ValueError(f"{key!r} does not decode within {bound} in modulus: {what} reads "
+                             f"{steps.flat[past[0]]}, past {bound << k}")
+        if k:
+            sums = np.cumsum(steps, axis=0)
+            before = np.concatenate([np.zeros_like(sums[:1]), sums[ends - 1]])  # each run's offset
+            steps = sums - np.repeat(before, lengths, axis=0)
+    return steps
+
+
+def _transports(vector_steps: np.ndarray, phase_steps: np.ndarray, lengths) -> tuple:
+    """A level's run vectors (run samples, b), complex, and phases (T,)
+    from their differences (_decoded): vector_steps (run samples, 2 b) of
+    numerators over U_DEN, each entry's re then im, differenced twice
+    along each run of `lengths` samples, and phase_steps (T,) of the k_t,
+    differenced once."""
+    numerators = _decoded(vector_steps, lengths, 2, U_DEN, "vectors_d2")
+    pairs = numerators.reshape(len(numerators), -1, 2) / U_DEN
+    phases = _decoded(phase_steps, [len(phase_steps)], 1, U_DEN // 2, "phases_d1")
+    return np.ascontiguousarray(pairs).view(np.complex128)[..., 0], phases
 
 
 def _integers(values, key: str) -> np.ndarray:
@@ -126,31 +173,33 @@ def _level(doc: dict, b: int) -> tuple:
     the corner block b: its run edges start at 0, end at T, the number of
     its phases, and increase, so that runs and gaps alternate, starting and
     ending with a run; its vectors are 2 b integer numerators over U_DEN
-    per run sample, each entry's re then im."""
-    if sorted(doc) != ["phases", "rows", "runs", "vectors"]:
-        raise ValueError("a level holds 'runs', 'vectors', 'phases' and 'rows' since the format "
-                         f"changed, got {sorted(doc)}")
-    phases, runs = _integers(doc["phases"], "phases"), _integers(doc["runs"], "runs")
-    if runs[0] != 0 or runs[-1] != len(phases) or len(runs) % 2 or not (np.diff(runs) > 0).all():
-        raise ValueError(f"'runs' must rise from 0 to the {len(phases)} phases in an even number "
+    per run sample, each entry's re then im, stored as second differences
+    along each run, and its phases as first differences, decoded within
+    the writer's range (_transports)."""
+    if sorted(doc) != ["phases_d1", "rows", "runs", "vectors_d2"]:
+        raise ValueError("a level holds 'runs', 'vectors_d2', 'phases_d1' and 'rows' since the "
+                         f"format changed, got {sorted(doc)}")
+    phase_steps, runs = _integers(doc["phases_d1"], "phases_d1"), _integers(doc["runs"], "runs")
+    if runs[0] != 0 or runs[-1] != len(phase_steps) or len(runs) % 2 or not (np.diff(runs) > 0).all():
+        raise ValueError(f"'runs' must rise from 0 to the {len(phase_steps)} phases in an even number "
                          f"of edges, got {runs.tolist()}")
-    if list in _entry_kinds(doc["vectors"], 1):
-        raise ValueError("'vectors' is one flat list of integers since the format changed")
-    numerators = _integers(doc["vectors"], "vectors")
-    samples = int((runs[1::2] - runs[0::2]).sum())
-    if len(numerators) != 2 * b * samples:
-        raise ValueError(f"'vectors' holds 2 b = {2 * b} integers for each of {samples} run samples, "
-                         f"{2 * b * samples}, got {len(numerators)}")
-    return tuple(runs.tolist()), _vectors(numerators.reshape(samples, b, 2)), phases, tuple(doc["rows"])
+    vector_steps, lengths = _integers(doc["vectors_d2"], "vectors_d2"), np.diff(runs)[::2]
+    samples = int(lengths.sum())
+    if len(vector_steps) != 2 * b * samples:
+        raise ValueError(f"'vectors_d2' holds 2 b = {2 * b} integers for each of {samples} run "
+                         f"samples, {2 * b * samples}, got {len(vector_steps)}")
+    vectors, phases = _transports(vector_steps.reshape(samples, 2 * b), phase_steps, lengths)
+    return tuple(runs.tolist()), vectors, phases, tuple(doc["rows"])
 
 
 def sheet_from_doc(doc: dict) -> HomotopySheet:
     """Decode a sheet document into its recipe, unexpanded: its shapes must
     fit n, and its row counts be positive integers within the budget, both
     checked before any unitary is rebuilt (homotopy.recipe_levels). Every
-    numerator is a JSON integer (one past int64 raises OverflowError), and
-    a zero vector has no transport. Its cells are judged by
-    verify_homotopy, on the loop it is handed."""
+    difference is a JSON integer (one past int64 raises OverflowError) that
+    decodes within the writer's range (_decoded), and a zero vector has no
+    transport. Its cells are judged by verify_homotopy, on the loop it is
+    handed."""
     try:
         if sorted(doc) != ["levels", "n", "u_den"]:
             raise ValueError("a sheet document holds 'n', 'u_den' and 'levels' since "
@@ -183,9 +232,12 @@ def write_doc(path: str, doc: dict):
 
 def read_doc(path: str) -> dict:
     """The JSON document at `path`; bad JSON raises ValueError
-    'path:line:col: msg'."""
+    'path:line:col: msg', and JSON nested past the interpreter's recursion
+    limit ValueError 'path: ...'."""
     with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply to read") from None

@@ -450,6 +450,28 @@ def test_loop_and_config_files_share_one_json_reader(tmp_path, capsys):
         assert capsys.readouterr().err == f"error: {path}:2:15: Expecting value\n"
 
 
+def test_json_nested_past_the_recursion_limit_is_an_input_error(tmp_path, capsys):
+    # the JSON reader recurses once a nesting level; a loop, sheet or
+    # config document that nests past the limit is refused by name
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000 + "]" * 200_000)
+    for argv in (["contract-loop", str(path)], ["invariant", "--config", str(path)]):
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: JSON nested too deeply to read\n"
+
+
+def test_a_loop_entry_past_the_double_range_is_an_input_error(tmp_path, capsys):
+    doc = serialize.loop_to_doc(constant_loop(2, 8))
+    doc["samples"][3][0][0][0] = int("9" * 400)
+    path = tmp_path / "loop.json"
+    serialize.write_doc(str(path), doc)
+    assert main(["contract-loop", str(path)]) == 3
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line == "error: invalid loop document: int too large to convert to float"
+
+
 def test_contract_loop_missing_file(capsys):
     assert main(["contract-loop", "/nonexistent/loop.json"]) == 3
 

@@ -553,10 +553,10 @@ def test_sheet_from_doc_rejects_a_nan_cell():
     # refused as a non-integer
     sheet = contract_loop(constant_loop(2, 6))
     for forge, message in (
-        (lambda doc: doc["levels"][0]["vectors"].__setitem__(7, float("nan")),
-         "'vectors' holds JSON integers, got float entries"),
-        (lambda doc: doc["levels"][0]["phases"].__setitem__(3, float("nan")),
-         "'phases' holds JSON integers, got float entries"),
+        (lambda doc: doc["levels"][0]["vectors_d2"].__setitem__(7, float("nan")),
+         "'vectors_d2' holds JSON integers, got float entries"),
+        (lambda doc: doc["levels"][0]["phases_d1"].__setitem__(3, float("nan")),
+         "'phases_d1' holds JSON integers, got float entries"),
         (lambda doc: doc["levels"][0]["rows"].__setitem__(1, float("nan")),
          "two positive integer row counts"),
     ):
@@ -569,9 +569,21 @@ def test_sheet_from_doc_rejects_a_nan_cell():
 def _drop_the_last_column(level, b):
     """A level document on the corner block b over one column fewer, its
     last a run sample."""
-    level["phases"].pop()
-    del level["vectors"][-2 * b:]
+    level["phases_d1"].pop()
+    del level["vectors_d2"][-2 * b:]
     level["runs"][-1] -= 1
+
+
+def _recode_vectors(level, b, edit):
+    """A level document on the corner block b whose vectors are its own
+    numerators (run samples, 2 b), decoded and passed through edit, then
+    differenced again as the writer does."""
+    runs = np.array(level["runs"])
+    lengths = runs[1::2] - runs[0::2]
+    steps = np.reshape(level["vectors_d2"], (-1, 2 * b))
+    numerators = serialize._decoded(steps, lengths, 2, homotopy.U_DEN, "vectors_d2")
+    edit(numerators)
+    level["vectors_d2"] = serialize._differences(numerators, lengths, 2).ravel().tolist()
 
 
 @pytest.mark.parametrize(
@@ -580,9 +592,9 @@ def _drop_the_last_column(level, b):
         # a recipe on M_n has n - 1 levels, level k with unitaries on M_{n-k}: here n = 2
         (lambda doc: doc["levels"].pop(), "has 1 levels, got 0"),
         (lambda doc: doc["levels"].append(doc["levels"][0]), "has 1 levels, got 2"),
-        (lambda doc: doc["levels"][0].__setitem__("vectors", serialize.sheet_to_doc(
-            contract_loop(constant_loop(3, 6)))["levels"][0]["vectors"]),
-         r"'vectors' holds 2 b = 4 integers for each of 7 run samples, 28, got 42"),
+        (lambda doc: doc["levels"][0].__setitem__("vectors_d2", serialize.sheet_to_doc(
+            contract_loop(constant_loop(3, 6)))["levels"][0]["vectors_d2"]),
+         r"'vectors_d2' holds 2 b = 4 integers for each of 7 run samples, 28, got 42"),
         # level 0's phases give T, and a loop of 7 samples does not fit 6 columns
         (lambda doc: _drop_the_last_column(doc["levels"][0], 2),
          r"a recipe on M_2 over 6 columns does not fit \(7, 2, 2\)"),
@@ -599,10 +611,10 @@ def _drop_the_last_column(level, b):
         (lambda doc: doc.pop("levels"), "malformed sheet"),
         (lambda doc: doc.__setitem__("n", 2.7), "'n' must be an integer"),
         (lambda doc: doc.__setitem__("n", "2"), "'n' must be an integer"),
-        (lambda doc: doc["levels"][0]["vectors"].__setitem__(slice(6, 8), ["1", False]),
-         "'vectors' holds JSON integers, got bool, str entries"),
-        (lambda doc: doc["levels"][0]["vectors"].__setitem__(6, True),
-         "'vectors' holds JSON integers, got bool entries"),
+        (lambda doc: doc["levels"][0]["vectors_d2"].__setitem__(slice(6, 8), ["1", False]),
+         "'vectors_d2' holds JSON integers, got bool, str entries"),
+        (lambda doc: doc["levels"][0]["vectors_d2"].__setitem__(6, True),
+         "'vectors_d2' holds JSON integers, got bool entries"),
     ],
     ids=["levels-short", "levels-long", "wrong-block", "ops-shape", "s-ragged", "s-empty",
          "rows-zero", "rows-negative", "rows-bool", "rows-float", "rows-string", "rows-not-a-list",
@@ -670,10 +682,10 @@ def _s_tables(doc, den=65536):
     "forge, message",
     [
         (lambda doc: _s_tables(doc, None),
-         r"a level holds 'runs', 'vectors', 'phases' and 'rows' since the format changed, got "
-         r"\['s_projection', 's_unitary', 'unitaries'\]"),
+         r"a level holds 'runs', 'vectors_d2', 'phases_d1' and 'rows' since the format changed, "
+         r"got \['s_projection', 's_unitary', 'unitaries'\]"),
         (lambda doc: _s_tables(doc) or doc.pop("s_den"),
-         "a level holds 'runs', 'vectors', 'phases' and 'rows'"),
+         "a level holds 'runs', 'vectors_d2', 'phases_d1' and 'rows'"),
         (lambda doc: _s_tables(doc, 1000), r"the format changed, got \['levels', 'n', 's_den', 'u_den'\]"),
         (lambda doc: _s_tables(doc) or doc.__setitem__("s_den", 65536.0), "the format changed"),
         (lambda doc: _s_tables(doc) or doc["levels"][0]["s_unitary"][0].__setitem__(2, 0.5),
@@ -697,9 +709,21 @@ def test_sheet_from_doc_refuses_s_tables_off_the_format(forge, message):
         serialize.sheet_from_doc(doc)
 
 
+def _flat_doc(sheet):
+    """The sheet's document as the format before this one wrote it: each
+    level's vector numerators as one flat list under 'vectors', and its
+    integers k_t under 'phases', both as they are, not differenced."""
+    doc = serialize.sheet_to_doc(sheet)
+    for level, lv in zip(doc["levels"], sheet.levels):
+        pairs = np.stack([lv.vectors.real, lv.vectors.imag], axis=-1) * homotopy.U_DEN
+        del level["vectors_d2"], level["phases_d1"]
+        level.update(vectors=np.round(pairs).astype(np.int64).ravel().tolist(), phases=lv.phases.tolist())
+    return doc
+
+
 def _nested_vectors(doc):
-    """The document's vectors nested as the format before this one nested
-    them: one vector per run sample, of b [re, im] pairs."""
+    """The flat document's vectors (_flat_doc) nested as the format before
+    it nested them: one vector per run sample, of b [re, im] pairs."""
     for k, level in enumerate(doc["levels"]):
         b = doc["n"] - k
         level["vectors"] = np.reshape(level["vectors"], (-1, b, 2)).tolist()
@@ -720,32 +744,39 @@ def _float_unitaries(doc):
         (_unitaries_doc, lambda doc: _float_unitaries(doc) or doc.pop("u_den"),
          r"the format changed, got \['levels', 'n'\]"),
         (_unitaries_doc, _float_unitaries,
-         r"a level holds 'runs', 'vectors', 'phases' and 'rows' since the format "
+         r"a level holds 'runs', 'vectors_d2', 'phases_d1' and 'rows' since the format "
          r"changed, got \['rows', 'unitaries'\]"),
         (serialize.sheet_to_doc, lambda doc: doc.pop("u_den"), r"the format changed, got \['levels', 'n'\]"),
         (serialize.sheet_to_doc, lambda doc: doc.__setitem__("u_den", 2**36),
          "'u_den' is 1048576 since the format changed, got 68719476736"),
-        # the format before this one: numerators over 2^40, vectors of
-        # [re, im] pairs nested a vector and a sample deep
+        # the formats before this one: numerators over 2^40, vectors of
+        # [re, im] pairs nested a vector and a sample deep, and then flat
+        # vectors and phases, not differenced, which are never decoded as
+        # differences
         (serialize.sheet_to_doc, lambda doc: doc.__setitem__("u_den", 2**40),
          "'u_den' is 1048576 since the format changed, got 1099511627776"),
-        (serialize.sheet_to_doc, _nested_vectors,
-         "'vectors' is one flat list of integers since the format changed"),
+        (_flat_doc, _nested_vectors,
+         r"a level holds 'runs', 'vectors_d2', 'phases_d1' and 'rows' since the format "
+         r"changed, got \['phases', 'rows', 'runs', 'vectors'\]"),
+        (_flat_doc, lambda doc: None,
+         r"a level holds 'runs', 'vectors_d2', 'phases_d1' and 'rows' since the format "
+         r"changed, got \['phases', 'rows', 'runs', 'vectors'\]"),
         (serialize.sheet_to_doc, lambda doc: doc.__setitem__("u_den", float(2**20)),
          "'u_den' must be an integer"),
-        (serialize.sheet_to_doc, lambda doc: doc["levels"][0]["vectors"].__setitem__(5, 0.5),
-         "'vectors' holds JSON integers, got float entries"),
+        (serialize.sheet_to_doc, lambda doc: doc["levels"][0]["vectors_d2"].__setitem__(5, 0.5),
+         "'vectors_d2' holds JSON integers, got float entries"),
         # a float of integral value is not an integer numerator either
-        (serialize.sheet_to_doc, lambda doc: doc["levels"][0]["vectors"].__setitem__(5, 2.0**20),
-         "'vectors' holds JSON integers, got float entries"),
-        (serialize.sheet_to_doc, lambda doc: doc["levels"][0]["vectors"].__setitem__(2, [1, 0]),
-         "'vectors' is one flat list of integers since the format changed"),
+        (serialize.sheet_to_doc, lambda doc: doc["levels"][0]["vectors_d2"].__setitem__(5, 2.0**20),
+         "'vectors_d2' holds JSON integers, got float entries"),
+        (serialize.sheet_to_doc, lambda doc: doc["levels"][0]["vectors_d2"].__setitem__(2, [1, 0]),
+         "'vectors_d2' holds JSON integers, got list entries"),
         # an odd count, not re, im pairs: b = 2 over the 401 samples of one run
-        (serialize.sheet_to_doc, lambda doc: doc["levels"][0]["vectors"].append(0),
-         r"'vectors' holds 2 b = 4 integers for each of 401 run samples, 1604, got 1605"),
+        (serialize.sheet_to_doc, lambda doc: doc["levels"][0]["vectors_d2"].append(0),
+         r"'vectors_d2' holds 2 b = 4 integers for each of 401 run samples, 1604, got 1605"),
     ],
     ids=["earlier-format", "float-unitaries", "no-u-den", "other-u-den", "u-den-2-40", "nested-pairs",
-         "float-u-den", "float-numerator", "integral-float-numerator", "ragged", "not-pairs"],
+         "flat-undifferenced", "float-u-den", "float-numerator", "integral-float-numerator", "ragged",
+         "not-pairs"],
 )
 def test_sheet_from_doc_refuses_unitaries_off_the_format(pure_sheet, make, forge, message):
     # the first two cases forge the unitaries document of an earlier
@@ -804,16 +835,16 @@ def test_sheet_from_doc_refuses_the_unitaries_format():
         (lambda lv: lv.__setitem__("runs", [0, 263, 263, 901]), "'runs' must rise"),
         (lambda lv: lv["runs"].__setitem__(1, 263.0), "'runs' holds JSON integers, got float entries"),
         (lambda lv: lv.__setitem__("runs", []), "'runs' must be a non-empty array"),
-        (lambda lv: lv["vectors"].pop(),
-         "'vectors' holds 2 b = 6 integers for each of 526 run samples, 3156, got 3155"),
-        (lambda lv: lv["vectors"].extend(lv["vectors"][:6]), "3156, got 3162"),
-        (lambda lv: lv["vectors"].__setitem__(slice(30, 36), [0] * 6),
+        (lambda lv: lv["vectors_d2"].pop(),
+         "'vectors_d2' holds 2 b = 6 integers for each of 526 run samples, 3156, got 3155"),
+        (lambda lv: lv["vectors_d2"].extend(lv["vectors_d2"][:6]), "3156, got 3162"),
+        (lambda lv: _recode_vectors(lv, 3, lambda x: x.__setitem__(5, 0)),
          "zero vector does not represent a ray"),
-        (lambda lv: lv["phases"].pop(), r"'runs' must rise from 0 to the 900 phases"),
-        (lambda lv: lv["phases"].__setitem__(3, 0.5), "'phases' holds JSON integers, got float entries"),
-        (lambda lv: lv["phases"].__setitem__(3, True), "'phases' holds JSON integers, got bool entries"),
-        (lambda lv: lv["phases"].__setitem__(3, 10**30), "malformed sheet document"),
-        (lambda lv: lv.__setitem__("phases", [[0]] * 901), "malformed sheet document"),
+        (lambda lv: lv["phases_d1"].pop(), r"'runs' must rise from 0 to the 900 phases"),
+        (lambda lv: lv["phases_d1"].__setitem__(3, 0.5), "'phases_d1' holds JSON integers, got float entries"),
+        (lambda lv: lv["phases_d1"].__setitem__(3, True), "'phases_d1' holds JSON integers, got bool entries"),
+        (lambda lv: lv["phases_d1"].__setitem__(3, 10**30), "malformed sheet document"),
+        (lambda lv: lv.__setitem__("phases_d1", [[0]] * 901), "malformed sheet document"),
         # level 0's phases give T: level 1, over one column more, does not fit
         (lambda lv: _drop_the_last_column(lv, 3),
          r"level 1 unitaries of shape \(901, 2, 2\), not \(900, 2, 2\)"),
@@ -826,6 +857,58 @@ def test_sheet_from_doc_refuses_malformed_transport_fields(forge, message):
     _, sheet = _contracted("plateau")
     doc = serialize.sheet_to_doc(sheet)
     forge(doc["levels"][0])
+    with pytest.raises(ValueError, match=message):
+        serialize.sheet_from_doc(doc)
+
+
+def test_differences_restart_at_each_run_and_decode_back():
+    # two runs of 3 and 2 samples, one coordinate: each run is differenced
+    # from zeros before its start, and the cumulative sums restart with it
+    values = np.array([[5], [7], [4], [-2], [3]], dtype=np.int64)
+    steps = serialize._differences(values, [3, 2], 2)
+    assert steps[:, 0].tolist() == [5, -3, -5, -2, 7]
+    assert serialize._decoded(steps, [3, 2], 2, 7, "v").tolist() == values.tolist()
+    assert serialize._differences(values[:, 0], [5], 1).tolist() == [5, 2, -3, -6, 5]
+
+
+@pytest.mark.parametrize(
+    "forge, message",
+    [
+        # level 0 of the plateau loop, b = 3: its first run sample is e_0,
+        # whose first numerator is 2^20 and is stored as its value
+        (lambda lv: lv["vectors_d2"].__setitem__(0, 2**20 + 1),
+         "'vectors_d2' does not decode within 1048576 in modulus: a value reads 1048577, past 1048576"),
+        # a step within 2^22 whose first sum goes past 2^21
+        (lambda lv: lv["vectors_d2"].__setitem__(6, 2**21 + 1),
+         "a difference of order 1 reads 3145729, past 2097152"),
+        # steps whose sums would overflow int64, refused before any sum
+        (lambda lv: lv["vectors_d2"].__setitem__(6, 2**62),
+         "a difference of order 2 reads 4611686018427387904, past 4194304"),
+        (lambda lv: lv["vectors_d2"].__setitem__(6, -2**63),
+         "a difference of order 2 reads -9223372036854775808, past 4194304"),
+        (lambda lv: lv["vectors_d2"].__setitem__(6, 2**63), "malformed sheet document"),
+        # a numerator past 2^20 in a vector of the writer's form
+        (lambda lv: _recode_vectors(lv, 3, lambda x: x.__setitem__((7, 1), -2**20 - 1)),
+         "a value reads -1048577, past 1048576"),
+        # phases: k_t of modulus at most 2^19, so steps of at most 2^20
+        (lambda lv: lv["phases_d1"].__setitem__(3, 2**19 + 1 - sum(lv["phases_d1"][:3])),
+         "'phases_d1' does not decode within 524288 in modulus: a value reads 524289, past 524288"),
+        (lambda lv: lv["phases_d1"].__setitem__(3, -2**20 - 1),
+         "a difference of order 1 reads -1048577, past 1048576"),
+        (lambda lv: lv["phases_d1"].__setitem__(3, 2**62), "a difference of order 1 reads 4611686018427387904"),
+    ],
+    ids=["vector-past-2-20", "vector-first-sum", "vector-step-overflow", "vector-step-int64-min",
+         "vector-step-past-int64", "vector-recoded-past-2-20", "phase-past-2-19", "phase-step",
+         "phase-step-overflow"],
+)
+def test_sheet_from_doc_refuses_differences_that_decode_off_the_range(forge, message, monkeypatch):
+    # the writer's range is a numerator of modulus at most 2^20 and a k_t
+    # of at most 2^19: differences that leave it, or whose sums would
+    # overflow int64, are refused before any unitary is rebuilt
+    _, sheet = _contracted("plateau")
+    doc = serialize.sheet_to_doc(sheet)
+    forge(doc["levels"][0])
+    monkeypatch.setattr(homotopy, "_transport_unitaries", None)  # not reached
     with pytest.raises(ValueError, match=message):
         serialize.sheet_from_doc(doc)
 
@@ -913,12 +996,12 @@ def test_write_sheet_matches_dumps(pure_sheet, tmp_path):
     # the document is the recipe, not the cells
     assert sorted(doc) == ["levels", "n", "u_den"]
     (level,) = doc["levels"]
-    assert sorted(level) == ["phases", "rows", "runs", "vectors"]
+    assert sorted(level) == ["phases_d1", "rows", "runs", "vectors_d2"]
     assert level["runs"] == [0, 401]  # the pure loop is one run
     # one flat list: 2 b integers, b = 2, for each of the 401 run samples
-    assert len(level["vectors"]) == 2 * 2 * 401
-    assert len(level["phases"]) == 401
-    for key in ("runs", "vectors", "phases", "rows"):
+    assert len(level["vectors_d2"]) == 2 * 2 * 401
+    assert len(level["phases_d1"]) == 401
+    for key in ("runs", "vectors_d2", "phases_d1", "rows"):
         assert {type(m) for m in np.ravel(np.array(level[key], dtype=object))} == {int}
     assert 1 + sum(level["rows"]) == pure_sheet.shape[0]
 
@@ -1642,3 +1725,45 @@ def test_compression_pushforward_matches_block_action():
         b_emb = np.zeros((3, 3), dtype=complex)
         b_emb[:2, :2] = b
         assert abs(out_full.expect(b_emb) - out_block.expect(b)) < 1e-9
+
+
+def _rule_rows_reference(c, rows):
+    """_rule_rows as written with both branches evaluated everywhere."""
+    c0, c1, c2 = c
+    f = (np.arange(1, rows + 1) / rows)[:, None]
+    d, x = 4.0 * c0 * c2 - c1 * c1, 2.0 * c0 + c1
+    w = np.sqrt(np.abs(d))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        theta = f * np.where(d > 0.0, np.arctan2(w, x), np.arctanh(w / x))
+        g = np.where(w > 0.0, np.where(d > 0.0, np.sin(theta), np.sinh(theta)) / w, f / x)
+        h = np.where(w > 0.0, np.where(d > 0.0, np.cos(theta), np.cosh(theta)), 1.0)
+        s = np.clip(2.0 * c0 * g / (h - c1 * g), 0.0, 1.0)
+    s[-1] = 1.0
+    return s
+
+
+def _stage_rows_reference(p, c, s):
+    """_stage_rows as one expression, with its temporaries."""
+    p, (c0, c1, c2) = p[:, :, None], c
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return (p[0] + s * (p[1] + s * p[2])) / (c0 + s * (c1 + s * c2))
+
+
+@pytest.mark.parametrize("name", ["plateau", "seed2"])
+def test_rule_and_stage_rows_are_the_expressions_bit_for_bit(name):
+    # every stage's pencil as the contractor forms it, where D > 0 in every
+    # column, and the same pencils with columns appended where D = 0,
+    # D < 0, c vanishes, and c or p is NaN or infinite
+    loop, sheet = _contracted(name)
+    odd_c = np.array([[1.0, 1.0, 1.0, 0.0, np.nan, np.inf, 1.0],
+                      [-1.0, 2.0, 0.5, 0.0, 0.0, 0.0, 1.0],
+                      [0.25, 0.5, 1.0, 0.0, 1.0, 1.0, -np.inf]])
+    for ops, _, rhos in _stage_inputs(sheet, loop):
+        p, c = pencil(ops, rhos)
+        odd_p = np.repeat(p[:, :, :1], odd_c.shape[1], axis=2)
+        odd_p[1, 0, 3], odd_p[2, 1, 4] = np.nan, np.inf
+        for p, c in ((p, c), (np.concatenate([p, odd_p], axis=2), np.concatenate([c, odd_c], axis=1))):
+            for rows in (1, 9):
+                s = homotopy._rule_rows(c, rows)
+                assert s.tobytes() == _rule_rows_reference(c, rows).tobytes()
+                assert homotopy._stage_rows(p, c, s).tobytes() == _stage_rows_reference(p, c, s).tobytes()

@@ -370,6 +370,16 @@ def test_packed_layout_round_trips(n):
     assert np.array_equal(linalg.unpack_hermitian(packed), herm)
 
 
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_upper_pairs_are_made_once_and_read_only(n):
+    pairs = linalg.upper_pairs(n)
+    assert linalg.upper_pairs(n) is pairs
+    for got, want in zip(pairs, np.triu_indices(n, 1), strict=True):
+        assert np.array_equal(got, want) and got.dtype == want.dtype
+        with pytest.raises(ValueError, match="read-only"):
+            got[:] = 0
+
+
 def _spectrum_conjugates(evals, count, rng):
     """`count` Haar conjugates of one spectrum, made exactly Hermitian."""
     vecs = _haar_unitaries(count, len(evals), rng)
