@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -108,7 +109,7 @@ def _resolved_model_config(args, file_cfg: dict) -> ModelConfig:
 def _emit(report: dict, args) -> None:
     if not args.no_timestamp:
         report["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S%z")
-    text = json.dumps(report, sort_keys=True, indent=2)
+    text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -206,7 +207,7 @@ def cmd_selfcheck(args, file_cfg: dict) -> int:
             {
                 "name": r.name,
                 "passed": bool(r.passed),
-                "worst_residual": float(r.worst_residual),
+                "worst_residual": float(r.worst_residual) if math.isfinite(r.worst_residual) else None,
                 "gate": float(r.gate),
             }
             for r in results

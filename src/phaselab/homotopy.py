@@ -7,17 +7,16 @@ eigenvector keeps a nonzero e_0 component (projective.transport_to_e0),
 with a disk phase lift to keep linear interpolations outside the Gelfand
 ideal; compression onto nested corner blocks; and a verifier that
 certifies the resulting two-parameter sheet cell by cell. A sheet is held
-as its recipe: per level k on the corner block b = n - k, its T operators
-A_t = lambda_t U_t, and the row counts of its two stages, the operators'
-and the corner projection P^b_1's. A sheet document stores what the
-operators are rebuilt from (level_unitaries): the edges of the level's
-near-pure runs, the continued top eigenvector of each run sample and the
-phase lambda_t = exp(2 pi i k_t / U_DEN) of each sample, as integers over
-U_DEN. A stage's s rows are no part of it: each column's follow from the
-column's pencil (_rule_rows). Its cells are evaluated on the loop it is
-given, row 0, one stage at a time (sheet_blocks), and the verifier checks
-each stage's block of rows, and the traces of the one pencil that made
-it, as it comes.
+as its recipe, the fields a sheet document stores: per level k on the
+corner block b = n - k, the edges of its near-pure runs, the continued
+top eigenvector of each run sample and the phase lambda_t = exp(2 pi i
+k_t / U_DEN) of each sample, on the 1 / U_DEN grid, and the row counts of
+its two stages, A_t = lambda_t U_t's and the corner projection P^b_1's.
+A_t is rebuilt from them where its stage is evaluated (level_unitaries),
+and a stage's s rows from each column's pencil (_rule_rows). Its cells
+are evaluated on the loop it is given, row 0, one stage at a time
+(sheet_blocks), and the verifier checks each stage's block of rows, and
+the traces of the one pencil that made it, as it comes.
 """
 
 from __future__ import annotations
@@ -134,12 +133,11 @@ class Level(NamedTuple):
     row, and their rows are zero-padded into the n x n corner. A stage of
     `rows` rows acts on column t of its input with s A_t + (1 - s) 1 at the
     column's s rows from the rule (_rule_rows), the last at s = 1, with
-    A_t = unitaries[t] in the unitary stage and the corner projection
-    P^b_1 in the projection stage. The unitaries are the rebuild of the
-    level's runs, vectors and phases (level_unitaries), which is what a
-    sheet document stores of them."""
+    A_t = lambda_t U_t in the unitary stage, rebuilt from the level's runs,
+    vectors and phases (level_unitaries), and the corner projection P^b_1
+    in the projection stage. A level holds these fields alone, which is
+    what a sheet document stores of it."""
 
-    unitaries: np.ndarray  # (T, b, b), A_t = lambda_t U_t
     rows: tuple  # (the unitary stage's, the projection stage's), positive ints
     runs: tuple  # the run edges (0, ..., T): near-pure runs and gaps alternate
     vectors: np.ndarray  # (run samples, b), each run sample's x_t, multiples of 1 / U_DEN
@@ -148,10 +146,11 @@ class Level(NamedTuple):
 
 def _stages(n: int, levels: list) -> Iterator[tuple]:
     """Each stage of a recipe on M_n in order, as (level, stage, block,
-    operators, rows), the projection stage's operator P^b_1."""
+    operators, rows): the unitary stage's rebuilt as it is reached
+    (level_unitaries), held only by the caller, and the projection's P^b_1."""
     for k, level in enumerate(levels):
         b = n - k
-        yield k, 0, b, level.unitaries, level.rows[0]
+        yield k, 0, b, level_unitaries(level), level.rows[0]
         yield k, 1, b, projection_matrix(b, 1), level.rows[1]
 
 
@@ -163,15 +162,17 @@ def check_level_count(n: int, count: int) -> None:
         raise ValueError(f"a recipe on M_{n} has {n - 1} levels, got {count}")
 
 
-def _recipe_rows(n: int, shapes: list, level_rows: list) -> int:
-    """Rows of the sheet a recipe expands to, counting row 0, for the shapes
-    of its levels' unitaries and their row counts, over the T columns of
-    level 0's; raises ValueError for a recipe whose shapes do not fit n and
-    T, or whose row counts are not two positive integers a level (a bool is
-    not one)."""
-    check_level_count(n, len(shapes))
-    t_count, total = shapes[0][0], 1
-    for k, (shape, rows) in enumerate(zip(shapes, level_rows)):
+def _recipe_rows(n: int, levels: list) -> int:
+    """Rows of the sheet a recipe's levels expand to, counting row 0, over
+    the T columns of level 0's phases; raises ValueError for a recipe whose
+    operators would not fit n and T, in the shape (len(phases), b, b) of a
+    level's phases and vectors, or whose row counts are not two positive
+    integers a level (a bool is not one)."""
+    check_level_count(n, len(levels))
+    t_count, total = len(levels[0].phases), 1
+    for k, level in enumerate(levels):
+        b, rows = level.vectors.shape[-1], level.rows
+        shape = (len(level.phases), b, b)
         if shape != (t_count, n - k, n - k):
             raise ValueError(f"level {k} unitaries of shape {shape}, not {(t_count, n - k, n - k)}")
         if len(rows) != 2 or not all(type(r) is int and r > 0 for r in rows):
@@ -184,10 +185,11 @@ def _recipe_rows(n: int, shapes: list, level_rows: list) -> int:
 class HomotopySheet:
     """An S x T grid of states, held as the recipe that generates it from
     row 0, the loop it is expanded on: the n - 1 `levels` (Level), whose
-    unitaries give T. Its cells are never held at once; sheet_blocks
-    evaluates them a stage at a time. A recipe whose shapes do not fit n,
-    whose row counts are not positive integers, or over MAX_SHEET_BYTES
-    raises ValueError, before any cell is made."""
+    phases give T. Its cells and operators are never held at once;
+    sheet_blocks makes them a stage at a time. Here alone, for the
+    contractor and the reader, a recipe whose shapes do not fit n, whose
+    row counts are not positive integers, or over MAX_SHEET_BYTES raises
+    ValueError, before any operator or cell is made."""
 
     n: int
     levels: list
@@ -197,8 +199,7 @@ class HomotopySheet:
 
     @property
     def shape(self) -> tuple[int, int]:
-        shapes = [lv.unitaries.shape for lv in self.levels]
-        return _recipe_rows(self.n, shapes, [lv.rows for lv in self.levels]), shapes[0][0]
+        return _recipe_rows(self.n, self.levels), len(self.levels[0].phases)
 
     @property
     def held_bytes(self) -> int:
@@ -208,11 +209,12 @@ class HomotopySheet:
 
 def _held_bytes(n: int, t_count: int, rows: list) -> int:
     """The most a sheet on M_n over t_count columns holds, for the rows of
-    its 2(n - 1) stages: its recipe's unitaries, vectors and phases, the
-    loop that a contraction and a verification hold, and BLOCK_COPIES
-    blocks of cells of its stage of most rows, which bound a contraction's
-    row probe (_grown_rows) and a verification's block and temporaries
-    alike."""
+    its 2(n - 1) stages: its recipe's vectors and phases, operators counted
+    for every level, which bound the one level's that is rebuilt at a time
+    (level_unitaries), the loop that a contraction and a verification hold,
+    and BLOCK_COPIES blocks of cells of its stage of most rows, which bound
+    a contraction's row probe (_grown_rows) and a verification's block and
+    temporaries alike."""
     recipe = sum(t_count * ((b * b + b) * 16 + 8) for b in range(2, n + 1))
     held = t_count * n * n * 16 + recipe  # the loop and the recipe
     return held + BLOCK_COPIES * max(rows, default=1) * t_count * n * n * 16
@@ -384,26 +386,12 @@ def _lifted(unitaries: np.ndarray, phases: np.ndarray) -> np.ndarray:
     return np.exp((2j * np.pi / U_DEN) * phases)[:, None, None] * unitaries
 
 
-def level_unitaries(runs: tuple, vectors: np.ndarray, phases: np.ndarray) -> np.ndarray:
-    """A level's operators A_t = lambda_t U_t, rebuilt from what a sheet
-    document stores of them: its run edges, run vectors and phases. The
-    contractor builds its own through the same two calls, so a level read
-    back from its document is the contractor's bit for bit."""
-    return _lifted(_transport_unitaries(runs, vectors), phases)
-
-
-def recipe_levels(n: int, fields: list) -> list:
-    """The levels of a recipe on M_n from their (runs, vectors, phases,
-    rows), every level's unitaries rebuilt (level_unitaries). The shapes
-    the unitaries will have, the row counts and the budget are checked
-    first (_recipe_rows, _held_bytes), so a recipe that does not fit n or
-    would hold over MAX_SHEET_BYTES raises ValueError before any unitary
-    is made."""
-    shapes = [(len(phases), vectors.shape[-1], vectors.shape[-1]) for _, vectors, phases, _ in fields]
-    _recipe_rows(n, shapes, [rows for *_, rows in fields])
-    _check_sheet_budget(_held_bytes(n, shapes[0][0], [r for *_, rows in fields for r in rows]))
-    return [Level(level_unitaries(runs, vectors, phases), rows, runs, vectors, phases)
-            for runs, vectors, phases, rows in fields]
+def level_unitaries(level: Level) -> np.ndarray:
+    """A level's operators A_t = lambda_t U_t (T, b, b), rebuilt from its
+    run edges, run vectors and phases through the two calls the contractor
+    made them with, so every expansion, from its recipe or its document,
+    rebuilds the contractor's bit for bit."""
+    return _lifted(_transport_unitaries(level.runs, level.vectors), level.phases)
 
 
 def _unitary_powers(v: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -539,8 +527,8 @@ def _rectify(rhos: np.ndarray, target: float, admit):
     disk phase lift of t -> omega_t(U_t) that keeps the unitary
     interpolation outside every Gelfand ideal; each lifted phase lambda_t
     is rounded to a multiple of 2 pi / U_DEN, and A_t = lambda_t U_t
-    (_lifted). A sheet document writes the rounded vectors and phases as
-    integers, and rebuilds A_t from them bit for bit. Then one pass makes
+    (_lifted). The level keeps the rounded vectors and phases, from which
+    every expansion rebuilds A_t bit for bit. Then one pass makes
     the level's two stages, the linear interpolations with s lambda_t U_t
     and with s P^b_1, each from its one pencil: its exact safety minimum
     over s in [0, 1] must clear SAFETY_FLOOR in every column; its last row,
@@ -571,7 +559,7 @@ def _rectify(rhos: np.ndarray, target: float, admit):
         count = admit(_rows_for(target, trace_norm(out - rhos).max()))
         rows.append(admit(_grown_rows(p, c, count, target)))
         rhos = out
-    return Level(lifted, tuple(rows), runs, vectors, phases), rhos
+    return Level(tuple(rows), runs, vectors, phases), rhos
 
 
 def _compress(rhos: np.ndarray, block: int) -> np.ndarray:
@@ -603,10 +591,11 @@ def sheet_blocks(sheet: HomotopySheet, loop: StateLoop) -> Iterator[tuple]:
     traces (_rule_block); a level below M_n takes its input compressed to
     its corner block (_compress); and a stage's b x b rows are scattered
     into the n x n corner's packed rows (_packed_corner), zero elsewhere.
-    Every cell is made here, so a sheet read back from its document expands
-    on its input loop to the contractor's cells bit for bit. A loop whose n
-    or T the recipe does not fit raises ValueError. Nothing here judges a
-    cell: verify_homotopy does, with the traces of the pencil that made it."""
+    Every cell and operator is made here, so a sheet read back from its
+    document expands on its input loop to the contractor's cells bit for
+    bit. A loop whose n or T the recipe does not fit raises ValueError.
+    Nothing here judges a cell: verify_homotopy does, with the traces of
+    the pencil that made it."""
     n, rhos = sheet.n, loop.rhos
     if rhos.shape != (sheet.shape[1], n, n):
         raise ValueError(f"a recipe on M_{n} over {sheet.shape[1]} columns does not fit {rhos.shape}")
@@ -706,14 +695,14 @@ def verify_homotopy(sheet: HomotopySheet, input_loop: StateLoop, modulus: float)
     constant at the basepoint, and all adjacent-cell steps within the
     modulus, else one "step-modulus" violation at the largest step (on an
     exact tie of an s-step and a t-step, the one scanned first). The
-    recipe: every unitary a unitary to OPERATOR_TOL, and the exact safety
-    minimum (safety_min) of every column above SAFETY_FLOOR on the traces
-    of the pencil that made the stage's cells, which sheet_blocks hands
-    over with the block, so the verifier forms no pencil and rebuilds no
-    stage input; columns whose input is not finite are skipped, and a
-    recipe in a Gelfand ideal fails as "unsafe". The s
-    rows are the rule's, in [0, 1] and ending at 1 (_rule_rows), so they
-    take no check. A cell with a NaN or infinite entry is one "non-finite"
+    recipe: every operator the expansion rebuilds a unitary to
+    OPERATOR_TOL, and the exact safety minimum (safety_min) of every
+    column above SAFETY_FLOOR on the traces of the pencil that made the
+    stage's cells, which sheet_blocks hands over with the block, so the
+    verifier forms no pencil and rebuilds no stage input; columns whose
+    input is not finite are skipped, and a recipe in a Gelfand ideal fails
+    as "unsafe". The s rows are the rule's, in [0, 1] and ending at 1
+    (_rule_rows), so they take no check. A cell with a NaN or infinite entry is one "non-finite"
     violation, valued by the count of such entries; it is zeroed for, and
     skipped by, the rest. Violations are listed by kind, each kind in C
     order of its cell; the recipe's come last, stage by stage, at (level,

@@ -4,8 +4,8 @@ Matrices are row-major nested arrays of [re, im] pairs. Loops are
 {n, samples: [matrix, ...]}. A sheet document holds the contraction's
 recipe, not its cells and not its loop: {n, u_den, levels: [{runs,
 vectors_d2, phases_d1, rows}, ...]}, with level k on the corner block
-b = n - k. Its T unitaries A_t = lambda_t U_t are stored as what they are
-rebuilt from (homotopy.level_unitaries): `runs`, the edges
+b = n - k, the fields of its homotopy.Level, from which every expansion
+rebuilds its T operators A_t = lambda_t U_t: `runs`, the edges
 [0, e_1, ..., T] between its near-pure runs and non-pure gaps, which
 alternate, starting and ending with a run; the continued top
 eigenvector x_t of each run sample, from which
@@ -22,13 +22,12 @@ reader decodes the differences in int64, refusing any that would leave
 the writer's range, a numerator of modulus at most 2^20 and a k_t of at
 most 2^19, before it sums them (_decoded). A numerator is at most
 2^20 < 2^53 in modulus, so dividing it by the power of two gives back
-the contractor's value bit for bit, and the rebuild gives back its
-unitaries bit for bit. The block, the projection P^b_1 and each stage's
-s rows (homotopy._rule_rows) are implied, never stored.
-Reading a sheet document gives the recipe, a homotopy.HomotopySheet,
-without expanding it; it is expanded, and verified, on the loop
-document's loop. All documents are UTF-8 JSON, written compactly with
-sorted keys.
+the contractor's value bit for bit, which the writer checks. The
+operators, the block, the projection P^b_1 and each stage's s rows
+(homotopy._rule_rows) are implied, never stored. Reading a sheet document
+gives the recipe, a homotopy.HomotopySheet, with no operator rebuilt; it
+is expanded, and verified, on the loop document's loop. All documents
+are UTF-8 JSON, written compactly with sorted keys.
 """
 
 from __future__ import annotations
@@ -38,8 +37,7 @@ from itertools import chain
 
 import numpy as np
 
-from .homotopy import (U_DEN, HomotopySheet, Level, StateLoop, check_level_count, level_unitaries,
-                       recipe_levels)
+from .homotopy import U_DEN, HomotopySheet, Level, StateLoop, check_level_count
 
 
 def encode_matrix(m: np.ndarray) -> list:
@@ -92,23 +90,23 @@ def loop_from_doc(doc: dict) -> StateLoop:
 
 def sheet_to_doc(sheet: HomotopySheet) -> dict:
     """The sheet's recipe: its levels and u_den, and no loop. A NaN or
-    infinite entry, which JSON cannot hold, or a level whose unitaries are
-    not the rebuild of the vectors and phases written for it
-    (homotopy.level_unitaries) raises ValueError, so a document expands to
-    the cells of the recipe it came from and no others."""
+    infinite vector entry, which JSON cannot hold, or a level whose vectors
+    and phases do not decode back from the integers written for them bit
+    for bit (_transports) raises ValueError, so a document expands to the
+    cells of the recipe it came from and no others."""
     return {"n": sheet.n, "u_den": U_DEN, "levels": [_level_doc(lv) for lv in sheet.levels]}
 
 
 def _level_doc(level: Level) -> dict:
-    if not (np.isfinite(level.unitaries).all() and np.isfinite(level.vectors).all()):
+    if not np.isfinite(level.vectors).all():
         raise ValueError("sheet has non-finite entries")
     pairs = np.stack([level.vectors.real, level.vectors.imag], axis=-1)
     numerators = np.round(pairs * U_DEN).astype(np.int64).reshape(len(pairs), -1)
     lengths, phases = np.diff(level.runs)[::2], np.asarray(level.phases, dtype=np.int64)
     vector_steps, phase_steps = _differences(numerators, lengths, 2), _differences(phases, [len(phases)], 1)
-    if not np.array_equal(level_unitaries(level.runs, *_transports(vector_steps, phase_steps, lengths)),
-                          level.unitaries):
-        raise ValueError("a level's unitaries are not the rebuild of its vectors and phases")
+    vectors, decoded = _transports(vector_steps, phase_steps, lengths)
+    if not (vectors.tobytes() == level.vectors.tobytes() and decoded.tobytes() == level.phases.tobytes()):
+        raise ValueError("a level's vectors and phases are not the integers written for them")
     return {"runs": [int(e) for e in level.runs], "vectors_d2": vector_steps.ravel().tolist(),
             "phases_d1": phase_steps.tolist(), "rows": list(level.rows)}
 
@@ -168,14 +166,14 @@ def _integers(values, key: str) -> np.ndarray:
     return np.array(values, dtype=np.int64)
 
 
-def _level(doc: dict, b: int) -> tuple:
-    """A level document's (runs, vectors, phases, rows), for the level on
-    the corner block b: its run edges start at 0, end at T, the number of
-    its phases, and increase, so that runs and gaps alternate, starting and
-    ending with a run; its vectors are 2 b integer numerators over U_DEN
-    per run sample, each entry's re then im, stored as second differences
-    along each run, and its phases as first differences, decoded within
-    the writer's range (_transports)."""
+def _level(doc: dict, b: int) -> Level:
+    """A level document's Level, on the corner block b: its run edges
+    start at 0, end at T, the number of its phases, and increase, so that
+    runs and gaps alternate, starting and ending with a run; its vectors
+    are 2 b integer numerators over U_DEN per run sample, each entry's re
+    then im, stored as second differences along each run, and its phases
+    as first differences, decoded within the writer's range (_transports),
+    and no vector is zero, since a zero vector has no transport."""
     if sorted(doc) != ["phases_d1", "rows", "runs", "vectors_d2"]:
         raise ValueError("a level holds 'runs', 'vectors_d2', 'phases_d1' and 'rows' since the "
                          f"format changed, got {sorted(doc)}")
@@ -189,16 +187,18 @@ def _level(doc: dict, b: int) -> tuple:
         raise ValueError(f"'vectors_d2' holds 2 b = {2 * b} integers for each of {samples} run "
                          f"samples, {2 * b * samples}, got {len(vector_steps)}")
     vectors, phases = _transports(vector_steps.reshape(samples, 2 * b), phase_steps, lengths)
-    return tuple(runs.tolist()), vectors, phases, tuple(doc["rows"])
+    if not vectors.any(axis=-1).all():
+        raise ValueError("zero vector does not represent a ray")
+    return Level(tuple(doc["rows"]), tuple(runs.tolist()), vectors, phases)
 
 
 def sheet_from_doc(doc: dict) -> HomotopySheet:
-    """Decode a sheet document into its recipe, unexpanded: its shapes must
-    fit n, and its row counts be positive integers within the budget, both
-    checked before any unitary is rebuilt (homotopy.recipe_levels). Every
-    difference is a JSON integer (one past int64 raises OverflowError) that
-    decodes within the writer's range (_decoded), and a zero vector has no
-    transport. Its cells are judged by verify_homotopy, on the loop it is
+    """Decode a sheet document into its recipe, unexpanded, with no
+    operator rebuilt: every difference is a JSON integer (one past int64
+    raises OverflowError) that decodes within the writer's range
+    (_decoded), no run vector is zero (_level), and the HomotopySheet made
+    of the levels checks their shapes against n, their row counts and the
+    budget. Its cells are judged by verify_homotopy, on the loop it is
     handed."""
     try:
         if sorted(doc) != ["levels", "n", "u_den"]:
@@ -208,10 +208,9 @@ def sheet_from_doc(doc: dict) -> HomotopySheet:
         if _integer(doc, "u_den") != U_DEN:
             raise ValueError(f"'u_den' is {U_DEN} since the format changed, got {doc['u_den']}")
         check_level_count(n, len(doc["levels"]))
-        levels = recipe_levels(n, [_level(level, n - k) for k, level in enumerate(doc["levels"])])
+        return HomotopySheet(n, [_level(level, n - k) for k, level in enumerate(doc["levels"])])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed sheet document: {exc}") from exc
-    return HomotopySheet(n, levels)
 
 
 def dumps(doc: dict) -> str:

@@ -273,6 +273,28 @@ def test_selfcheck_injected_fault(monkeypatch, capsys):
     assert by_name["metric-identities"] is True
 
 
+def _refuse_constant(name):
+    raise AssertionError(f"the report holds {name}, which is not JSON")
+
+
+@pytest.mark.parametrize("suite", ["supernatural", "cech"])
+def test_a_failing_selfcheck_report_is_strict_json(monkeypatch, capsys, suite):
+    # a failing suite has no finite worst residual: the report writes it as
+    # null, not as Infinity, and keeps the verdict and exit code of a failure
+    from phaselab import cech, supernatural
+
+    if suite == "supernatural":
+        monkeypatch.setattr(supernatural, "homotopy_table", lambda a, k_max: [])
+    else:  # the early return of a two-chart winding that is not read back
+        monkeypatch.setattr(cech, "is_coboundary_two_chart", lambda cochain: (False, 99))
+    code = main(["selfcheck", "--seed", "1", "--no-timestamp"])
+    report = json.loads(capsys.readouterr().out, parse_constant=_refuse_constant)
+    assert code == 2 and report["pass"] is False
+    (failed,) = [s for s in report["suites"] if not s["passed"]]
+    assert failed["name"] == suite and failed["worst_residual"] is None
+    assert all(type(s["worst_residual"]) is float for s in report["suites"] if s["passed"])
+
+
 def test_selfcheck_unknown_fault(monkeypatch, capsys):
     from phaselab import selfcheck
 

@@ -289,7 +289,7 @@ def test_sheet_boundary_exactness():
         assert np.max(np.abs(row[0] - base.rho)) < 1e-10
         assert np.max(np.abs(row[-1] - base.rho)) < 1e-10
     (level,) = sheet.levels
-    assert level.unitaries.shape == (321, 2, 2)
+    assert homotopy.level_unitaries(level).shape == (321, 2, 2)
     for _, s, _ in _stage_inputs(sheet, loop):
         assert (s > 0).all() and (s[-1] == 1.0).all()
 
@@ -639,7 +639,8 @@ def test_sheet_from_doc_refuses_the_earlier_format():
     doc = serialize.sheet_to_doc(sheet)
     s_table = [[1.0] * 7] * 8
     doc["levels"] = [{"block": 2, "stages": [
-        {"kind": "unitary", "ops": serialize.encode_matrix(sheet.levels[0].unitaries), "s": s_table},
+        {"kind": "unitary", "ops": serialize.encode_matrix(homotopy.level_unitaries(sheet.levels[0])),
+         "s": s_table},
         {"kind": "projection", "ops": serialize.encode_matrix(projection_matrix(2, 1)),
          "s": s_table}]}]
     with pytest.raises(ValueError, match="the format changed"):
@@ -659,7 +660,8 @@ def _unitaries_doc(sheet):
     numerators over u_den, and its row counts."""
     doc = serialize.sheet_to_doc(sheet)
     for level, lv in zip(doc["levels"], sheet.levels):
-        pairs = np.stack([lv.unitaries.real, lv.unitaries.imag], axis=-1) * doc["u_den"]
+        ops = homotopy.level_unitaries(lv)
+        pairs = np.stack([ops.real, ops.imag], axis=-1) * doc["u_den"]
         level.clear()
         level.update(unitaries=np.round(pairs).astype(np.int64).tolist(), rows=list(lv.rows))
     return doc
@@ -788,33 +790,62 @@ def test_sheet_from_doc_refuses_unitaries_off_the_format(pure_sheet, make, forge
 
 
 def test_sheet_to_doc_refuses_a_unitary_off_the_grid(pure_sheet):
-    # the unitaries are not the rebuild of the vectors and phases the
-    # document would hold, so their document would expand to other cells
-    ops = pure_sheet.levels[0].unitaries
-    forged = _forge(pure_sheet, unitaries=_set(ops, (5, 0, 1), ops[5, 0, 1] + 2.0**-41))
-    with pytest.raises(ValueError, match="not the rebuild of its vectors and phases"):
+    # a vector entry moved by 2^-41, off the 1 / u_den grid: the integers
+    # the document would hold decode to other vectors, so the document would
+    # expand to other unitaries and cells than the recipe's
+    vectors = pure_sheet.levels[0].vectors
+    forged = _forge(pure_sheet, vectors=_set(vectors, (5, 1), vectors[5, 1] + 2.0**-41))
+    with pytest.raises(ValueError, match="not the integers written for them"):
         serialize.sheet_to_doc(forged)
 
 
 @pytest.mark.parametrize("name", ["seed2", "plateau"])
 def test_a_written_document_rebuilds_every_operator_bit_for_bit(name, tmp_path):
-    # every A_t = lambda_t U_t read back from the document is the
-    # contractor's, bit for bit (zero signs included), as are the runs,
-    # vectors and phases it is rebuilt from; the contractor's A_t are the
-    # rebuild of its own fields, and unitary to rounding
+    # the runs, vectors and phases read back from the document are the
+    # contractor's, bit for bit (zero signs included), so every
+    # A_t = lambda_t U_t rebuilt from them is the one rebuilt from the
+    # contractor's recipe, bit for bit, and unitary to rounding
     _, sheet = _contracted(name)
     path = tmp_path / "sheet.json"
     serialize.write_sheet(str(path), sheet)
     back = serialize.sheet_from_doc(serialize.read_doc(str(path)))
     for got, want in zip(back.levels, sheet.levels, strict=True):
-        assert got.unitaries.tobytes() == want.unitaries.tobytes()
         assert got.vectors.tobytes() == want.vectors.tobytes()
         assert got.phases.tobytes() == want.phases.tobytes()
         assert got.runs == want.runs and got.rows == want.rows
-        rebuilt = homotopy.level_unitaries(want.runs, want.vectors, want.phases)
-        assert rebuilt.tobytes() == want.unitaries.tobytes()
-        assert homotopy._unitarity_defect(want.unitaries).max() < 1e-14
+        rebuilt = homotopy.level_unitaries(want)
+        assert homotopy.level_unitaries(got).tobytes() == rebuilt.tobytes()
+        assert homotopy._unitarity_defect(rebuilt).max() < 1e-14
     assert len(back.levels[0].runs) > 2  # both loops have non-pure gaps at level 0
+
+
+def test_a_recipe_is_read_without_operators_rebuilt_once_a_level_and_held_as_its_fields(tmp_path, monkeypatch):
+    # reading a document rebuilds no operator, verifying what it reads
+    # rebuilds each level's once, at its unitary stage, and a contracted
+    # sheet holds its levels' grid fields and no operator array
+    loop, sheet = _contracted("seed2")
+    path = tmp_path / "sheet.json"
+    serialize.write_sheet(str(path), sheet)
+    transport = homotopy._transport_unitaries
+    monkeypatch.setattr(homotopy, "_transport_unitaries", None)  # not reached
+    back = serialize.sheet_from_doc(serialize.read_doc(str(path)))
+    rebuilt = []
+    monkeypatch.setattr(homotopy, "_transport_unitaries",
+                        lambda runs, vectors: rebuilt.append(len(vectors[0])) or transport(runs, vectors))
+    assert verify_homotopy(back, loop, loop.modulus).passed
+    assert rebuilt == [3, 2]  # n - 1 levels, on the blocks b = 3 and 2
+    monkeypatch.undo()
+    assert homotopy.Level._fields == ("rows", "runs", "vectors", "phases")
+    loop = constant_loop(40, 16)
+    tracemalloc.start()
+    try:
+        sheet = contract_loop(loop)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 1e6  # its operators, 17 b x b complex matrices a level, would take 6.0 MB
+    assert len(sheet.levels) == 39
+    assert all(lv.vectors.ndim == 2 and lv.phases.dtype == np.int64 for lv in sheet.levels)
 
 
 def test_sheet_from_doc_refuses_the_unitaries_format():
@@ -923,18 +954,6 @@ def test_sheet_from_doc_checks_the_budget_before_any_rebuild(pure_sheet, monkeyp
         serialize.sheet_from_doc(doc)
 
 
-@pytest.mark.parametrize("field", ["vectors", "phases"])
-def test_sheet_to_doc_refuses_fields_that_do_not_rebuild_the_unitaries(pure_sheet, field):
-    # a vector entry moved by one numerator, or a phase by one step of
-    # 2 pi / u_den, with the unitaries kept: the document would expand to
-    # other cells than the recipe's
-    level = pure_sheet.levels[0]
-    step = 1 if field == "phases" else 1 / homotopy.U_DEN
-    moved = _set(getattr(level, field), 5, getattr(level, field)[5] + step)
-    with pytest.raises(ValueError, match="not the rebuild of its vectors and phases"):
-        serialize.sheet_to_doc(_forge(pure_sheet, **{field: moved}))
-
-
 def test_verifier_reports_non_finite_cells(monkeypatch):
     loop = constant_loop(2, 10)
     sheet = contract_loop(loop)
@@ -1027,12 +1046,12 @@ def test_written_sheet_reads_back_bitwise(pure_sheet, tmp_path):
 
 
 def test_write_sheet_rejects_non_finite_before_writing(tmp_path):
-    # an infinity or a NaN in an operator
+    # an infinity or a NaN in a run vector
     sheet = contract_loop(constant_loop(2, 6))
     (level,) = sheet.levels
     path = tmp_path / "sheet.json"
     for bad in (np.inf, np.nan):
-        forged = _forge(sheet, unitaries=_set(level.unitaries, (6, 1, 1), bad))
+        forged = _forge(sheet, vectors=_set(level.vectors, (6, 1), bad))
         with pytest.raises(ValueError, match="non-finite"):
             serialize.write_sheet(str(path), forged)
         assert not path.exists()
@@ -1095,7 +1114,7 @@ def _stage_recipes(sheet):
     """(operators, rows) of every stage of a sheet in order: level k's
     unitaries, then the corner projection of its block b = n - k."""
     for k, level in enumerate(sheet.levels):
-        yield level.unitaries, level.rows[0]
+        yield homotopy.level_unitaries(level), level.rows[0]
         yield projection_matrix(sheet.n - k, 1), level.rows[1]
 
 
@@ -1253,24 +1272,43 @@ def _set(array, index, value):
     return out
 
 
+def _forge_transports(monkeypatch, edit):
+    """Make every rebuild of a level's transports U_t, the verifier's
+    included, return them with edit(U) applied: no grid vectors make a
+    transport that is not unitary, so a recipe holding one is forged
+    through its rebuild."""
+    transport = homotopy._transport_unitaries
+
+    def forged(runs, vectors):
+        unitaries = transport(runs, vectors)
+        edit(unitaries)
+        return unitaries
+
+    monkeypatch.setattr(homotopy, "_transport_unitaries", forged)
+
+
 @pytest.mark.parametrize(
     "stage_index, forge, kind, at",
     [
-        (0, lambda lv: {"unitaries": _set(lv.unitaries, 4, np.diag([1.0, 2.0]))}, "not-unitary",
-         [4]),
+        (0, lambda mp, sheet: _forge_transports(mp, lambda u: u.__setitem__(4, np.diag([1.0, 2.0])))
+         or sheet, "not-unitary", [4]),
         # A = -1 is a unitary in the Gelfand ideal at s = 1/2: c = (1 - 2s)²,
-        # and the rule puts that column's rows at s = 0 and 1 only
-        (0, lambda lv: {"unitaries": _set(lv.unitaries, 4, -np.eye(2))}, "unsafe", [4]),
+        # and the rule puts that column's rows at s = 0 and 1 only. Here
+        # A_4 = -1 to rounding, as a recipe can hold it: phase k = u_den / 2
+        # on the transport U_4 = 1 of the constant loop
+        (0, lambda mp, sheet: _forge(sheet, phases=_set(sheet.levels[0].phases, 4, homotopy.U_DEN // 2)),
+         "unsafe", [4]),
     ],
     ids=["non-unitary", "unsafe"],
 )
-def test_verifier_flags_forged_recipes(stage_index, forge, kind, at):
+def test_verifier_flags_forged_recipes(stage_index, forge, kind, at, monkeypatch):
     # on the constant loop every forgery leaves every cell at the basepoint,
     # so only the recipe checks can see it
     loop = constant_loop(2, 10)
     sheet = contract_loop(loop)
-    forged = _forge(sheet, **forge(sheet.levels[0]))
-    assert np.max(np.abs(cells(forged, loop) - cells(sheet, loop))) < 1e-15
+    want = cells(sheet, loop)
+    forged = forge(monkeypatch, sheet)
+    assert np.max(np.abs(cells(forged, loop) - want)) < 1e-15
     report = verify_homotopy(forged, loop, modulus=1e-9)
     assert not report.passed
     assert {v[0] for v in report.violations} == {kind}
@@ -1288,8 +1326,8 @@ def test_verifier_fails_a_recipe_in_the_gelfand_ideal():
     sheet = contract_loop(loop)
     (level,) = sheet.levels
     phases = _set(level.phases, 4, homotopy.U_DEN // 2)
-    forged = _forge(sheet, phases=phases, unitaries=homotopy.level_unitaries(level.runs, level.vectors, phases))
-    assert np.abs(forged.levels[0].unitaries[4] + np.eye(2)).max() < 1e-15
+    forged = _forge(sheet, phases=phases)
+    assert np.abs(homotopy.level_unitaries(forged.levels[0])[4] + np.eye(2)).max() < 1e-15
     rows = sheet.levels[0].rows[0]
     s = homotopy._rule_rows(np.array([[1.0], [-4.0], [4.0]]), rows)[:, 0]
     assert list(s) == [0.0] * (rows // 2) + [1.0] * (rows - rows // 2)
@@ -1302,11 +1340,11 @@ def test_verifier_fails_a_recipe_in_the_gelfand_ideal():
         assert [v[:2] for v in report.violations] == [("unsafe", (0, 0, 4))]
 
 
-def test_verifier_flags_a_scaled_unitary_on_a_moving_loop(pure_sheet):
+def test_verifier_flags_a_scaled_unitary_on_a_moving_loop(pure_sheet, monkeypatch):
+    # U_200 scaled by 1.01 as the verifier rebuilds it (_forge_transports)
     loop = bundled_pure_loop()
-    ops = pure_sheet.levels[0].unitaries
-    forged = _forge(pure_sheet, unitaries=_set(ops, 200, 1.01 * ops[200]))
-    report = verify_homotopy(forged, loop, modulus=loop.modulus)
+    _forge_transports(monkeypatch, lambda u: u.__setitem__(200, 1.01 * u[200]))
+    report = verify_homotopy(pure_sheet, loop, modulus=loop.modulus)
     assert [v[:2] for v in report.violations] == [("not-unitary", (0, 0, 200))]
 
 
@@ -1353,8 +1391,9 @@ def test_a_loop_is_contracted_from_its_packed_row_0():
     got, want = contract_loop(loop), contract_loop(mirrored)
     assert len(got.levels) == len(want.levels) == 1
     for level, want_level in zip(got.levels, want.levels):
-        assert np.array_equal(level.unitaries, want_level.unitaries)
-        assert level.rows == want_level.rows
+        assert level.runs == want_level.runs and level.rows == want_level.rows
+        assert level.vectors.tobytes() == want_level.vectors.tobytes()
+        assert level.phases.tobytes() == want_level.phases.tobytes()
 
 
 @pytest.mark.parametrize("name", ["seed2", "plateau"])
