@@ -21,7 +21,7 @@ from .dimer import ModelConfig, invariant_sweep
 from .homotopy import SAFETY_FLOOR, contract_loop, verify_homotopy
 from .selfcheck import run_selfcheck
 from .supernatural import from_type_sequence, homotopy_table, iso_equivalent, q_contains
-from .util import NumericalGateError, tol_scale
+from .util import NumericalGateError, is_int, tol_scale
 
 EXIT_PASS = 0
 EXIT_GATE = 2
@@ -36,21 +36,17 @@ def _parse_grid(text: str) -> tuple[int, int]:
         raise ValueError(f"grid must look like 32x64, got {text!r}") from exc
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _is_grid(value) -> bool:
     return isinstance(value, str) or (
-        isinstance(value, list) and len(value) == 2 and all(map(_is_int, value))
+        isinstance(value, list) and len(value) == 2 and all(map(is_int, value))
     )
 
 
 # --config keys each command reads, with the JSON values each accepts; any
 # other key or value is an input error
 CONFIG_KEYS = {
-    "invariant": {"grid": (_is_grid, '"KxM" or [K, M]'), "n_dimers": (_is_int, "an integer")},
-    "selfcheck": {"seed": (_is_int, "an integer")},
+    "invariant": {"grid": (_is_grid, '"KxM" or [K, M]'), "n_dimers": (is_int, "an integer")},
+    "selfcheck": {"seed": (is_int, "an integer")},
 }
 
 

@@ -26,17 +26,19 @@ from .linalg import (
     SIGMA_Y,
     SIGMA_Z,
     UP,
-    embed_pair_operator,
-    embed_site_operator,
+    embed,
     eye,
     kron,
     kron_all,
-    spin_chain,
     trace_norm,
 )
-from .util import NumericalGateError, tol_scale
+from .util import NumericalGateError, is_int, tol_scale
 
 PAULI_VEC = (SIGMA_X, SIGMA_Y, SIGMA_Z)
+
+# Half-width of the equatorial band |w4| < EPSILON, where the dimer charts
+# overlap and the truncated cocycle unitary is defined.
+EPSILON = 0.25
 
 Y_OVERLAP_GATE = 0.9
 PROJECTION_WEIGHT_GATE = 1e-6
@@ -113,20 +115,23 @@ def equator_point(rhat: np.ndarray) -> ParamPoint:
 
 @dataclass(frozen=True)
 class ModelConfig:
-    epsilon: float = 0.25
     n_dimers: int = 2
     grid: tuple[int, int] = (32, 64)
 
     def __post_init__(self):
-        if not 0.0 < self.epsilon < 1.0:
-            raise ValueError("epsilon must lie in (0, 1)")
+        # types first, so that no comparison meets a float, string or bool
+        if not is_int(self.n_dimers):
+            raise ValueError(f"n_dimers {self.n_dimers!r} must be an integer")
+        if not (isinstance(self.grid, tuple) and len(self.grid) == 2
+                and all(map(is_int, self.grid))):
+            raise ValueError(f"grid {self.grid!r} must be two integers")
         if self.n_dimers < 2:
             raise ValueError("need at least two dimers")
         if self.grid[0] < 2 or self.grid[1] < 3:
             raise ValueError("grid must be at least 2 x 3")
-        if not all(isinstance(n, int) for n in self.grid) or self.grid[1] > MAX_AZIMUTHS:
-            raise ValueError(f"grid {self.grid[0]}x{self.grid[1]} must be two integers, with at "
-                             f"most {MAX_AZIMUTHS} azimuths")
+        if self.grid[1] > MAX_AZIMUTHS:
+            raise ValueError(f"grid {self.grid[0]}x{self.grid[1]}: ring_degree sums at "
+                             f"most {MAX_AZIMUTHS} azimuths exactly")
         if self.grid[0] * RING_BYTES > MAX_GRID_BYTES:
             raise ValueError(f"grid {self.grid[0]}x{self.grid[1]} exceeds the "
                              f"{MAX_GRID_BYTES}-byte budget")
@@ -161,7 +166,7 @@ def heisenberg_coupling() -> np.ndarray:
     return out
 
 
-def dimer_hamiltonian(w: ParamPoint, hemisphere: int, eps: float = 0.25) -> np.ndarray:
+def dimer_hamiltonian(w: ParamPoint, hemisphere: int, eps: float = EPSILON) -> np.ndarray:
     """Two-site dimer Hamiltonian.
 
     Plus hemisphere couples sites (0,1) with field w.(sigma_0 - sigma_1);
@@ -185,7 +190,7 @@ class DimerClosedForm(NamedTuple):
     ground: np.ndarray  # unit vector in C^4
 
 
-def dimer_closed_form(w: ParamPoint, hemisphere: int, eps: float = 0.25) -> DimerClosedForm:
+def dimer_closed_form(w: ParamPoint, hemisphere: int, eps: float = EPSILON) -> DimerClosedForm:
     """Exactly solved dimer: f = sqrt(g^2 + |w|^2), gap data and the
     coordinate form of the unique ground state.
 
@@ -251,7 +256,6 @@ def reference_chain_state(n_sites: int) -> np.ndarray:
 class ChainOperators:
     """Fixed truncated-chain operators for a given size (w-independent)."""
 
-    n_sites: int
     b_minus: np.ndarray
     b_plus: np.ndarray
     omega_r: np.ndarray
@@ -263,15 +267,14 @@ class ChainOperators:
         if 16 * 4**n_sites > MAX_DENSE_BYTES:  # 16 bytes per complex amplitude
             raise ValueError(f"a dense {n_sites}-site chain operator exceeds the "
                              f"{MAX_DENSE_BYTES}-byte budget")
-        layout = spin_chain(n_sites)
         wmat = dimer_swap_unitary()
         b_minus = eye(2**n_sites)
         for site in range(1, n_sites, 2):  # pairs (1,2), (3,4), ...
-            b_minus = b_minus @ embed_pair_operator(wmat, site - 1, layout)
+            b_minus = b_minus @ embed(wmat, site - 1, n_sites)
         b_plus = eye(2**n_sites)
         for site in range(2, n_sites - 1, 2):  # pairs (2,3), ..., (2N-2, 2N-1)
-            b_plus = b_plus @ embed_pair_operator(wmat, site - 1, layout)
-        return cls(n_sites, b_minus, b_plus, reference_chain_state(n_sites))
+            b_plus = b_plus @ embed(wmat, site - 1, n_sites)
+        return cls(b_minus, b_plus, reference_chain_state(n_sites))
 
 
 _CHAIN_CACHE: dict[int, ChainOperators] = {}
@@ -287,7 +290,6 @@ class TruncatedZ(NamedTuple):
     z: np.ndarray
     y_overlap: float  # interior overlap after removing the far boundary dimer
     y_raw: complex  # raw <Omega_R, M Omega_R>
-    m: np.ndarray
     omega_r: np.ndarray
 
 
@@ -312,14 +314,13 @@ def truncated_Z(w: ParamPoint, cfg: ModelConfig, branch=None) -> TruncatedZ:
     `chain_operators` refuses N > 5 (MAX_DENSE_BYTES) with ValueError before
     allocating. The sweep never builds it; see `_equator_window`.
     """
-    if abs(w.w4) >= cfg.epsilon:
-        raise ValueError(f"point w4={w.w4:+.4f} outside the equatorial band |w4| < {cfg.epsilon}")
+    if abs(w.w4) >= EPSILON:
+        raise ValueError(f"point w4={w.w4:+.4f} outside the equatorial band |w4| < {EPSILON}")
     theta, phi = w.theta_phi() if branch is None else (float(branch[0]), float(branch[1]))
     ops = chain_operators(cfg.n_sites)
     n = cfg.n_sites
-    layout = spin_chain(n)
     g_all = _site_rotation_chain(theta, phi, n)
-    u1 = embed_site_operator(site_rotation(theta, phi), 0, layout)
+    u1 = embed(site_rotation(theta, phi), 0, n)
     m = (
         ops.b_minus
         @ g_all.conj().T
@@ -340,7 +341,7 @@ def truncated_Z(w: ParamPoint, cfg: ModelConfig, branch=None) -> TruncatedZ:
         raise NumericalGateError("reference overlap vanishes; cannot phase-fix the lift")
     y_fixed = m * (abs(y) / y)
     z = y_fixed @ u1
-    return TruncatedZ(z=z, y_overlap=y_overlap, y_raw=y, m=m, omega_r=ops.omega_r)
+    return TruncatedZ(z=z, y_overlap=y_overlap, y_raw=y, omega_r=ops.omega_r)
 
 
 def _pattern(n_sites: int) -> int:
@@ -577,8 +578,6 @@ class InvariantRecord:
     weight_min: float
     ray_agreement_min: float
     integrality: float
-    grid: tuple[int, int]
-    n_dimers: int
     passed: bool = False  # the verdict: _gate_failure found no failing gate
 
 
@@ -648,8 +647,6 @@ def invariant_sweep(cfg: ModelConfig) -> InvariantRecord:
         weight_min=float(weight_min),
         ray_agreement_min=float(agree_min),
         integrality=deg.integrality,
-        grid=cfg.grid,
-        n_dimers=cfg.n_dimers,
     )
     rec.passed = _gate_failure(rec) is None
     return rec

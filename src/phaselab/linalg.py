@@ -8,7 +8,6 @@ functions are pure; no shared mutable state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -36,25 +35,6 @@ def eye(n: int) -> np.ndarray:
     return np.eye(n, dtype=np.complex128)
 
 
-@dataclass(frozen=True)
-class ChainLayout:
-    """Ordered local dimensions of a finite tensor-product chain."""
-
-    site_dims: tuple[int, ...]
-
-    def __post_init__(self):
-        if any(d < 2 for d in self.site_dims):
-            raise ValueError("every local dimension must be >= 2")
-
-    @property
-    def n_sites(self) -> int:
-        return len(self.site_dims)
-
-
-def spin_chain(n_sites: int) -> ChainLayout:
-    return ChainLayout((2,) * n_sites)
-
-
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(np.asarray(a, dtype=np.complex128), np.asarray(b, dtype=np.complex128))
 
@@ -66,30 +46,16 @@ def kron_all(ops) -> np.ndarray:
     return out
 
 
-def embed_site_operator(op: np.ndarray, site: int, layout: ChainLayout) -> np.ndarray:
-    """Operator acting as `op` at `site` and identity elsewhere."""
+def embed(op: np.ndarray, site: int, n_sites: int) -> np.ndarray:
+    """Operator acting as `op`, on 2^k amplitudes, on sites site..site+k-1
+    of an n-qubit chain and as the identity elsewhere."""
     op = np.asarray(op, dtype=np.complex128)
-    if not 0 <= site < layout.n_sites:
-        raise ValueError(f"site {site} out of range for {layout.n_sites} sites")
-    d = layout.site_dims[site]
-    if op.shape != (d, d):
-        raise ValueError(f"operator shape {op.shape} does not match site dimension {d}")
-    ops = [eye(dd) for dd in layout.site_dims]
-    ops[site] = op
-    return kron_all(ops)
-
-
-def embed_pair_operator(op: np.ndarray, site: int, layout: ChainLayout) -> np.ndarray:
-    """Two-site operator on (site, site+1), identity elsewhere."""
-    op = np.asarray(op, dtype=np.complex128)
-    if not 0 <= site < layout.n_sites - 1:
-        raise ValueError(f"pair ({site},{site + 1}) out of range")
-    d = layout.site_dims[site] * layout.site_dims[site + 1]
-    if op.shape != (d, d):
-        raise ValueError(f"operator shape {op.shape} does not match pair dimension {d}")
-    left = eye(int(np.prod(layout.site_dims[:site], initial=1)))
-    right = eye(int(np.prod(layout.site_dims[site + 2:], initial=1)))
-    return kron_all([left, op, right])
+    k = op.shape[0].bit_length() - 1 if op.ndim == 2 else 0
+    if k < 1 or op.shape != (2**k, 2**k):
+        raise ValueError(f"operator shape {op.shape} is not 2^k x 2^k for a k >= 1")
+    if not 0 <= site <= n_sites - k:
+        raise ValueError(f"sites {site}..{site + k - 1} leave the {n_sites}-site chain")
+    return kron_all([eye(2**site), op, eye(2 ** (n_sites - site - k))])
 
 
 def partial_trace(t: np.ndarray, d_left: int, d_right: int, keep: str = "left") -> np.ndarray:

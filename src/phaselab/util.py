@@ -9,6 +9,11 @@ class NumericalGateError(RuntimeError):
     """A numerical acceptance gate failed (distinct from bad input)."""
 
 
+def is_int(value) -> bool:
+    """An int that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def tol_scale() -> float:
     """Global tolerance multiplier from PHASELAB_TOL_SCALE (default 1),
     finite and > 0: an infinite scale would turn the scaled gates off."""

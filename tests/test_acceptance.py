@@ -32,13 +32,12 @@ from phaselab.linalg import (
     SIGMA_Y,
     SIGMA_Z,
     eig_hermitian,
-    embed_site_operator,
+    embed,
     eye,
     hermitian_basis,
     kron,
     operator_norm,
     partial_trace,
-    spin_chain,
     trace_norm,
 )
 from phaselab.projective import ray_distances, ray_product
@@ -185,16 +184,16 @@ def test_criterion_5_gns():
 
 def test_criterion_6_invariant_headline():
     t0 = time.time()
-    base = invariant_sweep(ModelConfig(epsilon=EPS, n_dimers=2, grid=(32, 64)))
+    base = invariant_sweep(ModelConfig(n_dimers=2, grid=(32, 64)))
     assert abs(base.degree) == 1
     assert base.agreement
     assert base.y_overlap_min >= 0.99
     assert base.ray_agreement_min >= 1 - 1e-8
     assert base.weight_min >= 1 - 1e-6
 
-    bigger_chain = invariant_sweep(ModelConfig(epsilon=EPS, n_dimers=3, grid=(32, 64)))
+    bigger_chain = invariant_sweep(ModelConfig(n_dimers=3, grid=(32, 64)))
     assert bigger_chain.degree == base.degree and bigger_chain.agreement
-    finer_grid = invariant_sweep(ModelConfig(epsilon=EPS, n_dimers=2, grid=(64, 128)))
+    finer_grid = invariant_sweep(ModelConfig(n_dimers=2, grid=(64, 128)))
     assert finer_grid.degree == base.degree and finer_grid.agreement
 
     # intertwiner residual on interior single-site operators at N=3
@@ -209,10 +208,9 @@ def test_criterion_6_invariant_headline():
     tz = truncated_Z(w, cfg, branch=(th, ph))
     ops = chain_operators(cfg.n_sites)
     g = _site_rotation_chain(th, ph, cfg.n_sites)
-    layout = spin_chain(cfg.n_sites)
     worst_resid = 0.0
     for op, site in ((SIGMA_X, 0), (SIGMA_Z, 1), (SIGMA_Y, 2)):
-        a = embed_site_operator(op, site, layout)
+        a = embed(op, site, cfg.n_sites)
         inner = g.conj().T @ ops.b_plus.conj().T @ g @ ops.b_plus @ a
         inner = inner @ ops.b_plus.conj().T @ g.conj().T @ ops.b_plus @ g
         composite = ops.b_minus @ g.conj().T @ ops.b_minus.conj().T @ g @ inner

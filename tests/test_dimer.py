@@ -21,11 +21,10 @@ from phaselab.linalg import (
     SIGMA_Y,
     SIGMA_Z,
     eig_hermitian,
-    embed_site_operator,
+    embed,
     eye,
     kron,
     operator_norm,
-    spin_chain,
 )
 from ray_fields import sphere_grid, turned_field
 
@@ -199,7 +198,7 @@ def test_truncated_z_branch_gives_same_ray_data():
     z1 = truncated_Z(w, cfg, branch=(th, ph)).z
     z2 = truncated_Z(w, cfg, branch=(-th, ph + np.pi)).z
     # equal as projective unitaries: conjugations agree
-    a = embed_site_operator(SIGMA_X, 0, spin_chain(cfg.n_sites))
+    a = embed(SIGMA_X, 0, cfg.n_sites)
     assert np.max(np.abs(z1 @ a @ z1.conj().T - z2 @ a @ z2.conj().T)) < 1e-9
 
 
@@ -211,7 +210,6 @@ def test_intertwiner_residual_interior_sites():
     th, ph = w.theta_phi()
     tz = truncated_Z(w, cfg, branch=(th, ph))
     n = cfg.n_sites
-    layout = spin_chain(n)
     from phaselab.dimer import _site_rotation_chain, chain_operators
 
     ops = chain_operators(n)
@@ -221,7 +219,7 @@ def test_intertwiner_residual_interior_sites():
         return u @ x @ u.conj().T
 
     for op, site in ((SIGMA_X, 0), (SIGMA_Z, 1), (SIGMA_Y, 2)):
-        a = embed_site_operator(op, site, layout)
+        a = embed(op, site, n)
         # alpha_plus^{-1} = Ad(G' B+' G B+), alpha_minus = Ad(B- G' B-' G)
         step1 = ad(g.conj().T, ad(ops.b_plus.conj().T, ad(g, ad(ops.b_plus, a))))
         composite = ad(ops.b_minus, ad(g.conj().T, ad(ops.b_minus.conj().T, ad(g, step1))))
@@ -419,6 +417,18 @@ def test_model_config_grid_budget():
     assert peak < 2**20
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"n_dimers": 2.5}, {"n_dimers": 3.0}, {"n_dimers": "3"}, {"n_dimers": True},
+    {"grid": ("a", 3)}, {"grid": (32,)}, {"grid": (32, 64, 1)}, {"grid": (32.0, 64)},
+    {"grid": (True, 64)}, {"grid": 32}, {"grid": "32x64"},
+], ids=lambda kw: ",".join(f"{key}={value!r}" for key, value in kw.items()))
+def test_model_config_checks_types_before_values(kwargs):
+    # a float, string or bool count, or a grid that is not two integers, is
+    # refused as a ValueError before any comparison could raise or pass it
+    with pytest.raises(ValueError, match="must be (an integer|two integers)"):
+        ModelConfig(**kwargs)
+
+
 def test_model_config_state_budget():
     # the 4^N memory cap sits on the dense oracle alone, which refuses a
     # long chain before it allocates anything
@@ -605,27 +615,26 @@ def _complex_normal(rng, *shape):
 @pytest.mark.parametrize("n", range(2, 9))
 def test_layer_matches_embedded_operators(n):
     from phaselab.dimer import _layer
-    from phaselab.linalg import embed_pair_operator
 
     rng = np.random.default_rng(300 + n)
-    p, layout = 5, spin_chain(n)
+    p = 5
     psi = _complex_normal(rng, p, 2**n)
     g = _complex_normal(rng, p, 2, 2)
     w = _complex_normal(rng, 4, 4)
     states = psi.T.copy()  # _layer stores the points last
     for site in range(n):
-        want = np.stack([embed_site_operator(g[k], site, layout) @ psi[k] for k in range(p)])
+        want = np.stack([embed(g[k], site, n) @ psi[k] for k in range(p)])
         assert np.max(np.abs(_layer(states, g, [site]).T - want)) <= 1e-13
     # several sites in one call apply in order; unitaries keep the norm at 1
     v = np.linalg.qr(g)[0]
     unit = psi / np.linalg.norm(psi, axis=-1, keepdims=True)
     want = unit
     for site in range(n):
-        want = np.stack([embed_site_operator(v[k], site, layout) @ want[k] for k in range(p)])
+        want = np.stack([embed(v[k], site, n) @ want[k] for k in range(p)])
     unit_states = unit.T.copy()
     assert np.max(np.abs(_layer(unit_states, v, range(n)).T - want)) <= 1e-13
     for site in range(n - 1):
-        want = psi @ embed_pair_operator(w, site, layout).T
+        want = psi @ embed(w, site, n).T
         assert np.max(np.abs(_layer(states, w, [site]).T - want)) <= 1e-13
     _layer(states, w, range(n - 1))
     # the input states are left as they were, also by calls over several sites

@@ -8,14 +8,13 @@ from phaselab.linalg import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
-    ChainLayout,
-    embed_site_operator,
     eig_hermitian,
+    embed,
     eye,
     hermitian_basis,
     kron,
+    kron_all,
     partial_trace,
-    spin_chain,
     trace_norm,
 )
 
@@ -109,20 +108,28 @@ def test_hermitian_basis_is_one_stack():
         assert np.array_equal(basis, basis.conj().swapaxes(-1, -2))
 
 
-def test_embed_site_operator():
-    layout = spin_chain(2)
-    assert np.array_equal(embed_site_operator(SIGMA_Z, 0, layout), kron(SIGMA_Z, eye(2)))
-    assert np.array_equal(embed_site_operator(eye(2), 1, layout), eye(4))
-    with pytest.raises(ValueError):
-        embed_site_operator(SIGMA_Z, 2, layout)
-    with pytest.raises(ValueError):
-        embed_site_operator(np.eye(3), 0, layout)
+def test_embed_is_the_kron_of_site_identities():
+    # an operator on 2^k amplitudes acts on sites site..site+k-1 of the chain
+    assert np.array_equal(embed(SIGMA_Z, 0, 2), kron(SIGMA_Z, eye(2)))
+    assert np.array_equal(embed(eye(2), 1, 2), eye(4))
+    rng = np.random.default_rng(40)
+    for n in range(2, 7):
+        for k in (1, 2):
+            op = random_complex((2**k, 2**k), rng)
+            for site in range(n - k + 1):
+                want = kron_all([eye(2)] * site + [op] + [eye(2)] * (n - site - k))
+                assert np.array_equal(embed(op, site, n), want)
+            for site in (-1, n - k + 1):  # past either end of the chain
+                with pytest.raises(ValueError, match="leave"):
+                    embed(op, site, n)
+    for op in (np.eye(3), np.eye(1), np.eye(6), np.ones(4)):
+        with pytest.raises(ValueError, match="2\\^k"):
+            embed(op, 0, 4)
 
 
 def test_embedded_operators_at_distinct_sites_commute():
-    layout = spin_chain(3)
-    a = embed_site_operator(SIGMA_X, 0, layout)
-    b = embed_site_operator(SIGMA_Y, 1, layout)
+    a = embed(SIGMA_X, 0, 3)
+    b = embed(SIGMA_Y, 1, 3)
     comm = a @ b - b @ a
     assert np.max(np.abs(comm)) <= 1e-14
 
@@ -348,11 +355,6 @@ def test_packed_kernels_give_each_matrix_its_single_call_value(n, count):
         stacked = kernel(herm)
         assert stacked.shape == (count,)
         assert np.array_equal(stacked, [kernel(m) for m in herm])
-
-
-def test_chain_layout_validation():
-    with pytest.raises(ValueError):
-        ChainLayout((2, 1))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
