@@ -30,10 +30,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import (_hermitian_min_eigenvalues, _hermitian_trace_norm, eye, pack_hermitian,
-                     trace_norm, unpack_hermitian, upper_pairs)
+from .linalg import (POSITIVITY_MARGIN, _hermitian_min_eigenvalues, _hermitian_trace_norm, eye,
+                     pack_hermitian, trace_norm, unpack_hermitian, upper_pairs)
 from .projective import transport_to_e0
-from .states import basis_state, validate_densities
+from .states import STATE_EIG_TOL, basis_state, validate_densities
 from .util import NumericalGateError
 
 PURITY_THRESHOLD = 7.0 / 8.0
@@ -63,9 +63,9 @@ MIN_ROWS = 8
 U_DEN = 2**20
 # Bytes a sheet may hold (_held_bytes): its recipe and BLOCK_COPIES blocks
 # of complex cells of its stage of most rows. Stage blocks are packed, half
-# those bytes, and beyond the recipe tracemalloc reads a contraction, its
-# row probes included, at 0.3 to 2.0 blocks and a verification at 1.7 to
-# 2.5 (n = 2 to 40, 17 to 901 samples). Six copies would admit the n = 50,
+# those bytes, and beyond the recipe tracemalloc reads a contraction, which
+# forms no block, at 0.5 to 1.8 blocks and a verification at 1.6 to 2.3
+# (n = 2 to 10, 201 to 901 samples). Six copies would admit the n = 50,
 # 101-sample loop that the CLI refuses. The count covers arrays only: on
 # sheets under about 1 MB, tracemalloc's fixed overhead can exceed it
 # (constant_loop(2, 16) reads 3.7 blocks).
@@ -213,8 +213,8 @@ def _held_bytes(n: int, t_count: int, rows: list) -> int:
     for every level, which bound the one level's that is rebuilt at a time
     (level_unitaries), the loop that a contraction and a verification hold,
     and BLOCK_COPIES blocks of cells of its stage of most rows, which bound
-    a contraction's row probe (_grown_rows) and a verification's block and
-    temporaries alike."""
+    a contraction's pencils and the cells of its row probe's exact steps
+    (_grown_rows) and a verification's block and temporaries alike."""
     recipe = sum(t_count * ((b * b + b) * 16 + 8) for b in range(2, n + 1))
     held = t_count * n * n * 16 + recipe  # the loop and the recipe
     return held + BLOCK_COPIES * max(rows, default=1) * t_count * n * n * 16
@@ -228,27 +228,74 @@ def _check_sheet_budget(held: int) -> None:
                          f"{MAX_SHEET_BYTES}-byte budget")
 
 
+def _real_form(m: np.ndarray) -> np.ndarray:
+    """The real form [[Re m, -Im m], [Im m, Re m]] (..., 2n, 2n) of a complex
+    stack m (..., n, n): the real form of a product is the product of the
+    real forms, and its first n columns stack the product's real and
+    imaginary parts."""
+    n = m.shape[-1]
+    out = np.empty((*m.shape[:-2], 2 * n, 2 * n))
+    out[..., :n, :n] = out[..., n:, n:] = m.real
+    out[..., n:, :n] = m.imag
+    np.negative(m.imag, out=out[..., :n, n:])
+    return out
+
+
+def _adjoint_columns(w: np.ndarray) -> np.ndarray:
+    """The real and imaginary parts of W† stacked, (..., 2n, n), for those
+    of a stack W, w (..., 2n, n), C-contiguous for the stacked product
+    that takes them."""
+    n, out = w.shape[-1], np.empty_like(w)
+    out[..., :n, :] = w[..., :n, :].swapaxes(-1, -2)
+    np.negative(w[..., n:, :].swapaxes(-1, -2), out=out[..., n:, :])
+    return out
+
+
 def _unitarity_defect(a: np.ndarray) -> np.ndarray:
-    """max |A A† - 1| per matrix of a stack (..., n, n)."""
-    adj = a.conj().swapaxes(-1, -2)
-    return np.max(np.abs(a @ adj - eye(a.shape[-1])), axis=(-2, -1))
+    """max |A A† - 1| per matrix of a stack (..., n, n), with A A† a product
+    of real forms (_real_form)."""
+    n = a.shape[-1]
+    w = _real_form(a) @ _adjoint_columns(np.concatenate([a.real, a.imag], axis=-2))  # [[Re A A†], [Im A A†]]
+    return np.max(np.hypot(w[..., :n, :] - np.eye(n), w[..., n:, :]), axis=(-2, -1))
 
 
-def pencil(a: np.ndarray, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _packed_with_adjoint(w: np.ndarray, n: int) -> np.ndarray:
+    """The packed rows (n², ...) (linalg.pack_hermitian) of W + W† for a
+    stack W (..., n, n) given as its real and imaginary parts stacked, w
+    (..., 2n, n): 2 Re W_kk, then Re W_ij + Re W_ji and Im W_ij - Im W_ji
+    for each upper pair (i, j)."""
+    i, j = upper_pairs(n)
+    flat = np.moveaxis(w.reshape(*w.shape[:-2], 2 * n * n), -1, 0)
+    diag, m = np.arange(n) * (n + 1), len(i)
+    out = flat[np.concatenate([diag, i * n + j, (n + i) * n + j])]
+    out[:n + m] += flat[np.concatenate([diag, j * n + i])]
+    out[n + m:] -= flat[(n + j) * n + i]
+    return out
+
+
+def pencil(a: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The quadratic pencil of s A + (1-s) 1 acting on rho, over broadcast
-    stacks (..., n, n) of elements and exactly Hermitian densities, as
-    (p, c): R0, R1 and R2 with B(s) rho B(s)† = R0 + s R1 + s² R2 for
-    B(s) = s A + (1-s) 1, packed (linalg.pack_hermitian) as p (3, n², ...),
-    and their traces c (3, ...). With X = A - 1, R0 = rho, R1 = X rho +
-    rho X† and R2 = X rho X†, made exactly Hermitian. A stage's pencil is
-    formed here once: its cells (_stage_rows), its s rows (_rule_rows) and
-    its safety value (safety_min) are all read from p and c."""
-    x = a - eye(a.shape[-1])
-    xr = x @ rho
-    r2 = xr @ x.conj().swapaxes(-1, -2)
-    r1, r2 = xr + xr.conj().swapaxes(-1, -2), (r2 + r2.conj().swapaxes(-1, -2)) / 2
-    r = np.stack(np.broadcast_arrays(rho, r1, r2))
-    return np.moveaxis(pack_hermitian(r), 1, 0), np.trace(r, axis1=-2, axis2=-1).real
+    stacks of elements A (..., n, n) and exactly Hermitian densities rho,
+    packed (linalg.pack_hermitian) as x (n², ...), as (p, c): R0, R1 and R2
+    with B(s) rho B(s)† = R0 + s R1 + s² R2 for B(s) = s A + (1-s) 1,
+    packed as p (3, n², ...), and their traces c (3, ...), the sums of
+    their diagonals. With X = A - 1 and Y = X rho, R0 = rho, R1 = Y + Y†
+    and R2 = (Z + Z†) / 2 for Z = X Y† = X rho X†: Y and Z are each one
+    stacked product of real matrices, the real form of X (_real_form)
+    times the real and imaginary parts of rho and of Y† stacked, and the
+    packed rows are read straight from them (_packed_with_adjoint). A
+    stage's pencil is formed here once: its cells (_stage_rows), its s rows
+    (_rule_rows), its row probe (_grown_rows), its safety value
+    (safety_min) and the verifier's bound on its cells' negativity
+    (_negativity_bound) are all read from p and c."""
+    n = a.shape[-1]
+    xr, h = _real_form(a - eye(n)), unpack_hermitian(x)
+    y = xr @ np.concatenate([h.real, h.imag], axis=-2)  # [[Re Y], [Im Y]]
+    z = xr @ _adjoint_columns(y)
+    r1, r2 = _packed_with_adjoint(y, n), _packed_with_adjoint(z, n) / 2
+    r0 = x.reshape(len(x), *(1,) * (r1.ndim - x.ndim), *x.shape[1:])
+    p = np.stack(np.broadcast_arrays(r0, r1, r2))
+    return p, p[:, :n].sum(axis=1)
 
 
 def safety_min(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -470,113 +517,178 @@ def _rows_for(target_step: float, movement: float) -> int:
 
 
 def _grown_rows(p: np.ndarray, c: np.ndarray, rows: int, target: float) -> int:
-    """`rows` for a stage of pencil (p, c), unless its block at the rule's
-    `rows` rows (_rule_block) has an s-step, from the stage's input R0 on,
+    """`rows` for a stage of pencil (p, c), unless an s-step of its rows at
+    the rule's `rows` rows (_rule_rows), from the stage's input R0 on, is
     over the modulus 2 target: then ceil(rows step / target), which aims
     the largest step at target again. It grows once, and the verifier
-    judges the rows it gives. The steps are taken on the packed block and
-    p[0], and only those whose Frobenius bounds let them reach the modulus
-    take a trace norm (_bounded_steps), so a stage where none does takes
-    no eigensolver."""
-    block = _rule_block(p, c, rows)
-    first, floor = _bounded_steps(block[:, 0] - p[0], 2.0 * target)
-    steps, _ = _bounded_steps(block[:, 1:] - block[:, :-1], floor)
-    step = max(first.max(), steps.max(initial=0.0))
+    judges the rows it gives. The steps are bounded from the pencil alone
+    (_gram_steps), and only those whose bounds let them reach the modulus
+    make their two cells and take a trace norm (_bounded_steps): no block
+    of the stage's rows is formed, and a stage where no step can reach the
+    modulus makes no cell and takes no eigensolver. The answer rests on
+    the exact norms of the steps that can pass the modulus alone, so it is
+    that of a scan of the block's every step."""
+    steps, _ = _bounded_steps(*_gram_steps(p, c, _rule_rows(c, rows)), 2.0 * target)
+    step = steps.max()
     return rows if step <= 2.0 * target else int(np.ceil(rows * step / target))
 
 
-def _bounded_steps(d: np.ndarray, floor: float) -> tuple[np.ndarray, float]:
-    """Trace norms of a packed stack d (n², ...) of Hermitian steps, and
-    `floor` raised to their largest lower bound. `floor` is a threshold, or
-    a lower bound or exact norm of a step scanned before. A step takes its
-    exact norm (linalg._hermitian_trace_norm) where its upper bound is
-    positive and reaches the raised floor. Any other step reads 0.0: it is
-    under the floor, so it is neither the largest step so far nor over the
-    threshold. The largest step and all its ties keep their exact norms.
+def _gram_steps(p: np.ndarray, c: np.ndarray, s: np.ndarray) -> tuple:
+    """Upper bounds on ‖Δ‖_F² of the `rows` s-steps Δ of each column of a
+    stage of pencil (p, c) at the s rows s (rows, T), the first from the
+    stage's input R0 to row 1, as _bounded_steps takes them, with their
+    exact norms on demand: ((0, upper), 0, b, exact). No lower bound is
+    taken: it would raise the probe's floor, the modulus, only on a stage
+    whose rows grow, and spare exact norms there alone.
 
-    With F = ‖Δ‖_F, F² = Σ diag² + 2 Σ offdiag² on the packed rows, every
-    Hermitian Δ has max(F, √(2F² - (tr Δ)²)) <= ‖Δ‖₁ <= √n F: the left
-    from ‖Δ‖₁² = (P + N)² and F² <= P² + N² for its positive and negative
-    parts P, N, and (P - N)² = (tr Δ)²; the right by Cauchy-Schwarz. Each
-    side moves by the relative margin STEP_MARGIN + n² eps, which covers
-    the exact norm's error (1e-13 F for the closed form, eigvalsh's near
-    n eps on each of n eigenvalues) and the rounding of F² and tr Δ. A
-    step whose bound is NaN keeps its exact norm."""
-    n = math.isqrt(len(d))
-    diag, off = d[:n], d[n:]
-    f2 = np.einsum("k...,k...->...", diag, diag) + 2.0 * np.einsum("k...,k...->...", off, off)
-    tr = diag.sum(axis=0)
+    With c(s) = c0 + s c1 + s² c2 and the traceless K1 = c0 R1 - c1 R0,
+    K2 = c0 R2 - c2 R0 and K3 = c1 R2 - c2 R1, the step between the cells
+    at s < s' is (s' - s) [K1 + (s + s') K2 + s s' K3] / (c(s) c(s')), so
+    ‖Δ‖_F = (s' - s) √(qᵀGq) / (c(s) c(s')) for q = (1, s + s', s s') and
+    the Gram matrix G of the K's in the packed inner product (Σ diag + 2 Σ
+    off, which is ‖·‖_F²). The first step leaves R0, which differs from
+    the cell R0 / c0 at s = 0 by |1 - 1/c0| ‖R0‖_F. The bounds hold for the
+    cells _stage_rows computes: G, qᵀGq and c(s) are widened by their
+    rounding (Higham, Accuracy and Stability of Numerical Algorithms, 2nd
+    ed., ch. 3), c(s) against a floor under the column's safety minimum
+    (safety_min), and each cell moves from the exact form by at most its
+    rounding, (2b + 8) u P (1 + Σ|c_i| / floor) / floor with P = Σ ‖R_i‖_F.
+    A column whose floor is not positive reads infinite bounds. exact(keep)
+    makes the two cells of each step where `keep` with _stage_rows, R0 for
+    the first step's, and takes their difference's trace norm
+    (linalg._hermitian_trace_norm), as a scan of the stage's block would."""
+    u, b = np.finfo(float).eps / 2, math.isqrt(p.shape[1])
+    c0, c1, c2 = c
+    k = np.stack([c0 * p[1] - c1 * p[0], c0 * p[2] - c2 * p[0], c1 * p[2] - c2 * p[1]])
+    weights = np.where(np.arange(b * b) < b, 1.0, 2.0)[:, None]
+    g = np.einsum("ikt,jkt->ijt", k * weights, k)
+    norms = np.sqrt(np.einsum("ikt,ikt->it", p * weights, p))  # ‖R_i‖_F
+    kappa = np.abs(c[[0, 0, 1]]) * norms[[1, 2, 2]] + np.abs(c[[1, 2, 2]]) * norms[[0, 0, 1]]  # >= ‖K_i‖_F
+    slack = 2 * (b * b + 24) * u * (kappa[0] + 2.0 * kappa[1] + kappa[2]) ** 2  # on qᵀGq, s and s' in [0, 1]
+    size = np.abs(c).sum(axis=0)
+    least = safety_min(c)[0] - 12 * u * size  # under c(s) and its computed value, s in [0, 1]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        up = np.where(least > 5 * u * size, (1.0 + 8 * u) / (1.0 - 5 * u * size / least) ** 2, np.inf)
+        cell = (2 * b + 8) * u * norms.sum(axis=0) * (1.0 + size / least) / least
+        before = np.concatenate([np.zeros((1, s.shape[1])), s[:-1]])
+        q1, q2 = before + s, before * s
+        quad = g[0, 0] + q1 * (2.0 * g[0, 1] + q1 * g[1, 1]) + q2 * (2.0 * (g[0, 2] + q1 * g[1, 2]) + q2 * g[2, 2])
+        den = c0 + s * (c1 + s * c2)
+        scale = (s - before) / (np.concatenate([c0[None], den[:-1]]) * den)
+        # √(qᵀGq + slack) <= √(qᵀGq) + √slack
+        upper = (scale * np.sqrt(np.maximum(quad, 0.0)) + scale.max(axis=0) * np.sqrt(slack)) * up + 2.0 * cell
+        upper[0] += norms[0] * np.abs(1.0 - 1.0 / c0) * (1.0 + 8 * u)
+
+    def exact(keep: np.ndarray) -> np.ndarray:
+        row, col = np.nonzero(keep)
+        cells = _stage_rows(p[:, :, col], c[:, col], np.stack([before[row, col], s[row, col]]))
+        return _hermitian_trace_norm(cells[:, 1] - np.where(row == 0, p[0][:, col], cells[:, 0]))
+
+    return (0.0, upper * upper), 0.0, b, exact
+
+
+def _bounded_steps(f2: tuple, tr: np.ndarray, n: int, exact, floor: float) -> tuple[np.ndarray, float]:
+    """Trace norms of a stack of Hermitian n x n steps, and `floor` raised
+    to their largest lower bound, from bounds (lower, upper) on each step's
+    F² = ‖Δ‖_F² and on its |tr Δ|: from its packed difference (the
+    verifier, _masked_steps) or from its stage's pencil (the row probe,
+    _gram_steps). `floor` is a threshold, or a lower bound or exact norm of
+    a step scanned before. A step takes its exact norm, exact(keep) for the
+    steps where `keep`, where its upper bound is positive and reaches the
+    raised floor. Any other step reads 0.0: it is under the floor, so it is
+    neither the largest step so far nor over the threshold. The largest
+    step and all its ties keep their exact norms.
+
+    Every Hermitian Δ has max(F, √(2F² - (tr Δ)²)) <= ‖Δ‖₁ <= √n F: the
+    left from ‖Δ‖₁² = (P + N)² and F² <= P² + N² for its positive and
+    negative parts P, N, and (P - N)² = (tr Δ)²; the right by
+    Cauchy-Schwarz. Each side moves by the relative margin STEP_MARGIN +
+    n² eps, which covers the exact norm's error (1e-13 F for the closed
+    form, eigvalsh's near n eps on each of n eigenvalues) and the rounding
+    of F² and tr Δ from a packed difference. A step whose bound is NaN
+    keeps its exact norm."""
     margin = STEP_MARGIN + n * n * np.finfo(float).eps
-    upper = np.sqrt(n * f2) * (1.0 + margin)
-    lower = np.sqrt(np.maximum(f2, 2.0 * f2 - tr * tr)) * (1.0 - margin)
+    lower2, upper2 = f2
+    upper = np.sqrt(n * upper2) * (1.0 + margin)
+    lower = np.sqrt(np.maximum(lower2, 2.0 * lower2 - tr * tr)) * (1.0 - margin)
     floor = float(np.fmax.reduce(lower, axis=None, initial=floor))
     norms = np.zeros(upper.shape)
     keep = (upper != 0.0) & ~(upper < floor)
-    norms[keep] = _hermitian_trace_norm(d[:, keep])
+    if keep.any():
+        norms[keep] = exact(keep)
     return norms, floor
 
 
-def _rectify(rhos: np.ndarray, target: float, admit):
-    """The level (Level) that deforms the density stack `rhos` (T, b, b) so
-    that every sample gives weight one to the corner projection P^b_1 (no
-    weight on the last basis vector), and its last row.
+def _rectify(x: np.ndarray, target: float, admit):
+    """The level (Level) that deforms the density stack packed as x (b², T)
+    (linalg.pack_hermitian) so that every sample gives weight one to the
+    corner projection P^b_1 (no weight on the last basis vector), and its
+    last row, packed.
 
     Eigenvector-transport unitaries come first: the continued top
     eigenvectors are rounded to multiples of 1 / U_DEN, and the unitaries
     built from them (_transport_unitaries), each checked unitary before the
-    disk phase lift of t -> omega_t(U_t) that keeps the unitary
-    interpolation outside every Gelfand ideal; each lifted phase lambda_t
-    is rounded to a multiple of 2 pi / U_DEN, and A_t = lambda_t U_t
-    (_lifted). The level keeps the rounded vectors and phases, from which
-    every expansion rebuilds A_t bit for bit. Then one pass makes
-    the level's two stages, the linear interpolations with s lambda_t U_t
-    and with s P^b_1, each from its one pencil: its exact safety minimum
-    over s in [0, 1] must clear SAFETY_FLOOR in every column; its last row,
-    at s = 1 as the expansion builds it (_rule_block of one row), measures
-    the stage's movement and is the next stage's input; its rows step by
-    about `target`, from its movement (_rows_for), and pass through admit,
-    which may refuse them, before its block is probed (_grown_rows), and
-    again as the probe leaves them.
+    disk phase lift of t -> omega_t(U_t) = tr(rho_t U_t) that keeps the
+    unitary interpolation outside every Gelfand ideal; each lifted phase
+    lambda_t is rounded to a multiple of 2 pi / U_DEN, and A_t = lambda_t
+    U_t (_lifted). The level keeps the rounded vectors and phases, from
+    which every expansion rebuilds A_t bit for bit. Then one pass makes the
+    level's two stages, the linear interpolations with s lambda_t U_t and
+    with s P^b_1, each from its one pencil on the packed stage input: its
+    exact safety minimum over s in [0, 1] must clear SAFETY_FLOOR in every
+    column; its last row, at s = 1 as the expansion builds it
+    (_stage_rows), measures the stage's movement and is the next stage's
+    input; its rows step by about `target`, from its movement (_rows_for),
+    and pass through admit, which may refuse them, before they are probed
+    (_grown_rows), and again as the probe leaves them.
     """
+    rhos = unpack_hermitian(x)
     runs, vectors = _transport_vectors(rhos)
     vectors = (np.round(vectors * U_DEN) + 0.0) / U_DEN  # + 0.0: no negative zeros, as read back
     unitaries = _transport_unitaries(runs, vectors)
     # before the phase lift, whose path a non-unitary transport can break
     if not (_unitarity_defect(unitaries) <= OPERATOR_TOL).all():
         raise ValueError("not a unitary")
-    gamma = np.trace(rhos @ unitaries, axis1=-2, axis2=-1)
+    gamma = np.einsum("tij,tji->t", rhos, unitaries)
     gamma = gamma / np.maximum(np.abs(gamma), 1.0)  # onto the closed disk; a rounded x_0 = 0 gives 0
     phases = np.round(np.angle(disk_phase_lift(gamma)) * (U_DEN / (2.0 * np.pi))).astype(np.int64)
 
     lifted = _lifted(unitaries, phases)
-    rows = []
+    rows, last = [], np.ones((1, x.shape[1]))
     for kind, a in (("unitary", lifted), ("projection", projection_matrix(rhos.shape[-1], 1))):
-        p, c = pencil(a, rhos)
+        p, c = pencil(a, x)
         failing = np.flatnonzero(~(safety_min(c)[0] > SAFETY_FLOOR))
         if failing.size:
             raise NumericalGateError(f"{kind} interpolation unsafe at sample {failing[0]}")
-        out = unpack_hermitian(_rule_block(p, c, 1)[:, 0])
-        count = admit(_rows_for(target, trace_norm(out - rhos).max()))
+        out = _stage_rows(p, c, last)[:, 0]
+        count = admit(_rows_for(target, _hermitian_trace_norm(out - x).max()))
         rows.append(admit(_grown_rows(p, c, count, target)))
-        rhos = out
-    return Level(tuple(rows), runs, vectors, phases), rhos
+        x = out
+    return Level(tuple(rows), runs, vectors, phases), x
 
 
-def _compress(rhos: np.ndarray, block: int) -> np.ndarray:
-    rho = rhos[:, :block, :block]
-    return rho / np.trace(rho, axis1=-2, axis2=-1).real[:, None, None]
+def _corner_rows(b: int, n: int) -> np.ndarray:
+    """The packed rows (linalg.pack_hermitian) of an n x n matrix that hold
+    its leading b x b corner, in the corner's packed order: b's diagonal,
+    and the real and imaginary parts of each upper pair (i, j), i < j < b."""
+    i, j = upper_pairs(b)
+    pair = i * n - i * (i + 1) // 2 + j - i - 1  # (i, j)'s index among n's upper pairs
+    return np.concatenate([np.arange(b), n + pair, n + n * (n - 1) // 2 + pair])
+
+
+def _compress(x: np.ndarray, b: int) -> np.ndarray:
+    """The leading b x b corners of a packed stack x (m², ...), m > b, each
+    times the reciprocal of its trace, packed: as a complex corner divided
+    by its real trace is, bit for bit."""
+    rho = x[_corner_rows(b, math.isqrt(len(x)))]
+    return rho * (1.0 / rho[:b].sum(axis=0))
 
 
 def _packed_corner(x: np.ndarray, n: int) -> np.ndarray:
-    """A packed stack x (b², ...) of b x b matrices (linalg.pack_hermitian)
-    as the packed stack (n², ...) of their n x n zero-padding: b's diagonal,
-    and the real and imaginary parts of each upper pair (i, j), i < j < b,
-    go to n's rows of the same entries."""
-    b = math.isqrt(len(x))
-    i, j = upper_pairs(b)
-    pair = i * n - i * (i + 1) // 2 + j - i - 1  # (i, j)'s index among n's upper pairs
+    """A packed stack x (b², ...) of b x b matrices as the packed stack
+    (n², ...) of their n x n zero-padding (_corner_rows)."""
     out = np.zeros((n * n, *x.shape[1:]))
-    out[np.concatenate([np.arange(b), n + pair, n + n * (n - 1) // 2 + pair])] = x
+    out[_corner_rows(math.isqrt(len(x)), n)] = x
     return out
 
 
@@ -586,7 +698,7 @@ def sheet_blocks(sheet: HomotopySheet, loop: StateLoop) -> Iterator[tuple]:
     of its pencil (see pencil), and the block packed (linalg.pack_hermitian)
     as (n², rows, T). Row 0, the loop, comes first, as a block of one row
     with no stage and no traces (None, None), then each stage's rows in
-    order. Each stage evaluates its pencil on the last row so far, unpacked,
+    order. Each stage evaluates its pencil on the last row so far, packed,
     row 0 included, at the s rows that the rule derives from the pencil's
     traces (_rule_block); a level below M_n takes its input compressed to
     its corner block (_compress); and a stage's b x b rows are scattered
@@ -599,18 +711,17 @@ def sheet_blocks(sheet: HomotopySheet, loop: StateLoop) -> Iterator[tuple]:
     n, rhos = sheet.n, loop.rhos
     if rhos.shape != (sheet.shape[1], n, n):
         raise ValueError(f"a recipe on M_{n} over {sheet.shape[1]} columns does not fit {rhos.shape}")
-    block = pack_hermitian(rhos)[:, None]
-    rhos = unpack_hermitian(block[:, 0])  # the last row so far, on its block
-    yield None, None, block
+    x = pack_hermitian(rhos)  # the last row so far, on its block
+    yield None, None, x[:, None]
     for stage in _stages(n, sheet.levels):
         _, si, b, ops, rows = stage
         if si == 0 and b < n:
             with np.errstate(divide="ignore", invalid="ignore"):  # a zero trace is the verifier's
-                rhos = _compress(rhos, b)
-        p, c = pencil(ops, rhos)
+                x = _compress(x, b)
+        p, c = pencil(ops, x)
         block = _rule_block(p, c, rows)
         del p  # so that the packed pencil is not held while the caller reads the block
-        rhos = unpack_hermitian(block[:, -1])
+        x = block[:, -1].copy()
         if b < n:
             block = _packed_corner(block, n)
         yield stage, c, block
@@ -624,14 +735,14 @@ def contract_loop(loop: StateLoop) -> HomotopySheet:
     loop gives weight one to P^n_k, and the block homotopy is pushed
     forward by (1 - P) + (embedded block operator), that is, its cells are
     zero-padded to n x n. At k = n-1 the loop is pinned to the basepoint.
-    Each level's recipe is built from the last rows alone, its rows aimed
-    at steps of half the loop's modulus, and the sheet is returned as its
-    recipe, unexpanded. A loop whose sheet would hold over
-    MAX_SHEET_BYTES even at MIN_ROWS a stage is refused first, and each
-    stage is checked again with its rows before its block is probed, and
-    with the rows the probe leaves. A sheet's count grows with its stage
-    of most rows alone (_held_bytes), so checking each stage's rows as
-    they come checks every recipe they can make.
+    Each level's recipe is built from the last rows alone, packed as
+    sheet_blocks holds them, its rows aimed at steps of half the loop's
+    modulus, and the sheet is returned as its recipe, unexpanded. A loop
+    whose sheet would hold over MAX_SHEET_BYTES even at MIN_ROWS a stage is
+    refused first, and each stage is checked again with its rows before
+    they are probed, and with the rows the probe leaves. A sheet's count
+    grows with its stage of most rows alone (_held_bytes), so checking
+    each stage's rows as they come checks every recipe they can make.
     """
     n, t_count = loop.n, loop.n_samples
 
@@ -641,15 +752,14 @@ def contract_loop(loop: StateLoop) -> HomotopySheet:
 
     admit(MIN_ROWS)  # the least recipe: every stage of MIN_ROWS rows
 
-    # level 0 reads packed row 0, the upper triangle, as sheet_blocks does
-    rhos, levels = unpack_hermitian(pack_hermitian(loop.rhos)), []
+    x, levels = pack_hermitian(loop.rhos), []  # level 0 reads packed row 0, as sheet_blocks does
     for b in range(n, 1, -1):  # the corner block algebra M_b of each level
         if b < n:
-            rhos = validate_densities(_compress(rhos, b))
-            _check_based(rhos)
-        level, rhos = _rectify(rhos, loop.modulus / 2, admit)
+            x = _compress(x, b)
+            _check_based(validate_densities(unpack_hermitian(x)))
+        level, x = _rectify(x, loop.modulus / 2, admit)
         levels.append(level)
-        _check_based(rhos)
+        _check_based(unpack_hermitian(x[:, [0, -1]]))
     return HomotopySheet(n, levels)
 
 
@@ -713,11 +823,20 @@ def verify_homotopy(sheet: HomotopySheet, input_loop: StateLoop, modulus: float)
     The loop as given does, since a StateLoop is mutable: a sample whose
     max|ρ - ρ†| exceeds CELL_TOL is a "non-hermitian" violation at (0, t).
     Row 0 has no recipe stage before it and no step from an earlier row.
-    The negative-eigenvalue scan is the LDLᴴ certificate of
-    linalg.min_eigenvalues at CELL_TOL on the packed block
-    (linalg._hermitian_min_eigenvalues): it clears a cell without LAPACK,
-    and each cell it does not clear takes eigvalsh, which decides it and
-    gives a violation's value. Steps are bounded by Frobenius norms first,
+
+    Positivity is checked where the construction does not guarantee it.
+    Row 0 takes the negative-eigenvalue scan, the LDLᴴ certificate of
+    linalg.min_eigenvalues at STATE_EIG_TOL on the packed row
+    (linalg._hermitian_min_eigenvalues), which clears a cell without
+    LAPACK; each cell it does not clear takes eigvalsh, which decides it
+    and gives a violation's value. That bounds each column's negativity,
+    -λmin, by at least STATE_EIG_TOL. A stage cell is B rho B† / tr with
+    rho the stage's input, the last row or, at a level's first stage, its
+    corner block over its trace, whose negativity is at most the last
+    row's over that trace; so each stage carries the bound of its column
+    on to its cells (_negativity_bound). Only the columns whose bound
+    exceeds CELL_TOL take the scan, at CELL_TOL: a column the bound clears
+    is one the scan passes. Steps are bounded by Frobenius norms first,
     and only those that can be the largest so far take an exact trace norm
     (_bounded_steps), so the largest step and its cell are those of an
     exact scan of every step."""
@@ -744,21 +863,36 @@ def verify_homotopy(sheet: HomotopySheet, input_loop: StateLoop, modulus: float)
             x = np.where(ok, x, 0.0)
         traces = np.abs(x[:n].sum(axis=0) - 1.0)
         found["trace"] += _flags("trace", traces, (traces > CELL_TOL) & ok, CELL_TOL, at)
-        neg = -_hermitian_min_eigenvalues(x, CELL_TOL)
-        found["negative-eigenvalue"] += _flags("negative-eigenvalue", neg, neg > CELL_TOL, CELL_TOL, at)
         if stage:  # the recipe stage that made x from the row before, and the steps from that row
-            li, si, _, ops, _ = stage
+            li, si, b, ops, _ = stage
             of_stage = lambda t: (li, si, t)
+            norm2 = 1.0  # ‖P^b_1‖₂², the projection stage's
             if si == 0:  # the projection stage's operator is P^b_1 by construction
                 defect = _unitarity_defect(ops)
                 recipe += _flags("not-unitary", defect, ~(defect <= OPERATOR_TOL), OPERATOR_TOL, of_stage)
-            value = np.where(prev_ok, safety_min(c)[0], np.inf)
+                norm2 = _norm2_bound(defect, b)
+                if b < n:  # the stage's input is the last row's corner block over its trace
+                    with np.errstate(divide="ignore", invalid="ignore"):
+                        corner = prev_x[:b].sum(axis=0)
+                        negativity = np.where(corner > 0.0, negativity / corner, np.inf)
+            low = safety_min(c)[0]
+            value = np.where(prev_ok, low, np.inf)
             recipe += _flags("unsafe", value, ~(value > SAFETY_FLOOR) & prev_ok, SAFETY_FLOOR, of_stage)
             t = int(np.argmin(value))
             if prev_ok[t] and (safety[0] is None or value[t] < safety[0]):
                 safety = (float(value[t]), (li, si, t))
+            negativity = _negativity_bound(negativity, norm2, c, low, b)
+            scan = ~(negativity <= CELL_TOL)
+            neg = np.zeros(x.shape[1:])
+            if scan.any():
+                neg[:, scan] = -_hermitian_min_eigenvalues(x[:, :, scan], CELL_TOL)
             steps, floor = _masked_steps(x[:, 0] - prev_x, ok[0] & prev_ok, max(floor, step[0]))
             step = _largest(step, steps[None], row - 1)
+        else:
+            neg = -_hermitian_min_eigenvalues(x, STATE_EIG_TOL)
+            negativity = np.maximum(neg[0], STATE_EIG_TOL)
+            negativity += POSITIVITY_MARGIN * (np.abs(x[:n, 0]).sum(axis=0) + n * negativity)
+        found["negative-eigenvalue"] += _flags("negative-eigenvalue", neg, neg > CELL_TOL, CELL_TOL, at)
         steps, floor = _masked_steps(x[:, 1:] - x[:, :-1], ok[1:] & ok[:-1], max(floor, step[0]))
         step = _largest(step, steps, row)
         steps, floor = _masked_steps(x[:, :, 1:] - x[:, :, :-1], ok[:, 1:] & ok[:, :-1], max(floor, step[0]))
@@ -789,9 +923,52 @@ def verify_homotopy(sheet: HomotopySheet, input_loop: StateLoop, modulus: float)
     )
 
 
+def _norm2_bound(defect: np.ndarray, b: int) -> np.ndarray:
+    """A bound on ‖A‖₂² for operators on M_b whose computed max |A A† - 1|
+    is `defect` (_unitarity_defect): ‖A A†‖₂ <= 1 + b max |A A† - 1|, and the
+    computed maximum is within (4b + 4) u (1 + b defect) of the exact one."""
+    u = np.finfo(float).eps / 2
+    return 1.0 + b * (defect + (4 * b + 4) * u * (1.0 + b * defect))
+
+
+def _negativity_bound(negativity: np.ndarray, norm2, c: np.ndarray, low: np.ndarray, b: int) -> np.ndarray:
+    """A bound, per column, on the negativity -λmin of every cell of a
+    stage on M_b, for its input's bound `negativity`, its operators' bound
+    norm2 >= ‖A‖₂², the traces c (3, T) of its pencil and their exact
+    safety minimum `low` (safety_min).
+
+    If rho >= -δ 1, then B rho B† >= -δ B B† >= -δ ‖B‖₂² 1, and ‖B(s)‖₂ <=
+    max(1, ‖A‖₂) for s in [0, 1]; the cell divides by c(s) >= low. So in
+    exact arithmetic the bound is δ max(1, ‖A‖₂)² / low. The cells are
+    computed: the pencil's products (pencil: two real products of inner
+    length 2b, from X = A - 1), its Horner form and the division
+    (_stage_rows), and the input's own division by its trace (_compress)
+    each move a cell by a few u times the Frobenius norms of its terms,
+    which ‖X‖₂ <= 1 + ‖A‖₂ and ‖rho‖_F <= tr rho + 2bδ bound (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., ch. 3, with
+    γ_k = k u / (1 - k u)). The one rounding term added below covers them,
+    low's own rounding, and eigvalsh's error of at most 14 u ‖H‖₂ (see
+    linalg.POSITIVITY_MARGIN), so a cell under a bound of CELL_TOL passes
+    eigvalsh's scan too. A column whose low is not positive gets an
+    infinite bound, and a NaN anywhere gives NaN; either takes the scan."""
+    u = np.finfo(float).eps / 2
+    m2 = np.maximum(norm2, 1.0)
+    size = np.abs(c[0]) + 2 * b * negativity  # >= ‖rho‖_F
+    rounding = (9 * math.sqrt(b) * (2 * b + 2) + 40) * u * (2.0 + np.sqrt(m2)) ** 2 * size
+    low = low - 6 * u * np.abs(c).sum(axis=0)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return np.where(low > 0.0, (negativity * m2 + rounding) / low, np.inf)
+
+
 def _masked_steps(d: np.ndarray, keep: np.ndarray, floor: float) -> tuple[np.ndarray, float]:
-    """_bounded_steps of the packed steps d where `keep`, and 0.0 elsewhere."""
-    return _bounded_steps(d if keep.all() else np.where(keep, d, 0.0), floor)
+    """_bounded_steps of a packed stack d (n², ...) of Hermitian steps where
+    `keep`, and of 0.0 elsewhere, with F² = Σ diag² + 2 Σ offdiag² and tr Δ
+    from the packed rows."""
+    n = math.isqrt(len(d))
+    d = d if keep.all() else np.where(keep, d, 0.0)
+    diag, off = d[:n], d[n:]
+    f2 = np.einsum("k...,k...->...", diag, diag) + 2.0 * np.einsum("k...,k...->...", off, off)
+    return _bounded_steps((f2, f2), diag.sum(axis=0), n, lambda keep: _hermitian_trace_norm(d[:, keep]), floor)
 
 
 # --- bundled example loops -------------------------------------------------

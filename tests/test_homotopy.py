@@ -2,6 +2,7 @@ import copy
 import math
 import re
 import tracemalloc
+from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
 
@@ -26,7 +27,9 @@ from phaselab.homotopy import (
     safety_min,
     verify_homotopy,
 )
+from phaselab.linalg import pack_hermitian
 from phaselab.states import DensityState, basis_state, state_from_vector, validate_densities
+from block_probe import block_grown_rows
 from sheet_cells import cells, forge_cells
 
 
@@ -181,18 +184,18 @@ def test_disk_phase_lift_rejects_coarse_paths():
 
 def test_safety_min():
     base = basis_state(2).rho
-    value, s = safety_min(pencil(projection_matrix(2, 1), base)[1])
+    value, s = safety_min(pencil(projection_matrix(2, 1), pack_hermitian(base))[1])
     assert value > SAFETY_FLOOR and abs(value - 1.0) < 1e-12
-    value, s = safety_min(pencil(-np.eye(2, dtype=complex), base)[1])
+    value, s = safety_min(pencil(-np.eye(2, dtype=complex), pack_hermitian(base))[1])
     assert not value > SAFETY_FLOOR and s == 0.5
     # omega(U) = 0: safe with min s^2 + (1-s)^2 = 1/2 at s = 1/2
     sx = np.array([[0, 1], [1, 0]], dtype=complex)
-    value, s = safety_min(pencil(sx, base)[1])
+    value, s = safety_min(pencil(sx, pack_hermitian(base))[1])
     assert value > SAFETY_FLOOR
     assert abs(value - 0.5) < 1e-12 and s == 0.5
     # a stack gives the values of single calls
-    values, _ = safety_min(pencil(np.stack([sx, -np.eye(2)]), base)[1])
-    assert values[0] == safety_min(pencil(sx, base)[1])[0]
+    values, _ = safety_min(pencil(np.stack([sx, -np.eye(2)]), pack_hermitian(base))[1])
+    assert values[0] == safety_min(pencil(sx, pack_hermitian(base))[1])[0]
     # operators are checked by the verifier: see test_verifier_flags_forged_recipes
 
 
@@ -226,7 +229,7 @@ def test_safety_min_is_the_exact_minimum(n, kind, seed, angle, weight):
         b = s * a + (1.0 - s) * np.eye(n)
         return float(np.trace(omega.rho @ b.conj().T @ b).real)
 
-    min_value, s_at_min = map(float, safety_min(pencil(a, omega.rho)[1]))
+    min_value, s_at_min = map(float, safety_min(pencil(a, pack_hermitian(omega.rho))[1]))
     assert 0.0 <= s_at_min <= 1.0
     assert min_value <= min(value(s) for s in np.linspace(0.0, 1.0, 1001)) + 1e-12
     assert abs(min_value - value(s_at_min)) < 1e-12
@@ -1138,7 +1141,7 @@ def _stage_inputs(sheet, loop):
             rhos = rhos / np.trace(rhos, axis1=-2, axis2=-1).real[:, None, None]
             rhos = (rhos + rhos.conj().swapaxes(-1, -2)) / 2
         ops = np.broadcast_to(ops, rhos.shape)
-        yield ops, homotopy._rule_rows(pencil(ops, rhos)[1], rows), rhos
+        yield ops, homotopy._rule_rows(pencil(ops, pack_hermitian(rhos))[1], rows), rhos
         row += rows
 
 
@@ -1195,7 +1198,7 @@ def test_pencil_s_tables_match_the_direct_form(name):
     loop, sheet = _contracted(name)
     for ops, s, rhos in _stage_inputs(sheet, loop):
         c = _normalizer(ops, rhos)
-        assert np.max(np.abs(pencil(ops, rhos)[1] - c)) < 1e-13
+        assert np.max(np.abs(pencil(ops, pack_hermitian(rhos))[1] - c)) < 1e-13
         _assert_rule_rows(s, c, len(s), 2000, 1e-6)  # the trapezoid's error is 1e-7
 
 
@@ -1250,7 +1253,7 @@ def test_pencil_is_the_interpolation_polynomial():
     a = rng.normal(size=(5, 3, 3)) + 1j * rng.normal(size=(5, 3, 3))
     m = rng.normal(size=(5, 3, 3)) + 1j * rng.normal(size=(5, 3, 3))
     rho = m @ m.conj().swapaxes(-1, -2)
-    p, c = pencil(a, rho)
+    p, c = pencil(a, pack_hermitian(rho))
     r = linalg.unpack_hermitian(p.swapaxes(0, 1))
     assert np.array_equal(c, np.trace(r, axis1=-2, axis2=-1).real)
     assert np.array_equal(r, r.conj().swapaxes(-1, -2))  # exactly Hermitian
@@ -1351,7 +1354,7 @@ def test_verifier_flags_a_scaled_unitary_on_a_moving_loop(pure_sheet, monkeypatc
 def test_verifier_reports_the_safety_minimum():
     loop, sheet = _contracted("seed2")
     report = verify_homotopy(sheet, loop, loop.modulus)
-    values = [safety_min(pencil(ops, rhos)[1])[0] for ops, _, rhos in _stage_inputs(sheet, loop)]
+    values = [safety_min(pencil(ops, pack_hermitian(rhos))[1])[0] for ops, _, rhos in _stage_inputs(sheet, loop)]
     level, stage, column = report.safety_at
     index = 2 * level + stage
     assert report.safety_min == min(v.min() for v in values)
@@ -1408,7 +1411,7 @@ def test_each_stage_block_comes_with_its_own_pencil_traces(name):
     inputs = list(_stage_inputs(sheet, loop))
     assert len(yielded) == len(inputs) == 2 * (loop.n - 1)
     for c, (ops, _, rhos) in zip(yielded, inputs):
-        assert np.array_equal(c, pencil(ops, rhos)[1])
+        assert np.array_equal(c, pencil(ops, pack_hermitian(rhos))[1])
 
 
 def test_each_stage_pencil_is_formed_once(monkeypatch):
@@ -1436,7 +1439,7 @@ def test_streamed_verdict_equals_the_whole_sheets(name):
     step_t = linalg.trace_norm(arr[:, 1:] - arr[:, :-1])
     step_s = linalg.trace_norm(arr[1:] - arr[:-1])
     assert report.max_cell_step == float(max(step_t.max(), step_s.max()))
-    values = [safety_min(pencil(ops, rhos)[1])[0] for ops, _, rhos in _stage_inputs(sheet, loop)]
+    values = [safety_min(pencil(ops, pack_hermitian(rhos))[1])[0] for ops, _, rhos in _stage_inputs(sheet, loop)]
     index = int(np.argmin([v.min() for v in values]))
     assert report.safety_min == values[index].min()
     level, stage = divmod(index, 2)
@@ -1535,13 +1538,17 @@ def test_contract_loop_takes_lapack_only_on_fallback(monkeypatch):
     # (_bounded_steps): 8,199 matrices in all for this 61x701 sheet of
     # 84,760 steps, its edge columns and last row included. eigvalsh sees
     # only the matrices the closed form hands back, each with a nearly
-    # degenerate pair: none of the contraction's, and 193 (2.4%) of the
-    # verification's.
-    # The positivity certificate of validation and the verifier clears every
-    # matrix it takes on this loop, single states included.
+    # degenerate pair: none of the contraction's, and of the verification's
+    # only differences of final-row cells from the basepoint that are
+    # rounding, one diagonal entry off by an ulp (209 of the 701; how many
+    # is a draw of the last stage's rounding).
+    # The positivity certificate clears every matrix it takes on this loop:
+    # the contractor's validation of level 1's input and the verifier's
+    # row 0, 701 each. No stage cell takes it: every column's bound on its
+    # cells' negativity clears CELL_TOL (_negativity_bound).
     loop = random_based_loop(3, 2, 700)
     counts = {"step": [0, 0], "positivity": [0, 0]}  # matrices, to eigvalsh
-    active, handed_back = [], []
+    active, handed_back, stacks = [], [], []
     eigvalsh = np.linalg.eigvalsh
 
     def size(m, *_):
@@ -1553,6 +1560,7 @@ def test_contract_loop_takes_lapack_only_on_fallback(monkeypatch):
     def counting(kernel, key, matrices):
         def wrapped(m, *args):
             counts[key][0] += matrices(m, *args)
+            stacks.append((key, matrices(m, *args)))
             active.append(key)
             try:
                 return kernel(m, *args)
@@ -1579,14 +1587,18 @@ def test_contract_loop_takes_lapack_only_on_fallback(monkeypatch):
     matrices, lapack = np.subtract(counts["step"], [matrices, lapack])
     rows, columns = sheet.shape
     assert 0 < matrices < 0.12 * ((rows - 1) * columns + rows * (columns - 1))
-    assert 0 < lapack <= 0.025 * matrices
+    assert 0 < lapack
+    handed = np.concatenate([m.reshape(-1, 3, 3) for m in handed_back])
+    final = cells(sheet, loop)[-1] - basis_state(3).rho
+    assert {m.tobytes() for m in handed} <= {m.tobytes() for m in final}
+    assert np.abs(handed).max() <= 2 * np.finfo(float).eps
     # r = cos 3φ of each handed-back spectrum, from eigvalsh's eigenvalues
-    assert {m.shape[-2:] for m in handed_back} == {(3, 3)}
-    dev = eigvalsh(np.concatenate([m.reshape(-1, 3, 3) for m in handed_back]))
+    dev = eigvalsh(handed)
     dev -= dev.mean(axis=-1, keepdims=True)
     r = dev.prod(axis=-1) / (2 * np.sqrt((dev * dev).sum(axis=-1) / 6) ** 3)
     assert (np.abs(r) > linalg.CLOSED_FORM_MAX_R - 1e-12).all()
-    assert counts["positivity"][0] > np.prod(sheet.shape)
+    # besides the single basepoint states of the basepoint checks
+    assert [size for key, size in stacks if key == "positivity" and size > 1] == [columns, columns]
     assert counts["positivity"][1] == 0
 
 
@@ -1626,6 +1638,235 @@ def test_the_prepass_takes_no_eigensolver(monkeypatch):
     assert solved == {"eigvalsh": 0, "eigh": 0}
 
 
+def _complex_pencil(a, rho):
+    """The pencil from complex stacked products, X rho and X rho X†, with
+    R1 and R2 made exactly Hermitian: the real-form pencil's oracle."""
+    x = a - np.eye(a.shape[-1])
+    xr = x @ rho
+    r2 = xr @ x.conj().swapaxes(-1, -2)
+    r1, r2 = xr + xr.conj().swapaxes(-1, -2), (r2 + r2.conj().swapaxes(-1, -2)) / 2
+    r = np.stack(np.broadcast_arrays(rho, r1, r2))
+    return np.moveaxis(pack_hermitian(r), 1, 0), np.trace(r, axis1=-2, axis2=-1).real
+
+
+def test_real_form_pencil_matches_the_complex_products():
+    # for b = 2..6 a stack of operators against a stack of densities and
+    # against one density, and every stage of the seed-2 and plateau
+    # sheets: each packed entry of the pencil within 8 (2b + 1) u (1 +
+    # ‖X‖_F)² ‖rho‖_F of the complex products', twice the rounding bound of
+    # either (inner products of length 2b in real arithmetic, of b complex
+    # terms in complex), and each trace within b times that
+    rng = np.random.default_rng(41)
+    cases = []
+    for b in range(2, 7):
+        a = rng.normal(size=(30, b, b)) + 1j * rng.normal(size=(30, b, b))
+        m = rng.normal(size=(30, b, b)) + 1j * rng.normal(size=(30, b, b))
+        rho = m @ m.conj().swapaxes(-1, -2)
+        rho = (rho + rho.conj().swapaxes(-1, -2)) / 2 / np.trace(rho, axis1=-2, axis2=-1).real[:, None, None]
+        cases += [(a, rho), (a, rho[0])]
+    for name in ("seed2", "plateau"):
+        loop, sheet = _contracted(name)
+        cases += [(np.broadcast_to(ops, rhos.shape), rhos) for ops, _, rhos in _stage_inputs(sheet, loop)]
+    u = np.finfo(float).eps / 2
+    for a, rho in cases:
+        b = a.shape[-1]
+        p, c = pencil(a, pack_hermitian(rho))
+        want_p, want_c = _complex_pencil(a, rho)
+        assert p.shape == want_p.shape and c.shape == want_c.shape
+        scale = (1 + np.linalg.norm(a - np.eye(b), axis=(-2, -1))) ** 2 * np.linalg.norm(rho, axis=(-2, -1))
+        bound = 8 * (2 * b + 1) * u * scale
+        assert (np.abs(p - want_p) <= bound).all()
+        assert (np.abs(c - want_c) <= b * bound).all()
+
+
+def _recorded_probes(loop, monkeypatch):
+    """The arguments (p, c, rows, target) of every row probe of a
+    contraction of `loop`, and the rows each gave."""
+    probes, grown_rows = [], homotopy._grown_rows
+
+    def recording(p, c, rows, target):
+        grown = grown_rows(p, c, rows, target)
+        probes.append(((p, c, rows, target), grown))
+        return grown
+
+    monkeypatch.setattr(homotopy, "_grown_rows", recording)
+    contract_loop(loop)
+    monkeypatch.undo()
+    return probes
+
+
+def _forged_pencils():
+    """Pencils of non-unitary operators on non-pure densities, b = 2, 3, 4,
+    over 40 columns: no cell of theirs is a contraction's."""
+    rng = np.random.default_rng(77)
+    for b in (2, 3, 4):
+        a = np.eye(b) + 0.6 * (rng.normal(size=(40, b, b)) + 1j * rng.normal(size=(40, b, b)))
+        m = rng.normal(size=(40, b, b)) + 1j * rng.normal(size=(40, b, b))
+        rho = m @ m.conj().swapaxes(-1, -2)
+        rho = rho / np.trace(rho, axis1=-2, axis2=-1).real[:, None, None]
+        yield pencil(a, pack_hermitian((rho + rho.conj().swapaxes(-1, -2)) / 2))
+
+
+@pytest.mark.parametrize("name", ["seed2", "plateau", "n5s9"])
+def test_the_row_probe_gives_the_block_probes_rows(name, monkeypatch):
+    # every stage's probe, bounded from its pencil, against the probe that
+    # scans its whole block (tests/block_probe.py): the same rows, and on
+    # random n = 5 seed 9 the one stage that grows, from 30 to 61 rows
+    loop = random_based_loop(5, 9, 700) if name == "n5s9" else _contracted(name)[0]
+    probes = _recorded_probes(loop, monkeypatch)
+    assert len(probes) == 2 * (loop.n - 1)
+    for args, grown in probes:
+        assert grown == block_grown_rows(*args)
+    grew = [(args[2], grown) for args, grown in probes if grown != args[2]]
+    assert grew == ([(30, 61)] if name == "n5s9" else [])
+
+
+def test_the_row_probe_gives_the_block_probes_rows_where_its_bounds_are_inconclusive(monkeypatch):
+    # seed 2's stage pencils and forged ones, each at targets around half
+    # its largest step L: a modulus 2 target just above L, which bounds
+    # several steps above and below and so sends them to exact norms
+    # without growing, just below L and well below it, which grow, and
+    # above every bound, which takes no exact norm
+    pencils = [args[:2] for args, _ in _recorded_probes(random_based_loop(3, 2, 700), monkeypatch)]
+    pencils += list(_forged_pencils())
+    exact, norms = [], homotopy._hermitian_trace_norm
+    monkeypatch.setattr(homotopy, "_hermitian_trace_norm", lambda x: exact.append(x.shape[-1]) or norms(x))
+    for p, c in pencils:
+        rows = 12
+        block = homotopy._rule_block(p, c, rows)
+        largest = norms(np.concatenate([block[:, :1] - p[0][:, None], block[:, 1:] - block[:, :-1]], axis=1)).max()
+        for scale, grows in ((1 + 1e-13, False), (1 - 1e-13, True), (0.6, True), (10.0, False)):
+            exact.clear()
+            target = largest * scale / 2
+            grown = homotopy._grown_rows(p, c, rows, target)
+            assert grown == block_grown_rows(p, c, rows, target)
+            assert (grown > rows) == grows
+            assert (sum(exact) > 0) == (scale < 10.0)
+
+
+def test_gram_step_bounds_hold_for_the_computed_cells(monkeypatch):
+    # the probe's upper bounds on ‖Δ‖_F² of every step, on seed 2's stage
+    # pencils and forged ones, hold for the steps of the cells _stage_rows
+    # computes, the first from the stage's input R0, and exceed them by
+    # little; and the exact norms the probe takes are the block's, bit for
+    # bit
+    pencils = [args[:2] for args, _ in _recorded_probes(random_based_loop(3, 2, 700), monkeypatch)]
+    pencils += list(_forged_pencils())
+    for p, c in pencils:
+        s = homotopy._rule_rows(c, 15)
+        (lower, upper), tr, b, exact = homotopy._gram_steps(p, c, s)
+        block = homotopy._stage_rows(p, c, s)
+        d = np.concatenate([block[:, :1] - p[0][:, None], block[:, 1:] - block[:, :-1]], axis=1)
+        f2 = (d[:b] ** 2).sum(axis=0) + 2 * (d[b:] ** 2).sum(axis=0)
+        assert lower == tr == 0.0 and (f2 <= upper).all()
+        assert (np.sqrt(upper) <= np.sqrt(f2) * (1 + 1e-4) + 1e-7).all()
+        everywhere = np.ones(f2.shape, dtype=bool)
+        assert exact(everywhere).tobytes() == linalg._hermitian_trace_norm(d).ravel().tobytes()
+
+
+def test_a_contraction_forms_no_stage_block(monkeypatch):
+    # the contractor makes each stage's last row, at s = 1, and no other
+    # row: its probe bounds the steps from the pencil, and on seed 2 none
+    # can reach the modulus, so no step's cells are made
+    loop = random_based_loop(3, 2, 700)
+    made, stage_rows = [], homotopy._stage_rows
+    monkeypatch.setattr(homotopy, "_stage_rows", lambda p, c, s: made.append(s.copy()) or stage_rows(p, c, s))
+    contract_loop(loop)
+    assert len(made) == 2 * (loop.n - 1)
+    assert all(np.array_equal(s, np.ones((1, loop.n_samples))) for s in made)
+
+
+def test_verifying_n6_scans_no_stage_cell_for_positivity(monkeypatch):
+    # at n = 6 the certificate does not apply, so a scanned cell takes
+    # eigvalsh; every stage column's bound clears CELL_TOL, so only row 0
+    # is scanned, its 701 samples in one call
+    loop = random_based_loop(6, 2, 700)
+    sheet = contract_loop(loop)
+    scanned, inside, scan = [], [], homotopy._hermitian_min_eigenvalues
+    eigvalsh = np.linalg.eigvalsh
+
+    def scanning(x, tol):
+        scanned.append((x.shape[1:], tol))
+        inside.append(True)
+        try:
+            return scan(x, tol)
+        finally:
+            inside.pop()
+
+    solved = []
+    monkeypatch.setattr(homotopy, "_hermitian_min_eigenvalues", scanning)
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda m, *a: solved.append(np.asarray(m)[..., 0, 0].size * bool(inside)) or eigvalsh(m, *a))
+    report = verify_homotopy(sheet, loop, loop.modulus)
+    assert report.passed
+    assert scanned == [((1, 701), states.STATE_EIG_TOL)]
+    assert sum(solved) == 701
+
+
+def _exactly_above(cell: np.ndarray, floor: float) -> bool:
+    """Whether every eigenvalue of the packed 2x2 or 3x3 Hermitian matrix
+    `cell` (n²,) is at least -floor, in exact rational arithmetic: every
+    principal minor of H + floor 1 is >= 0."""
+    n = math.isqrt(len(cell))
+    x = [Fraction(float(v)) for v in cell]
+    d = [x[k] + Fraction(float(floor)) for k in range(n)]
+    if n == 2:
+        return d[0] >= 0 and d[1] >= 0 and d[0] * d[1] - x[2] ** 2 - x[3] ** 2 >= 0
+    (r01, r02, r12), (i01, i02, i12) = x[3:6], x[6:9]
+    n01, n02, n12 = r01 ** 2 + i01 ** 2, r02 ** 2 + i02 ** 2, r12 ** 2 + i12 ** 2
+    cycle = (r01 * r12 - i01 * i12) * r02 + (r01 * i12 + i01 * r12) * i02  # Re(b01 b12 conj(b02))
+    det = d[0] * d[1] * d[2] + 2 * cycle - d[0] * n12 - d[1] * n02 - d[2] * n01
+    return (all(v >= 0 for v in d) and d[0] * d[1] >= n01 and d[0] * d[2] >= n02 and d[1] * d[2] >= n12
+            and det >= 0)
+
+
+def test_negativity_bound_covers_the_rounding_of_the_cells():
+    # stage inputs that are states exactly, pure and diagonal, bound 0: a
+    # stage's computed cells are pure only to rounding, and some have a
+    # negative eigenvalue in exact arithmetic; the bound's rounding term
+    # covers each of them, checked in exact rational arithmetic
+    rng = np.random.default_rng(12)
+    below_zero = 0
+    for b in (2, 3):
+        q, r = np.linalg.qr(rng.normal(size=(60, b, b)) + 1j * rng.normal(size=(60, b, b)))
+        a = q * (np.diagonal(r, axis1=-2, axis2=-1) / np.abs(np.diagonal(r, axis1=-2, axis2=-1)))[:, None, :]
+        a = np.where(np.arange(60)[:, None, None] % 2, a, 1j * a)  # some operators away from 1
+        for diag in ([1.0] + [0.0] * (b - 1), [0.5, 0.5] + [0.0] * (b - 2)):
+            p, c = pencil(a, pack_hermitian(np.diag(diag).astype(complex)))
+            low = safety_min(c)[0]
+            keep = low > homotopy.SAFETY_FLOOR
+            bound = homotopy._negativity_bound(np.zeros(60), homotopy._norm2_bound(homotopy._unitarity_defect(a), b),
+                                               c, low, b)
+            assert (bound * low < 1e-12)[keep].all()  # the rounding term, not a bound that clears nothing
+            x = homotopy._stage_rows(p, c, homotopy._rule_rows(c, 9))
+            for k, t in zip(*np.nonzero(np.broadcast_to(keep, x.shape[1:]))):
+                assert _exactly_above(x[:, k, t], bound[t])
+                below_zero += not _exactly_above(x[:, k, t], 0.0)
+    assert below_zero > 0
+
+
+def test_a_small_corner_trace_sends_the_next_level_to_the_scan(monkeypatch):
+    # the bound a level's first stage starts from is the last row's over
+    # the trace of its corner block: level 0's last cell of column 300
+    # forged to weight 1e-3 on the corner raises it past CELL_TOL, so level
+    # 1's cells of that column take the scan, which finds the one forged
+    # to a negative eigenvalue
+    loop, sheet = _contracted("seed2")
+    last = sum(sheet.levels[0].rows)
+    rng = np.random.default_rng(5)
+    q = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))[0]
+
+    def corrupt(arr):
+        arr[last, 300] = np.diag([1e-3, 0.0, 1.0 - 1e-3])
+        cell = (q * [1.0 + 5e-8, 0.0, -5e-8]) @ q.conj().T
+        arr[last + 3, 300] = (cell + cell.conj().T) / 2
+
+    forge_cells(monkeypatch, corrupt)
+    report = verify_homotopy(sheet, loop, loop.modulus)
+    negative = [v[:2] for v in report.violations if v[0] == "negative-eigenvalue"]
+    assert negative == [("negative-eigenvalue", (last + 3, 300))]
+
+
 def _eigvalsh_trace_norm(m):
     """The trace norm of exactly Hermitian matrices as sum |eigvalsh|, one
     LAPACK call per matrix: the oracle of the closed form."""
@@ -1659,15 +1900,17 @@ def test_packed_prepass_matches_the_matrix_prepass(name):
     # the blocks of the contractor's probe, which are the sheet's cells,
     # evaluated on the pencil's packed layout (_rule_block), against the
     # same arithmetic on the complex pencil's real and imaginary parts at
-    # the rule's rows, (R0 + s (R1 + s R2)) / (c0 + s (c1 + s c2)): equal
-    # bit for bit, on 2x2 blocks (the pure loop, and the last level of the
-    # others), 3x3 and 4x4 blocks
+    # the rule's rows, (R0 + s (R1 + s R2)) / (c0 + s (c1 + s c2)) with
+    # the pencil's traces, the sums of its diagonals: equal bit for bit, on
+    # 2x2 blocks (the pure loop, and the last level of the others), 3x3 and
+    # 4x4 blocks
     loop, sheet = _contracted(name)
     blocks = set()
     for ops, s, rhos in _stage_inputs(sheet, loop):
-        p, c = pencil(ops, rhos)
+        p, c = pencil(ops, pack_hermitian(rhos))
         r = linalg.unpack_hermitian(p.swapaxes(0, 1))
-        c0, c1, c2 = np.trace(r, axis1=-2, axis2=-1).real
+        assert np.max(np.abs(c - np.trace(r, axis1=-2, axis2=-1).real)) < 1e-14
+        c0, c1, c2 = c
         p0, p1, p2 = r.view(np.float64)[:, None]
         x = s[..., None, None]
         want = (p0 + x * (p1 + x * p2)) / (c0 + s * (c1 + s * c2))[..., None, None]
@@ -1678,29 +1921,40 @@ def test_packed_prepass_matches_the_matrix_prepass(name):
 
 
 def test_verifier_reports_negative_cells_as_eigvalsh_does(monkeypatch):
-    # one cell of a contracted 3x3 sheet forged to a negative eigenvalue,
-    # one to a value the 1e-8 gate just passes: the certificate's
-    # violations, values included, are those of an eigvalsh scan
-    loop, forged = _contracted("seed2")
+    # the stage input forged: two samples of row 0 of a contracted 3x3
+    # sheet's loop made matrices of trace 1 with a negative eigenvalue, one
+    # past the 1e-8 gate (-3e-6), one that the gate just passes (-0.9e-8).
+    # The expansion carries each into its column's stage cells, where its
+    # bound on their negativity exceeds CELL_TOL (_negativity_bound), so
+    # those columns take the scan: the certificate's violations, values
+    # included, are those of an eigvalsh scan of every cell
+    loop, sheet = _contracted("seed2")
+    loop = copy.copy(loop)  # the cached loop stays as it is
     rng = np.random.default_rng(21)
     q = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))[0]
-
-    def corrupt(arr):
-        for (row, col), low in (((7, 300), -3e-6), ((9, 301), -0.9e-8)):
-            cell = (q * [1.0 - low, 0.0, low]) @ q.conj().T
-            arr[row, col] = (cell + cell.conj().T) / 2
-
-    forge_cells(monkeypatch, corrupt)
-    report = verify_homotopy(forged, loop, loop.modulus)
+    rhos = loop.rhos.copy()
+    for col, low in ((300, -3e-6), (301, -0.9e-8)):
+        cell = (q * [1.0 - low, 0.0, low]) @ q.conj().T
+        rhos[col] = (cell + cell.conj().T) / 2
+    loop.rhos = rhos
+    scanned, scan = [], homotopy._hermitian_min_eigenvalues
+    monkeypatch.setattr(homotopy, "_hermitian_min_eigenvalues",
+                        lambda x, tol: scanned.append(x.shape[1:]) or scan(x, tol))
+    report = verify_homotopy(sheet, loop, loop.modulus)
+    # row 0 whole; column 300 in every stage, 301 once its bound passes 1e-8
+    assert scanned == [(1, 701), (34, 1), (10, 2), (8, 2), (8, 2)]
 
     def eigvalsh_scan(x, tol):  # a stage block, packed
         return np.linalg.eigvalsh(linalg.unpack_hermitian(x)).min(axis=-1)
 
     monkeypatch.setattr(homotopy, "_hermitian_min_eigenvalues", eigvalsh_scan)
-    oracle = verify_homotopy(forged, loop, loop.modulus)
+    monkeypatch.setattr(homotopy, "_negativity_bound", lambda *args: np.full(701, np.inf))  # every cell
+    oracle = verify_homotopy(sheet, loop, loop.modulus)
     negative = [v for v in report.violations if v[0] == "negative-eigenvalue"]
-    assert [v[1] for v in negative] == [(7, 300)]
-    assert abs(negative[0][2] - 3e-6) < 1e-15
+    assert negative[0][1] == (0, 300) and abs(negative[0][2] - 3e-6) < 1e-15
+    # every row of column 300 but the last, the basepoint, and stage rows of column 301
+    assert [v[1] for v in negative if v[1][1] == 300] == [(row, 300) for row in range(sheet.shape[0] - 1)]
+    assert {v[1][1] for v in negative} == {300, 301} and all(v[1][0] > 0 for v in negative if v[1][1] == 301)
     assert report.violations == oracle.violations
 
 
@@ -1745,7 +1999,7 @@ def test_compression_pushforward_matches_block_action():
     rng = np.random.default_rng(55)
 
     def act(a, rho):  # the stage row of s A + (1 - s) 1 at s = 1
-        rows = homotopy._stage_rows(*pencil(a[None], rho[None]), np.ones((1, 1)))
+        rows = homotopy._stage_rows(*pencil(a[None], pack_hermitian(rho[None])), np.ones((1, 1)))
         return linalg.unpack_hermitian(rows)[0, 0]
 
     block = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
@@ -1798,7 +2052,7 @@ def test_rule_and_stage_rows_are_the_expressions_bit_for_bit(name):
                       [-1.0, 2.0, 0.5, 0.0, 0.0, 0.0, 1.0],
                       [0.25, 0.5, 1.0, 0.0, 1.0, 1.0, -np.inf]])
     for ops, _, rhos in _stage_inputs(sheet, loop):
-        p, c = pencil(ops, rhos)
+        p, c = pencil(ops, pack_hermitian(rhos))
         odd_p = np.repeat(p[:, :, :1], odd_c.shape[1], axis=2)
         odd_p[1, 0, 3], odd_p[2, 1, 4] = np.nan, np.inf
         for p, c in ((p, c), (np.concatenate([p, odd_p], axis=2), np.concatenate([c, odd_c], axis=1))):

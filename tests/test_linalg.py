@@ -213,15 +213,21 @@ def test_trace_norm_of_hermitian_stacks_matches_svd(n, count, scale, rank, seed)
 
 
 def test_trace_norm_of_a_mixed_stack_is_bitwise_per_matrix():
-    herm = random_complex((5, 3, 3))
+    # its own generator, so that its draws move no other test's data
+    rng = np.random.default_rng(215)
+    herm = random_complex((5, 3, 3), rng)
     herm = (herm + herm.conj().swapaxes(-1, -2)) / 2
-    stack = np.concatenate([herm, random_complex((4, 3, 3))])[RNG.permutation(9)]
+    stack = np.concatenate([herm, random_complex((4, 3, 3), rng)])[rng.permutation(9)]
     stack[0] = 0.0
     norms = trace_norm(stack)
     for i, m in enumerate(stack):
         assert norms[i] == trace_norm(m)
     assert np.allclose(norms, np.linalg.svd(stack, compute_uv=False).sum(axis=-1), rtol=1e-12)
-    assert trace_norm(herm[0]) == np.sum(np.abs(np.linalg.eigvalsh(herm[0])))
+    # a 3x3 Hermitian matrix takes the closed form, bit for bit, within
+    # 1e-13 of its Frobenius norm of the sum of |eigvalsh|
+    closed, done = linalg._closed_form_3(linalg.pack_hermitian(herm[:1]))
+    assert done[0] and trace_norm(herm[0]) == closed[0]
+    assert abs(closed[0] - np.sum(np.abs(np.linalg.eigvalsh(herm[0])))) <= 1e-13 * np.linalg.norm(herm[0])
 
 
 def _haar_unitaries(count, n, rng):

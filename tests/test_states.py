@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from phaselab.homotopy import _stage_rows, pencil
-from phaselab.linalg import eye, operator_norm, trace_norm, unpack_hermitian
+from phaselab.linalg import eye, operator_norm, pack_hermitian, trace_norm, unpack_hermitian
 from phaselab.states import (
     STATE_EIG_TOL,
     STATE_HERM_TOL,
@@ -23,7 +23,7 @@ def act(a, rho):
     """The action (A . omega)(B) = omega(A* B A) / omega(A* A) on a density,
     as a contraction stage realizes it: the row of s A + (1 - s) 1 at s = 1,
     evaluated from its pencil (homotopy._stage_rows) and unpacked."""
-    return unpack_hermitian(_stage_rows(*pencil(a[None], rho[None]), np.ones((1, 1))))[0, 0]
+    return unpack_hermitian(_stage_rows(*pencil(a[None], pack_hermitian(rho[None])), np.ones((1, 1))))[0, 0]
 
 
 def random_state(rng, n, rank=None):
@@ -385,10 +385,10 @@ def test_act_batch_matches_single_calls():
     rhos = np.array([random_state(rng, 3, rank=2).rho for _ in range(5)])
     ops = rng.normal(size=(5, 3, 3)) + 1j * rng.normal(size=(5, 3, 3))
     s = np.concatenate([rng.uniform(size=(3, 5)), np.ones((1, 5))])
-    out = unpack_hermitian(_stage_rows(*pencil(ops, rhos), s))
+    out = unpack_hermitian(_stage_rows(*pencil(ops, pack_hermitian(rhos)), s))
     for k in range(4):
         for t in range(5):
-            single = unpack_hermitian(_stage_rows(*pencil(ops[t:t + 1], rhos[t:t + 1]), s[k:k + 1, t:t + 1]))
+            single = unpack_hermitian(_stage_rows(*pencil(ops[t:t + 1], pack_hermitian(rhos[t:t + 1])), s[k:k + 1, t:t + 1]))
             assert np.array_equal(out[k, t], single[0, 0])
             b = s[k, t] * ops[t] + (1.0 - s[k, t]) * eye(3)
             direct = b @ rhos[t] @ b.conj().T
@@ -396,7 +396,7 @@ def test_act_batch_matches_single_calls():
     # the projector onto e1 annihilates the basepoint: its column of the
     # batch is non-finite, and the identity's column is the basepoint
     p1 = np.diag([0.0, 1.0]).astype(complex)
-    (row,) = unpack_hermitian(_stage_rows(*pencil(np.array([np.eye(2), p1]), basis_state(2).rho),
-                                          np.ones((1, 2))))
+    base = pack_hermitian(basis_state(2).rho)
+    (row,) = unpack_hermitian(_stage_rows(*pencil(np.array([np.eye(2), p1]), base), np.ones((1, 2))))
     assert np.array_equal(row[0], basis_state(2).rho)
     assert not np.isfinite(row[1]).any()
