@@ -1723,9 +1723,9 @@ def test_the_row_probe_gives_the_block_probes_rows(name, monkeypatch):
 
 def test_the_row_probe_gives_the_block_probes_rows_where_its_bounds_are_inconclusive(monkeypatch):
     # seed 2's stage pencils and forged ones, each at targets around half
-    # its largest step L: a modulus 2 target just above L, which bounds
-    # several steps above and below and so sends them to exact norms
-    # without growing, just below L and well below it, which grow, and
+    # its largest step L: a modulus 2 target just above L, which the upper
+    # bounds of some steps reach, so that they take exact norms and the
+    # rows do not grow; just below L and well below it, which grow; and
     # above every bound, which takes no exact norm
     pencils = [args[:2] for args, _ in _recorded_probes(random_based_loop(3, 2, 700), monkeypatch)]
     pencils += list(_forged_pencils())
