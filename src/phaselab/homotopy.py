@@ -16,7 +16,9 @@ A_t is rebuilt from them where its stage is evaluated (level_unitaries),
 and a stage's s rows from each column's pencil (_rule_rows). Its cells
 are evaluated on the loop it is given, row 0, one stage at a time
 (sheet_blocks), and the verifier checks each stage's block of rows, and
-the traces of the one pencil that made it, as it comes.
+the traces of the one pencil that made it, as it comes; from those traces
+it bounds each column's negativity, so that only the columns the bound
+does not clear take the positivity scan.
 """
 
 from __future__ import annotations
