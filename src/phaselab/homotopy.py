@@ -841,7 +841,9 @@ def verify_homotopy(sheet: HomotopySheet, input_loop: StateLoop, modulus: float)
     is one the scan passes. Steps are bounded by Frobenius norms first,
     and only those that can be the largest so far take an exact trace norm
     (_bounded_steps), so the largest step and its cell are those of an
-    exact scan of every step."""
+    exact scan of every step. A final-row cell's distance from the
+    basepoint takes its exact trace norm only where √n‖Δ‖_F can pass
+    CELL_TOL."""
     n, (s_dim, t_dim) = sheet.n, sheet.shape
     packed_base, pairs = pack_hermitian(basis_state(n).rho)[:, None, None], n * (n - 1) // 2
     found: dict = {kind: [] for kind in ("non-finite", "non-hermitian", "trace", "negative-eigenvalue",
@@ -908,8 +910,11 @@ def verify_homotopy(sheet: HomotopySheet, input_loop: StateLoop, modulus: float)
         del x
 
     violations = [v for kind in found.values() for v in kind]
-    last = _hermitian_trace_norm(prev_x - packed_base[:, 0])
-    violations += _flags("final-row", last, (last > CELL_TOL) & prev_ok, CELL_TOL, lambda t: (s_dim - 1, t))
+    d = prev_x - packed_base[:, 0]  # √n‖Δ‖_F, widened as in _bounded_steps, bounds its trace norm
+    upper = np.sqrt(n * _frobenius2(d, n)) * (1.0 + STEP_MARGIN + n * n * np.finfo(float).eps)
+    last, over = np.zeros(t_dim), prev_ok & ~(upper <= CELL_TOL)
+    last[over] = _hermitian_trace_norm(d[:, over])
+    violations += _flags("final-row", last, last > CELL_TOL, CELL_TOL, lambda t: (s_dim - 1, t))
     max_step = float(step[0])
     if not max_step <= modulus:  # a NaN modulus or step fails too
         violations.append(("step-modulus", step[1], max_step, modulus))
@@ -968,9 +973,14 @@ def _masked_steps(d: np.ndarray, keep: np.ndarray, floor: float) -> tuple[np.nda
     from the packed rows."""
     n = math.isqrt(len(d))
     d = d if keep.all() else np.where(keep, d, 0.0)
+    f2 = _frobenius2(d, n)
+    return _bounded_steps((f2, f2), d[:n].sum(axis=0), n, lambda keep: _hermitian_trace_norm(d[:, keep]), floor)
+
+
+def _frobenius2(d: np.ndarray, n: int) -> np.ndarray:
+    """‖Δ‖_F² = Σ diag² + 2 Σ offdiag² of a packed stack d (n², ...)."""
     diag, off = d[:n], d[n:]
-    f2 = np.einsum("k...,k...->...", diag, diag) + 2.0 * np.einsum("k...,k...->...", off, off)
-    return _bounded_steps((f2, f2), diag.sum(axis=0), n, lambda keep: _hermitian_trace_norm(d[:, keep]), floor)
+    return np.einsum("k...,k...->...", diag, diag) + 2.0 * np.einsum("k...,k...->...", off, off)
 
 
 # --- bundled example loops -------------------------------------------------

@@ -1538,10 +1538,11 @@ def test_contract_loop_takes_lapack_only_on_fallback(monkeypatch):
     # (_bounded_steps): 8,199 matrices in all for this 61x701 sheet of
     # 84,760 steps, its edge columns and last row included. eigvalsh sees
     # only the matrices the closed form hands back, each with a nearly
-    # degenerate pair: none of the contraction's, and of the verification's
-    # only differences of final-row cells from the basepoint that are
-    # rounding, one diagonal entry off by an ulp (209 of the 701; how many
-    # is a draw of the last stage's rounding).
+    # degenerate pair. None of the contraction's or the verification's is:
+    # the final-row cells' differences from the basepoint that would be
+    # (209 of the 701, rounding, one diagonal entry off by an ulp; how many
+    # is a draw of the last stage's rounding) have √3‖Δ‖_F under CELL_TOL,
+    # so the verifier takes no exact norm of them.
     # The positivity certificate clears every matrix it takes on this loop:
     # the contractor's validation of level 1's input and the verifier's
     # row 0, 701 each. No stage cell takes it: every column's bound on its
@@ -1587,9 +1588,12 @@ def test_contract_loop_takes_lapack_only_on_fallback(monkeypatch):
     matrices, lapack = np.subtract(counts["step"], [matrices, lapack])
     rows, columns = sheet.shape
     assert 0 < matrices < 0.12 * ((rows - 1) * columns + rows * (columns - 1))
-    assert 0 < lapack
-    handed = np.concatenate([m.reshape(-1, 3, 3) for m in handed_back])
+    assert lapack == 0
     final = cells(sheet, loop)[-1] - basis_state(3).rho
+    assert np.sqrt(3) * np.linalg.norm(final, axis=(1, 2)).max() < homotopy.CELL_TOL
+    homotopy._hermitian_trace_norm(pack_hermitian(final))  # as the verifier did before its Frobenius bound
+    handed = np.concatenate([m.reshape(-1, 3, 3) for m in handed_back])
+    assert 0 < len(handed) <= 0.4 * columns
     assert {m.tobytes() for m in handed} <= {m.tobytes() for m in final}
     assert np.abs(handed).max() <= 2 * np.finfo(float).eps
     # r = cos 3φ of each handed-back spectrum, from eigvalsh's eigenvalues
