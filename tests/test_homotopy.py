@@ -1535,8 +1535,8 @@ def test_contract_loop_takes_lapack_only_on_fallback(monkeypatch):
     # 3x3 Hermitian matrices, and an exact trace norm takes the closed form.
     # The verifier takes exact norms for a block's steps, row 0's
     # included, only where their Frobenius bounds let them be the largest
-    # (_bounded_steps): 8,199 matrices in all for this 61x701 sheet of
-    # 84,760 steps, its edge columns and last row included. eigvalsh sees
+    # (_bounded_steps): 7,498 matrices in all for this 61x701 sheet of
+    # 84,760 steps, its edge columns included. eigvalsh sees
     # only the matrices the closed form hands back, each with a nearly
     # degenerate pair. None of the contraction's or the verification's is:
     # the final-row cells' differences from the basepoint that would be
@@ -1591,7 +1591,7 @@ def test_contract_loop_takes_lapack_only_on_fallback(monkeypatch):
     assert lapack == 0
     final = cells(sheet, loop)[-1] - basis_state(3).rho
     assert np.sqrt(3) * np.linalg.norm(final, axis=(1, 2)).max() < homotopy.CELL_TOL
-    homotopy._hermitian_trace_norm(pack_hermitian(final))  # as the verifier did before its Frobenius bound
+    homotopy._hermitian_trace_norm(pack_hermitian(final))  # the exact norms that the bound spares the verifier
     handed = np.concatenate([m.reshape(-1, 3, 3) for m in handed_back])
     assert 0 < len(handed) <= 0.4 * columns
     assert {m.tobytes() for m in handed} <= {m.tobytes() for m in final}
