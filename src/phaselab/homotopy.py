@@ -33,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .linalg import (POSITIVITY_MARGIN, _hermitian_min_eigenvalues, _hermitian_trace_norm, eye,
-                     pack_hermitian, trace_norm, unpack_hermitian, upper_pairs)
+                     pack_hermitian, unpack_hermitian, upper_pairs)
 from .projective import transport_to_e0
 from .states import STATE_EIG_TOL, basis_state, validate_densities
 from .util import NumericalGateError
@@ -81,37 +81,39 @@ def projection_matrix(n: int, k: int) -> np.ndarray:
     return np.diag(np.array([1.0] * (n - k) + [0.0] * k)).astype(np.complex128)
 
 
-def _check_based(rhos: np.ndarray):
-    """A density stack (T, n, n) must start and end at the basepoint."""
-    base = basis_state(rhos.shape[-1]).rho
-    if trace_norm(rhos[[0, -1]] - base).max() > BASEPOINT_TOL:
-        raise ValueError("loop must be based at the first-basis-vector state")
-    if trace_norm(rhos[0] - rhos[-1]) > BASEPOINT_TOL:
-        raise ValueError("loop is not closed")
+def _check_based(x: np.ndarray):
+    """A density stack packed as x (n², T) (linalg.pack_hermitian) must
+    start and end at the basepoint |e_0><e_0|, packed as np.eye(n², 1), and
+    close, each distance within BASEPOINT_TOL (_masked_steps with no lower
+    bound; a NaN fails)."""
+    ends = x[:, [0, -1]]
+    for d, message in ((ends - np.eye(len(x), 1), "loop must be based at the first-basis-vector state"),
+                       (ends[:, :1] - ends[:, 1:], "loop is not closed")):
+        if not _masked_steps(d, True, BASEPOINT_TOL, lower=False)[0].max() <= BASEPOINT_TOL:
+            raise ValueError(message)
 
 
 @dataclass
 class StateLoop:
     """A closed, based loop of states on M_n, stored as one (T, n, n)
     complex array of densities, first sample == last. The samples are
-    validated as given (states.validate_densities) and stored as their
-    Hermitian part (ρ + ρ†)/2: exactly Hermitian, and bit for bit the
-    samples of an exactly Hermitian stack. So the contractor, the
+    validated as given and stored as the Hermitian part (ρ + ρ†)/2 that
+    states.validate_densities checked: exactly Hermitian, and bit for bit
+    the samples of an exactly Hermitian stack. So the contractor, the
     expansion and the verifier read one row 0."""
 
     n: int
     rhos: np.ndarray
 
     def __post_init__(self):
-        rhos = validate_densities(self.rhos)
+        rhos = self.rhos = validate_densities(self.rhos)
         if self.n < 2:
             raise ValueError("loops live on M_n with n >= 2")
         if rhos.ndim != 3 or rhos.shape[1:] != (self.n, self.n):
             raise ValueError("loop samples must be states on M_n")
         if len(rhos) < 3:
             raise ValueError("a loop needs at least three samples")
-        self.rhos = (rhos + rhos.conj().swapaxes(-1, -2)) / 2
-        _check_based(self.rhos)
+        _check_based(pack_hermitian(rhos))
 
     @property
     def n_samples(self) -> int:
@@ -119,8 +121,9 @@ class StateLoop:
 
     @cached_property
     def max_step(self) -> float:
-        """Largest trace-norm step between consecutive samples."""
-        return float(trace_norm(self.rhos[1:] - self.rhos[:-1]).max())
+        """Largest trace-norm step between consecutive samples (_masked_steps)."""
+        x = pack_hermitian(self.rhos)
+        return float(_masked_steps(x[:, 1:] - x[:, :-1], True, 0.0)[0].max())
 
     @cached_property
     def modulus(self) -> float:
@@ -663,7 +666,7 @@ def _rectify(x: np.ndarray, target: float, admit):
         if failing.size:
             raise NumericalGateError(f"{kind} interpolation unsafe at sample {failing[0]}")
         out = _stage_rows(p, c, last)[:, 0]
-        count = admit(_rows_for(target, _hermitian_trace_norm(out - x).max()))
+        count = admit(_rows_for(target, _masked_steps(out - x, True, 0.0)[0].max()))
         rows.append(admit(_grown_rows(p, c, count, target)))
         x = out
     return Level(tuple(rows), runs, vectors, phases), x
@@ -758,10 +761,11 @@ def contract_loop(loop: StateLoop) -> HomotopySheet:
     for b in range(n, 1, -1):  # the corner block algebra M_b of each level
         if b < n:
             x = _compress(x, b)
-            _check_based(validate_densities(unpack_hermitian(x)))
+            validate_densities(unpack_hermitian(x))
+            _check_based(x)
         level, x = _rectify(x, loop.modulus / 2, admit)
         levels.append(level)
-        _check_based(unpack_hermitian(x[:, [0, -1]]))
+        _check_based(x)
     return HomotopySheet(n, levels)
 
 
@@ -827,25 +831,25 @@ def verify_homotopy(sheet: HomotopySheet, input_loop: StateLoop, modulus: float)
     Row 0 has no recipe stage before it and no step from an earlier row.
 
     Positivity is checked where the construction does not guarantee it.
-    Row 0 takes the negative-eigenvalue scan, the LDLᴴ certificate of
-    linalg.min_eigenvalues at STATE_EIG_TOL on the packed row
-    (linalg._hermitian_min_eigenvalues), which clears a cell without
-    LAPACK; each cell it does not clear takes eigvalsh, which decides it
-    and gives a violation's value. That bounds each column's negativity,
-    -λmin, by at least STATE_EIG_TOL. A stage cell is B rho B† / tr with
+    Row 0 takes the negative-eigenvalue scan, eigvalsh's λmin of each
+    packed sample (linalg._hermitian_min_eigenvalues), which decides it and
+    gives a violation's value. That bounds each column's negativity,
+    -λmin, by at least STATE_EIG_TOL, widened by eigvalsh's error
+    (linalg.POSITIVITY_MARGIN). A stage cell is B rho B† / tr with
     rho the stage's input, the last row or, at a level's first stage, its
     corner block over its trace, whose negativity is at most the last
     row's over that trace; so each stage carries the bound of its column
     on to its cells (_negativity_bound). Only the columns whose bound
-    exceeds CELL_TOL take the scan, at CELL_TOL: a column the bound clears
-    is one the scan passes. Steps are bounded by Frobenius norms first,
-    and only those that can be the largest so far take an exact trace norm
+    exceeds CELL_TOL take the scan: a column the bound clears is one the
+    scan passes. Steps are bounded by Frobenius norms first, and only
+    those that can be the largest so far take an exact trace norm
     (_bounded_steps), so the largest step and its cell are those of an
-    exact scan of every step. A final-row cell's distance from the
-    basepoint takes its exact trace norm only where √n‖Δ‖_F can pass
-    CELL_TOL."""
+    exact scan of every step. An edge-column or final-row cell's distance
+    from the basepoint takes its exact trace norm only where its bound
+    √n‖Δ‖_F can pass CELL_TOL (_masked_steps with no lower bound), so
+    every distance over CELL_TOL is reported with its exact value."""
     n, (s_dim, t_dim) = sheet.n, sheet.shape
-    packed_base, pairs = pack_hermitian(basis_state(n).rho)[:, None, None], n * (n - 1) // 2
+    packed_base, pairs = np.eye(n * n, 1)[:, None], n * (n - 1) // 2  # the basepoint, packed
     found: dict = {kind: [] for kind in ("non-finite", "non-hermitian", "trace", "negative-eigenvalue",
                                          "left-column", "right-column")}
     recipe = []
@@ -889,11 +893,11 @@ def verify_homotopy(sheet: HomotopySheet, input_loop: StateLoop, modulus: float)
             scan = ~(negativity <= CELL_TOL)
             neg = np.zeros(x.shape[1:])
             if scan.any():
-                neg[:, scan] = -_hermitian_min_eigenvalues(x[:, :, scan], CELL_TOL)
+                neg[:, scan] = -_hermitian_min_eigenvalues(x[:, :, scan])
             steps, floor = _masked_steps(x[:, 0] - prev_x, ok[0] & prev_ok, max(floor, step[0]))
             step = _largest(step, steps[None], row - 1)
         else:
-            neg = -_hermitian_min_eigenvalues(x, STATE_EIG_TOL)
+            neg = -_hermitian_min_eigenvalues(x)
             negativity = np.maximum(neg[0], STATE_EIG_TOL)
             negativity += POSITIVITY_MARGIN * (np.abs(x[:n, 0]).sum(axis=0) + n * negativity)
         found["negative-eigenvalue"] += _flags("negative-eigenvalue", neg, neg > CELL_TOL, CELL_TOL, at)
@@ -901,19 +905,15 @@ def verify_homotopy(sheet: HomotopySheet, input_loop: StateLoop, modulus: float)
         step = _largest(step, steps, row)
         steps, floor = _masked_steps(x[:, :, 1:] - x[:, :, :-1], ok[:, 1:] & ok[:, :-1], max(floor, step[0]))
         step = _largest(step, steps, row)
-        dev = _hermitian_trace_norm(x[:, :, [0, -1]] - packed_base)
+        dev = _masked_steps(x[:, :, [0, -1]] - packed_base, ok[:, [0, -1]], CELL_TOL, lower=False)[0]
         for i, (col, label) in enumerate(((0, "left-column"), (t_dim - 1, "right-column"))):
-            found[label] += _flags(label, dev[:, i], (dev[:, i] > CELL_TOL) & ok[:, col], CELL_TOL,
-                                   lambda s: (row + s, col))
+            found[label] += _flags(label, dev[:, i], dev[:, i] > CELL_TOL, CELL_TOL, lambda s: (row + s, col))
         prev_x, prev_ok = x[:, -1].copy(), ok[-1]
         row += x.shape[1]
         del x
 
     violations = [v for kind in found.values() for v in kind]
-    d = prev_x - packed_base[:, 0]  # √n‖Δ‖_F, widened as in _bounded_steps, bounds its trace norm
-    upper = np.sqrt(n * _frobenius2(d, n)) * (1.0 + STEP_MARGIN + n * n * np.finfo(float).eps)
-    last, over = np.zeros(t_dim), prev_ok & ~(upper <= CELL_TOL)
-    last[over] = _hermitian_trace_norm(d[:, over])
+    last = _masked_steps(prev_x - packed_base[:, 0], prev_ok, CELL_TOL, lower=False)[0]
     violations += _flags("final-row", last, last > CELL_TOL, CELL_TOL, lambda t: (s_dim - 1, t))
     max_step = float(step[0])
     if not max_step <= modulus:  # a NaN modulus or step fails too
@@ -967,20 +967,17 @@ def _negativity_bound(negativity: np.ndarray, norm2, c: np.ndarray, low: np.ndar
         return np.where(low > 0.0, (negativity * m2 + rounding) / low, np.inf)
 
 
-def _masked_steps(d: np.ndarray, keep: np.ndarray, floor: float) -> tuple[np.ndarray, float]:
+def _masked_steps(d: np.ndarray, keep, floor: float, lower: bool = True) -> tuple[np.ndarray, float]:
     """_bounded_steps of a packed stack d (n², ...) of Hermitian steps where
-    `keep`, and of 0.0 elsewhere, with F² = Σ diag² + 2 Σ offdiag² and tr Δ
-    from the packed rows."""
+    `keep` (True: everywhere), and of 0.0 elsewhere, with F² = Σ diag² +
+    2 Σ offdiag² and tr Δ from the packed rows. With lower=False no lower
+    bound raises `floor`, a threshold, so every step over it keeps its
+    exact norm, as a gate that flags each such step needs."""
     n = math.isqrt(len(d))
-    d = d if keep.all() else np.where(keep, d, 0.0)
-    f2 = _frobenius2(d, n)
-    return _bounded_steps((f2, f2), d[:n].sum(axis=0), n, lambda keep: _hermitian_trace_norm(d[:, keep]), floor)
-
-
-def _frobenius2(d: np.ndarray, n: int) -> np.ndarray:
-    """‖Δ‖_F² = Σ diag² + 2 Σ offdiag² of a packed stack d (n², ...)."""
-    diag, off = d[:n], d[n:]
-    return np.einsum("k...,k...->...", diag, diag) + 2.0 * np.einsum("k...,k...->...", off, off)
+    d = d if np.all(keep) else np.where(keep, d, 0.0)
+    f2 = np.einsum("k...,k...->...", d[:n], d[:n]) + 2.0 * np.einsum("k...,k...->...", d[n:], d[n:])
+    return _bounded_steps((f2 if lower else 0.0, f2), d[:n].sum(axis=0), n,
+                          lambda keep: _hermitian_trace_norm(d[:, keep]), floor)
 
 
 # --- bundled example loops -------------------------------------------------

@@ -1,8 +1,12 @@
 """Dense complex matrix kernel: tensor products, partial traces, Hermitian
-eigensolving, site embedding, trace norm.
+eigensolving, site embedding, trace norm, smallest eigenvalues.
 
 Everything is desk-scale (dims <= 4096), dense, row-major complex128. All
-functions are pure; no shared mutable state.
+functions are pure; no shared mutable state. A Hermitian stack may be held
+packed (pack_hermitian), one real row per coordinate. The trace norm of a
+packed 2x2 or 3x3 stack is a closed form, elementwise over the stack; every
+other trace norm of a Hermitian matrix, and every smallest eigenvalue, is
+eigvalsh's, one LAPACK call per matrix.
 """
 
 from __future__ import annotations
@@ -14,16 +18,9 @@ import numpy as np
 
 HERMITICITY_RTOL = 1e-10
 
-
-def pauli() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Return (sigma_x, sigma_y, sigma_z) as complex 2x2 arrays."""
-    sx = np.array([[0, 1], [1, 0]], dtype=np.complex128)
-    sy = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
-    sz = np.array([[1, 0], [0, -1]], dtype=np.complex128)
-    return sx, sy, sz
-
-
-SIGMA_X, SIGMA_Y, SIGMA_Z = pauli()
+SIGMA_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
+SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
+SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
 SIGMA_PLUS = np.array([[0, 1], [0, 0]], dtype=np.complex128)
 SIGMA_MINUS = np.array([[0, 0], [1, 0]], dtype=np.complex128)
 
@@ -139,22 +136,13 @@ CLOSED_FORM_MAX_R = 1.0 - (4 * 8 * np.finfo(float).eps / (3 * np.sqrt(6) * 5e-14
 # entries of H - q (each at most sqrt(6) p) are normal floats.
 _CLOSED_FORM_P2 = (1e-200, 1e200)
 
-# LDLᴴ positivity certificate (see min_eigenvalues). Let S = Σ|h_ii| + n tol
-# and σ = tol - δ with δ = POSITIVITY_MARGIN * S. If the LDLᴴ factorization
-# of H + σ1 runs with every pivot positive, then LDLᴴ = H + σ1 + E with
-# ‖E‖₂ <= 8u tr(|L|D|L|ᴴ) = 8u tr(LDLᴴ) <= 8u S (Higham, Accuracy and
-# Stability of Numerical Algorithms, 2nd ed., Thm 10.3, with the complex
-# products of n <= 3 in real arithmetic; u = eps/2), and rounding the
-# shifted diagonal adds at most u S. So λmin(H) >= -tol + δ - 9u S, and
-# ‖H‖₂ <= S. eigvalsh's computed λmin is within 14u ‖H‖₂ of the exact one
+# eigvalsh's computed λmin is within 14u ‖H‖₂ of the exact one, u = eps/2
 # (the largest error over 10,000 2x2 and 3x3 Haar conjugates of scales
 # 1e-12..1e3: generic spectra, a zero eigenvalue, a near pair, λmin at
-# -1e-10 or -1e-8; measured against 50-digit arithmetic). δ = 64 eps S =
-# 128u S covers both, 23u S, more than four times over: a matrix the
-# certificate clears is one that eigvalsh's λmin >= -tol also passes.
-# Pivots must exceed δ, not just 0: the gradual-underflow error of
-# |h_ij|²/d, at most 5e-324/d, then stays far below u S for any tol above
-# 1e-140.
+# -1e-10 or -1e-8; measured against 50-digit arithmetic). A bound on a
+# matrix's negativity -λmin taken from eigvalsh adds POSITIVITY_MARGIN S =
+# 128u S, with S = Σ|h_ii| + n δ >= ‖H‖₂ for H >= -δ1: more than four
+# times that error.
 POSITIVITY_MARGIN = 64 * np.finfo(float).eps
 
 
@@ -200,35 +188,27 @@ def unpack_hermitian(x: np.ndarray) -> np.ndarray:
     return h
 
 
-def _packed_or_eigvalsh(x: np.ndarray, kernel, reduce) -> np.ndarray:
-    """One value per matrix of a packed Hermitian stack x (n², ...)
-    (pack_hermitian). For n = 2 and 3, kernel(x) gives (values, where they
-    hold) elementwise over the stack; the matrices it leaves, and every
-    matrix of n >= 4, are unpacked and take reduce(eigvalsh(m)), one LAPACK
-    call per matrix, and an empty stack takes none. So a matrix's value
-    depends on that matrix alone, not on its stack."""
-    n = math.isqrt(len(x))
-    flat = x.reshape(len(x), -1)
-    if n in (2, 3):
-        with np.errstate(all="ignore"):  # 0/0, overflow, inf, nan: those matrices are redone below
-            values, done = kernel(flat)
-        redo = np.flatnonzero(~done)
-    else:
-        values, redo = np.empty(flat.shape[1]), np.arange(flat.shape[1])
-    if redo.size:
-        values[redo] = reduce(np.linalg.eigvalsh(unpack_hermitian(flat[:, redo])))
-    return values.reshape(x.shape[1:])
-
-
 def _hermitian_trace_norm(x: np.ndarray) -> np.ndarray:
     """Sum of absolute eigenvalues of each matrix of a packed Hermitian
     stack x (n², ...): for every 2x2 and 3x3 stack a closed form
     (_closed_form_2, _closed_form_3), within 1e-13 of each matrix's
-    Frobenius norm, and eigvalsh for the matrices it does not resolve
-    (non-finite entries, a nearly degenerate 3x3 pair, a 3x3 scale outside
-    _CLOSED_FORM_P2) and for n >= 4 (_packed_or_eigvalsh)."""
-    return _packed_or_eigvalsh(x, lambda x: (_closed_form_2 if len(x) == 4 else _closed_form_3)(x),
-                               lambda evals: np.abs(evals).sum(axis=-1))
+    Frobenius norm, applied elementwise over the stack. The matrices it
+    does not resolve (non-finite entries, a nearly degenerate 3x3 pair, a
+    3x3 scale outside _CLOSED_FORM_P2), and every matrix of n >= 4, are
+    unpacked and take sum |eigvalsh|, one LAPACK call per matrix, and an
+    empty stack takes none. So a matrix's value depends on that matrix
+    alone, not on its stack."""
+    n = math.isqrt(len(x))
+    flat = x.reshape(len(x), -1)
+    if n in (2, 3):
+        with np.errstate(all="ignore"):  # 0/0, overflow, inf, nan: those matrices are redone below
+            norms, done = (_closed_form_2 if n == 2 else _closed_form_3)(flat)
+        redo = np.flatnonzero(~done)
+    else:
+        norms, redo = np.empty(flat.shape[1]), np.arange(flat.shape[1])
+    if redo.size:
+        norms[redo] = np.abs(np.linalg.eigvalsh(unpack_hermitian(flat[:, redo]))).sum(axis=-1)
+    return norms.reshape(x.shape[1:])
 
 
 def _closed_form_2(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -277,50 +257,17 @@ def _closed_form_3(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return norms, done
 
 
-def min_eigenvalues(h: np.ndarray, tol: float) -> np.ndarray:
+def min_eigenvalues(h: np.ndarray) -> np.ndarray:
     """Smallest eigenvalue of each matrix of a stack (..., n, n) of exactly
-    Hermitian matrices, as eigvalsh gives it, for the test λmin >= -tol:
-    where an LDLᴴ certificate proves that eigvalsh's value passes, the
-    matrix reads -tol instead, so `min_eigenvalues(h, tol) < -tol` is
-    eigvalsh's verdict and every failing value is eigvalsh's own
-    (_hermitian_min_eigenvalues of the packed stack)."""
-    return _hermitian_min_eigenvalues(pack_hermitian(h), tol)
+    Hermitian matrices, as eigvalsh gives it; an empty stack takes no
+    LAPACK call."""
+    h = np.asarray(h, dtype=np.complex128)
+    return np.linalg.eigvalsh(h).min(axis=-1) if h.size else np.empty(h.shape[:-2])
 
 
-def _hermitian_min_eigenvalues(x: np.ndarray, tol: float) -> np.ndarray:
-    """min_eigenvalues of a packed Hermitian stack x (n², ...). The
-    certificate factors H + (tol - δ)1 elementwise over every packed 2x2
-    and 3x3 stack and clears the matrices whose pivots all exceed δ (see
-    POSITIVITY_MARGIN); the matrices it does not clear (non-finite entries,
-    overflow, a pivot at or below δ) and every matrix of n >= 4 take
-    eigvalsh (_packed_or_eigvalsh)."""
-    return _packed_or_eigvalsh(x, lambda x: (np.full(x.shape[1], -tol), _ldl_clears(x, tol)),
-                               lambda evals: evals.min(axis=-1))
-
-
-def _ldl_clears(x: np.ndarray, tol: float) -> np.ndarray:
-    """Where a packed 2x2 or 3x3 Hermitian stack (n², K) is cleared by the
-    positivity certificate: finite entries, and every pivot of the LDLᴴ
-    factorization of H + (tol - δ)1 above δ = POSITIVITY_MARGIN S,
-    S = Σ|h_ii| + n tol. With column 0 eliminated, row 2 holds
-    w = h12 - conj(h01) h02 / d0."""
-    n = 2 if len(x) == 4 else 3
-    margin = POSITIVITY_MARGIN * (np.abs(x[:n]).sum(axis=0) + n * tol)
-    d0, d1, *rest = x[:n] + (tol - margin)
-    if n == 2:
-        pivots = (d0, d1 - (x[2] * x[2] + x[3] * x[3]) / d0)
-    else:
-        (d2,) = rest
-        b01r, b02r, b12r, b01i, b02i, b12i = x[3:]
-        d1 = d1 - (b01r * b01r + b01i * b01i) / d0
-        wr = b12r - (b01r * b02r + b01i * b02i) / d0
-        wi = b12i - (b01r * b02i - b01i * b02r) / d0
-        d2 = d2 - (b02r * b02r + b02i * b02i) / d0 - (wr * wr + wi * wi) / d1
-        pivots = (d0, d1, d2)
-    cleared = np.isfinite(x).all(axis=0)
-    for d in pivots:
-        cleared &= d > margin
-    return cleared
+def _hermitian_min_eigenvalues(x: np.ndarray) -> np.ndarray:
+    """min_eigenvalues of a packed Hermitian stack x (n², ...)."""
+    return min_eigenvalues(unpack_hermitian(x))
 
 
 def operator_norm(m: np.ndarray) -> float | np.ndarray:

@@ -66,15 +66,14 @@ def state_from_vector(v: np.ndarray) -> DensityState:
 
 def validate_densities(rho: np.ndarray) -> np.ndarray:
     """Check a stack (..., n, n) of density matrices against the
-    DensityState tolerances and return it as complex128.
+    DensityState tolerances and return the Hermitian part (ρ + ρ†)/2 that
+    it checked, complex128 and exactly Hermitian.
 
     Raises DensityState's ValueError for the first failing matrix in C
     order, naming the first check it fails: finite entries (NaN slips past
     every comparison), then Hermitian, then no negative eigenvalue, then unit trace.
-    The eigenvalue check is linalg.min_eigenvalues of (ρ + ρ†)/2: an LDLᴴ
-    certificate clears every 2x2 and 3x3 stack elementwise, whatever its
-    size, and eigvalsh decides, and gives the reported value for, every
-    matrix it does not clear.
+    The eigenvalue check is eigvalsh's λmin of (ρ + ρ†)/2
+    (linalg.min_eigenvalues).
     """
     rho = np.asarray(rho, dtype=np.complex128)
     if rho.ndim < 2 or rho.shape[-1] != rho.shape[-2]:
@@ -84,7 +83,8 @@ def validate_densities(rho: np.ndarray) -> np.ndarray:
     adj = finite.conj().swapaxes(-1, -2)
     scale = np.maximum(np.linalg.norm(finite, axis=(-2, -1)), 1.0)
     non_hermitian = np.linalg.norm(finite - adj, axis=(-2, -1)) > STATE_HERM_TOL * scale
-    min_eig = min_eigenvalues((finite + adj) / 2, STATE_EIG_TOL)
+    herm = (finite + adj) / 2
+    min_eig = min_eigenvalues(herm)
     negative = min_eig < -STATE_EIG_TOL
     trace = np.trace(finite, axis1=-2, axis2=-1)
     off_trace = np.abs(trace.real - 1.0) > STATE_TRACE_TOL
@@ -98,7 +98,7 @@ def validate_densities(rho: np.ndarray) -> np.ndarray:
         if negative[i]:
             raise ValueError(f"density matrix has negative eigenvalue {min_eig[i]:.3e}")
         raise ValueError(f"density matrix trace {trace[i]:.12f} != 1")
-    return rho
+    return herm
 
 
 @dataclass

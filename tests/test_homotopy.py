@@ -61,6 +61,37 @@ def test_state_loop_validation():
     stored = StateLoop(3, rhos).rhos
     assert np.array_equal(stored, stored.conj().swapaxes(-1, -2))
     assert np.array_equal(stored, (rhos + rhos.conj().swapaxes(-1, -2)) / 2)
+    assert validate_densities(rhos).tobytes() == stored.tobytes()  # the array validation checked
+
+
+@pytest.mark.parametrize("over", [False, True])
+def test_basepoint_check_decides_on_the_exact_distance(over, monkeypatch):
+    # the last sample of constant_loop(3, 10) moved to diag(1 - δ, δ, 0), a
+    # trace distance from the basepoint, and from the first sample, 1e-6
+    # relative under or over BASEPOINT_TOL. Its bound √3‖Δ‖_F exceeds
+    # BASEPOINT_TOL either way, so the exact norm decides: the loop is
+    # accepted just under and refused just over. A distance that reads NaN
+    # is refused too: it is not at most BASEPOINT_TOL
+    tol = homotopy.BASEPOINT_TOL
+    delta = tol / 2 * (1.0 + (1e-6 if over else -1e-6))
+    rhos = constant_loop(3, 10).rhos.copy()
+    rhos[-1] = np.diag([1.0 - delta, delta, 0.0])
+    dist = linalg.trace_norm(rhos[-1] - rhos[0])
+    assert (dist > tol) == over and abs(dist / tol - 1.0) < 2e-6
+    assert np.sqrt(3) * np.linalg.norm(rhos[-1] - rhos[0]) > tol
+    exact, norms = [], homotopy._hermitian_trace_norm
+    monkeypatch.setattr(homotopy, "_hermitian_trace_norm", lambda x: exact.append(norms(x)) or exact[-1])
+    read = lambda: [value for values in exact for value in values.tolist()]
+    if over:
+        with pytest.raises(ValueError, match="based at the first-basis-vector state"):
+            StateLoop(3, rhos)
+        assert read() == [dist]
+    else:
+        StateLoop(3, rhos)
+        assert read() == [dist, linalg.trace_norm(rhos[0] - rhos[-1])]  # the far end's, then the closure's
+    monkeypatch.setattr(homotopy, "_hermitian_trace_norm", lambda x: np.full(x.shape[1:], np.nan))
+    with pytest.raises(ValueError, match="based at the first-basis-vector state"):
+        StateLoop(3, rhos)
 
 
 def _expm_loop_samples(n, seed, n_samples):
@@ -1502,6 +1533,58 @@ def test_bounded_steps_bound_a_step_by_sqrt_n(monkeypatch):
     assert [v[:3] for v in report.violations] == [("step-modulus", (2, 4), rank3)]
 
 
+def _exact_masked_steps(d, keep, floor, lower=True):
+    """_masked_steps as an exact scan: the trace norm of every step where
+    `keep`, and 0.0 elsewhere."""
+    norms = linalg._hermitian_trace_norm(np.where(keep, d, 0.0))
+    return norms, float(np.fmax.reduce(norms, axis=None, initial=floor))
+
+
+@pytest.mark.parametrize("name", ["pure", "plateau", "seed1", "seed2", "constant"])
+def test_every_distance_matches_an_exact_scan(name, monkeypatch):
+    # homotopy measures every trace-norm distance with _masked_steps: the
+    # loop's largest step, each stage's movement, the basepoint checks, and
+    # the verifier's steps, edge columns and final row. Against an exact
+    # scan of each call's stack: every norm a call takes is the scan's bit
+    # for bit, its largest is the scan's wherever that reaches its floor,
+    # and a threshold form (no lower bound) reads the scan's value for
+    # every distance over its threshold, at its own and at the scan's
+    # quartiles. With the exact scan in its place, the loop's max_step,
+    # every level's rows and the verifier's report are the same
+    make = {"pure": bundled_pure_loop, "plateau": bundled_plateau_loop,
+            "seed1": lambda: random_based_loop(3, 1, 700), "seed2": lambda: random_based_loop(3, 2, 700),
+            "constant": lambda: constant_loop(3, 10)}[name]
+    masked, thresholds = homotopy._masked_steps, []
+
+    def checked(d, keep, floor, lower=True):
+        norms, raised = masked(d, keep, floor, lower)
+        exact = linalg._hermitian_trace_norm(np.where(keep, d, 0.0))
+        taken = norms != 0.0
+        assert np.array_equal(norms[taken], exact[taken])
+        if exact.size and exact.max() >= floor:
+            assert norms.max() == exact.max()
+        if not lower:
+            thresholds.append(floor)
+            for tol in (floor, *np.quantile(exact, [0.25, 0.5, 0.75])):
+                got = norms if tol == floor else masked(d, keep, tol, False)[0]
+                assert np.array_equal(np.where(got > tol, got, 0.0), np.where(exact > tol, exact, 0.0))
+        return norms, raised
+
+    monkeypatch.setattr(homotopy, "_masked_steps", checked)
+    loop = make()
+    sheet = contract_loop(loop)
+    report = verify_homotopy(sheet, loop, loop.modulus)
+    tols = homotopy.BASEPOINT_TOL, homotopy.CELL_TOL
+    # each basepoint check, the verifier's edge columns at each block and its final row
+    assert sorted(set(thresholds)) == sorted(tols) and thresholds.count(tols[1]) == 2 * len(sheet.levels) + 2
+    monkeypatch.setattr(homotopy, "_masked_steps", _exact_masked_steps)
+    exact_loop = make()
+    assert exact_loop.max_step == loop.max_step
+    oracle = contract_loop(exact_loop)
+    assert [level.rows for level in oracle.levels] == [level.rows for level in sheet.levels]
+    assert verify_homotopy(oracle, exact_loop, exact_loop.modulus) == report
+
+
 def test_contract_loop_takes_no_svd(monkeypatch):
     def off_hermitian():  # Hermitian only to rounding, which StateLoop accepts
         rhos = bundled_pure_loop(320).rhos.copy()
@@ -1531,22 +1614,24 @@ def test_verifier_scans_the_loop_as_given_for_hermiticity(pure_sheet):
 
 
 def test_contract_loop_takes_lapack_only_on_fallback(monkeypatch):
-    # Every step a contraction and its verification measure is of 2x2 or
-    # 3x3 Hermitian matrices, and an exact trace norm takes the closed form.
-    # The verifier takes exact norms for a block's steps, row 0's
-    # included, only where their Frobenius bounds let them be the largest
-    # (_bounded_steps): 7,498 matrices in all for this 61x701 sheet of
-    # 84,760 steps, its edge columns included. eigvalsh sees
-    # only the matrices the closed form hands back, each with a nearly
-    # degenerate pair. None of the contraction's or the verification's is:
-    # the final-row cells' differences from the basepoint that would be
-    # (209 of the 701, rounding, one diagonal entry off by an ulp; how many
-    # is a draw of the last stage's rounding) have √3‖Δ‖_F under CELL_TOL,
-    # so the verifier takes no exact norm of them.
-    # The positivity certificate clears every matrix it takes on this loop:
-    # the contractor's validation of level 1's input and the verifier's
-    # row 0, 701 each. No stage cell takes it: every column's bound on its
-    # cells' negativity clears CELL_TOL (_negativity_bound).
+    # Every step and distance a contraction and its verification measure
+    # is of 2x2 or 3x3 Hermitian matrices, and goes through _bounded_steps,
+    # whose exact trace norms take the closed form. The verifier takes
+    # exact norms for a block's steps, row 0's included, only where their
+    # Frobenius bounds let them be the largest, and for a distance from
+    # the basepoint only where its bound can pass CELL_TOL: 7,376 matrices
+    # for this 61x701 sheet's 84,760 steps, and none for its edge columns
+    # or its final row. eigvalsh sees only the matrices the closed form hands
+    # back, each with a nearly degenerate pair. None of the contraction's
+    # or the verification's is: the final-row cells' differences from the
+    # basepoint that would be (209 of the 701, rounding, one diagonal
+    # entry off by an ulp; how many is a draw of the last stage's
+    # rounding) have √3‖Δ‖_F under CELL_TOL, so the verifier takes no
+    # exact norm of them.
+    # Positivity takes eigvalsh on two stacks of the 701 states: the
+    # contractor's validation of level 1's input and the verifier's row 0.
+    # No stage cell takes it: every column's bound on its cells'
+    # negativity clears CELL_TOL (_negativity_bound).
     loop = random_based_loop(3, 2, 700)
     counts = {"step": [0, 0], "positivity": [0, 0]}  # matrices, to eigvalsh
     active, handed_back, stacks = [], [], []
@@ -1576,9 +1661,8 @@ def test_contract_loop_takes_lapack_only_on_fallback(monkeypatch):
                 handed_back.append(np.asarray(m))
         return eigvalsh(m, *args, **kwargs)
 
-    for name, key, matrices in (("trace_norm", "step", size), ("_hermitian_trace_norm", "step", packed_size),
-                                ("_hermitian_min_eigenvalues", "positivity", packed_size)):
-        monkeypatch.setattr(homotopy, name, counting(getattr(homotopy, name), key, matrices))
+    for name, key in (("_hermitian_trace_norm", "step"), ("_hermitian_min_eigenvalues", "positivity")):
+        monkeypatch.setattr(homotopy, name, counting(getattr(homotopy, name), key, packed_size))
     monkeypatch.setattr(states, "min_eigenvalues", counting(states.min_eigenvalues, "positivity", size))
     monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
     sheet = contract_loop(loop)
@@ -1589,6 +1673,9 @@ def test_contract_loop_takes_lapack_only_on_fallback(monkeypatch):
     rows, columns = sheet.shape
     assert 0 < matrices < 0.12 * ((rows - 1) * columns + rows * (columns - 1))
     assert lapack == 0
+    # the basepoint checks validate no state
+    assert [size for key, size in stacks if key == "positivity"] == [columns, columns]
+    assert counts["positivity"] == [2 * columns, 2 * columns]
     final = cells(sheet, loop)[-1] - basis_state(3).rho
     assert np.sqrt(3) * np.linalg.norm(final, axis=(1, 2)).max() < homotopy.CELL_TOL
     homotopy._hermitian_trace_norm(pack_hermitian(final))  # the exact norms that the bound spares the verifier
@@ -1601,9 +1688,6 @@ def test_contract_loop_takes_lapack_only_on_fallback(monkeypatch):
     dev -= dev.mean(axis=-1, keepdims=True)
     r = dev.prod(axis=-1) / (2 * np.sqrt((dev * dev).sum(axis=-1) / 6) ** 3)
     assert (np.abs(r) > linalg.CLOSED_FORM_MAX_R - 1e-12).all()
-    # besides the single basepoint states of the basepoint checks
-    assert [size for key, size in stacks if key == "positivity" and size > 1] == [columns, columns]
-    assert counts["positivity"][1] == 0
 
 
 def test_the_prepass_takes_no_eigensolver(monkeypatch):
@@ -1781,19 +1865,18 @@ def test_a_contraction_forms_no_stage_block(monkeypatch):
 
 
 def test_verifying_n6_scans_no_stage_cell_for_positivity(monkeypatch):
-    # at n = 6 the certificate does not apply, so a scanned cell takes
-    # eigvalsh; every stage column's bound clears CELL_TOL, so only row 0
-    # is scanned, its 701 samples in one call
+    # a scanned cell takes eigvalsh; every stage column's bound clears
+    # CELL_TOL, so only row 0 is scanned, its 701 samples in one call
     loop = random_based_loop(6, 2, 700)
     sheet = contract_loop(loop)
     scanned, inside, scan = [], [], homotopy._hermitian_min_eigenvalues
     eigvalsh = np.linalg.eigvalsh
 
-    def scanning(x, tol):
-        scanned.append((x.shape[1:], tol))
+    def scanning(x):
+        scanned.append(x.shape[1:])
         inside.append(True)
         try:
-            return scan(x, tol)
+            return scan(x)
         finally:
             inside.pop()
 
@@ -1803,7 +1886,7 @@ def test_verifying_n6_scans_no_stage_cell_for_positivity(monkeypatch):
                         lambda m, *a: solved.append(np.asarray(m)[..., 0, 0].size * bool(inside)) or eigvalsh(m, *a))
     report = verify_homotopy(sheet, loop, loop.modulus)
     assert report.passed
-    assert scanned == [((1, 701), states.STATE_EIG_TOL)]
+    assert scanned == [(1, 701)]
     assert sum(solved) == 701
 
 
@@ -1884,8 +1967,7 @@ def _eigvalsh_trace_norm(m):
 def test_contraction_matches_the_eigvalsh_oracle(name, monkeypatch):
     loop, sheet = _contracted(name)
     report = verify_homotopy(sheet, loop, loop.modulus)
-    monkeypatch.setattr(homotopy, "trace_norm", _eigvalsh_trace_norm)
-    monkeypatch.setattr(homotopy, "_hermitian_trace_norm",  # the bounded steps' exact norms
+    monkeypatch.setattr(homotopy, "_hermitian_trace_norm",  # every distance's exact norms
                         lambda x: _eigvalsh_trace_norm(linalg.unpack_hermitian(x)))
     oracle = contract_loop(loop)
     oracle_report = verify_homotopy(oracle, loop, loop.modulus)
@@ -1930,8 +2012,8 @@ def test_verifier_reports_negative_cells_as_eigvalsh_does(monkeypatch):
     # past the 1e-8 gate (-3e-6), one that the gate just passes (-0.9e-8).
     # The expansion carries each into its column's stage cells, where its
     # bound on their negativity exceeds CELL_TOL (_negativity_bound), so
-    # those columns take the scan: the certificate's violations, values
-    # included, are those of an eigvalsh scan of every cell
+    # those columns take the scan: its violations, values included, are
+    # those of an eigvalsh scan of every cell
     loop, sheet = _contracted("seed2")
     loop = copy.copy(loop)  # the cached loop stays as it is
     rng = np.random.default_rng(21)
@@ -1942,13 +2024,12 @@ def test_verifier_reports_negative_cells_as_eigvalsh_does(monkeypatch):
         rhos[col] = (cell + cell.conj().T) / 2
     loop.rhos = rhos
     scanned, scan = [], homotopy._hermitian_min_eigenvalues
-    monkeypatch.setattr(homotopy, "_hermitian_min_eigenvalues",
-                        lambda x, tol: scanned.append(x.shape[1:]) or scan(x, tol))
+    monkeypatch.setattr(homotopy, "_hermitian_min_eigenvalues", lambda x: scanned.append(x.shape[1:]) or scan(x))
     report = verify_homotopy(sheet, loop, loop.modulus)
     # row 0 whole; column 300 in every stage, 301 once its bound passes 1e-8
     assert scanned == [(1, 701), (34, 1), (10, 2), (8, 2), (8, 2)]
 
-    def eigvalsh_scan(x, tol):  # a stage block, packed
+    def eigvalsh_scan(x):  # a stage block, packed
         return np.linalg.eigvalsh(linalg.unpack_hermitian(x)).min(axis=-1)
 
     monkeypatch.setattr(homotopy, "_hermitian_min_eigenvalues", eigvalsh_scan)

@@ -275,7 +275,8 @@ def test_gns_block_matches_dense_construction():
 def test_validate_densities_reports_first_bad_cell():
     rng = np.random.default_rng(8)
     cells = np.array([[random_state(rng, 3).rho for _ in range(4)] for _ in range(3)])
-    assert np.array_equal(validate_densities(cells), cells)
+    # the Hermitian part it checked: these cells are Hermitian only to rounding
+    assert np.array_equal(validate_densities(cells), (cells + cells.conj().swapaxes(-1, -2)) / 2)
     negative = np.diag([1.2, -0.1, -0.1]).astype(complex)
     off_trace = np.diag([0.5, 0.2, 0.2]).astype(complex)
     cells[1, 2] = negative
@@ -306,8 +307,8 @@ def test_validate_densities_rejects_non_finite_entries():
 
 
 def _eigvalsh_validate_densities(rho):
-    """validate_densities as it was before the positivity certificate: one
-    eigvalsh call per matrix for the negative-eigenvalue check."""
+    """validate_densities written out, with one eigvalsh call per matrix
+    for the negative-eigenvalue check: the oracle of its messages."""
     rho = np.asarray(rho, dtype=np.complex128)
     non_finite = ~np.isfinite(rho).all(axis=(-2, -1))
     finite = np.where(non_finite[..., None, None], 0.0, rho) if non_finite.any() else rho
@@ -341,10 +342,9 @@ def _message(validate, cells):
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_validate_densities_matches_the_eigvalsh_check(n):
-    # a stack the positivity certificate takes, with cells that fail by a
-    # margin, fail or pass within ulps of the tolerance, and fail an earlier
-    # or later check: message and value are the eigvalsh check's, cell by
-    # cell in C order
+    # a stack of states, with cells that fail by a margin, fail or pass
+    # within ulps of the tolerance, and fail an earlier or later check:
+    # message and value are the eigvalsh check's, cell by cell in C order
     rng = np.random.default_rng(30 + n)
     cells = np.array(
         [[random_state(rng, n, rank=1 + (r + t) % n).rho for t in range(16)] for r in range(3)]
