@@ -26,7 +26,7 @@ from __future__ import annotations
 import cmath
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
@@ -89,31 +89,35 @@ def _check_based(x: np.ndarray):
     ends = x[:, [0, -1]]
     for d, message in ((ends - np.eye(len(x), 1), "loop must be based at the first-basis-vector state"),
                        (ends[:, :1] - ends[:, 1:], "loop is not closed")):
-        if not _masked_steps(d, True, BASEPOINT_TOL, lower=False)[0].max() <= BASEPOINT_TOL:
+        if not _masked_steps(d, True, BASEPOINT_TOL, lower=False).max() <= BASEPOINT_TOL:
             raise ValueError(message)
 
 
-@dataclass
+@dataclass(frozen=True)
 class StateLoop:
-    """A closed, based loop of states on M_n, stored as one (T, n, n)
-    complex array of densities, first sample == last. The samples are
+    """A closed, based loop of states on M_n, an immutable value: one
+    read-only (T, n, n) complex array of densities, first sample == last,
     validated as given and stored as the Hermitian part (ρ + ρ†)/2 that
-    states.validate_densities checked: exactly Hermitian, and bit for bit
-    the samples of an exactly Hermitian stack. So the contractor, the
-    expansion and the verifier read one row 0."""
+    states.validate_densities checked, exactly Hermitian and bit for bit
+    the samples of an exactly Hermitian stack, and their packed rows x
+    (n², T) (linalg.pack_hermitian), made once, read-only too: the row 0
+    of the contractor, the expansion and the verifier."""
 
     n: int
     rhos: np.ndarray
+    x: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        rhos = self.rhos = validate_densities(self.rhos)
+        rhos = validate_densities(self.rhos)
         if self.n < 2:
             raise ValueError("loops live on M_n with n >= 2")
         if rhos.ndim != 3 or rhos.shape[1:] != (self.n, self.n):
             raise ValueError("loop samples must be states on M_n")
         if len(rhos) < 3:
             raise ValueError("a loop needs at least three samples")
-        _check_based(pack_hermitian(rhos))
+        _check_based(x := pack_hermitian(rhos))
+        rhos.flags.writeable = x.flags.writeable = False
+        vars(self).update(rhos=rhos, x=x)  # past the frozen __setattr__
 
     @property
     def n_samples(self) -> int:
@@ -122,8 +126,7 @@ class StateLoop:
     @cached_property
     def max_step(self) -> float:
         """Largest trace-norm step between consecutive samples (_masked_steps)."""
-        x = pack_hermitian(self.rhos)
-        return float(_masked_steps(x[:, 1:] - x[:, :-1], True, 0.0)[0].max())
+        return float(_masked_steps(self.x[:, 1:] - self.x[:, :-1], True, 0.0).max())
 
     @cached_property
     def modulus(self) -> float:
@@ -186,30 +189,31 @@ def _recipe_rows(n: int, levels: list) -> int:
     return total
 
 
-@dataclass
+@dataclass(frozen=True)
 class HomotopySheet:
     """An S x T grid of states, held as the recipe that generates it from
-    row 0, the loop it is expanded on: the n - 1 `levels` (Level), whose
-    phases give T. Its cells and operators are never held at once;
-    sheet_blocks makes them a stage at a time. Here alone, for the
+    row 0, the loop it is expanded on: the n - 1 `levels` (Level), a tuple
+    whose vectors and phases are made read-only in place, and whose phases
+    give T; an immutable value. Its cells and operators are never held at
+    once; sheet_blocks makes them a stage at a time. Here alone, for the
     contractor and the reader, a recipe whose shapes do not fit n, whose
-    row counts are not positive integers, or over MAX_SHEET_BYTES raises
-    ValueError, before any operator or cell is made."""
+    row counts are not positive integers, or whose `held_bytes`
+    (_held_bytes) exceed MAX_SHEET_BYTES raises ValueError, before any
+    operator or cell is made; its `shape` is fixed with the check."""
 
     n: int
-    levels: list
+    levels: tuple
+    shape: tuple[int, int] = field(init=False, compare=False)
+    held_bytes: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        _check_sheet_budget(self.held_bytes)  # held_bytes reads shape, which checks the recipe
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return _recipe_rows(self.n, self.levels), len(self.levels[0].phases)
-
-    @property
-    def held_bytes(self) -> int:
-        """The bytes the budget counts for this sheet (_held_bytes)."""
-        return _held_bytes(self.n, self.shape[1], [r for lv in self.levels for r in lv.rows])
+        levels = tuple(self.levels)
+        shape = _recipe_rows(self.n, levels), len(levels[0].phases)
+        held = _held_bytes(self.n, shape[1], [r for lv in levels for r in lv.rows])
+        _check_sheet_budget(held)
+        for level in levels:
+            level.vectors.flags.writeable = level.phases.flags.writeable = False
+        vars(self).update(levels=levels, shape=shape, held_bytes=held)  # past the frozen __setattr__
 
 
 def _held_bytes(n: int, t_count: int, rows: list) -> int:
@@ -533,8 +537,7 @@ def _grown_rows(p: np.ndarray, c: np.ndarray, rows: int, target: float) -> int:
     modulus makes no cell and takes no eigensolver. The answer rests on
     the exact norms of the steps that can pass the modulus alone, so it is
     that of a scan of the block's every step."""
-    steps, _ = _bounded_steps(*_gram_steps(p, c, _rule_rows(c, rows)), 2.0 * target)
-    step = steps.max()
+    step = _bounded_steps(*_gram_steps(p, c, _rule_rows(c, rows)), 2.0 * target).max()
     return rows if step <= 2.0 * target else int(np.ceil(rows * step / target))
 
 
@@ -592,17 +595,18 @@ def _gram_steps(p: np.ndarray, c: np.ndarray, s: np.ndarray) -> tuple:
     return (0.0, upper * upper), 0.0, b, exact
 
 
-def _bounded_steps(f2: tuple, tr: np.ndarray, n: int, exact, floor: float) -> tuple[np.ndarray, float]:
-    """Trace norms of a stack of Hermitian n x n steps, and `floor` raised
-    to their largest lower bound, from bounds (lower, upper) on each step's
-    F² = ‖Δ‖_F² and on its |tr Δ|: from its packed difference (the
-    verifier, _masked_steps) or from its stage's pencil (the row probe,
-    _gram_steps). `floor` is a threshold, or a lower bound or exact norm of
-    a step scanned before. A step takes its exact norm, exact(keep) for the
-    steps where `keep`, where its upper bound is positive and reaches the
-    raised floor. Any other step reads 0.0: it is under the floor, so it is
-    neither the largest step so far nor over the threshold. The largest
-    step and all its ties keep their exact norms.
+def _bounded_steps(f2: tuple, tr: np.ndarray, n: int, exact, floor: float) -> np.ndarray:
+    """Trace norms of a stack of Hermitian n x n steps, from bounds (lower,
+    upper) on each step's F² = ‖Δ‖_F² and on its |tr Δ|: from its packed
+    difference (the verifier, _masked_steps) or from its stage's pencil
+    (the row probe, _gram_steps). `floor` is a threshold, or the largest
+    exact norm of the steps scanned before, and is raised here to the
+    stack's largest lower bound. A step takes its exact norm, exact(keep)
+    for the steps where `keep`, where its upper bound is positive and
+    reaches the raised floor. Any other step reads 0.0: it is under the
+    floor, so it is neither the largest step so far nor over the
+    threshold. The largest step and all its ties keep their exact norms,
+    and the largest is at least every step's lower bound.
 
     Every Hermitian Δ has max(F, √(2F² - (tr Δ)²)) <= ‖Δ‖₁ <= √n F: the
     left from ‖Δ‖₁² = (P + N)² and F² <= P² + N² for its positive and
@@ -621,7 +625,7 @@ def _bounded_steps(f2: tuple, tr: np.ndarray, n: int, exact, floor: float) -> tu
     keep = (upper != 0.0) & ~(upper < floor)
     if keep.any():
         norms[keep] = exact(keep)
-    return norms, floor
+    return norms
 
 
 def _rectify(x: np.ndarray, target: float, admit):
@@ -666,7 +670,7 @@ def _rectify(x: np.ndarray, target: float, admit):
         if failing.size:
             raise NumericalGateError(f"{kind} interpolation unsafe at sample {failing[0]}")
         out = _stage_rows(p, c, last)[:, 0]
-        count = admit(_rows_for(target, _masked_steps(out - x, True, 0.0)[0].max()))
+        count = admit(_rows_for(target, _masked_steps(out - x, True, 0.0).max()))
         rows.append(admit(_grown_rows(p, c, count, target)))
         x = out
     return Level(tuple(rows), runs, vectors, phases), x
@@ -698,25 +702,25 @@ def _packed_corner(x: np.ndarray, n: int) -> np.ndarray:
 
 
 def sheet_blocks(sheet: HomotopySheet, loop: StateLoop) -> Iterator[tuple]:
-    """A sheet's cells on `loop`, one stage at a time, as (stage, c, block):
-    `stage` the recipe stage (_stages) that made the block, `c` the traces
-    of its pencil (see pencil), and the block packed (linalg.pack_hermitian)
-    as (n², rows, T). Row 0, the loop, comes first, as a block of one row
-    with no stage and no traces (None, None), then each stage's rows in
-    order. Each stage evaluates its pencil on the last row so far, packed,
-    row 0 included, at the s rows that the rule derives from the pencil's
-    traces (_rule_block); a level below M_n takes its input compressed to
-    its corner block (_compress); and a stage's b x b rows are scattered
-    into the n x n corner's packed rows (_packed_corner), zero elsewhere.
-    Every cell and operator is made here, so a sheet read back from its
-    document expands on its input loop to the contractor's cells bit for
-    bit. A loop whose n or T the recipe does not fit raises ValueError.
-    Nothing here judges a cell: verify_homotopy does, with the traces of
-    the pencil that made it."""
-    n, rhos = sheet.n, loop.rhos
-    if rhos.shape != (sheet.shape[1], n, n):
-        raise ValueError(f"a recipe on M_{n} over {sheet.shape[1]} columns does not fit {rhos.shape}")
-    x = pack_hermitian(rhos)  # the last row so far, on its block
+    """A sheet's cells on `loop`, one stage at a time, as (stage, c,
+    block): `stage` the recipe stage (_stages) that made the block, `c` the
+    traces of its pencil (see pencil), and the block packed
+    (linalg.pack_hermitian) as (n², rows, T). Row 0, the loop's read-only
+    packed rows (StateLoop.x), comes first, as a block of one row with no
+    stage and no traces (None, None), then each stage's rows in order. Each
+    stage evaluates its pencil on the last row so far, packed, row 0
+    included, at the s rows that the rule derives from the pencil's traces
+    (_rule_block); a level below M_n takes its input compressed to its
+    corner block (_compress); and a stage's b x b rows are scattered into
+    the n x n corner's packed rows (_packed_corner), zero elsewhere. Every
+    cell and operator is made here, so a sheet read back from its document
+    expands on its input loop to the contractor's cells bit for bit. A loop
+    whose n or T the recipe does not fit raises ValueError. Nothing here
+    judges a cell: verify_homotopy does, with the traces of the pencil that
+    made it."""
+    n, x = sheet.n, loop.x  # x: the last row so far, on its block
+    if loop.rhos.shape != (sheet.shape[1], n, n):
+        raise ValueError(f"a recipe on M_{n} over {sheet.shape[1]} columns does not fit {loop.rhos.shape}")
     yield None, None, x[:, None]
     for stage in _stages(n, sheet.levels):
         _, si, b, ops, rows = stage
@@ -757,7 +761,7 @@ def contract_loop(loop: StateLoop) -> HomotopySheet:
 
     admit(MIN_ROWS)  # the least recipe: every stage of MIN_ROWS rows
 
-    x, levels = pack_hermitian(loop.rhos), []  # level 0 reads packed row 0, as sheet_blocks does
+    x, levels = loop.x, []  # level 0 reads packed row 0, as sheet_blocks does
     for b in range(n, 1, -1):  # the corner block algebra M_b of each level
         if b < n:
             x = _compress(x, b)
@@ -825,16 +829,18 @@ def verify_homotopy(sheet: HomotopySheet, input_loop: StateLoop, modulus: float)
     stage, column) indices into the recipe.
 
     Every block, row 0 included, is read in the packed layout, whose cells
-    are Hermitian by construction, so no cell takes a Hermiticity scan.
-    The loop as given does, since a StateLoop is mutable: a sample whose
-    max|ρ - ρ†| exceeds CELL_TOL is a "non-hermitian" violation at (0, t).
-    Row 0 has no recipe stage before it and no step from an earlier row.
+    are Hermitian by construction, so no cell takes a Hermiticity scan:
+    row 0 is the loop's packed rows (StateLoop.x), made once from its
+    validated samples and read-only. Row 0 has no recipe stage before it
+    and no step from an earlier row.
 
     Positivity is checked where the construction does not guarantee it.
     Row 0 takes the negative-eigenvalue scan, eigvalsh's λmin of each
     packed sample (linalg._hermitian_min_eigenvalues), which decides it and
-    gives a violation's value. That bounds each column's negativity,
-    -λmin, by at least STATE_EIG_TOL, widened by eigvalsh's error
+    gives a violation's value; like its finiteness and trace checks, it
+    repeats the loop's validation on purpose, so that the verdict rests on
+    no check made outside the verifier. That bounds each column's
+    negativity, -λmin, by at least STATE_EIG_TOL, widened by eigvalsh's error
     (linalg.POSITIVITY_MARGIN). A stage cell is B rho B† / tr with
     rho the stage's input, the last row or, at a level's first stage, its
     corner block over its trace, whose negativity is at most the last
@@ -850,14 +856,10 @@ def verify_homotopy(sheet: HomotopySheet, input_loop: StateLoop, modulus: float)
     every distance over CELL_TOL is reported with its exact value."""
     n, (s_dim, t_dim) = sheet.n, sheet.shape
     packed_base, pairs = np.eye(n * n, 1)[:, None], n * (n - 1) // 2  # the basepoint, packed
-    found: dict = {kind: [] for kind in ("non-finite", "non-hermitian", "trace", "negative-eigenvalue",
-                                         "left-column", "right-column")}
+    found: dict = {k: [] for k in ("non-finite", "trace", "negative-eigenvalue", "left-column", "right-column")}
     recipe = []
-    step, floor = (0.0, (0, 0)), 0.0  # the largest step along s or t, at its cell; the steps' floor
+    step = (0.0, (0, 0))  # the largest step along s or t, at its cell: the next steps' floor
     safety: tuple = (None, None)
-    given = input_loop.rhos
-    herm = np.max(np.abs(given - given.conj().swapaxes(-1, -2)), axis=(-1, -2))
-    found["non-hermitian"] += _flags("non-hermitian", herm, herm > CELL_TOL, CELL_TOL, lambda t: (0, t))
 
     row = 0
     for stage, c, x in sheet_blocks(sheet, input_loop):
@@ -894,18 +896,16 @@ def verify_homotopy(sheet: HomotopySheet, input_loop: StateLoop, modulus: float)
             neg = np.zeros(x.shape[1:])
             if scan.any():
                 neg[:, scan] = -_hermitian_min_eigenvalues(x[:, :, scan])
-            steps, floor = _masked_steps(x[:, 0] - prev_x, ok[0] & prev_ok, max(floor, step[0]))
-            step = _largest(step, steps[None], row - 1)
+            step = _largest(step, _masked_steps(x[:, 0] - prev_x, ok[0] & prev_ok, step[0])[None], row - 1)
         else:
             neg = -_hermitian_min_eigenvalues(x)
             negativity = np.maximum(neg[0], STATE_EIG_TOL)
             negativity += POSITIVITY_MARGIN * (np.abs(x[:n, 0]).sum(axis=0) + n * negativity)
         found["negative-eigenvalue"] += _flags("negative-eigenvalue", neg, neg > CELL_TOL, CELL_TOL, at)
-        steps, floor = _masked_steps(x[:, 1:] - x[:, :-1], ok[1:] & ok[:-1], max(floor, step[0]))
+        steps = _masked_steps(x[:, 1:] - x[:, :-1], ok[1:] & ok[:-1], step[0])  # held over the t-steps: fewer faults
         step = _largest(step, steps, row)
-        steps, floor = _masked_steps(x[:, :, 1:] - x[:, :, :-1], ok[:, 1:] & ok[:, :-1], max(floor, step[0]))
-        step = _largest(step, steps, row)
-        dev = _masked_steps(x[:, :, [0, -1]] - packed_base, ok[:, [0, -1]], CELL_TOL, lower=False)[0]
+        step = _largest(step, _masked_steps(x[:, :, 1:] - x[:, :, :-1], ok[:, 1:] & ok[:, :-1], step[0]), row)
+        dev = _masked_steps(x[:, :, [0, -1]] - packed_base, ok[:, [0, -1]], CELL_TOL, lower=False)
         for i, (col, label) in enumerate(((0, "left-column"), (t_dim - 1, "right-column"))):
             found[label] += _flags(label, dev[:, i], dev[:, i] > CELL_TOL, CELL_TOL, lambda s: (row + s, col))
         prev_x, prev_ok = x[:, -1].copy(), ok[-1]
@@ -913,7 +913,7 @@ def verify_homotopy(sheet: HomotopySheet, input_loop: StateLoop, modulus: float)
         del x
 
     violations = [v for kind in found.values() for v in kind]
-    last = _masked_steps(prev_x - packed_base[:, 0], prev_ok, CELL_TOL, lower=False)[0]
+    last = _masked_steps(prev_x - packed_base[:, 0], prev_ok, CELL_TOL, lower=False)
     violations += _flags("final-row", last, last > CELL_TOL, CELL_TOL, lambda t: (s_dim - 1, t))
     max_step = float(step[0])
     if not max_step <= modulus:  # a NaN modulus or step fails too
@@ -967,7 +967,7 @@ def _negativity_bound(negativity: np.ndarray, norm2, c: np.ndarray, low: np.ndar
         return np.where(low > 0.0, (negativity * m2 + rounding) / low, np.inf)
 
 
-def _masked_steps(d: np.ndarray, keep, floor: float, lower: bool = True) -> tuple[np.ndarray, float]:
+def _masked_steps(d: np.ndarray, keep, floor: float, lower: bool = True) -> np.ndarray:
     """_bounded_steps of a packed stack d (n², ...) of Hermitian steps where
     `keep` (True: everywhere), and of 0.0 elsewhere, with F² = Σ diag² +
     2 Σ offdiag² and tr Δ from the packed rows. With lower=False no lower

@@ -18,7 +18,8 @@ def block_grown_rows(p: np.ndarray, c: np.ndarray, rows: int, target: float) -> 
     """homotopy._grown_rows by a scan of the stage's block: `rows`, unless a
     step from the input R0 to row 1 or between rows passes 2 target."""
     block = homotopy._rule_block(p, c, rows)
-    first, floor = homotopy._masked_steps(block[:, 0] - p[0], np.ones(block.shape[2], bool), 2.0 * target)
-    steps, _ = homotopy._masked_steps(block[:, 1:] - block[:, :-1], np.ones(block.shape[1:], bool)[1:], floor)
+    first = homotopy._masked_steps(block[:, 0] - p[0], np.ones(block.shape[2], bool), 2.0 * target)
+    floor = max(first.max(), 2.0 * target)
+    steps = homotopy._masked_steps(block[:, 1:] - block[:, :-1], np.ones(block.shape[1:], bool)[1:], floor)
     step = max(first.max(), steps.max(initial=0.0))
     return rows if step <= 2.0 * target else int(np.ceil(rows * step / target))

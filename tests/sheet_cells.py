@@ -4,7 +4,8 @@ The program never holds a sheet's S x T cells at once: it evaluates them a
 stage at a time on the loop it is given (homotopy.sheet_blocks), every
 block, row 0 the loop's included, in the packed Hermitian layout
 (linalg.pack_hermitian). The tests read them whole, as complex cells, and
-forge them, through these helpers, which are built from that generator.
+forge them, through these helpers, which are built from that generator;
+and they forge the loop itself, row 0, with forge_loop alone.
 """
 
 import numpy as np
@@ -35,3 +36,17 @@ def forge_cells(monkeypatch, edit):
             yield stage, c, pack_hermitian(part)
 
     monkeypatch.setattr(homotopy, "sheet_blocks", forged)
+
+
+def forge_loop(n: int, rhos) -> homotopy.StateLoop:
+    """A StateLoop on M_n holding the samples `rhos` as given, with none of
+    StateLoop's validation: a loop no document or constructor can make,
+    for showing what the verifier does with a row 0 that is not a loop of
+    states. Its samples and their packed rows (StateLoop.x) are read-only,
+    as a validated loop's are."""
+    rhos = np.array(rhos, dtype=np.complex128)
+    x = pack_hermitian(rhos)
+    rhos.flags.writeable = x.flags.writeable = False
+    loop = object.__new__(homotopy.StateLoop)
+    vars(loop).update(n=n, rhos=rhos, x=x)
+    return loop

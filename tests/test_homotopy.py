@@ -1,8 +1,8 @@
 import copy
+import dataclasses
 import math
 import re
 import tracemalloc
-from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
 
@@ -30,7 +30,8 @@ from phaselab.homotopy import (
 from phaselab.linalg import pack_hermitian
 from phaselab.states import DensityState, basis_state, state_from_vector, validate_densities
 from block_probe import block_grown_rows
-from sheet_cells import cells, forge_cells
+from exact_minors import exactly_above
+from sheet_cells import cells, forge_cells, forge_loop
 
 
 def test_projection_matrix():
@@ -150,6 +151,53 @@ def test_state_loop_is_one_validated_array():
         assert str(got.value) == prefix + str(want.value)
     with pytest.raises(ValueError, match="states on M_n"):
         StateLoop(3, loop.rhos)
+
+
+def test_a_loop_and_a_sheet_hold_read_only_arrays(pure_sheet):
+    # a StateLoop's samples and packed rows, and each level's vectors and
+    # phases, refuse an in-place write; the arrays a loop and a sheet are
+    # made from are the caller's: a loop validates a copy, and a sheet
+    # freezes its levels' arrays in place
+    loop = bundled_pure_loop()
+    (level,) = pure_sheet.levels
+    for array in (loop.rhos, loop.x, level.vectors, level.phases):
+        with pytest.raises(ValueError, match="read-only"):
+            array[1] = 0
+    given = loop.rhos.copy()
+    made = StateLoop(2, given)
+    given[0] = 0.0  # still the caller's to write
+    assert made.rhos.tobytes() == loop.rhos.tobytes()
+    sheet = HomotopySheet(2, [level._replace(vectors=level.vectors.copy(), phases=level.phases.copy())])
+    assert type(sheet.levels) is tuple and not sheet.levels[0].vectors.flags.writeable
+
+
+def test_a_loop_and_a_sheet_refuse_assignment(pure_sheet):
+    loop = bundled_pure_loop()
+    for value, name in ((loop, "rhos"), (loop, "x"), (loop, "n"), (pure_sheet, "levels"), (pure_sheet, "shape"),
+                        (pure_sheet, "held_bytes")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, name, getattr(value, name))
+
+
+def test_a_loop_is_packed_once_over_load_contract_and_verify(monkeypatch):
+    # StateLoop packs its samples once (StateLoop.x); the contractor, the
+    # expansion and the verifier read those rows as row 0
+    doc = serialize.loop_to_doc(random_based_loop(3, 2, 700))
+    packed = []
+    for module in (homotopy, linalg):
+        monkeypatch.setattr(module, "pack_hermitian",
+                            lambda h, pack=module.pack_hermitian: packed.append(h.shape) or pack(h))
+    loop = serialize.loop_from_doc(doc)
+    assert verify_homotopy(contract_loop(loop), loop, loop.modulus).passed
+    assert packed == [(701, 3, 3)]
+
+
+@pytest.mark.parametrize("name", ["pure", "plateau"])
+def test_sheet_blocks_yield_the_loops_packed_rows_as_row_0(name):
+    loop, sheet = _contracted(name)
+    stage, c, x = next(homotopy.sheet_blocks(sheet, loop))
+    assert stage is None and c is None and x.shape == (loop.n ** 2, 1, loop.n_samples)
+    assert x[:, 0].tobytes() == loop.x.tobytes() == pack_hermitian(loop.rhos).tobytes()
 
 
 def test_disk_phase_lift_constant_and_boundary():
@@ -1392,44 +1440,6 @@ def test_verifier_reports_the_safety_minimum():
     assert report.safety_min == values[index][column] > SAFETY_FLOOR
 
 
-def test_a_loop_is_expanded_and_verified_from_its_packed_row_0():
-    # 5e-9 on entry (1, 0) of a sample of the contracted pure loop, under
-    # the non-hermitian gate, where packed row 0 does not read it: the
-    # stage blocks, and the safety value and place the verifier takes from
-    # them, are those of the loop whose lower triangle mirrors its upper
-    # one, bit for bit
-    loop = bundled_pure_loop()
-    sheet = contract_loop(loop)
-    loop.rhos[5, 1, 0] += 5e-9
-    mirrored = StateLoop(2, linalg.unpack_hermitian(linalg.pack_hermitian(loop.rhos)))
-    assert not np.array_equal(loop.rhos, mirrored.rhos)
-    got, want = list(homotopy.sheet_blocks(sheet, loop)), list(homotopy.sheet_blocks(sheet, mirrored))
-    assert len(got) == len(want) == 3
-    for (_, c, x), (_, want_c, want_x) in zip(got, want):
-        assert np.array_equal(c, want_c) and np.array_equal(x, want_x)
-    report = verify_homotopy(sheet, loop, mirrored.modulus)
-    oracle = verify_homotopy(sheet, mirrored, mirrored.modulus)
-    assert report.passed and oracle.passed
-    assert (report.safety_min, report.safety_at) == (oracle.safety_min, oracle.safety_at)
-
-
-def test_a_loop_is_contracted_from_its_packed_row_0():
-    # the same 5e-9 on entry (1, 0) of sample 5 of the pure loop: the
-    # contractor reads level 0's input as packed row 0, as the expansion
-    # and the verifier do, so its recipe is that of the loop whose lower
-    # triangle mirrors its upper one, bit for bit
-    loop = bundled_pure_loop()
-    loop.rhos[5, 1, 0] += 5e-9
-    mirrored = StateLoop(2, linalg.unpack_hermitian(linalg.pack_hermitian(loop.rhos)))
-    assert not np.array_equal(loop.rhos, mirrored.rhos)
-    got, want = contract_loop(loop), contract_loop(mirrored)
-    assert len(got.levels) == len(want.levels) == 1
-    for level, want_level in zip(got.levels, want.levels):
-        assert level.runs == want_level.runs and level.rows == want_level.rows
-        assert level.vectors.tobytes() == want_level.vectors.tobytes()
-        assert level.phases.tobytes() == want_level.phases.tobytes()
-
-
 @pytest.mark.parametrize("name", ["seed2", "plateau"])
 def test_each_stage_block_comes_with_its_own_pencil_traces(name):
     # the traces the expansion hands the verifier with each stage block are
@@ -1536,8 +1546,7 @@ def test_bounded_steps_bound_a_step_by_sqrt_n(monkeypatch):
 def _exact_masked_steps(d, keep, floor, lower=True):
     """_masked_steps as an exact scan: the trace norm of every step where
     `keep`, and 0.0 elsewhere."""
-    norms = linalg._hermitian_trace_norm(np.where(keep, d, 0.0))
-    return norms, float(np.fmax.reduce(norms, axis=None, initial=floor))
+    return linalg._hermitian_trace_norm(np.where(keep, d, 0.0))
 
 
 @pytest.mark.parametrize("name", ["pure", "plateau", "seed1", "seed2", "constant"])
@@ -1557,7 +1566,7 @@ def test_every_distance_matches_an_exact_scan(name, monkeypatch):
     masked, thresholds = homotopy._masked_steps, []
 
     def checked(d, keep, floor, lower=True):
-        norms, raised = masked(d, keep, floor, lower)
+        norms = masked(d, keep, floor, lower)
         exact = linalg._hermitian_trace_norm(np.where(keep, d, 0.0))
         taken = norms != 0.0
         assert np.array_equal(norms[taken], exact[taken])
@@ -1566,9 +1575,9 @@ def test_every_distance_matches_an_exact_scan(name, monkeypatch):
         if not lower:
             thresholds.append(floor)
             for tol in (floor, *np.quantile(exact, [0.25, 0.5, 0.75])):
-                got = norms if tol == floor else masked(d, keep, tol, False)[0]
+                got = norms if tol == floor else masked(d, keep, tol, False)
                 assert np.array_equal(np.where(got > tol, got, 0.0), np.where(exact > tol, exact, 0.0))
-        return norms, raised
+        return norms
 
     monkeypatch.setattr(homotopy, "_masked_steps", checked)
     loop = make()
@@ -1599,18 +1608,6 @@ def test_contract_loop_takes_no_svd(monkeypatch):
         sheet = contract_loop(loop)
         assert verify_homotopy(sheet, loop, loop.modulus).passed
     assert calls == []  # every trace norm took the Hermitian path
-
-
-def test_verifier_scans_the_loop_as_given_for_hermiticity(pure_sheet):
-    # a StateLoop is validated when it is made, and mutable after
-    loop = bundled_pure_loop()
-    rhos = loop.rhos.copy()
-    rhos[5, 0, 1] += 1e-7
-    loop.rhos = rhos
-    report = verify_homotopy(pure_sheet, loop, loop.modulus)
-    assert [v[:2] for v in report.violations] == [("non-hermitian", (0, 5))]
-    (_, _, value, bound), = report.violations
-    assert abs(value - 1e-7) < 1e-15 and bound == homotopy.CELL_TOL
 
 
 def test_contract_loop_takes_lapack_only_on_fallback(monkeypatch):
@@ -1890,23 +1887,6 @@ def test_verifying_n6_scans_no_stage_cell_for_positivity(monkeypatch):
     assert sum(solved) == 701
 
 
-def _exactly_above(cell: np.ndarray, floor: float) -> bool:
-    """Whether every eigenvalue of the packed 2x2 or 3x3 Hermitian matrix
-    `cell` (n²,) is at least -floor, in exact rational arithmetic: every
-    principal minor of H + floor 1 is >= 0."""
-    n = math.isqrt(len(cell))
-    x = [Fraction(float(v)) for v in cell]
-    d = [x[k] + Fraction(float(floor)) for k in range(n)]
-    if n == 2:
-        return d[0] >= 0 and d[1] >= 0 and d[0] * d[1] - x[2] ** 2 - x[3] ** 2 >= 0
-    (r01, r02, r12), (i01, i02, i12) = x[3:6], x[6:9]
-    n01, n02, n12 = r01 ** 2 + i01 ** 2, r02 ** 2 + i02 ** 2, r12 ** 2 + i12 ** 2
-    cycle = (r01 * r12 - i01 * i12) * r02 + (r01 * i12 + i01 * r12) * i02  # Re(b01 b12 conj(b02))
-    det = d[0] * d[1] * d[2] + 2 * cycle - d[0] * n12 - d[1] * n02 - d[2] * n01
-    return (all(v >= 0 for v in d) and d[0] * d[1] >= n01 and d[0] * d[2] >= n02 and d[1] * d[2] >= n12
-            and det >= 0)
-
-
 def test_negativity_bound_covers_the_rounding_of_the_cells():
     # stage inputs that are states exactly, pure and diagonal, bound 0: a
     # stage's computed cells are pure only to rounding, and some have a
@@ -1927,8 +1907,8 @@ def test_negativity_bound_covers_the_rounding_of_the_cells():
             assert (bound * low < 1e-12)[keep].all()  # the rounding term, not a bound that clears nothing
             x = homotopy._stage_rows(p, c, homotopy._rule_rows(c, 9))
             for k, t in zip(*np.nonzero(np.broadcast_to(keep, x.shape[1:]))):
-                assert _exactly_above(x[:, k, t], bound[t])
-                below_zero += not _exactly_above(x[:, k, t], 0.0)
+                assert exactly_above(x[:, k, t], bound[t])
+                below_zero += not exactly_above(x[:, k, t], 0.0)
     assert below_zero > 0
 
 
@@ -2009,23 +1989,24 @@ def test_packed_prepass_matches_the_matrix_prepass(name):
 def test_verifier_reports_negative_cells_as_eigvalsh_does(monkeypatch):
     # the stage input forged: two samples of row 0 of a contracted 3x3
     # sheet's loop made matrices of trace 1 with a negative eigenvalue, one
-    # past the 1e-8 gate (-3e-6), one that the gate just passes (-0.9e-8).
-    # The expansion carries each into its column's stage cells, where its
-    # bound on their negativity exceeds CELL_TOL (_negativity_bound), so
-    # those columns take the scan: its violations, values included, are
-    # those of an eigvalsh scan of every cell
+    # past the 1e-8 gate (-3e-6), one that the gate just passes (-0.9e-8),
+    # in a loop that skips StateLoop's validation (forge_loop), judged by
+    # the contracted loop's modulus. The expansion carries each into its
+    # column's stage cells, where its bound on their negativity exceeds
+    # CELL_TOL (_negativity_bound), so those columns take the scan: its
+    # violations, values included, are those of an eigvalsh scan of every
+    # cell
     loop, sheet = _contracted("seed2")
-    loop = copy.copy(loop)  # the cached loop stays as it is
     rng = np.random.default_rng(21)
     q = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))[0]
     rhos = loop.rhos.copy()
     for col, low in ((300, -3e-6), (301, -0.9e-8)):
         cell = (q * [1.0 - low, 0.0, low]) @ q.conj().T
         rhos[col] = (cell + cell.conj().T) / 2
-    loop.rhos = rhos
+    forged = forge_loop(3, rhos)
     scanned, scan = [], homotopy._hermitian_min_eigenvalues
     monkeypatch.setattr(homotopy, "_hermitian_min_eigenvalues", lambda x: scanned.append(x.shape[1:]) or scan(x))
-    report = verify_homotopy(sheet, loop, loop.modulus)
+    report = verify_homotopy(sheet, forged, loop.modulus)
     # row 0 whole; column 300 in every stage, 301 once its bound passes 1e-8
     assert scanned == [(1, 701), (34, 1), (10, 2), (8, 2), (8, 2)]
 
@@ -2034,7 +2015,7 @@ def test_verifier_reports_negative_cells_as_eigvalsh_does(monkeypatch):
 
     monkeypatch.setattr(homotopy, "_hermitian_min_eigenvalues", eigvalsh_scan)
     monkeypatch.setattr(homotopy, "_negativity_bound", lambda *args: np.full(701, np.inf))  # every cell
-    oracle = verify_homotopy(sheet, loop, loop.modulus)
+    oracle = verify_homotopy(sheet, forged, loop.modulus)
     negative = [v for v in report.violations if v[0] == "negative-eigenvalue"]
     assert negative[0][1] == (0, 300) and abs(negative[0][2] - 3e-6) < 1e-15
     # every row of column 300 but the last, the basepoint, and stage rows of column 301

@@ -1,8 +1,10 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from phaselab.homotopy import _stage_rows, pencil
-from phaselab.linalg import eye, operator_norm, pack_hermitian, trace_norm, unpack_hermitian
+from phaselab.linalg import POSITIVITY_MARGIN, eye, operator_norm, pack_hermitian, trace_norm, unpack_hermitian
 from phaselab.states import (
     STATE_EIG_TOL,
     STATE_HERM_TOL,
@@ -14,6 +16,7 @@ from phaselab.states import (
     state_from_vector,
     validate_densities,
 )
+from exact_minors import exactly_above
 
 E0 = np.array([1, 0], dtype=complex)
 E1 = np.array([0, 1], dtype=complex)
@@ -306,30 +309,55 @@ def test_validate_densities_rejects_non_finite_entries():
         validate_densities(cells[1:])
 
 
-def _eigvalsh_validate_densities(rho):
-    """validate_densities written out, with one eigvalsh call per matrix
-    for the negative-eigenvalue check: the oracle of its messages."""
-    rho = np.asarray(rho, dtype=np.complex128)
-    non_finite = ~np.isfinite(rho).all(axis=(-2, -1))
-    finite = np.where(non_finite[..., None, None], 0.0, rho) if non_finite.any() else rho
-    adj = finite.conj().swapaxes(-1, -2)
-    scale = np.maximum(np.linalg.norm(finite, axis=(-2, -1)), 1.0)
-    non_hermitian = np.linalg.norm(finite - adj, axis=(-2, -1)) > STATE_HERM_TOL * scale
-    min_eig = np.linalg.eigvalsh((finite + adj) / 2).min(axis=-1)
-    negative = min_eig < -STATE_EIG_TOL
-    trace = np.trace(finite, axis1=-2, axis2=-1)
-    off_trace = np.abs(trace.real - 1.0) > STATE_TRACE_TOL
-    bad = non_finite | non_hermitian | negative | off_trace
-    if bad.any():
-        i = np.unravel_index(np.argmax(bad), bad.shape)
-        if non_finite[i]:
-            raise ValueError("density matrix has non-finite entries")
-        if non_hermitian[i]:
-            raise ValueError("density matrix is not Hermitian within tolerance")
-        if negative[i]:
-            raise ValueError(f"density matrix has negative eigenvalue {min_eig[i]:.3e}")
-        raise ValueError(f"density matrix trace {trace[i]:.12f} != 1")
-    return rho
+NEGATIVE = "density matrix has negative eigenvalue "
+MESSAGES = {"non-finite": "density matrix has non-finite entries",
+            "not Hermitian": "density matrix is not Hermitian within tolerance",
+            "trace": "density matrix trace "}
+
+
+def _exact_verdict(cell):
+    """The check a 2x2 or 3x3 matrix fails, decided apart from eigvalsh, as
+    (verdict, h, band): finiteness and Hermiticity as validate_densities
+    states them; positivity from the exact principal minors of the packed
+    Hermitian part h (exact_minors.exactly_above), "negative" where the
+    exact λmin is under -STATE_EIG_TOL by more than eigvalsh's error band,
+    POSITIVITY_MARGIN (Σ|h_ii| + n STATE_EIG_TOL), and "near" within it;
+    then the trace, in rational arithmetic. None passes every check."""
+    n = len(cell)
+    if not np.isfinite(cell).all():
+        return "non-finite", None, None
+    if np.linalg.norm(cell - cell.conj().T) > STATE_HERM_TOL * max(np.linalg.norm(cell), 1.0):
+        return "not Hermitian", None, None
+    h = pack_hermitian((cell + cell.conj().T) / 2)
+    band = POSITIVITY_MARGIN * (np.abs(h[:n]).sum() + n * STATE_EIG_TOL)
+    if not exactly_above(h, STATE_EIG_TOL + band):
+        return "negative", h, band
+    if not exactly_above(h, STATE_EIG_TOL - band):
+        return "near", h, band
+    off_trace = abs(sum(map(Fraction, cell.diagonal().real.tolist())) - 1) > Fraction(STATE_TRACE_TOL)
+    return ("trace" if off_trace else None), h, band
+
+
+def _agrees(message, cells):
+    """Whether validate_densities' `message` on the stack `cells` is the one
+    their exact verdicts (_exact_verdict) call for: the first failing
+    cell's in C order, or None. A negative cell's message values its λmin
+    to its four digits and the band. A "near" cell may be flagged or
+    passed: a negative-eigenvalue message valued within the band of
+    -STATE_EIG_TOL is its flag, and any other message is a later cell's."""
+    for index in np.ndindex(cells.shape[:-2]):
+        verdict, h, band = _exact_verdict(cells[index])
+        value = float(message[len(NEGATIVE):]) if message and message.startswith(NEGATIVE) else None
+        if verdict == "near" and value is not None and abs(value + STATE_EIG_TOL) <= 5e-4 * STATE_EIG_TOL + band:
+            return True
+        if verdict == "negative":
+            if value is None:
+                return False
+            slack = 5e-4 * abs(value) + band  # the message's four digits, and eigvalsh's error
+            return exactly_above(h, slack - value) and not exactly_above(h, -value - slack)
+        if verdict in MESSAGES:
+            return message is not None and message.startswith(MESSAGES[verdict])
+    return message is None
 
 
 def _message(validate, cells):
@@ -343,13 +371,16 @@ def _message(validate, cells):
 @pytest.mark.parametrize("n", [2, 3])
 def test_validate_densities_matches_the_eigvalsh_check(n):
     # a stack of states, with cells that fail by a margin, fail or pass
-    # within ulps of the tolerance, and fail an earlier or later check:
-    # message and value are the eigvalsh check's, cell by cell in C order
+    # 0.2% either side of the tolerance or within ulps of it, and fail an
+    # earlier or later check: each message is the one the exact verdicts
+    # call for (_agrees). Exact rational minors decide every cell outside
+    # eigvalsh's error band around the tolerance; the three cells within
+    # ulps of it may take either verdict, with a value in the band
     rng = np.random.default_rng(30 + n)
     cells = np.array(
         [[random_state(rng, n, rank=1 + (r + t) % n).rho for t in range(16)] for r in range(3)]
     )
-    assert _message(validate_densities, cells) is None
+    assert _message(validate_densities, cells) is None and _agrees(None, cells)
     q = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
 
     def with_min(low):
@@ -359,19 +390,23 @@ def test_validate_densities_matches_the_eigvalsh_check(n):
         return (m + m.conj().T) / 2
 
     bad = [
+        ((2, 13), with_min(-STATE_EIG_TOL * (1.0 - 2e-3))),
         ((2, 9), with_min(-2e-10)),
+        ((2, 5), with_min(-STATE_EIG_TOL * (1.0 + 2e-3))),
         ((2, 3), with_min(-STATE_EIG_TOL - 3 * np.spacing(STATE_EIG_TOL))),
         ((1, 15), with_min(-STATE_EIG_TOL + 3 * np.spacing(STATE_EIG_TOL))),
         ((1, 11), with_min(-STATE_EIG_TOL)),
         ((1, 6), np.diag([0.5] + [0.2] * (n - 1)).astype(complex)),
         ((0, 12), np.diag([1.0 + 1e-3, -1e-3] + [0.0] * (n - 2)).astype(complex)),
     ]
+    assert [_exact_verdict(cell)[0] for _, cell in bad] == [None, "negative", "negative", "near", "near", "near",
+                                                             "trace", "negative"]
     for index, cell in bad:
         cells[index] = cell
     messages = []
     for index, _ in reversed(bad):
         got = _message(validate_densities, cells)
-        assert got == _message(_eigvalsh_validate_densities, cells)
+        assert _agrees(got, cells)
         messages.append(got)
         cells[index] = basis_state(n).rho
     assert "negative eigenvalue -1.000e-03" in messages[0]
