@@ -119,6 +119,9 @@ class StateLoop:
         rhos.flags.writeable = x.flags.writeable = False
         vars(self).update(rhos=rhos, x=x)  # past the frozen __setattr__
 
+    def __reduce__(self):  # a copy or an unpickled loop is validated and frozen anew
+        return StateLoop, (self.n, self.rhos)
+
     @property
     def n_samples(self) -> int:
         return len(self.rhos)
@@ -214,6 +217,9 @@ class HomotopySheet:
         for level in levels:
             level.vectors.flags.writeable = level.phases.flags.writeable = False
         vars(self).update(levels=levels, shape=shape, held_bytes=held)  # past the frozen __setattr__
+
+    def __reduce__(self):  # a copy or an unpickled sheet is checked and frozen anew
+        return HomotopySheet, (self.n, self.levels)
 
 
 def _held_bytes(n: int, t_count: int, rows: list) -> int:

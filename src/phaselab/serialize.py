@@ -1,7 +1,8 @@
 """JSON encoding of the artifact's documents.
 
-Matrices are row-major nested arrays of [re, im] pairs. Loops are
-{n, samples: [matrix, ...]}. A sheet document holds the contraction's
+A loop document is {n, format: 2, packed}: the loop's packed rows
+(StateLoop.x), n² numbers a sample, sample by sample, as one flat list;
+loop_from_doc names what it refuses. A sheet document holds the contraction's
 recipe, not its cells and not its loop: {n, u_den, levels: [{runs,
 vectors_d2, phases_d1, rows}, ...]}, with level k on the corner block
 b = n - k, the fields of its homotopy.Level, from which every expansion
@@ -33,38 +34,20 @@ are UTF-8 JSON, written compactly with sorted keys.
 from __future__ import annotations
 
 import json
-from itertools import chain
 
 import numpy as np
 
 from .homotopy import U_DEN, HomotopySheet, Level, StateLoop, check_level_count
+from .linalg import unpack_hermitian
+
+LOOP_FORMAT = 2
 
 
-def encode_matrix(m: np.ndarray) -> list:
-    """Row-major nested [re, im] pairs; a stack of matrices nests one
-    level deeper per leading axis."""
-    m = np.asarray(m, dtype=np.complex128)
-    return np.stack([m.real, m.imag], axis=-1).tolist()
-
-
-def decode_matrix(rows) -> np.ndarray:
-    """Inverse of encode_matrix, for one matrix or a stack of them; every
-    entry must be a JSON number (a bool or a string is not)."""
-    pairs = np.array(rows, dtype=np.float64)
-    if pairs.ndim < 3 or pairs.shape[-1] != 2:
-        raise ValueError("matrices must be nested arrays of [re, im] pairs")
-    kinds = _entry_kinds(rows, pairs.ndim) - {float, int}
-    if kinds:
-        raise ValueError("matrix entries must be numbers, got "
-                         f"{', '.join(sorted(k.__name__ for k in kinds))} entries")
-    return np.ascontiguousarray(pairs).view(np.complex128)[..., 0]
-
-
-def _entry_kinds(rows, ndim: int) -> set:
-    """The types of the entries of nested lists `rows` of depth `ndim`."""
-    for _ in range(ndim - 1):
-        rows = chain.from_iterable(rows)
-    return set(map(type, rows))
+def _check_entry_kinds(values, kinds: set, key: str, what: str) -> None:
+    """ValueError unless every entry of the flat list `values` has a type in `kinds`."""
+    others = set(map(type, values)) - kinds
+    if others:
+        raise ValueError(f"{key!r} holds {what}, got {', '.join(sorted(k.__name__ for k in others))} entries")
 
 
 def _integer(doc: dict, key: str) -> int:
@@ -76,14 +59,27 @@ def _integer(doc: dict, key: str) -> int:
 
 
 def loop_to_doc(loop: StateLoop) -> dict:
-    return {"n": loop.n, "samples": encode_matrix(loop.rhos)}
+    """The loop's packed rows (StateLoop.x), sample by sample, as one flat list."""
+    return {"n": loop.n, "format": LOOP_FORMAT, "packed": loop.x.T.ravel().tolist()}
 
 
 def loop_from_doc(doc: dict) -> StateLoop:
-    """Decode and validate a loop document; every error is a ValueError
-    that names the document once."""
+    """Decode and validate a loop document (loop_to_doc): its format first,
+    then n and the packed list, whose entries are JSON numbers (a bool or a
+    string is not), n² a sample, unpacked into the StateLoop that validates
+    the samples; every error is a ValueError that names the document once."""
     try:
-        return StateLoop(_integer(doc, "n"), decode_matrix(doc["samples"]))
+        version = doc["format"] if "format" in doc else None
+        if version is None and "samples" in doc:
+            raise ValueError("format 1, each sample nested as [re, im] pairs under 'samples', is no "
+                             f"longer read; format {LOOP_FORMAT} holds the packed rows under 'packed'")
+        if type(version) is not int or version != LOOP_FORMAT:
+            raise ValueError(f"'format' must be {LOOP_FORMAT}, got {version!r}")
+        n, packed = _integer(doc, "n"), doc["packed"]
+        _check_entry_kinds(packed, {float, int}, "packed", "JSON numbers")
+        if n < 2 or len(packed) % (n * n):
+            raise ValueError(f"'packed' holds n² numbers a sample, n >= 2, got n = {n} and {len(packed)}")
+        return StateLoop(n, unpack_hermitian(np.array(packed, dtype=np.float64).reshape(-1, n * n).T))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"invalid loop document: {exc}") from exc
 
@@ -157,10 +153,7 @@ def _transports(vector_steps: np.ndarray, phase_steps: np.ndarray, lengths) -> t
 def _integers(values, key: str) -> np.ndarray:
     """A non-empty flat list of JSON integers (a bool is not one) as an
     int64 array."""
-    kinds = _entry_kinds(values, 1) - {int}
-    if kinds:
-        raise ValueError(f"{key!r} holds JSON integers, got "
-                         f"{', '.join(sorted(k.__name__ for k in kinds))} entries")
+    _check_entry_kinds(values, {int}, key, "JSON integers")
     if not values:
         raise ValueError(f"{key!r} must be a non-empty array")
     return np.array(values, dtype=np.int64)

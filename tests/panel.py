@@ -18,10 +18,14 @@ strings, booleans and cells compare exactly, floats to a relative
 tolerance of REL_TOL. The comparison prints every difference and exits 1
 if there is one; it also prints how many recorded floats differ at all,
 and the largest relative drift with its path, which does not fail it, so
-a record gone stale under REL_TOL shows. The record holds one run a
-line. --compare runs the panel on OTHER_TREE/src and on this tree's src,
-each in its own interpreter, and prints every difference of this tree's
-runs from the other tree's, as if the other tree's were the record.
+a record gone stale under REL_TOL shows. That count is machine-dependent:
+the record was written on one machine, and another machine's BLAS and
+CPU round differently, so it reads the same at a parent and at a change
+on the same machine. A change's own drift is what --compare shows. The
+record holds one run a line. --compare runs the panel on OTHER_TREE/src
+and on this tree's src, each in its own interpreter, and prints every
+difference of this tree's runs from the other tree's, as if the other
+tree's were the record.
 pytest does not collect this file: it takes about 20 s.
 """
 
@@ -129,16 +133,21 @@ def differences(want, got) -> list[str]:
     return out
 
 
+DRIFT = "recorded floats that differ at all (machine-dependent; --compare OTHER_TREE gives a change's own drift)"
+
+
 def drift(want, got) -> str:
     """How many floats of the record `want` differ from `got` at all, and
     the largest relative difference with its path: drift under REL_TOL
-    that a stale record shows, and no comparison fails on."""
+    that a stale record shows, and no comparison fails on. The count
+    depends on the machine as well as on the tree (see the module
+    docstring)."""
     moved = [(abs(w - g) / max(abs(w), abs(g)), path) for path, w, g in leaves(want, got)
              if type(w) is float and type(g) is float and w != g]
     if not moved:
-        return "recorded floats that differ at all: 0"
+        return f"{DRIFT}: 0"
     rel, path = max(moved)
-    return f"recorded floats that differ at all: {len(moved)}; largest relative drift {rel:.3g} at {path}"
+    return f"{DRIFT}: {len(moved)}; largest relative drift {rel:.3g} at {path}"
 
 
 def panels_of(trees) -> list[dict]:

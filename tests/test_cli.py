@@ -361,7 +361,7 @@ def test_contract_loop_reports_a_failing_cell_as_ints(tmp_path, monkeypatch):
 
 def test_contract_loop_corrupted_trace(tmp_path, capsys):
     doc = serialize.loop_to_doc(constant_loop(2, 8))
-    doc["samples"][3][0][0] = [0.7, 0.0]  # trace now 0.7
+    doc["packed"][3 * 4] = 0.7  # sample 3's first diagonal entry: its trace now 0.7
     path = tmp_path / "bad.json"
     serialize.write_doc(str(path), doc)
     code = main(["contract-loop", str(path)])
@@ -372,7 +372,7 @@ def test_contract_loop_corrupted_trace(tmp_path, capsys):
 
 def test_contract_loop_nan_sample(tmp_path, capsys):
     doc = serialize.loop_to_doc(constant_loop(2, 8))
-    doc["samples"][3][1][1] = [float("nan"), 0.0]
+    doc["packed"][3 * 4 + 1] = float("nan")  # sample 3's second diagonal entry
     path = tmp_path / "nan.json"
     serialize.write_doc(str(path), doc)  # json writes the bare token NaN
     assert main(["contract-loop", str(path)]) == 3
@@ -382,11 +382,30 @@ def test_contract_loop_nan_sample(tmp_path, capsys):
 
 def test_contract_loop_names_the_loop_document_once(tmp_path, capsys):
     path = tmp_path / "loop.json"
-    path.write_text(json.dumps({"n": 2.7, "samples": []}))
+    path.write_text(json.dumps({"n": 2.7, "format": 2, "packed": []}))
     assert main(["contract-loop", str(path)]) == 3
     err = capsys.readouterr().err
     assert err.count("invalid loop document") == 1
     assert err == "error: invalid loop document: 'n' must be an integer, got 2.7\n"
+
+
+@pytest.mark.parametrize(
+    "forge, message",
+    [(lambda doc: {"n": 2, "samples": np.stack([np.eye(2), 0 * np.eye(2)], axis=-1)[None].repeat(3, 0).tolist()},
+      "format 1, each sample nested as [re, im] pairs under 'samples', is no longer read; "
+      "format 2 holds the packed rows under 'packed'"),
+     (lambda doc: {**doc, "format": 3}, "'format' must be 2, got 3"),
+     (lambda doc: {**doc, "packed": doc["packed"][:-1]}, "'packed' holds n² numbers a sample, n >= 2, got n = 2 and 35"),
+     (lambda doc: {**doc, "packed": ["0.0", *doc["packed"][1:]]}, "'packed' holds JSON numbers, got str entries")],
+    ids=["format-1", "format-3", "not-a-multiple", "not-a-number"],
+)
+def test_contract_loop_refuses_each_loop_document_defect_on_one_line(tmp_path, capsys, forge, message):
+    path = tmp_path / "loop.json"
+    serialize.write_doc(str(path), forge(serialize.loop_to_doc(constant_loop(2, 8))))
+    assert main(["contract-loop", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: invalid loop document: {message}\n"
 
 
 def test_cli_import_leaves_out_scipy_linalg():
@@ -486,7 +505,7 @@ def test_json_nested_past_the_recursion_limit_is_an_input_error(tmp_path, capsys
 
 def test_a_loop_entry_past_the_double_range_is_an_input_error(tmp_path, capsys):
     doc = serialize.loop_to_doc(constant_loop(2, 8))
-    doc["samples"][3][0][0][0] = int("9" * 400)
+    doc["packed"][3 * 4] = int("9" * 400)
     path = tmp_path / "loop.json"
     serialize.write_doc(str(path), doc)
     assert main(["contract-loop", str(path)]) == 3

@@ -1,6 +1,8 @@
 import copy
 import dataclasses
+import json
 import math
+import pickle
 import re
 import tracemalloc
 from functools import lru_cache
@@ -32,6 +34,14 @@ from phaselab.states import DensityState, basis_state, state_from_vector, valida
 from block_probe import block_grown_rows
 from exact_minors import exactly_above
 from sheet_cells import cells, forge_cells, forge_loop
+
+
+def encode_matrix(m) -> list:
+    """Row-major nested [re, im] pairs, one level deeper per leading axis:
+    the matrices of the earlier sheet formats and of format 1 loop
+    documents, which the tests forge to see them refused."""
+    m = np.asarray(m, dtype=np.complex128)
+    return np.stack([m.real, m.imag], axis=-1).tolist()
 
 
 def test_projection_matrix():
@@ -143,7 +153,7 @@ def test_state_loop_is_one_validated_array():
     rhos[5] = np.diag([0.7, 0.0])  # the first failing sample: its trace
     with pytest.raises(ValueError) as want:
         DensityState(rhos[5])
-    doc = {"n": 2, "samples": serialize.encode_matrix(rhos)}
+    doc = {"n": 2, "format": 2, "packed": pack_hermitian(rhos).T.ravel().tolist()}
     for build, prefix in ((lambda: StateLoop(2, rhos), ""),
                           (lambda: serialize.loop_from_doc(doc), "invalid loop document: ")):
         with pytest.raises(ValueError) as got:
@@ -721,15 +731,15 @@ def test_sheet_from_doc_refuses_the_earlier_format():
     doc = serialize.sheet_to_doc(sheet)
     s_table = [[1.0] * 7] * 8
     doc["levels"] = [{"block": 2, "stages": [
-        {"kind": "unitary", "ops": serialize.encode_matrix(homotopy.level_unitaries(sheet.levels[0])),
+        {"kind": "unitary", "ops": encode_matrix(homotopy.level_unitaries(sheet.levels[0])),
          "s": s_table},
-        {"kind": "projection", "ops": serialize.encode_matrix(projection_matrix(2, 1)),
+        {"kind": "projection", "ops": encode_matrix(projection_matrix(2, 1)),
          "s": s_table}]}]
     with pytest.raises(ValueError, match="the format changed"):
         serialize.sheet_from_doc(doc)
     # so is a document that still stores its input loop beside the recipe
     doc = serialize.sheet_to_doc(contract_loop(loop))
-    doc["loop"] = serialize.encode_matrix(loop.rhos)
+    doc["loop"] = encode_matrix(loop.rhos)
     with pytest.raises(ValueError, match=r"holds 'n', 'u_den' and 'levels' since the "
                                          r"format changed, got \['levels', 'loop', 'n', "
                                          r"'u_den'\]"):
@@ -2025,22 +2035,92 @@ def test_verifier_reports_negative_cells_as_eigvalsh_does(monkeypatch):
 
 
 def test_loop_from_doc_rejects_garbage():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^invalid loop document: 'format' must be 2, got None$"):
         serialize.loop_from_doc({"n": 2})
-    with pytest.raises(ValueError):
-        serialize.loop_from_doc({"n": 2, "samples": [[[1.0]]]})
+    with pytest.raises(ValueError, match="^invalid loop document: 'packed' holds JSON numbers, got list entries$"):
+        serialize.loop_from_doc({"n": 2, "format": 2, "packed": [[1.0]]})
     # n is a JSON integer, never truncated from a float, a string or a bool
-    samples = serialize.loop_to_doc(constant_loop(2, 6))["samples"]
-    assert serialize.loop_from_doc({"n": 2, "samples": samples}).n == 2
+    packed = serialize.loop_to_doc(constant_loop(2, 6))["packed"]
+    assert serialize.loop_from_doc({"n": 2, "format": 2, "packed": packed}).n == 2
     for n in (2.7, 2.0, "2", True):
         with pytest.raises(ValueError, match="'n' must be an integer"):
-            serialize.loop_from_doc({"n": n, "samples": samples})
-    # every matrix entry is a JSON number, never a string or a bool
-    for pair in (["1", False], [True, 0]):
-        forged = copy.deepcopy(samples)
-        forged[0][0][0] = pair
-        with pytest.raises(ValueError, match="matrix entries must be numbers"):
-            serialize.loop_from_doc({"n": 2, "samples": forged})
+            serialize.loop_from_doc({"n": n, "format": 2, "packed": packed})
+    # every packed entry is a JSON number, never a string or a bool
+    for entry, kind in (("1", "str"), (False, "bool"), (True, "bool")):
+        forged = list(packed)
+        forged[5] = entry
+        with pytest.raises(ValueError, match=f"'packed' holds JSON numbers, got {kind} entries"):
+            serialize.loop_from_doc({"n": 2, "format": 2, "packed": forged})
+
+
+_NESTED = {"n": 2, "samples": encode_matrix(constant_loop(2, 6).rhos)}
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [(_NESTED, "format 1, each sample nested as [re, im] pairs under 'samples', is no longer read; "
+               "format 2 holds the packed rows under 'packed'"),
+     ({**_NESTED, "format": 1}, "'format' must be 2, got 1"),
+     ({"n": 2, "format": 3, "packed": [1.0] * 28}, "'format' must be 2, got 3"),
+     ({"n": 2, "format": 2.0, "packed": [1.0] * 28}, "'format' must be 2, got 2.0"),
+     ({"n": 2, "format": "2", "packed": [1.0] * 28}, "'format' must be 2, got '2'"),
+     ({"n": 2, "format": True, "packed": [1.0] * 28}, "'format' must be 2, got True"),
+     ({"n": 2, "format": 2, "packed": [1.0] * 27}, "'packed' holds n² numbers a sample, n >= 2, got n = 2 and 27"),
+     ({"n": 3, "format": 2, "packed": [1.0] * 28}, "'packed' holds n² numbers a sample, n >= 2, got n = 3 and 28"),
+     ({"n": 1, "format": 2, "packed": [1.0] * 3}, "'packed' holds n² numbers a sample, n >= 2, got n = 1 and 3"),
+     ({"n": 0, "format": 2, "packed": []}, "'packed' holds n² numbers a sample, n >= 2, got n = 0 and 0"),
+     ({"n": 2, "format": 2, "packed": [1.0] * 27 + [None]}, "'packed' holds JSON numbers, got NoneType entries"),
+     ({"n": 2, "format": 2, "packed": [1.0] * 27 + [{}]}, "'packed' holds JSON numbers, got dict entries"),
+     ({"n": 2, "format": 2, "packed": "1.0"}, "'packed' holds JSON numbers, got str entries"),
+     ({"n": 2, "format": 2}, "'packed'")],
+    ids=["format-1", "format-1-labelled", "format-3", "format-float", "format-string", "format-bool",
+         "short", "not-a-multiple", "n-1", "n-0", "null-entry", "object-entry", "packed-string",
+         "no-packed"],
+)
+def test_loop_from_doc_refuses_each_defect_with_one_message(doc, message):
+    with pytest.raises(ValueError) as got:
+        serialize.loop_from_doc(doc)
+    assert str(got.value) == f"invalid loop document: {message}"
+
+
+@pytest.mark.parametrize("make", [bundled_plateau_loop, lambda: random_based_loop(3, 2, 700)],
+                         ids=["plateau", "seed2"])
+def test_a_loop_document_round_trips_its_packed_rows_bit_for_bit(make):
+    # the plateau's rhos hold negative zeros that the document does not
+    # keep (the lower triangle's imaginary parts are unpacked as 0.0 minus
+    # the upper's), yet the packed rows, and so the document, come back
+    loop = make()
+    doc = serialize.loop_to_doc(loop)
+    back = serialize.loop_from_doc(json.loads(serialize.dumps(doc)))
+    assert back.x.tobytes() == loop.x.tobytes()
+    assert serialize.loop_to_doc(back) == doc
+    assert sorted(doc) == ["format", "n", "packed"] and len(doc["packed"]) == loop.n ** 2 * loop.n_samples
+
+
+def _pickled(value):
+    return pickle.loads(pickle.dumps(value))
+
+
+@pytest.mark.parametrize("copies", [copy.deepcopy, _pickled], ids=["deepcopy", "pickle"])
+def test_a_copied_loop_or_sheet_is_rebuilt_checked_and_read_only(copies, monkeypatch):
+    # __reduce__ rebuilds a copy through the constructor, so its arrays
+    # are read-only again and its checks run again
+    loop = bundled_plateau_loop()
+    sheet = contract_loop(loop)
+    validated = []
+    monkeypatch.setattr(homotopy, "validate_densities",
+                        lambda rhos, check=homotopy.validate_densities: validated.append(rhos.shape) or check(rhos))
+    copied = copies(loop)
+    assert validated == [loop.rhos.shape]
+    assert not copied.rhos.flags.writeable and not copied.x.flags.writeable
+    assert copied.x.tobytes() == loop.x.tobytes() and copied.rhos.tobytes() == loop.rhos.tobytes()
+    copied = copies(sheet)
+    assert not any(a.flags.writeable for lv in copied.levels for a in (lv.vectors, lv.phases))
+    assert serialize.sheet_to_doc(copied) == serialize.sheet_to_doc(sheet)
+    assert (copied.shape, copied.held_bytes) == (sheet.shape, sheet.held_bytes)
+    monkeypatch.setattr(homotopy, "MAX_SHEET_BYTES", sheet.held_bytes - 1)
+    with pytest.raises(ValueError, match="budget"):
+        copies(sheet)
 
 
 @pytest.mark.parametrize("name", ["pure", "plateau", "seed2", "seed7", "n4"])
