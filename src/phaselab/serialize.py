@@ -64,10 +64,10 @@ def loop_to_doc(loop: StateLoop) -> dict:
 
 
 def loop_from_doc(doc: dict) -> StateLoop:
-    """Decode and validate a loop document (loop_to_doc): its format first,
-    then n and the packed list, whose entries are JSON numbers (a bool or a
-    string is not), n² a sample, unpacked into the StateLoop that validates
-    the samples; every error is a ValueError that names the document once."""
+    """Decode and validate a loop document (loop_to_doc): its format, then
+    n, bounded by the packed list of n² JSON numbers (no bool or string)
+    for each of three or more samples before anything is unpacked, then the
+    StateLoop; every error is a ValueError that names the document once."""
     try:
         version = doc["format"] if "format" in doc else None
         if version is None and "samples" in doc:
@@ -77,8 +77,9 @@ def loop_from_doc(doc: dict) -> StateLoop:
             raise ValueError(f"'format' must be {LOOP_FORMAT}, got {version!r}")
         n, packed = _integer(doc, "n"), doc["packed"]
         _check_entry_kinds(packed, {float, int}, "packed", "JSON numbers")
-        if n < 2 or len(packed) % (n * n):
-            raise ValueError(f"'packed' holds n² numbers a sample, n >= 2, got n = {n} and {len(packed)}")
+        if n < 2 or len(packed) < 3 * n * n or len(packed) % (n * n):
+            raise ValueError("'packed' holds n² numbers for each of at least three samples, n >= 2, "
+                             f"got n = {n} and {len(packed)}")
         return StateLoop(n, unpack_hermitian(np.array(packed, dtype=np.float64).reshape(-1, n * n).T))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"invalid loop document: {exc}") from exc

@@ -395,9 +395,12 @@ def test_contract_loop_names_the_loop_document_once(tmp_path, capsys):
       "format 1, each sample nested as [re, im] pairs under 'samples', is no longer read; "
       "format 2 holds the packed rows under 'packed'"),
      (lambda doc: {**doc, "format": 3}, "'format' must be 2, got 3"),
-     (lambda doc: {**doc, "packed": doc["packed"][:-1]}, "'packed' holds n² numbers a sample, n >= 2, got n = 2 and 35"),
+     (lambda doc: {**doc, "packed": doc["packed"][:-1]},
+      "'packed' holds n² numbers for each of at least three samples, n >= 2, got n = 2 and 35"),
+     (lambda doc: {**doc, "n": 100000, "packed": []},
+      "'packed' holds n² numbers for each of at least three samples, n >= 2, got n = 100000 and 0"),
      (lambda doc: {**doc, "packed": ["0.0", *doc["packed"][1:]]}, "'packed' holds JSON numbers, got str entries")],
-    ids=["format-1", "format-3", "not-a-multiple", "not-a-number"],
+    ids=["format-1", "format-3", "not-a-multiple", "n-past-the-list", "not-a-number"],
 )
 def test_contract_loop_refuses_each_loop_document_defect_on_one_line(tmp_path, capsys, forge, message):
     path = tmp_path / "loop.json"
