@@ -1553,6 +1553,127 @@ def test_bounded_steps_bound_a_step_by_sqrt_n(monkeypatch):
     assert [v[:3] for v in report.violations] == [("step-modulus", (2, 4), rank3)]
 
 
+@pytest.mark.parametrize("chunk", [None, 1, 2**40], ids=["default", "one-row", "one-stage"])
+def test_an_exact_tie_in_a_stage_goes_to_its_s_step(chunk, monkeypatch):
+    # level 0's first stage of a constant 3x3 sheet forged, columns 5 on,
+    # to base + a u D with D = diag(-1, 1, 0) and a = 1, 2, 1, 0, 2, 1 on
+    # rows 1 to 6: the t-step at (2, 4) and the s-step at (4, 5) are the
+    # one matrix 2u D, an exact tie at the largest step. A stage's s-steps
+    # are scanned before its t-steps, so the step is the s-step's, at the
+    # later row, whether the stage comes in one chunk of rows or one row a
+    # chunk (CHUNK_ENTRIES)
+    if chunk is not None:
+        monkeypatch.setattr(homotopy, "CHUNK_ENTRIES", chunk, raising=False)
+    loop = constant_loop(3, 10)
+    sheet = contract_loop(loop)
+    assert sheet.levels[0].rows[0] >= 7
+    u, base, d = 2.0**-8, basis_state(3).rho, np.diag([-1.0, 1.0, 0.0])
+
+    def corrupt(arr):
+        for row, a in enumerate((1, 2, 1, 0, 2, 1), start=1):
+            arr[row, 5:] = base + a * u * d
+
+    forge_cells(monkeypatch, corrupt)
+    arr = cells(sheet, loop)
+    assert np.array_equal(arr[2, 5] - arr[2, 4], arr[5, 5] - arr[4, 5])
+    report = verify_homotopy(sheet, loop, 1e-6)
+    assert report.max_cell_step == linalg.trace_norm(arr[5, 5] - arr[4, 5]) == 4 * u
+    assert report.max_step_at == (4, 5)
+    assert [v[1:3] for v in report.violations if v[0] == "step-modulus"] == [((4, 5), 4 * u)]
+
+
+def _under_chunks(monkeypatch, run):
+    """run() with CHUNK_ENTRIES at 1, one row a chunk, and at 2**40, one
+    chunk a stage."""
+    out = []
+    for chunk in (1, 2**40):
+        monkeypatch.setattr(homotopy, "CHUNK_ENTRIES", chunk, raising=False)
+        out.append(run())
+    return out
+
+
+@pytest.mark.parametrize("name", ["seed2", "plateau", "pure"])
+def test_chunks_change_no_cell_sheet_or_report(name, monkeypatch, tmp_path):
+    # the contraction's rows, so its sheet document, the expanded cells bit
+    # for bit, and every report field, violations included, at the loop's
+    # modulus and at 0, where the largest step is a violation at its cell
+    make = {"seed2": lambda: random_based_loop(3, 2, 700), "plateau": bundled_plateau_loop,
+            "pure": bundled_pure_loop}[name]
+
+    def run():
+        loop = make()
+        sheet = contract_loop(loop)
+        path = tmp_path / "sheet.json"
+        serialize.write_sheet(str(path), sheet)
+        return (path.read_bytes(), cells(sheet, loop).tobytes(),
+                verify_homotopy(sheet, loop, loop.modulus), verify_homotopy(sheet, loop, 0.0))
+
+    one_row, one_stage = _under_chunks(monkeypatch, run)
+    assert one_row == one_stage
+
+
+def _moving_pure_recipe(monkeypatch):
+    """The pure loop's recipe, with U_200 scaled by 1.01 as the verifier rebuilds it."""
+    loop = bundled_pure_loop()
+    sheet = contract_loop(loop)
+    _forge_transports(monkeypatch, lambda u: u.__setitem__(200, 1.01 * u[200]))
+    return loop, sheet
+
+
+def _forged_constant_recipe(forge):
+    def make(monkeypatch):
+        loop = constant_loop(2, 10)
+        return loop, forge(monkeypatch, contract_loop(loop))
+    return make
+
+
+@pytest.mark.parametrize(
+    "make",
+    [_forged_constant_recipe(lambda mp, sheet: _forge_transports(
+        mp, lambda u: u.__setitem__(4, np.diag([1.0, 2.0]))) or sheet),
+     _forged_constant_recipe(lambda mp, sheet: _forge(  # A_4 = -1, in the Gelfand ideal
+         sheet, phases=_set(sheet.levels[0].phases, 4, homotopy.U_DEN // 2))),
+     _moving_pure_recipe],
+    ids=["non-unitary", "minus-one", "scaled-unitary"],
+)
+def test_chunks_change_no_report_on_forged_recipes(make, monkeypatch):
+    loop, sheet = make(monkeypatch)
+    one_row, one_stage = _under_chunks(monkeypatch, lambda: verify_homotopy(sheet, loop, loop.modulus))
+    assert one_row == one_stage
+    assert not one_row.passed
+
+
+def test_chunks_change_no_report_on_forged_cells(monkeypatch):
+    # seed 2's sheet on its loop with sample 300 made negative (forge_loop),
+    # so that column takes the positivity scan in every stage, and cells
+    # forged non-finite, off trace and negative on rows of several chunks
+    # and stages: the same violations, in the same order, either way
+    loop, sheet = _contracted("seed2")
+    rng = np.random.default_rng(21)
+    q = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))[0]
+
+    def negative(low):
+        cell = (q * [1.0 - low, 0.0, low]) @ q.conj().T
+        return (cell + cell.conj().T) / 2
+
+    rhos = loop.rhos.copy()
+    rhos[300] = negative(-3e-6)
+    forged = forge_loop(3, rhos)
+
+    def corrupt(arr):
+        for row in (3, 4, 12, 30, 47):
+            arr[row, 100 + row, 0, 1] = np.nan
+            arr[row + 1, 200] *= 1.001
+            arr[row + 2, 300] = negative(-2e-6)
+
+    forge_cells(monkeypatch, corrupt)
+    one_row, one_stage = _under_chunks(monkeypatch, lambda: verify_homotopy(sheet, forged, loop.modulus))
+    assert one_row == one_stage
+    kinds = [v[0] for v in one_row.violations]
+    for kind in ("non-finite", "trace", "negative-eigenvalue"):
+        assert kinds.count(kind) >= 5
+
+
 def _exact_masked_steps(d, keep, floor, lower=True):
     """_masked_steps as an exact scan: the trace norm of every step where
     `keep`, and 0.0 elsewhere."""
