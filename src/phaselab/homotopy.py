@@ -14,11 +14,12 @@ k_t / U_DEN) of each sample, on the 1 / U_DEN grid, and the row counts of
 its two stages, A_t = lambda_t U_t's and the corner projection P^b_1's.
 A_t is rebuilt from them where its stage is evaluated (level_unitaries),
 and a stage's s rows from each column's pencil (_rule_rows). Its cells
-are evaluated on the loop it is given, row 0, one stage at a time
-(sheet_blocks), and the verifier checks each stage's block of rows, and
-the traces of the one pencil that made it, as it comes; from those traces
-it bounds each column's negativity, so that only the columns the bound
-does not clear take the positivity scan.
+are evaluated on the loop it is given, row 0, a stage at a time and a
+chunk of the stage's rows at a time (sheet_blocks, CHUNK_ENTRIES), and
+the verifier checks each chunk, and the traces of the one pencil that
+made its stage, as it comes; from those traces it bounds each column's
+negativity, so that only the columns the bound does not clear take the
+positivity scan.
 """
 
 from __future__ import annotations
@@ -64,14 +65,19 @@ MIN_ROWS = 8
 # down to 1 / 2^9 and phases down to 2 pi / 2^7, a margin of 2^11 and 2^13.
 U_DEN = 2**20
 # Bytes a sheet may hold (_held_bytes): its recipe and BLOCK_COPIES blocks
-# of complex cells of its stage of most rows. Stage blocks are packed, half
-# those bytes, and beyond the recipe tracemalloc reads a contraction, which
-# forms no block, at 0.5 to 1.8 blocks and a verification at 1.6 to 2.3
-# (n = 2 to 10, 201 to 901 samples). Six copies would admit the n = 50,
-# 101-sample loop that the CLI refuses. The count covers arrays only: on
-# sheets under about 1 MB, tracemalloc's fixed overhead can exceed it
-# (constant_loop(2, 16) reads 3.7 blocks).
+# of complex cells of its stage of most rows, an upper bound. A stage is
+# held a chunk of packed rows at a time (CHUNK_ENTRIES), and beyond the
+# recipe tracemalloc reads a contraction at 0.15 to 2.6 blocks and a
+# verification at 0.14 to 2.4 (random loops, n = 2 to 10, 201 to 901
+# samples), falling as the blocks outgrow a chunk: 0.14 to 0.35 for blocks
+# over 10 MB. Six copies would admit the n = 50, 101-sample loop that the
+# CLI refuses. The count covers arrays only: on sheets under about 1 MB,
+# tracemalloc's fixed overhead can exceed it (constant_loop(2, 16) reads
+# 4.0 blocks).
 MAX_SHEET_BYTES, BLOCK_COPIES = 2**28, 7
+# Packed entries (1 MiB of float64) in a chunk of a stage's rows, at least
+# one row: sheet_blocks, the verifier and the row probe take a chunk a time.
+CHUNK_ENTRIES = 2**17
 
 
 def projection_matrix(n: int, k: int) -> np.ndarray:
@@ -466,11 +472,14 @@ def _unitary_powers(v: np.ndarray, f: np.ndarray) -> np.ndarray:
     return (q * np.exp(1j * f[:, None] * np.angle(evals))[:, None, :]) @ q.conj().T
 
 
-def _rule_rows(c: np.ndarray, rows: int) -> np.ndarray:
-    """The s rows (rows, T) of a stage whose column t has the normalizer
-    c(s) = c[0, t] + c[1, t] s + c[2, t] s², the traces of its pencil (see
-    safety_min): row k's s is where ∫_0^s ds/c has reached k / rows of its
-    value on [0, 1], clipped to [0, 1], and the last row is 1 exactly.
+def _rule_rows(c: np.ndarray, rows: int, lo: int, hi: int) -> np.ndarray:
+    """The s rows k = lo + 1, ..., hi (hi - lo, T) of a stage of `rows`
+    rows whose column t has the normalizer c(s) = c[0, t] + c[1, t] s +
+    c[2, t] s², the traces of its pencil (see safety_min): row k's s is
+    where ∫_0^s ds/c has reached k / rows of its value on [0, 1], clipped
+    to [0, 1], and the last row, k = rows, is 1 exactly. Every entry is
+    computed per (row, column), so a chunk of rows is those rows of the
+    whole table bit for bit.
 
     With D = 4 c0 c2 - c1², w = √|D| and f = k / rows, the integral
     inverts in closed form: θ = f atan2(w, 2c0 + c1) for D > 0 and
@@ -485,7 +494,7 @@ def _rule_rows(c: np.ndarray, rows: int) -> np.ndarray:
     any rows it gives are sound.
     """
     c0, c1, c2 = c
-    f = (np.arange(1, rows + 1) / rows)[:, None]
+    f = (np.arange(lo + 1, hi + 1) / rows)[:, None]
     d, x = 4.0 * c0 * c2 - c1 * c1, 2.0 * c0 + c1
     w = np.sqrt(np.abs(d))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -498,7 +507,8 @@ def _rule_rows(c: np.ndarray, rows: int) -> np.ndarray:
             g[:, flat] = np.where(w > 0.0, np.sinh(theta) / w, f / x)
             h[:, flat] = np.where(w > 0.0, np.cosh(theta), 1.0)
         s = np.clip(2.0 * c0 * g / (h - c1 * g), 0.0, 1.0)
-    s[-1] = 1.0
+    if hi == rows:
+        s[-1] = 1.0
     return s
 
 
@@ -518,12 +528,6 @@ def _stage_rows(p: np.ndarray, c: np.ndarray, s: np.ndarray) -> np.ndarray:
         return np.divide(out, c0 + s * (c1 + s * c2), out=out)
 
 
-def _rule_block(p: np.ndarray, c: np.ndarray, rows: int) -> np.ndarray:
-    """The `rows` rows of a stage of pencil (p, c) at the rule's s rows
-    (_rule_rows), packed as (b², rows, T) (_stage_rows)."""
-    return _stage_rows(p, c, _rule_rows(c, rows))
-
-
 def _rows_for(target_step: float, movement: float) -> int:
     """Rows, at least MIN_ROWS, that step `movement` by about `target_step` (> 0)."""
     if movement <= 0:
@@ -537,23 +541,33 @@ def _grown_rows(p: np.ndarray, c: np.ndarray, rows: int, target: float) -> int:
     over the modulus 2 target: then ceil(rows step / target), which aims
     the largest step at target again. It grows once, and the verifier
     judges the rows it gives. The steps are bounded from the pencil alone
-    (_gram_steps), and only those whose bounds let them reach the modulus
-    make their two cells and take a trace norm (_bounded_steps): no block
-    of the stage's rows is formed, and a stage where no step can reach the
-    modulus makes no cell and takes no eigensolver. The answer rests on
-    the exact norms of the steps that can pass the modulus alone, so it is
-    that of a scan of the block's every step."""
-    step = _bounded_steps(*_gram_steps(p, c, _rule_rows(c, rows)), 2.0 * target).max()
+    (_gram_steps), a chunk of rows at a time, each chunk's b² T packed
+    entries at most CHUNK_ENTRIES, and only those whose bounds let them
+    reach the modulus make their two cells and take a trace norm
+    (_bounded_steps): no block of the stage's rows is formed, and a stage
+    where no step can reach the modulus makes no cell and takes no
+    eigensolver. The answer rests on the exact norms of the steps that can
+    pass the modulus alone, so it is that of a scan of the block's every
+    step."""
+    steps, step, before = _gram_steps(p, c), 0.0, None
+    size = max(1, CHUNK_ENTRIES // p[0].size)  # rows a chunk
+    for lo in range(0, rows, size):
+        s = _rule_rows(c, rows, lo, min(lo + size, rows))
+        step, before = np.maximum(step, _bounded_steps(*steps(s, before), 2.0 * target).max()), s[-1]
     return rows if step <= 2.0 * target else int(np.ceil(rows * step / target))
 
 
-def _gram_steps(p: np.ndarray, c: np.ndarray, s: np.ndarray) -> tuple:
-    """Upper bounds on ‖Δ‖_F² of the `rows` s-steps Δ of each column of a
-    stage of pencil (p, c) at the s rows s (rows, T), the first from the
-    stage's input R0 to row 1, as _bounded_steps takes them, with their
-    exact norms on demand: ((0, upper), 0, b, exact). No lower bound is
-    taken: it would raise the probe's floor, the modulus, only on a stage
-    whose rows grow, and spare exact norms there alone.
+def _gram_steps(p: np.ndarray, c: np.ndarray):
+    """The bounds of a stage of pencil (p, c) on its s-steps, a chunk of
+    rows at a time: steps(s, before) gives upper bounds on ‖Δ‖_F² of the
+    s-steps Δ into each of a chunk's s rows s (rows, T), the first from the
+    row at s = before (T,), or from the stage's input R0 where before is
+    None, as _bounded_steps takes them, with their exact norms on demand:
+    ((0, upper), 0, b, exact). The terms of each column, its Gram matrix,
+    norms, slack, floor and rounding factor, are formed here once a stage.
+    No lower bound is taken: it would raise the probe's floor, the
+    modulus, only on a stage whose rows grow, and spare exact norms there
+    alone.
 
     With c(s) = c0 + s c1 + s² c2 and the traceless K1 = c0 R1 - c1 R0,
     K2 = c0 R2 - c2 R0 and K3 = c1 R2 - c2 R1, the step between the cells
@@ -569,7 +583,7 @@ def _gram_steps(p: np.ndarray, c: np.ndarray, s: np.ndarray) -> tuple:
     rounding, (2b + 8) u P (1 + Σ|c_i| / floor) / floor with P = Σ ‖R_i‖_F.
     A column whose floor is not positive reads infinite bounds. exact(keep)
     makes the two cells of each step where `keep` with _stage_rows, R0 for
-    the first step's, and takes their difference's trace norm
+    the stage's first step, and takes their difference's trace norm
     (linalg._hermitian_trace_norm), as a scan of the stage's block would."""
     u, b = np.finfo(float).eps / 2, math.isqrt(p.shape[1])
     c0, c1, c2 = c
@@ -584,21 +598,30 @@ def _gram_steps(p: np.ndarray, c: np.ndarray, s: np.ndarray) -> tuple:
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         up = np.where(least > 5 * u * size, (1.0 + 8 * u) / (1.0 - 5 * u * size / least) ** 2, np.inf)
         cell = (2 * b + 8) * u * norms.sum(axis=0) * (1.0 + size / least) / least
-        before = np.concatenate([np.zeros((1, s.shape[1])), s[:-1]])
-        q1, q2 = before + s, before * s
-        quad = g[0, 0] + q1 * (2.0 * g[0, 1] + q1 * g[1, 1]) + q2 * (2.0 * (g[0, 2] + q1 * g[1, 2]) + q2 * g[2, 2])
-        den = c0 + s * (c1 + s * c2)
-        scale = (s - before) / (np.concatenate([c0[None], den[:-1]]) * den)
-        # √(qᵀGq + slack) <= √(qᵀGq) + √slack
-        upper = (scale * np.sqrt(np.maximum(quad, 0.0)) + scale.max(axis=0) * np.sqrt(slack)) * up + 2.0 * cell
-        upper[0] += norms[0] * np.abs(1.0 - 1.0 / c0) * (1.0 + 8 * u)
 
-    def exact(keep: np.ndarray) -> np.ndarray:
-        row, col = np.nonzero(keep)
-        cells = _stage_rows(p[:, :, col], c[:, col], np.stack([before[row, col], s[row, col]]))
-        return _hermitian_trace_norm(cells[:, 1] - np.where(row == 0, p[0][:, col], cells[:, 0]))
+    def steps(s: np.ndarray, before) -> tuple:
+        first = before is None
+        ends = np.concatenate([np.zeros((1, s.shape[1])) if first else before[None], s])
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            q1, q2 = ends[:-1] + s, ends[:-1] * s
+            quad = g[0, 0] + q1 * (2.0 * g[0, 1] + q1 * g[1, 1]) + q2 * (2.0 * (g[0, 2] + q1 * g[1, 2]) + q2 * g[2, 2])
+            den = c0 + ends * (c1 + ends * c2)
+            if first:
+                den[0] = c0
+            scale = (s - ends[:-1]) / (den[:-1] * den[1:])
+            # √(qᵀGq + slack) <= √(qᵀGq) + √slack
+            upper = (scale * np.sqrt(np.maximum(quad, 0.0)) + scale.max(axis=0) * np.sqrt(slack)) * up + 2.0 * cell
+            if first:  # R0 differs from the cell at s = 0
+                upper[0] += norms[0] * np.abs(1.0 - 1.0 / c0) * (1.0 + 8 * u)
 
-    return (0.0, upper * upper), 0.0, b, exact
+        def exact(keep: np.ndarray) -> np.ndarray:
+            row, col = np.nonzero(keep)
+            cells = _stage_rows(p[:, :, col], c[:, col], np.stack([ends[row, col], s[row, col]]))
+            return _hermitian_trace_norm(cells[:, 1] - np.where(first & (row == 0), p[0][:, col], cells[:, 0]))
+
+        return (0.0, upper * upper), 0.0, b, exact
+
+    return steps
 
 
 def _bounded_steps(f2: tuple, tr: np.ndarray, n: int, exact, floor: float) -> np.ndarray:
@@ -708,39 +731,45 @@ def _packed_corner(x: np.ndarray, n: int) -> np.ndarray:
 
 
 def sheet_blocks(sheet: HomotopySheet, loop: StateLoop) -> Iterator[tuple]:
-    """A sheet's cells on `loop`, one stage at a time, as (stage, c,
-    block): `stage` the recipe stage (_stages) that made the block, `c` the
-    traces of its pencil (see pencil), and the block packed
-    (linalg.pack_hermitian) as (n², rows, T). Row 0, the loop's read-only
-    packed rows (StateLoop.x), comes first, as a block of one row with no
-    stage and no traces (None, None), then each stage's rows in order. Each
-    stage evaluates its pencil on the last row so far, packed, row 0
-    included, at the s rows that the rule derives from the pencil's traces
-    (_rule_block); a level below M_n takes its input compressed to its
+    """A sheet's cells on `loop`, a chunk of rows at a time, as (stage, c,
+    block): `stage` the recipe stage (_stages) that made the block, one
+    object for every chunk of the stage, `c` the traces of its pencil (see
+    pencil), and the block packed (linalg.pack_hermitian) as (n², rows, T),
+    at most CHUNK_ENTRIES entries and at least one row. Row 0, the loop's
+    read-only packed rows (StateLoop.x), comes first, as a block of one row
+    with no stage and no traces (None, None), then each stage's rows in
+    order. Each stage forms its pencil once, on the last row so far,
+    packed, row 0 included, and evaluates it chunk by chunk at the s rows
+    that the rule derives from the pencil's traces (_rule_rows,
+    _stage_rows); a level below M_n takes its input compressed to its
     corner block (_compress); and a stage's b x b rows are scattered into
     the n x n corner's packed rows (_packed_corner), zero elsewhere. Every
-    cell and operator is made here, so a sheet read back from its document
-    expands on its input loop to the contractor's cells bit for bit. A loop
-    whose n or T the recipe does not fit raises ValueError. Nothing here
-    judges a cell: verify_homotopy does, with the traces of the pencil that
-    made it."""
+    cell and operator is made here, each cell the same bit for bit however
+    the rows are chunked, so a sheet read back from its document expands
+    on its input loop to the contractor's cells bit for bit. A loop whose
+    n or T the recipe does not fit raises ValueError. Nothing here judges a
+    cell: verify_homotopy does, with the traces of the pencil that made
+    it."""
     n, x = sheet.n, loop.x  # x: the last row so far, on its block
     if loop.rhos.shape != (sheet.shape[1], n, n):
         raise ValueError(f"a recipe on M_{n} over {sheet.shape[1]} columns does not fit {loop.rhos.shape}")
     yield None, None, x[:, None]
+    size = max(1, CHUNK_ENTRIES // x.size)  # rows a chunk
     for stage in _stages(n, sheet.levels):
         _, si, b, ops, rows = stage
         if si == 0 and b < n:
             with np.errstate(divide="ignore", invalid="ignore"):  # a zero trace is the verifier's
                 x = _compress(x, b)
         p, c = pencil(ops, x)
-        block = _rule_block(p, c, rows)
-        del p  # so that the packed pencil is not held while the caller reads the block
-        x = block[:, -1].copy()
-        if b < n:
-            block = _packed_corner(block, n)
-        yield stage, c, block
-        del block  # so that only the caller holds a block while the next is made
+        for lo in range(0, rows, size):
+            block = _stage_rows(p, c, _rule_rows(c, rows, lo, min(lo + size, rows)))
+            if lo + size >= rows:
+                del p  # so that the packed pencil is not held while the caller reads the last chunk
+                x = block[:, -1].copy()
+            if b < n:
+                block = _packed_corner(block, n)
+            yield stage, c, block
+            del block  # so that only the caller holds a chunk while the next is made
 
 
 def contract_loop(loop: StateLoop) -> HomotopySheet:
@@ -814,27 +843,32 @@ def _largest(best: tuple, steps: np.ndarray, row: int) -> tuple:
 
 def verify_homotopy(sheet: HomotopySheet, input_loop: StateLoop, modulus: float) -> VerifyReport:
     """Certify the contraction of `input_loop` by the recipe `sheet` in one
-    pass over its stage blocks on that loop (sheet_blocks), holding one
-    block and the row before it; a recipe whose n or T does not fit the
-    loop raises ValueError. It is the only judge of the cells: every cell a
-    state to CELL_TOL, the basepoint columns constant, the final row
-    constant at the basepoint, and all adjacent-cell steps within the
-    modulus, else one "step-modulus" violation at the largest step (on an
-    exact tie of an s-step and a t-step, the one scanned first). The
-    recipe: every operator the expansion rebuilds a unitary to
-    OPERATOR_TOL, and the exact safety minimum (safety_min) of every
-    column above SAFETY_FLOOR on the traces of the pencil that made the
-    stage's cells, which sheet_blocks hands over with the block, so the
-    verifier forms no pencil and rebuilds no stage input; columns whose
-    input is not finite are skipped, and a recipe in a Gelfand ideal fails
-    as "unsafe". The s rows are the rule's, in [0, 1] and ending at 1
-    (_rule_rows), so they take no check. A cell with a NaN or infinite entry is one "non-finite"
-    violation, valued by the count of such entries; it is zeroed for, and
-    skipped by, the rest. Violations are listed by kind, each kind in C
-    order of its cell; the recipe's come last, stage by stage, at (level,
-    stage, column) indices into the recipe.
+    pass over its stages on that loop, a chunk of rows at a time
+    (sheet_blocks), holding one chunk and the row before it; a recipe whose
+    n or T does not fit the loop raises ValueError. It is the only judge of
+    the cells: every cell a state to CELL_TOL, the basepoint columns
+    constant, the final row constant at the basepoint, and all
+    adjacent-cell steps within the modulus, else one "step-modulus"
+    violation at the largest step (on an exact tie, the one scanned first:
+    stage by stage, its s-steps, from the row before it on, then its
+    t-steps, each kind in C order; so the largest of each kind is held
+    over a stage's chunks, and the first of the three largest is taken at
+    its end). The recipe,
+    checked once a stage, at its first chunk: every operator the expansion
+    rebuilds a unitary to OPERATOR_TOL, and the exact safety minimum
+    (safety_min) of every column above SAFETY_FLOOR on the traces of the
+    pencil that made the stage's cells, which sheet_blocks hands over with
+    each chunk, so the verifier forms no pencil and rebuilds no stage
+    input; columns whose input is not finite are skipped, and a recipe in a
+    Gelfand ideal fails as "unsafe". The s rows are the rule's, in [0, 1]
+    and ending at 1 (_rule_rows), so they take no check. A cell with a NaN
+    or infinite entry is one "non-finite" violation, valued by the count of
+    such entries; it is zeroed for, and skipped by, the rest. Violations
+    are listed by kind, each kind in C order of its cell; the recipe's come
+    last, stage by stage, at (level, stage, column) indices into the
+    recipe.
 
-    Every block, row 0 included, is read in the packed layout, whose cells
+    Every chunk, row 0 included, is read in the packed layout, whose cells
     are Hermitian by construction, so no cell takes a Hermiticity scan:
     row 0 is the loop's packed rows (StateLoop.x), made once from its
     validated samples and read-only. Row 0 has no recipe stage before it
@@ -864,10 +898,14 @@ def verify_homotopy(sheet: HomotopySheet, input_loop: StateLoop, modulus: float)
     packed_base, pairs = np.eye(n * n, 1)[:, None], n * (n - 1) // 2  # the basepoint, packed
     found: dict = {k: [] for k in ("non-finite", "trace", "negative-eigenvalue", "left-column", "right-column")}
     recipe = []
-    step = (0.0, (0, 0))  # the largest step along s or t, at its cell: the next steps' floor
+    step = (0.0, (0, 0))  # the largest step along s or t, at its cell, of the stages before
+    held = [step, step]  # the stage's largest s-step and t-step so far; with step, the next steps' floor
     safety: tuple = (None, None)
 
-    row = 0
+    def scanned(kind: int, d: np.ndarray, keep, row: int):
+        held[kind] = _largest(held[kind], _masked_steps(d, keep, max(step[0], *(v for v, _ in held))), row)
+
+    row, current = 0, None
     for stage, c, x in sheet_blocks(sheet, input_loop):
         at = lambda s, t: (row + s, t)
         nonfinite = ~np.isfinite(x)  # each packed off-diagonal pair is two entries of the cell
@@ -879,7 +917,8 @@ def verify_homotopy(sheet: HomotopySheet, input_loop: StateLoop, modulus: float)
             x = np.where(ok, x, 0.0)
         traces = np.abs(x[:n].sum(axis=0) - 1.0)
         found["trace"] += _flags("trace", traces, (traces > CELL_TOL) & ok, CELL_TOL, at)
-        if stage:  # the recipe stage that made x from the row before, and the steps from that row
+        if stage is not current:  # a stage's first chunk: the stage before settles, and its recipe is checked
+            step, held, current = max([step, *held], key=lambda v: v[0]), [(0.0, (0, 0))] * 2, stage
             li, si, b, ops, _ = stage
             of_stage = lambda t: (li, si, t)
             norm2 = 1.0  # ‖P^b_1‖₂², the projection stage's
@@ -899,18 +938,18 @@ def verify_homotopy(sheet: HomotopySheet, input_loop: StateLoop, modulus: float)
                 safety = (float(value[t]), (li, si, t))
             negativity = _negativity_bound(negativity, norm2, c, low, b)
             scan = ~(negativity <= CELL_TOL)
+        if stage:  # a chunk of the stage's rows, and the s-steps into it from the row before
             neg = np.zeros(x.shape[1:])
             if scan.any():
                 neg[:, scan] = -_hermitian_min_eigenvalues(x[:, :, scan])
-            step = _largest(step, _masked_steps(x[:, 0] - prev_x, ok[0] & prev_ok, step[0])[None], row - 1)
+            scanned(0, (x[:, 0] - prev_x)[:, None], (ok[0] & prev_ok)[None], row - 1)
         else:
             neg = -_hermitian_min_eigenvalues(x)
             negativity = np.maximum(neg[0], STATE_EIG_TOL)
             negativity += POSITIVITY_MARGIN * (np.abs(x[:n, 0]).sum(axis=0) + n * negativity)
         found["negative-eigenvalue"] += _flags("negative-eigenvalue", neg, neg > CELL_TOL, CELL_TOL, at)
-        steps = _masked_steps(x[:, 1:] - x[:, :-1], ok[1:] & ok[:-1], step[0])  # held over the t-steps: fewer faults
-        step = _largest(step, steps, row)
-        step = _largest(step, _masked_steps(x[:, :, 1:] - x[:, :, :-1], ok[:, 1:] & ok[:, :-1], step[0]), row)
+        scanned(0, x[:, 1:] - x[:, :-1], ok[1:] & ok[:-1], row)
+        scanned(1, x[:, :, 1:] - x[:, :, :-1], ok[:, 1:] & ok[:, :-1], row)
         dev = _masked_steps(x[:, :, [0, -1]] - packed_base, ok[:, [0, -1]], CELL_TOL, lower=False)
         for i, (col, label) in enumerate(((0, "left-column"), (t_dim - 1, "right-column"))):
             found[label] += _flags(label, dev[:, i], dev[:, i] > CELL_TOL, CELL_TOL, lambda s: (row + s, col))
@@ -921,6 +960,7 @@ def verify_homotopy(sheet: HomotopySheet, input_loop: StateLoop, modulus: float)
     violations = [v for kind in found.values() for v in kind]
     last = _masked_steps(prev_x - packed_base[:, 0], prev_ok, CELL_TOL, lower=False)
     violations += _flags("final-row", last, last > CELL_TOL, CELL_TOL, lambda t: (s_dim - 1, t))
+    step = max([step, *held], key=lambda v: v[0])  # the first of the largest, as _largest takes it
     max_step = float(step[0])
     if not max_step <= modulus:  # a NaN modulus or step fails too
         violations.append(("step-modulus", step[1], max_step, modulus))

@@ -31,7 +31,7 @@ from phaselab.homotopy import (
 )
 from phaselab.linalg import pack_hermitian
 from phaselab.states import DensityState, basis_state, state_from_vector, validate_densities
-from block_probe import block_grown_rows
+from block_probe import block_grown_rows, rule_block
 from exact_minors import exactly_above
 from sheet_cells import cells, forge_cells, forge_loop
 
@@ -1230,7 +1230,7 @@ def _stage_inputs(sheet, loop):
             rhos = rhos / np.trace(rhos, axis1=-2, axis2=-1).real[:, None, None]
             rhos = (rhos + rhos.conj().swapaxes(-1, -2)) / 2
         ops = np.broadcast_to(ops, rhos.shape)
-        yield ops, homotopy._rule_rows(pencil(ops, pack_hermitian(rhos))[1], rows), rhos
+        yield ops, homotopy._rule_rows(pencil(ops, pack_hermitian(rhos))[1], rows, 0, rows), rhos
         row += rows
 
 
@@ -1272,9 +1272,9 @@ def test_rule_rows_match_a_direct_inversion():
     c = np.concatenate([c, special], axis=1)
     assert c.shape[1] == 48
     for rows in (1, 8, 61):
-        _assert_rule_rows(homotopy._rule_rows(c, rows), c, rows, 20000, 1e-8)
+        _assert_rule_rows(homotopy._rule_rows(c, rows, 0, rows), c, rows, 20000, 1e-8)
     # a constant c spaces the rows equally, and D -> 0 meets the D = 0 limit
-    plain = homotopy._rule_rows(special, 16)
+    plain = homotopy._rule_rows(special, 16, 0, 16)
     assert np.max(np.abs(plain[:, 6] - np.arange(1, 17) / 16)) < 1e-15
     assert np.max(np.abs(plain[:, 3:5] - plain[:, 2:3])) < 1e-11
 
@@ -1421,7 +1421,7 @@ def test_verifier_fails_a_recipe_in_the_gelfand_ideal():
     forged = _forge(sheet, phases=phases)
     assert np.abs(homotopy.level_unitaries(forged.levels[0])[4] + np.eye(2)).max() < 1e-15
     rows = sheet.levels[0].rows[0]
-    s = homotopy._rule_rows(np.array([[1.0], [-4.0], [4.0]]), rows)[:, 0]
+    s = homotopy._rule_rows(np.array([[1.0], [-4.0], [4.0]]), rows, 0, rows)[:, 0]
     assert list(s) == [0.0] * (rows // 2) + [1.0] * (rows - rows // 2)
     assert np.isfinite(cells(forged, loop)).all()
     # its document reads back as the recipe, with the same verdict
@@ -1457,11 +1457,18 @@ def test_each_stage_block_comes_with_its_own_pencil_traces(name):
     # the whole sheet's cells (_stage_inputs), bit for bit: a block paired
     # with another stage's traces fails here, whichever stage holds the
     # safety minimum
+    # whichever of its chunks of rows it comes with
     loop, sheet = _contracted(name)
-    yielded = [c for _, c, _ in homotopy.sheet_blocks(sheet, loop)][1:]
+    yielded, chunks = [], 0  # each stage and its traces, once
+    for stage, c, _ in list(homotopy.sheet_blocks(sheet, loop))[1:]:
+        chunks += 1
+        if yielded and stage is yielded[-1][0]:
+            assert c is yielded[-1][1]
+        else:
+            yielded.append((stage, c))
     inputs = list(_stage_inputs(sheet, loop))
-    assert len(yielded) == len(inputs) == 2 * (loop.n - 1)
-    for c, (ops, _, rhos) in zip(yielded, inputs):
+    assert len(yielded) == len(inputs) == 2 * (loop.n - 1) < chunks
+    for (_, c), (ops, _, rhos) in zip(yielded, inputs):
         assert np.array_equal(c, pencil(ops, pack_hermitian(rhos))[1])
 
 
@@ -1715,8 +1722,9 @@ def test_every_distance_matches_an_exact_scan(name, monkeypatch):
     sheet = contract_loop(loop)
     report = verify_homotopy(sheet, loop, loop.modulus)
     tols = homotopy.BASEPOINT_TOL, homotopy.CELL_TOL
-    # each basepoint check, the verifier's edge columns at each block and its final row
-    assert sorted(set(thresholds)) == sorted(tols) and thresholds.count(tols[1]) == 2 * len(sheet.levels) + 2
+    # each basepoint check, the verifier's edge columns at each chunk of rows and its final row
+    chunks = sum(1 for _ in homotopy.sheet_blocks(sheet, loop))
+    assert sorted(set(thresholds)) == sorted(tols) and thresholds.count(tols[1]) == chunks + 1
     monkeypatch.setattr(homotopy, "_masked_steps", _exact_masked_steps)
     exact_loop = make()
     assert exact_loop.max_step == loop.max_step
@@ -1949,7 +1957,7 @@ def test_the_row_probe_gives_the_block_probes_rows_where_its_bounds_are_inconclu
     monkeypatch.setattr(homotopy, "_hermitian_trace_norm", lambda x: exact.append(x.shape[-1]) or norms(x))
     for p, c in pencils:
         rows = 12
-        block = homotopy._rule_block(p, c, rows)
+        block = rule_block(p, c, rows)
         largest = norms(np.concatenate([block[:, :1] - p[0][:, None], block[:, 1:] - block[:, :-1]], axis=1)).max()
         for scale, grows in ((1 + 1e-13, False), (1 - 1e-13, True), (0.6, True), (10.0, False)):
             exact.clear()
@@ -1962,22 +1970,29 @@ def test_the_row_probe_gives_the_block_probes_rows_where_its_bounds_are_inconclu
 
 def test_gram_step_bounds_hold_for_the_computed_cells(monkeypatch):
     # the probe's upper bounds on ‖Δ‖_F² of every step, on seed 2's stage
-    # pencils and forged ones, hold for the steps of the cells _stage_rows
-    # computes, the first from the stage's input R0, and exceed them by
-    # little; and the exact norms the probe takes are the block's, bit for
-    # bit
+    # pencils and forged ones, taken in chunks of rows 0-5, 6 and 7-14,
+    # each from the row before it, hold for the steps of the cells
+    # _stage_rows computes, the first from the stage's input R0, and exceed
+    # them by little; and the exact norms the probe takes are the block's,
+    # bit for bit
     pencils = [args[:2] for args, _ in _recorded_probes(random_based_loop(3, 2, 700), monkeypatch)]
     pencils += list(_forged_pencils())
     for p, c in pencils:
-        s = homotopy._rule_rows(c, 15)
-        (lower, upper), tr, b, exact = homotopy._gram_steps(p, c, s)
-        block = homotopy._stage_rows(p, c, s)
+        steps, before, parts = homotopy._gram_steps(p, c), None, []
+        for lo, hi in ((0, 6), (6, 7), (7, 15)):
+            s = homotopy._rule_rows(c, 15, lo, hi)
+            (lower, upper), tr, b, exact = steps(s, before)
+            assert lower == tr == 0.0
+            parts.append((upper, exact(np.ones(upper.shape, dtype=bool))))
+            before = s[-1]
+        upper = np.concatenate([upper for upper, _ in parts])
+        block = rule_block(p, c, 15)
         d = np.concatenate([block[:, :1] - p[0][:, None], block[:, 1:] - block[:, :-1]], axis=1)
         f2 = (d[:b] ** 2).sum(axis=0) + 2 * (d[b:] ** 2).sum(axis=0)
-        assert lower == tr == 0.0 and (f2 <= upper).all()
+        assert (f2 <= upper).all()
         assert (np.sqrt(upper) <= np.sqrt(f2) * (1 + 1e-4) + 1e-7).all()
-        everywhere = np.ones(f2.shape, dtype=bool)
-        assert exact(everywhere).tobytes() == linalg._hermitian_trace_norm(d).ravel().tobytes()
+        exact = np.concatenate([norms.reshape(-1, f2.shape[1]) for _, norms in parts])
+        assert exact.tobytes() == linalg._hermitian_trace_norm(d).tobytes()
 
 
 def test_a_contraction_forms_no_stage_block(monkeypatch):
@@ -2036,7 +2051,7 @@ def test_negativity_bound_covers_the_rounding_of_the_cells():
             bound = homotopy._negativity_bound(np.zeros(60), homotopy._norm2_bound(homotopy._unitarity_defect(a), b),
                                                c, low, b)
             assert (bound * low < 1e-12)[keep].all()  # the rounding term, not a bound that clears nothing
-            x = homotopy._stage_rows(p, c, homotopy._rule_rows(c, 9))
+            x = homotopy._stage_rows(p, c, homotopy._rule_rows(c, 9, 0, 9))
             for k, t in zip(*np.nonzero(np.broadcast_to(keep, x.shape[1:]))):
                 assert exactly_above(x[:, k, t], bound[t])
                 below_zero += not exactly_above(x[:, k, t], 0.0)
@@ -2095,7 +2110,7 @@ def test_contraction_matches_the_eigvalsh_oracle(name, monkeypatch):
 @pytest.mark.parametrize("name", ["pure", "plateau", "seed2", "seed7", "n4"])
 def test_packed_prepass_matches_the_matrix_prepass(name):
     # the blocks of the contractor's probe, which are the sheet's cells,
-    # evaluated on the pencil's packed layout (_rule_block), against the
+    # evaluated on the pencil's packed layout (rule_block), against the
     # same arithmetic on the complex pencil's real and imaginary parts at
     # the rule's rows, (R0 + s (R1 + s R2)) / (c0 + s (c1 + s c2)) with
     # the pencil's traces, the sums of its diagonals: equal bit for bit, on
@@ -2111,7 +2126,7 @@ def test_packed_prepass_matches_the_matrix_prepass(name):
         p0, p1, p2 = r.view(np.float64)[:, None]
         x = s[..., None, None]
         want = (p0 + x * (p1 + x * p2)) / (c0 + s * (c1 + s * c2))[..., None, None]
-        got = linalg.unpack_hermitian(homotopy._rule_block(p, c, len(s)))
+        got = linalg.unpack_hermitian(rule_block(p, c, len(s)))
         assert np.array_equal(got, want.view(np.complex128))
         blocks.add(rhos.shape[-1])
     assert blocks == set(range(2, sheet.n + 1))
@@ -2138,8 +2153,11 @@ def test_verifier_reports_negative_cells_as_eigvalsh_does(monkeypatch):
     scanned, scan = [], homotopy._hermitian_min_eigenvalues
     monkeypatch.setattr(homotopy, "_hermitian_min_eigenvalues", lambda x: scanned.append(x.shape[1:]) or scan(x))
     report = verify_homotopy(sheet, forged, loop.modulus)
-    # row 0 whole; column 300 in every stage, 301 once its bound passes 1e-8
-    assert scanned == [(1, 701), (34, 1), (10, 2), (8, 2), (8, 2)]
+    # row 0 whole; column 300 in every stage, 301 once its bound passes
+    # 1e-8, each stage a chunk of at most 20 rows at a time (CHUNK_ENTRIES),
+    # so the 34 rows of level 0's unitary stage in two
+    assert homotopy.CHUNK_ENTRIES // (9 * 701) == 20
+    assert scanned == [(1, 701), (20, 1), (14, 1), (10, 2), (8, 2), (8, 2)]
 
     def eigvalsh_scan(x):  # a stage block, packed
         return np.linalg.eigvalsh(linalg.unpack_hermitian(x)).min(axis=-1)
@@ -2324,6 +2342,8 @@ def test_rule_and_stage_rows_are_the_expressions_bit_for_bit(name):
         odd_p[1, 0, 3], odd_p[2, 1, 4] = np.nan, np.inf
         for p, c in ((p, c), (np.concatenate([p, odd_p], axis=2), np.concatenate([c, odd_c], axis=1))):
             for rows in (1, 9):
-                s = homotopy._rule_rows(c, rows)
+                s = homotopy._rule_rows(c, rows, 0, rows)
                 assert s.tobytes() == _rule_rows_reference(c, rows).tobytes()
+                chunks = [homotopy._rule_rows(c, rows, lo, min(lo + 4, rows)) for lo in range(0, rows, 4)]
+                assert np.concatenate(chunks).tobytes() == s.tobytes()
                 assert homotopy._stage_rows(p, c, s).tobytes() == _stage_rows_reference(p, c, s).tobytes()
