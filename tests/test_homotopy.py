@@ -1379,6 +1379,16 @@ def _forge_transports(monkeypatch, edit):
     monkeypatch.setattr(homotopy, "_transport_unitaries", forged)
 
 
+def _under_chunks(monkeypatch, run):
+    """run() with CHUNK_ENTRIES at 1, one row a chunk, and at 2**40, one
+    chunk a stage."""
+    out = []
+    for chunk in (1, 2**40):
+        monkeypatch.setattr(homotopy, "CHUNK_ENTRIES", chunk, raising=False)
+        out.append(run())
+    return out
+
+
 @pytest.mark.parametrize(
     "stage_index, forge, kind, at",
     [
@@ -1405,6 +1415,8 @@ def test_verifier_flags_forged_recipes(stage_index, forge, kind, at, monkeypatch
     assert not report.passed
     assert {v[0] for v in report.violations} == {kind}
     assert [v[1] for v in report.violations] == [(0, stage_index, t) for t in at]
+    # the recipe is checked once a stage, whichever chunks its rows come in
+    assert _under_chunks(monkeypatch, lambda: verify_homotopy(forged, loop, modulus=1e-9)) == [report] * 2
 
 
 def test_verifier_fails_a_recipe_in_the_gelfand_ideal():
@@ -1438,6 +1450,7 @@ def test_verifier_flags_a_scaled_unitary_on_a_moving_loop(pure_sheet, monkeypatc
     _forge_transports(monkeypatch, lambda u: u.__setitem__(200, 1.01 * u[200]))
     report = verify_homotopy(pure_sheet, loop, modulus=loop.modulus)
     assert [v[:2] for v in report.violations] == [("not-unitary", (0, 0, 200))]
+    assert _under_chunks(monkeypatch, lambda: verify_homotopy(pure_sheet, loop, loop.modulus)) == [report] * 2
 
 
 def test_verifier_reports_the_safety_minimum():
@@ -1589,16 +1602,6 @@ def test_an_exact_tie_in_a_stage_goes_to_its_s_step(chunk, monkeypatch):
     assert [v[1:3] for v in report.violations if v[0] == "step-modulus"] == [((4, 5), 4 * u)]
 
 
-def _under_chunks(monkeypatch, run):
-    """run() with CHUNK_ENTRIES at 1, one row a chunk, and at 2**40, one
-    chunk a stage."""
-    out = []
-    for chunk in (1, 2**40):
-        monkeypatch.setattr(homotopy, "CHUNK_ENTRIES", chunk, raising=False)
-        out.append(run())
-    return out
-
-
 @pytest.mark.parametrize("name", ["seed2", "plateau", "pure"])
 def test_chunks_change_no_cell_sheet_or_report(name, monkeypatch, tmp_path):
     # the contraction's rows, so its sheet document, the expanded cells bit
@@ -1617,37 +1620,6 @@ def test_chunks_change_no_cell_sheet_or_report(name, monkeypatch, tmp_path):
 
     one_row, one_stage = _under_chunks(monkeypatch, run)
     assert one_row == one_stage
-
-
-def _moving_pure_recipe(monkeypatch):
-    """The pure loop's recipe, with U_200 scaled by 1.01 as the verifier rebuilds it."""
-    loop = bundled_pure_loop()
-    sheet = contract_loop(loop)
-    _forge_transports(monkeypatch, lambda u: u.__setitem__(200, 1.01 * u[200]))
-    return loop, sheet
-
-
-def _forged_constant_recipe(forge):
-    def make(monkeypatch):
-        loop = constant_loop(2, 10)
-        return loop, forge(monkeypatch, contract_loop(loop))
-    return make
-
-
-@pytest.mark.parametrize(
-    "make",
-    [_forged_constant_recipe(lambda mp, sheet: _forge_transports(
-        mp, lambda u: u.__setitem__(4, np.diag([1.0, 2.0]))) or sheet),
-     _forged_constant_recipe(lambda mp, sheet: _forge(  # A_4 = -1, in the Gelfand ideal
-         sheet, phases=_set(sheet.levels[0].phases, 4, homotopy.U_DEN // 2))),
-     _moving_pure_recipe],
-    ids=["non-unitary", "minus-one", "scaled-unitary"],
-)
-def test_chunks_change_no_report_on_forged_recipes(make, monkeypatch):
-    loop, sheet = make(monkeypatch)
-    one_row, one_stage = _under_chunks(monkeypatch, lambda: verify_homotopy(sheet, loop, loop.modulus))
-    assert one_row == one_stage
-    assert not one_row.passed
 
 
 def test_chunks_change_no_report_on_forged_cells(monkeypatch):
