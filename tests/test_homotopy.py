@@ -1469,8 +1469,8 @@ def test_each_stage_block_comes_with_its_own_pencil_traces(name):
     # those of the pencil on that stage's input, chained independently from
     # the whole sheet's cells (_stage_inputs), bit for bit: a block paired
     # with another stage's traces fails here, whichever stage holds the
-    # safety minimum
-    # whichever of its chunks of rows it comes with
+    # safety minimum; every chunk of a stage's rows comes with the same
+    # traces
     loop, sheet = _contracted(name)
     yielded, chunks = [], 0  # each stage and its traces, once
     for stage, c, _ in list(homotopy.sheet_blocks(sheet, loop))[1:]:
