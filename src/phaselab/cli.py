@@ -11,6 +11,7 @@ and every one of them changes what the command computes or writes.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -50,6 +51,7 @@ CONFIG_KEYS = {
 }
 
 
+@functools.lru_cache(maxsize=None)  # built on the first call, not at import; each parse makes a new namespace
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="phaselab")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -351,6 +351,10 @@ def disk_phase_lift(gamma: np.ndarray) -> np.ndarray:
     shrinking linearly to 0 on the boundary circle. This keeps
     1 + Re(lambda*gamma) uniformly positive, so linear unitary
     interpolations never approach the Gelfand ideal.
+    It checks its input alone, a path in the closed disk (to 1e-9) with
+    steps under 0.1, which is all it needs: a rotation turns lambda by at
+    most |angle| - pi (1 - r) <= pi r < pi, and on the boundary
+    lambda*gamma = |gamma|, within 1e-9 of 1.
     """
     g = np.asarray(gamma, dtype=np.complex128).ravel()
     if g.shape[0] < 2:
@@ -375,17 +379,7 @@ def disk_phase_lift(gamma: np.ndarray) -> np.ndarray:
                 if abs(ang) > wedge:
                     prev = prev * cmath.exp(-1j * (ang - math.copysign(wedge, ang)))
         lam.append(prev)
-    lam = np.array(lam)
-
-    phase_steps = np.abs(np.angle(lam[1:] / lam[:-1]))
-    if phase_steps.max(initial=0.0) >= np.pi:
-        raise ValueError("phase lift produced a step >= pi; sampling too coarse")
-    on_boundary = np.abs(g) >= BOUNDARY_RADIUS
-    if on_boundary.any():
-        defect = np.max(np.abs(lam[on_boundary] * g[on_boundary] - 1.0))
-        if defect > 1e-8:
-            raise RuntimeError(f"phase lift misaligned on the boundary: {defect:.2e}")
-    return lam
+    return np.array(lam)
 
 
 def _transport_vectors(rhos: np.ndarray) -> tuple[tuple, np.ndarray]:
@@ -665,28 +659,26 @@ def _rectify(x: np.ndarray, target: float, admit):
 
     Eigenvector-transport unitaries come first: the continued top
     eigenvectors are rounded to multiples of 1 / U_DEN, and the unitaries
-    built from them (_transport_unitaries), each checked unitary before the
-    disk phase lift of t -> omega_t(U_t) = tr(rho_t U_t) that keeps the
-    unitary interpolation outside every Gelfand ideal; each lifted phase
-    lambda_t is rounded to a multiple of 2 pi / U_DEN, and A_t = lambda_t
-    U_t (_lifted). The level keeps the rounded vectors and phases, from
-    which every expansion rebuilds A_t bit for bit. Then one pass makes the
-    level's two stages, the linear interpolations with s lambda_t U_t and
-    with s P^b_1, each from its one pencil on the packed stage input: its
-    exact safety minimum over s in [0, 1] must clear SAFETY_FLOOR in every
-    column; its last row, at s = 1 as the expansion builds it
-    (_stage_rows), measures the stage's movement and is the next stage's
-    input; its rows step by about `target`, from its movement (_rows_for),
-    and pass through admit, which may refuse them, before they are probed
-    (_grown_rows), and again as the probe leaves them.
+    built from them (_transport_unitaries), whose unitarity the verifier
+    judges, take the disk phase lift of t -> omega_t(U_t) = tr(rho_t U_t),
+    clipped onto the closed disk, that keeps the unitary interpolation
+    outside every Gelfand ideal; each lifted phase lambda_t is rounded to
+    a multiple of 2 pi / U_DEN, and A_t = lambda_t U_t (_lifted). The
+    level keeps the rounded vectors and phases, from which every expansion
+    rebuilds A_t bit for bit. Then one pass makes the level's two stages,
+    the linear interpolations with s lambda_t U_t and with s P^b_1, each
+    from its one pencil on the packed stage input: its exact safety
+    minimum over s in [0, 1] must clear SAFETY_FLOOR in every column; its
+    last row, at s = 1 as the expansion builds it (_stage_rows), measures
+    the stage's movement and is the next stage's input; its rows step by
+    about `target`, from its movement (_rows_for), and pass through admit,
+    which may refuse them, before they are probed (_grown_rows), and again
+    as the probe leaves them.
     """
     rhos = unpack_hermitian(x)
     runs, vectors = _transport_vectors(rhos)
     vectors = (np.round(vectors * U_DEN) + 0.0) / U_DEN  # + 0.0: no negative zeros, as read back
     unitaries = _transport_unitaries(runs, vectors)
-    # before the phase lift, whose path a non-unitary transport can break
-    if not (_unitarity_defect(unitaries) <= OPERATOR_TOL).all():
-        raise ValueError("not a unitary")
     gamma = np.einsum("tij,tji->t", rhos, unitaries)
     gamma = gamma / np.maximum(np.abs(gamma), 1.0)  # onto the closed disk; a rounded x_0 = 0 gives 0
     phases = np.round(np.angle(disk_phase_lift(gamma)) * (U_DEN / (2.0 * np.pi))).astype(np.int64)
@@ -787,6 +779,8 @@ def contract_loop(loop: StateLoop) -> HomotopySheet:
     they are probed, and with the rows the probe leaves. A sheet's count
     grows with its stage of most rows alone (_held_bytes), so checking
     each stage's rows as they come checks every recipe they can make.
+    Beyond the budget it refuses only what it cannot build from; the
+    verifier alone judges a level's input states and operators.
     """
     n, t_count = loop.n, loop.n_samples
 
@@ -800,11 +794,8 @@ def contract_loop(loop: StateLoop) -> HomotopySheet:
     for b in range(n, 1, -1):  # the corner block algebra M_b of each level
         if b < n:
             x = _compress(x, b)
-            validate_densities(unpack_hermitian(x))
-            _check_based(x)
         level, x = _rectify(x, loop.modulus / 2, admit)
         levels.append(level)
-        _check_based(x)
     return HomotopySheet(n, levels)
 
 

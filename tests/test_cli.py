@@ -557,6 +557,39 @@ def test_supernatural_command(capsys):
     assert report["homotopy_table"][0] == {"k": 1, "unitary": "Q(a)", "isotropy": "Z x Q(a)"}
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["invariant", "--grid", "8x16", "--no-timestamp"],
+     ["supernatural", "--type", "2,6", "--contains", "1/3", "--no-timestamp"],
+     ["invariant", "--bogus"]],
+    ids=["invariant", "supernatural", "usage-error"],
+)
+def test_in_process_calls_share_one_parser_and_print_the_same_bytes(capfd, argv):
+    # the parser is built once a process, and a second call with the same
+    # argv prints what the first did
+    from phaselab.cli import build_parser
+
+    outputs = []
+    for _ in range(2):
+        code = main(list(argv))
+        outputs.append((code, capfd.readouterr()))
+    assert outputs[0] == outputs[1] and outputs[0][1].out + outputs[0][1].err
+    assert build_parser() is build_parser()
+
+
+def test_an_appended_flag_does_not_leak_into_the_next_call(capsys):
+    # argparse appends to a copy of the --contains default, so the cached
+    # parser's default stays empty and one call's values stay its own
+    from phaselab.cli import build_parser
+
+    code, report = run(capsys, "supernatural", "--type", "2", "--tail-ratio", "2", "--contains", "1/4",
+                       "--no-timestamp")
+    assert code == 0 and report["q_contains"] == {"1/4": True}
+    code, report = run(capsys, "supernatural", "--type", "2", "--tail-ratio", "2", "--no-timestamp")
+    assert code == 0 and report["q_contains"] == {}
+    assert build_parser().parse_args(["supernatural", "--type", "2"]).contains == []
+
+
 def test_supernatural_bad_input(capsys):
     assert main(["supernatural", "--type", "2,5"]) == 3
     # a tail ratio for the second tower is an input error without that tower

@@ -14,6 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from phaselab import homotopy, linalg, serialize, states
+from phaselab.cli import main
 from phaselab.homotopy import (
     SAFETY_FLOOR,
     HomotopySheet,
@@ -271,6 +272,53 @@ def test_disk_phase_lift_rejects_coarse_paths():
         disk_phase_lift(np.array([1.0, -1.0, 1.0, -1.0], dtype=complex))
 
 
+def _admissible_paths(rng, count: int):
+    """`count` seeded paths that disk_phase_lift admits, in the closed disk
+    (to 1e-9) with steps under 0.1, in turn: random walks kept in the disk
+    (the projection onto it shortens no step), paths along the boundary
+    circle, lines through the origin that sample it, paths on the radii
+    1 - 1e-9, BOUNDARY_RADIUS, 1 and 1 + 1e-9 and just inside the first,
+    and dashes from deep inside out to the boundary and back."""
+    edge = homotopy.BOUNDARY_RADIUS
+    # 1 + 1e-9 times a unit phase can round past the lift's bound, so 1 + 0.99e-9 stands for it
+    radii = np.array([edge, 1.0 - 1e-9, np.nextafter(edge, 0.0), 1.0, 1.0 + 0.99e-9])
+    for i in range(count):
+        m = int(rng.integers(2, 200))
+        turns = rng.uniform(-0.099, 0.099, m)
+        kind = i % 5
+        if kind == 0:
+            g = [np.sqrt(rng.random()) * np.exp(2j * np.pi * rng.random())]
+            for d in 0.099 * rng.random(m - 1) * np.exp(2j * np.pi * rng.random(m - 1)):
+                w = g[-1] + d
+                g.append(w / max(abs(w), 1.0))
+        elif kind == 1:
+            g = np.exp(1j * np.cumsum(turns))
+        elif kind == 2:  # an odd count, so that the middle sample is 0
+            g = np.linspace(-1.0, 1.0, 2 * (m // 2) + 23) * rng.uniform(0.0, 1.0) * np.exp(1j * turns[0] * 30)
+        elif kind == 3:
+            g = rng.choice(radii, m) * np.exp(1j * np.cumsum(turns))
+        else:  # radially out at nearly the largest step, along the circle, and back in
+            r = np.minimum(rng.uniform(0.0, 0.5) + 0.095 * np.minimum(np.arange(m), np.arange(m)[::-1]), 1.0)
+            g = r * np.exp(1j * np.cumsum(turns / 4))
+        yield np.asarray(g, dtype=np.complex128)
+
+
+def test_disk_phase_lift_keeps_its_guarantees_on_admissible_paths():
+    # the lift checks its input alone: on a path in the closed disk with
+    # steps under 0.1, no lambda step reaches pi (a rotation turns it by at
+    # most |angle| - pi (1 - r) <= pi r) and lambda*gamma = |gamma| on the
+    # boundary, within 1e-9 of 1
+    rng, boundary = np.random.default_rng(48), 0
+    for g in _admissible_paths(rng, 4000):
+        assert np.abs(g).max() <= 1.0 + 1e-9 and np.abs(np.diff(g)).max(initial=0.0) < 0.1
+        lam = disk_phase_lift(g)
+        assert np.abs(np.angle(lam[1:] / lam[:-1])).max(initial=0.0) < np.pi
+        on = np.abs(g) >= homotopy.BOUNDARY_RADIUS
+        assert np.abs(lam[on] * g[on] - 1.0).max(initial=0.0) <= 1e-8
+        boundary += int(on.sum())
+    assert boundary > 100_000
+
+
 def test_safety_min():
     base = basis_state(2).rho
     value, s = safety_min(pencil(projection_matrix(2, 1), pack_hermitian(base))[1])
@@ -416,16 +464,81 @@ def test_formerly_failing_seeds_contract_and_verify(seed):
     assert verify_homotopy(sheet, loop, loop.modulus).passed
 
 
-def test_unitarity_is_checked_before_the_phase_lift(monkeypatch):
-    # a transport that is not unitary is refused before the phase lift,
-    # whose path it can break: the failure names the transport. No vectors
-    # make one, so the rebuild is patched
+def test_the_verifier_judges_a_non_unitary_rebuild(monkeypatch, tmp_path, capsys):
+    # the contractor does not judge its transports: γ is clipped onto the
+    # disk before the phase lift, so a transport that is not unitary still
+    # makes a recipe, and the verifier, which rebuilds the same A_t
+    # (level_unitaries), fails it as "not-unitary" at every column of both
+    # unitary stages, and for nothing else. No vectors make such a
+    # transport, so the rebuild is patched
     transport = homotopy._transport_unitaries
     monkeypatch.setattr(homotopy, "_transport_unitaries",
                         lambda runs, vectors: 1.01 * transport(runs, vectors))
-    monkeypatch.setattr(homotopy, "disk_phase_lift", None)  # not reached
-    with pytest.raises(ValueError, match="^not a unitary$"):
-        contract_loop(random_based_loop(3, 2, 700))
+    loop = random_based_loop(3, 2, 700)
+    report = verify_homotopy(contract_loop(loop), loop, loop.modulus)
+    kinds = {kind for kind, *_ in report.violations}
+    assert kinds == {"not-unitary"} and len(report.violations) == 2 * loop.n_samples == 1402
+    path = tmp_path / "loop.json"
+    serialize.write_doc(str(path), serialize.loop_to_doc(loop))
+    assert main(["contract-loop", str(path), "--no-timestamp"]) == 2
+    listed = json.loads(capsys.readouterr().out)["verifier"]["violations"]
+    assert len(listed) == 32 and {v["kind"] for v in listed} == {"not-unitary"}
+
+
+def _plateau_variant(delta: float) -> StateLoop:
+    """bundled_plateau_loop with its mixed state replaced by (0.55 + δ)|a><a|
+    + 0.45|e_2><e_2| - δ|b><b|, everything else as there: a loop of states
+    for δ up to states.STATE_EIG_TOL, whose λmin is -δ."""
+    e = np.eye(3, dtype=np.complex128)
+
+    def pure(v):
+        v = v / np.linalg.norm(v)
+        return np.outer(v, v.conj())
+
+    def rotation(th):  # by th in the (e0, e1) plane
+        r = np.eye(3, dtype=np.complex128)
+        r[:2, :2] = [[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]]
+        return r
+
+    a = np.cos(0.4 * np.pi) * e[0] + np.sin(0.4 * np.pi) * e[1]
+    b = -np.sin(0.4 * np.pi) * e[0] + np.cos(0.4 * np.pi) * e[1]
+    mixed = (0.55 + delta) * pure(a) + 0.45 * pure(e[2]) - delta * pure(b)
+    r_end = rotation(0.3 * np.pi)
+    mixed_r, a_r = r_end @ mixed @ r_end.conj().T, r_end @ a
+    ang = np.arctan2(a_r[1].real, a_r[0].real)
+
+    def rho_at(t: float) -> np.ndarray:
+        if t < 0.25:
+            return pure(np.cos(0.4 * np.pi * t * 4) * e[0] + np.sin(0.4 * np.pi * t * 4) * e[1])
+        if t < 0.40:
+            u = (t - 0.25) / 0.15
+            return (1 - u) * pure(a) + u * mixed
+        if t < 0.60:
+            r = rotation(0.3 * np.pi * ((t - 0.40) / 0.20))
+            return r @ mixed @ r.conj().T
+        if t < 0.75:
+            u = (t - 0.60) / 0.15
+            return (1 - u) * mixed_r + u * pure(a_r)
+        u = (t - 0.75) / 0.25
+        return pure(np.cos(ang * (1 - u)) * e[0] + np.sin(ang * (1 - u)) * e[1])
+
+    return StateLoop(3, np.array([homotopy._snap(rho_at(t)) for t in np.linspace(0.0, 1.0, 901)]))
+
+
+@pytest.mark.parametrize("delta", [9e-11, 5e-11])
+def test_a_loop_of_states_the_verifier_certifies_is_contracted(delta, tmp_path, capsys):
+    # the loop's tolerated negativity, divided by a corner trace under 1
+    # at level 0's projection stage, passes -1e-10 in level 1's input: a
+    # contractor that validated each level's input as states refused the
+    # loop at δ = 9e-11 (exit 3), where the verifier, judging the same
+    # cells at CELL_TOL, certifies its contraction
+    loop = _plateau_variant(delta)
+    assert -delta * 1.001 < linalg._hermitian_min_eigenvalues(loop.x).min() < -delta * 0.999
+    path, out = tmp_path / "loop.json", tmp_path / "report.json"
+    serialize.write_doc(str(path), serialize.loop_to_doc(loop))
+    assert main(["contract-loop", str(path), "--out", str(out), "--no-timestamp"]) == 0
+    verdict = serialize.read_doc(str(out))["verifier"]
+    assert verdict["passed"] and verdict["violations"] == [] and verdict["shape"] == [88, 901]
 
 
 def _unitaries_with_spectrum(rng, angles, count):
@@ -1736,9 +1849,8 @@ def test_contract_loop_takes_lapack_only_on_fallback(monkeypatch):
     # entry off by an ulp; how many is a draw of the last stage's
     # rounding) have √3‖Δ‖_F under CELL_TOL, so the verifier takes no
     # exact norm of them.
-    # Positivity takes eigvalsh on two stacks of the 701 states: the
-    # contractor's validation of level 1's input and the verifier's row 0.
-    # No stage cell takes it: every column's bound on its cells'
+    # Positivity takes eigvalsh on one stack of the 701 states, the
+    # verifier's row 0. No stage cell takes it: every column's bound on its cells'
     # negativity clears CELL_TOL (_negativity_bound).
     loop = random_based_loop(3, 2, 700)
     counts = {"step": [0, 0], "positivity": [0, 0]}  # matrices, to eigvalsh
@@ -1782,8 +1894,8 @@ def test_contract_loop_takes_lapack_only_on_fallback(monkeypatch):
     assert 0 < matrices < 0.12 * ((rows - 1) * columns + rows * (columns - 1))
     assert lapack == 0
     # the basepoint checks validate no state
-    assert [size for key, size in stacks if key == "positivity"] == [columns, columns]
-    assert counts["positivity"] == [2 * columns, 2 * columns]
+    assert [size for key, size in stacks if key == "positivity"] == [columns]
+    assert counts["positivity"] == [columns, columns]
     final = cells(sheet, loop)[-1] - basis_state(3).rho
     assert np.sqrt(3) * np.linalg.norm(final, axis=(1, 2)).max() < homotopy.CELL_TOL
     homotopy._hermitian_trace_norm(pack_hermitian(final))  # the exact norms that the bound spares the verifier
