@@ -398,4 +398,4 @@ def ring_degree(rings: np.ndarray, n_phi: int) -> PlaquetteDegree:
     split = flux * (2.0**27 + 1)  # Veltkamp's split: flux = high + low, 26 bits each
     high = split - (split - flux)
     parts = np.concatenate([n_phi * high, n_phi * (flux - high), caps])
-    return _gated_degree((link_theta, link_phi), flux, caps, math.fsum(parts.tolist()))
+    return _gated_degree((link_theta, link_phi), flux, caps, math.fsum(memoryview(parts)))  # a float at a time

@@ -60,11 +60,11 @@ MAX_DENSE_BYTES = 2**24
 # rings are one batch.
 SWEEP_POINTS = 512
 # The sweep holds O(K) memory: the K rings and the Bloch rings, the ray
-# agreement's products, and ring_degree's links, fluxes and the Python
-# floats that math.fsum sums; M sets only ring_degree's n_phi. Its
-# tracemalloc peak is the larger of one window batch's arrays (about 1 MiB,
-# freed before the degrees) and 224-230 bytes a ring: at N = 2 and 4, M = 3,
-# on K = 8,192 to 262,144, and 224 MiB at K = 2^20. ModelConfig refuses a
+# agreement's products, and ring_degree's links, fluxes and their parts, which
+# math.fsum reads as Python floats one at a time; M sets only ring_degree's
+# n_phi. Its tracemalloc peak is the larger of one window batch's arrays
+# (about 1 MiB, freed before the degrees) and 176-177 bytes a ring: at N = 2,
+# M = 3, 44.2 MiB at K = 2^18 and 176 MiB at K = 2^20. ModelConfig refuses a
 # grid whose RING_BYTES a ring exceed MAX_GRID_BYTES, K > 2^20, or whose M
 # exceeds cech.MAX_AZIMUTHS. A 2^20 x 3 run takes 2.7-3.1 s whole process
 # (one BLAS thread, 2 cores), with degree 1 and a passing verdict.

@@ -15,11 +15,11 @@ its two stages, A_t = lambda_t U_t's and the corner projection P^b_1's.
 A_t is rebuilt from them where its stage is evaluated (level_unitaries),
 and a stage's s rows from each column's pencil (_rule_rows). Its cells
 are evaluated on the loop it is given, row 0, a stage at a time and a
-chunk of the stage's rows at a time (sheet_blocks, CHUNK_ENTRIES), and
-the verifier checks each chunk, and the traces of the one pencil that
-made its stage, as it comes; from those traces it bounds each column's
-negativity, so that only the columns the bound does not clear take the
-positivity scan.
+chunk of the stage's rows at a time, at the stage's own size (sheet_blocks,
+CHUNK_ENTRIES), and the verifier checks each chunk, and the traces of the
+one pencil that made its stage, as it comes; from those traces it bounds
+each column's negativity, so that only the columns the bound does not clear
+take the positivity scan.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ MIN_ROWS = 8
 U_DEN = 2**20
 # Bytes a sheet may hold (_held_bytes): its recipe and BLOCK_COPIES blocks
 # of complex cells of its stage of most rows, an upper bound. A stage is
-# held a chunk of packed rows at a time (CHUNK_ENTRIES), and beyond the
+# held a chunk of b x b packed rows at a time (CHUNK_ENTRIES), beyond the
 # recipe tracemalloc reads a contraction at 0.15 to 2.6 blocks and a
 # verification at 0.14 to 2.4 (random loops, n = 2 to 10, 201 to 901
 # samples), falling as the blocks outgrow a chunk: 0.14 to 0.35 for blocks
@@ -75,8 +75,8 @@ U_DEN = 2**20
 # tracemalloc's fixed overhead can exceed it (constant_loop(2, 16) reads
 # 4.0 blocks).
 MAX_SHEET_BYTES, BLOCK_COPIES = 2**28, 7
-# Packed entries (1 MiB of float64) in a chunk of a stage's rows, at least
-# one row: sheet_blocks, the verifier and the row probe take a chunk a time.
+# Packed entries (1 MiB of float64) in a chunk of a stage's rows on M_b, at
+# least one row: every pass over a stage takes CHUNK_ENTRIES // (b² T) rows.
 CHUNK_ENTRIES = 2**17
 
 
@@ -147,7 +147,7 @@ class Level(NamedTuple):
     """Rectification level k of a contraction recipe over T columns, on the
     corner block algebra M_b with b = n - k: a unitary stage, then a
     projection stage, act in turn on the block of the previous level's last
-    row, and their rows are zero-padded into the n x n corner. A stage of
+    row, and their b x b rows stand for their n x n zero-padding. A stage of
     `rows` rows acts on column t of its input with s A_t + (1 - s) 1 at the
     column's s rows from the rule (_rule_rows), the last at s = 1, with
     A_t = lambda_t U_t in the unitary stage, rebuilt from the level's runs,
@@ -233,9 +233,9 @@ def _held_bytes(n: int, t_count: int, rows: list) -> int:
     its 2(n - 1) stages: its recipe's vectors and phases, operators counted
     for every level, which bound the one level's that is rebuilt at a time
     (level_unitaries), the loop that a contraction and a verification hold,
-    and BLOCK_COPIES blocks of cells of its stage of most rows, which bound
-    a contraction's pencils and the cells of its row probe's exact steps
-    (_grown_rows) and a verification's block and temporaries alike."""
+    and BLOCK_COPIES blocks of n x n cells of its stage of most rows, which
+    bound a contraction's pencils, its row probe's exact steps (_grown_rows)
+    and a verification's b x b chunks and temporaries alike."""
     recipe = sum(t_count * ((b * b + b) * 16 + 8) for b in range(2, n + 1))
     held = t_count * n * n * 16 + recipe  # the loop and the recipe
     return held + BLOCK_COPIES * max(rows, default=1) * t_count * n * n * 16
@@ -726,40 +726,37 @@ def sheet_blocks(sheet: HomotopySheet, loop: StateLoop) -> Iterator[tuple]:
     """A sheet's cells on `loop`, a chunk of rows at a time, as (stage, c,
     block): `stage` the recipe stage (_stages) that made the block, one
     object for every chunk of the stage, `c` the traces of its pencil (see
-    pencil), and the block packed (linalg.pack_hermitian) as (n², rows, T),
-    at most CHUNK_ENTRIES entries and at least one row. Row 0, the loop's
-    read-only packed rows (StateLoop.x), comes first, as a block of one row
-    with no stage and no traces (None, None), then each stage's rows in
-    order. Each stage forms its pencil once, on the last row so far,
-    packed, row 0 included, and evaluates it chunk by chunk at the s rows
-    that the rule derives from the pencil's traces (_rule_rows,
-    _stage_rows); a level below M_n takes its input compressed to its
-    corner block (_compress); and a stage's b x b rows are scattered into
-    the n x n corner's packed rows (_packed_corner), zero elsewhere. Every
-    cell and operator is made here, each cell the same bit for bit however
-    the rows are chunked, so a sheet read back from its document expands
-    on its input loop to the contractor's cells bit for bit. A loop whose
-    n or T the recipe does not fit raises ValueError. Nothing here judges a
-    cell: verify_homotopy does, with the traces of the pencil that made
-    it."""
+    pencil), and the block packed (linalg.pack_hermitian) at the stage's own
+    size, (b², rows, T), b x b cells that stand for their n x n
+    zero-padding, CHUNK_ENTRIES // (b² T) rows and at least one, as
+    _grown_rows takes them. Row 0, the loop's read-only packed rows
+    (StateLoop.x), comes first, as a block (n², 1, T) with no stage and no
+    traces (None, None), then each stage's rows in order. Each stage forms
+    its pencil once, on the last row so far, packed, row 0 included, and
+    evaluates it chunk by chunk at the s rows that the rule derives from the
+    pencil's traces (_rule_rows, _stage_rows); a level below M_n takes its
+    input compressed to its corner block (_compress). Every cell and
+    operator is made here, each cell the same bit for bit however the rows
+    are chunked, so a sheet read back from its document expands on its input
+    loop to the contractor's cells bit for bit. A loop whose n or T the
+    recipe does not fit raises ValueError. Nothing here judges a cell:
+    verify_homotopy does, with the traces of the pencil that made it."""
     n, x = sheet.n, loop.x  # x: the last row so far, on its block
     if loop.rhos.shape != (sheet.shape[1], n, n):
         raise ValueError(f"a recipe on M_{n} over {sheet.shape[1]} columns does not fit {loop.rhos.shape}")
     yield None, None, x[:, None]
-    size = max(1, CHUNK_ENTRIES // x.size)  # rows a chunk
     for stage in _stages(n, sheet.levels):
         _, si, b, ops, rows = stage
         if si == 0 and b < n:
             with np.errstate(divide="ignore", invalid="ignore"):  # a zero trace is the verifier's
                 x = _compress(x, b)
         p, c = pencil(ops, x)
+        size = max(1, CHUNK_ENTRIES // x.size)  # rows a chunk, as _grown_rows takes them
         for lo in range(0, rows, size):
             block = _stage_rows(p, c, _rule_rows(c, rows, lo, min(lo + size, rows)))
             if lo + size >= rows:
                 del p  # so that the packed pencil is not held while the caller reads the last chunk
                 x = block[:, -1].copy()
-            if b < n:
-                block = _packed_corner(block, n)
             yield stage, c, block
             del block  # so that only the caller holds a chunk while the next is made
 
@@ -863,7 +860,8 @@ def verify_homotopy(sheet: HomotopySheet, input_loop: StateLoop, modulus: float)
     are Hermitian by construction, so no cell takes a Hermiticity scan:
     row 0 is the loop's packed rows (StateLoop.x), made once from its
     validated samples and read-only. Row 0 has no recipe stage before it
-    and no step from an earlier row.
+    and no step from an earlier row. Each chunk is read at its own size; the
+    s-step into a level's first row zero-pads that row by one (_packed_corner).
 
     Positivity is checked where the construction does not guarantee it.
     Row 0 takes the negative-eigenvalue scan, eigvalsh's λmin of each
@@ -883,10 +881,9 @@ def verify_homotopy(sheet: HomotopySheet, input_loop: StateLoop, modulus: float)
     (_bounded_steps), so the largest step and its cell are those of an
     exact scan of every step. An edge-column or final-row cell's distance
     from the basepoint takes its exact trace norm only where its bound
-    √n‖Δ‖_F can pass CELL_TOL (_masked_steps with no lower bound), so
+    √b‖Δ‖_F can pass CELL_TOL (_masked_steps with no lower bound), so
     every distance over CELL_TOL is reported with its exact value."""
-    n, (s_dim, t_dim) = sheet.n, sheet.shape
-    packed_base, pairs = np.eye(n * n, 1)[:, None], n * (n - 1) // 2  # the basepoint, packed
+    s_dim, t_dim = sheet.shape
     found: dict = {k: [] for k in ("non-finite", "trace", "negative-eigenvalue", "left-column", "right-column")}
     recipe = []
     step = (0.0, (0, 0))  # the largest step along s or t, at its cell, of the stages before
@@ -898,26 +895,26 @@ def verify_homotopy(sheet: HomotopySheet, input_loop: StateLoop, modulus: float)
 
     row, current = 0, None
     for stage, c, x in sheet_blocks(sheet, input_loop):
-        at = lambda s, t: (row + s, t)
+        at, b = lambda s, t: (row + s, t), math.isqrt(len(x))  # the chunk's b x b cells
         nonfinite = ~np.isfinite(x)  # each packed off-diagonal pair is two entries of the cell
-        bad = nonfinite[:n].sum(axis=0) + 2 * (nonfinite[n:n + pairs] | nonfinite[n + pairs:]).sum(axis=0)
+        bad = nonfinite[:b].sum(axis=0) + 2 * nonfinite[b:].reshape(2, -1, *x.shape[1:]).any(axis=0).sum(axis=0)
         del nonfinite
         ok = bad == 0
         found["non-finite"] += _flags("non-finite", bad, ~ok, 0.0, at)
         if not ok.all():
             x = np.where(ok, x, 0.0)
-        traces = np.abs(x[:n].sum(axis=0) - 1.0)
+        traces = np.abs(x[:b].sum(axis=0) - 1.0)
         found["trace"] += _flags("trace", traces, (traces > CELL_TOL) & ok, CELL_TOL, at)
         if stage is not current:  # a stage's first chunk: the stage before settles, and its recipe is checked
             step, held, current = max([step, *held], key=lambda v: v[0]), [(0.0, (0, 0))] * 2, stage
-            li, si, b, ops, _ = stage
+            li, si, _, ops, _ = stage
             of_stage = lambda t: (li, si, t)
             norm2 = 1.0  # ‖P^b_1‖₂², the projection stage's
             if si == 0:  # the projection stage's operator is P^b_1 by construction
                 defect = _unitarity_defect(ops)
                 recipe += _flags("not-unitary", defect, ~(defect <= OPERATOR_TOL), OPERATOR_TOL, of_stage)
                 norm2 = _norm2_bound(defect, b)
-                if b < n:  # the stage's input is the last row's corner block over its trace
+                if li:  # the stage's input is the last row's corner block over its trace
                     with np.errstate(divide="ignore", invalid="ignore"):
                         corner = prev_x[:b].sum(axis=0)
                         negativity = np.where(corner > 0.0, negativity / corner, np.inf)
@@ -933,15 +930,16 @@ def verify_homotopy(sheet: HomotopySheet, input_loop: StateLoop, modulus: float)
             neg = np.zeros(x.shape[1:])
             if scan.any():
                 neg[:, scan] = -_hermitian_min_eigenvalues(x[:, :, scan])
-            scanned(0, (x[:, 0] - prev_x)[:, None], (ok[0] & prev_ok)[None], row - 1)
+            scanned(0, ((x[:, 0] if len(x) == len(prev_x) else _packed_corner(x[:, 0], b + 1)) - prev_x)[:, None],
+                    (ok[0] & prev_ok)[None], row - 1)  # a level's first row zero-padded by one
         else:
             neg = -_hermitian_min_eigenvalues(x)
             negativity = np.maximum(neg[0], STATE_EIG_TOL)
-            negativity += POSITIVITY_MARGIN * (np.abs(x[:n, 0]).sum(axis=0) + n * negativity)
+            negativity += POSITIVITY_MARGIN * (np.abs(x[:b, 0]).sum(axis=0) + b * negativity)
         found["negative-eigenvalue"] += _flags("negative-eigenvalue", neg, neg > CELL_TOL, CELL_TOL, at)
         scanned(0, x[:, 1:] - x[:, :-1], ok[1:] & ok[:-1], row)
         scanned(1, x[:, :, 1:] - x[:, :, :-1], ok[:, 1:] & ok[:, :-1], row)
-        dev = _masked_steps(x[:, :, [0, -1]] - packed_base, ok[:, [0, -1]], CELL_TOL, lower=False)
+        dev = _masked_steps(x[:, :, [0, -1]] - np.eye(b * b, 1)[:, None], ok[:, [0, -1]], CELL_TOL, lower=False)
         for i, (col, label) in enumerate(((0, "left-column"), (t_dim - 1, "right-column"))):
             found[label] += _flags(label, dev[:, i], dev[:, i] > CELL_TOL, CELL_TOL, lambda s: (row + s, col))
         prev_x, prev_ok = x[:, -1].copy(), ok[-1]
@@ -949,7 +947,7 @@ def verify_homotopy(sheet: HomotopySheet, input_loop: StateLoop, modulus: float)
         del x
 
     violations = [v for kind in found.values() for v in kind]
-    last = _masked_steps(prev_x - packed_base[:, 0], prev_ok, CELL_TOL, lower=False)
+    last = _masked_steps(prev_x - np.eye(len(prev_x), 1), prev_ok, CELL_TOL, lower=False)
     violations += _flags("final-row", last, last > CELL_TOL, CELL_TOL, lambda t: (s_dim - 1, t))
     step = max([step, *held], key=lambda v: v[0])  # the first of the largest, as _largest takes it
     max_step = float(step[0])

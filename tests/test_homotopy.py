@@ -1715,13 +1715,14 @@ def test_an_exact_tie_in_a_stage_goes_to_its_s_step(chunk, monkeypatch):
     assert [v[1:3] for v in report.violations if v[0] == "step-modulus"] == [((4, 5), 4 * u)]
 
 
-@pytest.mark.parametrize("name", ["seed2", "plateau", "pure"])
+@pytest.mark.parametrize("name", ["seed2", "plateau", "pure", "n4s1"])
 def test_chunks_change_no_cell_sheet_or_report(name, monkeypatch, tmp_path):
     # the contraction's rows, so its sheet document, the expanded cells bit
     # for bit, and every report field, violations included, at the loop's
-    # modulus and at 0, where the largest step is a violation at its cell
+    # modulus and at 0, where the largest step is a violation at its cell;
+    # at n = 4 each level's chunks hold a different number of rows
     make = {"seed2": lambda: random_based_loop(3, 2, 700), "plateau": bundled_plateau_loop,
-            "pure": bundled_pure_loop}[name]
+            "pure": bundled_pure_loop, "n4s1": lambda: random_based_loop(4, 1, 700)}[name]
 
     def run():
         loop = make()
@@ -1764,6 +1765,62 @@ def test_chunks_change_no_report_on_forged_cells(monkeypatch):
     kinds = [v[0] for v in one_row.violations]
     for kind in ("non-finite", "trace", "negative-eigenvalue"):
         assert kinds.count(kind) >= 5
+
+
+@pytest.mark.parametrize("chunk", [None, 2 * 16 * 701], ids=["default", "two-rows-of-M4"])
+def test_sheet_blocks_hold_each_stage_at_its_own_size(chunk, monkeypatch):
+    # on an n = 4 loop row 0 is the loop's (n², 1, T), and every chunk of a
+    # stage on M_b holds its b x b cells packed, (b², r, T): a stage comes
+    # in chunks of the rows a chunk of the b²·T rule that the row probe
+    # takes (_grown_rows), r = max(1, CHUNK_ENTRIES // (b²·T)), and a last
+    # chunk of the rest. At the default CHUNK_ENTRIES every stage below M_4
+    # comes in one chunk, and at two rows of M_4 a chunk, in several
+    if chunk is not None:
+        monkeypatch.setattr(homotopy, "CHUNK_ENTRIES", chunk, raising=False)
+    loop, sheet = _contracted("n4s1")
+    t_count = loop.n_samples
+    blocks = homotopy.sheet_blocks(sheet, loop)
+    assert next(blocks)[2].shape == (16, 1, t_count)
+    chunks, sizes = {}, {}
+    for (li, si, b, _, _), _, x in blocks:
+        assert x.shape[0] == b * b and x.shape[2] == t_count
+        sizes[b] = max(1, homotopy.CHUNK_ENTRIES // (b * b * t_count))
+        chunks.setdefault((li, si, b), []).append(x.shape[1])
+    assert sizes == ({4: 11, 3: 20, 2: 46} if chunk is None else {4: 2, 3: 3, 2: 8})
+    for (li, si, b), got in chunks.items():
+        size, rows = sizes[b], sheet.levels[li].rows[si]
+        assert got == [size] * (rows // size) + [rows % size] * (rows % size > 0)
+
+
+def test_a_level_boundary_step_is_measured_on_the_zero_padded_row(monkeypatch):
+    # seed 2's first row of level 1 forged, at one column and inside its
+    # 2 x 2 corner, to F = N + 10 (N - P): P is level 0's last cell there,
+    # N level 1's second. The column is the one where ‖N - P‖₁ most exceeds
+    # N's distance from the first row's neighbouring cells, so the step F
+    # takes across the level boundary, about 11 ‖N - P‖₁, is the sheet's
+    # largest. At modulus 0 it is the one "step-modulus" violation, at the
+    # cell it leaves, valued by the trace norm of the difference of F,
+    # zero-padded to 3 x 3, from P
+    loop, sheet = _contracted("seed2")
+    last = sum(sheet.levels[0].rows)  # level 0's last row
+    arr = cells(sheet, loop)
+    p, r1, r2 = arr[last], arr[last + 1], arr[last + 2]
+    reach = np.maximum(linalg.trace_norm(r2[1:-1] - r1[:-2]), linalg.trace_norm(r2[1:-1] - r1[2:]))
+    margin = linalg.trace_norm(r2 - p)[1:-1] - reach
+    t = int(np.argmax(margin)) + 1
+    assert margin[t - 1] > 0
+
+    def corrupt(arr):
+        arr[last + 1, t] = r2[t] + 10.0 * (r2[t] - p[t])
+
+    forge_cells(monkeypatch, corrupt)
+    forged = cells(sheet, loop)
+    assert not forged[last + 1, t, 2].any() and not forged[last + 1, t, :, 2].any()
+    boundary = linalg.trace_norm(forged[last + 1, t] - forged[last, t])
+    report = verify_homotopy(sheet, loop, 0.0)
+    assert report.max_cell_step == boundary
+    assert report.max_step_at == (last, t)
+    assert [v[:3] for v in report.violations if v[0] == "step-modulus"] == [("step-modulus", (last, t), boundary)]
 
 
 def _exact_masked_steps(d, keep, floor, lower=True):
@@ -2147,16 +2204,17 @@ def test_a_small_corner_trace_sends_the_next_level_to_the_scan(monkeypatch):
     # the trace of its corner block: level 0's last cell of column 300
     # forged to weight 1e-3 on the corner raises it past CELL_TOL, so level
     # 1's cells of that column take the scan, which finds the one forged
-    # to a negative eigenvalue
+    # to a negative eigenvalue, a 2 x 2 cell of level 1's own size
     loop, sheet = _contracted("seed2")
     last = sum(sheet.levels[0].rows)
     rng = np.random.default_rng(5)
-    q = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))[0]
+    q = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
 
     def corrupt(arr):
         arr[last, 300] = np.diag([1e-3, 0.0, 1.0 - 1e-3])
-        cell = (q * [1.0 + 5e-8, 0.0, -5e-8]) @ q.conj().T
-        arr[last + 3, 300] = (cell + cell.conj().T) / 2
+        cell = (q * [1.0 + 5e-8, -5e-8]) @ q.conj().T
+        arr[last + 3, 300] = 0.0
+        arr[last + 3, 300, :2, :2] = (cell + cell.conj().T) / 2
 
     forge_cells(monkeypatch, corrupt)
     report = verify_homotopy(sheet, loop, loop.modulus)
