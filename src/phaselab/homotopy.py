@@ -7,19 +7,20 @@ eigenvector keeps a nonzero e_0 component (projective.transport_to_e0),
 with a disk phase lift to keep linear interpolations outside the Gelfand
 ideal; compression onto nested corner blocks; and a verifier that
 certifies the resulting two-parameter sheet cell by cell. A sheet is held
-as its recipe, the fields a sheet document stores: per level k on the
-corner block b = n - k, the edges of its near-pure runs, the continued
-top eigenvector of each run sample and the phase lambda_t = exp(2 pi i
-k_t / U_DEN) of each sample, on the 1 / U_DEN grid, and the row counts of
-its two stages, A_t = lambda_t U_t's and the corner projection P^b_1's.
-A_t is rebuilt from them where its stage is evaluated (level_unitaries),
-and a stage's s rows from each column's pencil (_rule_rows). Its cells
-are evaluated on the loop it is given, row 0, a stage at a time and a
-chunk of the stage's rows at a time, at the stage's own size (sheet_blocks,
-CHUNK_ENTRIES), and the verifier checks each chunk, and the traces of the
-one pencil that made its stage, as it comes; from those traces it bounds
-each column's negativity, so that only the columns the bound does not clear
-take the positivity scan.
+as its recipe, the integers a sheet document stores, rounded once
+(_rectify) and checked once (HomotopySheet): per level k on the corner
+block b = n - k, the edges of its near-pure runs, the continued top
+eigenvector of each run sample over U_DEN, the k_t of each sample's phase
+lambda_t = exp(2 pi i k_t / U_DEN), and the row counts of its two stages,
+A_t = lambda_t U_t's and the corner projection P^b_1's. A_t is rebuilt
+from them where its stage is evaluated (level_unitaries), and a stage's s
+rows from each column's pencil (_rule_rows). Its cells are evaluated on
+the loop it is given, row 0 its packed rows (StateLoop.x), a stage at a
+time and a chunk of the stage's rows at a time, at the stage's own size
+(sheet_blocks, _chunk_rows), and the verifier checks each chunk, and the
+traces of the one pencil that made its stage, as it comes; from those
+traces it bounds each column's negativity, so that only the columns the
+bound does not clear take the positivity scan.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from __future__ import annotations
 import cmath
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
@@ -101,20 +102,19 @@ def _check_based(x: np.ndarray):
 
 @dataclass(frozen=True)
 class StateLoop:
-    """A closed, based loop of states on M_n, an immutable value: one
-    read-only (T, n, n) complex array of densities, first sample == last,
-    validated as given and stored as the Hermitian part (ρ + ρ†)/2 that
-    states.validate_densities checked, exactly Hermitian and bit for bit
-    the samples of an exactly Hermitian stack, and their packed rows x
-    (n², T) (linalg.pack_hermitian), made once, read-only too: the row 0
-    of the contractor, the expansion and the verifier."""
+    """A closed, based loop of states on M_n, an immutable value held as
+    one read-only array, its packed rows x (n², T) (linalg.pack_hermitian):
+    the row 0 of the contractor, the expansion and the verifier. It is made
+    from `rhos`, a (T, n, n) complex array of densities, first sample ==
+    last, that is validated as given and not kept: x packs the Hermitian
+    part (ρ + ρ†)/2 that states.validate_densities checked."""
 
     n: int
-    rhos: np.ndarray
-    x: np.ndarray = field(init=False, repr=False, compare=False)
+    rhos: InitVar[np.ndarray]
+    x: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self):
-        rhos = validate_densities(self.rhos)
+    def __post_init__(self, rhos):
+        rhos = validate_densities(rhos)
         if self.n < 2:
             raise ValueError("loops live on M_n with n >= 2")
         if rhos.ndim != 3 or rhos.shape[1:] != (self.n, self.n):
@@ -122,15 +122,15 @@ class StateLoop:
         if len(rhos) < 3:
             raise ValueError("a loop needs at least three samples")
         _check_based(x := pack_hermitian(rhos))
-        rhos.flags.writeable = x.flags.writeable = False
-        vars(self).update(rhos=rhos, x=x)  # past the frozen __setattr__
+        x.flags.writeable = False
+        vars(self)["x"] = x  # past the frozen __setattr__
 
     def __reduce__(self):  # a copy or an unpickled loop is validated and frozen anew
-        return StateLoop, (self.n, self.rhos)
+        return StateLoop, (self.n, unpack_hermitian(self.x))
 
     @property
     def n_samples(self) -> int:
-        return len(self.rhos)
+        return self.x.shape[1]
 
     @cached_property
     def max_step(self) -> float:
@@ -152,12 +152,12 @@ class Level(NamedTuple):
     column's s rows from the rule (_rule_rows), the last at s = 1, with
     A_t = lambda_t U_t in the unitary stage, rebuilt from the level's runs,
     vectors and phases (level_unitaries), and the corner projection P^b_1
-    in the projection stage. A level holds these fields alone, which is
-    what a sheet document stores of it."""
+    in the projection stage. A level holds these fields alone, the
+    integers a sheet document stores of it."""
 
     rows: tuple  # (the unitary stage's, the projection stage's), positive ints
     runs: tuple  # the run edges (0, ..., T): near-pure runs and gaps alternate
-    vectors: np.ndarray  # (run samples, b), each run sample's x_t, multiples of 1 / U_DEN
+    vectors: np.ndarray  # (run samples, 2b) int64, each run sample's x_t over U_DEN, each entry's re then im
     phases: np.ndarray  # (T,) int64, k_t of lambda_t = exp(2 pi i k_t / U_DEN)
 
 
@@ -182,13 +182,17 @@ def check_level_count(n: int, count: int) -> None:
 def _recipe_rows(n: int, levels: list) -> int:
     """Rows of the sheet a recipe's levels expand to, counting row 0, over
     the T columns of level 0's phases; raises ValueError for a recipe whose
-    operators would not fit n and T, in the shape (len(phases), b, b) of a
-    level's phases and vectors, or whose row counts are not two positive
-    integers a level (a bool is not one)."""
+    vectors and phases are not int64 within U_DEN and U_DEN / 2 in modulus,
+    whose operators would not fit n and T, in the shape (len(phases), b, b)
+    of a level's phases and vectors, 2b wide, or whose row counts are not
+    two positive integers a level (a bool is not one)."""
     check_level_count(n, len(levels))
     t_count, total = len(levels[0].phases), 1
     for k, level in enumerate(levels):
-        b, rows = level.vectors.shape[-1], level.rows
+        for name, values, bound in (("vectors", level.vectors, U_DEN), ("phases", level.phases, U_DEN // 2)):
+            if values.dtype != np.int64 or values.min(initial=0) < -bound or values.max(initial=0) > bound:
+                raise ValueError(f"level {k} {name} must be int64 within [-{bound}, {bound}]")
+        b, rows = level.vectors.shape[-1] // 2, level.rows
         shape = (len(level.phases), b, b)
         if shape != (t_count, n - k, n - k):
             raise ValueError(f"level {k} unitaries of shape {shape}, not {(t_count, n - k, n - k)}")
@@ -205,10 +209,11 @@ class HomotopySheet:
     whose vectors and phases are made read-only in place, and whose phases
     give T; an immutable value. Its cells and operators are never held at
     once; sheet_blocks makes them a stage at a time. Here alone, for the
-    contractor and the reader, a recipe whose shapes do not fit n, whose
-    row counts are not positive integers, or whose `held_bytes`
-    (_held_bytes) exceed MAX_SHEET_BYTES raises ValueError, before any
-    operator or cell is made; its `shape` is fixed with the check."""
+    contractor and the reader, a recipe off the grid (_recipe_rows), whose
+    shapes do not fit n, whose row counts are not positive integers, or
+    whose `held_bytes` (_held_bytes) exceed MAX_SHEET_BYTES raises
+    ValueError, before any operator or cell is made; its `shape` is fixed
+    with the check. A recipe on the grid is finite, held exactly by JSON."""
 
     n: int
     levels: tuple
@@ -233,6 +238,7 @@ def _held_bytes(n: int, t_count: int, rows: list) -> int:
     its 2(n - 1) stages: its recipe's vectors and phases, operators counted
     for every level, which bound the one level's that is rebuilt at a time
     (level_unitaries), the loop that a contraction and a verification hold,
+    at 16 bytes an entry, which bounds the 8 of its packed rows (StateLoop.x),
     and BLOCK_COPIES blocks of n x n cells of its stage of most rows, which
     bound a contraction's pencils, its row probe's exact steps (_grown_rows)
     and a verification's b x b chunks and temporaries alike."""
@@ -450,10 +456,10 @@ def _lifted(unitaries: np.ndarray, phases: np.ndarray) -> np.ndarray:
 
 def level_unitaries(level: Level) -> np.ndarray:
     """A level's operators A_t = lambda_t U_t (T, b, b), rebuilt from its
-    run edges, run vectors and phases through the two calls the contractor
+    run edges, run vectors and phases through the calls the contractor
     made them with, so every expansion, from its recipe or its document,
     rebuilds the contractor's bit for bit."""
-    return _lifted(_transport_unitaries(level.runs, level.vectors), level.phases)
+    return _lifted(_transport_unitaries(level.runs, (level.vectors / U_DEN).view(np.complex128)), level.phases)
 
 
 def _unitary_powers(v: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -506,6 +512,15 @@ def _rule_rows(c: np.ndarray, rows: int, lo: int, hi: int) -> np.ndarray:
     return s
 
 
+def _chunk_rows(c: np.ndarray, rows: int, entries: int) -> Iterator[np.ndarray]:
+    """The s rows (_rule_rows) of a stage of `rows` rows and pencil traces c
+    by chunks of CHUNK_ENTRIES // entries rows, at least one, for rows of
+    `entries` packed entries (b² T): every pass over a stage takes them so."""
+    size = max(1, CHUNK_ENTRIES // entries)
+    for lo in range(0, rows, size):
+        yield _rule_rows(c, rows, lo, min(lo + size, rows))
+
+
 def _stage_rows(p: np.ndarray, c: np.ndarray, s: np.ndarray) -> np.ndarray:
     """Rows of a stage whose column t has the packed pencil p[:, :, t] and
     traces c[:, t] (see pencil), packed (linalg.pack_hermitian) as
@@ -523,9 +538,7 @@ def _stage_rows(p: np.ndarray, c: np.ndarray, s: np.ndarray) -> np.ndarray:
 
 
 def _rows_for(target_step: float, movement: float) -> int:
-    """Rows, at least MIN_ROWS, that step `movement` by about `target_step` (> 0)."""
-    if movement <= 0:
-        return MIN_ROWS
+    """Rows, at least MIN_ROWS, that step `movement` (>= 0) by about `target_step` (> 0)."""
     return max(MIN_ROWS, int(np.ceil(movement / target_step)))
 
 
@@ -544,9 +557,7 @@ def _grown_rows(p: np.ndarray, c: np.ndarray, rows: int, target: float) -> int:
     pass the modulus alone, so it is that of a scan of the block's every
     step."""
     steps, step, before = _gram_steps(p, c), 0.0, None
-    size = max(1, CHUNK_ENTRIES // p[0].size)  # rows a chunk
-    for lo in range(0, rows, size):
-        s = _rule_rows(c, rows, lo, min(lo + size, rows))
+    for s in _chunk_rows(c, rows, p[0].size):
         step, before = np.maximum(step, _bounded_steps(*steps(s, before), 2.0 * target).max()), s[-1]
     return rows if step <= 2.0 * target else int(np.ceil(rows * step / target))
 
@@ -658,27 +669,27 @@ def _rectify(x: np.ndarray, target: float, admit):
     last row, packed.
 
     Eigenvector-transport unitaries come first: the continued top
-    eigenvectors are rounded to multiples of 1 / U_DEN, and the unitaries
-    built from them (_transport_unitaries), whose unitarity the verifier
-    judges, take the disk phase lift of t -> omega_t(U_t) = tr(rho_t U_t),
-    clipped onto the closed disk, that keeps the unitary interpolation
-    outside every Gelfand ideal; each lifted phase lambda_t is rounded to
-    a multiple of 2 pi / U_DEN, and A_t = lambda_t U_t (_lifted). The
-    level keeps the rounded vectors and phases, from which every expansion
-    rebuilds A_t bit for bit. Then one pass makes the level's two stages,
-    the linear interpolations with s lambda_t U_t and with s P^b_1, each
-    from its one pencil on the packed stage input: its exact safety
-    minimum over s in [0, 1] must clear SAFETY_FLOOR in every column; its
-    last row, at s = 1 as the expansion builds it (_stage_rows), measures
-    the stage's movement and is the next stage's input; its rows step by
-    about `target`, from its movement (_rows_for), and pass through admit,
-    which may refuse them, before they are probed (_grown_rows), and again
-    as the probe leaves them.
+    eigenvectors are rounded, here alone, to integer numerators over U_DEN,
+    and the unitaries built from them (_transport_unitaries), whose
+    unitarity the verifier judges, take the disk phase lift of t ->
+    omega_t(U_t) = tr(rho_t U_t), clipped onto the closed disk, that keeps
+    the unitary interpolation outside every Gelfand ideal; each lifted
+    phase lambda_t is rounded to a multiple k_t of 2 pi / U_DEN, and A_t =
+    lambda_t U_t (_lifted). The level keeps those integers, from which
+    every expansion rebuilds A_t bit for bit (level_unitaries). Then one
+    pass makes the level's two stages, the linear interpolations with s
+    lambda_t U_t and with s P^b_1, each from its one pencil on the packed
+    stage input: its exact safety minimum over s in [0, 1] must clear
+    SAFETY_FLOOR in every column; its last row, at s = 1 as the expansion
+    builds it (_stage_rows), measures the stage's movement and is the next
+    stage's input; its rows step by about `target`, from its movement
+    (_rows_for), and pass through admit, which may refuse them, before
+    they are probed (_grown_rows), and again as the probe leaves them.
     """
     rhos = unpack_hermitian(x)
     runs, vectors = _transport_vectors(rhos)
-    vectors = (np.round(vectors * U_DEN) + 0.0) / U_DEN  # + 0.0: no negative zeros, as read back
-    unitaries = _transport_unitaries(runs, vectors)
+    vectors = np.round(vectors.view(np.float64) * U_DEN).astype(np.int64)  # each entry's re then im
+    unitaries = _transport_unitaries(runs, (vectors / U_DEN).view(np.complex128))
     gamma = np.einsum("tij,tji->t", rhos, unitaries)
     gamma = gamma / np.maximum(np.abs(gamma), 1.0)  # onto the closed disk; a rounded x_0 = 0 gives 0
     phases = np.round(np.angle(disk_phase_lift(gamma)) * (U_DEN / (2.0 * np.pi))).astype(np.int64)
@@ -742,8 +753,8 @@ def sheet_blocks(sheet: HomotopySheet, loop: StateLoop) -> Iterator[tuple]:
     recipe does not fit raises ValueError. Nothing here judges a cell:
     verify_homotopy does, with the traces of the pencil that made it."""
     n, x = sheet.n, loop.x  # x: the last row so far, on its block
-    if loop.rhos.shape != (sheet.shape[1], n, n):
-        raise ValueError(f"a recipe on M_{n} over {sheet.shape[1]} columns does not fit {loop.rhos.shape}")
+    if x.shape != (n * n, t := sheet.shape[1]):
+        raise ValueError(f"a recipe on M_{n} over {t} columns does not fit {(loop.n_samples, loop.n, loop.n)}")
     yield None, None, x[:, None]
     for stage in _stages(n, sheet.levels):
         _, si, b, ops, rows = stage
@@ -751,10 +762,10 @@ def sheet_blocks(sheet: HomotopySheet, loop: StateLoop) -> Iterator[tuple]:
             with np.errstate(divide="ignore", invalid="ignore"):  # a zero trace is the verifier's
                 x = _compress(x, b)
         p, c = pencil(ops, x)
-        size = max(1, CHUNK_ENTRIES // x.size)  # rows a chunk, as _grown_rows takes them
-        for lo in range(0, rows, size):
-            block = _stage_rows(p, c, _rule_rows(c, rows, lo, min(lo + size, rows)))
-            if lo + size >= rows:
+        for s in _chunk_rows(c, rows, x.size):  # as _grown_rows takes them
+            block, rows = _stage_rows(p, c, s), rows - len(s)  # rows: those after this chunk
+            del s  # so that the caller's chunk is the one array of its size held here
+            if not rows:
                 del p  # so that the packed pencil is not held while the caller reads the last chunk
                 x = block[:, -1].copy()
             yield stage, c, block

@@ -18,12 +18,12 @@ sample. `vectors_d2` holds each numerator coordinate's second
 differences along each run, and `phases_d1` the first differences of
 the k_t, each from zeros before its first value (_differences): x_t
 samples a smooth path, so most are small. `rows` holds the row counts
-[r_unitary, r_projection] of its unitary and projection stages. The
-reader decodes the differences in int64, refusing any that would leave
-the writer's range, a numerator of modulus at most 2^20 and a k_t of at
-most 2^19, before it sums them (_decoded). A numerator is at most
-2^20 < 2^53 in modulus, so dividing it by the power of two gives back
-the contractor's value bit for bit, which the writer checks. The
+[r_unitary, r_projection] of its unitary and projection stages. A Level
+holds these integers, int64 within the range homotopy.HomotopySheet
+checks, a numerator of modulus at most 2^20 and a k_t of at most 2^19,
+so the writer only differences them; the reader decodes the differences
+in int64, refusing any that would leave that range before it sums them
+(_decoded), and gives back the contractor's integers exactly. The
 operators, the block, the projection P^b_1 and each stage's s rows
 (homotopy._rule_rows) are implied, never stored. Reading a sheet document
 gives the recipe, a homotopy.HomotopySheet, with no operator rebuilt; it
@@ -86,26 +86,17 @@ def loop_from_doc(doc: dict) -> StateLoop:
 
 
 def sheet_to_doc(sheet: HomotopySheet) -> dict:
-    """The sheet's recipe: its levels and u_den, and no loop. A NaN or
-    infinite vector entry, which JSON cannot hold, or a level whose vectors
-    and phases do not decode back from the integers written for them bit
-    for bit (_transports) raises ValueError, so a document expands to the
-    cells of the recipe it came from and no others."""
+    """The sheet's recipe: its levels and u_den, and no loop. Its integers
+    are the ones HomotopySheet checked, so the document decodes to them
+    and expands to the cells of the recipe it came from and no others."""
     return {"n": sheet.n, "u_den": U_DEN, "levels": [_level_doc(lv) for lv in sheet.levels]}
 
 
 def _level_doc(level: Level) -> dict:
-    if not np.isfinite(level.vectors).all():
-        raise ValueError("sheet has non-finite entries")
-    pairs = np.stack([level.vectors.real, level.vectors.imag], axis=-1)
-    numerators = np.round(pairs * U_DEN).astype(np.int64).reshape(len(pairs), -1)
-    lengths, phases = np.diff(level.runs)[::2], np.asarray(level.phases, dtype=np.int64)
-    vector_steps, phase_steps = _differences(numerators, lengths, 2), _differences(phases, [len(phases)], 1)
-    vectors, decoded = _transports(vector_steps, phase_steps, lengths)
-    if not (vectors.tobytes() == level.vectors.tobytes() and decoded.tobytes() == level.phases.tobytes()):
-        raise ValueError("a level's vectors and phases are not the integers written for them")
-    return {"runs": [int(e) for e in level.runs], "vectors_d2": vector_steps.ravel().tolist(),
-            "phases_d1": phase_steps.tolist(), "rows": list(level.rows)}
+    lengths = np.diff(level.runs)[::2]
+    return {"runs": [int(e) for e in level.runs], "rows": list(level.rows),
+            "vectors_d2": _differences(level.vectors, lengths, 2).ravel().tolist(),
+            "phases_d1": _differences(level.phases, [len(level.phases)], 1).tolist()}
 
 
 def _differences(values: np.ndarray, lengths, order: int) -> np.ndarray:
@@ -139,18 +130,6 @@ def _decoded(steps: np.ndarray, lengths, order: int, bound: int, key: str) -> np
     return steps
 
 
-def _transports(vector_steps: np.ndarray, phase_steps: np.ndarray, lengths) -> tuple:
-    """A level's run vectors (run samples, b), complex, and phases (T,)
-    from their differences (_decoded): vector_steps (run samples, 2 b) of
-    numerators over U_DEN, each entry's re then im, differenced twice
-    along each run of `lengths` samples, and phase_steps (T,) of the k_t,
-    differenced once."""
-    numerators = _decoded(vector_steps, lengths, 2, U_DEN, "vectors_d2")
-    pairs = numerators.reshape(len(numerators), -1, 2) / U_DEN
-    phases = _decoded(phase_steps, [len(phase_steps)], 1, U_DEN // 2, "phases_d1")
-    return np.ascontiguousarray(pairs).view(np.complex128)[..., 0], phases
-
-
 def _integers(values, key: str) -> np.ndarray:
     """A non-empty flat list of JSON integers (a bool is not one) as an
     int64 array."""
@@ -166,7 +145,7 @@ def _level(doc: dict, b: int) -> Level:
     runs and gaps alternate, starting and ending with a run; its vectors
     are 2 b integer numerators over U_DEN per run sample, each entry's re
     then im, stored as second differences along each run, and its phases
-    as first differences, decoded within the writer's range (_transports),
+    as first differences, decoded within the recipe's range (_decoded),
     and no vector is zero, since a zero vector has no transport."""
     if sorted(doc) != ["phases_d1", "rows", "runs", "vectors_d2"]:
         raise ValueError("a level holds 'runs', 'vectors_d2', 'phases_d1' and 'rows' since the "
@@ -180,7 +159,8 @@ def _level(doc: dict, b: int) -> Level:
     if len(vector_steps) != 2 * b * samples:
         raise ValueError(f"'vectors_d2' holds 2 b = {2 * b} integers for each of {samples} run "
                          f"samples, {2 * b * samples}, got {len(vector_steps)}")
-    vectors, phases = _transports(vector_steps.reshape(samples, 2 * b), phase_steps, lengths)
+    vectors = _decoded(vector_steps.reshape(samples, 2 * b), lengths, 2, U_DEN, "vectors_d2")
+    phases = _decoded(phase_steps, [len(phase_steps)], 1, U_DEN // 2, "phases_d1")
     if not vectors.any(axis=-1).all():
         raise ValueError("zero vector does not represent a ray")
     return Level(tuple(doc["rows"]), tuple(runs.tolist()), vectors, phases)
@@ -189,11 +169,10 @@ def _level(doc: dict, b: int) -> Level:
 def sheet_from_doc(doc: dict) -> HomotopySheet:
     """Decode a sheet document into its recipe, unexpanded, with no
     operator rebuilt: every difference is a JSON integer (one past int64
-    raises OverflowError) that decodes within the writer's range
+    raises OverflowError) that decodes within the recipe's range
     (_decoded), no run vector is zero (_level), and the HomotopySheet made
-    of the levels checks their shapes against n, their row counts and the
-    budget. Its cells are judged by verify_homotopy, on the loop it is
-    handed."""
+    of the levels checks them as it checks the contractor's. Its cells are
+    judged by verify_homotopy, on the loop it is handed."""
     try:
         if sorted(doc) != ["levels", "n", "u_den"]:
             raise ValueError("a sheet document holds 'n', 'u_den' and 'levels' since "
@@ -212,8 +191,8 @@ def dumps(doc: dict) -> str:
 
 
 def write_sheet(path: str, sheet: HomotopySheet):
-    """Write the sheet document (sheet_to_doc); a recipe it refuses raises
-    ValueError before the file is opened."""
+    """Write the sheet document (sheet_to_doc). It refuses nothing: a
+    recipe off the grid is refused where the HomotopySheet is made."""
     write_doc(path, sheet_to_doc(sheet))
 
 

@@ -48,14 +48,13 @@ def forge_cells(monkeypatch, edit):
 
 
 def forge_loop(n: int, rhos) -> homotopy.StateLoop:
-    """A StateLoop on M_n holding the samples `rhos` as given, with none of
-    StateLoop's validation: a loop no document or constructor can make,
-    for showing what the verifier does with a row 0 that is not a loop of
-    states. Its samples and their packed rows (StateLoop.x) are read-only,
-    as a validated loop's are."""
-    rhos = np.array(rhos, dtype=np.complex128)
-    x = pack_hermitian(rhos)
-    rhos.flags.writeable = x.flags.writeable = False
+    """A StateLoop on M_n holding the packed rows (StateLoop.x) of the
+    samples `rhos` as given, with none of StateLoop's validation: a loop no
+    document or constructor can make, for showing what the verifier does
+    with a row 0 that is not a loop of states. Its rows are read-only, as a
+    validated loop's are."""
+    x = pack_hermitian(np.array(rhos, dtype=np.complex128))
+    x.flags.writeable = False
     loop = object.__new__(homotopy.StateLoop)
-    vars(loop).update(n=n, rhos=rhos, x=x)
+    vars(loop).update(n=n, x=x)
     return loop

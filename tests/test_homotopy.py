@@ -30,7 +30,7 @@ from phaselab.homotopy import (
     safety_min,
     verify_homotopy,
 )
-from phaselab.linalg import pack_hermitian
+from phaselab.linalg import pack_hermitian, unpack_hermitian
 from phaselab.states import DensityState, basis_state, state_from_vector, validate_densities
 from block_probe import block_grown_rows, rule_block
 from exact_minors import exactly_above
@@ -64,16 +64,13 @@ def test_state_loop_validation():
     assert coarse.max_step == 2.0 and coarse.modulus == 10.0
     flat = constant_loop(2, 8)
     assert flat.max_step == 0.0 and flat.modulus == 5e-9  # 5 times the step floor
-    # the samples are stored as their Hermitian part: an exactly Hermitian
-    # stack bit for bit, and one off by 1e-12 exactly Hermitian
-    rhos = random_based_loop(3, 2, 40).rhos
-    assert StateLoop(3, rhos).rhos.tobytes() == rhos.tobytes()
-    rhos = rhos.copy()
+    # the samples are packed from the Hermitian part that validation
+    # checked, bit for bit: an exactly Hermitian stack's and one off by 1e-12
+    rhos = unpack_hermitian(random_based_loop(3, 2, 40).x)
+    assert StateLoop(3, rhos).x.tobytes() == pack_hermitian(validate_densities(rhos)).tobytes()
     rhos[1:-1, 0, 1] += 1e-12
-    stored = StateLoop(3, rhos).rhos
-    assert np.array_equal(stored, stored.conj().swapaxes(-1, -2))
-    assert np.array_equal(stored, (rhos + rhos.conj().swapaxes(-1, -2)) / 2)
-    assert validate_densities(rhos).tobytes() == stored.tobytes()  # the array validation checked
+    assert StateLoop(3, rhos).x.tobytes() == pack_hermitian(validate_densities(rhos)).tobytes()
+    assert StateLoop(3, rhos).x.tobytes() != pack_hermitian(rhos).tobytes()
 
 
 @pytest.mark.parametrize("over", [False, True])
@@ -86,7 +83,7 @@ def test_basepoint_check_decides_on_the_exact_distance(over, monkeypatch):
     # is refused too: it is not at most BASEPOINT_TOL
     tol = homotopy.BASEPOINT_TOL
     delta = tol / 2 * (1.0 + (1e-6 if over else -1e-6))
-    rhos = constant_loop(3, 10).rhos.copy()
+    rhos = unpack_hermitian(constant_loop(3, 10).x)
     rhos[-1] = np.diag([1.0 - delta, delta, 0.0])
     dist = linalg.trace_norm(rhos[-1] - rhos[0])
     assert (dist > tol) == over and abs(dist / tol - 1.0) < 2e-6
@@ -133,7 +130,7 @@ def test_random_loop_matches_the_expm_reference(n):
     # 1e-13 is about 450 eps, fixed before the batched generator was
     # measured against the reference (1.2e-15 at worst)
     for seed in range(1, 13):
-        rhos = random_based_loop(n, seed, 700).rhos
+        rhos = unpack_hermitian(random_based_loop(n, seed, 700).x)
         assert np.max(np.abs(rhos - _expm_loop_samples(n, seed, 700))) <= 1e-13
 
 
@@ -147,9 +144,9 @@ def test_random_loop_refuses_n_below_two(monkeypatch):
 
 def test_state_loop_is_one_validated_array():
     loop = bundled_pure_loop(16)
-    assert loop.rhos.dtype == np.complex128
-    assert loop.rhos.shape == (17, 2, 2) and loop.n_samples == 17
-    rhos = loop.rhos.copy()
+    assert unpack_hermitian(loop.x).dtype == np.complex128
+    assert unpack_hermitian(loop.x).shape == (17, 2, 2) and loop.n_samples == 17
+    rhos = unpack_hermitian(loop.x)
     rhos[9] = np.diag([1.5, -0.5])
     rhos[5] = np.diag([0.7, 0.0])  # the first failing sample: its trace
     with pytest.raises(ValueError) as want:
@@ -161,30 +158,30 @@ def test_state_loop_is_one_validated_array():
             build()
         assert str(got.value) == prefix + str(want.value)
     with pytest.raises(ValueError, match="states on M_n"):
-        StateLoop(3, loop.rhos)
+        StateLoop(3, unpack_hermitian(loop.x))
 
 
 def test_a_loop_and_a_sheet_hold_read_only_arrays(pure_sheet):
-    # a StateLoop's samples and packed rows, and each level's vectors and
-    # phases, refuse an in-place write; the arrays a loop and a sheet are
-    # made from are the caller's: a loop validates a copy, and a sheet
-    # freezes its levels' arrays in place
+    # a StateLoop's packed rows, and each level's vectors and phases,
+    # refuse an in-place write; the arrays a loop and a sheet are made from
+    # are the caller's: a loop packs a validated copy, and a sheet freezes
+    # its levels' arrays in place
     loop = bundled_pure_loop()
     (level,) = pure_sheet.levels
-    for array in (loop.rhos, loop.x, level.vectors, level.phases):
+    for array in (loop.x, level.vectors, level.phases):
         with pytest.raises(ValueError, match="read-only"):
             array[1] = 0
-    given = loop.rhos.copy()
+    given = unpack_hermitian(loop.x)
     made = StateLoop(2, given)
     given[0] = 0.0  # still the caller's to write
-    assert made.rhos.tobytes() == loop.rhos.tobytes()
+    assert made.x.tobytes() == loop.x.tobytes()
     sheet = HomotopySheet(2, [level._replace(vectors=level.vectors.copy(), phases=level.phases.copy())])
     assert type(sheet.levels) is tuple and not sheet.levels[0].vectors.flags.writeable
 
 
 def test_a_loop_and_a_sheet_refuse_assignment(pure_sheet):
     loop = bundled_pure_loop()
-    for value, name in ((loop, "rhos"), (loop, "x"), (loop, "n"), (pure_sheet, "levels"), (pure_sheet, "shape"),
+    for value, name in ((loop, "x"), (loop, "n"), (pure_sheet, "levels"), (pure_sheet, "shape"),
                         (pure_sheet, "held_bytes")):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(value, name, getattr(value, name))
@@ -208,7 +205,7 @@ def test_sheet_blocks_yield_the_loops_packed_rows_as_row_0(name):
     loop, sheet = _contracted(name)
     stage, c, x = next(homotopy.sheet_blocks(sheet, loop))
     assert stage is None and c is None and x.shape == (loop.n ** 2, 1, loop.n_samples)
-    assert x[:, 0].tobytes() == loop.x.tobytes() == pack_hermitian(loop.rhos).tobytes()
+    assert x[:, 0].tobytes() == loop.x.tobytes() == pack_hermitian(unpack_hermitian(loop.x)).tobytes()
 
 
 def test_disk_phase_lift_constant_and_boundary():
@@ -577,7 +574,7 @@ def test_gap_bridges_run_from_left_to_right_at_constant_speed():
     # each gap of the plateau loop is bridged along the geodesic from the
     # transport at its left edge to the one at its right edge, so the steps
     # from `left` to `right` are all equal, the last into `right` included
-    rhos = bundled_plateau_loop().rhos
+    rhos = unpack_hermitian(bundled_plateau_loop().x)
     unitaries = homotopy._transport_unitaries(*homotopy._transport_vectors(rhos))
     near_pure = np.linalg.eigvalsh(rhos)[:, -1] > homotopy.PURITY_THRESHOLD
     edges = np.flatnonzero(np.diff(near_pure)) + 1
@@ -852,7 +849,7 @@ def test_sheet_from_doc_refuses_the_earlier_format():
         serialize.sheet_from_doc(doc)
     # so is a document that still stores its input loop beside the recipe
     doc = serialize.sheet_to_doc(contract_loop(loop))
-    doc["loop"] = encode_matrix(loop.rhos)
+    doc["loop"] = encode_matrix(unpack_hermitian(loop.x))
     with pytest.raises(ValueError, match=r"holds 'n', 'u_den' and 'levels' since the "
                                          r"format changed, got \['levels', 'loop', 'n', "
                                          r"'u_den'\]"):
@@ -922,9 +919,8 @@ def _flat_doc(sheet):
     integers k_t under 'phases', both as they are, not differenced."""
     doc = serialize.sheet_to_doc(sheet)
     for level, lv in zip(doc["levels"], sheet.levels):
-        pairs = np.stack([lv.vectors.real, lv.vectors.imag], axis=-1) * homotopy.U_DEN
         del level["vectors_d2"], level["phases_d1"]
-        level.update(vectors=np.round(pairs).astype(np.int64).ravel().tolist(), phases=lv.phases.tolist())
+        level.update(vectors=lv.vectors.ravel().tolist(), phases=lv.phases.tolist())
     return doc
 
 
@@ -994,14 +990,30 @@ def test_sheet_from_doc_refuses_unitaries_off_the_format(pure_sheet, make, forge
         serialize.sheet_from_doc(doc)
 
 
-def test_sheet_to_doc_refuses_a_unitary_off_the_grid(pure_sheet):
-    # a vector entry moved by 2^-41, off the 1 / u_den grid: the integers
-    # the document would hold decode to other vectors, so the document would
-    # expand to other unitaries and cells than the recipe's
-    vectors = pure_sheet.levels[0].vectors
-    forged = _forge(pure_sheet, vectors=_set(vectors, (5, 1), vectors[5, 1] + 2.0**-41))
-    with pytest.raises(ValueError, match="not the integers written for them"):
-        serialize.sheet_to_doc(forged)
+@pytest.mark.parametrize(
+    "name, edit",
+    [
+        ("vectors", lambda v: v.astype(np.float64)),
+        ("vectors", lambda v: (v / homotopy.U_DEN).view(np.complex128)),
+        ("vectors", lambda v: _set(v, (5, 1), homotopy.U_DEN + 1)),
+        # np.abs(-2^63) wraps to -2^63, so the range is checked at both ends
+        ("vectors", lambda v: _set(v, (5, 1), np.iinfo(np.int64).min)),
+        ("phases", lambda k: _set(k, 4, homotopy.U_DEN // 2 + 1)),
+    ],
+    ids=["float-vectors", "complex-vectors", "vector-past-u-den", "vector-int64-min", "phase-past-half"],
+)
+def test_a_sheet_refuses_a_recipe_off_the_grid(pure_sheet, name, edit, monkeypatch):
+    # a recipe holds int64 numerators within U_DEN and phases within
+    # U_DEN / 2, the integers a document holds exactly; HomotopySheet
+    # refuses any other, for the contractor and the reader alike, before
+    # any operator is built
+    def unreached(*args):
+        raise AssertionError("an operator was built")
+
+    monkeypatch.setattr(homotopy, "_transport_unitaries", unreached)
+    level = pure_sheet.levels[0]
+    with pytest.raises(ValueError, match=rf"level 0 {name} must be int64 within \[-"):
+        HomotopySheet(2, [level._replace(**{name: edit(getattr(level, name))})])
 
 
 @pytest.mark.parametrize("name", ["seed2", "plateau"])
@@ -1248,18 +1260,6 @@ def test_written_sheet_reads_back_bitwise(pure_sheet, tmp_path):
             assert np.array_equal(a, b)
     loop = bundled_pure_loop()
     assert np.array_equal(cells(back, loop), cells(pure_sheet, loop))
-
-
-def test_write_sheet_rejects_non_finite_before_writing(tmp_path):
-    # an infinity or a NaN in a run vector
-    sheet = contract_loop(constant_loop(2, 6))
-    (level,) = sheet.levels
-    path = tmp_path / "sheet.json"
-    for bad in (np.inf, np.nan):
-        forged = _forge(sheet, vectors=_set(level.vectors, (6, 1), bad))
-        with pytest.raises(ValueError, match="non-finite"):
-            serialize.write_sheet(str(path), forged)
-        assert not path.exists()
 
 
 @lru_cache(maxsize=None)
@@ -1749,7 +1749,7 @@ def test_chunks_change_no_report_on_forged_cells(monkeypatch):
         cell = (q * [1.0 - low, 0.0, low]) @ q.conj().T
         return (cell + cell.conj().T) / 2
 
-    rhos = loop.rhos.copy()
+    rhos = unpack_hermitian(loop.x)
     rhos[300] = negative(-3e-6)
     forged = forge_loop(3, rhos)
 
@@ -1877,7 +1877,7 @@ def test_every_distance_matches_an_exact_scan(name, monkeypatch):
 
 def test_contract_loop_takes_no_svd(monkeypatch):
     def off_hermitian():  # Hermitian only to rounding, which StateLoop accepts
-        rhos = bundled_pure_loop(320).rhos.copy()
+        rhos = unpack_hermitian(bundled_pure_loop(320).x)
         rhos[1:-1, 0, 1] += 1e-12j
         return StateLoop(2, rhos)
 
@@ -2287,7 +2287,7 @@ def test_verifier_reports_negative_cells_as_eigvalsh_does(monkeypatch):
     loop, sheet = _contracted("seed2")
     rng = np.random.default_rng(21)
     q = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))[0]
-    rhos = loop.rhos.copy()
+    rhos = unpack_hermitian(loop.x)
     for col, low in ((300, -3e-6), (301, -0.9e-8)):
         cell = (q * [1.0 - low, 0.0, low]) @ q.conj().T
         rhos[col] = (cell + cell.conj().T) / 2
@@ -2324,7 +2324,7 @@ def test_loop_from_doc_rejects_garbage():
             serialize.loop_from_doc({"n": n, "format": 2, "packed": packed})
 
 
-_NESTED = {"n": 2, "samples": encode_matrix(constant_loop(2, 6).rhos)}
+_NESTED = {"n": 2, "samples": encode_matrix(unpack_hermitian(constant_loop(2, 6).x))}
 _COUNT = "'packed' holds n² numbers for each of at least three samples, n >= 2, got"
 
 
@@ -2392,9 +2392,9 @@ def test_a_copied_loop_or_sheet_is_rebuilt_checked_and_read_only(copies, monkeyp
     monkeypatch.setattr(homotopy, "validate_densities",
                         lambda rhos, check=homotopy.validate_densities: validated.append(rhos.shape) or check(rhos))
     copied = copies(loop)
-    assert validated == [loop.rhos.shape]
-    assert not copied.rhos.flags.writeable and not copied.x.flags.writeable
-    assert copied.x.tobytes() == loop.x.tobytes() and copied.rhos.tobytes() == loop.rhos.tobytes()
+    assert validated == [unpack_hermitian(loop.x).shape]
+    assert not copied.x.flags.writeable
+    assert copied.x.tobytes() == loop.x.tobytes()
     copied = copies(sheet)
     assert not any(a.flags.writeable for lv in copied.levels for a in (lv.vectors, lv.phases))
     assert serialize.sheet_to_doc(copied) == serialize.sheet_to_doc(sheet)

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from phaselab import homotopy
 from phaselab.homotopy import bundled_pure_loop, contract_loop, verify_homotopy
-from phaselab.linalg import eye, operator_norm, trace_norm
+from phaselab.linalg import eye, operator_norm, trace_norm, unpack_hermitian
 from phaselab.projective import ray_distances, ray_product, transport_to_e0
 
 E0 = np.array([1, 0], dtype=complex)
@@ -144,11 +144,11 @@ def test_pure_loop_certifies_across_x0_zero():
     # by about 2 into sample 201, and its pure samples do not see it,
     # since U x x† U† = e0 e0† on either side. The loop certifies.
     loop = bundled_pure_loop()
-    assert np.abs(np.linalg.eigh(loop.rhos[200])[1][0, -1]) < 1e-15
-    u = homotopy._transport_unitaries(*homotopy._transport_vectors(loop.rhos))
+    assert np.abs(np.linalg.eigh(unpack_hermitian(loop.x)[200])[1][0, -1]) < 1e-15
+    u = homotopy._transport_unitaries(*homotopy._transport_vectors(unpack_hermitian(loop.x)))
     steps = operator_norm(u[1:] - u[:-1])
     assert np.flatnonzero(steps > 0.1).tolist() == [200] and abs(steps[200] - 2.0) < 0.1
-    moved = u @ loop.rhos @ u.conj().swapaxes(-1, -2)
+    moved = u @ unpack_hermitian(loop.x) @ u.conj().swapaxes(-1, -2)
     assert np.abs(moved - np.diag([1.0, 0.0])).max() < 1e-14
     sheet = contract_loop(loop)
     assert verify_homotopy(sheet, loop, loop.modulus).passed
