@@ -17,12 +17,13 @@ import math
 import sys
 import time
 
-from . import serialize
+# Each command loads only what it runs: cmd_contract_loop imports homotopy and serialize. These
+# stay: the benchmark swaps cli.invariant_sweep, which cmd_invariant calls, and a traced run
+# reads phaselab.selfcheck's SUITES from sys.modules after the commands.
 from .dimer import ModelConfig, invariant_sweep
-from .homotopy import SAFETY_FLOOR, contract_loop, verify_homotopy
 from .selfcheck import run_selfcheck
 from .supernatural import from_type_sequence, homotopy_table, iso_equivalent, q_contains
-from .util import NumericalGateError, is_int, tol_scale
+from .util import NumericalGateError, is_int, read_doc, tol_scale
 
 EXIT_PASS = 0
 EXIT_GATE = 2
@@ -153,7 +154,10 @@ def cmd_invariant(args, file_cfg: dict) -> int:
 
 
 def cmd_contract_loop(args, file_cfg: dict) -> int:
-    loop = serialize.loop_from_doc(serialize.read_doc(args.loop))
+    from . import serialize
+    from .homotopy import SAFETY_FLOOR, contract_loop, verify_homotopy
+
+    loop = serialize.loop_from_doc(read_doc(args.loop))
     report = {
         "command": "contract-loop",
         "config": {
@@ -255,7 +259,7 @@ def _read_config(args) -> dict:
     for a file that cannot be read)."""
     if getattr(args, "config", None) is None:
         return {}
-    file_cfg = serialize.read_doc(args.config)
+    file_cfg = read_doc(args.config)
     if not isinstance(file_cfg, dict):
         raise ValueError(f"{args.config}: a config file holds one JSON object")
     keys = CONFIG_KEYS[args.command]

@@ -126,7 +126,7 @@ class StateLoop:
         vars(self)["x"] = x  # past the frozen __setattr__
 
     def __reduce__(self):  # a copy or an unpickled loop is validated and frozen anew
-        return StateLoop, (self.n, unpack_hermitian(self.x))
+        return _unpacked_loop, (self.n, self.x)
 
     @property
     def n_samples(self) -> int:
@@ -141,6 +141,10 @@ class StateLoop:
     def modulus(self) -> float:
         """The step modulus a contraction of this loop is built for and judged by."""
         return MODULUS_FACTOR * max(self.max_step, STEP_FLOOR)
+
+
+def _unpacked_loop(n: int, x: np.ndarray) -> StateLoop:  # a pickle holds x, half the samples' bytes
+    return StateLoop(n, unpack_hermitian(x))
 
 
 class Level(NamedTuple):
@@ -179,13 +183,28 @@ def check_level_count(n: int, count: int) -> None:
         raise ValueError(f"a recipe on M_{n} has {n - 1} levels, got {count}")
 
 
+def check_runs(runs, t_count: int, b: int, size: int, key: str) -> np.ndarray:
+    """The run lengths of a level on M_b over t_count columns, whose run edges are integers that
+    rise from 0 to t_count in an even number and whose vectors (`key`) hold `size` = 2 b integers
+    a run sample; else ValueError, for the reader (serialize._level) and HomotopySheet alike."""
+    runs = np.asarray(runs)
+    if runs.dtype.kind != "i" or len(runs) < 2 or len(runs) % 2 or runs[0] or runs[-1] != t_count \
+            or (np.diff(runs) <= 0).any():
+        raise ValueError(f"'runs' must rise from 0 to the {t_count} phases in an even number "
+                         f"of edges, got {runs.tolist()}")
+    if size != 2 * b * (samples := int((lengths := np.diff(runs)[::2]).sum())):
+        raise ValueError(f"{key} holds 2 b = {2 * b} integers for each of {samples} run "
+                         f"samples, {2 * b * samples}, got {size}")
+    return lengths
+
+
 def _recipe_rows(n: int, levels: list) -> int:
     """Rows of the sheet a recipe's levels expand to, counting row 0, over
     the T columns of level 0's phases; raises ValueError for a recipe whose
     vectors and phases are not int64 within U_DEN and U_DEN / 2 in modulus,
     whose operators would not fit n and T, in the shape (len(phases), b, b)
-    of a level's phases and vectors, 2b wide, or whose row counts are not
-    two positive integers a level (a bool is not one)."""
+    of a level's phases and vectors, 2b wide, whose runs do not fit them
+    (check_runs), or whose row counts are not two positive integers a level."""
     check_level_count(n, len(levels))
     t_count, total = len(levels[0].phases), 1
     for k, level in enumerate(levels):
@@ -194,8 +213,9 @@ def _recipe_rows(n: int, levels: list) -> int:
                 raise ValueError(f"level {k} {name} must be int64 within [-{bound}, {bound}]")
         b, rows = level.vectors.shape[-1] // 2, level.rows
         shape = (len(level.phases), b, b)
-        if shape != (t_count, n - k, n - k):
+        if shape != (t_count, n - k, n - k) or level.vectors.shape[1:] != (2 * b,):
             raise ValueError(f"level {k} unitaries of shape {shape}, not {(t_count, n - k, n - k)}")
+        check_runs(level.runs, t_count, b, level.vectors.size, f"level {k} 'vectors'")
         if len(rows) != 2 or not all(type(r) is int and r > 0 for r in rows):
             raise ValueError(f"level {k} takes two positive integer row counts, got {rows!r}")
         total += sum(rows)

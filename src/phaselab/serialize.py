@@ -37,10 +37,12 @@ import json
 
 import numpy as np
 
-from .homotopy import U_DEN, HomotopySheet, Level, StateLoop, check_level_count
+from . import util
+from .homotopy import U_DEN, HomotopySheet, Level, StateLoop, check_level_count, check_runs
 from .linalg import unpack_hermitian
 
 LOOP_FORMAT = 2
+read_doc = util.read_doc  # the one JSON reader, which the CLI's --config takes from util
 
 
 def _check_entry_kinds(values, kinds: set, key: str, what: str) -> None:
@@ -140,26 +142,17 @@ def _integers(values, key: str) -> np.ndarray:
 
 
 def _level(doc: dict, b: int) -> Level:
-    """A level document's Level, on the corner block b: its run edges
-    start at 0, end at T, the number of its phases, and increase, so that
-    runs and gaps alternate, starting and ending with a run; its vectors
-    are 2 b integer numerators over U_DEN per run sample, each entry's re
-    then im, stored as second differences along each run, and its phases
-    as first differences, decoded within the recipe's range (_decoded),
-    and no vector is zero, since a zero vector has no transport."""
+    """A level document's Level, on the corner block b: its run edges and its
+    vectors, 2 b integer numerators over U_DEN per run sample, re then im,
+    fit its T phases (check_runs); the vectors are stored as second differences
+    along each run and the phases as first differences, decoded within the
+    recipe's range (_decoded), and no vector is zero: it has no transport."""
     if sorted(doc) != ["phases_d1", "rows", "runs", "vectors_d2"]:
         raise ValueError("a level holds 'runs', 'vectors_d2', 'phases_d1' and 'rows' since the "
                          f"format changed, got {sorted(doc)}")
-    phase_steps, runs = _integers(doc["phases_d1"], "phases_d1"), _integers(doc["runs"], "runs")
-    if runs[0] != 0 or runs[-1] != len(phase_steps) or len(runs) % 2 or not (np.diff(runs) > 0).all():
-        raise ValueError(f"'runs' must rise from 0 to the {len(phase_steps)} phases in an even number "
-                         f"of edges, got {runs.tolist()}")
-    vector_steps, lengths = _integers(doc["vectors_d2"], "vectors_d2"), np.diff(runs)[::2]
-    samples = int(lengths.sum())
-    if len(vector_steps) != 2 * b * samples:
-        raise ValueError(f"'vectors_d2' holds 2 b = {2 * b} integers for each of {samples} run "
-                         f"samples, {2 * b * samples}, got {len(vector_steps)}")
-    vectors = _decoded(vector_steps.reshape(samples, 2 * b), lengths, 2, U_DEN, "vectors_d2")
+    phase_steps, runs, vector_steps = (_integers(doc[key], key) for key in ("phases_d1", "runs", "vectors_d2"))
+    lengths = check_runs(runs, len(phase_steps), b, len(vector_steps), "'vectors_d2'")
+    vectors = _decoded(vector_steps.reshape(-1, 2 * b), lengths, 2, U_DEN, "vectors_d2")
     phases = _decoded(phase_steps, [len(phase_steps)], 1, U_DEN // 2, "phases_d1")
     if not vectors.any(axis=-1).all():
         raise ValueError("zero vector does not represent a ray")
@@ -200,16 +193,3 @@ def write_doc(path: str, doc: dict):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(dumps(doc))
         fh.write("\n")
-
-
-def read_doc(path: str) -> dict:
-    """The JSON document at `path`; bad JSON raises ValueError
-    'path:line:col: msg', and JSON nested past the interpreter's recursion
-    limit ValueError 'path: ...'."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
-        except RecursionError:
-            raise ValueError(f"{path}: JSON nested too deeply to read") from None

@@ -1,7 +1,8 @@
-"""Shared error types and tolerance scaling."""
+"""Shared error types, tolerance scaling and the JSON document reader."""
 
 from __future__ import annotations
 
+import json
 import os
 
 
@@ -25,3 +26,16 @@ def tol_scale() -> float:
     if not 0.0 < val < float("inf"):  # also refuses NaN
         raise ValueError(f"PHASELAB_TOL_SCALE must be finite and > 0, got {raw!r}")
     return val
+
+
+def read_doc(path: str) -> dict:
+    """The JSON document at `path`; bad JSON raises ValueError
+    'path:line:col: msg', and JSON nested past the interpreter's recursion
+    limit ValueError 'path: ...'."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply to read") from None

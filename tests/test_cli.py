@@ -420,6 +420,51 @@ def test_cli_import_leaves_out_scipy_linalg():
     assert out.stdout.strip() == "False"
 
 
+def _loaded(probe: str, *argv, cwd=None) -> set:
+    """The phaselab modules in sys.modules once probe has run in a fresh
+    interpreter with argv, which prints nothing else."""
+    probe += "; print(*sorted(m for m in sys.modules if m.startswith('phaselab.')))"
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys; " + probe, *argv], capture_output=True, text=True,
+        check=True, cwd=cwd, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    return set(out.stdout.split())
+
+
+CONTRACTION = {"phaselab.homotopy", "phaselab.serialize"}
+
+
+@pytest.mark.parametrize("config", [False, True], ids=["flags", "config"])
+def test_invariant_leaves_out_the_contraction_modules(tmp_path, config):
+    # each command loads what it runs: only contract-loop imports homotopy
+    # and serialize, and --config is read without serialize
+    argv = ["invariant", "--grid", "8x16", "--out", os.devnull]
+    if config:
+        (tmp_path / "config.json").write_text('{"n_dimers": 2}')
+        argv += ["--config", "config.json"]
+    loaded = _loaded("from phaselab.cli import main; main(sys.argv[1:])", *argv, cwd=tmp_path)
+    assert "phaselab.dimer" in loaded and not loaded & CONTRACTION
+
+
+def test_contract_loop_loads_the_contraction_modules(tmp_path):
+    serialize.write_doc(str(tmp_path / "loop.json"), serialize.loop_to_doc(constant_loop(2, 8)))
+    loaded = _loaded("from phaselab.cli import main; main(sys.argv[1:])",
+                     "contract-loop", "loop.json", "--out", os.devnull, cwd=tmp_path)
+    assert CONTRACTION <= loaded
+
+
+def test_cli_import_binds_the_benchmark_hooks():
+    # the benchmark swaps cli.invariant_sweep, and a traced run reads
+    # phaselab.selfcheck's SUITES from sys.modules after the commands
+    loaded = _loaded("import phaselab.cli as cli; assert cli.invariant_sweep.__module__ == 'phaselab.dimer'")
+    assert "phaselab.selfcheck" in loaded and not loaded & CONTRACTION
+
+
+def test_serialize_import_leaves_out_the_invariant_modules():
+    loaded = _loaded("import phaselab.serialize")
+    assert "phaselab.homotopy" in loaded and not loaded & {"phaselab.dimer", "phaselab.cech"}
+
+
 @pytest.mark.parametrize(
     "argv",
     [["invariant", "--grid", "8x16"], ["contract-loop", "plateau.json"],

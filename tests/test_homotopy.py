@@ -1109,6 +1109,34 @@ def test_sheet_from_doc_refuses_malformed_transport_fields(forge, message):
         serialize.sheet_from_doc(doc)
 
 
+
+@pytest.mark.parametrize(
+    "forge, message",
+    [
+        # constant_loop(2, 10): one run over the 11 samples, 11 vectors
+        (lambda lv: lv._replace(vectors=lv.vectors[:-1]),
+         r"level 0 'vectors' holds 2 b = 4 integers for each of 11 run samples, 44, got 40"),
+        (lambda lv: lv._replace(runs=(0, 5, 7, 11)), "each of 9 run samples, 36, got 44"),
+        (lambda lv: lv._replace(runs=(0, 5, 7, 10)), r"'runs' must rise from 0 to the 11 phases"),
+        (lambda lv: lv._replace(runs=(0, 5.0, 7, 11)), r"'runs' must rise"),
+        (lambda lv: lv._replace(runs=()), r"'runs' must rise"),
+        # 40 entries for the 10 run samples, but 5 wide, not 2 b = 4
+        (lambda lv: lv._replace(runs=(0, 5, 6, 11), vectors=lv.vectors[:10].reshape(8, 5)),
+         r"level 0 unitaries of shape"),
+    ],
+    ids=["vectors-short", "runs-inner", "runs-end", "runs-float", "runs-empty", "vectors-odd-width"],
+)
+def test_a_sheet_refuses_runs_that_do_not_fit_its_vectors(forge, message, monkeypatch):
+    # the reader's rule (check_runs) holds for the contractor's levels too,
+    # so a forged recipe is refused before any transport is rebuilt
+    def no_transport(runs, vectors):
+        raise AssertionError("a transport was rebuilt")
+
+    level = contract_loop(constant_loop(2, 10)).levels[0]
+    monkeypatch.setattr(homotopy, "_transport_unitaries", no_transport)
+    with pytest.raises(ValueError, match=message):
+        HomotopySheet(2, [forge(level)])
+
 def test_differences_restart_at_each_run_and_decode_back():
     # two runs of 3 and 2 samples, one coordinate: each run is differenced
     # from zeros before its start, and the cumulative sums restart with it
@@ -2403,6 +2431,15 @@ def test_a_copied_loop_or_sheet_is_rebuilt_checked_and_read_only(copies, monkeyp
     with pytest.raises(ValueError, match="budget"):
         copies(sheet)
 
+
+
+def test_a_pickled_loop_holds_its_packed_rows():
+    # the pickle carries x, not the complex samples of twice its bytes, and
+    # the loop it gives back is rebuilt from them, bit for bit
+    loop = random_based_loop(6, 2, 700)
+    data = pickle.dumps(loop)
+    assert len(data) <= 1.1 * loop.x.nbytes
+    assert pickle.loads(data).x.tobytes() == loop.x.tobytes()
 
 @pytest.mark.parametrize("name", ["pure", "plateau", "seed2", "seed7", "n4"])
 def test_every_contracted_cell_is_a_state(name):
